@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .families import construct_classical, construct_sum, construct_v3
+from .quaternion import CanonicalBasis
 from .subspace import (
     AngleTriple,
+    ConstancyReport,
     NumericalFailure,
     Subspace,
     constancy_check,
@@ -104,18 +107,6 @@ def _cos_leq(value: float, bound: float, tol: float) -> bool:
     return value <= bound + tol
 
 
-def _pbar_triple(
-    v_space: Subspace, basis, triple: AngleTriple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Pbar_1, Pbar_2 and, when phi3 < pi/2, Pbar_3 in V coordinates."""
-    p1 = pbar_operator(v_space, basis, 1, triple.phi1)
-    p2 = pbar_operator(v_space, basis, 2, triple.phi2)
-    p3 = None
-    if math.cos(triple.phi3) > 1e-8:
-        p3 = pbar_operator(v_space, basis, 3, triple.phi3)
-    return p1, p2, p3
-
-
 def _nullspace(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical kernel (columns)."""
     _, sv, vt = np.linalg.svd(mat)
@@ -160,21 +151,99 @@ def _cells(part: np.ndarray, generators: list[np.ndarray]) -> list[np.ndarray]:
     return cells
 
 
-def _prepare(v_space: Subspace, samples: int, seed: int):
-    """Constancy report plus joint basis shared by the block routines."""
-    if v_space.k % 4:
-        raise ValueError("block analysis needs dim V to be a multiple of 4")
-    report = constancy_check(v_space, samples, seed)
-    if not report.constant:
-        raise ValueError(
-            f"subspace does not have constant angle (spread {report.max_spread:.2e})"
+class _Analysis:
+    """The Omega/Pbar data of one subspace, shared by the decisions of one call.
+
+    Holds the constancy report, the joint canonical basis with its residual,
+    the Pbar triple and the sign-kernel split.  Each is computed on first use
+    and at most once; an analysis lives for a single public call and is never
+    cached across calls.
+    """
+
+    def __init__(self, v_space: Subspace, samples: int, seed: int):
+        self.space = v_space
+        self.samples = samples
+        self.seed = seed
+
+    @cached_property
+    def report(self) -> ConstancyReport:
+        return constancy_check(self.space, self.samples, self.seed)
+
+    @cached_property
+    def joint(self) -> tuple[CanonicalBasis, float]:
+        """Common canonical basis and its residual, sampled with seed + 1."""
+        return joint_canonical_basis(self.space, max(50, self.samples // 4), self.seed + 1)
+
+    def canonical(self) -> tuple[AngleTriple, CanonicalBasis]:
+        """Triple and common canonical basis shared by the block routines."""
+        if self.space.k % 4:
+            raise ValueError("block analysis needs dim V to be a multiple of 4")
+        if not self.report.constant:
+            raise ValueError(
+                f"subspace does not have constant angle (spread {self.report.max_spread:.2e})"
+            )
+        basis, residual = self.joint
+        if residual > JOINT_RESIDUAL_TOL:
+            raise NumericalFailure(
+                f"no common canonical basis found (joint residual {residual:.2e})"
+            )
+        return self.report.triple, basis
+
+    @cached_property
+    def pbars(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Pbar_1, Pbar_2 and, when phi3 < pi/2, Pbar_3 in V coordinates."""
+        triple, basis = self.canonical()
+        p1 = pbar_operator(self.space, basis, 1, triple.phi1)
+        p2 = pbar_operator(self.space, basis, 2, triple.phi2)
+        p3 = None
+        if math.cos(triple.phi3) > 1e-8:
+            p3 = pbar_operator(self.space, basis, 3, triple.phi3)
+        return p1, p2, p3
+
+    @cached_property
+    def kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        return _kernel_split(*self.pbars, self.space.k)
+
+    @cached_property
+    def _block_type(self) -> TypeSignature | NumericalFailure:
+        try:
+            triple, _ = self.canonical()
+            if math.cos(triple.phi3) <= 1e-8:
+                return TypeSignature(self.space.k // 4, 0)
+            kplus, kminus = self.kernels
+            return TypeSignature(kplus.shape[1] // 4, kminus.shape[1] // 4)
+        except NumericalFailure as exc:
+            return exc
+
+    def block_type(self) -> TypeSignature:
+        """The block type; a numerical failure is kept and raised on every use."""
+        if isinstance(self._block_type, NumericalFailure):
+            raise self._block_type
+        return self._block_type
+
+    def protohomogeneity(self) -> Verdict:
+        report = self.report
+        if not report.constant:
+            return Verdict(
+                "no",
+                f"the angle triple is not constant (spread {report.max_spread:.2e})",
+            )
+        k = self.space.k
+        if k % 4 != 0 or k == 4:
+            return Verdict("yes", "constant angle suffices in dimensions not divisible "
+                                  "by four, and in dimension four")
+        try:
+            t = self.block_type()
+        except NumericalFailure as exc:
+            return Verdict("unknown", str(exc))
+        if t.l_plus == 0 or t.l_minus == 0:
+            return Verdict("yes", f"all {t.blocks()} blocks carry the same sign")
+        return Verdict(
+            "no",
+            f"mixed block type ({t.l_plus}, {t.l_minus}): the two signs are "
+            "inequivalent, so no group element can move one block family onto "
+            "the other",
         )
-    basis, residual = joint_canonical_basis(v_space, max(50, samples // 4), seed + 1)
-    if residual > JOINT_RESIDUAL_TOL:
-        raise NumericalFailure(
-            f"no common canonical basis found (joint residual {residual:.2e})"
-        )
-    return report.triple, basis, residual
 
 
 def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subspace]:
@@ -185,9 +254,10 @@ def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subs
     with deflation (pure-sign parts are factored separately so the orbit of
     each seed vector closes up in dimension 4).
     """
-    triple, basis, _ = _prepare(v_space, samples, seed)
+    analysis = _Analysis(v_space, samples, seed)
+    triple, basis = analysis.canonical()
     k = v_space.k
-    cos2, cos3 = math.cos(triple.phi2), math.cos(triple.phi3)
+    cos2 = math.cos(triple.phi2)
     if cos2 <= 1e-8:
         if math.cos(triple.phi1) <= 1e-8:
             cells = [np.eye(k)[:, 4 * r:4 * r + 4] for r in range(k // 4)]
@@ -198,11 +268,11 @@ def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subs
             blocks = [np.column_stack([pairs[2 * r], pairs[2 * r + 1]])
                       for r in range(len(pairs) // 2)]
     else:
-        p1, p2, p3 = _pbar_triple(v_space, basis, triple)
+        p1, p2, p3 = analysis.pbars
         if p3 is None:
             parts = [np.eye(k)]
         else:
-            parts = [p for p in _kernel_split(p1, p2, p3, k) if p.shape[1]]
+            parts = [p for p in analysis.kernels if p.shape[1]]
         blocks = []
         for part in parts:
             blocks.extend(_cells(part, [p1, p2, p1 @ p2]))
@@ -221,13 +291,7 @@ def type_of(v_space: Subspace, samples: int = 400, seed: int = 0) -> TypeSignatu
     convention; otherwise the counts are the kernel dimensions of
     Pbar1 Pbar2 -+ Pbar3 divided by four.
     """
-    triple, basis, _ = _prepare(v_space, samples, seed)
-    l = v_space.k // 4
-    if math.cos(triple.phi3) <= 1e-8:
-        return TypeSignature(l, 0)
-    p1, p2, p3 = _pbar_triple(v_space, basis, triple)
-    kplus, kminus = _kernel_split(p1, p2, p3, v_space.k)
-    return TypeSignature(kplus.shape[1] // 4, kminus.shape[1] // 4)
+    return _Analysis(v_space, samples, seed).block_type()
 
 
 def is_protohomogeneous(v_space: Subspace, samples: int = 400, seed: int = 0) -> Verdict:
@@ -238,28 +302,7 @@ def is_protohomogeneous(v_space: Subspace, samples: int = 400, seed: int = 0) ->
     canonical basis the subspace falls outside the classified families and
     the verdict is unknown.
     """
-    report = constancy_check(v_space, samples, seed)
-    if not report.constant:
-        return Verdict(
-            "no",
-            f"the angle triple is not constant (spread {report.max_spread:.2e})",
-        )
-    k = v_space.k
-    if k % 4 != 0 or k == 4:
-        return Verdict("yes", "constant angle suffices in dimensions not divisible "
-                              "by four, and in dimension four")
-    try:
-        t = type_of(v_space, samples, seed)
-    except NumericalFailure as exc:
-        return Verdict("unknown", str(exc))
-    if t.l_plus == 0 or t.l_minus == 0:
-        return Verdict("yes", f"all {t.blocks()} blocks carry the same sign")
-    return Verdict(
-        "no",
-        f"mixed block type ({t.l_plus}, {t.l_minus}): the two signs are "
-        "inequivalent, so no group element can move one block family onto "
-        "the other",
-    )
+    return _Analysis(v_space, samples, seed).protohomogeneity()
 
 
 def branch_of_v3(
@@ -326,8 +369,9 @@ def are_equivalent(
         return Verdict("no", "different ambient quaternionic dimensions")
     if v_space.k != w_space.k:
         return Verdict("no", "different dimensions")
-    rep_v = constancy_check(v_space, samples, seed)
-    rep_w = constancy_check(w_space, samples, seed + 1)
+    side_v = _Analysis(v_space, samples, seed)
+    side_w = _Analysis(w_space, samples, seed + 1)
+    rep_v, rep_w = side_v.report, side_w.report
     if rep_v.constant != rep_w.constant:
         return Verdict("no", "constancy of the angle triple is an invariant")
     if not rep_v.constant:
@@ -351,8 +395,8 @@ def are_equivalent(
         return Verdict("no", f"opposite branches ({bv:+d} vs {bw:+d})")
     if k % 4 == 0:
         try:
-            tv = type_of(v_space, samples, seed)
-            tw = type_of(w_space, samples, seed + 1)
+            tv = side_v.block_type()
+            tw = side_w.block_type()
         except NumericalFailure as exc:
             return Verdict("unknown", str(exc))
         if tv == tw:
@@ -646,7 +690,8 @@ def representative(
 
 def classify_subspace(v_space: Subspace, samples: int = 500, seed: int = 0) -> dict:
     """Full classification record of a subspace (the `classify` CLI payload)."""
-    report = constancy_check(v_space, samples, seed)
+    analysis = _Analysis(v_space, samples, seed)
+    report = analysis.report
     record: dict = {
         "n": v_space.n,
         "k": v_space.k,
@@ -661,14 +706,13 @@ def classify_subspace(v_space: Subspace, samples: int = 500, seed: int = 0) -> d
             "reason": "the angle triple is not constant",
         }
         return record
-    _, residual = joint_canonical_basis(v_space, max(50, samples // 4), seed + 1)
-    record["joint_residual"] = residual
-    verdict = is_protohomogeneous(v_space, samples, seed)
+    record["joint_residual"] = analysis.joint[1]
+    verdict = analysis.protohomogeneity()
     record["protohomogeneous"] = {"value": verdict.value, "reason": verdict.reason}
     k = v_space.k
     if k % 4 == 0:
         try:
-            record["type"] = list(type_of(v_space, samples, seed).as_tuple())
+            record["type"] = list(analysis.block_type().as_tuple())
         except NumericalFailure as exc:
             record["type"] = None
             record["type_diagnostic"] = str(exc)

@@ -12,11 +12,11 @@ import math
 import os
 import sys
 
-from .classify import classify_subspace, moduli_describe, moduli_membership, snapped
+from .classify import _Analysis, classify_subspace, moduli_describe, moduli_membership, snapped
 from .families import CLASSICAL_FAMILIES, FamilySpec, construct
 from .selftest import run_selftest
 from .serialize import load_subspace, save_subspace
-from .subspace import AngleTriple, NumericalFailure, constancy_check, joint_canonical_basis
+from .subspace import AngleTriple, NumericalFailure, constancy_check
 
 __all__ = ["main"]
 
@@ -112,8 +112,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_angles(args) -> int:
     space, _ = load_subspace(args.path)
-    report = constancy_check(space, samples=args.samples, seed=args.seed)
-    _, residual = joint_canonical_basis(space, max(50, args.samples // 4), args.seed)
+    # The same analysis as `classify`, so both report one joint residual.
+    analysis = _Analysis(space, args.samples, args.seed)
+    report = analysis.report
+    _, residual = analysis.joint
     _emit({
         "n": space.n,
         "k": space.k,

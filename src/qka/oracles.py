@@ -15,14 +15,7 @@ import numpy as np
 
 from .families import gram_matrix
 from .quaternion import random_group_element
-from .subspace import (
-    AngleTriple,
-    NumericalFailure,
-    Subspace,
-    _omega_batch,
-    _sample_coeffs,
-    distribution_rank,
-)
+from .subspace import AngleTriple, NumericalFailure, Subspace, distribution_rank
 from .quaternion import STANDARD_BASIS
 
 __all__ = [
@@ -218,8 +211,13 @@ def gram_grid_sweep(spec: GridSpec) -> dict:
 
 
 def _sorted_cos2_batch(v_space: Subspace, samples: int, rng) -> np.ndarray:
-    coeffs = _sample_coeffs(v_space.k, samples, rng)
-    oms = _omega_batch(v_space, coeffs, STANDARD_BASIS)
+    """Sorted squared cosines at random unit vectors x of V, by brute force:
+    Omega(x)_ij = <pi_V J_i x, pi_V J_j x> with the 4n x 4n projector pi_V."""
+    c = rng.standard_normal((v_space.k, samples))
+    x = v_space.basis @ (c / np.linalg.norm(c, axis=0))
+    proj = v_space.projector()
+    px = np.stack([proj @ STANDARD_BASIS.apply(i, x) for i in (1, 2, 3)])  # (3, 4n, m)
+    oms = np.einsum("iam,jam->mij", px, px)
     return np.sort(np.linalg.eigvalsh(oms), axis=1)
 
 

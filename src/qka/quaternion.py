@@ -379,7 +379,9 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     """A seeded random quaternionic unitary matrix as an (n, n, 4) array.
 
     Quaternionic Gram-Schmidt on a matrix of independent standard normal
-    quaternions; deterministic for a fixed seed.
+    quaternions; deterministic for a fixed seed.  Each column is projected
+    off all earlier columns at once, twice (classical Gram-Schmidt with
+    reorthogonalization).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -387,14 +389,12 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     m = rng.standard_normal((n, n, 4))
     cols = np.zeros_like(m)
     for j in range(n):
-        v = m[:, j].copy()
+        v = m[:, j]
+        earlier = cols[:, :j]  # (n, j, 4)
         for _ in range(2):  # second pass tightens orthogonality
-            for p in range(j):
-                u = cols[:, p]
-                c = quat_mul(quat_conj(u), v).sum(axis=0)
-                v = v - quat_mul(u, c)
-        v /= np.linalg.norm(v)
-        cols[:, j] = v
+            c = quat_mul(quat_conj(earlier), v[:, None]).sum(axis=0)  # (j, 4)
+            v = v - quat_mul(earlier, c).sum(axis=1)
+        cols[:, j] = v / np.linalg.norm(v)
     return cols
 
 

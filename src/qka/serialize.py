@@ -52,6 +52,8 @@ def subspace_from_dict(data: dict) -> tuple[Subspace, dict]:
             f"basis shape {rows.shape} does not match k={k}, n={n} (expected "
             f"({k}, {4 * n}))"
         )
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("basis has non-finite entries")
     basis = rows.T
     dev = float(np.max(np.abs(basis.T @ basis - np.eye(k))))
     if dev > REPAIR_TOL:

@@ -108,6 +108,10 @@ class Subspace:
         k = basis.shape[1]
         if k == 0 or k > basis.shape[0]:
             raise ValueError("basis must have between 1 and 4n columns")
+        # NaN fails every comparison, so the orthonormality gate below
+        # cannot be trusted to reject it.
+        if not np.all(np.isfinite(basis)):
+            raise ValueError("basis has non-finite entries")
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(k))) > ORTHONORMALITY_TOL:
             raise ValueError("basis columns are not orthonormal")
@@ -178,11 +182,16 @@ def p_operator(v_space: Subspace, i: int, basis: CanonicalBasis = STANDARD_BASIS
 
 
 def _omega_batch(v_space: Subspace, coeffs: np.ndarray, basis: CanonicalBasis) -> np.ndarray:
-    """Omega matrices for vectors B @ coeffs, returned as (m, 3, 3)."""
+    """Omega matrices for vectors B @ coeffs, returned as (m, 3, 3).
+
+    With B the basis of V, the restricted structure W_i = B^T J_i B (k x k)
+    gives P_i v in V coordinates as W_i c for v = B c, so
+    Omega(v)_ij = (W_i c) . (W_j c) needs no product in R^{4n} per sample.
+    """
     b = v_space.basis
-    x = b @ coeffs  # (4n, m)
-    w = np.stack([b.T @ basis.apply(i, x) for i in (1, 2, 3)])  # (3, k, m)
-    return np.einsum("ikm,jkm->mij", w, w)
+    w = np.stack([b.T @ basis.apply(i, b) for i in (1, 2, 3)]) @ coeffs  # (3, k, m)
+    wt = w.transpose(2, 0, 1)  # (m, 3, k)
+    return wt @ wt.transpose(0, 2, 1)
 
 
 def omega(v_space: Subspace, v, basis: CanonicalBasis = STANDARD_BASIS) -> np.ndarray:
@@ -287,7 +296,7 @@ def _jacobi_joint_diagonalize(
             g[p, p] = g[q, q] = c
             g[p, q] = -s
             g[q, p] = s
-            m = np.einsum("ip,mpq,qj->mij", g.T, m, g)
+            m = g.T @ m @ g
             rot = rot @ g
         new_mass = _joint_offdiag_mass(m)
         if mass - new_mass < decrease_tol:

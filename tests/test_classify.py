@@ -1,10 +1,12 @@
 """Tests for factorization, type detection, equivalence, and the moduli table."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import qka.classify
 from qka.classify import (
     TypeSignature,
     are_equivalent,
@@ -20,13 +22,18 @@ from qka.classify import (
     type_of,
 )
 from qka.families import construct_classical, construct_sum, construct_v3, construct_v4
-from qka.quaternion import HVector
+from qka.quaternion import HVector, random_group_element
 from qka.subspace import AngleTriple, constancy_check, from_spanning, is_h_orthogonal
 
 HALF_PI = math.pi / 2
 T13 = AngleTriple.from_cosines([1 / 3, 1 / 3, 1 / 3])
 T03 = AngleTriple.from_cosines([0.3, 0.3, 0.3])
 REAL3 = AngleTriple(HALF_PI, HALF_PI, HALF_PI)
+TA = AngleTriple.from_cosines([0.5, 0.25, 0.12])
+
+
+def rotated(space, seed):
+    return space.transformed(random_group_element(space.n, seed))
 
 
 class TestFactorize:
@@ -355,3 +362,74 @@ class TestClassifyRecord:
         t = AngleTriple.from_cos2_eigenvalues([1 - 1e-15, 0.5, 1e-15])
         s = snapped(t)
         assert s.cosines() == pytest.approx([1.0, math.sqrt(0.5), 0.0], abs=1e-12)
+
+
+@pytest.fixture
+def analysis_calls(monkeypatch):
+    """Calls of the sampled analysis through classify's bindings, per subspace."""
+    calls = Counter()
+    for name in ("constancy_check", "joint_canonical_basis"):
+        original = getattr(qka.classify, name)
+
+        def counted(v_space, *args, _name=name, _original=original, **kwargs):
+            calls[_name, id(v_space)] += 1
+            return _original(v_space, *args, **kwargs)
+
+        monkeypatch.setattr(qka.classify, name, counted)
+    return calls
+
+
+class TestAnalysisOnce:
+    @pytest.mark.parametrize("l_plus,l_minus", [(1, 1), (4, 0), (1, 3)])
+    def test_classify_samples_once(self, analysis_calls, l_plus, l_minus):
+        k = 4 * (l_plus + l_minus)
+        space = rotated(construct_sum(TA, l_plus, l_minus, k), k)
+        record = classify_subspace(space)
+        assert record["type"] == [l_plus, l_minus]
+        assert analysis_calls == Counter({("constancy_check", id(space)): 1,
+                                          ("joint_canonical_basis", id(space)): 1})
+
+    def test_equivalence_samples_at_most_once_per_side(self, analysis_calls):
+        a = rotated(construct_sum(TA, 1, 1, 8), 1)
+        b = rotated(construct_sum(TA, 1, 1, 8), 2)
+        assert are_equivalent(a, b).value == "yes"
+        assert set(analysis_calls) <= {(name, id(side))
+                                       for name in ("constancy_check", "joint_canonical_basis")
+                                       for side in (a, b)}
+        assert max(analysis_calls.values()) == 1
+
+
+# Declared answers for fixed inputs at fixed sampling seeds: type,
+# protohomogeneity, strata (with branches) and the 3-dimensional branch.
+TWO_CLASS = [("two_class_region", 1), ("two_class_region", -1)]
+RECORD_CASES = [
+    ("sum8_mixed", lambda: rotated(construct_sum(TA, 1, 1, 8), 3),
+     dict(type=[1, 1], proto="no", strata=TWO_CLASS)),
+    ("sum16_pure", lambda: rotated(construct_sum(TA, 4, 0, 16), 4),
+     dict(type=[4, 0], proto="yes", strata=TWO_CLASS)),
+    ("sum16_mixed", lambda: rotated(construct_sum(TA, 1, 3, 16), 5),
+     dict(type=[1, 3], proto="no", strata=TWO_CLASS)),
+    ("witness", lambda: construct_sum(T13, 1, 1, 7),
+     dict(type=[1, 1], proto="no", strata=[("boundary_sum_surface", None)])),
+    ("v4_minus", lambda: construct_v4(T03, -1, 4),
+     dict(type=[0, 1], proto="yes", strata=TWO_CLASS)),
+    ("v3_minus", lambda: construct_v3(1.2, -1, 3),
+     dict(branch=-1, proto="yes",
+          strata=[("two_branch_curve", 1), ("two_branch_curve", -1)])),
+    ("quaternionic", lambda: construct_classical("quaternionic", 8, 4),
+     dict(type=[2, 0], proto="yes", strata=[("complexified_curve", None)])),
+    ("im_h_line", lambda: construct_classical("im_h_line", 3, 2),
+     dict(branch=None, proto="yes", strata=[("imaginary_line_point", None)])),
+    ("totally_complex", lambda: construct_classical("totally_complex", 6, 4),
+     dict(proto="yes", strata=[("totally_complex_point", None)])),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name,build,expected", RECORD_CASES, ids=[c[0] for c in RECORD_CASES])
+def test_classify_record_on_fixed_seeds(name, build, expected, seed):
+    record = classify_subspace(build(), seed=seed)
+    assert record["protohomogeneous"]["value"] == expected["proto"]
+    assert record.get("type") == expected.get("type")
+    assert "branch" not in expected or record["branch"] == expected["branch"]
+    assert [(s["name"], s.get("branch")) for s in record["strata"]] == expected["strata"]

@@ -208,6 +208,28 @@ def test_random_unitary_deterministic():
     assert np.array_equal(a, b)
 
 
+def _random_unitary_by_columns(n, seed):
+    """Reference: the same draws, projected off one earlier column at a time."""
+    from qka.quaternion import quat_conj, quat_mul
+
+    m = np.random.default_rng(seed).standard_normal((n, n, 4))
+    cols = np.zeros_like(m)
+    for j in range(n):
+        v = m[:, j].copy()
+        for _ in range(2):
+            for p in range(j):
+                u = cols[:, p]
+                v = v - quat_mul(u, quat_mul(quat_conj(u), v).sum(axis=0))
+        cols[:, j] = v / np.linalg.norm(v)
+    return cols
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 24])
+def test_random_unitary_matches_column_by_column_reference(n):
+    # Summation order differs, so agreement is to round-off, not bitwise.
+    assert np.max(np.abs(random_unitary(n, 19) - _random_unitary_by_columns(n, 19))) < 1e-13
+
+
 def test_hvector_right_scalar_action():
     v = HVector([1.0, 0, 0, 0, 0, 0, 0, 0])
     w = v.right_mul(Quaternion(0, 1, 0, 0))

@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qka
 from qka.cli import main
 from qka.families import construct_sum, construct_v4
 from qka.serialize import load_subspace, save_subspace, subspace_from_dict, subspace_to_dict
@@ -140,6 +142,24 @@ class TestCli:
         assert code == 2
         assert "error" in stderr
 
+    @pytest.mark.parametrize("command", ["angles", "classify"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_basis_exits_2(self, tmp_path, capsys, command, bad):
+        data = subspace_to_dict(construct_v4(T13, -1, 3))
+        data["basis"][1][2] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))  # writes NaN / Infinity literals
+        code, stdout, stderr = run_cli([command, str(path)], capsys)
+        assert code == 2
+        assert "non-finite" in stderr and stdout == ""
+
+    def test_angles_and_classify_report_one_joint_residual(self, tmp_path, capsys):
+        path = tmp_path / "vm.json"
+        save_subspace(path, construct_v4(T13, -1, 4))
+        _, angles, _ = run_cli(["angles", str(path), "--seed", "3"], capsys)
+        _, record, _ = run_cli(["classify", str(path), "--seed", "3"], capsys)
+        assert json.loads(angles)["joint_residual"] == json.loads(record)["joint_residual"]
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(["angles", "/nonexistent/path.json"], capsys)
         assert code == 2
@@ -175,8 +195,12 @@ class TestCli:
         assert first == second
 
     def test_entry_point_runs(self):
+        # The child imports the same qka as this process, installed or not.
+        src = os.path.dirname(os.path.dirname(qka.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "qka.cli", "moduli", "--k", "3", "--n", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "imaginary_line_point" in proc.stdout

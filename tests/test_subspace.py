@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from qka.families import construct_classical, construct_sum, construct_v3, construct_v4
-from qka.quaternion import STANDARD_BASIS, HVector, random_group_element, right_mult
+from qka.quaternion import (
+    STANDARD_BASIS,
+    CanonicalBasis,
+    HVector,
+    random_group_element,
+    right_mult,
+)
 from qka.subspace import (
     AngleTriple,
     NumericalFailure,
     Subspace,
+    _jacobi_joint_diagonalize,
+    _omega_batch,
     constancy_check,
     distribution_rank,
     from_spanning,
@@ -61,6 +69,19 @@ class TestFromSpanning:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
             from_spanning([HVector(np.ones(4)), HVector(np.ones(8))])
+
+
+class TestSubspaceInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_basis(self, bad):
+        basis = quaternionic_line().basis.copy()
+        basis[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Subspace(basis)
+
+    def test_rejects_all_nan_basis(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Subspace(np.full((8, 2), np.nan))
 
 
 class TestAngleTriple:
@@ -133,6 +154,25 @@ class TestOmega:
             assert np.trace(om) == pytest.approx(expected, abs=1e-9)
             lams = np.linalg.eigvalsh(om)
             assert lams[0] > -1e-12 and lams[-1] < 1 + 1e-12
+
+
+    @pytest.mark.parametrize("rotation_seed", [None, 4])
+    def test_batch_matches_projection_in_ambient_space(self, rotation_seed):
+        # Omega from the k x k restricted structure against
+        # <pi_V J_i x, pi_V J_j x> computed in R^{4n}.
+        rng = np.random.default_rng(11)
+        space = from_spanning([HVector(rng.standard_normal(16)) for _ in range(5)])
+        assert not constancy_check(space, 50).constant
+        basis = STANDARD_BASIS
+        if rotation_seed is not None:
+            q, _ = np.linalg.qr(np.random.default_rng(rotation_seed).standard_normal((3, 3)))
+            basis = CanonicalBasis(q * np.sign(np.linalg.det(q)))
+        coeffs = rng.standard_normal((5, 40))
+        coeffs /= np.linalg.norm(coeffs, axis=0)
+        x = space.basis @ coeffs
+        px = np.stack([p_operator(space, i, basis) @ x for i in (1, 2, 3)])
+        brute = np.einsum("iam,jam->mij", px, px)
+        assert np.max(np.abs(_omega_batch(space, coeffs, basis) - brute)) <= 1e-12
 
 
 class TestVectorQka:
@@ -210,6 +250,14 @@ class TestJointBasis:
     def test_imaginary_span_has_no_common_basis(self):
         _, residual = joint_canonical_basis(imaginary_span(), 120, seed=2)
         assert residual > 1e-2
+
+    def test_jacobi_returns_rotated_batch(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((30, 3, 3))
+        mats = a + a.transpose(0, 2, 1)
+        rot, diag = _jacobi_joint_diagonalize(mats)
+        assert np.max(np.abs(rot.T @ rot - np.eye(3))) < 1e-12
+        assert np.max(np.abs(rot.T @ mats @ rot - diag)) < 1e-12
 
 
 class TestPbar:
