@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .families import construct_classical, construct_sum, construct_v3
-from .quaternion import CanonicalBasis
+from .families import REGION_TOL, construct_classical, construct_sum, construct_v3
+from .quaternion import STANDARD_BASIS, CanonicalBasis
 from .subspace import (
     AngleTriple,
     ConstancyReport,
@@ -27,7 +27,6 @@ from .subspace import (
     constancy_check,
     joint_canonical_basis,
     pbar_operator,
-    vector_qka,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 JOINT_RESIDUAL_TOL = 1e-8
-REGION_TOL = 1e-10
 TRIPLE_MATCH_TOL = 1e-8
 # Cosines this close to 0 or 1 are treated as exact pi/2 or 0 angles when a
 # triple computed from eigenvalues enters a region predicate (eigenvalue
@@ -245,6 +243,62 @@ class _Analysis:
             "the other",
         )
 
+    def branch(self, base_points: int = 24, tol: float = 1e-8) -> int:
+        """The sign of a 3-dimensional constant-angle subspace at phi in (0, pi/2).
+
+        Tells the two classes at one angle apart by the invariant
+        <e_1, e_2> = cos(phi)/(cos(phi) + sign), evaluated at all base
+        points in one batch and required not to depend on the base point.
+        """
+        if self.space.k != 3:
+            raise ValueError("branch detection applies to 3-dimensional subspaces")
+        report = self.report
+        if not report.constant:
+            raise ValueError("subspace does not have constant angle")
+        triple = report.triple
+        if abs(math.cos(triple.phi1) - math.cos(triple.phi2)) > 1e-7:
+            raise NumericalFailure("3-dimensional constant-angle triples have phi1 = phi2")
+        phi = 0.5 * (triple.phi1 + triple.phi2)
+        c = math.cos(phi)
+        if c <= 1e-8 or c >= 1.0 - 1e-8:
+            raise ValueError("the two classes merge at phi = pi/2 and phi = 0")
+        coeffs = np.random.default_rng(self.seed).standard_normal((base_points, 3))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        thetas = _branch_invariants(self.space, coeffs, phi)
+        if thetas.max() - thetas.min() > tol:
+            raise NumericalFailure(
+                f"branch invariant varies across base points (spread "
+                f"{thetas.max() - thetas.min():.2e})"
+            )
+        theta = float(np.mean(thetas))
+        for sign in (1, -1):
+            if abs(theta - c / (c + sign)) <= tol:
+                return sign
+        raise NumericalFailure(
+            f"branch invariant {theta:.6f} matches neither class at phi={phi:.6f}"
+        )
+
+
+def _branch_invariants(v_space: Subspace, coeffs: np.ndarray, phi: float) -> np.ndarray:
+    """<e_1, e_2> at the unit base points B x of a 3-dimensional V, one per row x.
+
+    At each base point the eigenvectors of Omega give the canonical basis
+    J'_a = sum_b R_ab J_b diagonalizing it.  With W_b = B^T J_b B,
+    Pbar_i v = B y_i / cos(phi) for y_i = sum_b R_ib W_b x, so every e_i
+    comes from the 4n x 3 blocks J_b B without a 4n x 4n product.
+    """
+    c, s = math.cos(phi), math.sin(phi)
+    b = v_space.basis
+    jb = np.stack([STANDARD_BASIS.apply(a, b) for a in (1, 2, 3)])  # J_a B
+    wx = np.einsum("apq,mq->map", b.T @ jb, coeffs)  # row a is W_a x
+    _, vecs = np.linalg.eigh(wx @ wx.transpose(0, 2, 1))  # Omega(B x)
+    # Rows J'_1, J'_2 (descending eigenvalues) in the standard triple.
+    rot = vecs[:, :, ::-1].transpose(0, 2, 1)[:, :2]
+    y = rot @ wx
+    pbar_images = np.einsum("mia,anp,mip->min", rot, jb, y) / c  # J'_i Pbar_i v
+    e = -(pbar_images + c * (coeffs @ b.T)[:, None, :]) / s
+    return np.einsum("mn,mn->m", e[:, 0], e[:, 1])
+
 
 def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subspace]:
     """Split a constant-angle subspace of dimension 4l into its 4-blocks.
@@ -314,44 +368,7 @@ def branch_of_v3(
     / sin(phi) at sampled base points; their inner product equals
     cos(phi)/(cos(phi) + sign) and does not depend on the base point.
     """
-    if v_space.k != 3:
-        raise ValueError("branch detection applies to 3-dimensional subspaces")
-    report = constancy_check(v_space, 300, seed)
-    if not report.constant:
-        raise ValueError("subspace does not have constant angle")
-    triple = report.triple
-    if abs(math.cos(triple.phi1) - math.cos(triple.phi2)) > 1e-7:
-        raise NumericalFailure("3-dimensional constant-angle triples have phi1 = phi2")
-    phi = 0.5 * (triple.phi1 + triple.phi2)
-    c = math.cos(phi)
-    if c <= 1e-8 or c >= 1.0 - 1e-8:
-        raise ValueError("the two classes merge at phi = pi/2 and phi = 0")
-    rng = np.random.default_rng(seed)
-    proj = v_space.projector()
-    thetas = []
-    for _ in range(base_points):
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
-        v = v_space.basis @ x
-        _, basis = vector_qka(v_space, v)
-        es = []
-        for i in (1, 2):
-            pbar_v = proj @ basis.apply(i, v) / c
-            es.append(-(basis.apply(i, pbar_v) + c * v) / math.sin(phi))
-        thetas.append(float(es[0] @ es[1]))
-    thetas = np.array(thetas)
-    if thetas.max() - thetas.min() > tol:
-        raise NumericalFailure(
-            f"branch invariant varies across base points (spread "
-            f"{thetas.max() - thetas.min():.2e})"
-        )
-    theta = float(np.mean(thetas))
-    for sign in (1, -1):
-        if abs(theta - c / (c + sign)) <= tol:
-            return sign
-    raise NumericalFailure(
-        f"branch invariant {theta:.6f} matches neither class at phi={phi:.6f}"
-    )
+    return _Analysis(v_space, 300, seed).branch(base_points, tol)
 
 
 def are_equivalent(
@@ -388,8 +405,8 @@ def are_equivalent(
         if c <= 1e-8 or c >= 1.0 - 1e-8:
             return Verdict("yes", "equal angle triples; a single class exists at "
                                   "this angle")
-        bv = branch_of_v3(v_space, seed=seed)
-        bw = branch_of_v3(w_space, seed=seed + 1)
+        bv = side_v.branch()
+        bw = side_w.branch()
         if bv == bw:
             return Verdict("yes", f"equal angle triples and branch ({bv:+d})")
         return Verdict("no", f"opposite branches ({bv:+d} vs {bw:+d})")
@@ -720,7 +737,7 @@ def classify_subspace(v_space: Subspace, samples: int = 500, seed: int = 0) -> d
         triple = snapped(report.triple)
         c = math.cos(triple.phi1)
         if 1e-8 < c < 1.0 - 1e-8:
-            record["branch"] = branch_of_v3(v_space, seed=seed)
+            record["branch"] = analysis.branch()
         else:
             record["branch"] = None
     strata = moduli_membership(k, v_space.n, snapped(report.triple))

@@ -14,7 +14,6 @@ import sys
 
 from .classify import _Analysis, classify_subspace, moduli_describe, moduli_membership, snapped
 from .families import CLASSICAL_FAMILIES, FamilySpec, construct
-from .selftest import run_selftest
 from .serialize import load_subspace, save_subspace
 from .subspace import AngleTriple, NumericalFailure, constancy_check
 
@@ -163,6 +162,8 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     quick = not args.full
     results = run_selftest(quick=quick, seed=args.seed, stream=sys.stdout)
     failed = [r for r in results if not r.passed]

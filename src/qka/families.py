@@ -39,6 +39,10 @@ __all__ = [
 
 # Absolute tolerance on cosines for boundary and pi/2 tests.
 BOUNDARY_TOL = 1e-12
+# Absolute tolerance on the cos-sum boundary cos(phi1) + cos(phi2) -+ cos(phi3)
+# = 1.  The moduli region predicates use the same value, so every triple they
+# place on (or inside) the boundary is one the constructors can build.
+REGION_TOL = 1e-10
 
 CLASSICAL_FAMILIES = (
     "totally_real",
@@ -96,9 +100,9 @@ def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
         raise ValueError("admissibility test requires phi1 > 0")
     x = angles.cosines()
     margin = x[0] + x[1] - sign * x[2] - 1.0
-    if margin > BOUNDARY_TOL:
+    if margin > REGION_TOL:
         return False, None
-    return True, 2 if abs(margin) <= BOUNDARY_TOL else 3
+    return True, 2 if abs(margin) <= REGION_TOL else 3
 
 
 def _psd_cholesky(g: np.ndarray, rank: int) -> np.ndarray:

@@ -21,9 +21,23 @@ from qka.classify import (
     strata_for,
     type_of,
 )
-from qka.families import construct_classical, construct_sum, construct_v3, construct_v4
+from qka.classify import _branch_invariants
+from qka.families import (
+    FamilySpec,
+    construct_classical,
+    construct_sum,
+    construct_v3,
+    construct_v4,
+    min_quaternionic_dim,
+)
 from qka.quaternion import HVector, random_group_element
-from qka.subspace import AngleTriple, constancy_check, from_spanning, is_h_orthogonal
+from qka.subspace import (
+    AngleTriple,
+    constancy_check,
+    from_spanning,
+    is_h_orthogonal,
+    vector_qka,
+)
 
 HALF_PI = math.pi / 2
 T13 = AngleTriple.from_cosines([1 / 3, 1 / 3, 1 / 3])
@@ -141,6 +155,35 @@ class TestProtohomogeneous:
         assert "not constant" in verdict.reason
 
 
+def _per_point_invariants(v_space, base_points, seed, phi):
+    """Reference: <e_1, e_2> point by point from vector_qka and the 4n x 4n projector."""
+    c = math.cos(phi)
+    rng = np.random.default_rng(seed)
+    proj = v_space.projector()
+    thetas = []
+    for _ in range(base_points):
+        x = rng.standard_normal(3)
+        x /= np.linalg.norm(x)
+        v = v_space.basis @ x
+        _, basis = vector_qka(v_space, v)
+        es = []
+        for i in (1, 2):
+            pbar_v = proj @ basis.apply(i, v) / c
+            es.append(-(basis.apply(i, pbar_v) + c * v) / math.sin(phi))
+        thetas.append(float(es[0] @ es[1]))
+    return np.array(thetas)
+
+
+# Both classes at three angles in every ambient dimension that fits them.
+BATCH_CASES = [
+    (phi, sign, n)
+    for phi in (math.pi / 3, 1.2, 1.45)
+    for sign in (1, -1)
+    for n in (2, 3, 5)
+    if n >= min_quaternionic_dim(FamilySpec("v3", n=n, phi=phi, sign=sign))
+]
+
+
 class TestBranch:
     @pytest.mark.parametrize("sign,phi,n", [
         (1, math.pi / 3, 3), (-1, math.pi / 3, 2), (1, 1.2, 4), (-1, 1.3, 3),
@@ -161,6 +204,27 @@ class TestBranch:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="3-dimensional"):
             branch_of_v3(construct_classical("totally_real", 4, 4))
+
+    @pytest.mark.parametrize("phi,sign,n", BATCH_CASES)
+    def test_batched_invariant_matches_per_point_loop(self, phi, sign, n):
+        space = rotated(construct_v3(phi, sign, n), n)
+        coeffs = np.random.default_rng(n).standard_normal((24, 3))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        batched = _branch_invariants(space, coeffs, phi)
+        reference = _per_point_invariants(space, 24, n, phi)
+        assert np.max(np.abs(batched - reference)) <= 1e-13
+        assert batched == pytest.approx(math.cos(phi) / (math.cos(phi) + sign), abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_branches_across_seeds(self, seed):
+        for phi in (math.pi / 3, 1.2, 1.45):
+            spaces = {sign: rotated(construct_v3(phi, sign, 3), 10 * seed + 2 + sign)
+                      for sign in (1, -1)}
+            for sign, space in spaces.items():
+                assert classify_subspace(space, seed=seed)["branch"] == sign
+                twin = rotated(construct_v3(phi, sign, 3), 10 * seed + 5)
+                assert are_equivalent(space, twin, seed=seed).value == "yes"
+            assert are_equivalent(spaces[1], spaces[-1], seed=seed).value == "no"
 
 
 class TestEquivalence:
@@ -319,6 +383,27 @@ class TestRepresentative:
         space = representative(8, 6, plus_boundary)
         assert type_of(space) == TypeSignature(2, 0)
 
+    @pytest.mark.parametrize("offset", [-1e-11, 1e-11])
+    def test_round_trip_next_to_boundary(self, offset):
+        # Membership on the boundary surface promises a constructible class.
+        triple = AngleTriple.from_cosines([(1 + offset) / 3] * 3)
+        hits = moduli_membership(8, 6, triple)
+        assert [h.stratum.name for h in hits] == ["boundary_sum_surface"]
+        space = representative(8, 6, triple)
+        assert space.n == 6
+        record = classify_subspace(space)
+        assert record["type"] == [0, 2]
+        assert [s["name"] for s in record["strata"]] == ["boundary_sum_surface"]
+        assert np.max(np.abs(np.array(record["cosines"]) - triple.cosines())) < 1e-8
+
+    def test_readme_witness_in_h7(self):
+        # The README witness: cosines 1/3 to eleven digits, one block per sign.
+        triple = AngleTriple.from_cosines([0.33333333333] * 3)
+        record = classify_subspace(construct_sum(triple, 1, 1, 7))
+        assert record["type"] == [1, 1]
+        assert record["protohomogeneous"]["value"] == "no"
+        assert [s["name"] for s in record["strata"]] == ["boundary_sum_surface"]
+
     def test_empty_membership_rejected(self):
         with pytest.raises(ValueError, match="no stratum"):
             representative(5, 5, T03)
@@ -388,6 +473,18 @@ class TestAnalysisOnce:
         assert record["type"] == [l_plus, l_minus]
         assert analysis_calls == Counter({("constancy_check", id(space)): 1,
                                           ("joint_canonical_basis", id(space)): 1})
+
+    def test_classify_v3_samples_once(self, analysis_calls):
+        space = rotated(construct_v3(1.2, -1, 3), 6)
+        assert classify_subspace(space)["branch"] == -1
+        assert analysis_calls[("constancy_check", id(space))] == 1
+
+    def test_v3_equivalence_samples_once_per_side(self, analysis_calls):
+        a = rotated(construct_v3(1.2, 1, 3), 7)
+        b = rotated(construct_v3(1.2, 1, 3), 8)
+        assert are_equivalent(a, b).value == "yes"
+        assert analysis_calls == Counter({("constancy_check", id(a)): 1,
+                                          ("constancy_check", id(b)): 1})
 
     def test_equivalence_samples_at_most_once_per_side(self, analysis_calls):
         a = rotated(construct_sum(TA, 1, 1, 8), 1)

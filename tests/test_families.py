@@ -69,6 +69,11 @@ class TestAdmissible:
         assert admissible(t, 1) == (True, 2)
         assert admissible(t, -1) == (False, None)
 
+    @pytest.mark.parametrize("offset", [-1e-11, 1e-11])
+    def test_boundary_tolerance_matches_region_predicates(self, offset):
+        t = AngleTriple.from_cosines([(1 + offset) / 3] * 3)
+        assert admissible(t, -1) == (True, 2)
+
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             admissible(T13, 0)

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,12 +197,59 @@ class TestCli:
         assert first == second
 
     def test_entry_point_runs(self):
-        # The child imports the same qka as this process, installed or not.
-        src = os.path.dirname(os.path.dirname(qka.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "qka.cli", "moduli", "--k", "3", "--n", "1"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert "imaginary_line_point" in proc.stdout
+
+    def test_cli_import_leaves_selftest_unloaded(self):
+        # Only `qka selftest` needs the acceptance battery.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qka.cli; print('qka.selftest' in sys.modules)"],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
+
+def _child_env() -> dict:
+    """Environment for a child that imports the same qka as this process."""
+    src = os.path.dirname(os.path.dirname(qka.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    """The `qka ...` lines of the README's fenced blocks, continuations joined."""
+    commands, fenced, pending = [], False, ""
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+            continue
+        if not fenced:
+            continue
+        line = pending + line.strip()
+        if line.endswith("\\"):
+            pending = line[:-1]
+            continue
+        pending = ""
+        if line.startswith("qka "):
+            commands.append(line)
+    return commands
+
+
+def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert any("witness.json" in c for c in commands)
+    monkeypatch.chdir(tmp_path)
+    failures = []
+    for command in commands:
+        code = main(shlex.split(command, comments=True)[1:])
+        capsys.readouterr()
+        if code != 0:
+            failures.append((command, code))
+    assert failures == []
