@@ -54,12 +54,18 @@ from .classify import (
     strata_for,
     type_of,
 )
-from .oracles import (
-    det_formula_check,
-    invariance_oracle,
-    psd_oracle,
-    steenrod_oracle,
-)
 from .serialize import load_subspace, save_subspace
 
 __version__ = "0.1.0"
+
+# The oracles are test-only validators: resolve them on first use, so that
+# importing the package (and every CLI process) does not load them.
+_ORACLES = ("det_formula_check", "invariance_oracle", "psd_oracle", "steenrod_oracle")
+
+
+def __getattr__(name):
+    if name in _ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

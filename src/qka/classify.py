@@ -17,16 +17,26 @@ from typing import Callable
 
 import numpy as np
 
-from .families import REGION_TOL, construct_classical, construct_sum, construct_v3
+from .families import (
+    REGION_TOL,
+    FamilySpec,
+    admissible,
+    construct_classical,
+    construct_sum,
+    construct_v3,
+    min_quaternionic_dim,
+)
 from .quaternion import STANDARD_BASIS, CanonicalBasis
 from .subspace import (
+    CONSTANCY_TOL,
     AngleTriple,
     ConstancyReport,
     NumericalFailure,
     Subspace,
+    _complex_structure,
+    _exact_structure,
+    _ExactStructure,
     constancy_check,
-    joint_canonical_basis,
-    pbar_operator,
 )
 
 __all__ = [
@@ -105,18 +115,24 @@ def _cos_leq(value: float, bound: float, tol: float) -> bool:
     return value <= bound + tol
 
 
-def _nullspace(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel (columns)."""
-    _, sv, vt = np.linalg.svd(mat)
-    thresh = 1e-8 * max(sv[0] if sv.size else 0.0, 1.0)
-    return vt[np.sum(sv > thresh):].T
-
-
 def _kernel_split(p1, p2, p3, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kernels of Pbar1 Pbar2 -+ Pbar3; dimensions must be multiples of 4."""
-    prod = p1 @ p2
-    kplus = _nullspace(prod - p3)
-    kminus = _nullspace(prod + p3)
+    """Kernels of Pbar1 Pbar2 -+ Pbar3; dimensions must be multiples of 4.
+
+    Pbar3 is orthogonal, so Pbar1 Pbar2 -+ Pbar3 = Pbar3 (M -+ I) with
+    M = Pbar3^T Pbar1 Pbar2: the kernels are those of M -+ I, and the
+    singular values of M -+ I are |lambda -+ 1| over the eigenvalues of the
+    symmetric M.  One eigh of sym(M) gives both kernels.
+    """
+    m = p3.T @ (p1 @ p2)
+    asym = float(np.max(np.abs(m - m.T)))
+    if asym > 1e-8:
+        raise NumericalFailure(
+            f"Pbar3^T Pbar1 Pbar2 is not symmetric (deviation {asym:.2e}), so the "
+            "signs do not split the subspace"
+        )
+    lams, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    kplus, kminus = (vecs[:, gap <= 1e-8 * max(gap.max(), 1.0)]
+                     for gap in (np.abs(lams - 1.0), np.abs(lams + 1.0)))
     if kplus.shape[1] % 4 or kminus.shape[1] % 4:
         raise NumericalFailure(
             f"kernel dimensions ({kplus.shape[1]}, {kminus.shape[1]}) are not "
@@ -152,10 +168,12 @@ def _cells(part: np.ndarray, generators: list[np.ndarray]) -> list[np.ndarray]:
 class _Analysis:
     """The Omega/Pbar data of one subspace, shared by the decisions of one call.
 
-    Holds the constancy report, the joint canonical basis with its residual,
-    the Pbar triple and the sign-kernel split.  Each is computed on first use
-    and at most once; an analysis lives for a single public call and is never
-    cached across calls.
+    Holds the exact structure of W = B^T J B (candidate canonical basis and
+    its residual), the constancy report, the Pbar triple and the sign-kernel
+    split.  Each is computed on first use and at most once; an analysis lives
+    for a single public call and is never cached across calls.  Sampling
+    happens only when the exact residual does not certify constant angle
+    (no common canonical basis, as for dimension 3 or a generic subspace).
     """
 
     def __init__(self, v_space: Subspace, samples: int, seed: int):
@@ -164,13 +182,18 @@ class _Analysis:
         self.seed = seed
 
     @cached_property
-    def report(self) -> ConstancyReport:
-        return constancy_check(self.space, self.samples, self.seed)
+    def exact(self) -> _ExactStructure:
+        return _exact_structure(self.space)
 
     @cached_property
-    def joint(self) -> tuple[CanonicalBasis, float]:
-        """Common canonical basis and its residual, sampled with seed + 1."""
-        return joint_canonical_basis(self.space, max(50, self.samples // 4), self.seed + 1)
+    def report(self) -> ConstancyReport:
+        """The exact triple when 2 * residual certifies constancy, else sampled."""
+        exact = self.exact
+        spread = 2.0 * exact.residual
+        if spread <= CONSTANCY_TOL:
+            return ConstancyReport(triple=exact.triple, max_spread=spread, samples=0,
+                                   constant=True)
+        return constancy_check(self.space, self.samples, self.seed)
 
     def canonical(self) -> tuple[AngleTriple, CanonicalBasis]:
         """Triple and common canonical basis shared by the block routines."""
@@ -180,22 +203,27 @@ class _Analysis:
             raise ValueError(
                 f"subspace does not have constant angle (spread {self.report.max_spread:.2e})"
             )
-        basis, residual = self.joint
+        residual = self.exact.residual
         if residual > JOINT_RESIDUAL_TOL:
             raise NumericalFailure(
                 f"no common canonical basis found (joint residual {residual:.2e})"
             )
-        return self.report.triple, basis
+        return self.report.triple, self.exact.basis
+
+    def pbar(self, i: int, phi: float) -> np.ndarray:
+        """Pbar_i = W'_i / cos(phi_i) in V coordinates, checked to be an
+        orthogonal complex structure; needs the common canonical basis."""
+        return _complex_structure(self.exact.w_canonical[i - 1] / math.cos(phi))
 
     @cached_property
     def pbars(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Pbar_1, Pbar_2 and, when phi3 < pi/2, Pbar_3 in V coordinates."""
-        triple, basis = self.canonical()
-        p1 = pbar_operator(self.space, basis, 1, triple.phi1)
-        p2 = pbar_operator(self.space, basis, 2, triple.phi2)
+        triple, _ = self.canonical()
+        p1 = self.pbar(1, triple.phi1)
+        p2 = self.pbar(2, triple.phi2)
         p3 = None
         if math.cos(triple.phi3) > 1e-8:
-            p3 = pbar_operator(self.space, basis, 3, triple.phi3)
+            p3 = self.pbar(3, triple.phi3)
         return p1, p2, p3
 
     @cached_property
@@ -309,7 +337,7 @@ def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subs
     each seed vector closes up in dimension 4).
     """
     analysis = _Analysis(v_space, samples, seed)
-    triple, basis = analysis.canonical()
+    triple, _ = analysis.canonical()
     k = v_space.k
     cos2 = math.cos(triple.phi2)
     if cos2 <= 1e-8:
@@ -317,7 +345,7 @@ def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subs
             cells = [np.eye(k)[:, 4 * r:4 * r + 4] for r in range(k // 4)]
             blocks = cells
         else:
-            p1 = pbar_operator(v_space, basis, 1, triple.phi1)
+            p1 = analysis.pbar(1, triple.phi1)
             pairs = _cells(np.eye(k), [p1])
             blocks = [np.column_stack([pairs[2 * r], pairs[2 * r + 1]])
                       for r in range(len(pairs) // 2)]
@@ -676,26 +704,22 @@ def representative(
         if branch is None:
             # Single-class strata realize whichever branch fits the ambient
             # n (only the minus branch at pi/3 fits two quaternionic dims).
-            try:
-                return construct_v3(float(phis[0]), 1, n)
-            except ValueError:
-                return construct_v3(float(phis[0]), -1, n)
+            plus = FamilySpec("v3", n=n, phi=float(phis[0]), sign=1)
+            branch = 1 if min_quaternionic_dim(plus) <= n else -1
         return construct_v3(float(phis[0]), branch, n)
     if k % 4 == 0:
         l = k // 4
         if x[0] >= 1.0:  # (0, phi, phi) including quaternionic and complex
             return construct_sum(AngleTriple(*phis), l, 0, n)
-        wants_minus = branch == -1
+        angles = AngleTriple(*phis)
         if branch is None:
             # Single-class strata realize whichever sign fits the ambient n;
-            # prefer the plus class.
-            try:
-                return construct_sum(AngleTriple(*phis), l, 0, n)
-            except ValueError:
-                return construct_sum(AngleTriple(*phis), 0, l, n)
-        if wants_minus:
-            return construct_sum(AngleTriple(*phis), 0, l, n)
-        return construct_sum(AngleTriple(*phis), l, 0, n)
+            # prefer the plus class.  A plus block takes 1 + rank dimensions.
+            exists, rank = admissible(angles, 1)
+            branch = 1 if exists and l * (1 + rank) <= n else -1
+        if branch == -1:
+            return construct_sum(angles, 0, l, n)
+        return construct_sum(angles, l, 0, n)
     if k % 2 == 0:
         if x[0] >= 1.0:
             return construct_classical("totally_complex", k, n)
@@ -723,7 +747,7 @@ def classify_subspace(v_space: Subspace, samples: int = 500, seed: int = 0) -> d
             "reason": "the angle triple is not constant",
         }
         return record
-    record["joint_residual"] = analysis.joint[1]
+    record["joint_residual"] = analysis.exact.residual
     verdict = analysis.protohomogeneity()
     record["protohomogeneous"] = {"value": verdict.value, "reason": verdict.reason}
     k = v_space.k

@@ -15,7 +15,7 @@ import sys
 from .classify import _Analysis, classify_subspace, moduli_describe, moduli_membership, snapped
 from .families import CLASSICAL_FAMILIES, FamilySpec, construct
 from .serialize import load_subspace, save_subspace
-from .subspace import AngleTriple, NumericalFailure, constancy_check
+from .subspace import AngleTriple, NumericalFailure
 
 __all__ = ["main"]
 
@@ -83,7 +83,8 @@ def _spec_from_args(args) -> FamilySpec:
 def _cmd_construct(args) -> int:
     spec = _spec_from_args(args)
     space = construct(spec)
-    report = constancy_check(space, samples=args.samples, seed=args.seed)
+    # The same analysis as `angles` and `classify`, so all three report one spread.
+    report = _Analysis(space, args.samples, args.seed).report
     triple = snapped(report.triple)
     meta = {
         "family": spec.family,
@@ -114,7 +115,6 @@ def _cmd_angles(args) -> int:
     # The same analysis as `classify`, so both report one joint residual.
     analysis = _Analysis(space, args.samples, args.seed)
     report = analysis.report
-    _, residual = analysis.joint
     _emit({
         "n": space.n,
         "k": space.k,
@@ -123,7 +123,7 @@ def _cmd_angles(args) -> int:
         "spread": report.max_spread,
         "constant": report.constant,
         "samples": report.samples,
-        "joint_residual": residual,
+        "joint_residual": analysis.exact.residual,
     })
     return 0
 

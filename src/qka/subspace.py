@@ -181,15 +181,25 @@ def p_operator(v_space: Subspace, i: int, basis: CanonicalBasis = STANDARD_BASIS
     return v_space.projector() @ jmat
 
 
+def _restricted_structure(
+    v_space: Subspace, basis: CanonicalBasis = STANDARD_BASIS
+) -> np.ndarray:
+    """The restricted structure W_i = B^T J_i B of V, shaped (3, k, k).
+
+    With B the basis of V, P_i v in V coordinates is W_i c for v = B c, and
+    |P_i v| = |W_i c| because B has orthonormal columns.
+    """
+    b = v_space.basis
+    return np.stack([b.T @ basis.apply(i, b) for i in (1, 2, 3)])
+
+
 def _omega_batch(v_space: Subspace, coeffs: np.ndarray, basis: CanonicalBasis) -> np.ndarray:
     """Omega matrices for vectors B @ coeffs, returned as (m, 3, 3).
 
-    With B the basis of V, the restricted structure W_i = B^T J_i B (k x k)
-    gives P_i v in V coordinates as W_i c for v = B c, so
-    Omega(v)_ij = (W_i c) . (W_j c) needs no product in R^{4n} per sample.
+    Omega(v)_ij = (W_i c) . (W_j c) for v = B c, so it needs no product in
+    R^{4n} per sample.
     """
-    b = v_space.basis
-    w = np.stack([b.T @ basis.apply(i, b) for i in (1, 2, 3)]) @ coeffs  # (3, k, m)
+    w = _restricted_structure(v_space, basis) @ coeffs  # (3, k, m)
     wt = w.transpose(2, 0, 1)  # (m, 3, k)
     return wt @ wt.transpose(0, 2, 1)
 
@@ -219,6 +229,46 @@ def _basis_from_columns(cols: np.ndarray) -> CanonicalBasis:
     if np.linalg.det(cols) < 0:
         cols[:, 2] *= -1.0
     return CanonicalBasis(cols.T)
+
+
+@dataclass(frozen=True)
+class _ExactStructure:
+    """The Omega data of V over its whole unit sphere, without sampling.
+
+    Omega(B x)_ab = x^T S_ab x with S_ab = sym(W_a^T W_b).  The mean of
+    Omega over the sphere is G_ab = tr(S_ab) / k; its eigenvectors, for
+    descending eigenvalues c, are the rows of the candidate canonical basis
+    R, and W'_a = sum_b R_ab W_b is the restricted structure in that basis.
+    ``residual`` is (sum_ab ||S'_ab - delta_ab c_a I||_F^2)^(1/2).  For every
+    unit x, ||Omega'(x) - diag(c)|| <= residual, so the sorted angle
+    spectrum stays within residual of c and 2 * residual is a proven bound
+    on its spread over the whole sphere.  The residual vanishes exactly when
+    R is a common canonical basis.
+    """
+
+    basis: CanonicalBasis  # R, row a holding J'_a in the standard triple
+    cos2: np.ndarray  # (3,) c, descending
+    w_canonical: np.ndarray  # (3, k, k) W'_a
+    residual: float
+
+    @property
+    def triple(self) -> AngleTriple:
+        return AngleTriple.from_cos2_eigenvalues(self.cos2)
+
+
+def _exact_structure(v_space: Subspace) -> _ExactStructure:
+    """Build the exact structure of V from W = B^T J B (one 3x3 eigh)."""
+    k = v_space.k
+    w = _restricted_structure(v_space)
+    gram = np.einsum("aij,bij->ab", w, w) / k  # tr(W_a^T W_b) / k
+    cos2, vecs = _descending_eigh(gram)
+    basis = _basis_from_columns(vecs)
+    wc = np.tensordot(basis.rotation, w, axes=1)
+    s = wc.transpose(0, 2, 1)[:, None] @ wc[None]  # W'_a^T W'_b
+    s = 0.5 * (s + s.transpose(0, 1, 3, 2))
+    s[np.arange(3), np.arange(3)] -= cos2[:, None, None] * np.eye(k)
+    return _ExactStructure(basis=basis, cos2=cos2, w_canonical=wc,
+                           residual=float(np.linalg.norm(s)))
 
 
 def vector_qka(v_space: Subspace, v) -> tuple[AngleTriple, CanonicalBasis]:
@@ -315,7 +365,9 @@ def joint_canonical_basis(
     returns the rotation minimizing the total squared off-diagonal mass,
     together with the attained root-mean-square residual per sample.  A
     large residual is a valid result: it certifies that no common canonical
-    basis exists.
+    basis exists.  The classification reads the basis from the sampling-free
+    structure of W = B^T J B instead; this sampled route is kept as an
+    independent reference for it.
     """
     rng = np.random.default_rng(seed)
     coeffs = _sample_coeffs(v_space.k, samples, rng)
@@ -344,9 +396,13 @@ def pbar_operator(
     if abs(c) <= 1e-12:
         raise ValueError("pbar is undefined at phi = pi/2")
     b = v_space.basis
-    m = (b.T @ basis.apply(i, b)) / c
-    k = v_space.k
-    if np.max(np.abs(m.T @ m - np.eye(k))) > tol or np.max(np.abs(m @ m + np.eye(k))) > tol:
+    return _complex_structure((b.T @ basis.apply(i, b)) / c, tol)
+
+
+def _complex_structure(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Return the k x k matrix m after checking m^T m = I and m^2 = -I."""
+    eye = np.eye(m.shape[0])
+    if np.max(np.abs(m.T @ m - eye)) > tol or np.max(np.abs(m @ m + eye)) > tol:
         raise NumericalFailure(
             "restriction of pbar is not an orthogonal complex structure "
             "(subspace not invariant at this angle)"
@@ -357,28 +413,24 @@ def pbar_operator(
 def distribution_rank(v_space: Subspace, samples: int = 24, seed: int = 0) -> int:
     """Rank of the tangent distribution spanned by {P_J v : J}.
 
-    Computed as the numerical rank of the 4n x 3 matrix [P_1 v, P_2 v, P_3 v]
-    at sampled unit vectors; for a constant-angle subspace it is constant and
-    equals the number of angles different from pi/2.  Raises if the rank
-    varies across samples.
+    Computed as the numerical rank of [P_1 v, P_2 v, P_3 v] at sampled unit
+    vectors v = B x, taken in V coordinates as the k x 3 matrix
+    [W_1 x, W_2 x, W_3 x] with the same singular values; for a
+    constant-angle subspace it is constant and equals the number of angles
+    different from pi/2.  Raises if the rank varies across samples.
     """
     rng = np.random.default_rng(seed)
     coeffs = _sample_coeffs(v_space.k, samples, rng)
-    x = v_space.basis @ coeffs
-    proj = v_space.projector()
-    ranks = set()
-    for s in range(samples):
-        cols = np.column_stack(
-            [proj @ STANDARD_BASIS.apply(i, x[:, s]) for i in (1, 2, 3)]
+    cols = np.einsum("apq,qm->mpa", _restricted_structure(v_space), coeffs)
+    sv = np.linalg.svd(cols, compute_uv=False)  # (samples, min(k, 3)), descending
+    per_sample = np.sum(sv > RANK_RTOL * np.maximum(sv[:, :1], 1.0), axis=1)
+    ranks = sorted(set(per_sample.tolist()))
+    if len(ranks) > 1:
+        raise NumericalFailure(
+            f"distribution rank varies across samples: {ranks} "
+            "(subspace does not have constant angle)"
         )
-        sv = np.linalg.svd(cols, compute_uv=False)
-        ranks.add(int(np.sum(sv > RANK_RTOL * max(sv[0], 1.0))))
-        if len(ranks) > 1:
-            raise NumericalFailure(
-                f"distribution rank varies across samples: {sorted(ranks)} "
-                "(subspace does not have constant angle)"
-            )
-    return ranks.pop()
+    return ranks[0]
 
 
 def is_h_orthogonal(v_space: Subspace, w_space: Subspace, tol: float = 1e-10) -> bool:

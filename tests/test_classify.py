@@ -1,10 +1,13 @@
 """Tests for factorization, type detection, equivalence, and the moduli table."""
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qka.classify
 from qka.classify import (
@@ -21,7 +24,7 @@ from qka.classify import (
     strata_for,
     type_of,
 )
-from qka.classify import _branch_invariants
+from qka.classify import _Analysis, _branch_invariants, _kernel_split
 from qka.families import (
     FamilySpec,
     construct_classical,
@@ -33,6 +36,8 @@ from qka.families import (
 from qka.quaternion import HVector, random_group_element
 from qka.subspace import (
     AngleTriple,
+    NumericalFailure,
+    Subspace,
     constancy_check,
     from_spanning,
     is_h_orthogonal,
@@ -412,6 +417,31 @@ class TestRepresentative:
         with pytest.raises(ValueError, match="single-class"):
             representative(5, 5, REAL3, -1)
 
+    @pytest.mark.parametrize("k,n,cosines,constructor,expected", [
+        (8, 6, [1 / 3] * 3, "construct_sum", (0, 2)),
+        (8, 6, [0.8, 0.5, 0.3], "construct_sum", (2, 0)),
+        (8, 6, [(1 - 1e-11) / 3] * 3, "construct_sum", (0, 2)),
+        (8, 6, [(1 + 1e-11) / 3] * 3, "construct_sum", (0, 2)),
+        (8, 8, [0.5, 0.4, 0.3], "construct_sum", (2, 0)),
+        (3, 2, [0.5, 0.5, 0.0], "construct_v3", -1),
+        (3, 3, [0.9, 0.9, 0.0], "construct_v3", 1),
+        (3, 6, [0.9, 0.9, 0.0], "construct_v3", 1),
+    ])
+    def test_single_class_constructed_once(self, monkeypatch, k, n, cosines, constructor,
+                                           expected):
+        # The fitting class is chosen before construction, not by catching a refusal.
+        calls = []
+        original = getattr(qka.classify, constructor)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qka.classify, constructor, counted)
+        space = representative(k, n, AngleTriple.from_cosines(cosines))
+        assert len(calls) == 1
+        assert (type_of(space).as_tuple() if k % 4 == 0 else branch_of_v3(space)) == expected
+
     def test_type_matches_requested_blocks(self):
         for p, q in [(1, 0), (0, 1), (2, 0), (1, 1)]:
             if q and p:
@@ -451,49 +481,138 @@ class TestClassifyRecord:
 
 @pytest.fixture
 def analysis_calls(monkeypatch):
-    """Calls of the sampled analysis through classify's bindings, per subspace."""
+    """Calls of the exact structure, the sampled constancy check and the Jacobi
+    reference, through every binding in a loaded qka module, per subspace."""
     calls = Counter()
-    for name in ("constancy_check", "joint_canonical_basis"):
-        original = getattr(qka.classify, name)
+    originals = {"_exact_structure": qka.subspace._exact_structure,
+                 "constancy_check": qka.subspace.constancy_check,
+                 "joint_canonical_basis": qka.subspace.joint_canonical_basis}
+    for name, original in originals.items():
 
         def counted(v_space, *args, _name=name, _original=original, **kwargs):
             calls[_name, id(v_space)] += 1
             return _original(v_space, *args, **kwargs)
 
-        monkeypatch.setattr(qka.classify, name, counted)
+        for module in [m for key, m in sys.modules.items() if key.startswith("qka")]:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
 class TestAnalysisOnce:
     @pytest.mark.parametrize("l_plus,l_minus", [(1, 1), (4, 0), (1, 3)])
     def test_classify_samples_once(self, analysis_calls, l_plus, l_minus):
+        # A certified sum is read from its exact structure: no sampling at all.
         k = 4 * (l_plus + l_minus)
         space = rotated(construct_sum(TA, l_plus, l_minus, k), k)
         record = classify_subspace(space)
         assert record["type"] == [l_plus, l_minus]
-        assert analysis_calls == Counter({("constancy_check", id(space)): 1,
-                                          ("joint_canonical_basis", id(space)): 1})
+        assert record["spread"] == 2 * record["joint_residual"] <= 1e-12
+        assert analysis_calls == Counter({("_exact_structure", id(space)): 1})
 
     def test_classify_v3_samples_once(self, analysis_calls):
         space = rotated(construct_v3(1.2, -1, 3), 6)
         assert classify_subspace(space)["branch"] == -1
-        assert analysis_calls[("constancy_check", id(space))] == 1
+        assert analysis_calls == Counter({("_exact_structure", id(space)): 1,
+                                          ("constancy_check", id(space)): 1})
 
     def test_v3_equivalence_samples_once_per_side(self, analysis_calls):
         a = rotated(construct_v3(1.2, 1, 3), 7)
         b = rotated(construct_v3(1.2, 1, 3), 8)
         assert are_equivalent(a, b).value == "yes"
-        assert analysis_calls == Counter({("constancy_check", id(a)): 1,
+        assert analysis_calls == Counter({("_exact_structure", id(a)): 1,
+                                          ("_exact_structure", id(b)): 1,
+                                          ("constancy_check", id(a)): 1,
                                           ("constancy_check", id(b)): 1})
 
     def test_equivalence_samples_at_most_once_per_side(self, analysis_calls):
         a = rotated(construct_sum(TA, 1, 1, 8), 1)
         b = rotated(construct_sum(TA, 1, 1, 8), 2)
         assert are_equivalent(a, b).value == "yes"
-        assert set(analysis_calls) <= {(name, id(side))
-                                       for name in ("constancy_check", "joint_canonical_basis")
-                                       for side in (a, b)}
-        assert max(analysis_calls.values()) == 1
+        assert analysis_calls == Counter({("_exact_structure", id(a)): 1,
+                                          ("_exact_structure", id(b)): 1})
+
+    def test_v4_equivalence_does_not_sample(self, analysis_calls):
+        a = rotated(construct_v4(T03, 1, 4), 3)
+        b = rotated(construct_v4(T03, -1, 4), 4)
+        assert are_equivalent(a, b).value == "no"
+        assert analysis_calls == Counter({("_exact_structure", id(a)): 1,
+                                          ("_exact_structure", id(b)): 1})
+
+    def test_random_subspace_samples_once(self, analysis_calls):
+        rng = np.random.default_rng(11)
+        space = from_spanning([HVector(rng.standard_normal(24)) for _ in range(4)])
+        assert classify_subspace(space)["constant"] is False
+        assert analysis_calls == Counter({("_exact_structure", id(space)): 1,
+                                          ("constancy_check", id(space)): 1})
+
+
+def _svd_kernel_split(p1, p2, p3):
+    """Reference: the kernels of Pbar1 Pbar2 -+ Pbar3 from one SVD each."""
+
+    def nullspace(mat):
+        _, sv, vt = np.linalg.svd(mat)
+        return vt[np.sum(sv > 1e-8 * max(sv[0], 1.0)):].T
+
+    prod = p1 @ p2
+    return nullspace(prod - p3), nullspace(prod + p3)
+
+
+class TestKernelSplit:
+    @pytest.mark.parametrize("k", [8, 16, 64])
+    def test_eigh_split_matches_svd_split(self, k):
+        l = k // 4
+        for l_plus in sorted({1, l // 2, l - 1}):
+            space = rotated(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
+            p1, p2, p3 = _Analysis(space, 500, 0).pbars
+            got = _kernel_split(p1, p2, p3, k)
+            want = _svd_kernel_split(p1, p2, p3)
+            assert [g.shape[1] for g in got] == [4 * l_plus, 4 * (l - l_plus)]
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.max(np.abs(g @ g.T - w @ w.T)) <= 1e-10
+
+    def test_non_symmetric_product_rejected(self):
+        space = rotated(construct_sum(TA, 1, 1, 8), 3)
+        p1, p2, _ = _Analysis(space, 500, 0).pbars
+        # Pbar1^T Pbar1 Pbar2 = Pbar2 is antisymmetric: no sign split exists.
+        with pytest.raises(NumericalFailure, match="not symmetric"):
+            _kernel_split(p1, p2, p1, 8)
+
+
+# Subspaces covering every branch of the classification record.
+PROPERTY_CASES = [
+    lambda: construct_sum(TA, 1, 1, 8),
+    lambda: construct_sum(T13, 1, 1, 7),
+    lambda: construct_v4(T03, -1, 4),
+    lambda: construct_v3(1.2, -1, 3),
+    lambda: construct_v3(1.2, 1, 3),
+    lambda: construct_classical("quaternionic", 8, 4),
+    lambda: construct_classical("im_h_line", 3, 2),
+    lambda: construct_classical("totally_complex", 6, 4),
+    lambda: construct_classical("cka_plane_sum", 4, 4, phi=0.8),
+    lambda: construct_classical("totally_real", 4, 4),
+]
+
+
+def _invariant_part(record):
+    return (record["constant"], record.get("type"), record.get("branch"),
+            record["protohomogeneous"]["value"],
+            [(s["name"], s.get("branch")) for s in record["strata"]])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=st.integers(0, len(PROPERTY_CASES) - 1),
+       group_seed=st.integers(0, 2**31 - 1),
+       basis_seed=st.integers(0, 2**31 - 1))
+def test_record_invariant_under_group_and_basis_change(case, group_seed, basis_seed):
+    space = PROPERTY_CASES[case]()
+    q = np.linalg.qr(np.random.default_rng(basis_seed).standard_normal((space.k, space.k)))[0]
+    moved = Subspace(random_group_element(space.n, group_seed).apply_coords(space.basis) @ q)
+    base, record = classify_subspace(space), classify_subspace(moved)
+    assert _invariant_part(record) == _invariant_part(base)
+    assert snapped(AngleTriple(*record["triple"])).cosines() == pytest.approx(
+        snapped(AngleTriple(*base["triple"])).cosines(), abs=1e-9)
 
 
 # Declared answers for fixed inputs at fixed sampling seeds: type,

@@ -162,6 +162,25 @@ class TestCli:
         _, record, _ = run_cli(["classify", str(path), "--seed", "3"], capsys)
         assert json.loads(angles)["joint_residual"] == json.loads(record)["joint_residual"]
 
+    @pytest.mark.parametrize("family_args,certified", [
+        (["--family", "v4", "--cos", "0.3", "0.3", "0.3", "--sign", "-", "--n", "4"], True),
+        (["--family", "v3", "--phi", "1.2", "--sign", "-", "--n", "3"], False),
+    ])
+    def test_construct_angles_classify_report_one_spread(self, tmp_path, capsys,
+                                                         family_args, certified):
+        path = tmp_path / "v.json"
+        common = ["--samples", "200", "--seed", "4"]
+        _, built, _ = run_cli(["construct", *family_args, "--out", str(path), *common],
+                              capsys)
+        _, angles, _ = run_cli(["angles", str(path), *common], capsys)
+        _, record, _ = run_cli(["classify", str(path), *common], capsys)
+        spreads = {json.loads(out)["spread"] for out in (built, angles, record)}
+        assert len(spreads) == 1
+        # A certified subspace reports the exact whole-sphere bound, unsampled.
+        assert (json.loads(angles)["samples"] == 0) == certified
+        if certified:
+            assert spreads == {2 * json.loads(angles)["joint_residual"]}
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(["angles", "/nonexistent/path.json"], capsys)
         assert code == 2
@@ -211,6 +230,21 @@ class TestCli:
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_oracles_unloaded(self):
+        # The oracles are test-only; the package resolves them on first use.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qka.cli; loaded = 'qka.oracles' in sys.modules; "
+             "from qka import psd_oracle; "
+             "print(loaded, 'qka.oracles' in sys.modules, callable(psd_oracle))"],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0
+        assert proc.stdout.split() == ["False", "True", "True"]
+
+    def test_package_rejects_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qka.no_such_name
 
 
 def _child_env() -> dict:

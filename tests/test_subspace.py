@@ -13,10 +13,12 @@ from qka.quaternion import (
     random_group_element,
     right_mult,
 )
+from qka.selftest import _constructor_grid
 from qka.subspace import (
     AngleTriple,
     NumericalFailure,
     Subspace,
+    _exact_structure,
     _jacobi_joint_diagonalize,
     _omega_batch,
     constancy_check,
@@ -295,6 +297,29 @@ class TestPbar:
             pbar_operator(space, STANDARD_BASIS, 1, 0.9)
 
 
+def _looped_ranks(v_space, samples, seed):
+    """Reference: ranks of [P_1 v, P_2 v, P_3 v] sample by sample, in R^{4n}."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((v_space.k, samples))
+    x = v_space.basis @ (c / np.linalg.norm(c, axis=0))
+    proj = v_space.projector()
+    ranks = set()
+    for s in range(samples):
+        cols = np.column_stack([proj @ STANDARD_BASIS.apply(i, x[:, s]) for i in (1, 2, 3)])
+        sv = np.linalg.svd(cols, compute_uv=False)
+        ranks.add(int(np.sum(sv > 1e-8 * max(sv[0], 1.0))))
+    return ranks
+
+
+def near_rank_cut():
+    """span(e0, cos t J1 e0 + sin t e1, e2) with cos t = 2e-8: |P_1 v| runs
+    over [0, 2e-8], across the rank cut of 1e-8."""
+    e0, e1, e2 = (HVector.axis(i, 3) for i in range(3))
+    c = 2e-8
+    tilted = HVector(c * right_mult(1, e0).coords + math.sqrt(1 - c * c) * e1.coords)
+    return from_spanning([e0, tilted, e2])
+
+
 class TestDistributionRank:
     def test_totally_real_rank_zero(self):
         assert distribution_rank(construct_classical("totally_real", 5, 5)) == 0
@@ -310,6 +335,71 @@ class TestDistributionRank:
         rng = np.random.default_rng(6)
         space = from_spanning([HVector(rng.standard_normal(16)) for _ in range(2)])
         assert distribution_rank(space) == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: construct_classical("totally_real", 3, 3),
+        lambda: imaginary_span(3),
+        lambda: construct_v3(1.1, -1, 3),
+        lambda: construct_sum(t_cos(0.3, 0.3, 0.3), 1, 1, 8).transformed(
+            random_group_element(8, 2)),
+        lambda: Subspace(np.linalg.qr(np.random.default_rng(3).standard_normal((20, 5)))[0]),
+        near_rank_cut,
+    ])
+    def test_batched_rank_matches_projector_loop(self, build):
+        space = build()
+        ranks = _looped_ranks(space, 24, 5)
+        if len(ranks) > 1:
+            with pytest.raises(NumericalFailure, match="varies"):
+                distribution_rank(space, 24, 5)
+        else:
+            assert distribution_rank(space, 24, 5) == ranks.pop()
+
+    def test_rank_straddling_the_cut_varies(self):
+        assert len(_looped_ranks(near_rank_cut(), 24, 5)) > 1
+
+
+class TestExactStructure:
+    def test_residual_agrees_with_jacobi_over_constructor_grid(self):
+        uncertified = []
+        for label, space, declared in _constructor_grid(quick=False):
+            exact = _exact_structure(space)
+            _, jacobi = joint_canonical_basis(space, 80, 0)
+            spread = constancy_check(space, 200, 0).max_spread
+            if jacobi <= 1e-9:
+                assert exact.residual <= 1e-12, label
+                assert exact.triple.cos2() == pytest.approx(declared.cos2(), abs=1e-12)
+            else:
+                uncertified.append(label)
+            if jacobi > 1e-2:
+                assert exact.residual > 1e-2, label
+            # 2 * residual bounds the spread over the whole sphere; the
+            # sampled spread carries eigenvalue round-off of a few 1e-16.
+            assert 2 * exact.residual + 1e-14 >= spread, label
+        assert uncertified
+        assert all(label.startswith(("v3 ", "im_h_line")) for label in uncertified)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_random_four_planes_uncertified(self, n):
+        rng = np.random.default_rng(n)
+        space = from_spanning([HVector(rng.standard_normal(4 * n)) for _ in range(4)])
+        exact = _exact_structure(space)
+        assert exact.residual > 1e-2
+        assert 2 * exact.residual >= constancy_check(space, 500, n).max_spread
+
+    def test_canonical_structure_is_w_in_the_basis(self):
+        space = construct_sum(t_cos(0.5, 0.25, 0.12), 2, 1, 12).transformed(
+            random_group_element(12, 4))
+        exact = _exact_structure(space)
+        b = space.basis
+        for i in (1, 2, 3):
+            direct = b.T @ exact.basis.apply(i, b)
+            assert np.max(np.abs(exact.w_canonical[i - 1] - direct)) <= 1e-13
+        # G is the mean of Omega over the sphere, diagonal in the basis R.
+        mean_omega = np.mean(_omega_batch(space, np.linalg.qr(
+            np.random.default_rng(0).standard_normal((12, 12)))[0], exact.basis), axis=0)
+        assert mean_omega == pytest.approx(np.diag(exact.cos2), abs=1e-12)
+        assert np.linalg.det(exact.basis.rotation) == pytest.approx(1.0, abs=1e-12)
+        assert exact.residual <= 1e-13
 
 
 class TestHOrthogonality:
