@@ -20,7 +20,6 @@ import numpy as np
 from .families import (
     REGION_TOL,
     FamilySpec,
-    admissible,
     construct_classical,
     construct_sum,
     construct_v3,
@@ -292,7 +291,7 @@ class _Analysis:
             raise ValueError("the two classes merge at phi = pi/2 and phi = 0")
         coeffs = np.random.default_rng(self.seed).standard_normal((base_points, 3))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        thetas = _branch_invariants(self.space, coeffs, phi)
+        thetas = _branch_invariants(self.space, self.exact.w, coeffs, phi)
         if thetas.max() - thetas.min() > tol:
             raise NumericalFailure(
                 f"branch invariant varies across base points (spread "
@@ -307,18 +306,20 @@ class _Analysis:
         )
 
 
-def _branch_invariants(v_space: Subspace, coeffs: np.ndarray, phi: float) -> np.ndarray:
+def _branch_invariants(
+    v_space: Subspace, w: np.ndarray, coeffs: np.ndarray, phi: float
+) -> np.ndarray:
     """<e_1, e_2> at the unit base points B x of a 3-dimensional V, one per row x.
 
     At each base point the eigenvectors of Omega give the canonical basis
-    J'_a = sum_b R_ab J_b diagonalizing it.  With W_b = B^T J_b B,
-    Pbar_i v = B y_i / cos(phi) for y_i = sum_b R_ib W_b x, so every e_i
-    comes from the 4n x 3 blocks J_b B without a 4n x 4n product.
+    J'_a = sum_b R_ab J_b diagonalizing it.  With W_b = B^T J_b B (``w``,
+    shaped (3, 3, 3)), Pbar_i v = B y_i / cos(phi) for y_i = sum_b R_ib W_b x,
+    so every e_i comes from the 4n x 3 blocks J_b B without a 4n x 4n product.
     """
     c, s = math.cos(phi), math.sin(phi)
     b = v_space.basis
     jb = np.stack([STANDARD_BASIS.apply(a, b) for a in (1, 2, 3)])  # J_a B
-    wx = np.einsum("apq,mq->map", b.T @ jb, coeffs)  # row a is W_a x
+    wx = np.einsum("apq,mq->map", w, coeffs)  # row a is W_a x
     _, vecs = np.linalg.eigh(wx @ wx.transpose(0, 2, 1))  # Omega(B x)
     # Rows J'_1, J'_2 (descending eigenvalues) in the standard triple.
     rot = vecs[:, :, ::-1].transpose(0, 2, 1)[:, :2]
@@ -714,9 +715,9 @@ def representative(
         angles = AngleTriple(*phis)
         if branch is None:
             # Single-class strata realize whichever sign fits the ambient n;
-            # prefer the plus class.  A plus block takes 1 + rank dimensions.
-            exists, rank = admissible(angles, 1)
-            branch = 1 if exists and l * (1 + rank) <= n else -1
+            # prefer the plus class, which exists wherever the minus one does.
+            plus = FamilySpec("sum_type", n=n, angles=angles, l_plus=l)
+            branch = 1 if min_quaternionic_dim(plus) <= n else -1
         if branch == -1:
             return construct_sum(angles, 0, l, n)
         return construct_sum(angles, l, 0, n)

@@ -23,10 +23,11 @@ _FAMILIES = CLASSICAL_FAMILIES + ("v3", "v4", "sum")
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("QKA_SEED", "0")
     try:
-        return int(os.environ.get("QKA_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"QKA_SEED must be an integer, got {raw!r}") from None
 
 
 def _emit(payload: dict) -> None:
@@ -34,11 +35,19 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _checked_cosines(values: list[float]) -> list[float]:
+    """--cos values, refused unless each is a finite number in [0, 1]."""
+    for c in values:
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"--cos values must be finite numbers in [0, 1], got {c}")
+    return values
+
+
 def _parse_angles(args) -> tuple[AngleTriple | None, float | None]:
     """Angle inputs: full triple or a single family parameter phi."""
     values = None
     if getattr(args, "cos", None) is not None:
-        values = [math.acos(max(-1.0, min(1.0, c))) for c in args.cos]
+        values = [math.acos(c) for c in _checked_cosines(args.cos)]
     elif getattr(args, "angles", None) is not None:
         values = list(args.angles)
     if values is None:
@@ -51,33 +60,14 @@ def _parse_angles(args) -> tuple[AngleTriple | None, float | None]:
 
 
 def _spec_from_args(args) -> FamilySpec:
+    """Map the construct flags onto a FamilySpec; `construct` validates it."""
     triple, phi = _parse_angles(args)
-    family = args.family
-    sign = 1 if args.sign in (None, "+", "+1", "1") else -1
-    if args.sign not in (None, "+", "-", "+1", "-1", "1"):
-        raise ValueError("--sign must be + or -")
-    if family == "sum":
-        if triple is None:
-            raise ValueError("sum needs three angles (--angles or --cos)")
-        return FamilySpec("sum_type", n=args.n, angles=triple,
-                          l_plus=args.lplus, l_minus=args.lminus)
-    if family == "v4":
-        if triple is None:
-            raise ValueError("v4 needs three angles (--angles or --cos)")
-        return FamilySpec("v4", n=args.n, angles=triple, sign=sign)
-    if family == "v3":
-        if phi is None:
-            raise ValueError("v3 needs an angle (--angles/--cos/--phi)")
-        return FamilySpec("v3", n=args.n, phi=phi, sign=sign)
-    if family in ("cka_plane_sum", "complexified_cka"):
-        if phi is None:
-            raise ValueError(f"{family} needs an angle (--angles/--cos/--phi)")
-        return FamilySpec(family, n=args.n, k=args.k, phi=phi)
-    if family == "im_h_line":
-        return FamilySpec(family, n=args.n, k=3)
-    if args.k is None:
-        raise ValueError(f"{family} needs a dimension --k")
-    return FamilySpec(family, n=args.n, k=args.k)
+    family = "sum_type" if args.family == "sum" else args.family
+    # The imaginary span of a vector has dimension 3 and takes no --k.
+    k = 3 if family == "im_h_line" else args.k
+    return FamilySpec(family, n=args.n, k=k, phi=phi, angles=triple,
+                      sign=-1 if args.sign == "-" else 1,
+                      l_plus=args.lplus, l_minus=args.lminus)
 
 
 def _cmd_construct(args) -> int:
@@ -141,7 +131,7 @@ def _cmd_moduli(args) -> int:
         raise ValueError(f"k must lie in [0, {4 * args.n}]")
     triple = None
     if args.cos is not None:
-        triple = AngleTriple.from_cosines(args.cos)
+        triple = AngleTriple.from_cosines(_checked_cosines(args.cos))
     elif args.triple is not None:
         triple = AngleTriple(*sorted(args.triple))
     if triple is None:
@@ -228,9 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

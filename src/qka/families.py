@@ -44,14 +44,17 @@ BOUNDARY_TOL = 1e-12
 # place on (or inside) the boundary is one the constructors can build.
 REGION_TOL = 1e-10
 
-CLASSICAL_FAMILIES = (
-    "totally_real",
-    "totally_complex",
-    "quaternionic",
-    "im_h_line",
-    "cka_plane_sum",
-    "complexified_cka",
-)
+# Real dimension and quaternionic slots of one block of each classical
+# family; a member is an H-orthogonal sum of blocks (exactly one for im_h_line).
+_CLASSICAL_BLOCKS = {
+    "totally_real": (1, 1),
+    "totally_complex": (2, 1),
+    "quaternionic": (4, 1),
+    "im_h_line": (3, 1),
+    "cka_plane_sum": (2, 2),
+    "complexified_cka": (4, 2),
+}
+CLASSICAL_FAMILIES = tuple(_CLASSICAL_BLOCKS)
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,82 @@ def _psd_cholesky(g: np.ndarray, rank: int) -> np.ndarray:
     return left
 
 
+def _need(n: int, slots: int, what: str):
+    if n < slots:
+        raise ValueError(f"{what} needs n >= {slots}, got n = {n}")
+
+
+# The slot counts: quaternionic dimensions each construction occupies.  They
+# hold every existence and size rule of the catalog; the constructors check n
+# against them before placing any column, and min_quaternionic_dim returns them.
+
+def _classical_slots(family: str, k: int, phi: float | None) -> int:
+    """Slots of construct_classical(family, k, n, phi): one per block of
+    real dimension ``dim`` and ``width`` slots (see _CLASSICAL_BLOCKS)."""
+    if family not in _CLASSICAL_BLOCKS:
+        raise ValueError(f"unknown classical family {family!r}")
+    dim, width = _CLASSICAL_BLOCKS[family]
+    if family == "im_h_line" and k != dim:
+        raise ValueError(f"the imaginary-span family has dimension 3, got k={k}")
+    if k < dim or k % dim:
+        raise ValueError(f"{family} needs k to be a positive multiple of {dim}, got k={k}")
+    if family in ("cka_plane_sum", "complexified_cka") and (
+            phi is None or not 0.0 < phi < HALF_PI):
+        raise ValueError(f"{family} needs a Kahler angle phi in (0, pi/2)")
+    return width * (k // dim)
+
+
+def _v3_overlap(phi: float, sign: int) -> float:
+    """<e_1, e_2> = cos(phi) / (cos(phi) + sign) for the 3-dimensional classes."""
+    return math.cos(phi) / (math.cos(phi) + sign)
+
+
+def _v3_slots(phi: float, sign: int) -> int:
+    """Slots of construct_v3(phi, sign, n): e_0, then e_1 and e_2, which
+    coincide up to sign (one slot) only for the minus class at pi/3."""
+    _check_sign(sign)
+    if sign == 1 and not 0.0 < phi <= HALF_PI + 1e-12:
+        raise ValueError("the plus class needs phi in (0, pi/2]")
+    if sign == -1 and not math.pi / 3 - 1e-12 <= phi <= HALF_PI + 1e-12:
+        raise ValueError("the minus class needs phi in [pi/3, pi/2]")
+    return 2 if abs(abs(_v3_overlap(phi, sign)) - 1.0) <= BOUNDARY_TOL else 3
+
+
+def _block_slots(angles: AngleTriple, sign: int) -> int:
+    """Slots of one 4-dimensional block of a sign class: 1 + the Gram rank,
+    or at phi1 = 0 (where only the plus class exists and phi2 = phi3) one
+    for the quaternionic block and two for a complexified one."""
+    _check_sign(sign)
+    phi1_zero = math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL
+    if sign == -1 and (phi1_zero or math.cos(angles.phi3) <= BOUNDARY_TOL):
+        raise ValueError("angle triples with phi1 = 0 or phi3 = pi/2 occur only in the "
+                         "plus class")
+    if phi1_zero:
+        if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
+            raise ValueError("constant-angle triples with phi1 = 0 have phi2 = phi3")
+        return 1 if math.cos(angles.phi2) > 1.0 - BOUNDARY_TOL else 2
+    exists, rank = admissible(angles, sign)
+    if not exists:
+        x = angles.cosines()
+        raise ValueError(
+            f"no sign={sign:+d} class at these angles: "
+            f"cos(phi1)+cos(phi2)-({sign:+d})cos(phi3) = "
+            f"{x[0] + x[1] - sign * x[2]:.12g} > 1"
+        )
+    return 1 + rank
+
+
+def _sum_blocks(angles: AngleTriple, l_plus: int, l_minus: int) -> list[tuple[int, int]]:
+    """(sign, slots) of every block of construct_sum, plus blocks first."""
+    if l_plus < 0 or l_minus < 0 or l_plus + l_minus < 1:
+        raise ValueError("need a non-negative number of blocks, at least one in total")
+    blocks: list[tuple[int, int]] = []
+    for sign, count in ((1, l_plus), (-1, l_minus)):
+        if count:
+            blocks += [(sign, _block_slots(angles, sign))] * count
+    return blocks
+
+
 def _axis(slot: int, n: int) -> np.ndarray:
     c = np.zeros(4 * n)
     c[4 * slot] = 1.0
@@ -148,28 +227,16 @@ def _jmul(i: int, col: np.ndarray) -> np.ndarray:
     return STANDARD_BASIS.apply(i, col)
 
 
-def _need(n: int, slots: int, what: str):
-    if n < slots:
-        raise ValueError(f"{what} needs n >= {slots}, got n = {n}")
-
-
 def _v4_block_columns(angles: AngleTriple, sign: int, offset: int, n: int) -> list[np.ndarray]:
     """The four basis columns of one sign-class block starting at a slot.
 
     Builds from either Gram sign whenever the Gram matrix is PSD; the
-    public constructors additionally reject the minus sign at phi3 = pi/2,
-    where the two signs give equivalent subspaces.
+    public constructors check the class with _block_slots first, which
+    also rejects the minus sign at phi3 = pi/2, where the two signs give
+    equivalent subspaces.
     """
-    exists, rank = admissible(angles, sign)
-    if not exists:
-        x = angles.cosines()
-        raise ValueError(
-            f"no sign={sign:+d} class at these angles: "
-            f"cos(phi1)+cos(phi2)-({sign:+d})cos(phi3) = "
-            f"{x[0] + x[1] - sign * x[2]:.6f} > 1"
-        )
+    _, rank = admissible(angles, sign)
     left = _psd_cholesky(gram_matrix(angles, sign), rank)
-    _need(n, offset + 1 + rank, f"sign={sign:+d} block at these angles")
     e0 = _axis(offset, n)
     frame = [_axis(offset + 1 + r, n) for r in range(rank)]
     cols = [e0]
@@ -184,10 +251,8 @@ def _v4_block_columns(angles: AngleTriple, sign: int, offset: int, n: int) -> li
 def _complexified_block_columns(phi: float, offset: int, n: int) -> list[np.ndarray]:
     """One 4-dimensional block with angles (0, phi, phi), phi in [0, pi/2]."""
     if math.cos(phi) > 1.0 - BOUNDARY_TOL:
-        _need(n, offset + 1, "quaternionic block")
         e = _axis(offset, n)
         return [e, _jmul(1, e), _jmul(2, e), _jmul(3, e)]
-    _need(n, offset + 2, "complexified block")
     a = _axis(offset, n)
     b = _axis(offset + 1, n)
     c, s = math.cos(phi), math.sin(phi)
@@ -209,54 +274,25 @@ def construct_classical(family: str, k: int, n: int, phi: float | None = None) -
     cka_plane_sum      k = 2l <= 2*floor(n/2), phi in (0, pi/2), angles (phi, pi/2, pi/2)
     complexified_cka   k = 4l <= 4*floor(n/2), phi in (0, pi/2), angles (0, phi, phi)
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    slots = _classical_slots(family, k, phi)
+    _need(n, slots, f"{family} with k = {k}")
     cols: list[np.ndarray] = []
-    if family == "totally_real":
-        if not 1 <= k <= n:
-            raise ValueError(f"totally real subspaces need 1 <= k <= n, got k={k}, n={n}")
-        cols = [_axis(m, n) for m in range(k)]
-    elif family == "totally_complex":
-        if k % 2 or not 2 <= k <= 2 * n:
-            raise ValueError(f"totally complex subspaces need even k <= 2n, got k={k}, n={n}")
-        for m in range(k // 2):
-            e = _axis(m, n)
+    for slot in range(0, slots, _CLASSICAL_BLOCKS[family][1]):
+        e = _axis(slot, n)
+        if family == "totally_real":
+            cols += [e]
+        elif family == "totally_complex":
             cols += [e, _jmul(1, e)]
-    elif family == "quaternionic":
-        if k % 4 or not 4 <= k <= 4 * n:
-            raise ValueError(f"quaternionic subspaces need k = 4l <= 4n, got k={k}, n={n}")
-        for m in range(k // 4):
-            e = _axis(m, n)
+        elif family == "quaternionic":
             cols += [e, _jmul(1, e), _jmul(2, e), _jmul(3, e)]
-    elif family == "im_h_line":
-        if k != 3:
-            raise ValueError("the imaginary-span family has dimension 3")
-        e = _axis(0, n)
-        cols = [_jmul(1, e), _jmul(2, e), _jmul(3, e)]
-    elif family == "cka_plane_sum":
-        if phi is None or not 0.0 < phi < HALF_PI:
-            raise ValueError("cka_plane_sum needs a Kahler angle phi in (0, pi/2)")
-        if k % 2 or not 2 <= k <= 2 * (n // 2):
-            raise ValueError(f"cka_plane_sum needs even k <= 2*floor(n/2), got k={k}, n={n}")
-        c, s = math.cos(phi), math.sin(phi)
-        for m in range(k // 2):
-            a, b = _axis(2 * m, n), _axis(2 * m + 1, n)
-            cols += [a, c * _jmul(1, a) + s * _jmul(1, b)]
-    elif family == "complexified_cka":
-        if phi is None or not 0.0 < phi < HALF_PI:
-            raise ValueError("complexified_cka needs a Kahler angle phi in (0, pi/2)")
-        if k % 4 or not 4 <= k <= 4 * (n // 2):
-            raise ValueError(f"complexified_cka needs k = 4l <= 4*floor(n/2), got k={k}, n={n}")
-        for m in range(k // 4):
-            cols += _complexified_block_columns(phi, 2 * m, n)
-    else:
-        raise ValueError(f"unknown classical family {family!r}")
+        elif family == "im_h_line":
+            cols += [_jmul(1, e), _jmul(2, e), _jmul(3, e)]
+        elif family == "cka_plane_sum":
+            b = _axis(slot + 1, n)
+            cols += [e, math.cos(phi) * _jmul(1, e) + math.sin(phi) * _jmul(1, b)]
+        else:  # complexified_cka
+            cols += _complexified_block_columns(phi, slot, n)
     return Subspace(np.column_stack(cols))
-
-
-def _v3_overlap(phi: float, sign: int) -> float:
-    """<e_1, e_2> = cos(phi) / (cos(phi) + sign) for the 3-dimensional classes."""
-    return math.cos(phi) / (math.cos(phi) + sign)
 
 
 def construct_v3(phi: float, sign: int, n: int) -> Subspace:
@@ -265,22 +301,13 @@ def construct_v3(phi: float, sign: int, n: int) -> Subspace:
     The plus class exists for phi in (0, pi/2], the minus class for phi in
     [pi/3, pi/2].  Fits in H^2 only in the single case (minus, pi/3).
     """
-    _check_sign(sign)
-    if sign == 1 and not 0.0 < phi <= HALF_PI + 1e-12:
-        raise ValueError("the plus class needs phi in (0, pi/2]")
-    if sign == -1 and not math.pi / 3 - 1e-12 <= phi <= HALF_PI + 1e-12:
-        raise ValueError("the minus class needs phi in [pi/3, pi/2]")
+    slots = _v3_slots(phi, sign)
+    _need(n, slots, "this 3-dimensional class")
     c = _v3_overlap(phi, sign)
-    e0 = _axis(0, n) if n >= 1 else None
-    if n < 1:
-        raise ValueError("n must be positive")
-    if abs(abs(c) - 1.0) <= BOUNDARY_TOL:
-        _need(n, 2, "this 3-dimensional class")
-        e1 = _axis(1, n)
+    e0, e1 = _axis(0, n), _axis(1, n)
+    if slots == 2:
         e2 = math.copysign(1.0, c) * e1
     else:
-        _need(n, 3, "this 3-dimensional class")
-        e1 = _axis(1, n)
         e2 = c * e1 + math.sqrt(1.0 - c * c) * _axis(2, n)
     cp, sp = math.cos(phi), math.sin(phi)
     cols = [
@@ -294,25 +321,17 @@ def construct_v3(phi: float, sign: int, n: int) -> Subspace:
 def construct_v4(angles: AngleTriple, sign: int, n: int) -> Subspace:
     """A 4-dimensional subspace with the given angles in the given class.
 
-    At phi1 = 0 the angle triple must be of the form (0, phi, phi) and the
-    class degenerates to the complexified family (the Gram construction is
-    singular there); the minus class additionally requires phi3 != pi/2.
+    This is the one-block sum of that class.  At phi1 = 0 the angle triple
+    must be of the form (0, phi, phi) and only the plus class exists (the
+    Gram construction is singular there); at (0, pi/2, pi/2) the result is
+    the totally complex subspace in its own basis.
     """
     _check_sign(sign)
-    if sign == -1 and math.cos(angles.phi3) <= BOUNDARY_TOL:
-        raise ValueError("angle triples with phi3 = pi/2 occur only in the plus class")
-    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
-        if sign == -1:
-            raise ValueError("angle triples with phi1 = 0 only occur in the plus class")
-        if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
-            raise ValueError("constant-angle triples with phi1 = 0 have phi2 = phi3")
-        phi = angles.phi2
-        if math.cos(phi) > 1.0 - BOUNDARY_TOL:
-            return construct_classical("quaternionic", 4, n)
-        if math.cos(phi) <= BOUNDARY_TOL:
-            return construct_classical("totally_complex", 4, n)
-        return construct_classical("complexified_cka", 4, n, phi=phi)
-    return Subspace(np.column_stack(_v4_block_columns(angles, sign, 0, n)))
+    if (sign == 1 and math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL
+            and math.cos(angles.phi2) <= BOUNDARY_TOL
+            and abs(math.cos(angles.phi2) - math.cos(angles.phi3)) <= BOUNDARY_TOL):
+        return construct_classical("totally_complex", 4, n)
+    return construct_sum(angles, int(sign == 1), int(sign == -1), n)
 
 
 def construct_sum(angles: AngleTriple, l_plus: int, l_minus: int, n: int) -> Subspace:
@@ -321,99 +340,63 @@ def construct_sum(angles: AngleTriple, l_plus: int, l_minus: int, n: int) -> Sub
     All blocks share the standard canonical basis and the same angle triple,
     so the sum has constant angle; its type is (l_plus, l_minus).
     """
-    if l_plus < 0 or l_minus < 0 or l_plus + l_minus < 1:
-        raise ValueError("need a non-negative number of blocks, at least one in total")
-    if l_minus > 0:
-        if math.cos(angles.phi3) <= BOUNDARY_TOL:
-            raise ValueError("minus blocks do not exist at phi3 = pi/2")
-        if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
-            raise ValueError("minus blocks need phi1 > 0")
+    blocks = _sum_blocks(angles, l_plus, l_minus)
+    _need(n, sum(slots for _, slots in blocks),
+          f"a sum of {l_plus} plus and {l_minus} minus blocks")
     cols: list[np.ndarray] = []
     offset = 0
-    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
-        if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
-            raise ValueError("constant-angle triples with phi1 = 0 have phi2 = phi3")
-        width = 1 if math.cos(angles.phi2) > 1.0 - BOUNDARY_TOL else 2
-        _need(n, width * l_plus, f"a sum of {l_plus} blocks")
-        for _ in range(l_plus):
+    for sign, slots in blocks:
+        if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
             cols += _complexified_block_columns(angles.phi2, offset, n)
-            offset += width
-    else:
-        for sign, count in ((1, l_plus), (-1, l_minus)):
-            if count == 0:
-                continue
-            exists, rank = admissible(angles, sign)
-            if not exists:
-                raise ValueError(f"no sign={sign:+d} class at these angles")
-            for _ in range(count):
-                cols += _v4_block_columns(angles, sign, offset, n)
-                offset += 1 + rank
+        else:
+            cols += _v4_block_columns(angles, sign, offset, n)
+        offset += slots
     return Subspace(np.column_stack(cols))
+
+
+_PARAMETERS = {"k": "a dimension k", "phi": "an angle phi", "angles": "an angle triple"}
+
+
+def _given(spec: FamilySpec, name: str):
+    """A parameter the family of ``spec`` needs, refused when it is unset."""
+    value = getattr(spec, name)
+    if value is None:
+        raise ValueError(f"{spec.family} needs {_PARAMETERS[name]}")
+    return value
 
 
 def construct(spec: FamilySpec) -> Subspace:
     """Dispatch a FamilySpec to the matching constructor."""
-    if spec.family in CLASSICAL_FAMILIES:
-        return construct_classical(spec.family, spec.k, spec.n, phi=spec.phi)
-    if spec.family == "v3":
-        if spec.phi is None:
-            raise ValueError("v3 needs an angle phi")
-        return construct_v3(spec.phi, spec.sign, spec.n)
-    if spec.family == "v4":
-        if spec.angles is None:
-            raise ValueError("v4 needs an angle triple")
-        return construct_v4(spec.angles, spec.sign, spec.n)
-    if spec.family == "sum_type":
-        if spec.angles is None:
-            raise ValueError("sum_type needs an angle triple")
-        return construct_sum(spec.angles, spec.l_plus, spec.l_minus, spec.n)
-    raise ValueError(f"unknown family {spec.family!r}")
-
-
-def _block_width(angles: AngleTriple, sign: int) -> int:
-    """Quaternionic dimensions consumed by one 4-dimensional block."""
-    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
-        return 1 if math.cos(angles.phi2) > 1.0 - BOUNDARY_TOL else 2
-    exists, rank = admissible(angles, sign)
-    if not exists:
-        raise ValueError(f"no sign={sign:+d} class at these angles")
-    return 1 + rank
+    fam = spec.family
+    if fam in CLASSICAL_FAMILIES:
+        return construct_classical(fam, _given(spec, "k"), spec.n, phi=spec.phi)
+    if fam == "v3":
+        return construct_v3(_given(spec, "phi"), spec.sign, spec.n)
+    if fam == "v4":
+        return construct_v4(_given(spec, "angles"), spec.sign, spec.n)
+    if fam == "sum_type":
+        return construct_sum(_given(spec, "angles"), spec.l_plus, spec.l_minus, spec.n)
+    raise ValueError(f"unknown family {fam!r}")
 
 
 def min_quaternionic_dim(spec: FamilySpec) -> int:
-    """The smallest ambient n admitting the requested construction."""
+    """The smallest ambient n admitting the requested construction.
+
+    This is the slot count the constructor checks n against, so a spec
+    that no n admits raises ValueError.  The one exception is the plus
+    class of v3 at phi = 0, which the constructor refuses: its angles
+    (0, 0, pi/2) are those of the imaginary span of a vector, in H^1.
+    """
     fam = spec.family
-    if fam == "totally_real":
-        return spec.k
-    if fam == "totally_complex":
-        return (spec.k + 1) // 2
-    if fam == "quaternionic":
-        return (spec.k + 3) // 4
-    if fam == "im_h_line":
-        return 1
-    if fam == "cka_plane_sum":
-        return spec.k
-    if fam == "complexified_cka":
-        return (spec.k + 1) // 2
+    if fam in CLASSICAL_FAMILIES:
+        return _classical_slots(fam, _given(spec, "k"), spec.phi)
     if fam == "v3":
-        if spec.phi is None:
-            raise ValueError("v3 needs an angle phi")
-        if math.cos(spec.phi) > 1.0 - BOUNDARY_TOL:
+        if spec.phi == 0.0 and spec.sign == 1:
             return 1
-        if spec.sign == -1 and abs(abs(_v3_overlap(spec.phi, -1)) - 1.0) <= BOUNDARY_TOL:
-            return 2
-        return 3
+        return _v3_slots(_given(spec, "phi"), spec.sign)
     if fam == "v4":
-        if spec.angles is None:
-            raise ValueError("v4 needs an angle triple")
-        return _block_width(spec.angles, spec.sign)
+        return _block_slots(_given(spec, "angles"), spec.sign)
     if fam == "sum_type":
-        if spec.angles is None:
-            raise ValueError("sum_type needs an angle triple")
-        total = 0
-        if spec.l_plus:
-            total += spec.l_plus * _block_width(spec.angles, 1)
-        if spec.l_minus:
-            total += spec.l_minus * _block_width(spec.angles, -1)
-        return total
+        blocks = _sum_blocks(_given(spec, "angles"), spec.l_plus, spec.l_minus)
+        return sum(slots for _, slots in blocks)
     raise ValueError(f"unknown family {fam!r}")

@@ -224,6 +224,8 @@ class CanonicalBasis:
         rotation = np.asarray(rotation, dtype=float)
         if rotation.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
+        if not np.isfinite(rotation).all():
+            raise ValueError("rotation has non-finite entries")
         if np.max(np.abs(rotation.T @ rotation - np.eye(3))) > 1e-10:
             raise ValueError("rotation is not orthogonal")
         if np.linalg.det(rotation) < 0:
@@ -298,9 +300,11 @@ class GroupElement:
 
     def __init__(self, q, matrix):
         q = _as_quat_array(q)
+        matrix = np.asarray(matrix, dtype=float)
+        if not (np.isfinite(q).all() and np.isfinite(matrix).all()):
+            raise ValueError("group element has non-finite entries")
         if abs(np.linalg.norm(q) - 1.0) > 1e-12:
             raise ValueError("q must be a unit quaternion")
-        matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 3 or matrix.shape[2] != 4 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be an (n, n, 4) quaternion array")
         n = matrix.shape[0]

@@ -27,12 +27,13 @@ from .classify import (
     type_of,
 )
 from .families import (
+    FamilySpec,
     _v4_block_columns,
-    admissible,
     construct_classical,
     construct_sum,
     construct_v3,
     construct_v4,
+    min_quaternionic_dim,
 )
 from .oracles import (
     GridSpec,
@@ -77,24 +78,23 @@ _MINUS_BOUNDARY = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.4, 0.35, 0.25),
                    (0.6, 0.3, 0.1), (0.5, 0.45, 0.05)]
 
 
-def _v4_parameter_grid(quick: bool) -> list[tuple[AngleTriple, int]]:
-    """Admissible (triple, sign) pairs, interiors plus exact boundaries."""
+def _v4_parameter_grid(quick: bool) -> list[tuple[AngleTriple, int, int]]:
+    """(triple, sign, minimal n) of every class on the grid, interiors plus
+    exact boundaries."""
     values = (0.85, 0.6, 0.35, 0.15) if quick else (
         0.95, 0.85, 0.7, 0.55, 0.4, 0.25, 0.12, 0.04)
-    out = []
-    for x in _sorted_cos_triples(values):
-        triple = _triple_from_cos(*x)
-        for sign in (1, -1):
-            exists, _ = admissible(triple, sign)
-            if sign == -1 and x[2] <= 0.0:
-                continue
-            if exists:
-                out.append((triple, sign))
+    candidates = [(sign, x) for x in _sorted_cos_triples(values) for sign in (1, -1)]
     boundaries = [(1, x) for x in _PLUS_BOUNDARY] + [(-1, x) for x in _MINUS_BOUNDARY]
     if quick:
         boundaries = boundaries[:2] + boundaries[5:7]
-    for sign, x in boundaries:
-        out.append((_triple_from_cos(*x), sign))
+    out = []
+    for sign, x in candidates + boundaries:
+        triple = _triple_from_cos(*x)
+        try:
+            n = min_quaternionic_dim(FamilySpec("v4", n=0, angles=triple, sign=sign))
+        except ValueError:  # no class of this sign at these angles
+            continue
+        out.append((triple, sign, n))
     return out
 
 
@@ -139,10 +139,9 @@ def _constructor_grid(quick: bool) -> list[tuple[str, Subspace, AngleTriple]]:
             AngleTriple(float(phi), float(phi), right))
     add("v3 -1 pi/3 n=2", construct_v3(math.pi / 3, -1, 2),
         AngleTriple(math.pi / 3, math.pi / 3, right))
-    for triple, sign in _v4_parameter_grid(quick):
-        _, rank = admissible(triple, sign)
+    for triple, sign, n_min in _v4_parameter_grid(quick):
         for extra in ((0,) if quick else (0, 1)):
-            n = 1 + rank + extra
+            n = n_min + extra
             add(f"v4 {sign:+d} cos={np.round(triple.cosines(), 3)} n={n}",
                 construct_v4(triple, sign, n), triple)
     t03 = _triple_from_cos(0.3, 0.3, 0.3)
@@ -232,11 +231,10 @@ def crit_pbar_sign(quick: bool, seed: int) -> tuple[bool, str]:
 
     worst = 0.0
     tested = 0
-    for triple, sign in _v4_parameter_grid(quick):
+    for triple, sign, n in _v4_parameter_grid(quick):
         if math.cos(triple.phi3) <= 1e-8:
             continue
-        _, rank = admissible(triple, sign)
-        space = construct_v4(triple, sign, 1 + rank)
+        space = construct_v4(triple, sign, n)
         p = [pbar_operator(space, STANDARD_BASIS, i, triple.as_tuple()[i - 1])
              for i in (1, 2, 3)]
         worst = max(worst, float(np.max(np.abs(p[0] @ p[1] - sign * p[2]))))
@@ -260,14 +258,14 @@ def crit_type_proto(quick: bool, seed: int) -> tuple[bool, str]:
     failures = []
     tested = 0
     for triple in triples:
-        ok_plus, rank_plus = admissible(triple, 1)
-        ok_minus, rank_minus = admissible(triple, -1)
         for p, q in pairs:
             if p + q > 4:
                 continue
-            if (p and not ok_plus) or (q and not ok_minus):
+            try:
+                n = min_quaternionic_dim(
+                    FamilySpec("sum_type", n=0, angles=triple, l_plus=p, l_minus=q))
+            except ValueError:  # no class of one of the signs at this triple
                 continue
-            n = p * (1 + (rank_plus or 0)) + q * (1 + (rank_minus or 0))
             if n > 16:
                 continue
             space = construct_sum(triple, p, q, n)

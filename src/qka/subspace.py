@@ -248,6 +248,7 @@ class _ExactStructure:
 
     basis: CanonicalBasis  # R, row a holding J'_a in the standard triple
     cos2: np.ndarray  # (3,) c, descending
+    w: np.ndarray  # (3, k, k) W_a in the standard triple
     w_canonical: np.ndarray  # (3, k, k) W'_a
     residual: float
 
@@ -267,7 +268,7 @@ def _exact_structure(v_space: Subspace) -> _ExactStructure:
     s = wc.transpose(0, 2, 1)[:, None] @ wc[None]  # W'_a^T W'_b
     s = 0.5 * (s + s.transpose(0, 1, 3, 2))
     s[np.arange(3), np.arange(3)] -= cos2[:, None, None] * np.eye(k)
-    return _ExactStructure(basis=basis, cos2=cos2, w_canonical=wc,
+    return _ExactStructure(basis=basis, cos2=cos2, w=w, w_canonical=wc,
                            residual=float(np.linalg.norm(s)))
 
 

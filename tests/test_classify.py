@@ -38,6 +38,7 @@ from qka.subspace import (
     AngleTriple,
     NumericalFailure,
     Subspace,
+    _exact_structure,
     constancy_check,
     from_spanning,
     is_h_orthogonal,
@@ -215,7 +216,7 @@ class TestBranch:
         space = rotated(construct_v3(phi, sign, n), n)
         coeffs = np.random.default_rng(n).standard_normal((24, 3))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        batched = _branch_invariants(space, coeffs, phi)
+        batched = _branch_invariants(space, _exact_structure(space).w, coeffs, phi)
         reference = _per_point_invariants(space, 24, n, phi)
         assert np.max(np.abs(batched - reference)) <= 1e-13
         assert batched == pytest.approx(math.cos(phi) / (math.cos(phi) + sign), abs=1e-10)

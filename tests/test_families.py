@@ -1,13 +1,22 @@
 """Tests for the constant-angle family constructors and admissibility."""
 
+import dataclasses
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
+from qka import selftest
 from qka.families import (
+    BOUNDARY_TOL,
+    CLASSICAL_FAMILIES,
     FamilySpec,
+    _axis,
+    _jmul,
+    _psd_cholesky,
     admissible,
+    construct,
     construct_classical,
     construct_sum,
     construct_v3,
@@ -16,7 +25,7 @@ from qka.families import (
     min_quaternionic_dim,
 )
 from qka.quaternion import STANDARD_BASIS
-from qka.subspace import AngleTriple, constancy_check
+from qka.subspace import AngleTriple, NumericalFailure, Subspace, constancy_check
 
 HALF_PI = math.pi / 2
 ACOS13 = math.acos(1 / 3)
@@ -266,3 +275,316 @@ class TestMinQuaternionicDim:
         spec = FamilySpec("sum_type", n=7, angles=T13, l_plus=1, l_minus=1)
         assert min_quaternionic_dim(spec) == 7
         construct_sum(T13, 1, 1, 7)
+
+
+# -- The catalog against the constructors of the previous implementation ----
+#
+# Reference: the constructors as they were before the slot counts moved into
+# one function per family, each with its own checks.  They share only the
+# Gram matrix, its Cholesky factor and the slot axes with the library.
+
+def _ref_need(n, slots):
+    if n < slots:
+        raise ValueError("reference: ambient dimension too small")
+
+
+def _ref_v4_block_columns(angles, sign, offset, n):
+    exists, rank = admissible(angles, sign)
+    if not exists:
+        raise ValueError("reference: no class")
+    left = _psd_cholesky(gram_matrix(angles, sign), rank)
+    _ref_need(n, offset + 1 + rank)
+    e0 = _axis(offset, n)
+    frame = [_axis(offset + 1 + r, n) for r in range(rank)]
+    cols = [e0]
+    phis = angles.as_tuple()
+    for i in (1, 2, 3):
+        e_i = sum(left[i - 1, r] * frame[r] for r in range(rank))
+        cols.append(math.cos(phis[i - 1]) * _jmul(i, e0)
+                    + math.sin(phis[i - 1]) * _jmul(i, e_i))
+    return cols
+
+
+def _ref_complexified_block_columns(phi, offset, n):
+    if math.cos(phi) > 1.0 - BOUNDARY_TOL:
+        _ref_need(n, offset + 1)
+        e = _axis(offset, n)
+        return [e, _jmul(1, e), _jmul(2, e), _jmul(3, e)]
+    _ref_need(n, offset + 2)
+    a, b = _axis(offset, n), _axis(offset + 1, n)
+    c, s = math.cos(phi), math.sin(phi)
+    return [a, _jmul(1, a), c * _jmul(2, a) + s * _jmul(2, b),
+            c * _jmul(3, a) + s * _jmul(3, b)]
+
+
+def _ref_classical(family, k, n, phi=None):
+    if n < 1:
+        raise ValueError("reference: n must be positive")
+    cols = []
+    if family == "totally_real":
+        if not 1 <= k <= n:
+            raise ValueError("reference")
+        cols = [_axis(m, n) for m in range(k)]
+    elif family == "totally_complex":
+        if k % 2 or not 2 <= k <= 2 * n:
+            raise ValueError("reference")
+        for m in range(k // 2):
+            e = _axis(m, n)
+            cols += [e, _jmul(1, e)]
+    elif family == "quaternionic":
+        if k % 4 or not 4 <= k <= 4 * n:
+            raise ValueError("reference")
+        for m in range(k // 4):
+            e = _axis(m, n)
+            cols += [e, _jmul(1, e), _jmul(2, e), _jmul(3, e)]
+    elif family == "im_h_line":
+        if k != 3:
+            raise ValueError("reference")
+        e = _axis(0, n)
+        cols = [_jmul(1, e), _jmul(2, e), _jmul(3, e)]
+    elif family == "cka_plane_sum":
+        if phi is None or not 0.0 < phi < HALF_PI:
+            raise ValueError("reference")
+        if k % 2 or not 2 <= k <= 2 * (n // 2):
+            raise ValueError("reference")
+        c, s = math.cos(phi), math.sin(phi)
+        for m in range(k // 2):
+            a, b = _axis(2 * m, n), _axis(2 * m + 1, n)
+            cols += [a, c * _jmul(1, a) + s * _jmul(1, b)]
+    elif family == "complexified_cka":
+        if phi is None or not 0.0 < phi < HALF_PI:
+            raise ValueError("reference")
+        if k % 4 or not 4 <= k <= 4 * (n // 2):
+            raise ValueError("reference")
+        for m in range(k // 4):
+            cols += _ref_complexified_block_columns(phi, 2 * m, n)
+    else:
+        raise ValueError("reference: unknown family")
+    return np.column_stack(cols)
+
+
+def _ref_v3(phi, sign, n):
+    if sign not in (1, -1):
+        raise ValueError("reference")
+    if sign == 1 and not 0.0 < phi <= HALF_PI + 1e-12:
+        raise ValueError("reference")
+    if sign == -1 and not math.pi / 3 - 1e-12 <= phi <= HALF_PI + 1e-12:
+        raise ValueError("reference")
+    c = math.cos(phi) / (math.cos(phi) + sign)
+    if n < 1:
+        raise ValueError("reference")
+    e0, e1 = _axis(0, n), None
+    if abs(abs(c) - 1.0) <= BOUNDARY_TOL:
+        _ref_need(n, 2)
+        e1 = _axis(1, n)
+        e2 = math.copysign(1.0, c) * e1
+    else:
+        _ref_need(n, 3)
+        e1 = _axis(1, n)
+        e2 = c * e1 + math.sqrt(1.0 - c * c) * _axis(2, n)
+    cp, sp = math.cos(phi), math.sin(phi)
+    return np.column_stack([e0, cp * _jmul(1, e0) + sp * _jmul(1, e1),
+                            cp * _jmul(2, e0) + sp * _jmul(2, e2)])
+
+
+def _ref_v4(angles, sign, n):
+    if sign not in (1, -1):
+        raise ValueError("reference")
+    if sign == -1 and math.cos(angles.phi3) <= BOUNDARY_TOL:
+        raise ValueError("reference")
+    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
+        if sign == -1:
+            raise ValueError("reference")
+        if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
+            raise ValueError("reference")
+        phi = angles.phi2
+        if math.cos(phi) > 1.0 - BOUNDARY_TOL:
+            return _ref_classical("quaternionic", 4, n)
+        if math.cos(phi) <= BOUNDARY_TOL:
+            return _ref_classical("totally_complex", 4, n)
+        return _ref_classical("complexified_cka", 4, n, phi=phi)
+    return np.column_stack(_ref_v4_block_columns(angles, sign, 0, n))
+
+
+def _ref_sum(angles, l_plus, l_minus, n):
+    if l_plus < 0 or l_minus < 0 or l_plus + l_minus < 1:
+        raise ValueError("reference")
+    if l_minus > 0:
+        if math.cos(angles.phi3) <= BOUNDARY_TOL:
+            raise ValueError("reference")
+        if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
+            raise ValueError("reference")
+    cols = []
+    offset = 0
+    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
+        if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
+            raise ValueError("reference")
+        width = 1 if math.cos(angles.phi2) > 1.0 - BOUNDARY_TOL else 2
+        _ref_need(n, width * l_plus)
+        for _ in range(l_plus):
+            cols += _ref_complexified_block_columns(angles.phi2, offset, n)
+            offset += width
+    else:
+        for sign, count in ((1, l_plus), (-1, l_minus)):
+            if count == 0:
+                continue
+            exists, rank = admissible(angles, sign)
+            if not exists:
+                raise ValueError("reference")
+            for _ in range(count):
+                cols += _ref_v4_block_columns(angles, sign, offset, n)
+                offset += 1 + rank
+    return np.column_stack(cols)
+
+
+_REFERENCE = {
+    "construct_classical": _ref_classical,
+    "construct_v3": _ref_v3,
+    "construct_v4": _ref_v4,
+    "construct_sum": _ref_sum,
+}
+_LIBRARY = {
+    "construct_classical": construct_classical,
+    "construct_v3": construct_v3,
+    "construct_v4": construct_v4,
+    "construct_sum": construct_sum,
+}
+
+
+def _outcome(fn, args):
+    """The basis bytes of a construction, or None where it is refused."""
+    try:
+        basis = fn(*args)
+    except (ValueError, NumericalFailure):
+        return None
+    basis = basis.basis if isinstance(basis, Subspace) else basis
+    return basis.shape, basis.tobytes()
+
+
+def _grid_calls():
+    """Every constructor call selftest's full constructor grid makes."""
+    calls = []
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            args = args + tuple(kwargs.values())
+            calls.append((name, args))
+            return _LIBRARY[name](*args)
+        return record
+
+    saved = {name: getattr(selftest, name) for name in _LIBRARY}
+    try:
+        for name in _LIBRARY:
+            setattr(selftest, name, recorder(name))
+        selftest._constructor_grid(quick=False)
+    finally:
+        for name, fn in saved.items():
+            setattr(selftest, name, fn)
+    return calls
+
+
+_SWEEP_COSINES = (1.0, 1.0 - 1e-13, 0.95, 0.8, 0.6, 0.5, 0.4, 1 / 3, 0.3, 0.2, 0.1,
+                  1e-13, 0.0)
+_SWEEP_PHIS = (0.0, 1e-13, 1e-7, 0.05, 0.9, math.pi / 3 - 1e-13, math.pi / 3,
+               math.pi / 3 + 1e-13, 1.2, HALF_PI - 1e-13, HALF_PI, HALF_PI + 1e-13,
+               -0.1, math.nan)
+
+
+def _sweep_calls():
+    """Classical, v3, v4 and sum constructions on and around every boundary."""
+    calls = []
+    for family in CLASSICAL_FAMILIES + ("exotic",):
+        for k in range(-1, 14):
+            for n in range(-1, 8):
+                for phi in (None, 0.0, 0.7, HALF_PI, math.nan):
+                    calls.append(("construct_classical", (family, k, n, phi)))
+    for phi in _SWEEP_PHIS:
+        for sign in (1, -1, 0):
+            for n in range(-1, 5):
+                calls.append(("construct_v3", (phi, sign, n)))
+    for x in combinations_with_replacement(_SWEEP_COSINES, 3):
+        angles = AngleTriple.from_cosines(x)
+        for n in range(0, 6):
+            for sign in (1, -1, 0):
+                calls.append(("construct_v4", (angles, sign, n)))
+        for l_plus, l_minus in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (-1, 2)):
+            for n in (0, 3, 4, 6, 7, 8):
+                calls.append(("construct_sum", (angles, l_plus, l_minus, n)))
+    return calls
+
+
+class TestCatalogMatchesPreviousConstructors:
+    @pytest.mark.parametrize("calls", [_grid_calls, _sweep_calls])
+    def test_same_bases_and_same_refusals(self, calls):
+        built = refused = 0
+        for name, args in calls():
+            got = _outcome(_LIBRARY[name], args)
+            assert got == _outcome(_REFERENCE[name], args), (name, args)
+            built += got is not None
+            refused += got is None
+        assert built > 250
+        if calls is _sweep_calls:
+            assert refused > 1000
+
+
+def _least_n(spec, limit=15):
+    """The least n <= limit at which construct(spec) succeeds, else None."""
+    for n in range(limit + 1):
+        try:
+            construct(dataclasses.replace(spec, n=n))
+        except (ValueError, NumericalFailure):
+            continue
+        return n
+    return None
+
+
+def _catalog_specs():
+    specs = [FamilySpec(family, n=0, k=k, phi=phi)
+             for family in CLASSICAL_FAMILIES for k in range(0, 13) for phi in (None, 0.8)]
+    specs += [FamilySpec("v3", n=0, phi=phi, sign=sign)
+              for phi in _SWEEP_PHIS if not math.isnan(phi) for sign in (1, -1)]
+    for x in combinations_with_replacement((1.0, 0.8, 0.5, 1 / 3, 0.3, 0.2, 0.0), 3):
+        angles = AngleTriple.from_cosines(x)
+        specs += [FamilySpec("v4", n=0, angles=angles, sign=sign) for sign in (1, -1)]
+        specs += [FamilySpec("sum_type", n=0, angles=angles, l_plus=p, l_minus=q)
+                  for p, q in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1))]
+    return specs
+
+
+class TestMinimalDimensionIsTheSlotCount:
+    def test_every_family_at_its_least_constructible_n(self):
+        specs = _catalog_specs()
+        assert {spec.family for spec in specs} == set(CLASSICAL_FAMILIES) | {
+            "v3", "v4", "sum_type"}
+        refused = 0
+        for spec in specs:
+            least = _least_n(spec)
+            if spec.family == "v3" and spec.phi == 0.0 and spec.sign == 1:
+                assert least is None and min_quaternionic_dim(spec) == 1
+            elif least is None:
+                refused += 1
+                with pytest.raises(ValueError):
+                    min_quaternionic_dim(spec)
+            else:
+                assert min_quaternionic_dim(spec) == least, spec
+        assert refused > 100
+
+    def test_v3_near_zero_needs_three_dims(self):
+        # cos(1e-7) rounds within 1e-12 of 1, but the class is a generic one.
+        spec = FamilySpec("v3", n=0, phi=1e-7, sign=1)
+        assert min_quaternionic_dim(spec) == 3
+        construct_v3(1e-7, 1, 3)
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            construct_v3(1e-7, 1, 2)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("totally_complex", n=0, k=5),
+        FamilySpec("totally_real", n=0, k=0),
+        FamilySpec("cka_plane_sum", n=0, k=4),
+        FamilySpec("v4", n=0, angles=AngleTriple.from_cosines([0.4, 0.3, 0.0]), sign=-1),
+        FamilySpec("sum_type", n=0, angles=T03, l_plus=0, l_minus=0),
+        FamilySpec("v3", n=0, sign=1),
+    ])
+    def test_refused_where_no_n_admits_the_construction(self, spec):
+        with pytest.raises(ValueError):
+            min_quaternionic_dim(spec)

@@ -5,6 +5,7 @@ import pytest
 
 from qka.quaternion import (
     STANDARD_BASIS,
+    CanonicalBasis,
     GroupElement,
     HVector,
     Quaternion,
@@ -126,6 +127,30 @@ def test_group_element_validation():
     bad[0, 1, 0] = 0.5
     with pytest.raises(ValueError):
         GroupElement([1.0, 0, 0, 0], bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_canonical_basis_rejects_non_finite(bad):
+    # NaN fails every tolerance comparison, so it must be refused explicitly.
+    with pytest.raises(ValueError, match="non-finite"):
+        CanonicalBasis(np.full((3, 3), bad))
+    rotation = np.eye(3)
+    rotation[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        CanonicalBasis(rotation)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_group_element_rejects_non_finite(bad):
+    identity = GroupElement.identity(2).matrix
+    with pytest.raises(ValueError, match="non-finite"):
+        GroupElement([bad] * 4, np.full_like(identity, bad))
+    with pytest.raises(ValueError, match="non-finite"):
+        GroupElement([1.0, 0.0, bad, 0.0], identity)
+    matrix = identity.copy()
+    matrix[1, 0, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        GroupElement([1.0, 0.0, 0.0, 0.0], matrix)
 
 
 def test_induced_rotation_identity():

@@ -181,6 +181,49 @@ class TestCli:
         if certified:
             assert spreads == {2 * json.loads(angles)["joint_residual"]}
 
+    @pytest.mark.parametrize("args,parameter", [
+        (["--family", "totally_real", "--n", "3"], "dimension k"),
+        (["--family", "quaternionic", "--n", "3"], "dimension k"),
+        (["--family", "cka_plane_sum", "--n", "4", "--phi", "0.8"], "dimension k"),
+        (["--family", "complexified_cka", "--n", "4", "--k", "4"], "phi"),
+        (["--family", "cka_plane_sum", "--n", "4", "--k", "4"], "phi"),
+        (["--family", "v3", "--n", "3", "--sign", "-"], "phi"),
+        (["--family", "v4", "--n", "4", "--angles", "0.8"], "angle triple"),
+        (["--family", "sum", "--n", "8", "--lplus", "2"], "angle triple"),
+        (["--family", "v4", "--n", "4", "--angles", "0.8", "0.9"], "--angles/--cos"),
+    ])
+    def test_missing_parameter_exits_2_and_names_it(self, tmp_path, capsys, args, parameter):
+        out = tmp_path / "x.json"
+        code, stdout, stderr = run_cli(["construct", *args, "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert parameter in stderr
+
+    @pytest.mark.parametrize("args", [
+        ["construct", "--family", "v4", "--cos", "nan", "0.3", "0.3", "--n", "4"],
+        ["construct", "--family", "v4", "--cos", "1.5", "0.3", "0.3", "--n", "4"],
+        ["construct", "--family", "v3", "--cos", "inf", "--n", "3"],
+        ["construct", "--family", "sum", "--cos", "0.3", "0.3", "-0.3", "--lplus", "1",
+         "--n", "4"],
+        ["moduli", "--k", "4", "--n", "4", "--cos", "1.5", "0.3", "0.3"],
+        ["moduli", "--k", "4", "--n", "4", "--cos", "-0.5", "0.3", "0.3"],
+        ["moduli", "--k", "4", "--n", "4", "--cos", "0.3", "nan", "0.3"],
+        ["moduli", "--k", "4", "--n", "4", "--cos", "0.3", "0.3", "inf"],
+    ])
+    def test_cosines_outside_unit_interval_exit_2(self, tmp_path, capsys, args):
+        # Before, these were clamped into [0, 1] and answered for another triple.
+        if args[0] == "construct":
+            args = [*args, "--out", str(tmp_path / "x.json")]
+        code, stdout, stderr = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        assert "--cos" in stderr
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_malformed_env_seed_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QKA_SEED", value)
+        code, stdout, stderr = run_cli(["moduli", "--k", "4", "--n", "4"], capsys)
+        assert code == 2 and stdout == ""
+        assert "QKA_SEED" in stderr
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(["angles", "/nonexistent/path.json"], capsys)
         assert code == 2
