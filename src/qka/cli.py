@@ -22,8 +22,12 @@ __all__ = ["main"]
 _FAMILIES = CLASSICAL_FAMILIES + ("v3", "v4", "sum")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("QKA_SEED", "0")
+def _seed(args) -> int:
+    """--seed, else QKA_SEED (0 when unset or empty); read only by commands
+    that sample, so a malformed QKA_SEED stops no other command."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("QKA_SEED") or "0"
     try:
         return int(raw)
     except ValueError:
@@ -73,13 +77,14 @@ def _spec_from_args(args) -> FamilySpec:
 def _cmd_construct(args) -> int:
     spec = _spec_from_args(args)
     space = construct(spec)
+    seed = _seed(args)
     # The same analysis as `angles` and `classify`, so all three report one spread.
-    report = _Analysis(space, args.samples, args.seed).report
+    report = _Analysis(space, args.samples, seed).report
     triple = snapped(report.triple)
     meta = {
         "family": spec.family,
         "cosines": [round(c, 15) for c in triple.cosines().tolist()],
-        "seed": args.seed,
+        "seed": seed,
     }
     if spec.family == "v3" or spec.family == "v4":
         meta["branch"] = spec.sign
@@ -103,7 +108,7 @@ def _cmd_construct(args) -> int:
 def _cmd_angles(args) -> int:
     space, _ = load_subspace(args.path)
     # The same analysis as `classify`, so both report one joint residual.
-    analysis = _Analysis(space, args.samples, args.seed)
+    analysis = _Analysis(space, args.samples, _seed(args))
     report = analysis.report
     _emit({
         "n": space.n,
@@ -120,7 +125,7 @@ def _cmd_angles(args) -> int:
 
 def _cmd_classify(args) -> int:
     space, _ = load_subspace(args.path)
-    _emit(classify_subspace(space, samples=args.samples, seed=args.seed))
+    _emit(classify_subspace(space, samples=args.samples, seed=_seed(args)))
     return 0
 
 
@@ -155,7 +160,7 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
     quick = not args.full
-    results = run_selftest(quick=quick, seed=args.seed, stream=sys.stdout)
+    results = run_selftest(quick=quick, seed=_seed(args), stream=sys.stdout)
     failed = [r for r in results if not r.passed]
     print(f"{'OK' if not failed else 'FAILED'}: {len(results) - len(failed)}/"
           f"{len(results)} criteria passed ({'quick' if quick else 'full'} mode)")
@@ -169,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "classification, and moduli enumeration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     p = sub.add_parser("construct", help="build a subspace and write it to JSON")
     p.add_argument("--family", required=True, choices=_FAMILIES)
@@ -185,19 +189,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lminus", type=int, default=0, help="minus blocks in a sum")
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument("--samples", type=int, default=300)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("angles", help="angle triple and constancy report of a file")
     p.add_argument("path")
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_angles)
 
     p = sub.add_parser("classify", help="full classification record of a file")
     p.add_argument("path")
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("moduli", help="stratification of the (k, n) moduli space")
@@ -211,15 +215,15 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true", default=True)
     mode.add_argument("--full", action="store_true")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

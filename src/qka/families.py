@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -182,10 +184,17 @@ def _v3_slots(phi: float, sign: int) -> int:
     return 2 if abs(abs(_v3_overlap(phi, sign)) - 1.0) <= BOUNDARY_TOL else 3
 
 
-def _block_slots(angles: AngleTriple, sign: int) -> int:
-    """Slots of one 4-dimensional block of a sign class: 1 + the Gram rank,
-    or at phi1 = 0 (where only the plus class exists and phi2 = phi3) one
-    for the quaternionic block and two for a complexified one."""
+# Builds the columns of one block from its first slot and the ambient n.
+_BlockBuilder = Callable[[int, int], list[np.ndarray]]
+
+
+def _block_layout(angles: AngleTriple, sign: int) -> tuple[int, _BlockBuilder]:
+    """Slots of one 4-dimensional block of a sign class, and its builder.
+
+    The slots are 1 + the Gram rank, or at phi1 = 0 (where only the plus
+    class exists and phi2 = phi3) one for the quaternionic block and two
+    for a complexified one.
+    """
     _check_sign(sign)
     phi1_zero = math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL
     if sign == -1 and (phi1_zero or math.cos(angles.phi3) <= BOUNDARY_TOL):
@@ -194,7 +203,8 @@ def _block_slots(angles: AngleTriple, sign: int) -> int:
     if phi1_zero:
         if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
             raise ValueError("constant-angle triples with phi1 = 0 have phi2 = phi3")
-        return 1 if math.cos(angles.phi2) > 1.0 - BOUNDARY_TOL else 2
+        slots = 1 if math.cos(angles.phi2) > 1.0 - BOUNDARY_TOL else 2
+        return slots, partial(_complexified_block_columns, angles.phi2)
     exists, rank = admissible(angles, sign)
     if not exists:
         x = angles.cosines()
@@ -203,17 +213,18 @@ def _block_slots(angles: AngleTriple, sign: int) -> int:
             f"cos(phi1)+cos(phi2)-({sign:+d})cos(phi3) = "
             f"{x[0] + x[1] - sign * x[2]:.12g} > 1"
         )
-    return 1 + rank
+    return 1 + rank, partial(_v4_block_columns, angles, sign, rank)
 
 
-def _sum_blocks(angles: AngleTriple, l_plus: int, l_minus: int) -> list[tuple[int, int]]:
-    """(sign, slots) of every block of construct_sum, plus blocks first."""
+def _sum_blocks(angles: AngleTriple, l_plus: int,
+                l_minus: int) -> list[tuple[int, _BlockBuilder]]:
+    """(slots, builder) of every block of construct_sum, plus blocks first."""
     if l_plus < 0 or l_minus < 0 or l_plus + l_minus < 1:
         raise ValueError("need a non-negative number of blocks, at least one in total")
-    blocks: list[tuple[int, int]] = []
+    blocks: list[tuple[int, _BlockBuilder]] = []
     for sign, count in ((1, l_plus), (-1, l_minus)):
         if count:
-            blocks += [(sign, _block_slots(angles, sign))] * count
+            blocks += [_block_layout(angles, sign)] * count
     return blocks
 
 
@@ -227,15 +238,16 @@ def _jmul(i: int, col: np.ndarray) -> np.ndarray:
     return STANDARD_BASIS.apply(i, col)
 
 
-def _v4_block_columns(angles: AngleTriple, sign: int, offset: int, n: int) -> list[np.ndarray]:
-    """The four basis columns of one sign-class block starting at a slot.
+def _v4_block_columns(angles: AngleTriple, sign: int, rank: int, offset: int,
+                      n: int) -> list[np.ndarray]:
+    """The four basis columns of one sign-class block of the given Gram rank
+    starting at a slot.
 
     Builds from either Gram sign whenever the Gram matrix is PSD; the
-    public constructors check the class with _block_slots first, which
+    public constructors check the class with _block_layout first, which
     also rejects the minus sign at phi3 = pi/2, where the two signs give
     equivalent subspaces.
     """
-    _, rank = admissible(angles, sign)
     left = _psd_cholesky(gram_matrix(angles, sign), rank)
     e0 = _axis(offset, n)
     frame = [_axis(offset + 1 + r, n) for r in range(rank)]
@@ -341,15 +353,12 @@ def construct_sum(angles: AngleTriple, l_plus: int, l_minus: int, n: int) -> Sub
     so the sum has constant angle; its type is (l_plus, l_minus).
     """
     blocks = _sum_blocks(angles, l_plus, l_minus)
-    _need(n, sum(slots for _, slots in blocks),
+    _need(n, sum(slots for slots, _ in blocks),
           f"a sum of {l_plus} plus and {l_minus} minus blocks")
     cols: list[np.ndarray] = []
     offset = 0
-    for sign, slots in blocks:
-        if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
-            cols += _complexified_block_columns(angles.phi2, offset, n)
-        else:
-            cols += _v4_block_columns(angles, sign, offset, n)
+    for slots, build in blocks:
+        cols += build(offset, n)
         offset += slots
     return Subspace(np.column_stack(cols))
 
@@ -395,8 +404,8 @@ def min_quaternionic_dim(spec: FamilySpec) -> int:
             return 1
         return _v3_slots(_given(spec, "phi"), spec.sign)
     if fam == "v4":
-        return _block_slots(_given(spec, "angles"), spec.sign)
+        return _block_layout(_given(spec, "angles"), spec.sign)[0]
     if fam == "sum_type":
         blocks = _sum_blocks(_given(spec, "angles"), spec.l_plus, spec.l_minus)
-        return sum(slots for _, slots in blocks)
+        return sum(slots for slots, _ in blocks)
     raise ValueError(f"unknown family {fam!r}")

@@ -29,6 +29,7 @@ from .classify import (
 from .families import (
     FamilySpec,
     _v4_block_columns,
+    admissible,
     construct_classical,
     construct_sum,
     construct_v3,
@@ -87,15 +88,20 @@ def _v4_parameter_grid(quick: bool) -> list[tuple[AngleTriple, int, int]]:
     boundaries = [(1, x) for x in _PLUS_BOUNDARY] + [(-1, x) for x in _MINUS_BOUNDARY]
     if quick:
         boundaries = boundaries[:2] + boundaries[5:7]
-    out = []
-    for sign, x in candidates + boundaries:
+
+    def point(sign, x):
         triple = _triple_from_cos(*x)
+        spec = FamilySpec("v4", n=0, angles=triple, sign=sign)
+        return triple, sign, min_quaternionic_dim(spec)
+
+    out = []
+    for sign, x in candidates:
         try:
-            n = min_quaternionic_dim(FamilySpec("v4", n=0, angles=triple, sign=sign))
+            out.append(point(sign, x))
         except ValueError:  # no class of this sign at these angles
             continue
-        out.append((triple, sign, n))
-    return out
+    # The declared boundaries must exist: a boundary that does not raises.
+    return out + [point(sign, x) for sign, x in boundaries]
 
 
 def _constructor_grid(quick: bool) -> list[tuple[str, Subspace, AngleTriple]]:
@@ -317,7 +323,8 @@ def crit_inequivalence(quick: bool, seed: int) -> tuple[bool, str]:
     for x in [(0.6, 0.35), (0.4, 0.3)]:
         triple = AngleTriple(math.acos(x[0]), math.acos(x[1]), HALF_PI)
         vp = construct_v4(triple, 1, 4)
-        vm = Subspace(np.column_stack(_v4_block_columns(triple, -1, 0, 4)))
+        _, rank = admissible(triple, -1)
+        vm = Subspace(np.column_stack(_v4_block_columns(triple, -1, rank, 0, 4)))
         verdict = are_equivalent(vp, vm, seed=seed)
         if verdict.value != "yes":
             failures.append(f"pi/2 merge {x} -> {verdict.value}")

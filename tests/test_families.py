@@ -588,3 +588,17 @@ class TestMinimalDimensionIsTheSlotCount:
     def test_refused_where_no_n_admits_the_construction(self, spec):
         with pytest.raises(ValueError):
             min_quaternionic_dim(spec)
+
+
+class TestSelftestParameterGrid:
+    def test_declared_boundaries_all_present(self):
+        grid = selftest._v4_parameter_grid(quick=False)
+        declared = [(1, x) for x in selftest._PLUS_BOUNDARY] + [
+            (-1, x) for x in selftest._MINUS_BOUNDARY]
+        assert [(sign, triple) for triple, sign, _ in grid[-len(declared):]] == [
+            (sign, AngleTriple.from_cosines(x)) for sign, x in declared]
+
+    def test_boundary_without_a_class_raises(self, monkeypatch):
+        monkeypatch.setattr(selftest, "_MINUS_BOUNDARY", [(0.9, 0.9, 0.9)] * 5)
+        with pytest.raises(ValueError, match="no sign=-1 class"):
+            selftest._v4_parameter_grid(quick=True)

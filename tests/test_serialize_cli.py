@@ -217,12 +217,31 @@ class TestCli:
         assert code == 2 and stdout == ""
         assert "--cos" in stderr
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
-    def test_malformed_env_seed_exits_2(self, capsys, monkeypatch, value):
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_malformed_env_seed_exits_2(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("QKA_SEED", value)
-        code, stdout, stderr = run_cli(["moduli", "--k", "4", "--n", "4"], capsys)
+        out = tmp_path / "q.json"
+        code, stdout, stderr = run_cli(["construct", "--family", "quaternionic", "--k", "4",
+                                        "--n", "1", "--out", str(out)], capsys)
         assert code == 2 and stdout == ""
         assert "QKA_SEED" in stderr
+        assert not out.exists()
+
+    def test_malformed_env_seed_ignored_where_unread(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QKA_SEED", "abc")
+        code, _, _ = run_cli(["moduli", "--k", "4", "--n", "4"], capsys)
+        assert code == 0
+        out = tmp_path / "q.json"
+        code, stdout, _ = run_cli(["construct", "--family", "quaternionic", "--k", "4",
+                                   "--n", "1", "--out", str(out), "--seed", "5"], capsys)
+        assert code == 0 and json.loads(stdout)["meta"]["seed"] == 5
+
+    def test_empty_env_seed_means_zero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QKA_SEED", "")
+        out = tmp_path / "q.json"
+        code, stdout, _ = run_cli(["construct", "--family", "quaternionic", "--k", "4",
+                                   "--n", "1", "--out", str(out)], capsys)
+        assert code == 0 and json.loads(stdout)["meta"]["seed"] == 0
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(["angles", "/nonexistent/path.json"], capsys)
