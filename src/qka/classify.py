@@ -25,7 +25,7 @@ from .families import (
     construct_v3,
     min_quaternionic_dim,
 )
-from .quaternion import STANDARD_BASIS, CanonicalBasis
+from .quaternion import CanonicalBasis
 from .subspace import (
     CONSTANCY_TOL,
     AngleTriple,
@@ -35,6 +35,10 @@ from .subspace import (
     _complex_structure,
     _exact_structure,
     _ExactStructure,
+    _omega_spectra,
+    _OmegaSpectra,
+    _spectrum_report,
+    _sphere_rule,
     constancy_check,
 )
 
@@ -60,7 +64,8 @@ JOINT_RESIDUAL_TOL = 1e-8
 TRIPLE_MATCH_TOL = 1e-8
 # Cosines this close to 0 or 1 are treated as exact pi/2 or 0 angles when a
 # triple computed from eigenvalues enters a region predicate (eigenvalue
-# round-off of order 1e-16 surfaces as a cosine of order 1e-8).
+# round-off of order 1e-16 surfaces as a cosine of order 1e-8), unless the
+# snap would move the triple out of the strata that hold it unsnapped.
 SNAP_TOL = 1e-7
 
 
@@ -170,9 +175,10 @@ class _Analysis:
     Holds the exact structure of W = B^T J B (candidate canonical basis and
     its residual), the constancy report, the Pbar triple and the sign-kernel
     split.  Each is computed on first use and at most once; an analysis lives
-    for a single public call and is never cached across calls.  Sampling
-    happens only when the exact residual does not certify constant angle
-    (no common canonical basis, as for dimension 3 or a generic subspace).
+    for a single public call and is never cached across calls.  When the
+    exact residual does not certify constant angle (no common canonical
+    basis), dimension 3 reads Omega at the fixed 91-point sphere rule, which
+    certifies constancy on the whole sphere; only larger dimensions sample.
     """
 
     def __init__(self, v_space: Subspace, samples: int, seed: int):
@@ -185,13 +191,22 @@ class _Analysis:
         return _exact_structure(self.space)
 
     @cached_property
+    def rule(self) -> _OmegaSpectra:
+        """Omega and its eigh at the 91 rule points of a 3-dimensional V."""
+        points, _ = _sphere_rule()
+        return _omega_spectra(self.exact.w, points)
+
+    @cached_property
     def report(self) -> ConstancyReport:
-        """The exact triple when 2 * residual certifies constancy, else sampled."""
+        """The exact triple when 2 * residual certifies constancy, else the
+        rule's spread for dimension 3, else sampled."""
         exact = self.exact
         spread = 2.0 * exact.residual
         if spread <= CONSTANCY_TOL:
             return ConstancyReport(triple=exact.triple, max_spread=spread, samples=0,
                                    constant=True)
+        if self.space.k == 3:
+            return _spectrum_report(self.rule.lams)
         return constancy_check(self.space, self.samples, self.seed)
 
     def canonical(self) -> tuple[AngleTriple, CanonicalBasis]:
@@ -270,12 +285,14 @@ class _Analysis:
             "the other",
         )
 
-    def branch(self, base_points: int = 24, tol: float = 1e-8) -> int:
+    def branch(self, tol: float = 1e-8) -> int:
         """The sign of a 3-dimensional constant-angle subspace at phi in (0, pi/2).
 
         Tells the two classes at one angle apart by the invariant
-        <e_1, e_2> = cos(phi)/(cos(phi) + sign), evaluated at all base
-        points in one batch and required not to depend on the base point.
+        <e_1, e_2> = cos(phi)/(cos(phi) + sign), evaluated at the 91 rule
+        points from the eigenvectors of the rule's one batched eigh (the one
+        the constancy report reads) and required not to depend on the base
+        point.
         """
         if self.space.k != 3:
             raise ValueError("branch detection applies to 3-dimensional subspaces")
@@ -289,9 +306,7 @@ class _Analysis:
         c = math.cos(phi)
         if c <= 1e-8 or c >= 1.0 - 1e-8:
             raise ValueError("the two classes merge at phi = pi/2 and phi = 0")
-        coeffs = np.random.default_rng(self.seed).standard_normal((base_points, 3))
-        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        thetas = _branch_invariants(self.space, self.exact.w, coeffs, phi)
+        thetas = _branch_invariants(self.exact.w, self.rule, phi)
         if thetas.max() - thetas.min() > tol:
             raise NumericalFailure(
                 f"branch invariant varies across base points (spread "
@@ -306,27 +321,30 @@ class _Analysis:
         )
 
 
-def _branch_invariants(
-    v_space: Subspace, w: np.ndarray, coeffs: np.ndarray, phi: float
-) -> np.ndarray:
-    """<e_1, e_2> at the unit base points B x of a 3-dimensional V, one per row x.
+def _branch_invariants(w: np.ndarray, spectra: _OmegaSpectra, phi: float) -> np.ndarray:
+    """<e_1, e_2> at the unit base points B x of a 3-dimensional V, one per
+    point x at which ``spectra`` holds Omega.
 
     At each base point the eigenvectors of Omega give the canonical basis
-    J'_a = sum_b R_ab J_b diagonalizing it.  With W_b = B^T J_b B (``w``,
-    shaped (3, 3, 3)), Pbar_i v = B y_i / cos(phi) for y_i = sum_b R_ib W_b x,
-    so every e_i comes from the 4n x 3 blocks J_b B without a 4n x 4n product.
+    J'_a = sum_b R_ab J_b diagonalizing it, and Pbar_i v = B y_i / cos(phi)
+    with y_i = W'_i x, W'_a = sum_b R_ab W_b.  Each J'_a is skew, J'_1 J'_2 =
+    J'_3 and Pbar_i v lies in V, so with c = cos(phi)
+
+        <J'_1 Pbar_1 v, J'_2 Pbar_2 v> = -y_1 . W'_3 y_2 / c^2,
+        <J'_i Pbar_i v, v> = -|y_i|^2 / c,
+
+    and sin(phi)^2 <e_1, e_2> = -y_1 . W'_3 y_2 / c^2 - |y_1|^2 - |y_2|^2 + c^2
+    follows from W (``w``, shaped (3, 3, 3)) without a vector of R^{4n}.
     """
     c, s = math.cos(phi), math.sin(phi)
-    b = v_space.basis
-    jb = np.stack([STANDARD_BASIS.apply(a, b) for a in (1, 2, 3)])  # J_a B
-    wx = np.einsum("apq,mq->map", w, coeffs)  # row a is W_a x
-    _, vecs = np.linalg.eigh(wx @ wx.transpose(0, 2, 1))  # Omega(B x)
-    # Rows J'_1, J'_2 (descending eigenvalues) in the standard triple.
-    rot = vecs[:, :, ::-1].transpose(0, 2, 1)[:, :2]
-    y = rot @ wx
-    pbar_images = np.einsum("mia,anp,mip->min", rot, jb, y) / c  # J'_i Pbar_i v
-    e = -(pbar_images + c * (coeffs @ b.T)[:, None, :]) / s
-    return np.einsum("mn,mn->m", e[:, 0], e[:, 1])
+    # Rows J'_1, J'_2 (descending eigenvalues) in the standard triple; the
+    # cross product gives J'_3 = J'_1 J'_2 whatever the eigenvector signs.
+    rot = spectra.vecs[:, :, ::-1].transpose(0, 2, 1)[:, :2]
+    y1, y2 = (rot @ spectra.wx).transpose(1, 0, 2)
+    w3 = np.einsum("ma,apq->mpq", np.cross(rot[:, 0], rot[:, 1]), w)
+    mixed = np.einsum("mp,mpq,mq->m", y1, w3, y2)
+    return (-mixed / (c * c) - np.sum(y1 * y1, axis=1) - np.sum(y2 * y2, axis=1)
+            + c * c) / (s * s)
 
 
 def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subspace]:
@@ -394,10 +412,11 @@ def branch_of_v3(
     """The sign separating the two 3-dimensional classes at the same angle.
 
     Reconstructs the auxiliary vectors e_i = -(J_i Pbar_i e0 + cos(phi) e0)
-    / sin(phi) at sampled base points; their inner product equals
-    cos(phi)/(cos(phi) + sign) and does not depend on the base point.
+    / sin(phi) at the 91 fixed base points of the sphere rule; their inner
+    product equals cos(phi)/(cos(phi) + sign) and does not depend on the
+    base point.  ``base_points`` and ``seed`` no longer change the answer.
     """
-    return _Analysis(v_space, 300, seed).branch(base_points, tol)
+    return _Analysis(v_space, 300, seed).branch(tol)
 
 
 def are_equivalent(
@@ -677,6 +696,10 @@ def moduli_describe(k: int, n: int) -> dict:
     return out
 
 
+def _names(hits: list[StratumMembership]) -> set[tuple[str, int | None]]:
+    return {(h.stratum.name, h.branch) for h in hits}
+
+
 def representative(
     k: int, n: int, triple: AngleTriple, branch: int | None = None
 ) -> Subspace:
@@ -696,6 +719,10 @@ def representative(
     if branch == -1 and not two_class:
         raise ValueError("branch selection on a single-class stratum")
     x = _snap_cos(triple.cosines())
+    # Build from the snapped triple only if the snap keeps it in the same
+    # strata: a snap across a region boundary realizes another stratum or none.
+    if _names(moduli_membership(k, n, AngleTriple.from_cosines(x))) != _names(hits):
+        x = np.clip(triple.cosines(), 0.0, 1.0)
     phis = np.arccos(x)
     if k == 3:
         if x[0] >= 1.0:  # (0, 0, pi/2)
@@ -765,6 +792,9 @@ def classify_subspace(v_space: Subspace, samples: int = 500, seed: int = 0) -> d
             record["branch"] = analysis.branch()
         else:
             record["branch"] = None
-    strata = moduli_membership(k, v_space.n, snapped(report.triple))
+    # The computed triple snapped to exact end angles, unless the snap moves
+    # it out of every stratum that holds it as computed.
+    strata = (moduli_membership(k, v_space.n, snapped(report.triple))
+              or moduli_membership(k, v_space.n, report.triple))
     record["strata"] = [hit.to_dict() for hit in strata]
     return record

@@ -35,8 +35,9 @@ def _seed(args) -> int:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # Serialized whole first: a refused payload (NaN or inf) writes nothing.
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _checked_cosines(values: list[float]) -> list[float]:
@@ -67,8 +68,9 @@ def _spec_from_args(args) -> FamilySpec:
     """Map the construct flags onto a FamilySpec; `construct` validates it."""
     triple, phi = _parse_angles(args)
     family = "sum_type" if args.family == "sum" else args.family
-    # The imaginary span of a vector has dimension 3 and takes no --k.
-    k = 3 if family == "im_h_line" else args.k
+    # The imaginary span of a vector has dimension 3, so --k may be omitted;
+    # a --k other than 3 reaches `construct` and is refused there.
+    k = 3 if family == "im_h_line" and args.k is None else args.k
     return FamilySpec(family, n=args.n, k=k, phi=phi, angles=triple,
                       sign=-1 if args.sign == "-" else 1,
                       l_plus=args.lplus, l_minus=args.lminus)

@@ -71,9 +71,11 @@ def subspace_from_dict(data: dict) -> tuple[Subspace, dict]:
 
 
 def save_subspace(path, v_space: Subspace, meta: dict | None = None) -> None:
+    """Write the subspace as JSON; a payload holding NaN or inf raises
+    ValueError before the file is opened, so no partial file is left."""
+    text = json.dumps(subspace_to_dict(v_space, meta), indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(subspace_to_dict(v_space, meta), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_subspace(path) -> tuple[Subspace, dict]:

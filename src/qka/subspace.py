@@ -8,12 +8,20 @@ when Omega is isospectral over the unit sphere of V.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import STANDARD_BASIS, CanonicalBasis, GroupElement, HVector, _coords
+from .quaternion import (
+    _STANDARD_BLOCKS,
+    STANDARD_BASIS,
+    CanonicalBasis,
+    GroupElement,
+    HVector,
+    _coords,
+)
 
 __all__ = [
     "NumericalFailure",
@@ -88,7 +96,8 @@ class AngleTriple:
 
 @dataclass(frozen=True)
 class ConstancyReport:
-    """Result of sampling the Kahler angle spectrum over the unit sphere."""
+    """The Kahler angle spectrum over the unit sphere: its triple, its largest
+    spread and the number of points it was read at (0 for the exact bound)."""
 
     triple: AngleTriple
     max_spread: float
@@ -187,10 +196,14 @@ def _restricted_structure(
     """The restricted structure W_i = B^T J_i B of V, shaped (3, k, k).
 
     With B the basis of V, P_i v in V coordinates is W_i c for v = B c, and
-    |P_i v| = |W_i c| because B has orthonormal columns.
+    |P_i v| = |W_i c| because B has orthonormal columns.  All three J_i B
+    come from one einsum over the per-slot 4x4 blocks of the triple.
     """
     b = v_space.basis
-    return np.stack([b.T @ basis.apply(i, b) for i in (1, 2, 3)])
+    n, k = v_space.n, v_space.k
+    blocks = np.tensordot(basis.rotation, _STANDARD_BLOCKS, axes=1)
+    jb = np.einsum("aij,njm->anim", blocks, b.reshape(n, 4, k)).reshape(3, 4 * n, k)
+    return b.T @ jb
 
 
 def _omega_batch(v_space: Subspace, coeffs: np.ndarray, basis: CanonicalBasis) -> np.ndarray:
@@ -272,6 +285,60 @@ def _exact_structure(v_space: Subspace) -> _ExactStructure:
                            residual=float(np.linalg.norm(s)))
 
 
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre recurrence (off-diagonal j / sqrt(4 j^2 - 1)), and each weight
+    is 2 times the squared first component of its eigenvector.
+    """
+    j = np.arange(1.0, m)
+    beta = j / np.sqrt(4.0 * j * j - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vecs[0] ** 2
+
+
+@functools.cache
+def _sphere_rule(m: int = 7, arcs: int = 13) -> tuple[np.ndarray, np.ndarray]:
+    """Product rule on S^2: Gauss-Legendre(m) in z times the arcs-point
+    trapezoid in azimuth; read-only points (m * arcs, 3) and weights
+    summing to 1.
+
+    It integrates every polynomial of degree <= min(2m - 1, arcs - 1)
+    exactly (Atkinson-Han, Spherical Harmonics and Approximations on the
+    Unit Sphere, 2012, ch. 5): 12 for the default 91 points.  On the unit
+    sphere of a 3-dimensional V the power sums tr Omega^j (j <= 3) are
+    polynomials of degree <= 6, so the rule integrates their squared
+    deviation from the mean exactly: sorted spectra that agree at all 91
+    points agree on the whole sphere.  The decisions read only the points.
+    Built on first use, so processes that never decide dimension 3 pay
+    nothing for it.
+    """
+    z, wz = _gauss_legendre(m)
+    t = 2.0 * math.pi * np.arange(arcs) / arcs
+    r = np.sqrt(1.0 - z * z)[:, None]
+    points = np.stack([r * np.cos(t), r * np.sin(t), np.repeat(z[:, None], arcs, 1)], -1)
+    points, weights = points.reshape(-1, 3), np.repeat(wz / (2.0 * arcs), arcs)
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
+
+
+@dataclass(frozen=True)
+class _OmegaSpectra:
+    """Omega(B x) = (W x)(W x)^T and its eigh at the unit points x of V."""
+
+    wx: np.ndarray  # (m, 3, k), row a is W_a x
+    lams: np.ndarray  # (m, 3) ascending squared cosines
+    vecs: np.ndarray  # (m, 3, 3) their eigenvectors, as columns
+
+
+def _omega_spectra(w: np.ndarray, points: np.ndarray) -> _OmegaSpectra:
+    """One batched eigh of Omega at every row of ``points``, from W (3, k, k)."""
+    wx = np.einsum("apq,mq->map", w, points)
+    lams, vecs = np.linalg.eigh(wx @ wx.transpose(0, 2, 1))
+    return _OmegaSpectra(wx=wx, lams=lams, vecs=vecs)
+
+
 def vector_qka(v_space: Subspace, v) -> tuple[AngleTriple, CanonicalBasis]:
     """Angles of a single vector and a canonical basis diagonalizing them.
 
@@ -308,10 +375,15 @@ def constancy_check(
     rng = np.random.default_rng(seed)
     coeffs = _sample_coeffs(v_space.k, samples, rng)
     oms = _omega_batch(v_space, coeffs, STANDARD_BASIS)
-    lams = np.linalg.eigvalsh(oms)  # ascending per sample
+    return _spectrum_report(np.linalg.eigvalsh(oms), tol)
+
+
+def _spectrum_report(lams: np.ndarray, tol: float = CONSTANCY_TOL) -> ConstancyReport:
+    """The triple at the first point and the largest spread of the sorted
+    squared-cosine spectra ``lams`` (one ascending row per point)."""
     spread = float(np.max(lams.max(axis=0) - lams.min(axis=0)))
     triple = AngleTriple.from_cos2_eigenvalues(lams[0, ::-1])
-    return ConstancyReport(triple=triple, max_spread=spread, samples=samples,
+    return ConstancyReport(triple=triple, max_spread=spread, samples=len(lams),
                            constant=spread <= tol)
 
 

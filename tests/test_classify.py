@@ -39,6 +39,8 @@ from qka.subspace import (
     NumericalFailure,
     Subspace,
     _exact_structure,
+    _omega_spectra,
+    _sphere_rule,
     constancy_check,
     from_spanning,
     is_h_orthogonal,
@@ -161,15 +163,12 @@ class TestProtohomogeneous:
         assert "not constant" in verdict.reason
 
 
-def _per_point_invariants(v_space, base_points, seed, phi):
+def _per_point_invariants(v_space, points, phi):
     """Reference: <e_1, e_2> point by point from vector_qka and the 4n x 4n projector."""
     c = math.cos(phi)
-    rng = np.random.default_rng(seed)
     proj = v_space.projector()
     thetas = []
-    for _ in range(base_points):
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
+    for x in points:
         v = v_space.basis @ x
         _, basis = vector_qka(v_space, v)
         es = []
@@ -201,6 +200,17 @@ class TestBranch:
         # the branch functional must not depend on the base point
         branch_of_v3(construct_v3(1.25, -1, 3), base_points=200, tol=1e-9)
 
+    def test_invariant_at_random_base_points(self):
+        # Off the rule points too: 200 random unit points agree within 1e-9.
+        phi, sign = 1.25, -1
+        space = rotated(construct_v3(phi, sign, 3), 9)
+        exact = _exact_structure(space)
+        points = np.random.default_rng(3).standard_normal((200, 3))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        thetas = _branch_invariants(exact.w, _omega_spectra(exact.w, points), phi)
+        assert thetas.max() - thetas.min() <= 1e-9
+        assert thetas == pytest.approx(math.cos(phi) / (math.cos(phi) + sign), abs=1e-9)
+
     def test_merged_angles_rejected(self):
         with pytest.raises(ValueError, match="merge"):
             branch_of_v3(construct_v3(HALF_PI, 1, 3))
@@ -214,10 +224,10 @@ class TestBranch:
     @pytest.mark.parametrize("phi,sign,n", BATCH_CASES)
     def test_batched_invariant_matches_per_point_loop(self, phi, sign, n):
         space = rotated(construct_v3(phi, sign, n), n)
-        coeffs = np.random.default_rng(n).standard_normal((24, 3))
-        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        batched = _branch_invariants(space, _exact_structure(space).w, coeffs, phi)
-        reference = _per_point_invariants(space, 24, n, phi)
+        exact = _exact_structure(space)
+        points, _ = _sphere_rule()
+        batched = _branch_invariants(exact.w, _omega_spectra(exact.w, points), phi)
+        reference = _per_point_invariants(space, points, phi)
         assert np.max(np.abs(batched - reference)) <= 1e-13
         assert batched == pytest.approx(math.cos(phi) / (math.cos(phi) + sign), abs=1e-10)
 
@@ -443,6 +453,18 @@ class TestRepresentative:
         assert len(calls) == 1
         assert (type_of(space).as_tuple() if k % 4 == 0 else branch_of_v3(space)) == expected
 
+    def test_snap_that_leaves_the_region_is_not_applied(self):
+        # cos(phi3) = 5e-8 lies within SNAP_TOL of 0, but snapping it would
+        # push cos(phi1) + cos(phi2) - cos(phi3) past 1 and out of the region.
+        triple = AngleTriple.from_cosines([0.6, 0.4 + 1e-8, 5e-8])
+        hits = moduli_membership(8, 8, triple)
+        assert [h.stratum.name for h in hits] == ["single_class_region"]
+        space = representative(8, 8, triple)
+        record = classify_subspace(space)
+        assert record["type"] == [2, 0]
+        assert [s["name"] for s in record["strata"]] == ["single_class_region"]
+        assert np.max(np.abs(np.array(record["cosines"]) - triple.cosines())) < 1e-8
+
     def test_type_matches_requested_blocks(self):
         for p, q in [(1, 0), (0, 1), (2, 0), (1, 1)]:
             if q and p:
@@ -512,19 +534,18 @@ class TestAnalysisOnce:
         assert analysis_calls == Counter({("_exact_structure", id(space)): 1})
 
     def test_classify_v3_samples_once(self, analysis_calls):
+        # Dimension 3 reads the fixed sphere rule: no sampling at all.
         space = rotated(construct_v3(1.2, -1, 3), 6)
-        assert classify_subspace(space)["branch"] == -1
-        assert analysis_calls == Counter({("_exact_structure", id(space)): 1,
-                                          ("constancy_check", id(space)): 1})
+        record = classify_subspace(space)
+        assert record["branch"] == -1 and record["constant"] is True
+        assert analysis_calls == Counter({("_exact_structure", id(space)): 1})
 
     def test_v3_equivalence_samples_once_per_side(self, analysis_calls):
         a = rotated(construct_v3(1.2, 1, 3), 7)
         b = rotated(construct_v3(1.2, 1, 3), 8)
         assert are_equivalent(a, b).value == "yes"
         assert analysis_calls == Counter({("_exact_structure", id(a)): 1,
-                                          ("_exact_structure", id(b)): 1,
-                                          ("constancy_check", id(a)): 1,
-                                          ("constancy_check", id(b)): 1})
+                                          ("_exact_structure", id(b)): 1})
 
     def test_equivalence_samples_at_most_once_per_side(self, analysis_calls):
         a = rotated(construct_sum(TA, 1, 1, 8), 1)
@@ -650,3 +671,48 @@ def test_classify_record_on_fixed_seeds(name, build, expected, seed):
     assert record.get("type") == expected.get("type")
     assert "branch" not in expected or record["branch"] == expected["branch"]
     assert [(s["name"], s.get("branch")) for s in record["strata"]] == expected["strata"]
+
+
+# Three-dimensional subspaces of every kind the rule decides: both v3 classes
+# at three angles, the imaginary span of a vector, and a non-constant plane.
+SEED_FREE_CASES = [
+    *[(f"v3{'+' if sign > 0 else '-'}@{phi:.4f}",
+       lambda phi=phi, sign=sign: rotated(construct_v3(phi, sign, 3), 20 + sign))
+      for phi in (math.pi / 3, 1.2, 1.45) for sign in (1, -1)],
+    ("im_h_line", lambda: rotated(construct_classical("im_h_line", 3, 2), 4)),
+    ("random_plane", lambda: from_spanning(
+        [HVector(v) for v in np.random.default_rng(5).standard_normal((3, 12))])),
+]
+
+
+class TestSeedFreeDimension3:
+    @pytest.mark.parametrize("name,build", SEED_FREE_CASES,
+                             ids=[c[0] for c in SEED_FREE_CASES])
+    def test_record_identical_for_every_seed(self, name, build):
+        space = build()
+        records = [classify_subspace(space, seed=seed) for seed in range(10)]
+        assert all(r == records[0] for r in records)
+        assert records[0]["constant"] is (name != "random_plane")
+
+    def test_equivalence_identical_for_every_seed(self):
+        for phi in (math.pi / 3, 1.2, 1.45):
+            plus = rotated(construct_v3(phi, 1, 3), 1)
+            minus = rotated(construct_v3(phi, -1, 3), 2)
+            twin = rotated(construct_v3(phi, 1, 3), 3)
+            for seed in range(10):
+                assert are_equivalent(plus, twin, seed=seed).value == "yes"
+                assert are_equivalent(plus, minus, seed=seed).value == "no"
+
+    def test_no_random_generator_on_verdict_paths(self, monkeypatch):
+        spaces = [build() for _, build in SEED_FREE_CASES]
+        v3_pair = spaces[2], spaces[3]  # both classes at phi = 1.2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random generator was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for space in spaces:
+            classify_subspace(space)
+            is_protohomogeneous(space)
+        assert branch_of_v3(v3_pair[0]) == 1 and branch_of_v3(v3_pair[1]) == -1
+        assert are_equivalent(*v3_pair).value == "no"

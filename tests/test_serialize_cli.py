@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qka
+import qka.cli
 from qka.cli import main
 from qka.families import construct_sum, construct_v4
 from qka.serialize import load_subspace, save_subspace, subspace_from_dict, subspace_to_dict
@@ -46,6 +47,12 @@ class TestSerialization:
         data["basis"][0][0] += 1e-3
         with pytest.raises(ValueError, match="orthonormal"):
             subspace_from_dict(data)
+
+    def test_refuses_non_finite_meta_without_writing(self, tmp_path):
+        path = tmp_path / "v.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_subspace(path, construct_v4(T13, -1, 3), {"spread": float("nan")})
+        assert not path.exists()
 
     def test_repairs_small_drift_with_warning(self):
         data = subspace_to_dict(construct_v4(T13, -1, 3))
@@ -217,6 +224,43 @@ class TestCli:
         assert code == 2 and stdout == ""
         assert "--cos" in stderr
 
+    @pytest.mark.parametrize("k", [None, "3"])
+    def test_im_h_line_k_optional(self, tmp_path, capsys, k):
+        out = tmp_path / "im.json"
+        args = ["construct", "--family", "im_h_line", "--n", "1", "--out", str(out)]
+        code, stdout, _ = run_cli(args + (["--k", k] if k else []), capsys)
+        assert code == 0 and json.loads(stdout)["k"] == 3
+
+    @pytest.mark.parametrize("k", ["1", "4", "5"])
+    def test_im_h_line_refuses_other_k(self, tmp_path, capsys, k):
+        # Before, any --k was replaced by 3 and a 3-dimensional file was written.
+        out = tmp_path / "im.json"
+        code, stdout, stderr = run_cli(["construct", "--family", "im_h_line", "--k", k,
+                                        "--n", "1", "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert f"k={k}" in stderr
+
+    def test_non_finite_payload_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        path = tmp_path / "q.json"
+        run_cli(["construct", "--family", "quaternionic", "--k", "4", "--n", "1",
+                 "--out", str(path)], capsys)
+        monkeypatch.setattr(qka.cli, "classify_subspace",
+                            lambda space, **kwargs: {"k": space.k, "spread": float("nan")})
+        code, stdout, stderr = run_cli(["classify", str(path)], capsys)
+        assert code == 2 and stdout == ""
+        assert "JSON compliant" in stderr
+
+        class NanTriple:
+            def cosines(self):
+                return np.array([math.nan, 0.0, 0.0])
+
+        monkeypatch.setattr(qka.cli, "snapped", lambda triple: NanTriple())
+        out = tmp_path / "nan.json"
+        code, stdout, _ = run_cli(["construct", "--family", "quaternionic", "--k", "4",
+                                   "--n", "1", "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_malformed_env_seed_exits_2(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("QKA_SEED", value)
@@ -303,6 +347,16 @@ class TestCli:
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert proc.stdout.split() == ["False", "True", "True"]
+
+    def test_cli_import_leaves_numpy_polynomial_unloaded(self):
+        # The sphere rule's nodes come from one eigh, not numpy.polynomial,
+        # whose import would add several milliseconds to every CLI process.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qka.cli; print('numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
 
     def test_package_rejects_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):

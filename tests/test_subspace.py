@@ -19,8 +19,13 @@ from qka.subspace import (
     NumericalFailure,
     Subspace,
     _exact_structure,
+    _gauss_legendre,
     _jacobi_joint_diagonalize,
     _omega_batch,
+    _omega_spectra,
+    _restricted_structure,
+    _spectrum_report,
+    _sphere_rule,
     constancy_check,
     distribution_rank,
     from_spanning,
@@ -400,6 +405,72 @@ class TestExactStructure:
         assert mean_omega == pytest.approx(np.diag(exact.cos2), abs=1e-12)
         assert np.linalg.det(exact.basis.rotation) == pytest.approx(1.0, abs=1e-12)
         assert exact.residual <= 1e-13
+
+
+def _double_factorial(m):
+    return math.prod(range(m, 0, -2)) if m > 0 else 1
+
+
+def _sphere_mean(a, b, c):
+    """Closed form of the mean of x^a y^b z^c over S^2."""
+    if a % 2 or b % 2 or c % 2:
+        return 0.0
+    return (_double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1)
+            / _double_factorial(a + b + c + 1))
+
+
+class TestSphereRule:
+    def test_points_and_weights(self):
+        points, weights = _sphere_rule()
+        assert points.shape == (91, 3) and weights.shape == (91,)
+        assert np.linalg.norm(points, axis=1) == pytest.approx(1.0, abs=1e-15)
+        assert np.all(weights > 0)
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        assert not points.flags.writeable and not weights.flags.writeable
+
+    def test_exact_to_degree_12(self):
+        points, weights = _sphere_rule()
+        x, y, z = points.T
+        worst = max(abs(weights @ (x**a * y**b * z**c) - _sphere_mean(a, b, c))
+                    for a in range(13) for b in range(13 - a) for c in range(13 - a - b))
+        assert worst <= 1e-14
+        assert abs(weights @ z**14 - _sphere_mean(0, 0, 14)) > 1e-6
+
+    def test_gauss_legendre_nodes_match_numpy(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = _gauss_legendre(7)
+        ref_nodes, ref_weights = leggauss(7)
+        assert nodes == pytest.approx(ref_nodes, abs=1e-14)
+        assert weights == pytest.approx(ref_weights, abs=1e-14)
+
+    def test_rule_spread_decides_constancy(self):
+        points, _ = _sphere_rule()
+        for space in (imaginary_span(2),
+                      construct_v3(1.2, 1, 3).transformed(random_group_element(3, 1))):
+            report = _spectrum_report(_omega_spectra(_exact_structure(space).w, points).lams)
+            assert report.constant and report.samples == 91
+            assert report.max_spread <= 1e-14
+        rng = np.random.default_rng(4)
+        plane = from_spanning([HVector(rng.standard_normal(12)) for _ in range(3)])
+        report = _spectrum_report(_omega_spectra(_exact_structure(plane).w, points).lams)
+        assert not report.constant
+        # The rule sees the spread a dense sample sees, up to a modest factor.
+        assert report.max_spread >= 0.5 * constancy_check(plane, 2000, 0).max_spread
+
+
+class TestRestrictedStructure:
+    @pytest.mark.parametrize("n,k", [(1, 3), (3, 3), (4, 16), (16, 64)])
+    def test_bit_identical_to_apply(self, n, k):
+        # One einsum for all three J_i B gives exactly the three applies.
+        rng = np.random.default_rng(k)
+        space = Subspace(np.linalg.qr(rng.standard_normal((4 * n, k)))[0])
+        rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        rotation *= np.sign(np.linalg.det(rotation))
+        b = space.basis
+        for basis in (STANDARD_BASIS, CanonicalBasis(rotation)):
+            reference = np.stack([b.T @ basis.apply(i, b) for i in (1, 2, 3)])
+            assert np.array_equal(_restricted_structure(space, basis), reference)
 
 
 class TestHOrthogonality:
