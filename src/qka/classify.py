@@ -65,7 +65,7 @@ TRIPLE_MATCH_TOL = 1e-8
 # Cosines this close to 0 or 1 are treated as exact pi/2 or 0 angles when a
 # triple computed from eigenvalues enters a region predicate (eigenvalue
 # round-off of order 1e-16 surfaces as a cosine of order 1e-8), unless the
-# snap would move the triple out of the strata that hold it unsnapped.
+# snapped triple lies in no stratum (see `_snap_into_strata`).
 SNAP_TOL = 1e-7
 
 
@@ -177,8 +177,10 @@ class _Analysis:
     split.  Each is computed on first use and at most once; an analysis lives
     for a single public call and is never cached across calls.  When the
     exact residual does not certify constant angle (no common canonical
-    basis), dimension 3 reads Omega at the fixed 91-point sphere rule, which
-    certifies constancy on the whole sphere; only larger dimensions sample.
+    basis), dimension 3 reads Omega at the fixed 91-point sphere rule, with
+    no seed (exact agreement there is constancy on the whole sphere; see
+    `subspace._sphere_rule` for what agreement within the gate bounds);
+    only larger dimensions sample.
     """
 
     def __init__(self, v_space: Subspace, samples: int, seed: int):
@@ -696,8 +698,27 @@ def moduli_describe(k: int, n: int) -> dict:
     return out
 
 
-def _names(hits: list[StratumMembership]) -> set[tuple[str, int | None]]:
-    return {(h.stratum.name, h.branch) for h in hits}
+def _snap_into_strata(
+    k: int, n: int, triple: AngleTriple, hits: list[StratumMembership] | None = None
+) -> tuple[np.ndarray, list[StratumMembership]]:
+    """The cosines of the triple snapped to exact end angles and the strata
+    of the (k, n) moduli space holding them.
+
+    The snap is kept unless the snapped triple lies in no stratum; then the
+    cosines as given and their strata (``hits``, when the caller has them).
+    Membership is queried again only when the snap moved a cosine.  Both
+    `representative` and `classify_subspace` resolve a triple this way, so
+    a triple within SNAP_TOL of a region boundary is built and reported in
+    the same stratum.
+    """
+    given = np.clip(triple.cosines(), 0.0, 1.0)
+    x = _snap_cos(given)
+    if not np.array_equal(x, given):
+        snapped_hits = moduli_membership(k, n, AngleTriple.from_cosines(x))
+        if snapped_hits:
+            return x, snapped_hits
+        x = given
+    return x, moduli_membership(k, n, triple) if hits is None else hits
 
 
 def representative(
@@ -715,14 +736,13 @@ def representative(
         )
     if branch is not None and branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
+    # The branch is checked against the strata of the triple that is built:
+    # a snap onto a single-class boundary refuses branch -1, which
+    # `classify_subspace` could not report there.
+    x, hits = _snap_into_strata(k, n, triple, hits)
     two_class = any(h.stratum.multiplicity == 2 for h in hits)
     if branch == -1 and not two_class:
         raise ValueError("branch selection on a single-class stratum")
-    x = _snap_cos(triple.cosines())
-    # Build from the snapped triple only if the snap keeps it in the same
-    # strata: a snap across a region boundary realizes another stratum or none.
-    if _names(moduli_membership(k, n, AngleTriple.from_cosines(x))) != _names(hits):
-        x = np.clip(triple.cosines(), 0.0, 1.0)
     phis = np.arccos(x)
     if k == 3:
         if x[0] >= 1.0:  # (0, 0, pi/2)
@@ -792,9 +812,6 @@ def classify_subspace(v_space: Subspace, samples: int = 500, seed: int = 0) -> d
             record["branch"] = analysis.branch()
         else:
             record["branch"] = None
-    # The computed triple snapped to exact end angles, unless the snap moves
-    # it out of every stratum that holds it as computed.
-    strata = (moduli_membership(k, v_space.n, snapped(report.triple))
-              or moduli_membership(k, v_space.n, report.triple))
+    _, strata = _snap_into_strata(k, v_space.n, report.triple)
     record["strata"] = [hit.to_dict() for hit in strata]
     return record

@@ -298,27 +298,38 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, 2.0 * vecs[0] ** 2
 
 
-@functools.cache
-def _sphere_rule(m: int = 7, arcs: int = 13) -> tuple[np.ndarray, np.ndarray]:
-    """Product rule on S^2: Gauss-Legendre(m) in z times the arcs-point
-    trapezoid in azimuth; read-only points (m * arcs, 3) and weights
-    summing to 1.
+# The sphere rule: Gauss-Legendre(_GL_NODES) in z times the _ARCS-point
+# trapezoid in azimuth integrates every polynomial of degree <= 12 on S^2
+# exactly (min(2 * 7 - 1, 13 - 1); Atkinson-Han, Spherical Harmonics and
+# Approximations on the Unit Sphere, 2012, ch. 5).  The decisions on
+# dimension 3 rely on that degree, so these sizes are fixed.
+_GL_NODES = 7
+_ARCS = 13
 
-    It integrates every polynomial of degree <= min(2m - 1, arcs - 1)
-    exactly (Atkinson-Han, Spherical Harmonics and Approximations on the
-    Unit Sphere, 2012, ch. 5): 12 for the default 91 points.  On the unit
-    sphere of a 3-dimensional V the power sums tr Omega^j (j <= 3) are
-    polynomials of degree <= 6, so the rule integrates their squared
-    deviation from the mean exactly: sorted spectra that agree at all 91
-    points agree on the whole sphere.  The decisions read only the points.
-    Built on first use, so processes that never decide dimension 3 pay
-    nothing for it.
+
+@functools.cache
+def _sphere_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 91-point product rule on S^2: read-only points (91, 3) and
+    weights summing to 1, exact to degree 12.
+
+    On the unit sphere of a 3-dimensional V the power sums p_j = tr Omega^j
+    (j <= 3) are even polynomials of degree <= 6, so the rule integrates
+    their squared deviation from the mean exactly.  Sorted spectra that
+    agree exactly at all 91 points therefore agree on the whole sphere.
+    Agreement within a tolerance eps at the points is a bound, not a
+    certificate: the root-mean-square deviation of p_j over the sphere is
+    at most its largest deviation at the points, its largest deviation
+    anywhere at most sqrt(28) times that (the even polynomials of degree
+    <= 6 on S^2 span 28 dimensions), and at a repeated eigenvalue the
+    eigenvalues themselves may then vary by order eps^(1/2).  The decisions
+    read only the points.  Built on first use, so processes that never
+    decide dimension 3 pay nothing for it.
     """
-    z, wz = _gauss_legendre(m)
-    t = 2.0 * math.pi * np.arange(arcs) / arcs
+    z, wz = _gauss_legendre(_GL_NODES)
+    t = 2.0 * math.pi * np.arange(_ARCS) / _ARCS
     r = np.sqrt(1.0 - z * z)[:, None]
-    points = np.stack([r * np.cos(t), r * np.sin(t), np.repeat(z[:, None], arcs, 1)], -1)
-    points, weights = points.reshape(-1, 3), np.repeat(wz / (2.0 * arcs), arcs)
+    points = np.stack([r * np.cos(t), r * np.sin(t), np.repeat(z[:, None], _ARCS, 1)], -1)
+    points, weights = points.reshape(-1, 3), np.repeat(wz / (2.0 * _ARCS), _ARCS)
     points.flags.writeable = weights.flags.writeable = False
     return points, weights
 

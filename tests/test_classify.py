@@ -465,6 +465,36 @@ class TestRepresentative:
         assert [s["name"] for s in record["strata"]] == ["single_class_region"]
         assert np.max(np.abs(np.array(record["cosines"]) - triple.cosines())) < 1e-8
 
+    def test_snap_onto_single_class_boundary_refuses_minus(self):
+        # Membership puts cos(phi3) = 5e-9 in the two-class region, but the
+        # snap lands on the single-class boundary, where classify_subspace
+        # reports it: representative builds the plus class there and refuses
+        # the minus class, which classify_subspace could not report.
+        triple = AngleTriple.from_cosines([0.5, 0.3, 5e-9])
+        hits = moduli_membership(8, 8, triple)
+        assert [(h.stratum.name, h.branch) for h in hits] == [
+            ("two_class_region", 1), ("two_class_region", -1)]
+        with pytest.raises(ValueError, match="single-class"):
+            representative(8, 8, triple, -1)
+        record = classify_subspace(representative(8, 8, triple))
+        assert record["type"] == [2, 0]
+        assert [s["name"] for s in record["strata"]] == ["single_class_region"]
+
+    def test_membership_queried_again_only_after_a_snap(self, monkeypatch):
+        calls = []
+        original = qka.classify.moduli_membership
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qka.classify, "moduli_membership", counted)
+        representative(8, 8, T03, -1)
+        assert len(calls) == 1
+        calls.clear()
+        representative(8, 8, AngleTriple.from_cosines([0.6, 0.4 + 1e-8, 5e-8]))
+        assert len(calls) == 2
+
     def test_type_matches_requested_blocks(self):
         for p, q in [(1, 0), (0, 1), (2, 0), (1, 1)]:
             if q and p:
