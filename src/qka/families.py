@@ -213,7 +213,10 @@ def _block_layout(angles: AngleTriple, sign: int) -> tuple[int, _BlockBuilder]:
             f"cos(phi1)+cos(phi2)-({sign:+d})cos(phi3) = "
             f"{x[0] + x[1] - sign * x[2]:.12g} > 1"
         )
-    return 1 + rank, partial(_v4_block_columns, angles, sign, rank)
+    # Factor here, not in the builder, so the slot count refuses exactly the
+    # triples whose Gram factor fails, and a sum factors once per sign.
+    left = _psd_cholesky(gram_matrix(angles, sign), rank)
+    return 1 + rank, partial(_v4_block_columns, angles, left)
 
 
 def _sum_blocks(angles: AngleTriple, l_plus: int,
@@ -238,17 +241,17 @@ def _jmul(i: int, col: np.ndarray) -> np.ndarray:
     return STANDARD_BASIS.apply(i, col)
 
 
-def _v4_block_columns(angles: AngleTriple, sign: int, rank: int, offset: int,
+def _v4_block_columns(angles: AngleTriple, left: np.ndarray, offset: int,
                       n: int) -> list[np.ndarray]:
-    """The four basis columns of one sign-class block of the given Gram rank
-    starting at a slot.
+    """The four basis columns of one sign-class block starting at a slot.
 
-    Builds from either Gram sign whenever the Gram matrix is PSD; the
-    public constructors check the class with _block_layout first, which
-    also rejects the minus sign at phi3 = pi/2, where the two signs give
-    equivalent subspaces.
+    ``left`` is a factor of the Gram matrix of the class, of width its
+    rank (_psd_cholesky).  Builds from either Gram sign whenever the Gram
+    matrix is PSD; the public constructors check the class with
+    _block_layout first, which also rejects the minus sign at phi3 = pi/2,
+    where the two signs give equivalent subspaces.
     """
-    left = _psd_cholesky(gram_matrix(angles, sign), rank)
+    rank = left.shape[1]
     e0 = _axis(offset, n)
     frame = [_axis(offset + 1 + r, n) for r in range(rank)]
     cols = [e0]
@@ -392,7 +395,8 @@ def min_quaternionic_dim(spec: FamilySpec) -> int:
     """The smallest ambient n admitting the requested construction.
 
     This is the slot count the constructor checks n against, so a spec
-    that no n admits raises ValueError.  The one exception is the plus
+    that no n admits raises ValueError, or NumericalFailure where the
+    constructor's Gram factorization fails.  The one exception is the plus
     class of v3 at phi = 0, which the constructor refuses: its angles
     (0, 0, pi/2) are those of the imaginary span of a vector, in H^1.
     """

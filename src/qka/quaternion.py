@@ -98,6 +98,19 @@ _STANDARD_BLOCKS = np.stack(
     [_right_matrix(_I), _right_matrix(_J), -_right_matrix(_K)]
 )
 
+# _left_matrix(e_t) for the units e_t = 1, i, j, k: L(x) = sum_t x_t _LEFT_UNITS[t].
+_LEFT_UNITS = np.stack([_left_matrix(e) for e in np.eye(4)])
+
+
+def _real_left(a: np.ndarray) -> np.ndarray:
+    """The 4n x 4m real matrix L(A) of v -> A v for an (n, m, 4) array A.
+
+    Block (a, b) is _left_matrix(A[a, b]), so column 4b + t holds the
+    quaternionic column b of A times e_t, and L(A)^T = L(A*).
+    """
+    n, m = a.shape[:2]
+    return np.einsum("abt,trc->arbc", a, _LEFT_UNITS).reshape(4 * n, 4 * m)
+
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -218,7 +231,7 @@ class CanonicalBasis:
     (Ji^2 = -Id and Ji J_{i+1} = J_{i+2}), and conversely.
     """
 
-    __slots__ = ("rotation",)
+    __slots__ = ("rotation", "_blocks")
 
     def __init__(self, rotation):
         rotation = np.asarray(rotation, dtype=float)
@@ -231,12 +244,20 @@ class CanonicalBasis:
         if np.linalg.det(rotation) < 0:
             raise ValueError("rotation must have determinant +1")
         object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "_blocks", None)
 
     def block(self, i: int) -> np.ndarray:
-        """The 4x4 per-slot block of J_i (i in {1, 2, 3})."""
+        """The read-only 4x4 per-slot block of J_i (i in {1, 2, 3}).
+
+        All three blocks are built on the first call and kept.
+        """
         if i not in (1, 2, 3):
             raise ValueError("canonical basis index must be 1, 2 or 3")
-        return np.tensordot(self.rotation[i - 1], _STANDARD_BLOCKS, axes=(0, 0))
+        if self._blocks is None:
+            blocks = np.tensordot(self.rotation, _STANDARD_BLOCKS, axes=1)
+            blocks.flags.writeable = False
+            object.__setattr__(self, "_blocks", blocks)
+        return self._blocks[i - 1]
 
     def apply(self, i: int, vecs: np.ndarray) -> np.ndarray:
         """Apply J_i to coordinates shaped (4n,) or (4n, m)."""
@@ -280,11 +301,6 @@ def right_mult(j, v: HVector, basis: CanonicalBasis = STANDARD_BASIS) -> HVector
     return HVector((c.reshape(n, 4) @ block.T).ravel())
 
 
-def _qmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of quaternionic matrices stored as (n, m, 4) component arrays."""
-    return quat_mul(a[:, :, None, :], b[None, :, :, :]).sum(axis=1)
-
-
 def _qmat_dagger(a: np.ndarray) -> np.ndarray:
     return quat_conj(a).transpose(1, 0, 2)
 
@@ -293,10 +309,14 @@ class GroupElement:
     """An element (q, A) of Sp(1)Sp(n) acting by v -> A v q^{-1}.
 
     ``q`` is a unit quaternion and ``A`` an n x n quaternionic matrix with
-    A* A = Id, stored as an (n, n, 4) component array.
+    A* A = Id, stored as an (n, n, 4) component array.  The element keeps
+    the 4n x 4n real matrix M = (I (x) R(q^{-1})) L(A) of its action: L(A)
+    has the 4x4 blocks _left_matrix(A[a, b]), and R(q^{-1}) multiplies each
+    slot by q^{-1} on the right.  Acting, composing and the unitarity gate
+    are real matrix products.
     """
 
-    __slots__ = ("q", "matrix")
+    __slots__ = ("q", "matrix", "_real")
 
     def __init__(self, q, matrix):
         q = _as_quat_array(q)
@@ -308,13 +328,15 @@ class GroupElement:
         if matrix.ndim != 3 or matrix.shape[2] != 4 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be an (n, n, 4) quaternion array")
         n = matrix.shape[0]
-        gram = _qmat_mul(_qmat_dagger(matrix), matrix)
-        ident = np.zeros((n, n, 4))
-        ident[np.arange(n), np.arange(n), 0] = 1.0
-        if np.max(np.abs(gram - ident)) > 1e-10:
+        left = _real_left(matrix)
+        # L(A)^T L(A) = L(A* A), whose entries are +- the components of A* A,
+        # so this is the componentwise test of A* A = Id.
+        if np.max(np.abs(left.T @ left - np.eye(4 * n))) > 1e-10:
             raise ValueError("matrix is not quaternionic unitary (A* A != Id)")
+        real = (_right_matrix(quat_conj(q)) @ left.reshape(n, 4, 4 * n)).reshape(4 * n, 4 * n)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_real", real)
 
     @property
     def n(self) -> int:
@@ -328,34 +350,25 @@ class GroupElement:
 
     def apply_coords(self, vecs: np.ndarray) -> np.ndarray:
         """Apply to coordinates shaped (4n,) or (4n, m)."""
-        flat = vecs.ndim == 1
-        v = vecs[:, None] if flat else vecs
-        n, m = self.n, v.shape[1]
-        slots = v.reshape(n, 4, m).transpose(0, 2, 1)  # (n, m, 4)
-        out = quat_mul(self.matrix[:, :, None, :], slots[None, :, :, :]).sum(axis=1)
-        out = quat_mul(out, quat_conj(self.q))
-        out = out.transpose(0, 2, 1).reshape(4 * n, m)
-        return out[:, 0] if flat else out
+        return self._real @ vecs
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """The element acting as self after other."""
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        return GroupElement(quat_mul(self.q, other.q),
-                            _qmat_mul(self.matrix, other.matrix))
+        q = quat_mul(self.q, other.q)
+        n = self.n
+        # Block (a, b) of the product is R(q^{-1}) L(C[a, b]) with C the
+        # product of the matrices; its first column is C[a, b] q^{-1}.
+        first = (self._real @ other._real).reshape(n, 4, n, 4)[:, :, :, 0]
+        return GroupElement(q, quat_mul(first.transpose(0, 2, 1), q))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(quat_conj(self.q), _qmat_dagger(self.matrix))
 
     def real_matrix(self) -> np.ndarray:
         """The 4n x 4n real matrix of the action."""
-        n = self.n
-        out = np.zeros((4 * n, 4 * n))
-        rq = _right_matrix(quat_conj(self.q))
-        for a in range(n):
-            for b in range(n):
-                out[4 * a:4 * a + 4, 4 * b:4 * b + 4] = _left_matrix(self.matrix[a, b]) @ rq
-        return out
+        return self._real.copy()
 
     def __repr__(self) -> str:
         return f"GroupElement(n={self.n})"
@@ -385,20 +398,24 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     Quaternionic Gram-Schmidt on a matrix of independent standard normal
     quaternions; deterministic for a fixed seed.  Each column is projected
     off all earlier columns at once, twice (classical Gram-Schmidt with
-    reorthogonalization).
+    reorthogonalization).  Projecting off a unit quaternionic column u is
+    projecting off the orthonormal real columns u, u i, u j, u k, which are
+    the columns of L(u), so each pass is one real product with the block
+    columns of L(Q) found so far.
     """
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n, 4))
     cols = np.zeros_like(m)
+    left = np.zeros((4 * n, 4 * n))
     for j in range(n):
-        v = m[:, j]
-        earlier = cols[:, :j]  # (n, j, 4)
+        v = m[:, j].ravel()
+        earlier = left[:, :4 * j]
         for _ in range(2):  # second pass tightens orthogonality
-            c = quat_mul(quat_conj(earlier), v[:, None]).sum(axis=0)  # (j, 4)
-            v = v - quat_mul(earlier, c).sum(axis=1)
-        cols[:, j] = v / np.linalg.norm(v)
+            v = v - earlier @ (earlier.T @ v)
+        cols[:, j] = (v / np.linalg.norm(v)).reshape(n, 4)
+        left[:, 4 * j:4 * j + 4] = _real_left(cols[:, j:j + 1])
     return cols
 
 

@@ -28,12 +28,14 @@ from .classify import (
 )
 from .families import (
     FamilySpec,
+    _psd_cholesky,
     _v4_block_columns,
     admissible,
     construct_classical,
     construct_sum,
     construct_v3,
     construct_v4,
+    gram_matrix,
     min_quaternionic_dim,
 )
 from .oracles import (
@@ -324,7 +326,8 @@ def crit_inequivalence(quick: bool, seed: int) -> tuple[bool, str]:
         triple = AngleTriple(math.acos(x[0]), math.acos(x[1]), HALF_PI)
         vp = construct_v4(triple, 1, 4)
         _, rank = admissible(triple, -1)
-        vm = Subspace(np.column_stack(_v4_block_columns(triple, -1, rank, 0, 4)))
+        left = _psd_cholesky(gram_matrix(triple, -1), rank)
+        vm = Subspace(np.column_stack(_v4_block_columns(triple, left, 0, 4)))
         verdict = are_equivalent(vp, vm, seed=seed)
         if verdict.value != "yes":
             failures.append(f"pi/2 merge {x} -> {verdict.value}")

@@ -577,6 +577,34 @@ class TestMinimalDimensionIsTheSlotCount:
         with pytest.raises(ValueError, match="needs n >= 3"):
             construct_v3(1e-7, 1, 2)
 
+    def test_slot_count_refuses_where_the_gram_factor_fails(self):
+        # admissible predicts rank 2 at cosines (1 - 1e-12)^3, but the Gram
+        # matrix there has eigenvalues (0.5, 0.5, 2), so the factor fails.
+        angles = AngleTriple.from_cosines([1 - 1e-12] * 3)
+        spec = FamilySpec("v4", n=3, angles=angles, sign=1)
+        assert admissible(angles, 1) == (True, 2)
+        for n in range(8):
+            with pytest.raises(NumericalFailure, match="cholesky residual"):
+                construct_v4(angles, 1, n)
+        with pytest.raises(NumericalFailure, match="cholesky residual"):
+            min_quaternionic_dim(spec)
+        with pytest.raises(NumericalFailure, match="cholesky residual"):
+            min_quaternionic_dim(dataclasses.replace(spec, family="sum_type", l_plus=2))
+
+    def test_sum_factors_the_gram_matrix_once_per_sign(self, monkeypatch):
+        from qka import families
+
+        calls = []
+
+        def counted(g, rank):
+            calls.append(rank)
+            return _psd_cholesky(g, rank)
+
+        monkeypatch.setattr(families, "_psd_cholesky", counted)
+        space = construct_sum(T03, 3, 2, 20)
+        assert space.k == 20
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("spec", [
         FamilySpec("totally_complex", n=0, k=5),
         FamilySpec("totally_real", n=0, k=0),

@@ -9,8 +9,12 @@ from qka.quaternion import (
     GroupElement,
     HVector,
     Quaternion,
+    _STANDARD_BLOCKS,
+    _left_matrix,
+    _right_matrix,
     apply_group,
     induced_rotation,
+    quat_conj,
     quat_mul,
     random_group_element,
     random_unitary,
@@ -20,6 +24,35 @@ from qka.quaternion import (
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
 K = Quaternion(0, 0, 0, 1)
+
+
+# Quaternion-product references for the real-matrix group action.
+
+def _qmat_mul(a, b):
+    """Product of quaternionic matrices stored as (n, m, 4) component arrays."""
+    return quat_mul(a[:, :, None, :], b[None, :, :, :]).sum(axis=1)
+
+
+def _ref_apply(t, vecs):
+    """A v q^{-1} slot by slot, for coordinates shaped (4n,) or (4n, m)."""
+    flat = vecs.ndim == 1
+    v = vecs[:, None] if flat else vecs
+    n, m = t.n, v.shape[1]
+    slots = v.reshape(n, 4, m).transpose(0, 2, 1)  # (n, m, 4)
+    out = quat_mul(_qmat_mul(t.matrix, slots), quat_conj(t.q))
+    out = out.transpose(0, 2, 1).reshape(4 * n, m)
+    return out[:, 0] if flat else out
+
+
+def _ref_real_matrix(t):
+    """The action's real matrix, one 4x4 block L(A[a, b]) R(q^{-1}) at a time."""
+    n = t.n
+    out = np.zeros((4 * n, 4 * n))
+    rq = _right_matrix(quat_conj(t.q))
+    for a in range(n):
+        for b in range(n):
+            out[4 * a:4 * a + 4, 4 * b:4 * b + 4] = _left_matrix(t.matrix[a, b]) @ rq
+    return out
 
 
 def test_multiplication_table():
@@ -218,7 +251,7 @@ def test_random_unitary_n1_is_unit_quaternion():
 
 
 def test_random_unitary_unitarity():
-    from qka.quaternion import _qmat_dagger, _qmat_mul
+    from qka.quaternion import _qmat_dagger
 
     a = random_unitary(8, 17)
     gram = _qmat_mul(_qmat_dagger(a), a)
@@ -235,8 +268,6 @@ def test_random_unitary_deterministic():
 
 def _random_unitary_by_columns(n, seed):
     """Reference: the same draws, projected off one earlier column at a time."""
-    from qka.quaternion import quat_conj, quat_mul
-
     m = np.random.default_rng(seed).standard_normal((n, n, 4))
     cols = np.zeros_like(m)
     for j in range(n):
@@ -249,7 +280,7 @@ def _random_unitary_by_columns(n, seed):
     return cols
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 24])
+@pytest.mark.parametrize("n", [1, 2, 7, 24, 64])
 def test_random_unitary_matches_column_by_column_reference(n):
     # Summation order differs, so agreement is to round-off, not bitwise.
     assert np.max(np.abs(random_unitary(n, 19) - _random_unitary_by_columns(n, 19))) < 1e-13
@@ -260,3 +291,82 @@ def test_hvector_right_scalar_action():
     w = v.right_mul(Quaternion(0, 1, 0, 0))
     assert w.coords == pytest.approx([0, 1, 0, 0, 0, 0, 0, 0])
     assert v.inner(v) == pytest.approx(1.0)
+
+
+class TestRealMatrixAction:
+    """The real 4n x 4n action against the quaternion-product formulas."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_apply_coords_matches_reference(self, n):
+        t = random_group_element(n, 20 + n)
+        v = np.random.default_rng(n).standard_normal((4 * n, 5))
+        assert np.max(np.abs(t.apply_coords(v) - _ref_apply(t, v))) < 1e-13
+        assert np.max(np.abs(t.apply_coords(v[:, 2]) - _ref_apply(t, v[:, 2]))) < 1e-13
+        assert t.apply_coords(v[:, 2]).shape == (4 * n,)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_compose_inverse_real_matrix_match_reference(self, n):
+        t1 = random_group_element(n, 30 + n)
+        t2 = random_group_element(n, 40 + n)
+        both = t1.compose(t2)
+        assert np.max(np.abs(both.q - quat_mul(t1.q, t2.q))) < 1e-13
+        assert np.max(np.abs(both.matrix - _qmat_mul(t1.matrix, t2.matrix))) < 1e-13
+        inv = t1.inverse()
+        assert np.max(np.abs(inv.q - quat_conj(t1.q))) < 1e-13
+        assert np.max(np.abs(_qmat_mul(inv.matrix, t1.matrix)
+                             - GroupElement.identity(n).matrix)) < 1e-13
+        real = t1.real_matrix()
+        assert np.max(np.abs(real - _ref_real_matrix(t1))) < 1e-13
+        real[0, 0] += 1.0  # a copy: the element's own matrix is untouched
+        v = np.random.default_rng(n).standard_normal(4 * n)
+        assert np.max(np.abs(t1.apply_coords(v) - _ref_apply(t1, v))) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("component", [0, 1, 2, 3])
+    def test_unitarity_gate_threshold(self, n, component):
+        # An off-diagonal entry moves A* A - Id by the perturbation itself,
+        # against the 1e-10 gate.
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        for size, accepted in ((5e-11, True), (2e-10, False)):
+            a = GroupElement.identity(n).matrix.copy()
+            a[n - 1, 0, component] += size
+            if accepted:
+                GroupElement(q, a)
+            else:
+                with pytest.raises(ValueError, match="not quaternionic unitary"):
+                    GroupElement(q, a)
+
+
+def test_group_layer_memory_stays_small():
+    # Broadcasting the Hamilton product to (n, n, m, 4) took about 16 MB at
+    # n = 64; the real products need about 2 MB.
+    import tracemalloc
+
+    t = random_group_element(64, 60)
+    v = np.random.default_rng(61).standard_normal((256, 64))
+    peaks = []
+    for call in (lambda: random_group_element(64, 62), lambda: t.apply_coords(v)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 * 2**20, peaks
+
+
+def test_canonical_basis_blocks_built_once_on_first_use():
+    rotation = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    basis = CanonicalBasis(rotation)
+    assert basis._blocks is None
+    first = basis.block(2)
+    kept = basis._blocks
+    assert kept.shape == (3, 4, 4)
+    basis.block(1)
+    assert basis._blocks is kept and np.shares_memory(first, kept)
+    assert not first.flags.writeable
+    for i in (1, 2, 3):
+        ref = np.tensordot(rotation[i - 1], _STANDARD_BLOCKS, axes=(0, 0))
+        assert np.array_equal(basis.block(i), ref)
+    with pytest.raises(ValueError):
+        basis.block(4)
