@@ -12,18 +12,20 @@ for s in {+1, -1}, and such vectors exist precisely when
 cos(phi_1) + cos(phi_2) - s cos(phi_3) <= 1.  On that boundary the Gram
 matrix drops to rank 2 and the block fits into one fewer quaternionic
 dimension.
+
+Every construction is a list of blocks.  A block is the (4s, d) matrix of
+its d columns on its own s slots: entry 4t + u holds the coefficient of
+J_u e_t, with J_0 = Id.  ``_place`` writes the blocks onto consecutive
+slots, so a construction's slot count is read off the blocks it places.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
-from .quaternion import STANDARD_BASIS
 from .subspace import HALF_PI, AngleTriple, NumericalFailure, Subspace
 
 __all__ = [
@@ -46,18 +48,6 @@ BOUNDARY_TOL = 1e-12
 # place on (or inside) the boundary is one the constructors can build.
 REGION_TOL = 1e-10
 
-# Real dimension and quaternionic slots of one block of each classical
-# family; a member is an H-orthogonal sum of blocks (exactly one for im_h_line).
-_CLASSICAL_BLOCKS = {
-    "totally_real": (1, 1),
-    "totally_complex": (2, 1),
-    "quaternionic": (4, 1),
-    "im_h_line": (3, 1),
-    "cka_plane_sum": (2, 2),
-    "complexified_cka": (4, 2),
-}
-CLASSICAL_FAMILIES = tuple(_CLASSICAL_BLOCKS)
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -79,19 +69,23 @@ def _check_sign(sign: int) -> int:
     return sign
 
 
-def gram_matrix(angles: AngleTriple, sign: int) -> np.ndarray:
-    """The 3x3 Gram matrix of the auxiliary vectors e_1, e_2, e_3."""
-    _check_sign(sign)
-    phis = np.array(angles.as_tuple())
-    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
-        raise ValueError("gram matrix is singular at phi1 = 0")
+def _gram_batch(phis: np.ndarray, sign: int) -> np.ndarray:
+    """gram_matrix of each row of a batch (m, 3) of angles, unchecked."""
     c, s = np.cos(phis), np.sin(phis)
-    g = np.eye(3)
+    g = np.tile(np.eye(3), (len(phis), 1, 1))
     for i in range(3):
         j = (i + 1) % 3
         k = (i + 2) % 3
-        g[i, j] = g[j, i] = (sign * c[k] - c[i] * c[j]) / (s[i] * s[j])
+        g[:, i, j] = g[:, j, i] = (sign * c[:, k] - c[:, i] * c[:, j]) / (s[:, i] * s[:, j])
     return g
+
+
+def gram_matrix(angles: AngleTriple, sign: int) -> np.ndarray:
+    """The 3x3 Gram matrix of the auxiliary vectors e_1, e_2, e_3."""
+    _check_sign(sign)
+    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
+        raise ValueError("gram matrix is singular at phi1 = 0")
+    return _gram_batch(np.array([angles.as_tuple()]), sign)[0]
 
 
 def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
@@ -143,21 +137,63 @@ def _psd_cholesky(g: np.ndarray, rank: int) -> np.ndarray:
     return left
 
 
-def _need(n: int, slots: int, what: str):
-    if n < slots:
-        raise ValueError(f"{what} needs n >= {slots}, got n = {n}")
+def _units(*us: int) -> np.ndarray:
+    """The one-slot block of columns J_u e_0, one per u."""
+    return np.eye(4)[:, list(us)]
 
 
-# The slot counts: quaternionic dimensions each construction occupies.  They
-# hold every existence and size rule of the catalog; the constructors check n
-# against them before placing any column, and min_quaternionic_dim returns them.
+def _tilted_block(phis, frame: np.ndarray) -> np.ndarray:
+    """Columns e_0 and cos(phi_u) J_u e_0 + sin(phi_u) J_u f_u, u = 1, 2, ...
 
-def _classical_slots(family: str, k: int, phi: float | None) -> int:
-    """Slots of construct_classical(family, k, n, phi): one per block of
-    real dimension ``dim`` and ``width`` slots (see _CLASSICAL_BLOCKS)."""
+    f_u = sum_r frame[u - 1, r] e_{1 + r}, so the block has 1 + frame.shape[1]
+    slots.  A sign-class block takes its angle triple and a factor of its
+    Gram matrix as the frame.
+    """
+    m, rank = frame.shape
+    block = np.zeros((4 * (1 + rank), 1 + m))
+    block[0, 0] = 1.0
+    for u in range(1, m + 1):
+        block[u, u] = math.cos(phis[u - 1])
+        block[4 + u::4, u] = math.sin(phis[u - 1]) * frame[u - 1]
+    return block
+
+
+def _complexified_block(phi: float) -> np.ndarray:
+    """One 4-dimensional block with angles (0, phi, phi), phi in [0, pi/2]."""
+    if math.cos(phi) > 1.0 - BOUNDARY_TOL:
+        return _units(0, 1, 2, 3)
+    return _tilted_block((0.0, phi, phi), np.array([[0.0], [1.0], [1.0]]))
+
+
+def _on_two_slots(block: np.ndarray) -> np.ndarray:
+    """The block padded with zero rows to two slots."""
+    return np.pad(block, ((0, 8 - len(block)), (0, 0)))
+
+
+# Real dimension and block of each classical family (from its Kahler angle
+# phi where it has one); a member is an H-orthogonal sum of copies of the
+# block (exactly one for im_h_line).  A complexified block keeps two slots
+# even where it degenerates to the quaternionic one.
+_CLASSICAL_BLOCKS = {
+    "totally_real": (1, lambda phi: _units(0)),
+    "totally_complex": (2, lambda phi: _units(0, 1)),
+    "quaternionic": (4, lambda phi: _units(0, 1, 2, 3)),
+    "im_h_line": (3, lambda phi: _units(1, 2, 3)),
+    "cka_plane_sum": (2, lambda phi: _tilted_block((phi,), np.ones((1, 1)))),
+    "complexified_cka": (4, lambda phi: _on_two_slots(_complexified_block(phi))),
+}
+CLASSICAL_FAMILIES = tuple(_CLASSICAL_BLOCKS)
+
+# Each *_blocks function returns the blocks of one construction, plus blocks
+# first, and the construction's name for the refusal of a too small n.  They
+# hold every existence and size rule of the catalog.
+_Blocks = tuple[list[np.ndarray], str]
+
+
+def _classical_blocks(family: str, k: int, phi: float | None) -> _Blocks:
     if family not in _CLASSICAL_BLOCKS:
         raise ValueError(f"unknown classical family {family!r}")
-    dim, width = _CLASSICAL_BLOCKS[family]
+    dim, block = _CLASSICAL_BLOCKS[family]
     if family == "im_h_line" and k != dim:
         raise ValueError(f"the imaginary-span family has dimension 3, got k={k}")
     if k < dim or k % dim:
@@ -165,33 +201,29 @@ def _classical_slots(family: str, k: int, phi: float | None) -> int:
     if family in ("cka_plane_sum", "complexified_cka") and (
             phi is None or not 0.0 < phi < HALF_PI):
         raise ValueError(f"{family} needs a Kahler angle phi in (0, pi/2)")
-    return width * (k // dim)
+    return [block(phi)] * (k // dim), f"{family} with k = {k}"
 
 
-def _v3_overlap(phi: float, sign: int) -> float:
-    """<e_1, e_2> = cos(phi) / (cos(phi) + sign) for the 3-dimensional classes."""
-    return math.cos(phi) / (math.cos(phi) + sign)
-
-
-def _v3_slots(phi: float, sign: int) -> int:
-    """Slots of construct_v3(phi, sign, n): e_0, then e_1 and e_2, which
-    coincide up to sign (one slot) only for the minus class at pi/3."""
+def _v3_blocks(phi: float, sign: int) -> _Blocks:
+    """e_0, then e_1 and e_2 with <e_1, e_2> = cos(phi) / (cos(phi) + sign),
+    which coincide up to sign (one slot) only for the minus class at pi/3."""
     _check_sign(sign)
     if sign == 1 and not 0.0 < phi <= HALF_PI + 1e-12:
         raise ValueError("the plus class needs phi in (0, pi/2]")
     if sign == -1 and not math.pi / 3 - 1e-12 <= phi <= HALF_PI + 1e-12:
         raise ValueError("the minus class needs phi in [pi/3, pi/2]")
-    return 2 if abs(abs(_v3_overlap(phi, sign)) - 1.0) <= BOUNDARY_TOL else 3
+    c = math.cos(phi) / (math.cos(phi) + sign)
+    if abs(abs(c) - 1.0) <= BOUNDARY_TOL:
+        frame = [[1.0], [math.copysign(1.0, c)]]
+    else:
+        frame = [[1.0, 0.0], [c, math.sqrt(1.0 - c * c)]]
+    return [_tilted_block((phi, phi), np.array(frame))], "this 3-dimensional class"
 
 
-# Builds the columns of one block from its first slot and the ambient n.
-_BlockBuilder = Callable[[int, int], list[np.ndarray]]
+def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
+    """One 4-dimensional block of a sign class.
 
-
-def _block_layout(angles: AngleTriple, sign: int) -> tuple[int, _BlockBuilder]:
-    """Slots of one 4-dimensional block of a sign class, and its builder.
-
-    The slots are 1 + the Gram rank, or at phi1 = 0 (where only the plus
+    Its slots are 1 + the Gram rank, or at phi1 = 0 (where only the plus
     class exists and phi2 = phi3) one for the quaternionic block and two
     for a complexified one.
     """
@@ -203,8 +235,7 @@ def _block_layout(angles: AngleTriple, sign: int) -> tuple[int, _BlockBuilder]:
     if phi1_zero:
         if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
             raise ValueError("constant-angle triples with phi1 = 0 have phi2 = phi3")
-        slots = 1 if math.cos(angles.phi2) > 1.0 - BOUNDARY_TOL else 2
-        return slots, partial(_complexified_block_columns, angles.phi2)
+        return _complexified_block(angles.phi2)
     exists, rank = admissible(angles, sign)
     if not exists:
         x = angles.cosines()
@@ -213,70 +244,47 @@ def _block_layout(angles: AngleTriple, sign: int) -> tuple[int, _BlockBuilder]:
             f"cos(phi1)+cos(phi2)-({sign:+d})cos(phi3) = "
             f"{x[0] + x[1] - sign * x[2]:.12g} > 1"
         )
-    # Factor here, not in the builder, so the slot count refuses exactly the
-    # triples whose Gram factor fails, and a sum factors once per sign.
-    left = _psd_cholesky(gram_matrix(angles, sign), rank)
-    return 1 + rank, partial(_v4_block_columns, angles, left)
+    return _tilted_block(angles.as_tuple(), _psd_cholesky(gram_matrix(angles, sign), rank))
 
 
-def _sum_blocks(angles: AngleTriple, l_plus: int,
-                l_minus: int) -> list[tuple[int, _BlockBuilder]]:
-    """(slots, builder) of every block of construct_sum, plus blocks first."""
+def _sum_blocks(angles: AngleTriple, l_plus: int, l_minus: int) -> _Blocks:
     if l_plus < 0 or l_minus < 0 or l_plus + l_minus < 1:
         raise ValueError("need a non-negative number of blocks, at least one in total")
-    blocks: list[tuple[int, _BlockBuilder]] = []
+    blocks: list[np.ndarray] = []
     for sign, count in ((1, l_plus), (-1, l_minus)):
-        if count:
-            blocks += [_block_layout(angles, sign)] * count
-    return blocks
+        if count:  # one block, hence one Gram factor, per sign
+            blocks += [_sign_block(angles, sign)] * count
+    return blocks, f"a sum of {l_plus} plus and {l_minus} minus blocks"
 
 
-def _axis(slot: int, n: int) -> np.ndarray:
-    c = np.zeros(4 * n)
-    c[4 * slot] = 1.0
-    return c
+def _v4_blocks(angles: AngleTriple, sign: int) -> _Blocks:
+    """The one-block sum of the class, or at (0, pi/2, pi/2) the totally
+    complex subspace in its own basis."""
+    _check_sign(sign)
+    if (sign == 1 and math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL
+            and math.cos(angles.phi2) <= BOUNDARY_TOL
+            and abs(math.cos(angles.phi2) - math.cos(angles.phi3)) <= BOUNDARY_TOL):
+        return _classical_blocks("totally_complex", 4, None)
+    return _sum_blocks(angles, int(sign == 1), int(sign == -1))
 
 
-def _jmul(i: int, col: np.ndarray) -> np.ndarray:
-    return STANDARD_BASIS.apply(i, col)
-
-
-def _v4_block_columns(angles: AngleTriple, left: np.ndarray, offset: int,
-                      n: int) -> list[np.ndarray]:
-    """The four basis columns of one sign-class block starting at a slot.
-
-    ``left`` is a factor of the Gram matrix of the class, of width its
-    rank (_psd_cholesky).  Builds from either Gram sign whenever the Gram
-    matrix is PSD; the public constructors check the class with
-    _block_layout first, which also rejects the minus sign at phi3 = pi/2,
-    where the two signs give equivalent subspaces.
-    """
-    rank = left.shape[1]
-    e0 = _axis(offset, n)
-    frame = [_axis(offset + 1 + r, n) for r in range(rank)]
-    cols = [e0]
-    phis = angles.as_tuple()
-    for i in (1, 2, 3):
-        e_i = sum(left[i - 1, r] * frame[r] for r in range(rank))
-        cols.append(math.cos(phis[i - 1]) * _jmul(i, e0)
-                    + math.sin(phis[i - 1]) * _jmul(i, e_i))
-    return cols
-
-
-def _complexified_block_columns(phi: float, offset: int, n: int) -> list[np.ndarray]:
-    """One 4-dimensional block with angles (0, phi, phi), phi in [0, pi/2]."""
-    if math.cos(phi) > 1.0 - BOUNDARY_TOL:
-        e = _axis(offset, n)
-        return [e, _jmul(1, e), _jmul(2, e), _jmul(3, e)]
-    a = _axis(offset, n)
-    b = _axis(offset + 1, n)
-    c, s = math.cos(phi), math.sin(phi)
-    return [
-        a,
-        _jmul(1, a),
-        c * _jmul(2, a) + s * _jmul(2, b),
-        c * _jmul(3, a) + s * _jmul(3, b),
-    ]
+def _place(blocks: list[np.ndarray], what: str, n: int) -> Subspace:
+    """The blocks on consecutive slots of H^n, refused if n is below their
+    summed slots."""
+    rows = sum(len(block) for block in blocks)
+    if n < rows // 4:
+        raise ValueError(f"{what} needs n >= {rows // 4}, got n = {n}")
+    basis = np.zeros((4 * n, sum(block.shape[1] for block in blocks)))
+    row = col = 0
+    for block in blocks:
+        s4, d = block.shape
+        basis[row:row + s4, col:col + d] += block  # onto +0.0, so no -0.0 stays
+        row, col = row + s4, col + d
+    # Under the standard triple J_u e_t is the real axis 4t + u, negated for
+    # u = 3 (J3 = -R_k); 0 - x rather than -x keeps the zeros +0.0.
+    j3 = basis[3::4]
+    np.subtract(0.0, j3, out=j3)
+    return Subspace(basis)
 
 
 def construct_classical(family: str, k: int, n: int, phi: float | None = None) -> Subspace:
@@ -289,25 +297,7 @@ def construct_classical(family: str, k: int, n: int, phi: float | None = None) -
     cka_plane_sum      k = 2l <= 2*floor(n/2), phi in (0, pi/2), angles (phi, pi/2, pi/2)
     complexified_cka   k = 4l <= 4*floor(n/2), phi in (0, pi/2), angles (0, phi, phi)
     """
-    slots = _classical_slots(family, k, phi)
-    _need(n, slots, f"{family} with k = {k}")
-    cols: list[np.ndarray] = []
-    for slot in range(0, slots, _CLASSICAL_BLOCKS[family][1]):
-        e = _axis(slot, n)
-        if family == "totally_real":
-            cols += [e]
-        elif family == "totally_complex":
-            cols += [e, _jmul(1, e)]
-        elif family == "quaternionic":
-            cols += [e, _jmul(1, e), _jmul(2, e), _jmul(3, e)]
-        elif family == "im_h_line":
-            cols += [_jmul(1, e), _jmul(2, e), _jmul(3, e)]
-        elif family == "cka_plane_sum":
-            b = _axis(slot + 1, n)
-            cols += [e, math.cos(phi) * _jmul(1, e) + math.sin(phi) * _jmul(1, b)]
-        else:  # complexified_cka
-            cols += _complexified_block_columns(phi, slot, n)
-    return Subspace(np.column_stack(cols))
+    return _place(*_classical_blocks(family, k, phi), n)
 
 
 def construct_v3(phi: float, sign: int, n: int) -> Subspace:
@@ -316,21 +306,7 @@ def construct_v3(phi: float, sign: int, n: int) -> Subspace:
     The plus class exists for phi in (0, pi/2], the minus class for phi in
     [pi/3, pi/2].  Fits in H^2 only in the single case (minus, pi/3).
     """
-    slots = _v3_slots(phi, sign)
-    _need(n, slots, "this 3-dimensional class")
-    c = _v3_overlap(phi, sign)
-    e0, e1 = _axis(0, n), _axis(1, n)
-    if slots == 2:
-        e2 = math.copysign(1.0, c) * e1
-    else:
-        e2 = c * e1 + math.sqrt(1.0 - c * c) * _axis(2, n)
-    cp, sp = math.cos(phi), math.sin(phi)
-    cols = [
-        e0,
-        cp * _jmul(1, e0) + sp * _jmul(1, e1),
-        cp * _jmul(2, e0) + sp * _jmul(2, e2),
-    ]
-    return Subspace(np.column_stack(cols))
+    return _place(*_v3_blocks(phi, sign), n)
 
 
 def construct_v4(angles: AngleTriple, sign: int, n: int) -> Subspace:
@@ -341,12 +317,7 @@ def construct_v4(angles: AngleTriple, sign: int, n: int) -> Subspace:
     Gram construction is singular there); at (0, pi/2, pi/2) the result is
     the totally complex subspace in its own basis.
     """
-    _check_sign(sign)
-    if (sign == 1 and math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL
-            and math.cos(angles.phi2) <= BOUNDARY_TOL
-            and abs(math.cos(angles.phi2) - math.cos(angles.phi3)) <= BOUNDARY_TOL):
-        return construct_classical("totally_complex", 4, n)
-    return construct_sum(angles, int(sign == 1), int(sign == -1), n)
+    return _place(*_v4_blocks(angles, sign), n)
 
 
 def construct_sum(angles: AngleTriple, l_plus: int, l_minus: int, n: int) -> Subspace:
@@ -355,15 +326,7 @@ def construct_sum(angles: AngleTriple, l_plus: int, l_minus: int, n: int) -> Sub
     All blocks share the standard canonical basis and the same angle triple,
     so the sum has constant angle; its type is (l_plus, l_minus).
     """
-    blocks = _sum_blocks(angles, l_plus, l_minus)
-    _need(n, sum(slots for slots, _ in blocks),
-          f"a sum of {l_plus} plus and {l_minus} minus blocks")
-    cols: list[np.ndarray] = []
-    offset = 0
-    for slots, build in blocks:
-        cols += build(offset, n)
-        offset += slots
-    return Subspace(np.column_stack(cols))
+    return _place(*_sum_blocks(angles, l_plus, l_minus), n)
 
 
 _PARAMETERS = {"k": "a dimension k", "phi": "an angle phi", "angles": "an angle triple"}
@@ -377,39 +340,35 @@ def _given(spec: FamilySpec, name: str):
     return value
 
 
-def construct(spec: FamilySpec) -> Subspace:
-    """Dispatch a FamilySpec to the matching constructor."""
+def _spec_blocks(spec: FamilySpec) -> _Blocks:
+    """The blocks of the construction a FamilySpec selects."""
     fam = spec.family
     if fam in CLASSICAL_FAMILIES:
-        return construct_classical(fam, _given(spec, "k"), spec.n, phi=spec.phi)
+        return _classical_blocks(fam, _given(spec, "k"), spec.phi)
     if fam == "v3":
-        return construct_v3(_given(spec, "phi"), spec.sign, spec.n)
+        return _v3_blocks(_given(spec, "phi"), spec.sign)
     if fam == "v4":
-        return construct_v4(_given(spec, "angles"), spec.sign, spec.n)
+        return _v4_blocks(_given(spec, "angles"), spec.sign)
     if fam == "sum_type":
-        return construct_sum(_given(spec, "angles"), spec.l_plus, spec.l_minus, spec.n)
+        return _sum_blocks(_given(spec, "angles"), spec.l_plus, spec.l_minus)
     raise ValueError(f"unknown family {fam!r}")
+
+
+def construct(spec: FamilySpec) -> Subspace:
+    """Build the member of the catalog a FamilySpec selects."""
+    return _place(*_spec_blocks(spec), spec.n)
 
 
 def min_quaternionic_dim(spec: FamilySpec) -> int:
     """The smallest ambient n admitting the requested construction.
 
-    This is the slot count the constructor checks n against, so a spec
-    that no n admits raises ValueError, or NumericalFailure where the
-    constructor's Gram factorization fails.  The one exception is the plus
-    class of v3 at phi = 0, which the constructor refuses: its angles
-    (0, 0, pi/2) are those of the imaginary span of a vector, in H^1.
+    This is the number of slots its blocks occupy, so a spec that no n
+    admits raises ValueError, or NumericalFailure where the constructor's
+    Gram factorization fails.  The one exception is the plus class of v3 at
+    phi = 0, which the constructor refuses: its angles (0, 0, pi/2) are
+    those of the imaginary span of a vector, in H^1.
     """
-    fam = spec.family
-    if fam in CLASSICAL_FAMILIES:
-        return _classical_slots(fam, _given(spec, "k"), spec.phi)
-    if fam == "v3":
-        if spec.phi == 0.0 and spec.sign == 1:
-            return 1
-        return _v3_slots(_given(spec, "phi"), spec.sign)
-    if fam == "v4":
-        return _block_layout(_given(spec, "angles"), spec.sign)[0]
-    if fam == "sum_type":
-        blocks = _sum_blocks(_given(spec, "angles"), spec.l_plus, spec.l_minus)
-        return sum(slots for slots, _ in blocks)
-    raise ValueError(f"unknown family {fam!r}")
+    if spec.family == "v3" and spec.phi == 0.0 and spec.sign == 1:
+        return 1
+    blocks, _ = _spec_blocks(spec)
+    return sum(len(block) for block in blocks) // 4

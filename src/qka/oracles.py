@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import gram_matrix
-from .quaternion import random_group_element
+from .families import _gram_batch, gram_matrix
+from .quaternion import STANDARD_BASIS, random_group_element
 from .subspace import AngleTriple, NumericalFailure, Subspace, distribution_rank
-from .quaternion import STANDARD_BASIS
 
 __all__ = [
     "GridSpec",
@@ -40,18 +39,26 @@ class GridSpec:
 
     resolution: int = 50
     tolerance: float = PSD_TOL
-    seed: int = 0
 
     def __post_init__(self):
         if self.resolution < 2:
             raise ValueError("grid resolution must be at least 2")
 
-    def sorted_cosine_triples(self, top: float = 0.98) -> np.ndarray:
-        """All grid triples with x1 >= x2 >= x3 in [0, top]^3."""
-        axis = np.linspace(0.0, top, self.resolution)
+    def sorted_cosine_triples(self) -> np.ndarray:
+        """All grid triples with x1 >= x2 >= x3 in [0, 0.98]^3."""
+        axis = np.linspace(0.0, 0.98, self.resolution)
         x1, x2, x3 = np.meshgrid(axis, axis, axis, indexing="ij")
         mask = (x1 >= x2) & (x2 >= x3)
         return np.stack([x1[mask], x2[mask], x3[mask]], axis=1)
+
+
+def _det3(a: np.ndarray) -> np.ndarray:
+    """Determinants of 3x3 matrices (..., 3, 3), expanded along the first row."""
+    return (
+        a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+        - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+        + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
+    )
 
 
 def closed_form_eigvals(mats: np.ndarray) -> np.ndarray:
@@ -71,12 +78,7 @@ def closed_form_eigvals(mats: np.ndarray) -> np.ndarray:
     p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
     safe = np.where(p > 0.0, p, 1.0)
     b = (a - q[..., None, None] * np.eye(3)) / safe[..., None, None]
-    detb = (
-        b[..., 0, 0] * (b[..., 1, 1] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 1])
-        - b[..., 0, 1] * (b[..., 1, 0] * b[..., 2, 2] - b[..., 1, 2] * b[..., 2, 0])
-        + b[..., 0, 2] * (b[..., 1, 0] * b[..., 2, 1] - b[..., 1, 1] * b[..., 2, 0])
-    )
-    r = np.clip(detb / 2.0, -1.0, 1.0)
+    r = np.clip(_det3(b) / 2.0, -1.0, 1.0)
     phi = np.arccos(r) / 3.0
     e1 = q + 2.0 * p * np.cos(phi)
     e3 = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
@@ -86,18 +88,6 @@ def closed_form_eigvals(mats: np.ndarray) -> np.ndarray:
     diag_sorted = -np.sort(-d, axis=-1)
     out = np.where((p > 0.0)[..., None], out, diag_sorted)
     return out[0] if single else out
-
-
-def _principal_minors(m: np.ndarray) -> np.ndarray:
-    """All seven principal minors of a symmetric 3x3 matrix."""
-    det2 = lambda i, j: m[i, i] * m[j, j] - m[i, j] * m[j, i]
-    det3 = (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-    return np.array([m[0, 0], m[1, 1], m[2, 2],
-                     det2(0, 1), det2(0, 2), det2(1, 2), det3])
 
 
 def psd_oracle(m, tol: float = PSD_TOL) -> tuple[bool, int | None]:
@@ -110,17 +100,8 @@ def psd_oracle(m, tol: float = PSD_TOL) -> tuple[bool, int | None]:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or np.max(np.abs(m - m.T)) > 1e-12:
         raise ValueError("expected a symmetric 3x3 matrix")
-    lams = closed_form_eigvals(m)
-    psd_eig = bool(lams[-1] >= -tol)
-    psd_minor = bool(np.min(_principal_minors(m)) >= -tol)
-    if psd_eig != psd_minor:
-        raise NumericalFailure(
-            f"eigenvalue and principal-minor criteria disagree (lams={lams}, "
-            f"minors min={np.min(_principal_minors(m)):.2e})"
-        )
-    if not psd_eig:
-        return False, None
-    return True, int(np.sum(lams > tol))
+    psd, rank = psd_oracle_batch(m[None], tol)
+    return (True, int(rank[0])) if psd[0] else (False, None)
 
 
 def psd_oracle_batch(mats: np.ndarray, tol: float = PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -132,20 +113,10 @@ def psd_oracle_batch(mats: np.ndarray, tol: float = PSD_TOL) -> tuple[np.ndarray
     m = np.asarray(mats, dtype=float)
     lams = closed_form_eigvals(m)
     psd_eig = lams[:, -1] >= -tol
-    d = m[:, np.arange(3), np.arange(3)]
-    det2_01 = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    det2_02 = m[:, 0, 0] * m[:, 2, 2] - m[:, 0, 2] * m[:, 2, 0]
-    det2_12 = m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1]
-    det3 = (
-        m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-        - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-        + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-    )
-    minors_min = np.min(
-        np.stack([d[:, 0], d[:, 1], d[:, 2], det2_01, det2_02, det2_12, det3], axis=1),
-        axis=1,
-    )
-    psd_minor = minors_min >= -tol
+    minors = [m[:, i, i] for i in range(3)]
+    minors += [m[:, i, i] * m[:, j, j] - m[:, i, j] * m[:, j, i]
+               for i, j in ((0, 1), (0, 2), (1, 2))]
+    psd_minor = np.min(np.stack(minors + [_det3(m)], axis=1), axis=1) >= -tol
     if np.any(psd_eig != psd_minor):
         idx = int(np.argmax(psd_eig != psd_minor))
         raise NumericalFailure(
@@ -172,29 +143,23 @@ def det_formula_check(angles: AngleTriple, sign: int) -> float:
     return float(abs(np.linalg.det(gram_matrix(angles, sign)) - det_closed_form(x, sign)))
 
 
-def _gram_batch(xs: np.ndarray, sign: int) -> np.ndarray:
-    s = np.sqrt(1.0 - xs**2)
-    g = np.tile(np.eye(3), (len(xs), 1, 1))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        val = (sign * xs[:, k] - xs[:, i] * xs[:, j]) / (s[:, i] * s[:, j])
-        g[:, i, j] = g[:, j, i] = val
-    return g
-
-
 def gram_grid_sweep(spec: GridSpec) -> dict:
     """Sweep both Gram signs over a cosine grid and tally every cross-check.
 
     Compares the eigenvalue psd oracle against the closed-form inequality
     (with rank 2 exactly on its boundary) and the numerical determinant
-    against the factored closed form on the interior points.
+    against the factored closed form on the interior points.  The Gram
+    matrices come from the formula gram_matrix uses, at the arccos of the
+    grid cosines, so the sweep checks the production formula itself.
     """
     xs = spec.sorted_cosine_triples()
+    phis = np.arccos(xs)
     out = {"points": 2 * len(xs), "psd_disagreements": 0, "rank_mismatches": 0,
            "det_deviation": 0.0}
-    interior = xs[np.all((xs > 0.02) & (xs < 0.97), axis=1)]
+    inside = np.all((xs > 0.02) & (xs < 0.97), axis=1)
+    interior = xs[inside]
     for sign in (1, -1):
-        grams = _gram_batch(xs, sign)
+        grams = _gram_batch(phis, sign)
         psd, rank = psd_oracle_batch(grams, spec.tolerance)
         margin = xs[:, 0] + xs[:, 1] - sign * xs[:, 2] - 1.0
         formula = margin <= spec.tolerance
@@ -203,7 +168,7 @@ def gram_grid_sweep(spec: GridSpec) -> dict:
         out["rank_mismatches"] += int(np.sum(rank[psd & boundary] != 2))
         out["rank_mismatches"] += int(np.sum(rank[psd & ~boundary] != 3))
         if len(interior):
-            dets = np.linalg.det(_gram_batch(interior, sign))
+            dets = np.linalg.det(grams[inside])
             closed = np.array([det_closed_form(x, sign) for x in interior])
             out["det_deviation"] = max(out["det_deviation"],
                                        float(np.max(np.abs(dets - closed))))

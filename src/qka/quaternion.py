@@ -231,7 +231,7 @@ class CanonicalBasis:
     (Ji^2 = -Id and Ji J_{i+1} = J_{i+2}), and conversely.
     """
 
-    __slots__ = ("rotation", "_blocks")
+    __slots__ = ("rotation",)
 
     def __init__(self, rotation):
         rotation = np.asarray(rotation, dtype=float)
@@ -244,20 +244,12 @@ class CanonicalBasis:
         if np.linalg.det(rotation) < 0:
             raise ValueError("rotation must have determinant +1")
         object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "_blocks", None)
 
     def block(self, i: int) -> np.ndarray:
-        """The read-only 4x4 per-slot block of J_i (i in {1, 2, 3}).
-
-        All three blocks are built on the first call and kept.
-        """
+        """The 4x4 per-slot block of J_i (i in {1, 2, 3})."""
         if i not in (1, 2, 3):
             raise ValueError("canonical basis index must be 1, 2 or 3")
-        if self._blocks is None:
-            blocks = np.tensordot(self.rotation, _STANDARD_BLOCKS, axes=1)
-            blocks.flags.writeable = False
-            object.__setattr__(self, "_blocks", blocks)
-        return self._blocks[i - 1]
+        return np.tensordot(self.rotation[i - 1], _STANDARD_BLOCKS, axes=(0, 0))
 
     def apply(self, i: int, vecs: np.ndarray) -> np.ndarray:
         """Apply J_i to coordinates shaped (4n,) or (4n, m)."""

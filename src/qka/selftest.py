@@ -28,8 +28,9 @@ from .classify import (
 )
 from .families import (
     FamilySpec,
+    _place,
     _psd_cholesky,
-    _v4_block_columns,
+    _tilted_block,
     admissible,
     construct_classical,
     construct_sum,
@@ -170,7 +171,7 @@ def _constructor_grid(quick: bool) -> list[tuple[str, Subspace, AngleTriple]]:
     return grid
 
 
-def _cos2_match(reported: AngleTriple, declared: AngleTriple, tol: float) -> float:
+def _cos2_match(reported: AngleTriple, declared: AngleTriple) -> float:
     return float(np.max(np.abs(reported.cos2() - declared.cos2())))
 
 
@@ -181,7 +182,7 @@ def crit_constancy(quick: bool, seed: int) -> tuple[bool, str]:
     worst_spread, worst_triple, bad = 0.0, 0.0, []
     for label, space, declared in grid:
         rep = constancy_check(space, samples, seed)
-        dev = _cos2_match(rep.triple, declared, 1e-8)
+        dev = _cos2_match(rep.triple, declared)
         worst_spread = max(worst_spread, rep.max_spread)
         worst_triple = max(worst_triple, dev)
         if rep.max_spread >= 1e-9 or dev > 1e-8:
@@ -196,7 +197,7 @@ def crit_constancy(quick: bool, seed: int) -> tuple[bool, str]:
 
 def crit_gram_equivalence(quick: bool, seed: int) -> tuple[bool, str]:
     """C2: gram PSD <=> closed-form inequality, rank 2 exactly on the boundary."""
-    sweep = gram_grid_sweep(GridSpec(resolution=15 if quick else 50, seed=seed))
+    sweep = gram_grid_sweep(GridSpec(resolution=15 if quick else 50))
     ok = (sweep["psd_disagreements"] == 0 and sweep["rank_mismatches"] == 0
           and sweep["det_deviation"] < 1e-10)
     return ok, (f"{sweep['points']} grid points, "
@@ -327,7 +328,7 @@ def crit_inequivalence(quick: bool, seed: int) -> tuple[bool, str]:
         vp = construct_v4(triple, 1, 4)
         _, rank = admissible(triple, -1)
         left = _psd_cholesky(gram_matrix(triple, -1), rank)
-        vm = Subspace(np.column_stack(_v4_block_columns(triple, left, 0, 4)))
+        vm = _place([_tilted_block(triple.as_tuple(), left)], "the minus block", 4)
         verdict = are_equivalent(vp, vm, seed=seed)
         if verdict.value != "yes":
             failures.append(f"pi/2 merge {x} -> {verdict.value}")
@@ -420,7 +421,7 @@ def crit_moduli_table(quick: bool, seed: int) -> tuple[bool, str]:
                     record = classify_subspace(rep, samples=300, seed=seed)
                     trips += 1
                     got = snapped(AngleTriple(*record["triple"]))
-                    if _cos2_match(got, snapped(triple), 1e-8) > 1e-8:
+                    if _cos2_match(got, snapped(triple)) > 1e-8:
                         failures.append(f"({k},{n}) {name}: triple mismatch")
                     if name not in {s["name"] for s in record["strata"]}:
                         failures.append(f"({k},{n}) {name}: classify misses stratum")
@@ -537,7 +538,7 @@ def crit_factorization(quick: bool, seed: int) -> tuple[bool, str]:
             failures.append(f"{label}: reconstruction residual too large")
         for b in blocks:
             rep = constancy_check(b, 200, seed)
-            if _cos2_match(rep.triple, triple, 1e-8) > 1e-8:
+            if _cos2_match(rep.triple, triple) > 1e-8:
                 failures.append(f"{label}: block triple mismatch")
     return not failures, (f"{len(cases)} sums factorized"
                           + (f", failures: {failures[:3]}" if failures else ""))

@@ -12,8 +12,6 @@ from qka.families import (
     BOUNDARY_TOL,
     CLASSICAL_FAMILIES,
     FamilySpec,
-    _axis,
-    _jmul,
     _psd_cholesky,
     admissible,
     construct,
@@ -24,7 +22,7 @@ from qka.families import (
     gram_matrix,
     min_quaternionic_dim,
 )
-from qka.quaternion import STANDARD_BASIS
+from qka.quaternion import STANDARD_BASIS, CanonicalBasis
 from qka.subspace import AngleTriple, NumericalFailure, Subspace, constancy_check
 
 HALF_PI = math.pi / 2
@@ -281,7 +279,18 @@ class TestMinQuaternionicDim:
 #
 # Reference: the constructors as they were before the slot counts moved into
 # one function per family, each with its own checks.  They share only the
-# Gram matrix, its Cholesky factor and the slot axes with the library.
+# Gram matrix and its Cholesky factor with the library, and build every column
+# as a full 4n-vector: a slot axis, then a J pass over all n slots.
+
+def _axis(slot: int, n: int) -> np.ndarray:
+    c = np.zeros(4 * n)
+    c[4 * slot] = 1.0
+    return c
+
+
+def _jmul(i: int, col: np.ndarray) -> np.ndarray:
+    return STANDARD_BASIS.apply(i, col)
+
 
 def _ref_need(n, slots):
     if n < slots:
@@ -525,6 +534,34 @@ class TestCatalogMatchesPreviousConstructors:
         assert built > 250
         if calls is _sweep_calls:
             assert refused > 1000
+
+    def test_degenerate_complexified_block_keeps_two_slots(self):
+        # cos(1e-7) is within BOUNDARY_TOL of 1, so each block is the
+        # quaternionic one, still placed on two slots.
+        args = ("complexified_cka", 8, 4, 1e-7)
+        assert _outcome(construct_classical, args) == _outcome(_ref_classical, args)
+        with pytest.raises(ValueError, match="needs n >= 4"):
+            construct_classical("complexified_cka", 8, 3, phi=1e-7)
+
+
+class TestConstructorsPlaceSlotBlocks:
+    def test_no_construction_applies_j_over_all_slots(self, monkeypatch):
+        def refuse(basis, i, vecs):
+            raise AssertionError("a constructor applied J over all 4n coordinates")
+
+        monkeypatch.setattr(CanonicalBasis, "apply", refuse)
+        built = 0
+        for name, args in _grid_calls():
+            _LIBRARY[name](*args)
+            built += 1
+        for spec in _catalog_specs():
+            try:
+                n = min_quaternionic_dim(spec)
+                construct(dataclasses.replace(spec, n=n))
+            except (ValueError, NumericalFailure):
+                continue
+            built += 1
+        assert built > 400
 
 
 def _least_n(spec, limit=15):
