@@ -119,14 +119,8 @@ def _cos_leq(value: float, bound: float, tol: float) -> bool:
     return value <= bound + tol
 
 
-def _kernel_split(p1, p2, p3, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kernels of Pbar1 Pbar2 -+ Pbar3; dimensions must be multiples of 4.
-
-    Pbar3 is orthogonal, so Pbar1 Pbar2 -+ Pbar3 = Pbar3 (M -+ I) with
-    M = Pbar3^T Pbar1 Pbar2: the kernels are those of M -+ I, and the
-    singular values of M -+ I are |lambda -+ 1| over the eigenvalues of the
-    symmetric M.  One eigh of sym(M) gives both kernels.
-    """
+def _sign_operator(p1, p2, p3) -> np.ndarray:
+    """sym(M) for M = Pbar3^T Pbar1 Pbar2, refused unless M is symmetric."""
     m = p3.T @ (p1 @ p2)
     asym = float(np.max(np.abs(m - m.T)))
     if asym > 1e-8:
@@ -134,20 +128,37 @@ def _kernel_split(p1, p2, p3, k: int) -> tuple[np.ndarray, np.ndarray]:
             f"Pbar3^T Pbar1 Pbar2 is not symmetric (deviation {asym:.2e}), so the "
             "signs do not split the subspace"
         )
-    lams, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    kplus, kminus = (vecs[:, gap <= 1e-8 * max(gap.max(), 1.0)]
-                     for gap in (np.abs(lams - 1.0), np.abs(lams + 1.0)))
-    if kplus.shape[1] % 4 or kminus.shape[1] % 4:
+    return 0.5 * (m + m.T)
+
+
+def _sign_masks(lams: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which eigenvalues of sym(M) are +1 and which are -1; the two counts
+    must be multiples of 4 that sum to k."""
+    plus, minus = (gap <= 1e-8 * max(gap.max(), 1.0)
+                   for gap in (np.abs(lams - 1.0), np.abs(lams + 1.0)))
+    dims = int(plus.sum()), int(minus.sum())
+    if dims[0] % 4 or dims[1] % 4:
+        raise NumericalFailure(f"kernel dimensions {dims} are not multiples of 4")
+    if dims[0] + dims[1] != k:
         raise NumericalFailure(
-            f"kernel dimensions ({kplus.shape[1]}, {kminus.shape[1]}) are not "
-            "multiples of 4"
+            f"sign kernels do not decompose the subspace ({dims[0]} + {dims[1]} != {k})"
         )
-    if kplus.shape[1] + kminus.shape[1] != k:
-        raise NumericalFailure(
-            "sign kernels do not decompose the subspace "
-            f"({kplus.shape[1]} + {kminus.shape[1]} != {k})"
-        )
-    return kplus, kminus
+    return plus, minus
+
+
+def _kernel_split(p1, p2, p3, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels of Pbar1 Pbar2 -+ Pbar3; dimensions must be multiples of 4.
+
+    Pbar3 is orthogonal, so Pbar1 Pbar2 -+ Pbar3 = Pbar3 (M -+ I) with
+    M = Pbar3^T Pbar1 Pbar2: the kernels are those of M -+ I, and the
+    singular values of M -+ I are |lambda -+ 1| over the eigenvalues of the
+    symmetric M.  One eigh of sym(M) gives both kernels.  Only `factorize`
+    needs the kernel vectors; the block type counts the eigenvalues alone
+    (`_Analysis._block_type`), through the same gates.
+    """
+    lams, vecs = np.linalg.eigh(_sign_operator(p1, p2, p3))
+    plus, minus = _sign_masks(lams, k)
+    return vecs[:, plus], vecs[:, minus]
 
 
 def _deflate(remaining: np.ndarray, used: np.ndarray) -> np.ndarray:
@@ -250,10 +261,12 @@ class _Analysis:
     def _block_type(self) -> TypeSignature | NumericalFailure:
         try:
             triple, _ = self.canonical()
+            k = self.space.k
             if math.cos(triple.phi3) <= 1e-8:
-                return TypeSignature(self.space.k // 4, 0)
-            kplus, kminus = self.kernels
-            return TypeSignature(kplus.shape[1] // 4, kminus.shape[1] // 4)
+                return TypeSignature(k // 4, 0)
+            lams = np.linalg.eigvalsh(_sign_operator(*self.pbars))
+            plus, minus = _sign_masks(lams, k)
+            return TypeSignature(int(plus.sum()) // 4, int(minus.sum()) // 4)
         except NumericalFailure as exc:
             return exc
 

@@ -29,9 +29,28 @@ def _seed(args) -> int:
         return args.seed
     raw = os.environ.get("QKA_SEED") or "0"
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"QKA_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"QKA_SEED must be a non-negative integer, got {raw!r}")
+    return seed
+
+
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``, so a bad
+    --samples or --seed is refused where it enters (exit 2, naming the flag)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _emit(payload: dict) -> None:
@@ -190,20 +209,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lplus", type=int, default=0, help="plus blocks in a sum")
     p.add_argument("--lminus", type=int, default=0, help="minus blocks in a sum")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--samples", type=int, default=300)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=_int_at_least(2), default=300)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("angles", help="angle triple and constancy report of a file")
     p.add_argument("path")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=_int_at_least(2), default=500)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.set_defaults(func=_cmd_angles)
 
     p = sub.add_parser("classify", help="full classification record of a file")
     p.add_argument("path")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=_int_at_least(2), default=500)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("moduli", help="stratification of the (k, n) moduli space")
@@ -217,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true", default=True)
     mode.add_argument("--full", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -249,7 +249,7 @@ class CanonicalBasis:
         """The 4x4 per-slot block of J_i (i in {1, 2, 3})."""
         if i not in (1, 2, 3):
             raise ValueError("canonical basis index must be 1, 2 or 3")
-        return np.tensordot(self.rotation[i - 1], _STANDARD_BLOCKS, axes=(0, 0))
+        return (self.rotation[i - 1] @ _STANDARD_BLOCKS.reshape(3, 16)).reshape(4, 4)
 
     def apply(self, i: int, vecs: np.ndarray) -> np.ndarray:
         """Apply J_i to coordinates shaped (4n,) or (4n, m)."""

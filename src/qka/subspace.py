@@ -197,11 +197,13 @@ def _restricted_structure(
 
     With B the basis of V, P_i v in V coordinates is W_i c for v = B c, and
     |P_i v| = |W_i c| because B has orthonormal columns.  All three J_i B
-    come from one einsum over the per-slot 4x4 blocks of the triple.
+    come from one einsum over the per-slot 4x4 blocks of the triple.  It
+    serves the sampled and reference paths in any canonical basis; the exact
+    analysis builds W from the slot cross-Grams (`_slot_structure`).
     """
     b = v_space.basis
     n, k = v_space.n, v_space.k
-    blocks = np.tensordot(basis.rotation, _STANDARD_BLOCKS, axes=1)
+    blocks = (basis.rotation @ _STANDARD_BLOCKS.reshape(3, 16)).reshape(3, 4, 4)
     jb = np.einsum("aij,njm->anim", blocks, b.reshape(n, 4, k)).reshape(3, 4 * n, k)
     return b.T @ jb
 
@@ -270,19 +272,57 @@ class _ExactStructure:
         return AngleTriple.from_cos2_eigenvalues(self.cos2)
 
 
+def _slot_structure(v_space: Subspace) -> np.ndarray:
+    """W = B^T J B in the standard triple from the slot cross-Grams, (3, k, k).
+
+    With B_u (n x k) the rows of B holding real axis u of every slot, and
+    C_uv = B_u^T B_v, the triple (R_i, R_j, -R_k) pairs the slot axes as
+    R_i (0,1)(2,3), R_j (0,2)(1,3) and -R_k (0,3)(1,2), so W_a = E_a - E_a^T
+    with E_1 = C_23 - C_01, E_2 = -C_02 - C_13 and E_3 = C_03 - C_12.  The
+    six C_uv come from three products of strided views of B, with no
+    4n-length temporary, and every W_a is exactly antisymmetric.
+    """
+    n, k = v_space.n, v_space.k
+    b = v_space.basis.reshape(n, 4, k)
+    c0 = b[:, 0].T @ b[:, 1:].reshape(n, 3 * k)  # [C_01 C_02 C_03]
+    c1 = b[:, 1].T @ b[:, 2:].reshape(n, 2 * k)  # [C_12 C_13]
+    c23 = b[:, 2].T @ b[:, 3]
+    w = np.empty((3, k, k))
+    e = c23 - c0[:, :k]
+    np.subtract(e, e.T, out=w[0])
+    e = c0[:, k:2 * k] + c1[:, k:]  # -E_2
+    np.subtract(e.T, e, out=w[1])
+    e = c0[:, 2 * k:] - c1[:, :k]
+    np.subtract(e, e.T, out=w[2])
+    return w
+
+
 def _exact_structure(v_space: Subspace) -> _ExactStructure:
-    """Build the exact structure of V from W = B^T J B (one 3x3 eigh)."""
+    """Build the exact structure of V from W = B^T J B (one 3x3 eigh).
+
+    The residual is summed over the pairs a <= b from k x k products only:
+    ||W'_a^T W'_a - c_a I||^2, plus 2 ||sym(W'_a^T W'_b)||^2 for a < b (the
+    (b, a) term is its transpose).
+    """
     k = v_space.k
-    w = _restricted_structure(v_space)
-    gram = np.einsum("aij,bij->ab", w, w) / k  # tr(W_a^T W_b) / k
+    w = _slot_structure(v_space)
+    flat = w.reshape(3, -1)
+    gram = flat @ flat.T / k  # tr(W_a^T W_b) / k
     cos2, vecs = _descending_eigh(gram)
     basis = _basis_from_columns(vecs)
-    wc = np.tensordot(basis.rotation, w, axes=1)
-    s = wc.transpose(0, 2, 1)[:, None] @ wc[None]  # W'_a^T W'_b
-    s = 0.5 * (s + s.transpose(0, 1, 3, 2))
-    s[np.arange(3), np.arange(3)] -= cos2[:, None, None] * np.eye(k)
+    wc = (basis.rotation @ flat).reshape(3, k, k)
+    wct = wc.transpose(0, 2, 1)
+    total = 0.0
+    for a in range(3):
+        d = wct[a] @ wc[a]
+        d.flat[::k + 1] -= cos2[a]  # minus c_a I
+        total += np.vdot(d, d)
+        for b in range(a + 1, 3):
+            x = wct[a] @ wc[b]
+            x = x + x.T  # 2 sym(W'_a^T W'_b)
+            total += 0.5 * np.vdot(x, x)
     return _ExactStructure(basis=basis, cos2=cos2, w=w, w_canonical=wc,
-                           residual=float(np.linalg.norm(s)))
+                           residual=math.sqrt(total))
 
 
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:

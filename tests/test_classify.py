@@ -24,7 +24,7 @@ from qka.classify import (
     strata_for,
     type_of,
 )
-from qka.classify import _Analysis, _branch_invariants, _kernel_split
+from qka.classify import _Analysis, _branch_invariants, _kernel_split, _sign_operator
 from qka.families import (
     FamilySpec,
     construct_classical,
@@ -630,6 +630,32 @@ class TestKernelSplit:
         # Pbar1^T Pbar1 Pbar2 = Pbar2 is antisymmetric: no sign split exists.
         with pytest.raises(NumericalFailure, match="not symmetric"):
             _kernel_split(p1, p2, p1, 8)
+
+    @pytest.mark.parametrize("k", [8, 16, 64])
+    def test_eigenvalue_type_matches_kernel_dimensions(self, k):
+        # The block type counts eigenvalues only; factorize takes the vectors.
+        l = k // 4
+        for l_plus in sorted({0, 1, l // 2, l - 1, l}):
+            space = rotated(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
+            analysis = _Analysis(space, 500, 0)
+            kplus, kminus = _kernel_split(*analysis.pbars, k)
+            assert analysis.block_type().as_tuple() == (kplus.shape[1] // 4,
+                                                        kminus.shape[1] // 4)
+            assert analysis.block_type().as_tuple() == (l_plus, l - l_plus)
+
+    def test_eigenvalue_type_refuses_non_symmetric_product(self):
+        space = rotated(construct_sum(TA, 1, 1, 8), 3)
+        analysis = _Analysis(space, 500, 0)
+        p1, p2, _ = analysis.pbars
+        with pytest.raises(NumericalFailure) as split:
+            _kernel_split(p1, p2, p1, 8)
+        with pytest.raises(NumericalFailure) as sym:
+            _sign_operator(p1, p2, p1)
+        analysis.pbars = (p1, p2, p1)
+        with pytest.raises(NumericalFailure) as typed:
+            analysis.block_type()
+        assert str(typed.value) == str(sym.value) == str(split.value)
+        assert "not symmetric" in str(typed.value)
 
 
 # Subspaces covering every branch of the classification record.

@@ -355,7 +355,7 @@ def test_group_layer_memory_stays_small():
     assert max(peaks) < 4 * 2**20, peaks
 
 
-def test_canonical_basis_blocks_built_once_on_first_use():
+def test_canonical_basis_block_is_rotated_standard_blocks():
     rotation = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     basis = CanonicalBasis(rotation)
     for i in (1, 2, 3):

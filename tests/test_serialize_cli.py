@@ -16,7 +16,7 @@ import qka.cli
 from qka.cli import main
 from qka.families import construct_sum, construct_v4
 from qka.serialize import load_subspace, save_subspace, subspace_from_dict, subspace_to_dict
-from qka.subspace import AngleTriple
+from qka.subspace import AngleTriple, Subspace
 
 T13 = AngleTriple.from_cosines([1 / 3, 1 / 3, 1 / 3])
 
@@ -279,6 +279,46 @@ class TestCli:
         code, stdout, _ = run_cli(["construct", "--family", "quaternionic", "--k", "4",
                                    "--n", "1", "--out", str(out), "--seed", "5"], capsys)
         assert code == 0 and json.loads(stdout)["meta"]["seed"] == 5
+
+    @pytest.mark.parametrize("flags,named", [(["--samples", "-3"], "--samples"),
+                                             (["--samples", "1"], "--samples"),
+                                             (["--seed", "-1"], "--seed")])
+    def test_bad_samples_or_seed_refused_where_they_enter(self, tmp_path, capsys,
+                                                          flags, named):
+        # Refused by the parser, before anything is written, on a certified
+        # file (which samples nothing) and on a random one (which samples).
+        certified, random_plane = tmp_path / "vm.json", tmp_path / "r.json"
+        save_subspace(certified, construct_v4(T13, -1, 3))
+        rng = np.random.default_rng(5)
+        save_subspace(random_plane, Subspace(np.linalg.qr(rng.standard_normal((12, 5)))[0]))
+        out = tmp_path / "q.json"
+        construct = ["construct", "--family", "quaternionic", "--k", "4", "--n", "1",
+                     "--out", str(out)]
+        for argv in (["angles", str(certified)], ["classify", str(certified)],
+                     ["angles", str(random_plane)], ["classify", str(random_plane)],
+                     construct):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flags)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"argument {named}" in captured.err
+        assert not out.exists()
+
+    def test_negative_seed_refused_by_selftest(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--quick", "--seed", "-1"])
+        assert exc.value.code == 2 and "argument --seed" in capsys.readouterr().err
+
+    def test_negative_env_seed_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QKA_SEED", "-1")
+        out = tmp_path / "q.json"
+        code, stdout, stderr = run_cli(["construct", "--family", "quaternionic", "--k", "4",
+                                        "--n", "1", "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "QKA_SEED" in stderr
+        # Still read only by the commands that sample.
+        code, _, _ = run_cli(["moduli", "--k", "4", "--n", "4"], capsys)
+        assert code == 0
 
     def test_empty_env_seed_means_zero(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QKA_SEED", "")

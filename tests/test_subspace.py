@@ -24,6 +24,7 @@ from qka.subspace import (
     _omega_batch,
     _omega_spectra,
     _restricted_structure,
+    _slot_structure,
     _spectrum_report,
     _sphere_rule,
     constancy_check,
@@ -471,6 +472,34 @@ class TestRestrictedStructure:
         for basis in (STANDARD_BASIS, CanonicalBasis(rotation)):
             reference = np.stack([b.T @ basis.apply(i, b) for i in (1, 2, 3)])
             assert np.array_equal(_restricted_structure(space, basis), reference)
+
+
+class TestSlotStructure:
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (1, 4), (2, 1), (2, 8), (3, 3),
+                                     (4, 16), (5, 7), (16, 64), (64, 64)])
+    def test_matches_restricted_structure(self, n, k):
+        # The slot cross-Grams give B^T J B, exactly antisymmetric.
+        rng = np.random.default_rng(100 * n + k)
+        space = Subspace(np.linalg.qr(rng.standard_normal((4 * n, k)))[0])
+        w = _slot_structure(space)
+        assert w.shape == (3, k, k)
+        assert np.array_equal(w, -w.transpose(0, 2, 1))
+        assert np.max(np.abs(w - _restricted_structure(space))) <= 1e-14
+
+    def test_exact_structure_memory_stays_small(self):
+        # Building every J_a B (a 3 x 4n x k array) and the (3, 3, k, k)
+        # products S_ab peaked at about 834 KiB at k = n = 64.
+        import tracemalloc
+
+        space = Subspace(np.linalg.qr(np.random.default_rng(64).standard_normal((256, 64)))[0])
+        _exact_structure(space)
+        tracemalloc.start()
+        try:
+            _exact_structure(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10, peak
 
 
 class TestHOrthogonality:
