@@ -39,7 +39,7 @@ from .subspace import (
     _OmegaSpectra,
     _spectrum_report,
     _sphere_rule,
-    constancy_check,
+    _witness_report,
 )
 
 __all__ = [
@@ -186,18 +186,19 @@ class _Analysis:
     Holds the exact structure of W = B^T J B (candidate canonical basis and
     its residual), the constancy report, the Pbar triple and the sign-kernel
     split.  Each is computed on first use and at most once; an analysis lives
-    for a single public call and is never cached across calls.  When the
-    exact residual does not certify constant angle (no common canonical
-    basis), dimension 3 reads Omega at the fixed 91-point sphere rule, with
-    no seed (exact agreement there is constancy on the whole sphere; see
-    `subspace._sphere_rule` for what agreement within the gate bounds);
-    only larger dimensions sample.
+    for a single public call and is never cached across calls.  Nothing is
+    sampled and no seed is involved.  When the exact residual does not
+    certify constant angle (no common canonical basis), dimension 3 reads
+    Omega at the fixed 91-point sphere rule (exact agreement there is
+    constancy on the whole sphere; see `subspace._sphere_rule` for what
+    agreement within the gate bounds), and every other dimension at the
+    witness points read off W (`subspace._witness_report`), which prove
+    "no" or leave the constancy unknown.  Every consumer of the report
+    handles unknown (``constant`` None) explicitly.
     """
 
-    def __init__(self, v_space: Subspace, samples: int, seed: int):
+    def __init__(self, v_space: Subspace):
         self.space = v_space
-        self.samples = samples
-        self.seed = seed
 
     @cached_property
     def exact(self) -> _ExactStructure:
@@ -212,7 +213,7 @@ class _Analysis:
     @cached_property
     def report(self) -> ConstancyReport:
         """The exact triple when 2 * residual certifies constancy, else the
-        rule's spread for dimension 3, else sampled."""
+        rule's spread for dimension 3, else the witness points of W."""
         exact = self.exact
         spread = 2.0 * exact.residual
         if spread <= CONSTANCY_TOL:
@@ -220,15 +221,18 @@ class _Analysis:
                                    constant=True)
         if self.space.k == 3:
             return _spectrum_report(self.rule.lams)
-        return constancy_check(self.space, self.samples, self.seed)
+        return _witness_report(exact)
 
     def canonical(self) -> tuple[AngleTriple, CanonicalBasis]:
         """Triple and common canonical basis shared by the block routines."""
         if self.space.k % 4:
             raise ValueError("block analysis needs dim V to be a multiple of 4")
-        if not self.report.constant:
+        report = self.report
+        if report.constant is None:
+            raise NumericalFailure(report.gate)
+        if not report.constant:
             raise ValueError(
-                f"subspace does not have constant angle (spread {self.report.max_spread:.2e})"
+                f"subspace does not have constant angle (spread {report.max_spread:.2e})"
             )
         residual = self.exact.residual
         if residual > JOINT_RESIDUAL_TOL:
@@ -278,6 +282,8 @@ class _Analysis:
 
     def protohomogeneity(self) -> Verdict:
         report = self.report
+        if report.constant is None:
+            return Verdict("unknown", report.gate)
         if not report.constant:
             return Verdict(
                 "no",
@@ -312,6 +318,8 @@ class _Analysis:
         if self.space.k != 3:
             raise ValueError("branch detection applies to 3-dimensional subspaces")
         report = self.report
+        if report.constant is None:
+            raise NumericalFailure(report.gate)
         if not report.constant:
             raise ValueError("subspace does not have constant angle")
         triple = report.triple
@@ -362,7 +370,7 @@ def _branch_invariants(w: np.ndarray, spectra: _OmegaSpectra, phi: float) -> np.
             + c * c) / (s * s)
 
 
-def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subspace]:
+def factorize(v_space: Subspace) -> list[Subspace]:
     """Split a constant-angle subspace of dimension 4l into its 4-blocks.
 
     The blocks are pairwise H-orthogonal, each 4-dimensional with the same
@@ -370,7 +378,7 @@ def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subs
     with deflation (pure-sign parts are factored separately so the orbit of
     each seed vector closes up in dimension 4).
     """
-    analysis = _Analysis(v_space, samples, seed)
+    analysis = _Analysis(v_space)
     triple, _ = analysis.canonical()
     k = v_space.k
     cos2 = math.cos(triple.phi2)
@@ -400,58 +408,57 @@ def factorize(v_space: Subspace, samples: int = 400, seed: int = 0) -> list[Subs
     return out
 
 
-def type_of(v_space: Subspace, samples: int = 400, seed: int = 0) -> TypeSignature:
+def type_of(v_space: Subspace) -> TypeSignature:
     """The pair (l_plus, l_minus) of block-sign multiplicities.
 
     When phi3 = pi/2 the two signs coincide and the type is (l, 0) by
     convention; otherwise the counts are the kernel dimensions of
     Pbar1 Pbar2 -+ Pbar3 divided by four.
     """
-    return _Analysis(v_space, samples, seed).block_type()
+    return _Analysis(v_space).block_type()
 
 
-def is_protohomogeneous(v_space: Subspace, samples: int = 400, seed: int = 0) -> Verdict:
+def is_protohomogeneous(v_space: Subspace) -> Verdict:
     """Decide whether some connected group orbit fills the unit sphere of V.
 
     Constant angle settles every dimension except multiples of four greater
     than four, where the verdict is the block-type test; without a common
     canonical basis the subspace falls outside the classified families and
-    the verdict is unknown.
+    the verdict is unknown, as it is when constancy itself is undecided.
     """
-    return _Analysis(v_space, samples, seed).protohomogeneity()
+    return _Analysis(v_space).protohomogeneity()
 
 
-def branch_of_v3(
-    v_space: Subspace, base_points: int = 24, seed: int = 0, tol: float = 1e-8
-) -> int:
+def branch_of_v3(v_space: Subspace, tol: float = 1e-8) -> int:
     """The sign separating the two 3-dimensional classes at the same angle.
 
     Reconstructs the auxiliary vectors e_i = -(J_i Pbar_i e0 + cos(phi) e0)
     / sin(phi) at the 91 fixed base points of the sphere rule; their inner
     product equals cos(phi)/(cos(phi) + sign) and does not depend on the
-    base point.  ``base_points`` and ``seed`` no longer change the answer.
+    base point.
     """
-    return _Analysis(v_space, 300, seed).branch(tol)
+    return _Analysis(v_space).branch(tol)
 
 
-def are_equivalent(
-    v_space: Subspace, w_space: Subspace, samples: int = 400, seed: int = 0
-) -> Verdict:
+def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     """Decide congruence under the group from computable invariants.
 
     Dimension and the sorted angle triple are always compared; dimension 3
     additionally compares the branch sign (the classes merge at phi = pi/2),
     and dimensions 4l compare block types.  Constant-angle subspaces of
     dimension 4l without a common canonical basis are outside the classified
-    regime and yield unknown.
+    regime and yield unknown, and so does a side whose constancy is
+    undecided.
     """
     if v_space.n != w_space.n:
         return Verdict("no", "different ambient quaternionic dimensions")
     if v_space.k != w_space.k:
         return Verdict("no", "different dimensions")
-    side_v = _Analysis(v_space, samples, seed)
-    side_w = _Analysis(w_space, samples, seed + 1)
+    side_v, side_w = _Analysis(v_space), _Analysis(w_space)
     rep_v, rep_w = side_v.report, side_w.report
+    for report in (rep_v, rep_w):
+        if report.constant is None:
+            return Verdict("unknown", report.gate)
     if rep_v.constant != rep_w.constant:
         return Verdict("no", "constancy of the angle triple is an invariant")
     if not rep_v.constant:
@@ -790,18 +797,37 @@ def representative(
     return construct_classical("totally_real", k, n)
 
 
-def classify_subspace(v_space: Subspace, samples: int = 500, seed: int = 0) -> dict:
-    """Full classification record of a subspace (the `classify` CLI payload)."""
-    analysis = _Analysis(v_space, samples, seed)
+def _constancy_fields(report: ConstancyReport) -> dict:
+    """The constancy of a report as JSON fields, shared by every command that
+    reports it: ``constant`` is null when undecided, and ``constancy_gate``
+    then names the gates."""
+    fields = {"constant": report.constant, "spread": report.max_spread}
+    if report.constant is None:
+        fields["constancy_gate"] = report.gate
+    return fields
+
+
+def classify_subspace(v_space: Subspace) -> dict:
+    """Full classification record of a subspace (the `classify` CLI payload).
+
+    No seed and no sampling: ``constant`` is certified by the exact residual,
+    decided on the 91-point rule (dimension 3), witnessed "no" at points read
+    off W, or None (JSON null) when none of these decides.  An undecided
+    record carries the gate as ``constancy_gate`` and as the reason of an
+    unknown ``protohomogeneous``, and stops there.
+    """
+    analysis = _Analysis(v_space)
     report = analysis.report
     record: dict = {
         "n": v_space.n,
         "k": v_space.k,
         "triple": list(report.triple.as_tuple()),
         "cosines": report.triple.cosines().tolist(),
-        "constant": report.constant,
-        "spread": report.max_spread,
+        **_constancy_fields(report),
     }
+    if report.constant is None:
+        record["protohomogeneous"] = {"value": "unknown", "reason": report.gate}
+        return record
     if not report.constant:
         record["protohomogeneous"] = {
             "value": "no",

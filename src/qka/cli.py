@@ -1,7 +1,8 @@
 """Command-line front end: construct, analyze, classify, enumerate, self-test.
 
 Exit codes: 0 success, 2 user or parameter error, 3 internal numerical
-failure.  The environment variable QKA_SEED provides the default seed.
+failure.  The environment variable QKA_SEED provides the default seed of
+`selftest` and the seed `construct` records; no verdict reads a seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ import math
 import os
 import sys
 
-from .classify import _Analysis, classify_subspace, moduli_describe, moduli_membership, snapped
+from .classify import (
+    _Analysis,
+    _constancy_fields,
+    classify_subspace,
+    moduli_describe,
+    moduli_membership,
+    snapped,
+)
 from .families import CLASSICAL_FAMILIES, FamilySpec, construct
 from .serialize import load_subspace, save_subspace
 from .subspace import AngleTriple, NumericalFailure
@@ -20,11 +28,12 @@ from .subspace import AngleTriple, NumericalFailure
 __all__ = ["main"]
 
 _FAMILIES = CLASSICAL_FAMILIES + ("v3", "v4", "sum")
+_UNUSED = "validated but unused: no verdict samples"
 
 
 def _seed(args) -> int:
-    """--seed, else QKA_SEED (0 when unset or empty); read only by commands
-    that sample, so a malformed QKA_SEED stops no other command."""
+    """--seed, else QKA_SEED (0 when unset or empty); read only by `construct`
+    and `selftest`, so a malformed QKA_SEED stops no other command."""
     if args.seed is not None:
         return args.seed
     raw = os.environ.get("QKA_SEED") or "0"
@@ -100,7 +109,7 @@ def _cmd_construct(args) -> int:
     space = construct(spec)
     seed = _seed(args)
     # The same analysis as `angles` and `classify`, so all three report one spread.
-    report = _Analysis(space, args.samples, seed).report
+    report = _Analysis(space).report
     triple = snapped(report.triple)
     meta = {
         "family": spec.family,
@@ -119,8 +128,7 @@ def _cmd_construct(args) -> int:
         "k": space.k,
         "triple": list(report.triple.as_tuple()),
         "cosines": triple.cosines().tolist(),
-        "constant": report.constant,
-        "spread": report.max_spread,
+        **_constancy_fields(report),
         "meta": meta,
     })
     return 0
@@ -129,15 +137,14 @@ def _cmd_construct(args) -> int:
 def _cmd_angles(args) -> int:
     space, _ = load_subspace(args.path)
     # The same analysis as `classify`, so both report one joint residual.
-    analysis = _Analysis(space, args.samples, _seed(args))
+    analysis = _Analysis(space)
     report = analysis.report
     _emit({
         "n": space.n,
         "k": space.k,
         "triple": list(report.triple.as_tuple()),
         "cosines": report.triple.cosines().tolist(),
-        "spread": report.max_spread,
-        "constant": report.constant,
+        **_constancy_fields(report),
         "samples": report.samples,
         "joint_residual": analysis.exact.residual,
     })
@@ -146,7 +153,7 @@ def _cmd_angles(args) -> int:
 
 def _cmd_classify(args) -> int:
     space, _ = load_subspace(args.path)
-    _emit(classify_subspace(space, samples=args.samples, seed=_seed(args)))
+    _emit(classify_subspace(space))
     return 0
 
 
@@ -209,20 +216,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lplus", type=int, default=0, help="plus blocks in a sum")
     p.add_argument("--lminus", type=int, default=0, help="minus blocks in a sum")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--samples", type=_int_at_least(2), default=300)
-    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--samples", type=_int_at_least(2), default=300, help=_UNUSED)
+    p.add_argument("--seed", type=_int_at_least(0), help="recorded in meta.seed only")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("angles", help="angle triple and constancy report of a file")
     p.add_argument("path")
-    p.add_argument("--samples", type=_int_at_least(2), default=500)
-    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--samples", type=_int_at_least(2), default=500, help=_UNUSED)
+    p.add_argument("--seed", type=_int_at_least(0), help=_UNUSED)
     p.set_defaults(func=_cmd_angles)
 
     p = sub.add_parser("classify", help="full classification record of a file")
     p.add_argument("path")
-    p.add_argument("--samples", type=_int_at_least(2), default=500)
-    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--samples", type=_int_at_least(2), default=500, help=_UNUSED)
+    p.add_argument("--seed", type=_int_at_least(0), help=_UNUSED)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("moduli", help="stratification of the (k, n) moduli space")

@@ -279,18 +279,18 @@ def crit_type_proto(quick: bool, seed: int) -> tuple[bool, str]:
                 continue
             space = construct_sum(triple, p, q, n)
             tested += 1
-            t = type_of(space, seed=seed)
+            t = type_of(space)
             if t.as_tuple() != (p, q):
                 failures.append(f"type({p},{q})->{t.as_tuple()}")
                 continue
-            verdict = is_protohomogeneous(space, seed=seed)
+            verdict = is_protohomogeneous(space)
             expected = "yes" if (p == 0 or q == 0) else "no"
             if verdict.value != expected:
                 failures.append(f"proto({p},{q})={verdict.value}")
     witness_ok = True
     try:
         space = construct_sum(t13, 1, 1, 7)
-        if is_protohomogeneous(space, seed=seed).value != "no":
+        if is_protohomogeneous(space).value != "no":
             witness_ok = False
     except ValueError:
         witness_ok = False
@@ -320,7 +320,7 @@ def crit_inequivalence(quick: bool, seed: int) -> tuple[bool, str]:
         count += 1
         vp = construct_v4(triple, 1, 4)
         vm = construct_v4(triple, -1, 4)
-        verdict = are_equivalent(vp, vm, seed=seed)
+        verdict = are_equivalent(vp, vm)
         if verdict.value != "no":
             failures.append(f"interior {np.round(x, 3)} -> {verdict.value}")
     for x in [(0.6, 0.35), (0.4, 0.3)]:
@@ -329,18 +329,17 @@ def crit_inequivalence(quick: bool, seed: int) -> tuple[bool, str]:
         _, rank = admissible(triple, -1)
         left = _psd_cholesky(gram_matrix(triple, -1), rank)
         vm = _place([_tilted_block(triple.as_tuple(), left)], "the minus block", 4)
-        verdict = are_equivalent(vp, vm, seed=seed)
+        verdict = are_equivalent(vp, vm)
         if verdict.value != "yes":
             failures.append(f"pi/2 merge {x} -> {verdict.value}")
     for phi in np.linspace(math.pi / 3, HALF_PI - 0.03, 3 if quick else 6):
         plus = construct_v3(float(phi), 1, 3)
         minus = construct_v3(float(phi), -1, 3)
-        if branch_of_v3(plus, seed=seed) != 1 or branch_of_v3(minus, seed=seed) != -1:
+        if branch_of_v3(plus) != 1 or branch_of_v3(minus) != -1:
             failures.append(f"branch at phi={phi:.3f}")
-        if are_equivalent(plus, minus, seed=seed).value != "no":
+        if are_equivalent(plus, minus).value != "no":
             failures.append(f"v3 classes equivalent at phi={phi:.3f}")
-    merged = are_equivalent(construct_v3(HALF_PI, 1, 3), construct_v3(HALF_PI, -1, 3),
-                            seed=seed)
+    merged = are_equivalent(construct_v3(HALF_PI, 1, 3), construct_v3(HALF_PI, -1, 3))
     if merged.value != "yes":
         failures.append("v3 classes fail to merge at pi/2")
     return not failures, (f"{n_interior} interior triples, merge cases checked"
@@ -418,7 +417,7 @@ def crit_moduli_table(quick: bool, seed: int) -> tuple[bool, str]:
                     if hit.stratum.name != name:
                         continue
                     rep = representative(k, n, triple, hit.branch)
-                    record = classify_subspace(rep, samples=300, seed=seed)
+                    record = classify_subspace(rep)
                     trips += 1
                     got = snapped(AngleTriple(*record["triple"]))
                     if _cos2_match(got, snapped(triple)) > 1e-8:
@@ -524,7 +523,7 @@ def crit_factorization(quick: bool, seed: int) -> tuple[bool, str]:
     failures = []
     for triple, p, q, n in cases:
         space = construct_sum(triple, p, q, n)
-        blocks = factorize(space, seed=seed)
+        blocks = factorize(space)
         label = f"({p},{q})@n={n}"
         if len(blocks) != p + q or any(b.k != 4 for b in blocks):
             failures.append(f"{label}: wrong block count")

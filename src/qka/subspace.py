@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .quaternion import (
-    _STANDARD_BLOCKS,
     STANDARD_BASIS,
     CanonicalBasis,
     GroupElement,
@@ -97,12 +96,19 @@ class AngleTriple:
 @dataclass(frozen=True)
 class ConstancyReport:
     """The Kahler angle spectrum over the unit sphere: its triple, its largest
-    spread and the number of points it was read at (0 for the exact bound)."""
+    spread and the number of points it was read at (0 for the exact bound).
+
+    ``constant`` is True or False when the spread decides, and None when
+    nothing does (no certificate and no witness); ``gate`` then names the
+    gates that left it undecided, and ``max_spread`` is the largest spread
+    seen, a lower bound only.
+    """
 
     triple: AngleTriple
     max_spread: float
     samples: int
-    constant: bool
+    constant: bool | None
+    gate: str = ""
 
 
 class Subspace:
@@ -190,31 +196,15 @@ def p_operator(v_space: Subspace, i: int, basis: CanonicalBasis = STANDARD_BASIS
     return v_space.projector() @ jmat
 
 
-def _restricted_structure(
-    v_space: Subspace, basis: CanonicalBasis = STANDARD_BASIS
-) -> np.ndarray:
-    """The restricted structure W_i = B^T J_i B of V, shaped (3, k, k).
-
-    With B the basis of V, P_i v in V coordinates is W_i c for v = B c, and
-    |P_i v| = |W_i c| because B has orthonormal columns.  All three J_i B
-    come from one einsum over the per-slot 4x4 blocks of the triple.  It
-    serves the sampled and reference paths in any canonical basis; the exact
-    analysis builds W from the slot cross-Grams (`_slot_structure`).
-    """
-    b = v_space.basis
-    n, k = v_space.n, v_space.k
-    blocks = (basis.rotation @ _STANDARD_BLOCKS.reshape(3, 16)).reshape(3, 4, 4)
-    jb = np.einsum("aij,njm->anim", blocks, b.reshape(n, 4, k)).reshape(3, 4 * n, k)
-    return b.T @ jb
-
-
 def _omega_batch(v_space: Subspace, coeffs: np.ndarray, basis: CanonicalBasis) -> np.ndarray:
     """Omega matrices for vectors B @ coeffs, returned as (m, 3, 3).
 
-    Omega(v)_ij = (W_i c) . (W_j c) for v = B c, so it needs no product in
-    R^{4n} per sample.
+    Omega(v)_ij = (W'_i c) . (W'_j c) for v = B c, with W'_a = sum_b R_ab W_b
+    the restricted structure in the canonical basis R (W from
+    `_slot_structure`), so it needs no product in R^{4n} per sample.
     """
-    w = _restricted_structure(v_space, basis) @ coeffs  # (3, k, m)
+    k = v_space.k
+    w = (basis.rotation @ _slot_structure(v_space).reshape(3, -1)).reshape(3, k, k) @ coeffs
     wt = w.transpose(2, 0, 1)  # (m, 3, k)
     return wt @ wt.transpose(0, 2, 1)
 
@@ -423,6 +413,8 @@ def constancy_check(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     coeffs = _sample_coeffs(v_space.k, samples, rng)
     oms = _omega_batch(v_space, coeffs, STANDARD_BASIS)
@@ -436,6 +428,40 @@ def _spectrum_report(lams: np.ndarray, tol: float = CONSTANCY_TOL) -> ConstancyR
     triple = AngleTriple.from_cos2_eigenvalues(lams[0, ::-1])
     return ConstancyReport(triple=triple, max_spread=spread, samples=len(lams),
                            constant=spread <= tol)
+
+
+def _witness_report(exact: _ExactStructure, tol: float = CONSTANCY_TOL) -> ConstancyReport:
+    """Constancy from W alone: a witnessed "no", otherwise unknown.
+
+    tr Omega(B x) = sum_a |W_a x|^2 = x^T M x with M = sum_a W_a^T W_a, so
+    the unit eigenvectors of M are the critical points of the trace of Omega
+    on the unit sphere of V, its extremes among them; where the trace varies
+    they differ by the spread of M's eigenvalues.  Omega is read at the k
+    eigenvectors (one eigh of M, one batched eigh of Omega).  When they do
+    not spread, as where M is a multiple of I and its eigenvectors are any
+    orthonormal basis (on a sum of two v3 in a basis along the summands,
+    each lies in one summand), it is read again with the k (k - 1) / 2
+    normalized sums of two of them added.  A sorted spread beyond ``tol``
+    between real unit vectors of V proves that the angle is not constant,
+    with no seed involved.  No such spread proves nothing: ``constant`` is
+    then None, and ``gate`` says that neither this witness nor the exact
+    bound 2 * residual decided.
+    """
+    w = exact.w
+    k = w.shape[-1]
+    stacked = w.reshape(3 * k, k)  # [W_1; W_2; W_3], so M = stacked^T stacked
+    points = np.linalg.eigh(stacked.T @ stacked)[1].T
+    report = _spectrum_report(_omega_spectra(w, points).lams, tol)
+    if report.constant:
+        i, j = np.triu_indices(k, 1)
+        points = np.concatenate([points, (points[i] + points[j]) / math.sqrt(2.0)])
+        report = _spectrum_report(_omega_spectra(w, points).lams, tol)
+    if not report.constant:
+        return report
+    gate = (f"constancy undecided: the sorted Omega spectra at {report.samples} witness "
+            f"points spread {report.max_spread:.2e} <= CONSTANCY_TOL {tol:.0e}, and "
+            f"2 * residual {2.0 * exact.residual:.2e} > CONSTANCY_TOL certifies nothing")
+    return replace(report, constant=None, gate=gate)
 
 
 def _joint_offdiag_mass(mats: np.ndarray) -> float:
@@ -545,7 +571,7 @@ def distribution_rank(v_space: Subspace, samples: int = 24, seed: int = 0) -> in
     """
     rng = np.random.default_rng(seed)
     coeffs = _sample_coeffs(v_space.k, samples, rng)
-    cols = np.einsum("apq,qm->mpa", _restricted_structure(v_space), coeffs)
+    cols = np.einsum("apq,qm->mpa", _slot_structure(v_space), coeffs)
     sv = np.linalg.svd(cols, compute_uv=False)  # (samples, min(k, 3)), descending
     per_sample = np.sum(sv > RANK_RTOL * np.maximum(sv[:, :1], 1.0), axis=1)
     ranks = sorted(set(per_sample.tolist()))

@@ -1,5 +1,6 @@
 """Tests for factorization, type detection, equivalence, and the moduli table."""
 
+import json
 import math
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import qka.classify
 from qka.classify import (
     TypeSignature,
+    Verdict,
     are_equivalent,
     branch_of_v3,
     classify_subspace,
@@ -35,12 +37,15 @@ from qka.families import (
 )
 from qka.quaternion import HVector, random_group_element
 from qka.subspace import (
+    CONSTANCY_TOL,
     AngleTriple,
+    ConstancyReport,
     NumericalFailure,
     Subspace,
     _exact_structure,
     _omega_spectra,
     _sphere_rule,
+    _witness_report,
     constancy_check,
     from_spanning,
     is_h_orthogonal,
@@ -56,6 +61,12 @@ TA = AngleTriple.from_cosines([0.5, 0.25, 0.12])
 
 def rotated(space, seed):
     return space.transformed(random_group_element(space.n, seed))
+
+
+def moved(space, seed):
+    """The subspace moved by a group element, in another orthonormal basis."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((space.k, space.k)))[0]
+    return Subspace(rotated(space, seed).basis @ q)
 
 
 class TestFactorize:
@@ -198,7 +209,7 @@ class TestBranch:
 
     def test_invariant_across_base_points(self):
         # the branch functional must not depend on the base point
-        branch_of_v3(construct_v3(1.25, -1, 3), base_points=200, tol=1e-9)
+        branch_of_v3(construct_v3(1.25, -1, 3), tol=1e-9)
 
     def test_invariant_at_random_base_points(self):
         # Off the rule points too: 200 random unit points agree within 1e-9.
@@ -233,14 +244,15 @@ class TestBranch:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rotated_branches_across_seeds(self, seed):
+        # The seed picks the group elements and the basis changes only.
         for phi in (math.pi / 3, 1.2, 1.45):
-            spaces = {sign: rotated(construct_v3(phi, sign, 3), 10 * seed + 2 + sign)
+            spaces = {sign: moved(construct_v3(phi, sign, 3), 10 * seed + 2 + sign)
                       for sign in (1, -1)}
             for sign, space in spaces.items():
-                assert classify_subspace(space, seed=seed)["branch"] == sign
-                twin = rotated(construct_v3(phi, sign, 3), 10 * seed + 5)
-                assert are_equivalent(space, twin, seed=seed).value == "yes"
-            assert are_equivalent(spaces[1], spaces[-1], seed=seed).value == "no"
+                assert classify_subspace(space)["branch"] == sign
+                twin = moved(construct_v3(phi, sign, 3), 10 * seed + 5)
+                assert are_equivalent(space, twin).value == "yes"
+            assert are_equivalent(spaces[1], spaces[-1]).value == "no"
 
 
 class TestEquivalence:
@@ -591,12 +603,12 @@ class TestAnalysisOnce:
         assert analysis_calls == Counter({("_exact_structure", id(a)): 1,
                                           ("_exact_structure", id(b)): 1})
 
-    def test_random_subspace_samples_once(self, analysis_calls):
+    def test_random_subspace_reads_exact_structure_once(self, analysis_calls):
+        # The "no" is witnessed at points read off W: no sampling at all.
         rng = np.random.default_rng(11)
         space = from_spanning([HVector(rng.standard_normal(24)) for _ in range(4)])
         assert classify_subspace(space)["constant"] is False
-        assert analysis_calls == Counter({("_exact_structure", id(space)): 1,
-                                          ("constancy_check", id(space)): 1})
+        assert analysis_calls == Counter({("_exact_structure", id(space)): 1})
 
 
 def _svd_kernel_split(p1, p2, p3):
@@ -616,7 +628,7 @@ class TestKernelSplit:
         l = k // 4
         for l_plus in sorted({1, l // 2, l - 1}):
             space = rotated(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
-            p1, p2, p3 = _Analysis(space, 500, 0).pbars
+            p1, p2, p3 = _Analysis(space).pbars
             got = _kernel_split(p1, p2, p3, k)
             want = _svd_kernel_split(p1, p2, p3)
             assert [g.shape[1] for g in got] == [4 * l_plus, 4 * (l - l_plus)]
@@ -626,7 +638,7 @@ class TestKernelSplit:
 
     def test_non_symmetric_product_rejected(self):
         space = rotated(construct_sum(TA, 1, 1, 8), 3)
-        p1, p2, _ = _Analysis(space, 500, 0).pbars
+        p1, p2, _ = _Analysis(space).pbars
         # Pbar1^T Pbar1 Pbar2 = Pbar2 is antisymmetric: no sign split exists.
         with pytest.raises(NumericalFailure, match="not symmetric"):
             _kernel_split(p1, p2, p1, 8)
@@ -637,7 +649,7 @@ class TestKernelSplit:
         l = k // 4
         for l_plus in sorted({0, 1, l // 2, l - 1, l}):
             space = rotated(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
-            analysis = _Analysis(space, 500, 0)
+            analysis = _Analysis(space)
             kplus, kminus = _kernel_split(*analysis.pbars, k)
             assert analysis.block_type().as_tuple() == (kplus.shape[1] // 4,
                                                         kminus.shape[1] // 4)
@@ -645,7 +657,7 @@ class TestKernelSplit:
 
     def test_eigenvalue_type_refuses_non_symmetric_product(self):
         space = rotated(construct_sum(TA, 1, 1, 8), 3)
-        analysis = _Analysis(space, 500, 0)
+        analysis = _Analysis(space)
         p1, p2, _ = analysis.pbars
         with pytest.raises(NumericalFailure) as split:
             _kernel_split(p1, p2, p1, 8)
@@ -676,7 +688,7 @@ PROPERTY_CASES = [
 def _invariant_part(record):
     return (record["constant"], record.get("type"), record.get("branch"),
             record["protohomogeneous"]["value"],
-            [(s["name"], s.get("branch")) for s in record["strata"]])
+            [(s["name"], s.get("branch")) for s in record.get("strata", [])])
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -693,8 +705,9 @@ def test_record_invariant_under_group_and_basis_change(case, group_seed, basis_s
         snapped(AngleTriple(*base["triple"])).cosines(), abs=1e-9)
 
 
-# Declared answers for fixed inputs at fixed sampling seeds: type,
-# protohomogeneity, strata (with branches) and the 3-dimensional branch.
+# Declared answers for fixed inputs, each also moved by the group and a
+# change of basis picked by a fixed seed: type, protohomogeneity, strata
+# (with branches) and the 3-dimensional branch.
 TWO_CLASS = [("two_class_region", 1), ("two_class_region", -1)]
 RECORD_CASES = [
     ("sum8_mixed", lambda: rotated(construct_sum(TA, 1, 1, 8), 3),
@@ -722,7 +735,8 @@ RECORD_CASES = [
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("name,build,expected", RECORD_CASES, ids=[c[0] for c in RECORD_CASES])
 def test_classify_record_on_fixed_seeds(name, build, expected, seed):
-    record = classify_subspace(build(), seed=seed)
+    space = build()
+    record = classify_subspace(moved(space, seed) if seed else space)
     assert record["protohomogeneous"]["value"] == expected["proto"]
     assert record.get("type") == expected.get("type")
     assert "branch" not in expected or record["branch"] == expected["branch"]
@@ -745,19 +759,27 @@ class TestSeedFreeDimension3:
     @pytest.mark.parametrize("name,build", SEED_FREE_CASES,
                              ids=[c[0] for c in SEED_FREE_CASES])
     def test_record_identical_for_every_seed(self, name, build):
+        # Repeated calls agree exactly; the group and a change of basis, at
+        # ten seeds, move no part of the record that is invariant.
         space = build()
-        records = [classify_subspace(space, seed=seed) for seed in range(10)]
-        assert all(r == records[0] for r in records)
-        assert records[0]["constant"] is (name != "random_plane")
+        record = classify_subspace(space)
+        assert classify_subspace(space) == record
+        assert record["constant"] is (name != "random_plane")
+        for seed in range(10):
+            other = classify_subspace(moved(space, seed))
+            assert _invariant_part(other) == _invariant_part(record)
+            if record["constant"]:
+                assert snapped(AngleTriple(*other["triple"])).cosines() == pytest.approx(
+                    snapped(AngleTriple(*record["triple"])).cosines(), abs=1e-9)
 
     def test_equivalence_identical_for_every_seed(self):
         for phi in (math.pi / 3, 1.2, 1.45):
             plus = rotated(construct_v3(phi, 1, 3), 1)
-            minus = rotated(construct_v3(phi, -1, 3), 2)
-            twin = rotated(construct_v3(phi, 1, 3), 3)
             for seed in range(10):
-                assert are_equivalent(plus, twin, seed=seed).value == "yes"
-                assert are_equivalent(plus, minus, seed=seed).value == "no"
+                twin = moved(construct_v3(phi, 1, 3), seed + 3)
+                minus = moved(construct_v3(phi, -1, 3), seed + 2)
+                assert are_equivalent(plus, twin).value == "yes"
+                assert are_equivalent(plus, minus).value == "no"
 
     def test_no_random_generator_on_verdict_paths(self, monkeypatch):
         spaces = [build() for _, build in SEED_FREE_CASES]
@@ -772,3 +794,128 @@ class TestSeedFreeDimension3:
             is_protohomogeneous(space)
         assert branch_of_v3(v3_pair[0]) == 1 and branch_of_v3(v3_pair[1]) == -1
         assert are_equivalent(*v3_pair).value == "no"
+
+
+def _random_subspace(rng, k, n):
+    return Subspace(np.linalg.qr(rng.standard_normal((4 * n, k)))[0])
+
+
+def _h_orthogonal_sum(a, b):
+    """a + b on the first a.n and the last b.n quaternionic slots of H^(a.n + b.n)."""
+    basis = np.zeros((4 * (a.n + b.n), a.k + b.k))
+    basis[:4 * a.n, :a.k] = a.basis
+    basis[4 * a.n:, a.k:] = b.basis
+    return Subspace(basis)
+
+
+UNKNOWN_GATE = "constancy undecided (test gate)"
+
+
+def _unknown(analysis):
+    return ConstancyReport(triple=analysis.exact.triple, max_spread=0.0,
+                           samples=analysis.space.k, constant=None, gate=UNKNOWN_GATE)
+
+
+class TestWitnessedConstancy:
+    def test_random_subspaces_witnessed_no(self):
+        # k = 4..12 in H^n, n <= 16, avoiding k = 4n (certified constant).
+        rng = np.random.default_rng(2024)
+        for k in range(4, 13):
+            for n in rng.choice(np.arange(k // 4 + 1, 17), size=3, replace=False):
+                space = _random_subspace(rng, k, int(n))
+                report = _Analysis(space).report
+                assert report.constant is False and report.gate == ""
+                assert report.max_spread > CONSTANCY_TOL
+                assert report.samples == k
+                assert classify_subspace(space)["constant"] is False
+                assert is_protohomogeneous(space).value == "no"
+
+    @pytest.mark.parametrize("phi", [1.1, 1.3, 1.55])
+    def test_sums_of_two_v3_witnessed_no(self, phi):
+        # tr Omega is constant on these sums, so M is a multiple of I and its
+        # eigenvectors are any basis: unmoved, they lie in the two summands
+        # and only the sums of two points spread.
+        for s, t in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+            space = _h_orthogonal_sum(construct_v3(phi, s, 3), construct_v3(phi, t, 3))
+            report = _Analysis(space).report
+            assert report.constant is False and report.samples == 6 + 15
+            for seed in range(3):
+                other = rotated(space, 100 * seed + 7)
+                assert _Analysis(other).report.constant is False
+                assert classify_subspace(moved(space, seed))["constant"] is False
+                assert is_protohomogeneous(other).value == "no"
+                assert are_equivalent(space, other).value == "unknown"
+
+    def test_constant_without_certificate_is_unknown(self):
+        exact = _exact_structure(construct_v3(1.2, 1, 3))
+        assert 2 * exact.residual == pytest.approx(0.59, abs=0.01)
+        report = _witness_report(exact)
+        assert report.constant is None
+        assert report.max_spread <= CONSTANCY_TOL and report.samples == 3 + 3
+        assert "CONSTANCY_TOL" in report.gate and "2 * residual" in report.gate
+
+    def test_every_consumer_keeps_unknown(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        noisy = _random_subspace(rng, 8, 8)
+        certified = rotated(construct_sum(TA, 1, 1, 8), 2)
+        assert _Analysis(noisy).report.constant is False
+        decided = _Analysis.__dict__["report"].func
+        monkeypatch.setattr(_Analysis, "report", property(
+            lambda self: _unknown(self) if self.space is noisy else decided(self)))
+        record = classify_subspace(noisy)
+        assert record["constant"] is None and '"constant": null' in json.dumps(record)
+        assert record["constancy_gate"] == UNKNOWN_GATE
+        assert record["protohomogeneous"] == {"value": "unknown", "reason": UNKNOWN_GATE}
+        assert is_protohomogeneous(noisy) == Verdict("unknown", UNKNOWN_GATE)
+        # Neither a wrong "no" from unequal constancy nor from "not constant".
+        for pair in ((noisy, certified), (certified, noisy), (noisy, noisy)):
+            assert are_equivalent(*pair) == Verdict("unknown", UNKNOWN_GATE)
+        for decision in (type_of, factorize):
+            with pytest.raises(NumericalFailure, match="test gate"):
+                decision(noisy)
+        assert type_of(certified).as_tuple() == (1, 1)
+
+    def test_branch_and_cli_keep_unknown(self, monkeypatch, tmp_path, capsys):
+        from qka.cli import main
+        from qka.serialize import save_subspace
+
+        monkeypatch.setattr(_Analysis, "report", property(_unknown))
+        with pytest.raises(NumericalFailure, match="test gate"):
+            branch_of_v3(construct_v3(1.2, -1, 3))
+        path = tmp_path / "v3.json"
+        save_subspace(path, construct_v3(1.2, -1, 3))
+        out = tmp_path / "vm.json"
+        for argv in (["angles", str(path)], ["classify", str(path)],
+                     ["construct", "--family", "v4", "--cos", "0.3", "0.3", "0.3",
+                      "--sign", "-", "--n", "4", "--out", str(out)]):
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["constant"] is None
+            assert payload["constancy_gate"] == UNKNOWN_GATE
+
+
+def test_no_random_generator_on_any_verdict_path(monkeypatch):
+    rng = np.random.default_rng(12)
+    inputs = [
+        _random_subspace(rng, 5, 4), _random_subspace(rng, 8, 6),
+        rotated(construct_v3(1.2, -1, 3), 1),
+        rotated(construct_v4(T03, -1, 4), 2),
+        rotated(construct_sum(TA, 1, 2, 12), 3),
+        _h_orthogonal_sum(construct_v3(1.3, 1, 3), construct_v3(1.3, -1, 3)),
+        rotated(construct_classical("quaternionic", 8, 4), 4),
+        rotated(construct_classical("cka_plane_sum", 4, 4, phi=0.8), 5),
+        rotated(construct_classical("totally_complex", 6, 4), 6),
+    ]
+    expected = [(classify_subspace(v), is_protohomogeneous(v)) for v in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for space, (record, verdict) in zip(inputs, expected):
+        assert classify_subspace(space) == record
+        assert is_protohomogeneous(space) == verdict
+        assert are_equivalent(space, space).value != "no"
+        if space.k % 4 == 0 and record["constant"]:
+            assert list(type_of(space).as_tuple()) == record["type"]
+            assert len(factorize(space)) == space.k // 4

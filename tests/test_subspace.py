@@ -23,7 +23,6 @@ from qka.subspace import (
     _jacobi_joint_diagonalize,
     _omega_batch,
     _omega_spectra,
-    _restricted_structure,
     _slot_structure,
     _spectrum_report,
     _sphere_rule,
@@ -235,6 +234,10 @@ class TestConstancy:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             constancy_check(quaternionic_line(), samples=1)
+
+    def test_negative_seed_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            constancy_check(quaternionic_line(), seed=-1)
 
 
 class TestJointBasis:
@@ -460,31 +463,25 @@ class TestSphereRule:
         assert report.max_spread >= 0.5 * constancy_check(plane, 2000, 0).max_spread
 
 
-class TestRestrictedStructure:
-    @pytest.mark.parametrize("n,k", [(1, 3), (3, 3), (4, 16), (16, 64)])
-    def test_bit_identical_to_apply(self, n, k):
-        # One einsum for all three J_i B gives exactly the three applies.
-        rng = np.random.default_rng(k)
-        space = Subspace(np.linalg.qr(rng.standard_normal((4 * n, k)))[0])
-        rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        rotation *= np.sign(np.linalg.det(rotation))
-        b = space.basis
-        for basis in (STANDARD_BASIS, CanonicalBasis(rotation)):
-            reference = np.stack([b.T @ basis.apply(i, b) for i in (1, 2, 3)])
-            assert np.array_equal(_restricted_structure(space, basis), reference)
-
-
 class TestSlotStructure:
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (1, 4), (2, 1), (2, 8), (3, 3),
                                      (4, 16), (5, 7), (16, 64), (64, 64)])
     def test_matches_restricted_structure(self, n, k):
-        # The slot cross-Grams give B^T J B, exactly antisymmetric.
+        # The slot cross-Grams give B^T J B, exactly antisymmetric; rotated by
+        # R they give B^T J' B in the canonical basis R, as `_omega_batch`
+        # reads it.  Reference: the three applies of each basis.
         rng = np.random.default_rng(100 * n + k)
         space = Subspace(np.linalg.qr(rng.standard_normal((4 * n, k)))[0])
         w = _slot_structure(space)
         assert w.shape == (3, k, k)
         assert np.array_equal(w, -w.transpose(0, 2, 1))
-        assert np.max(np.abs(w - _restricted_structure(space))) <= 1e-14
+        rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        rotation *= np.sign(np.linalg.det(rotation))
+        b = space.basis
+        for basis in (STANDARD_BASIS, CanonicalBasis(rotation)):
+            reference = np.stack([b.T @ basis.apply(i, b) for i in (1, 2, 3)])
+            got = (basis.rotation @ w.reshape(3, -1)).reshape(3, k, k)
+            assert np.max(np.abs(got - reference)) <= 1e-14
 
     def test_exact_structure_memory_stays_small(self):
         # Building every J_a B (a 3 x 4n x k array) and the (3, 3, k, k)
