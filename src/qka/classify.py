@@ -27,14 +27,15 @@ from .families import (
 )
 from .quaternion import CanonicalBasis
 from .subspace import (
+    COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
     AngleTriple,
     ConstancyReport,
     NumericalFailure,
     Subspace,
-    _complex_structure,
     _exact_structure,
     _ExactStructure,
+    _NOT_COMPLEX_STRUCTURE,
     _omega_spectra,
     _OmegaSpectra,
     _spectrum_report,
@@ -243,8 +244,20 @@ class _Analysis:
 
     def pbar(self, i: int, phi: float) -> np.ndarray:
         """Pbar_i = W'_i / cos(phi_i) in V coordinates, checked to be an
-        orthogonal complex structure; needs the common canonical basis."""
-        return _complex_structure(self.exact.w_canonical[i - 1] / math.cos(phi))
+        orthogonal complex structure; needs the common canonical basis.
+
+        The check reads the residual's own product W'_i^T W'_i: it refuses
+        when (u_i + |c_i - cos(phi)^2|) / cos(phi)^2 exceeds
+        COMPLEX_STRUCTURE_TOL (`_ExactStructure.pbar_gap`).  That bound is
+        never below the largest entry of Pbar^T Pbar - I = -(Pbar^2 + I)
+        beyond round-off, so it refuses whatever the direct check
+        (`subspace._complex_structure`) refuses, and at the true angle the
+        two agree to round-off.
+        """
+        exact = self.exact
+        if exact.pbar_gap(i, phi) > COMPLEX_STRUCTURE_TOL:
+            raise NumericalFailure(_NOT_COMPLEX_STRUCTURE)
+        return exact.w_canonical[i - 1] / math.cos(phi)
 
     @cached_property
     def pbars(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

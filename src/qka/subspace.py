@@ -45,6 +45,13 @@ ORTHONORMALITY_TOL = 1e-10
 MEMBERSHIP_RTOL = 1e-9
 CONSTANCY_TOL = 1e-8
 RANK_RTOL = 1e-8
+# Largest entry of Pbar^T Pbar - I (and of Pbar^2 + I) accepted for Pbar_i to
+# be an orthogonal complex structure on V.
+COMPLEX_STRUCTURE_TOL = 1e-9
+_NOT_COMPLEX_STRUCTURE = (
+    "restriction of pbar is not an orthogonal complex structure "
+    "(subspace not invariant at this angle)"
+)
 
 
 class NumericalFailure(RuntimeError):
@@ -249,6 +256,9 @@ class _ExactStructure:
     spectrum stays within residual of c and 2 * residual is a proven bound
     on its spread over the whole sphere.  The residual vanishes exactly when
     R is a common canonical basis.
+
+    ``square_gap`` holds u_a = max|W'_a^T W'_a - c_a I|, the largest entry of
+    the diagonal term of the residual, from which `pbar_gap` gates Pbar_a.
     """
 
     basis: CanonicalBasis  # R, row a holding J'_a in the standard triple
@@ -256,10 +266,25 @@ class _ExactStructure:
     w: np.ndarray  # (3, k, k) W_a in the standard triple
     w_canonical: np.ndarray  # (3, k, k) W'_a
     residual: float
+    square_gap: np.ndarray  # (3,) u_a
 
     @property
     def triple(self) -> AngleTriple:
         return AngleTriple.from_cos2_eigenvalues(self.cos2)
+
+    def pbar_gap(self, i: int, phi: float) -> float:
+        """A bound on the complex-structure deviation of Pbar_i = W'_i / cos(phi).
+
+        With c = cos(phi)^2, Pbar_i^T Pbar_i - I = (W'_i^T W'_i - c_i I +
+        (c_i - c) I) / c, so by the triangle inequality its largest entry is
+        at most (u_i + |c_i - c|) / c, the value returned.  At the true angle
+        (c = c_i) the two agree to round-off; at a wrong one the diagonal
+        carries |c_i - c| / c, so both refuse.  W'_i is antisymmetric, so
+        Pbar_i^2 + I = -(Pbar_i^T Pbar_i - I) and the same value gates
+        Pbar_i^2 = -I.
+        """
+        c = math.cos(phi) ** 2
+        return float((self.square_gap[i - 1] + abs(self.cos2[i - 1] - c)) / c)
 
 
 def _slot_structure(v_space: Subspace) -> np.ndarray:
@@ -292,7 +317,12 @@ def _exact_structure(v_space: Subspace) -> _ExactStructure:
 
     The residual is summed over the pairs a <= b from k x k products only:
     ||W'_a^T W'_a - c_a I||^2, plus 2 ||sym(W'_a^T W'_b)||^2 for a < b (the
-    (b, a) term is its transpose).
+    (b, a) term is its transpose).  The largest entry of each diagonal term
+    is kept as ``square_gap``.  W'_a is antisymmetric, to the bit: the
+    rotation sums each entry and its mirror alike from the exactly
+    antisymmetric W_b (the tests pin this).  So that one product gates both
+    Pbar_a^T Pbar_a = I and Pbar_a^2 = -I, and the analysis forms neither
+    again.
     """
     k = v_space.k
     w = _slot_structure(v_space)
@@ -302,17 +332,18 @@ def _exact_structure(v_space: Subspace) -> _ExactStructure:
     basis = _basis_from_columns(vecs)
     wc = (basis.rotation @ flat).reshape(3, k, k)
     wct = wc.transpose(0, 2, 1)
+    d = wct @ wc  # W'_a^T W'_a
+    d.reshape(3, -1)[:, ::k + 1] -= cos2[:, None]  # minus c_a I
+    np.abs(d, out=d)  # the residual and square_gap read |d| alike
     total = 0.0
     for a in range(3):
-        d = wct[a] @ wc[a]
-        d.flat[::k + 1] -= cos2[a]  # minus c_a I
-        total += np.vdot(d, d)
+        total += np.vdot(d[a], d[a])
         for b in range(a + 1, 3):
             x = wct[a] @ wc[b]
             x = x + x.T  # 2 sym(W'_a^T W'_b)
             total += 0.5 * np.vdot(x, x)
     return _ExactStructure(basis=basis, cos2=cos2, w=w, w_canonical=wc,
-                           residual=math.sqrt(total))
+                           residual=math.sqrt(total), square_gap=d.max(axis=(1, 2)))
 
 
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -533,14 +564,15 @@ def pbar_operator(
     basis: CanonicalBasis,
     i: int,
     phi: float,
-    tol: float = 1e-9,
+    tol: float = COMPLEX_STRUCTURE_TOL,
 ) -> np.ndarray:
     """The normalized operator Pbar_i = P_i / cos(phi_i) restricted to V.
 
     Returned as a k x k matrix in the coordinates of the basis of V.  Raises
     when phi = pi/2 (the normalization is singular) or when the restriction
     fails to be an orthogonal complex structure, which signals that V is not
-    invariant under Pbar_i.
+    invariant under Pbar_i.  This is the direct reference for the gate that
+    the analysis reads off the exact structure (`_ExactStructure.pbar_gap`).
     """
     c = math.cos(phi)
     if abs(c) <= 1e-12:
@@ -549,14 +581,11 @@ def pbar_operator(
     return _complex_structure((b.T @ basis.apply(i, b)) / c, tol)
 
 
-def _complex_structure(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _complex_structure(m: np.ndarray, tol: float = COMPLEX_STRUCTURE_TOL) -> np.ndarray:
     """Return the k x k matrix m after checking m^T m = I and m^2 = -I."""
     eye = np.eye(m.shape[0])
     if np.max(np.abs(m.T @ m - eye)) > tol or np.max(np.abs(m @ m + eye)) > tol:
-        raise NumericalFailure(
-            "restriction of pbar is not an orthogonal complex structure "
-            "(subspace not invariant at this angle)"
-        )
+        raise NumericalFailure(_NOT_COMPLEX_STRUCTURE)
     return m
 
 

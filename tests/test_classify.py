@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qka.classify
+import qka.subspace
 from qka.classify import (
     TypeSignature,
     Verdict,
@@ -35,8 +36,9 @@ from qka.families import (
     construct_v4,
     min_quaternionic_dim,
 )
-from qka.quaternion import HVector, random_group_element
+from qka.quaternion import STANDARD_BASIS, HVector, random_group_element
 from qka.subspace import (
+    COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
     AngleTriple,
     ConstancyReport,
@@ -49,6 +51,7 @@ from qka.subspace import (
     constancy_check,
     from_spanning,
     is_h_orthogonal,
+    pbar_operator,
     vector_qka,
 )
 
@@ -919,3 +922,97 @@ def test_no_random_generator_on_any_verdict_path(monkeypatch):
         if space.k % 4 == 0 and record["constant"]:
             assert list(type_of(space).as_tuple()) == record["type"]
             assert len(factorize(space)) == space.k // 4
+
+
+# (triple, l_plus, l_minus, n): pure and mixed sums from (n, k) = (1, 4) to
+# (64, 64), including the quaternionic (phi1 = 0) and complexified blocks.
+PBAR_GATE_CASES = [
+    (AngleTriple(0.0, 0.0, 0.0), 1, 0, 1),
+    (AngleTriple(0.0, 0.9, 0.9), 1, 0, 2),
+    (T03, 0, 1, 4),
+    (TA, 1, 1, 8),
+    (T13, 1, 1, 7),
+    (TA, 2, 1, 12),
+    (T03, 4, 0, 16),
+    (TA, 3, 5, 32),
+    (T13, 6, 6, 48),
+    (TA, 8, 8, 64),
+]
+
+
+def _direct_gate(m):
+    """The direct check of `subspace._complex_structure`, as a number."""
+    eye = np.eye(m.shape[0])
+    return max(np.max(np.abs(m.T @ m - eye)), np.max(np.abs(m @ m + eye)))
+
+
+class TestResidualReadPbarGate:
+    """The Pbar gates read off the exact residual's products (`pbar_gap`)
+    against the direct check of m^T m = I and m^2 = -I."""
+
+    @pytest.mark.parametrize("triple,l_plus,l_minus,n", PBAR_GATE_CASES)
+    def test_agrees_with_direct_check(self, triple, l_plus, l_minus, n):
+        space = moved(construct_sum(triple, l_plus, l_minus, n), n)
+        exact = _exact_structure(space)
+        wc = exact.w_canonical
+        # Pbar^2 + I = -(Pbar^T Pbar - I) rests on W' being antisymmetric.
+        assert not np.any(wc + wc.transpose(0, 2, 1))
+        analysis = _Analysis(space)
+        for i, phi in enumerate(exact.triple.as_tuple(), 1):
+            if math.cos(phi) <= 1e-8:
+                continue
+            pbar = wc[i - 1] / math.cos(phi)
+            gap, direct = exact.pbar_gap(i, phi), _direct_gate(pbar)
+            assert abs(gap - direct) <= 1e-14
+            # The triangle inequality: never below the direct value.
+            assert gap >= direct - 1e-15
+            assert np.array_equal(analysis.pbar(i, phi), pbar)
+            reference = pbar_operator(space, exact.basis, i, phi)
+            assert np.max(np.abs(reference - pbar)) <= 1e-13
+
+    @pytest.mark.parametrize("triple,l_plus,l_minus,n", PBAR_GATE_CASES)
+    def test_wrong_angle_refused_alike(self, triple, l_plus, l_minus, n):
+        # phi1 -> 0.9; the unmoved sum has the standard canonical basis.
+        space = construct_sum(triple, l_plus, l_minus, n)
+        exact = _exact_structure(space)
+        wrong = exact.w_canonical[0] / math.cos(0.9)
+        direct = _direct_gate(wrong)
+        assert direct > COMPLEX_STRUCTURE_TOL
+        assert exact.pbar_gap(1, 0.9) >= direct * (1.0 - 1e-14)
+        with pytest.raises(NumericalFailure) as residual_read:
+            _Analysis(space).pbar(1, 0.9)
+        with pytest.raises(NumericalFailure) as direct_check:
+            pbar_operator(space, STANDARD_BASIS, 1, 0.9)
+        assert str(residual_read.value) == str(direct_check.value)
+        assert "not an orthogonal complex structure" in str(direct_check.value)
+
+
+def test_no_second_complex_structure_check(monkeypatch):
+    # The analysis gates every Pbar from the residual's products; the direct
+    # check stays only behind the reference `pbar_operator`.
+    inputs = [
+        rotated(construct_v4(T03, 1, 4), 1),
+        rotated(construct_v4(T03, -1, 4), 2),
+        moved(construct_sum(TA, 1, 1, 8), 3),
+        moved(construct_sum(T03, 2, 2, 16), 4),
+        moved(construct_sum(TA, 8, 8, 64), 5),
+        moved(construct_classical("quaternionic", 8, 4), 6),
+        moved(construct_classical("complexified_cka", 8, 4, phi=0.8), 7),
+    ]
+    expected = [(classify_subspace(v), is_protohomogeneous(v), type_of(v),
+                 [b.basis for b in factorize(v)]) for v in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex structure was checked a second time")
+
+    monkeypatch.setattr(qka.subspace, "_complex_structure", refuse)
+    monkeypatch.setattr(qka.classify, "_complex_structure", refuse, raising=False)
+    for space, (record, verdict, block_type, blocks) in zip(inputs, expected):
+        assert record["type"] is not None
+        assert classify_subspace(space) == record
+        assert is_protohomogeneous(space) == verdict
+        assert type_of(space) == block_type
+        got = factorize(space)
+        assert len(got) == len(blocks) == space.k // 4
+        assert all(np.array_equal(g.basis, b) for g, b in zip(got, blocks))
+        assert are_equivalent(space, space).is_yes
