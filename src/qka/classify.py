@@ -68,6 +68,19 @@ TRIPLE_MATCH_TOL = 1e-8
 # round-off of order 1e-16 surfaces as a cosine of order 1e-8), unless the
 # snapped triple lies in no stratum (see `_snap_into_strata`).
 SNAP_TOL = 1e-7
+# The sign gates on M = Pbar3^T Pbar1 Pbar2 (`_sign_split`).  M must be
+# symmetric: max|M - M^T| <= SIGN_SYMMETRY_TOL.  S = sym(M) must be an
+# involution: ||S^2 - I||_F <= SIGN_INVOLUTION_TOL.  The second gate puts
+# every eigenvalue lambda of S within SIGN_INVOLUTION_TOL of +1 or -1:
+# |lambda^2 - 1| = |lambda - 1| |lambda + 1|, the larger factor is at least
+# 1, and |lambda^2 - 1| <= ||S^2 - I||_2 <= ||S^2 - I||_F.  So every S it
+# accepts also passes the per-eigenvalue rule |lambda -+ 1| <= 1e-8 max(gap, 1)
+# of an eigenvalue split (the tests keep that rule as the reference), and
+# the count of +1 eigenvalues is exact as round((k + tr S) / 2): tr S is off
+# from their count minus that of the -1 eigenvalues by at most
+# k * SIGN_INVOLUTION_TOL < 1/2 for every k < 5e7.
+SIGN_SYMMETRY_TOL = 1e-8
+SIGN_INVOLUTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -120,46 +133,47 @@ def _cos_leq(value: float, bound: float, tol: float) -> bool:
     return value <= bound + tol
 
 
-def _sign_operator(p1, p2, p3) -> np.ndarray:
-    """sym(M) for M = Pbar3^T Pbar1 Pbar2, refused unless M is symmetric."""
-    m = p3.T @ (p1 @ p2)
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > 1e-8:
+def _sign_split(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """S = sym(m) for m = Pbar3^T Pbar1 Pbar2, and the dimension of its +1
+    eigenspace, counted by the trace through the sign gates (see
+    SIGN_INVOLUTION_TOL); the two sign dimensions must be multiples of 4."""
+    d = m - m.T
+    asym = float(np.abs(d, out=d).max())
+    if asym > SIGN_SYMMETRY_TOL:
         raise NumericalFailure(
             f"Pbar3^T Pbar1 Pbar2 is not symmetric (deviation {asym:.2e}), so the "
             "signs do not split the subspace"
         )
-    return 0.5 * (m + m.T)
-
-
-def _sign_masks(lams: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which eigenvalues of sym(M) are +1 and which are -1; the two counts
-    must be multiples of 4 that sum to k."""
-    plus, minus = (gap <= 1e-8 * max(gap.max(), 1.0)
-                   for gap in (np.abs(lams - 1.0), np.abs(lams + 1.0)))
-    dims = int(plus.sum()), int(minus.sum())
-    if dims[0] % 4 or dims[1] % 4:
-        raise NumericalFailure(f"kernel dimensions {dims} are not multiples of 4")
-    if dims[0] + dims[1] != k:
+    k = len(m)
+    s = m + m.T
+    s *= 0.5
+    sq = s @ s
+    sq.flat[::k + 1] -= 1.0
+    dev = math.sqrt(np.vdot(sq, sq))
+    if not dev <= SIGN_INVOLUTION_TOL:  # a NaN is refused, not counted
         raise NumericalFailure(
-            f"sign kernels do not decompose the subspace ({dims[0]} + {dims[1]} != {k})"
+            f"sign involution gate: sym(Pbar3^T Pbar1 Pbar2) is not an involution "
+            f"(||S^2 - I||_F = {dev:.2e} > {SIGN_INVOLUTION_TOL:.0e}), so its "
+            "eigenvalues are not all +1 or -1"
         )
-    return plus, minus
+    plus = round((k + float(s.trace())) / 2)
+    if plus % 4 or (k - plus) % 4:
+        raise NumericalFailure(f"kernel dimensions {(plus, k - plus)} are not multiples of 4")
+    return s, plus
 
 
-def _kernel_split(p1, p2, p3, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kernels of Pbar1 Pbar2 -+ Pbar3; dimensions must be multiples of 4.
+def _kernel_split(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels of Pbar1 Pbar2 -+ Pbar3 from S = sym(Pbar3^T Pbar1 Pbar2),
+    once `_sign_split` has passed it.
 
     Pbar3 is orthogonal, so Pbar1 Pbar2 -+ Pbar3 = Pbar3 (M -+ I) with
-    M = Pbar3^T Pbar1 Pbar2: the kernels are those of M -+ I, and the
-    singular values of M -+ I are |lambda -+ 1| over the eigenvalues of the
-    symmetric M.  One eigh of sym(M) gives both kernels.  Only `factorize`
-    needs the kernel vectors; the block type counts the eigenvalues alone
-    (`_Analysis._block_type`), through the same gates.
+    M = Pbar3^T Pbar1 Pbar2: the kernels are those of M -+ I, and M is
+    symmetric.  The gates put every eigenvalue of S within 1e-8 of +1 or
+    -1, so one eigh of S gives both kernels by sign.  Only `factorize` needs
+    the kernel vectors; the block type reads the count off the trace.
     """
-    lams, vecs = np.linalg.eigh(_sign_operator(p1, p2, p3))
-    plus, minus = _sign_masks(lams, k)
-    return vecs[:, plus], vecs[:, minus]
+    lams, vecs = np.linalg.eigh(s)
+    return vecs[:, lams > 0], vecs[:, lams < 0]
 
 
 def _deflate(remaining: np.ndarray, used: np.ndarray) -> np.ndarray:
@@ -185,8 +199,10 @@ class _Analysis:
     """The Omega/Pbar data of one subspace, shared by the decisions of one call.
 
     Holds the exact structure of W = B^T J B (candidate canonical basis and
-    its residual), the constancy report, the Pbar triple and the sign-kernel
-    split.  Each is computed on first use and at most once; an analysis lives
+    its residual), the constancy report, the sign operator
+    S = sym(Pbar3^T Pbar1 Pbar2) with its +1 count, read off the residual's
+    W'_1^T W'_2 with no Pbar matrix formed, and the sign-kernel split.  Each
+    is computed on first use and at most once; an analysis lives
     for a single public call and is never cached across calls.  Nothing is
     sampled and no seed is involved.  When the exact residual does not
     certify constant angle (no common canonical basis), dimension 3 reads
@@ -254,38 +270,53 @@ class _Analysis:
         (`subspace._complex_structure`) refuses, and at the true angle the
         two agree to round-off.
         """
-        exact = self.exact
-        if exact.pbar_gap(i, phi) > COMPLEX_STRUCTURE_TOL:
+        return self.exact.w_canonical[i - 1] / self._pbar_cos(i, phi)
+
+    def _pbar_cos(self, i: int, phi: float) -> float:
+        """cos(phi), once the residual-read gate accepts Pbar_i = W'_i / cos(phi)."""
+        if self.exact.pbar_gap(i, phi) > COMPLEX_STRUCTURE_TOL:
             raise NumericalFailure(_NOT_COMPLEX_STRUCTURE)
-        return exact.w_canonical[i - 1] / math.cos(phi)
+        return math.cos(phi)
 
     @cached_property
-    def pbars(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Pbar_1, Pbar_2 and, when phi3 < pi/2, Pbar_3 in V coordinates."""
+    def pbars(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pbar_1 and Pbar_2 in V coordinates, the generators of `factorize`."""
         triple, _ = self.canonical()
-        p1 = self.pbar(1, triple.phi1)
-        p2 = self.pbar(2, triple.phi2)
-        p3 = None
-        if math.cos(triple.phi3) > 1e-8:
-            p3 = self.pbar(3, triple.phi3)
-        return p1, p2, p3
+        return self.pbar(1, triple.phi1), self.pbar(2, triple.phi2)
+
+    @cached_property
+    def signs(self) -> tuple[np.ndarray, int] | None:
+        """S = sym(M) and its +1 dimension (`_sign_split`), or None when
+        phi3 = pi/2, where the two signs coincide.
+
+        W'_1 is antisymmetric, so Pbar1 Pbar2 = -X_12 / (cos(phi1) cos(phi2))
+        with X_12 = W'_1^T W'_2 (`_ExactStructure.cross12`), and
+        M = Pbar3^T Pbar1 Pbar2 = -W'_3^T X_12 / (cos(phi1) cos(phi2) cos(phi3)):
+        one product, after the three Pbar gates.
+        """
+        triple, _ = self.canonical()
+        if math.cos(triple.phi3) <= 1e-8:
+            return None
+        scale = -1.0
+        for i, phi in enumerate(triple.as_tuple(), 1):
+            scale /= self._pbar_cos(i, phi)
+        m = self.exact.w_canonical[2].T @ self.exact.cross12
+        m *= scale
+        return _sign_split(m)
 
     @cached_property
     def kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        return _kernel_split(*self.pbars, self.space.k)
+        return _kernel_split(self.signs[0])
 
     @cached_property
     def _block_type(self) -> TypeSignature | NumericalFailure:
         try:
-            triple, _ = self.canonical()
-            k = self.space.k
-            if math.cos(triple.phi3) <= 1e-8:
-                return TypeSignature(k // 4, 0)
-            lams = np.linalg.eigvalsh(_sign_operator(*self.pbars))
-            plus, minus = _sign_masks(lams, k)
-            return TypeSignature(int(plus.sum()) // 4, int(minus.sum()) // 4)
+            signs = self.signs
         except NumericalFailure as exc:
             return exc
+        k = self.space.k
+        plus = k if signs is None else signs[1]
+        return TypeSignature(plus // 4, (k - plus) // 4)
 
     def block_type(self) -> TypeSignature:
         """The block type; a numerical failure is kept and raised on every use."""
@@ -405,8 +436,8 @@ def factorize(v_space: Subspace) -> list[Subspace]:
             blocks = [np.column_stack([pairs[2 * r], pairs[2 * r + 1]])
                       for r in range(len(pairs) // 2)]
     else:
-        p1, p2, p3 = analysis.pbars
-        if p3 is None:
+        p1, p2 = analysis.pbars
+        if analysis.signs is None:
             parts = [np.eye(k)]
         else:
             parts = [p for p in analysis.kernels if p.shape[1]]

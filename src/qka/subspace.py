@@ -259,6 +259,9 @@ class _ExactStructure:
 
     ``square_gap`` holds u_a = max|W'_a^T W'_a - c_a I|, the largest entry of
     the diagonal term of the residual, from which `pbar_gap` gates Pbar_a.
+    ``cross12`` holds X_12 = W'_1^T W'_2, the residual's first cross product,
+    from which the block type reads its sign operator: W'_1 is antisymmetric,
+    so Pbar_1 Pbar_2 = -X_12 / (cos(phi1) cos(phi2)).
     """
 
     basis: CanonicalBasis  # R, row a holding J'_a in the standard triple
@@ -267,6 +270,7 @@ class _ExactStructure:
     w_canonical: np.ndarray  # (3, k, k) W'_a
     residual: float
     square_gap: np.ndarray  # (3,) u_a
+    cross12: np.ndarray  # (k, k) X_12
 
     @property
     def triple(self) -> AngleTriple:
@@ -318,11 +322,11 @@ def _exact_structure(v_space: Subspace) -> _ExactStructure:
     The residual is summed over the pairs a <= b from k x k products only:
     ||W'_a^T W'_a - c_a I||^2, plus 2 ||sym(W'_a^T W'_b)||^2 for a < b (the
     (b, a) term is its transpose).  The largest entry of each diagonal term
-    is kept as ``square_gap``.  W'_a is antisymmetric, to the bit: the
-    rotation sums each entry and its mirror alike from the exactly
-    antisymmetric W_b (the tests pin this).  So that one product gates both
-    Pbar_a^T Pbar_a = I and Pbar_a^2 = -I, and the analysis forms neither
-    again.
+    is kept as ``square_gap``, and the cross product W'_1^T W'_2 as
+    ``cross12``.  W'_a is antisymmetric, to the bit: the rotation sums each
+    entry and its mirror alike from the exactly antisymmetric W_b (the tests
+    pin this).  So that one product gates both Pbar_a^T Pbar_a = I and
+    Pbar_a^2 = -I, and the analysis forms neither again.
     """
     k = v_space.k
     w = _slot_structure(v_space)
@@ -335,15 +339,17 @@ def _exact_structure(v_space: Subspace) -> _ExactStructure:
     d = wct @ wc  # W'_a^T W'_a
     d.reshape(3, -1)[:, ::k + 1] -= cos2[:, None]  # minus c_a I
     np.abs(d, out=d)  # the residual and square_gap read |d| alike
+    cross12 = wct[0] @ wc[1]
     total = 0.0
     for a in range(3):
         total += np.vdot(d[a], d[a])
         for b in range(a + 1, 3):
-            x = wct[a] @ wc[b]
+            x = cross12 if b == 1 else wct[a] @ wc[b]
             x = x + x.T  # 2 sym(W'_a^T W'_b)
             total += 0.5 * np.vdot(x, x)
     return _ExactStructure(basis=basis, cos2=cos2, w=w, w_canonical=wc,
-                           residual=math.sqrt(total), square_gap=d.max(axis=(1, 2)))
+                           residual=math.sqrt(total), square_gap=d.max(axis=(1, 2)),
+                           cross12=cross12)
 
 
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:

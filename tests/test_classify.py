@@ -1,5 +1,6 @@
 """Tests for factorization, type detection, equivalence, and the moduli table."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from qka.classify import (
     strata_for,
     type_of,
 )
-from qka.classify import _Analysis, _branch_invariants, _kernel_split, _sign_operator
+from qka.classify import SIGN_INVOLUTION_TOL, _Analysis, _branch_invariants, _sign_split
 from qka.families import (
     FamilySpec,
     construct_classical,
@@ -625,52 +626,165 @@ def _svd_kernel_split(p1, p2, p3):
     return nullspace(prod - p3), nullspace(prod + p3)
 
 
+def _eigvalsh_sign_dims(s):
+    """Reference: the eigenvalue split of sym(M) by eigvalsh, each eigenvalue
+    within 1e-8 max(gap, 1) of +1 or -1, refused unless the two counts are
+    multiples of 4 that sum to k."""
+    lams = np.linalg.eigvalsh(s)
+    plus, minus = (int(np.sum(gap <= 1e-8 * max(gap.max(), 1.0)))
+                   for gap in (np.abs(lams - 1.0), np.abs(lams + 1.0)))
+    if plus % 4 or minus % 4 or plus + minus != len(s):
+        raise NumericalFailure(f"eigenvalue split ({plus}, {minus}) refused")
+    return plus, minus
+
+
+def _pbar_triple(analysis):
+    triple, _ = analysis.canonical()
+    return [analysis.pbar(i, phi) for i, phi in enumerate(triple.as_tuple(), 1)]
+
+
+def _tampered(monkeypatch, space, **fields):
+    """Make every analysis of ``space`` read a copy of its exact structure with
+    ``fields(exact)`` in place of the named fields; the Pbar gates, which read
+    ``square_gap`` and ``cos2``, still pass."""
+    exact = _exact_structure(space)
+    copy = dataclasses.replace(exact, **{f: fn(exact) for f, fn in fields.items()})
+    monkeypatch.setattr(qka.classify, "_exact_structure", lambda v: copy)
+
+
+def _third_is_first(exact):
+    # W'_1 in place of W'_3: M = -W'_1^T W'_1^T W'_2 / (c1 c2 c3) is then
+    # proportional to the antisymmetric W'_2, so no sign split exists.
+    wc = exact.w_canonical.copy()
+    wc[2] = wc[0]
+    return wc
+
+
 class TestKernelSplit:
     @pytest.mark.parametrize("k", [8, 16, 64])
     def test_eigh_split_matches_svd_split(self, k):
         l = k // 4
         for l_plus in sorted({1, l // 2, l - 1}):
             space = rotated(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
-            p1, p2, p3 = _Analysis(space).pbars
-            got = _kernel_split(p1, p2, p3, k)
-            want = _svd_kernel_split(p1, p2, p3)
+            analysis = _Analysis(space)
+            got = analysis.kernels
+            want = _svd_kernel_split(*_pbar_triple(analysis))
             assert [g.shape[1] for g in got] == [4 * l_plus, 4 * (l - l_plus)]
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 assert np.max(np.abs(g @ g.T - w @ w.T)) <= 1e-10
 
-    def test_non_symmetric_product_rejected(self):
+    def test_non_symmetric_product_rejected(self, monkeypatch):
         space = rotated(construct_sum(TA, 1, 1, 8), 3)
-        p1, p2, _ = _Analysis(space).pbars
-        # Pbar1^T Pbar1 Pbar2 = Pbar2 is antisymmetric: no sign split exists.
-        with pytest.raises(NumericalFailure, match="not symmetric"):
-            _kernel_split(p1, p2, p1, 8)
+        _tampered(monkeypatch, space, w_canonical=_third_is_first)
+        with pytest.raises(NumericalFailure, match="not symmetric") as split:
+            _Analysis(space).kernels
+        with pytest.raises(NumericalFailure) as blocks:
+            factorize(space)
+        assert str(blocks.value) == str(split.value)
 
     @pytest.mark.parametrize("k", [8, 16, 64])
     def test_eigenvalue_type_matches_kernel_dimensions(self, k):
-        # The block type counts eigenvalues only; factorize takes the vectors.
+        # The block type counts by the trace; factorize takes the vectors.
         l = k // 4
         for l_plus in sorted({0, 1, l // 2, l - 1, l}):
             space = rotated(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
             analysis = _Analysis(space)
-            kplus, kminus = _kernel_split(*analysis.pbars, k)
+            kplus, kminus = analysis.kernels
             assert analysis.block_type().as_tuple() == (kplus.shape[1] // 4,
                                                         kminus.shape[1] // 4)
             assert analysis.block_type().as_tuple() == (l_plus, l - l_plus)
 
-    def test_eigenvalue_type_refuses_non_symmetric_product(self):
+    def test_eigenvalue_type_refuses_non_symmetric_product(self, monkeypatch):
         space = rotated(construct_sum(TA, 1, 1, 8), 3)
-        analysis = _Analysis(space)
-        p1, p2, _ = analysis.pbars
-        with pytest.raises(NumericalFailure) as split:
-            _kernel_split(p1, p2, p1, 8)
-        with pytest.raises(NumericalFailure) as sym:
-            _sign_operator(p1, p2, p1)
-        analysis.pbars = (p1, p2, p1)
+        _tampered(monkeypatch, space, w_canonical=_third_is_first)
         with pytest.raises(NumericalFailure) as typed:
-            analysis.block_type()
-        assert str(typed.value) == str(sym.value) == str(split.value)
+            _Analysis(space).block_type()
+        with pytest.raises(NumericalFailure) as blocks:
+            factorize(space)
+        assert str(typed.value) == str(blocks.value)
         assert "not symmetric" in str(typed.value)
+        assert classify_subspace(space)["type_diagnostic"] == str(typed.value)
+
+
+def _involution(k, l_plus, seed):
+    """The eigenvalues (4 l_plus of them +1, the rest -1) and a random
+    orthonormal eigenbasis of a symmetric involution."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((k, k)))[0]
+    lams = np.where(np.arange(k) < 4 * l_plus, 1.0, -1.0)
+    return lams, q
+
+
+class TestSignGates:
+    """`_sign_split`'s involution gate and trace count against the eigenvalue
+    split by eigvalsh (`_eigvalsh_sign_dims`, the reference)."""
+
+    @pytest.mark.parametrize("k", [4, 16, 64])
+    def test_involution_gate_implies_eigenvalue_split(self, k):
+        l = k // 4
+        accepted = refused = 0
+        for l_plus in sorted({0, l // 2, l}):
+            for index in (0, k - 1):
+                for eps in (1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, -1e-9, -1e-8, -1e-7):
+                    lams, q = _involution(k, l_plus, k + 7 * l_plus + index)
+                    lams[index] += eps
+                    s = (q * lams) @ q.T
+                    try:
+                        _, plus = _sign_split(s)
+                    except NumericalFailure as exc:
+                        assert "sign involution gate" in str(exc)
+                        refused += 1
+                        continue
+                    accepted += 1
+                    assert _eigvalsh_sign_dims(s) == (plus, k - plus) == (4 * l_plus,
+                                                                          k - 4 * l_plus)
+        assert accepted and refused
+
+    @pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
+    def test_type_matches_eigvalsh_and_svd_references(self, k):
+        l = k // 4
+        for l_plus in sorted({0, 1, l // 2, l - 1, l}):
+            space = moved(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
+            analysis = _Analysis(space)
+            p1, p2, p3 = _pbar_triple(analysis)
+            m = p3.T @ (p1 @ p2)
+            plus, minus = _eigvalsh_sign_dims(0.5 * (m + m.T))
+            svd = [part.shape[1] for part in _svd_kernel_split(p1, p2, p3)]
+            assert [plus, minus] == svd == [4 * l_plus, 4 * (l - l_plus)]
+            assert analysis.block_type().as_tuple() == (l_plus, l - l_plus)
+
+    def test_count_not_a_multiple_of_four_refused(self):
+        q = np.linalg.qr(np.random.default_rng(6).standard_normal((8, 8)))[0]
+        s = (q * np.where(np.arange(8) < 2, 1.0, -1.0)) @ q.T
+        with pytest.raises(NumericalFailure, match=r"kernel dimensions \(2, 6\) are not "
+                                                   "multiples of 4"):
+            _sign_split(s)
+        with pytest.raises(NumericalFailure):
+            _eigvalsh_sign_dims(s)
+
+    def test_near_involution_refused_by_name(self):
+        lams, q = _involution(8, 1, 5)
+        lams[0] = 1.0 - 1e-6
+        with pytest.raises(NumericalFailure, match="sign involution gate") as exc:
+            _sign_split((q * lams) @ q.T)
+        assert "2.00e-06" in str(exc.value)  # |(1 - 1e-6)^2 - 1|
+        assert f"{SIGN_INVOLUTION_TOL:.0e}" in str(exc.value)
+
+    def test_near_involution_refused_on_the_type_path(self, monkeypatch):
+        # W'_3 scaled by 1 - 1e-6 puts every eigenvalue of S at +-(1 - 1e-6);
+        # the Pbar gates read the unscaled products and pass.
+        space = moved(construct_sum(TA, 1, 1, 8), 9)
+
+        def scaled_third(exact):
+            wc = exact.w_canonical.copy()
+            wc[2] *= 1.0 - 1e-6
+            return wc
+
+        _tampered(monkeypatch, space, w_canonical=scaled_third)
+        with pytest.raises(NumericalFailure, match="sign involution gate"):
+            type_of(space)
+        verdict = is_protohomogeneous(space)
+        assert verdict.value == "unknown" and "sign involution gate" in verdict.reason
 
 
 # Subspaces covering every branch of the classification record.
@@ -1016,3 +1130,32 @@ def test_no_second_complex_structure_check(monkeypatch):
         assert len(got) == len(blocks) == space.k // 4
         assert all(np.array_equal(g.basis, b) for g, b in zip(got, blocks))
         assert are_equivalent(space, space).is_yes
+
+
+def test_no_eigvalsh_and_no_pbar_on_the_type_path(monkeypatch):
+    # The block type reads its count off the trace of the sign operator built
+    # from the residual's W'_1^T W'_2: no eigvalsh and no Pbar matrix.
+    inputs = [
+        rotated(construct_v4(T03, 1, 4), 1),
+        rotated(construct_v4(T03, -1, 4), 2),
+        moved(construct_sum(TA, 1, 1, 8), 3),
+        moved(construct_sum(T03, 2, 2, 16), 4),
+        moved(construct_sum(TA, 3, 5, 32), 5),
+        moved(construct_sum(TA, 8, 8, 64), 6),
+    ]
+    expected = [(classify_subspace(v), is_protohomogeneous(v), type_of(v))
+                for v in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block type ran eigvalsh or formed a Pbar")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(_Analysis, "pbars", property(refuse))
+    monkeypatch.setattr(_Analysis, "pbar", refuse)
+    for space, (record, verdict, block_type) in zip(inputs, expected):
+        assert record["type"] is not None
+        assert classify_subspace(space) == record
+        assert is_protohomogeneous(space) == verdict
+        assert type_of(space) == block_type
+        assert are_equivalent(space, space).is_yes
+    assert are_equivalent(inputs[0], inputs[1]).is_no
