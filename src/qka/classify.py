@@ -81,6 +81,9 @@ SNAP_TOL = 1e-7
 # k * SIGN_INVOLUTION_TOL < 1/2 for every k < 5e7.
 SIGN_SYMMETRY_TOL = 1e-8
 SIGN_INVOLUTION_TOL = 1e-8
+# Spread of the v3 branch invariant and its distance to a class (`_branch_sign`).
+BRANCH_TOL = 1e-8
+_SEED_STEP = 0.7548776662466927  # irrational: the inverse of the plastic number
 
 
 @dataclass(frozen=True)
@@ -183,11 +186,21 @@ def _deflate(remaining: np.ndarray, used: np.ndarray) -> np.ndarray:
 
 
 def _cells(part: np.ndarray, generators: list[np.ndarray]) -> list[np.ndarray]:
-    """Spans {v} U {G v} with deflation, as orthonormal coordinate blocks."""
-    cells = []
-    remaining = part
+    """Spans {v} U {G v} with deflation, as orthonormal coordinate blocks.
+
+    Cell j is seeded by v, the projection onto the remaining span of the
+    fixed r_i = sin((i + 1)(j + 1) _SEED_STEP): the cells depend on the span
+    of ``part``, not on its basis (an eigh basis of a degenerate eigenspace).
+    """
+    cells, remaining = [], part
+    coords = np.arange(1, len(part) + 1)
     while remaining.shape[1]:
-        v = remaining[:, 0]
+        v = remaining @ (remaining.T @ np.sin(coords * (len(cells) + 1) * _SEED_STEP))
+        norm = math.sqrt(v @ v)
+        if not norm > 0.0:
+            raise NumericalFailure(f"the seed direction of cell {len(cells)} has no "
+                                   "component in the remaining span")
+        v /= norm
         cols = [v] + [g @ v for g in generators]
         q, _ = np.linalg.qr(np.column_stack(cols))
         cells.append(q)
@@ -196,22 +209,18 @@ def _cells(part: np.ndarray, generators: list[np.ndarray]) -> list[np.ndarray]:
 
 
 class _Analysis:
-    """The Omega/Pbar data of one subspace, shared by the decisions of one call.
+    """The Omega/Pbar data of one subspace, and the one place its complete
+    invariant (`triple` plus `invariant`) is decided; every entry point reads it.
 
     Holds the exact structure of W = B^T J B (candidate canonical basis and
-    its residual), the constancy report, the sign operator
-    S = sym(Pbar3^T Pbar1 Pbar2) with its +1 count, read off the residual's
-    W'_1^T W'_2 with no Pbar matrix formed, and the sign-kernel split.  Each
-    is computed on first use and at most once; an analysis lives
-    for a single public call and is never cached across calls.  Nothing is
-    sampled and no seed is involved.  When the exact residual does not
-    certify constant angle (no common canonical basis), dimension 3 reads
-    Omega at the fixed 91-point sphere rule (exact agreement there is
-    constancy on the whole sphere; see `subspace._sphere_rule` for what
-    agreement within the gate bounds), and every other dimension at the
-    witness points read off W (`subspace._witness_report`), which prove
-    "no" or leave the constancy unknown.  Every consumer of the report
-    handles unknown (``constant`` None) explicitly.
+    its residual), the constancy report, the snapped triple and the block
+    type (read off the residual's W'_1^T W'_2, no Pbar formed) or v3 branch.
+    Each is computed on first use and at most once, for a single public
+    call.  Nothing is sampled.  Dimension 3 reads Omega at the fixed 91-point
+    sphere rule (see `subspace._sphere_rule` for what agreement there
+    bounds); every other dimension is certified by the exact residual or
+    read at the witness points of W (`subspace._witness_report`), which
+    prove "no" or leave the constancy unknown (``constant`` None).
     """
 
     def __init__(self, v_space: Subspace):
@@ -229,21 +238,26 @@ class _Analysis:
 
     @cached_property
     def report(self) -> ConstancyReport:
-        """The exact triple when 2 * residual certifies constancy, else the
-        rule's spread for dimension 3, else the witness points of W."""
+        """The rule's spread for dimension 3; otherwise the exact triple when
+        2 * residual certifies constancy, else the witness points of W."""
+        if self.space.k == 3:
+            return _spectrum_report(self.rule.lams)
         exact = self.exact
         spread = 2.0 * exact.residual
         if spread <= CONSTANCY_TOL:
             return ConstancyReport(triple=exact.triple, max_spread=spread, samples=0,
                                    constant=True)
-        if self.space.k == 3:
-            return _spectrum_report(self.rule.lams)
         return _witness_report(exact)
 
-    def canonical(self) -> tuple[AngleTriple, CanonicalBasis]:
-        """Triple and common canonical basis shared by the block routines."""
-        if self.space.k % 4:
-            raise ValueError("block analysis needs dim V to be a multiple of 4")
+    @cached_property
+    def triple(self) -> AngleTriple:
+        """The report's triple with end angles snapped, the one every decision
+        compares: eigenvalue round-off surfaces as a square-root-sized cosine
+        error at the ends of the range."""
+        return snapped(self.report.triple)
+
+    def _constant_triple(self) -> AngleTriple:
+        """The report's triple, once the angle is decided constant."""
         report = self.report
         if report.constant is None:
             raise NumericalFailure(report.gate)
@@ -251,12 +265,19 @@ class _Analysis:
             raise ValueError(
                 f"subspace does not have constant angle (spread {report.max_spread:.2e})"
             )
+        return report.triple
+
+    def canonical(self) -> tuple[AngleTriple, CanonicalBasis]:
+        """Triple and common canonical basis shared by the block routines."""
+        if self.space.k % 4:
+            raise ValueError("block analysis needs dim V to be a multiple of 4")
+        triple = self._constant_triple()
         residual = self.exact.residual
         if residual > JOINT_RESIDUAL_TOL:
             raise NumericalFailure(
                 f"no common canonical basis found (joint residual {residual:.2e})"
             )
-        return self.report.triple, self.exact.basis
+        return triple, self.exact.basis
 
     def pbar(self, i: int, phi: float) -> np.ndarray:
         """Pbar_i = W'_i / cos(phi_i) in V coordinates, checked to be an
@@ -309,20 +330,30 @@ class _Analysis:
         return _kernel_split(self.signs[0])
 
     @cached_property
-    def _block_type(self) -> TypeSignature | NumericalFailure:
+    def invariant(self) -> TypeSignature | int | None | NumericalFailure:
+        """The block type for dim V = 4l; the branch for dim V = 3 when the
+        snap left cos(phi1) inside (0, 1), the one merge rule (the classes
+        merge at phi = 0 and pi/2); else None.  Needs constant angle; a
+        numerical failure, undecided constancy included, is the value."""
+        k = self.space.k
         try:
-            signs = self.signs
+            if k % 4 == 0:
+                signs = self.signs
+                plus = k if signs is None else signs[1]
+                return TypeSignature(plus // 4, (k - plus) // 4)
+            if k == 3:
+                self._constant_triple()
+                if SNAP_TOL < math.cos(self.triple.phi1) < 1.0 - SNAP_TOL:
+                    return self._branch_sign()
         except NumericalFailure as exc:
             return exc
-        k = self.space.k
-        plus = k if signs is None else signs[1]
-        return TypeSignature(plus // 4, (k - plus) // 4)
+        return None
 
-    def block_type(self) -> TypeSignature:
-        """The block type; a numerical failure is kept and raised on every use."""
-        if isinstance(self._block_type, NumericalFailure):
-            raise self._block_type
-        return self._block_type
+    def _decided(self) -> TypeSignature | int | None:
+        """`invariant`, raising a kept numerical failure."""
+        if isinstance(self.invariant, NumericalFailure):
+            raise self.invariant
+        return self.invariant
 
     def protohomogeneity(self) -> Verdict:
         report = self.report
@@ -337,10 +368,9 @@ class _Analysis:
         if k % 4 != 0 or k == 4:
             return Verdict("yes", "constant angle suffices in dimensions not divisible "
                                   "by four, and in dimension four")
-        try:
-            t = self.block_type()
-        except NumericalFailure as exc:
-            return Verdict("unknown", str(exc))
+        t = self.invariant
+        if isinstance(t, NumericalFailure):
+            return Verdict("unknown", str(t))
         if t.l_plus == 0 or t.l_minus == 0:
             return Verdict("yes", f"all {t.blocks()} blocks carry the same sign")
         return Verdict(
@@ -350,38 +380,29 @@ class _Analysis:
             "the other",
         )
 
-    def branch(self, tol: float = 1e-8) -> int:
+    def _branch_sign(self) -> int:
         """The sign of a 3-dimensional constant-angle subspace at phi in (0, pi/2).
 
         Tells the two classes at one angle apart by the invariant
         <e_1, e_2> = cos(phi)/(cos(phi) + sign), evaluated at the 91 rule
         points from the eigenvectors of the rule's one batched eigh (the one
         the constancy report reads) and required not to depend on the base
-        point.
+        point: both within BRANCH_TOL.
         """
-        if self.space.k != 3:
-            raise ValueError("branch detection applies to 3-dimensional subspaces")
-        report = self.report
-        if report.constant is None:
-            raise NumericalFailure(report.gate)
-        if not report.constant:
-            raise ValueError("subspace does not have constant angle")
-        triple = report.triple
+        triple = self.triple
         if abs(math.cos(triple.phi1) - math.cos(triple.phi2)) > 1e-7:
             raise NumericalFailure("3-dimensional constant-angle triples have phi1 = phi2")
         phi = 0.5 * (triple.phi1 + triple.phi2)
-        c = math.cos(phi)
-        if c <= 1e-8 or c >= 1.0 - 1e-8:
-            raise ValueError("the two classes merge at phi = pi/2 and phi = 0")
         thetas = _branch_invariants(self.exact.w, self.rule, phi)
-        if thetas.max() - thetas.min() > tol:
+        if thetas.max() - thetas.min() > BRANCH_TOL:
             raise NumericalFailure(
                 f"branch invariant varies across base points (spread "
                 f"{thetas.max() - thetas.min():.2e})"
             )
         theta = float(np.mean(thetas))
+        c = math.cos(phi)
         for sign in (1, -1):
-            if abs(theta - c / (c + sign)) <= tol:
+            if abs(theta - c / (c + sign)) <= BRANCH_TOL:
                 return sign
         raise NumericalFailure(
             f"branch invariant {theta:.6f} matches neither class at phi={phi:.6f}"
@@ -459,7 +480,9 @@ def type_of(v_space: Subspace) -> TypeSignature:
     convention; otherwise the counts are the kernel dimensions of
     Pbar1 Pbar2 -+ Pbar3 divided by four.
     """
-    return _Analysis(v_space).block_type()
+    if v_space.k % 4:
+        raise ValueError("block analysis needs dim V to be a multiple of 4")
+    return _Analysis(v_space)._decided()
 
 
 def is_protohomogeneous(v_space: Subspace) -> Verdict:
@@ -473,7 +496,7 @@ def is_protohomogeneous(v_space: Subspace) -> Verdict:
     return _Analysis(v_space).protohomogeneity()
 
 
-def branch_of_v3(v_space: Subspace, tol: float = 1e-8) -> int:
+def branch_of_v3(v_space: Subspace) -> int:
     """The sign separating the two 3-dimensional classes at the same angle.
 
     Reconstructs the auxiliary vectors e_i = -(J_i Pbar_i e0 + cos(phi) e0)
@@ -481,18 +504,22 @@ def branch_of_v3(v_space: Subspace, tol: float = 1e-8) -> int:
     product equals cos(phi)/(cos(phi) + sign) and does not depend on the
     base point.
     """
-    return _Analysis(v_space).branch(tol)
+    if v_space.k != 3:
+        raise ValueError("branch detection applies to 3-dimensional subspaces")
+    branch = _Analysis(v_space)._decided()
+    if branch is None:
+        raise ValueError("the two classes merge at phi = pi/2 and phi = 0")
+    return branch
 
 
 def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     """Decide congruence under the group from computable invariants.
 
-    Dimension and the sorted angle triple are always compared; dimension 3
-    additionally compares the branch sign (the classes merge at phi = pi/2),
-    and dimensions 4l compare block types.  Constant-angle subspaces of
-    dimension 4l without a common canonical basis are outside the classified
-    regime and yield unknown, and so does a side whose constancy is
-    undecided.
+    Dimension, constancy and the snapped angle triple are compared first,
+    then the discrete invariant (`_Analysis.invariant`): the branch sign in
+    dimension 3 (the classes merge at phi = 0 and pi/2) and the block type
+    in dimensions 4l.  A side whose constancy or invariant is undecided, or
+    that has no common canonical basis in dimension 4l, yields unknown.
     """
     if v_space.n != w_space.n:
         return Verdict("no", "different ambient quaternionic dimensions")
@@ -508,31 +535,25 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     if not rep_v.constant:
         return Verdict("unknown", "both angle triples are non-constant; no invariant "
                                   "implemented for that regime")
-    # Snap near-0/near-pi/2 angles first: eigenvalue round-off surfaces as a
-    # square-root-sized cosine error at the ends of the range.
-    triple = snapped(rep_v.triple)
-    if not triple.close_to(snapped(rep_w.triple), TRIPLE_MATCH_TOL):
+    if not side_v.triple.close_to(side_w.triple, TRIPLE_MATCH_TOL):
         return Verdict("no", "different angle triples")
-    k = v_space.k
-    if k == 3:
-        c = math.cos(triple.phi1)
-        if c <= 1e-8 or c >= 1.0 - 1e-8:
-            return Verdict("yes", "equal angle triples; a single class exists at "
-                                  "this angle")
-        bv = side_v.branch()
-        bw = side_w.branch()
-        if bv == bw:
-            return Verdict("yes", f"equal angle triples and branch ({bv:+d})")
-        return Verdict("no", f"opposite branches ({bv:+d} vs {bw:+d})")
-    if k % 4 == 0:
-        try:
-            tv = side_v.block_type()
-            tw = side_w.block_type()
-        except NumericalFailure as exc:
-            return Verdict("unknown", str(exc))
-        if tv == tw:
-            return Verdict("yes", f"equal angle triples and type {tv.as_tuple()}")
-        return Verdict("no", f"different types {tv.as_tuple()} vs {tw.as_tuple()}")
+    inv_v, inv_w = side_v.invariant, side_w.invariant
+    for inv in (inv_v, inv_w):
+        if isinstance(inv, NumericalFailure):
+            return Verdict("unknown", str(inv))
+    if isinstance(inv_v, TypeSignature):
+        if inv_v == inv_w:
+            return Verdict("yes", f"equal angle triples and type {inv_v.as_tuple()}")
+        return Verdict("no", f"different types {inv_v.as_tuple()} vs {inv_w.as_tuple()}")
+    # Equal snapped triples merge on both sides or on neither (SNAP_TOL >
+    # TRIPLE_MATCH_TOL), so a branch on one side has one on the other.
+    if inv_v is not None:
+        if inv_v == inv_w:
+            return Verdict("yes", f"equal angle triples and branch ({inv_v:+d})")
+        return Verdict("no", f"opposite branches ({inv_v:+d} vs {inv_w:+d})")
+    if v_space.k == 3:
+        return Verdict("yes", "equal angle triples; a single class exists at "
+                              "this angle")
     return Verdict("yes", "equal angle triples; the triple is a complete invariant "
                           "in this dimension")
 
@@ -854,11 +875,14 @@ def _constancy_fields(report: ConstancyReport) -> dict:
 def classify_subspace(v_space: Subspace) -> dict:
     """Full classification record of a subspace (the `classify` CLI payload).
 
-    No seed and no sampling: ``constant`` is certified by the exact residual,
-    decided on the 91-point rule (dimension 3), witnessed "no" at points read
-    off W, or None (JSON null) when none of these decides.  An undecided
-    record carries the gate as ``constancy_gate`` and as the reason of an
-    unknown ``protohomogeneous``, and stops there.
+    No seed and no sampling: ``constant`` is decided on the 91-point rule
+    (dimension 3), certified by the exact residual, witnessed "no" at points
+    read off W, or None (JSON null) when none of these decides.  An
+    undecided record carries the gate as ``constancy_gate`` and as the
+    reason of an unknown ``protohomogeneous``, and stops there, as does a
+    non-constant one.  ``type`` (dimension 4l) or ``branch`` (dimension 3)
+    is null with a ``type_diagnostic`` or ``branch_diagnostic`` when a gate
+    refused it; ``branch`` is also null where the two classes merge.
     """
     analysis = _Analysis(v_space)
     report = analysis.report
@@ -869,32 +893,19 @@ def classify_subspace(v_space: Subspace) -> dict:
         "cosines": report.triple.cosines().tolist(),
         **_constancy_fields(report),
     }
-    if report.constant is None:
-        record["protohomogeneous"] = {"value": "unknown", "reason": report.gate}
-        return record
-    if not report.constant:
-        record["protohomogeneous"] = {
-            "value": "no",
-            "reason": "the angle triple is not constant",
-        }
-        return record
-    record["joint_residual"] = analysis.exact.residual
+    if report.constant:
+        record["joint_residual"] = analysis.exact.residual
     verdict = analysis.protohomogeneity()
     record["protohomogeneous"] = {"value": verdict.value, "reason": verdict.reason}
+    if not report.constant:
+        return record
     k = v_space.k
-    if k % 4 == 0:
-        try:
-            record["type"] = list(analysis.block_type().as_tuple())
-        except NumericalFailure as exc:
-            record["type"] = None
-            record["type_diagnostic"] = str(exc)
-    if k == 3:
-        triple = snapped(report.triple)
-        c = math.cos(triple.phi1)
-        if 1e-8 < c < 1.0 - 1e-8:
-            record["branch"] = analysis.branch()
+    if k % 4 == 0 or k == 3:
+        name, invariant = "type" if k % 4 == 0 else "branch", analysis.invariant
+        if isinstance(invariant, NumericalFailure):
+            record[name], record[f"{name}_diagnostic"] = None, str(invariant)
         else:
-            record["branch"] = None
+            record[name] = list(invariant.as_tuple()) if k % 4 == 0 else invariant
     _, strata = _snap_into_strata(k, v_space.n, report.triple)
     record["strata"] = [hit.to_dict() for hit in strata]
     return record

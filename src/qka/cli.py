@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 user or parameter error, 3 internal numerical
 failure.  The environment variable QKA_SEED provides the default seed of
-`selftest` and the seed `construct` records; no verdict reads a seed.
+`selftest`, the one command that samples; no verdict reads a seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .classify import (
     classify_subspace,
     moduli_describe,
     moduli_membership,
-    snapped,
 )
 from .families import CLASSICAL_FAMILIES, FamilySpec, construct
 from .serialize import load_subspace, save_subspace
@@ -28,12 +27,11 @@ from .subspace import AngleTriple, NumericalFailure
 __all__ = ["main"]
 
 _FAMILIES = CLASSICAL_FAMILIES + ("v3", "v4", "sum")
-_UNUSED = "validated but unused: no verdict samples"
 
 
 def _seed(args) -> int:
-    """--seed, else QKA_SEED (0 when unset or empty); read only by `construct`
-    and `selftest`, so a malformed QKA_SEED stops no other command."""
+    """--seed, else QKA_SEED (0 when unset or empty); read only by `selftest`,
+    so a malformed QKA_SEED stops no other command."""
     if args.seed is not None:
         return args.seed
     raw = os.environ.get("QKA_SEED") or "0"
@@ -46,20 +44,16 @@ def _seed(args) -> int:
     return seed
 
 
-def _int_at_least(least: int):
-    """An argparse type: an integer no smaller than ``least``, so a bad
-    --samples or --seed is refused where it enters (exit 2, naming the flag)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < least:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
-        return value
-
-    return parse
+def _seed_arg(text: str) -> int:
+    """An argparse type: a non-negative integer, so a bad --seed is refused
+    where it enters (exit 2, naming the flag)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
 
 
 def _emit(payload: dict) -> None:
@@ -107,14 +101,12 @@ def _spec_from_args(args) -> FamilySpec:
 def _cmd_construct(args) -> int:
     spec = _spec_from_args(args)
     space = construct(spec)
-    seed = _seed(args)
     # The same analysis as `angles` and `classify`, so all three report one spread.
-    report = _Analysis(space).report
-    triple = snapped(report.triple)
+    analysis = _Analysis(space)
+    report, triple = analysis.report, analysis.triple
     meta = {
         "family": spec.family,
         "cosines": [round(c, 15) for c in triple.cosines().tolist()],
-        "seed": seed,
     }
     if spec.family == "v3" or spec.family == "v4":
         meta["branch"] = spec.sign
@@ -216,20 +208,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lplus", type=int, default=0, help="plus blocks in a sum")
     p.add_argument("--lminus", type=int, default=0, help="minus blocks in a sum")
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--samples", type=_int_at_least(2), default=300, help=_UNUSED)
-    p.add_argument("--seed", type=_int_at_least(0), help="recorded in meta.seed only")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("angles", help="angle triple and constancy report of a file")
     p.add_argument("path")
-    p.add_argument("--samples", type=_int_at_least(2), default=500, help=_UNUSED)
-    p.add_argument("--seed", type=_int_at_least(0), help=_UNUSED)
     p.set_defaults(func=_cmd_angles)
 
     p = sub.add_parser("classify", help="full classification record of a file")
     p.add_argument("path")
-    p.add_argument("--samples", type=_int_at_least(2), default=500, help=_UNUSED)
-    p.add_argument("--seed", type=_int_at_least(0), help=_UNUSED)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("moduli", help="stratification of the (k, n) moduli space")
@@ -243,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true", default=True)
     mode.add_argument("--full", action="store_true")
-    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--seed", type=_seed_arg)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -28,7 +28,13 @@ from qka.classify import (
     strata_for,
     type_of,
 )
-from qka.classify import SIGN_INVOLUTION_TOL, _Analysis, _branch_invariants, _sign_split
+from qka.classify import (
+    SIGN_INVOLUTION_TOL,
+    SNAP_TOL,
+    _Analysis,
+    _branch_invariants,
+    _sign_split,
+)
 from qka.families import (
     FamilySpec,
     construct_classical,
@@ -130,6 +136,36 @@ class TestFactorize:
         with pytest.raises(ValueError, match="constant"):
             factorize(space)
 
+    @pytest.mark.parametrize("k", [8, 16, 32, 64])
+    def test_blocks_do_not_depend_on_the_kernel_basis(self, monkeypatch, k):
+        # Each sign kernel is a degenerate eigenspace of S, whose eigh basis is
+        # arbitrary: a random orthogonal change of that basis moves no block.
+        rng = np.random.default_rng(k)
+        split = qka.classify._kernel_split
+
+        def rebased(s):
+            return tuple(part @ np.linalg.qr(rng.standard_normal((part.shape[1],) * 2))[0]
+                         if part.shape[1] else part for part in split(s))
+
+        l = k // 4
+        for l_plus in sorted({0, 1, l // 2, l - 1, l}):
+            for triple in (TA, T03):
+                space = moved(construct_sum(triple, l_plus, l - l_plus, k), k + l_plus)
+                blocks = factorize(space)
+                with monkeypatch.context() as patch:
+                    patch.setattr(qka.classify, "_kernel_split", rebased)
+                    again = factorize(space)
+                assert len(again) == len(blocks) == l
+                for a, b in zip(blocks, again):
+                    assert np.max(np.abs(a.projector() - b.projector())) <= 1e-12
+
+    def test_zero_seed_refused(self, monkeypatch):
+        # A seed direction with no component in the remaining span is refused
+        # by name instead of normalized into NaNs.
+        monkeypatch.setattr(qka.classify, "_SEED_STEP", 0.0)
+        with pytest.raises(NumericalFailure, match="seed direction of cell 0"):
+            factorize(construct_sum(TA, 1, 1, 8))
+
 
 class TestTypeOf:
     def test_plus_class(self):
@@ -213,7 +249,12 @@ class TestBranch:
 
     def test_invariant_across_base_points(self):
         # the branch functional must not depend on the base point
-        branch_of_v3(construct_v3(1.25, -1, 3), tol=1e-9)
+        phi = 1.25
+        space = construct_v3(phi, -1, 3)
+        analysis = _Analysis(space)
+        thetas = _branch_invariants(analysis.exact.w, analysis.rule, phi)
+        assert thetas.max() - thetas.min() <= 1e-9
+        assert branch_of_v3(space) == -1
 
     def test_invariant_at_random_base_points(self):
         # Off the rule points too: 200 random unit points agree within 1e-9.
@@ -235,6 +276,48 @@ class TestBranch:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="3-dimensional"):
             branch_of_v3(construct_classical("totally_real", 4, 4))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_read_up_to_the_right_angle(self, n):
+        # d = pi/2 - phi down to 1e-7: the rule's triple keeps cos(phi) = sin(d),
+        # so the branch is read wherever the snap leaves cos(phi) inside (0, 1),
+        # and the classes merge only past SNAP_TOL.
+        for d in np.logspace(-2, -7, 11):
+            phi = HALF_PI - d
+            spaces = {s: rotated(construct_v3(phi, s, n), 17 * n + s + 2) for s in (1, -1)}
+            twins = {s: moved(construct_v3(phi, s, n), 31 * n + s + 5) for s in (1, -1)}
+            records = {s: classify_subspace(space) for s, space in spaces.items()}
+            if math.sin(d) < 3 * SNAP_TOL and records[1]["branch"] is None:
+                assert are_equivalent(spaces[1], spaces[-1]).value == "yes"
+                continue
+            for s, record in records.items():
+                assert record["branch"] == s == branch_of_v3(spaces[s])
+                assert record["strata"][0]["name"] == "two_branch_curve"
+                assert record["cosines"][0] == pytest.approx(math.sin(d), rel=1e-6)
+                assert are_equivalent(spaces[s], twins[s]).value == "yes"
+            assert are_equivalent(spaces[1], spaces[-1]).value == "no"
+
+    def test_refused_branch_kept_by_every_reader(self, monkeypatch, tmp_path, capsys):
+        from qka.cli import main
+        from qka.serialize import save_subspace
+
+        def varying(w, spectra, phi):
+            thetas = _branch_invariants(w, spectra, phi)
+            return thetas + 1e-6 * np.arange(len(thetas))
+
+        monkeypatch.setattr(qka.classify, "_branch_invariants", varying)
+        plus, minus = construct_v3(1.2, 1, 3), construct_v3(1.2, -1, 3)
+        verdict = are_equivalent(plus, minus)
+        assert verdict.value == "unknown"
+        assert verdict.reason.startswith("branch invariant varies across base points")
+        with pytest.raises(NumericalFailure, match="branch invariant varies"):
+            branch_of_v3(plus)
+        path = tmp_path / "v3.json"
+        save_subspace(path, minus)
+        assert main(["classify", str(path)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["branch"] is None and record["branch_diagnostic"] == verdict.reason
+        assert record["protohomogeneous"]["value"] == "yes"
 
     @pytest.mark.parametrize("phi,sign,n", BATCH_CASES)
     def test_batched_invariant_matches_per_point_loop(self, phi, sign, n):
@@ -691,15 +774,15 @@ class TestKernelSplit:
             space = rotated(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
             analysis = _Analysis(space)
             kplus, kminus = analysis.kernels
-            assert analysis.block_type().as_tuple() == (kplus.shape[1] // 4,
-                                                        kminus.shape[1] // 4)
-            assert analysis.block_type().as_tuple() == (l_plus, l - l_plus)
+            assert analysis.invariant.as_tuple() == (kplus.shape[1] // 4,
+                                                     kminus.shape[1] // 4)
+            assert analysis.invariant.as_tuple() == (l_plus, l - l_plus)
 
     def test_eigenvalue_type_refuses_non_symmetric_product(self, monkeypatch):
         space = rotated(construct_sum(TA, 1, 1, 8), 3)
         _tampered(monkeypatch, space, w_canonical=_third_is_first)
         with pytest.raises(NumericalFailure) as typed:
-            _Analysis(space).block_type()
+            type_of(space)
         with pytest.raises(NumericalFailure) as blocks:
             factorize(space)
         assert str(typed.value) == str(blocks.value)
@@ -751,7 +834,7 @@ class TestSignGates:
             plus, minus = _eigvalsh_sign_dims(0.5 * (m + m.T))
             svd = [part.shape[1] for part in _svd_kernel_split(p1, p2, p3)]
             assert [plus, minus] == svd == [4 * l_plus, 4 * (l - l_plus)]
-            assert analysis.block_type().as_tuple() == (l_plus, l - l_plus)
+            assert analysis.invariant.as_tuple() == (l_plus, l - l_plus)
 
     def test_count_not_a_multiple_of_four_refused(self):
         q = np.linalg.qr(np.random.default_rng(6).standard_normal((8, 8)))[0]
@@ -897,6 +980,18 @@ class TestSeedFreeDimension3:
                 minus = moved(construct_v3(phi, -1, 3), seed + 2)
                 assert are_equivalent(plus, twin).value == "yes"
                 assert are_equivalent(plus, minus).value == "no"
+
+    @pytest.mark.parametrize("build", [
+        lambda: construct_v3(1.2, 1, 3),
+        lambda: construct_v3(HALF_PI, -1, 3),
+        lambda: construct_classical("totally_real", 3, 3),
+        lambda: rotated(construct_classical("im_h_line", 3, 2), 4),
+    ], ids=["v3", "v3_right_angle", "totally_real", "im_h_line"])
+    def test_rule_is_the_only_constancy_path(self, build):
+        # Even where the exact residual would certify constancy, dimension 3
+        # reads the 91 rule points.
+        report = _Analysis(build()).report
+        assert report.samples == 91 and report.constant is True
 
     def test_no_random_generator_on_verdict_paths(self, monkeypatch):
         spaces = [build() for _, build in SEED_FREE_CASES]

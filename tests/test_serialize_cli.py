@@ -165,8 +165,8 @@ class TestCli:
     def test_angles_and_classify_report_one_joint_residual(self, tmp_path, capsys):
         path = tmp_path / "vm.json"
         save_subspace(path, construct_v4(T13, -1, 4))
-        _, angles, _ = run_cli(["angles", str(path), "--seed", "3"], capsys)
-        _, record, _ = run_cli(["classify", str(path), "--seed", "3"], capsys)
+        _, angles, _ = run_cli(["angles", str(path)], capsys)
+        _, record, _ = run_cli(["classify", str(path)], capsys)
         assert json.loads(angles)["joint_residual"] == json.loads(record)["joint_residual"]
 
     @pytest.mark.parametrize("family_args,certified", [
@@ -176,11 +176,9 @@ class TestCli:
     def test_construct_angles_classify_report_one_spread(self, tmp_path, capsys,
                                                          family_args, certified):
         path = tmp_path / "v.json"
-        common = ["--samples", "200", "--seed", "4"]
-        _, built, _ = run_cli(["construct", *family_args, "--out", str(path), *common],
-                              capsys)
-        _, angles, _ = run_cli(["angles", str(path), *common], capsys)
-        _, record, _ = run_cli(["classify", str(path), *common], capsys)
+        _, built, _ = run_cli(["construct", *family_args, "--out", str(path)], capsys)
+        _, angles, _ = run_cli(["angles", str(path)], capsys)
+        _, record, _ = run_cli(["classify", str(path)], capsys)
         spreads = {json.loads(out)["spread"] for out in (built, angles, record)}
         assert len(spreads) == 1
         # A certified subspace reports the exact whole-sphere bound, unsampled.
@@ -255,21 +253,19 @@ class TestCli:
             def cosines(self):
                 return np.array([math.nan, 0.0, 0.0])
 
-        monkeypatch.setattr(qka.cli, "snapped", lambda triple: NanTriple())
+        monkeypatch.setattr(qka.cli._Analysis, "triple", property(lambda self: NanTriple()))
         out = tmp_path / "nan.json"
         code, stdout, _ = run_cli(["construct", "--family", "quaternionic", "--k", "4",
                                    "--n", "1", "--out", str(out)], capsys)
         assert code == 2 and stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("value", ["abc", "1.5"])
-    def test_malformed_env_seed_exits_2(self, tmp_path, capsys, monkeypatch, value):
+    def test_malformed_env_seed_exits_2(self, capsys, monkeypatch, value):
+        # Only `selftest` samples, so only it reads QKA_SEED.
         monkeypatch.setenv("QKA_SEED", value)
-        out = tmp_path / "q.json"
-        code, stdout, stderr = run_cli(["construct", "--family", "quaternionic", "--k", "4",
-                                        "--n", "1", "--out", str(out)], capsys)
+        code, stdout, stderr = run_cli(["selftest", "--quick"], capsys)
         assert code == 2 and stdout == ""
         assert "QKA_SEED" in stderr
-        assert not out.exists()
 
     def test_malformed_env_seed_ignored_where_unread(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QKA_SEED", "abc")
@@ -277,16 +273,19 @@ class TestCli:
         assert code == 0
         out = tmp_path / "q.json"
         code, stdout, _ = run_cli(["construct", "--family", "quaternionic", "--k", "4",
-                                   "--n", "1", "--out", str(out), "--seed", "5"], capsys)
-        assert code == 0 and json.loads(stdout)["meta"]["seed"] == 5
+                                   "--n", "1", "--out", str(out)], capsys)
+        assert code == 0 and "seed" not in json.loads(stdout)["meta"]
+        for command in ("angles", "classify"):
+            assert run_cli([command, str(out)], capsys)[0] == 0
 
     @pytest.mark.parametrize("flags,named", [(["--samples", "-3"], "--samples"),
                                              (["--samples", "1"], "--samples"),
                                              (["--seed", "-1"], "--seed")])
     def test_bad_samples_or_seed_refused_where_they_enter(self, tmp_path, capsys,
                                                           flags, named):
-        # Refused by the parser, before anything is written, on a certified
-        # file (which samples nothing) and on a random one (which samples).
+        # No verdict samples, so construct, angles and classify take neither
+        # flag: the parser refuses both, before anything is written, on a
+        # certified file and on a random one.
         certified, random_plane = tmp_path / "vm.json", tmp_path / "r.json"
         save_subspace(certified, construct_v4(T13, -1, 3))
         rng = np.random.default_rng(5)
@@ -301,7 +300,8 @@ class TestCli:
                 main(argv + flags)
             assert exc.value.code == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and f"argument {named}" in captured.err
+            assert captured.out == "" and "unrecognized arguments" in captured.err
+            assert named in captured.err
         assert not out.exists()
 
     def test_negative_seed_refused_by_selftest(self, capsys):
@@ -309,44 +309,42 @@ class TestCli:
             main(["selftest", "--quick", "--seed", "-1"])
         assert exc.value.code == 2 and "argument --seed" in capsys.readouterr().err
 
-    def test_negative_env_seed_exits_2(self, tmp_path, capsys, monkeypatch):
+    def test_negative_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("QKA_SEED", "-1")
-        out = tmp_path / "q.json"
-        code, stdout, stderr = run_cli(["construct", "--family", "quaternionic", "--k", "4",
-                                        "--n", "1", "--out", str(out)], capsys)
-        assert code == 2 and stdout == "" and not out.exists()
+        code, stdout, stderr = run_cli(["selftest", "--quick"], capsys)
+        assert code == 2 and stdout == ""
         assert "QKA_SEED" in stderr
-        # Still read only by the commands that sample.
+        # Still read only by the command that samples.
         code, _, _ = run_cli(["moduli", "--k", "4", "--n", "4"], capsys)
         assert code == 0
 
-    def test_empty_env_seed_means_zero(self, tmp_path, capsys, monkeypatch):
+    def test_empty_env_seed_means_zero(self, capsys, monkeypatch):
         monkeypatch.setenv("QKA_SEED", "")
-        out = tmp_path / "q.json"
-        code, stdout, _ = run_cli(["construct", "--family", "quaternionic", "--k", "4",
-                                   "--n", "1", "--out", str(out)], capsys)
-        assert code == 0 and json.loads(stdout)["meta"]["seed"] == 0
+        code, with_env, _ = run_cli(["selftest", "--quick"], capsys)
+        monkeypatch.delenv("QKA_SEED")
+        _, explicit, _ = run_cli(["selftest", "--quick", "--seed", "0"], capsys)
+        assert code == 0 and with_env == explicit
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(["angles", "/nonexistent/path.json"], capsys)
         assert code == 2
 
-    def test_angles_deterministic_per_seed(self, tmp_path, capsys):
+    def test_angles_deterministic_per_seed(self, tmp_path, capsys, monkeypatch):
+        # `angles` reads no seed: the same output whatever QKA_SEED holds.
         out = tmp_path / "q.json"
         run_cli(["construct", "--family", "quaternionic", "--k", "8", "--n", "2",
                  "--out", str(out)], capsys)
-        _, first, _ = run_cli(["angles", str(out), "--seed", "7"], capsys)
-        _, second, _ = run_cli(["angles", str(out), "--seed", "7"], capsys)
-        assert first == second
+        outputs = []
+        for seed in ("7", "7", "8"):
+            monkeypatch.setenv("QKA_SEED", seed)
+            outputs.append(run_cli(["angles", str(out)], capsys)[1])
+        assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "q.json"
-        run_cli(["construct", "--family", "quaternionic", "--k", "4", "--n", "1",
-                 "--out", str(out)], capsys)
+    def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("QKA_SEED", "11")
-        _, with_env, _ = run_cli(["angles", str(out)], capsys)
+        _, with_env, _ = run_cli(["selftest", "--quick"], capsys)
         monkeypatch.delenv("QKA_SEED")
-        _, explicit, _ = run_cli(["angles", str(out), "--seed", "11"], capsys)
+        _, explicit, _ = run_cli(["selftest", "--quick", "--seed", "11"], capsys)
         assert with_env == explicit
 
     def test_selftest_quick(self, capsys):
