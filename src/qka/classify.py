@@ -25,7 +25,6 @@ from .families import (
     construct_v3,
     min_quaternionic_dim,
 )
-from .quaternion import CanonicalBasis
 from .subspace import (
     COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
@@ -61,7 +60,6 @@ __all__ = [
     "snapped",
 ]
 
-JOINT_RESIDUAL_TOL = 1e-8
 TRIPLE_MATCH_TOL = 1e-8
 # Cosines this close to 0 or 1 are treated as exact pi/2 or 0 angles when a
 # triple computed from eigenvalues enters a region predicate (eigenvalue
@@ -83,6 +81,10 @@ SIGN_SYMMETRY_TOL = 1e-8
 SIGN_INVOLUTION_TOL = 1e-8
 # Spread of the v3 branch invariant and its distance to a class (`_branch_sign`).
 BRANCH_TOL = 1e-8
+# cos(phi) at or below this is phi = pi/2 in the block analysis: there the two
+# block signs coincide (`_Analysis.signs`), and `factorize` takes no Pbar_i,
+# whose normalization W'_i / cos(phi) is singular.
+RIGHT_ANGLE_TOL = 1e-8
 _SEED_STEP = 0.7548776662466927  # irrational: the inverse of the plastic number
 
 
@@ -120,20 +122,16 @@ class Verdict:
         return self.value == "no"
 
 
-def _snap_cos(x: np.ndarray, tol: float = SNAP_TOL) -> np.ndarray:
+def _snap_cos(x: np.ndarray) -> np.ndarray:
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    x[np.abs(x) <= tol] = 0.0
-    x[np.abs(x - 1.0) <= tol] = 1.0
+    x[np.abs(x) <= SNAP_TOL] = 0.0
+    x[np.abs(x - 1.0) <= SNAP_TOL] = 1.0
     return x
 
 
-def snapped(triple: AngleTriple, tol: float = SNAP_TOL) -> AngleTriple:
-    """Snap angles indistinguishable from 0 or pi/2 to the exact value."""
-    return AngleTriple.from_cosines(_snap_cos(triple.cosines(), tol))
-
-
-def _cos_leq(value: float, bound: float, tol: float) -> bool:
-    return value <= bound + tol
+def snapped(triple: AngleTriple) -> AngleTriple:
+    """Snap angles within SNAP_TOL of 0 or pi/2 (on cosines) to the exact value."""
+    return AngleTriple.from_cosines(_snap_cos(triple.cosines()))
 
 
 def _sign_split(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -267,17 +265,17 @@ class _Analysis:
             )
         return report.triple
 
-    def canonical(self) -> tuple[AngleTriple, CanonicalBasis]:
-        """Triple and common canonical basis shared by the block routines."""
+    def canonical(self) -> AngleTriple:
+        """The constant triple shared by the block routines.
+
+        Their common canonical basis is the exact structure's R: for
+        dim V = 4l the angle is constant only by the certificate
+        2 * residual <= CONSTANCY_TOL, so R diagonalizes Omega everywhere
+        within the residual.
+        """
         if self.space.k % 4:
             raise ValueError("block analysis needs dim V to be a multiple of 4")
-        triple = self._constant_triple()
-        residual = self.exact.residual
-        if residual > JOINT_RESIDUAL_TOL:
-            raise NumericalFailure(
-                f"no common canonical basis found (joint residual {residual:.2e})"
-            )
-        return triple, self.exact.basis
+        return self._constant_triple()
 
     def pbar(self, i: int, phi: float) -> np.ndarray:
         """Pbar_i = W'_i / cos(phi_i) in V coordinates, checked to be an
@@ -300,12 +298,6 @@ class _Analysis:
         return math.cos(phi)
 
     @cached_property
-    def pbars(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pbar_1 and Pbar_2 in V coordinates, the generators of `factorize`."""
-        triple, _ = self.canonical()
-        return self.pbar(1, triple.phi1), self.pbar(2, triple.phi2)
-
-    @cached_property
     def signs(self) -> tuple[np.ndarray, int] | None:
         """S = sym(M) and its +1 dimension (`_sign_split`), or None when
         phi3 = pi/2, where the two signs coincide.
@@ -315,8 +307,8 @@ class _Analysis:
         M = Pbar3^T Pbar1 Pbar2 = -W'_3^T X_12 / (cos(phi1) cos(phi2) cos(phi3)):
         one product, after the three Pbar gates.
         """
-        triple, _ = self.canonical()
-        if math.cos(triple.phi3) <= 1e-8:
+        triple = self.canonical()
+        if math.cos(triple.phi3) <= RIGHT_ANGLE_TOL:
             return None
         scale = -1.0
         for i, phi in enumerate(triple.as_tuple(), 1):
@@ -439,37 +431,31 @@ def factorize(v_space: Subspace) -> list[Subspace]:
     """Split a constant-angle subspace of dimension 4l into its 4-blocks.
 
     The blocks are pairwise H-orthogonal, each 4-dimensional with the same
-    angle triple as V, spanned by {v, Pbar_1 v, Pbar_2 v, Pbar_1 Pbar_2 v}
-    with deflation (pure-sign parts are factored separately so the orbit of
-    each seed vector closes up in dimension 4).
+    angle triple as V.  The generators G are the Pbar_i of the angles phi1,
+    phi2 below pi/2 (RIGHT_ANGLE_TOL), and Pbar_1 Pbar_2 when both are; each
+    cell is the span of {v} U {G v} with deflation, and a block joins
+    4 / (len(G) + 1) consecutive cells.  Pure-sign parts are factored
+    separately so the orbit of each seed vector closes up in its block.
     """
     analysis = _Analysis(v_space)
-    triple, _ = analysis.canonical()
-    k = v_space.k
-    cos2 = math.cos(triple.phi2)
-    if cos2 <= 1e-8:
-        if math.cos(triple.phi1) <= 1e-8:
-            cells = [np.eye(k)[:, 4 * r:4 * r + 4] for r in range(k // 4)]
-            blocks = cells
-        else:
-            p1 = analysis.pbar(1, triple.phi1)
-            pairs = _cells(np.eye(k), [p1])
-            blocks = [np.column_stack([pairs[2 * r], pairs[2 * r + 1]])
-                      for r in range(len(pairs) // 2)]
+    triple = analysis.canonical()
+    generators = [analysis.pbar(i, phi) for i, phi in ((1, triple.phi1), (2, triple.phi2))
+                  if math.cos(phi) > RIGHT_ANGLE_TOL]
+    if len(generators) == 2:
+        generators.append(generators[0] @ generators[1])
+    if analysis.signs is None:
+        parts = [np.eye(v_space.k)]
     else:
-        p1, p2 = analysis.pbars
-        if analysis.signs is None:
-            parts = [np.eye(k)]
-        else:
-            parts = [p for p in analysis.kernels if p.shape[1]]
-        blocks = []
-        for part in parts:
-            blocks.extend(_cells(part, [p1, p2, p1 @ p2]))
+        parts = [p for p in analysis.kernels if p.shape[1]]
+    per_block = 4 // (len(generators) + 1)
     out = []
-    for b in blocks:
-        if b.shape[1] != 4:
-            raise NumericalFailure("block extraction produced a non-4-dimensional cell")
-        out.append(Subspace(np.linalg.qr(v_space.basis @ b)[0]))
+    for part in parts:
+        cells = _cells(part, generators)
+        for r in range(0, len(cells), per_block):
+            b = np.column_stack(cells[r:r + per_block])
+            if b.shape[1] != 4:
+                raise NumericalFailure("block extraction produced a non-4-dimensional cell")
+            out.append(Subspace(np.linalg.qr(v_space.basis @ b)[0]))
     return out
 
 
@@ -535,7 +521,8 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     if not rep_v.constant:
         return Verdict("unknown", "both angle triples are non-constant; no invariant "
                                   "implemented for that regime")
-    if not side_v.triple.close_to(side_w.triple, TRIPLE_MATCH_TOL):
+    gap = np.max(np.abs(side_v.triple.cosines() - side_w.triple.cosines()))
+    if not gap <= TRIPLE_MATCH_TOL:
         return Verdict("no", "different angle triples")
     inv_v, inv_w = side_v.invariant, side_w.invariant
     for inv in (inv_v, inv_w):
@@ -566,12 +553,13 @@ class ModuliStratum:
     kind: str  # point | curve | region | region_with_Z2 | surface
     description: str
     multiplicity: int
-    predicate: Callable[[AngleTriple, float], bool] = field(repr=False)
+    predicate: Callable[[np.ndarray], bool] = field(repr=False)  # of the cosines
     action: str = "subspace-induced"
     annotation: str | None = None
 
-    def contains(self, triple: AngleTriple, tol: float = REGION_TOL) -> bool:
-        return self.predicate(triple, tol)
+    def contains(self, triple: AngleTriple) -> bool:
+        """Whether the stratum's cosine predicate, within REGION_TOL, holds."""
+        return self.predicate(triple.cosines())
 
     def to_dict(self) -> dict:
         out = {
@@ -589,14 +577,14 @@ class ModuliStratum:
 def _point_stratum(name, cosines, description, annotation=None) -> ModuliStratum:
     target = np.asarray(cosines, dtype=float)
 
-    def pred(triple: AngleTriple, tol: float) -> bool:
-        return bool(np.max(np.abs(triple.cosines() - target)) <= tol)
+    def pred(x: np.ndarray) -> bool:
+        return bool(np.max(np.abs(x - target)) <= REGION_TOL)
 
     return ModuliStratum(name, "point", description, 1, pred, annotation=annotation)
 
 
-def _in_minus_region(x: np.ndarray, tol: float) -> bool:
-    return _cos_leq(x[0] + x[1] + x[2], 1.0, tol) and x[2] > tol
+def _in_minus_region(x: np.ndarray) -> bool:
+    return x[0] + x[1] + x[2] <= 1.0 + REGION_TOL and x[2] > REGION_TOL
 
 
 def strata_for(k: int, n: int) -> list[ModuliStratum]:
@@ -610,12 +598,8 @@ def strata_for(k: int, n: int) -> list[ModuliStratum]:
     out: list[ModuliStratum] = []
     if k % 4 == 0:
         if k <= n:
-            def plus_only(triple, tol):
-                x = triple.cosines()
-                return _cos_leq(x[0] + x[1] - x[2], 1.0, tol) and not _in_minus_region(x, tol)
-
-            def both_signs(triple, tol):
-                return _in_minus_region(triple.cosines(), tol)
+            def plus_only(x):
+                return x[0] + x[1] - x[2] <= 1.0 + REGION_TOL and not _in_minus_region(x)
 
             out.append(ModuliStratum(
                 "single_class_region", "region",
@@ -626,12 +610,11 @@ def strata_for(k: int, n: int) -> list[ModuliStratum]:
                 "two_class_region", "region_with_Z2",
                 "triples with cos(phi1)+cos(phi2)+cos(phi3) <= 1 and "
                 "phi3 != pi/2; two inequivalent classes per triple",
-                2, both_signs))
+                2, _in_minus_region))
         elif 3 * k <= 4 * n:
-            def on_boundary(triple, tol):
-                x = triple.cosines()
-                return (abs(x[0] + x[1] - x[2] - 1.0) <= tol
-                        or abs(x[0] + x[1] + x[2] - 1.0) <= tol)
+            def on_boundary(x):
+                return (abs(x[0] + x[1] - x[2] - 1.0) <= REGION_TOL
+                        or abs(x[0] + x[1] + x[2] - 1.0) <= REGION_TOL)
 
             out.append(ModuliStratum(
                 "boundary_sum_surface", "surface",
@@ -639,9 +622,8 @@ def strata_for(k: int, n: int) -> list[ModuliStratum]:
                 "the rank-two boundary fit three quaternionic dimensions each",
                 1, on_boundary))
         elif k <= 2 * n:
-            def complexified(triple, tol):
-                x = triple.cosines()
-                return x[0] >= 1.0 - tol and abs(x[1] - x[2]) <= tol
+            def complexified(x):
+                return x[0] >= 1.0 - REGION_TOL and abs(x[1] - x[2]) <= REGION_TOL
 
             out.append(ModuliStratum(
                 "complexified_curve", "curve",
@@ -655,9 +637,8 @@ def strata_for(k: int, n: int) -> list[ModuliStratum]:
                            "hyperbolic subspace"))
     elif k % 2 == 0:
         if k <= n:
-            def kahler_line(triple, tol):
-                x = triple.cosines()
-                return x[1] <= tol and x[2] <= tol
+            def kahler_line(x):
+                return x[1] <= REGION_TOL and x[2] <= REGION_TOL
 
             out.append(ModuliStratum(
                 "kahler_angle_curve", "curve",
@@ -669,15 +650,13 @@ def strata_for(k: int, n: int) -> list[ModuliStratum]:
                 "the totally complex subspace, angles (0, pi/2, pi/2)"))
     elif k == 3:
         if k <= n:
-            def merged(triple, tol):
-                x = triple.cosines()
-                return (abs(x[0] - x[1]) <= tol and x[2] <= tol
-                        and (x[0] > 0.5 + tol or x[0] <= tol))
+            def merged(x):
+                return (abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
+                        and (x[0] > 0.5 + REGION_TOL or x[0] <= REGION_TOL))
 
-            def branched(triple, tol):
-                x = triple.cosines()
-                return (abs(x[0] - x[1]) <= tol and x[2] <= tol
-                        and tol < x[0] <= 0.5 + tol)
+            def branched(x):
+                return (abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
+                        and REGION_TOL < x[0] <= 0.5 + REGION_TOL)
 
             out.append(ModuliStratum(
                 "single_branch_curve", "curve",
@@ -730,9 +709,7 @@ class StratumMembership:
         return out
 
 
-def moduli_membership(
-    k: int, n: int, triple: AngleTriple, tol: float = REGION_TOL
-) -> list[StratumMembership]:
+def moduli_membership(k: int, n: int, triple: AngleTriple) -> list[StratumMembership]:
     """The strata of the (k, n) moduli space containing the triple.
 
     Strata carrying two inequivalent classes contribute one entry per
@@ -742,7 +719,7 @@ def moduli_membership(
         raise ValueError("membership needs k >= 1")
     hits = []
     for stratum in strata_for(k, n):
-        if stratum.contains(triple, tol):
+        if stratum.contains(triple):
             if stratum.multiplicity == 2:
                 hits.append(StratumMembership(stratum, 1))
                 hits.append(StratumMembership(stratum, -1))

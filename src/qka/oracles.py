@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-10
+# Squared cosines within this of 0, or of each other, count as equal in the
+# sphere-distribution constraints (`steenrod_allows`, `steenrod_oracle`).
+STEENROD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,6 @@ class GridSpec:
     """A cosine-grid sweep configuration."""
 
     resolution: int = 50
-    tolerance: float = PSD_TOL
 
     def __post_init__(self):
         if self.resolution < 2:
@@ -90,7 +92,7 @@ def closed_form_eigvals(mats: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def psd_oracle(m, tol: float = PSD_TOL) -> tuple[bool, int | None]:
+def psd_oracle(m) -> tuple[bool, int | None]:
     """Positive semidefiniteness and rank of a symmetric 3x3 matrix.
 
     Decided by closed-form eigenvalues and cross-checked against the
@@ -100,29 +102,30 @@ def psd_oracle(m, tol: float = PSD_TOL) -> tuple[bool, int | None]:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or np.max(np.abs(m - m.T)) > 1e-12:
         raise ValueError("expected a symmetric 3x3 matrix")
-    psd, rank = psd_oracle_batch(m[None], tol)
+    psd, rank = psd_oracle_batch(m[None])
     return (True, int(rank[0])) if psd[0] else (False, None)
 
 
-def psd_oracle_batch(mats: np.ndarray, tol: float = PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
+def psd_oracle_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized psd_oracle over a batch (m, 3, 3) of symmetric matrices.
 
     Returns boolean psd flags and integer ranks (ranks are meaningful only
-    where psd holds).  Raises on any eigenvalue/minor disagreement.
+    where psd holds), both read within PSD_TOL.  Raises on any
+    eigenvalue/minor disagreement.
     """
     m = np.asarray(mats, dtype=float)
     lams = closed_form_eigvals(m)
-    psd_eig = lams[:, -1] >= -tol
+    psd_eig = lams[:, -1] >= -PSD_TOL
     minors = [m[:, i, i] for i in range(3)]
     minors += [m[:, i, i] * m[:, j, j] - m[:, i, j] * m[:, j, i]
                for i, j in ((0, 1), (0, 2), (1, 2))]
-    psd_minor = np.min(np.stack(minors + [_det3(m)], axis=1), axis=1) >= -tol
+    psd_minor = np.min(np.stack(minors + [_det3(m)], axis=1), axis=1) >= -PSD_TOL
     if np.any(psd_eig != psd_minor):
         idx = int(np.argmax(psd_eig != psd_minor))
         raise NumericalFailure(
             f"eigenvalue and principal-minor criteria disagree at batch index {idx}"
         )
-    return psd_eig, np.sum(lams > tol, axis=1)
+    return psd_eig, np.sum(lams > PSD_TOL, axis=1)
 
 
 def det_closed_form(cosines, sign: int) -> float:
@@ -160,11 +163,11 @@ def gram_grid_sweep(spec: GridSpec) -> dict:
     interior = xs[inside]
     for sign in (1, -1):
         grams = _gram_batch(phis, sign)
-        psd, rank = psd_oracle_batch(grams, spec.tolerance)
+        psd, rank = psd_oracle_batch(grams)
         margin = xs[:, 0] + xs[:, 1] - sign * xs[:, 2] - 1.0
-        formula = margin <= spec.tolerance
+        formula = margin <= PSD_TOL
         out["psd_disagreements"] += int(np.sum(psd != formula))
-        boundary = np.abs(margin) <= spec.tolerance
+        boundary = np.abs(margin) <= PSD_TOL
         out["rank_mismatches"] += int(np.sum(rank[psd & boundary] != 2))
         out["rank_mismatches"] += int(np.sum(rank[psd & ~boundary] != 3))
         if len(interior):
@@ -201,20 +204,20 @@ def invariance_oracle(
     return worst
 
 
-def steenrod_allows(k: int, triple: AngleTriple, tol: float = 1e-8) -> bool:
+def steenrod_allows(k: int, triple: AngleTriple) -> bool:
     """Whether a triple is possible for a constant-angle subspace of dim k.
 
     Encodes the sphere-distribution constraints: odd k other than 3 forces
     the totally real triple, k = 2 mod 4 forces (phi, pi/2, pi/2), and k = 3
-    forces (phi, phi, pi/2).
+    forces (phi, phi, pi/2), on squared cosines within STEENROD_TOL.
     """
     c2 = triple.cos2()
     if k % 2 == 1 and k != 3:
-        return bool(np.all(c2 <= tol))
+        return bool(np.all(c2 <= STEENROD_TOL))
     if k % 4 == 2:
-        return bool(c2[1] <= tol and c2[2] <= tol)
+        return bool(c2[1] <= STEENROD_TOL and c2[2] <= STEENROD_TOL)
     if k == 3:
-        return bool(abs(c2[0] - c2[1]) <= tol and c2[2] <= tol)
+        return bool(abs(c2[0] - c2[1]) <= STEENROD_TOL and c2[2] <= STEENROD_TOL)
     return True
 
 
@@ -228,5 +231,5 @@ def steenrod_oracle(v_space: Subspace, samples: int = 300, seed: int = 0) -> boo
     triple = report.triple
     if not steenrod_allows(v_space.k, triple):
         return False
-    expected_rank = int(np.sum(triple.cos2() > 1e-8))
+    expected_rank = int(np.sum(triple.cos2() > STEENROD_TOL))
     return distribution_rank(v_space, seed=seed) == expected_rank

@@ -11,17 +11,16 @@ import warnings
 
 import numpy as np
 
-from .subspace import Subspace
+from .subspace import ORTHONORMALITY_TOL, Subspace
 
 __all__ = ["FORMAT_VERSION", "subspace_to_dict", "subspace_from_dict",
            "save_subspace", "load_subspace"]
 
 FORMAT_VERSION = 1
 
-# Rows orthonormal within this are accepted as stored; up to the looser
-# bound they are re-orthonormalized with a warning; beyond it the file is
-# rejected.
-ACCEPT_TOL = 1e-10
+# Rows orthonormal within ORTHONORMALITY_TOL, the gate of `Subspace`, are
+# accepted as stored; up to this looser bound they are re-orthonormalized with
+# a warning; beyond it the file is rejected.
 REPAIR_TOL = 1e-8
 
 
@@ -58,7 +57,7 @@ def subspace_from_dict(data: dict) -> tuple[Subspace, dict]:
     dev = float(np.max(np.abs(basis.T @ basis - np.eye(k))))
     if dev > REPAIR_TOL:
         raise ValueError(f"basis rows are not orthonormal (deviation {dev:.2e})")
-    if dev > ACCEPT_TOL:
+    if dev > ORTHONORMALITY_TOL:
         warnings.warn(
             f"re-orthonormalizing stored basis (deviation {dev:.2e})",
             stacklevel=2,

@@ -18,7 +18,6 @@ from .quaternion import (
     STANDARD_BASIS,
     CanonicalBasis,
     GroupElement,
-    HVector,
     _coords,
 )
 
@@ -40,7 +39,7 @@ __all__ = [
 
 HALF_PI = math.pi / 2.0
 
-# Default tolerances: two orders above accumulated round-off at n <= 64.
+# Tolerances: two orders above accumulated round-off at n <= 64.
 ORTHONORMALITY_TOL = 1e-10
 MEMBERSHIP_RTOL = 1e-9
 CONSTANCY_TOL = 1e-8
@@ -91,10 +90,6 @@ class AngleTriple:
     def from_cos2_eigenvalues(cls, lams) -> "AngleTriple":
         lams = np.clip(np.asarray(lams, dtype=float), 0.0, 1.0)
         return cls.from_cosines(np.sqrt(lams))
-
-    def close_to(self, other: "AngleTriple", tol: float = 1e-8) -> bool:
-        """Compare on cosines, the scale all region predicates use."""
-        return bool(np.max(np.abs(self.cosines() - other.cosines())) <= tol)
 
     def __iter__(self):
         return iter(self.as_tuple())
@@ -147,19 +142,14 @@ class Subspace:
     def k(self) -> int:
         return self.basis.shape[1]
 
-    def project_coords(self, vecs: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ vecs)
-
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    def contains(self, v, rtol: float = MEMBERSHIP_RTOL) -> bool:
-        """Scale-free membership: ||v - pi_V v|| <= rtol ||v||."""
+    def contains(self, v) -> bool:
+        """Scale-free membership: ||v - pi_V v|| <= MEMBERSHIP_RTOL ||v||."""
         c = _coords(v, self.n)
-        return bool(np.linalg.norm(c - self.project_coords(c)) <= rtol * np.linalg.norm(c))
-
-    def basis_vectors(self) -> list[HVector]:
-        return [HVector(self.basis[:, j]) for j in range(self.k)]
+        resid = c - self.basis @ (self.basis.T @ c)
+        return bool(np.linalg.norm(resid) <= MEMBERSHIP_RTOL * np.linalg.norm(c))
 
     def transformed(self, t: GroupElement) -> "Subspace":
         """The image subspace under a group element (an isometry)."""
@@ -171,11 +161,11 @@ class Subspace:
         return f"Subspace(n={self.n}, k={self.k})"
 
 
-def from_spanning(vectors, svtol: float = 1e-10) -> Subspace:
+def from_spanning(vectors) -> Subspace:
     """Orthonormalize a spanning set into a Subspace.
 
     Raises if the vectors are numerically dependent (smallest singular value
-    of the stacked matrix at most ``svtol``).
+    of the stacked matrix at most 1e-10).
     """
     if not vectors:
         raise ValueError("need at least one spanning vector")
@@ -185,7 +175,7 @@ def from_spanning(vectors, svtol: float = 1e-10) -> Subspace:
         raise ValueError("spanning vectors have mixed ambient dimensions")
     a = np.column_stack(cols)
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= svtol:
+    if sv[-1] <= 1e-10:
         raise ValueError(
             f"rank-deficient spanning set (smallest singular value {sv[-1]:.2e})"
         )
@@ -441,7 +431,6 @@ def constancy_check(
     v_space: Subspace,
     samples: int = 500,
     seed: int = 0,
-    tol: float = CONSTANCY_TOL,
 ) -> ConstancyReport:
     """Sample the sphere of V and compare sorted Omega spectra.
 
@@ -455,19 +444,19 @@ def constancy_check(
     rng = np.random.default_rng(seed)
     coeffs = _sample_coeffs(v_space.k, samples, rng)
     oms = _omega_batch(v_space, coeffs, STANDARD_BASIS)
-    return _spectrum_report(np.linalg.eigvalsh(oms), tol)
+    return _spectrum_report(np.linalg.eigvalsh(oms))
 
 
-def _spectrum_report(lams: np.ndarray, tol: float = CONSTANCY_TOL) -> ConstancyReport:
+def _spectrum_report(lams: np.ndarray) -> ConstancyReport:
     """The triple at the first point and the largest spread of the sorted
     squared-cosine spectra ``lams`` (one ascending row per point)."""
     spread = float(np.max(lams.max(axis=0) - lams.min(axis=0)))
     triple = AngleTriple.from_cos2_eigenvalues(lams[0, ::-1])
     return ConstancyReport(triple=triple, max_spread=spread, samples=len(lams),
-                           constant=spread <= tol)
+                           constant=spread <= CONSTANCY_TOL)
 
 
-def _witness_report(exact: _ExactStructure, tol: float = CONSTANCY_TOL) -> ConstancyReport:
+def _witness_report(exact: _ExactStructure) -> ConstancyReport:
     """Constancy from W alone: a witnessed "no", otherwise unknown.
 
     tr Omega(B x) = sum_a |W_a x|^2 = x^T M x with M = sum_a W_a^T W_a, so
@@ -478,8 +467,8 @@ def _witness_report(exact: _ExactStructure, tol: float = CONSTANCY_TOL) -> Const
     not spread, as where M is a multiple of I and its eigenvectors are any
     orthonormal basis (on a sum of two v3 in a basis along the summands,
     each lies in one summand), it is read again with the k (k - 1) / 2
-    normalized sums of two of them added.  A sorted spread beyond ``tol``
-    between real unit vectors of V proves that the angle is not constant,
+    normalized sums of two of them added.  A sorted spread beyond
+    CONSTANCY_TOL between real unit vectors of V proves that the angle is not constant,
     with no seed involved.  No such spread proves nothing: ``constant`` is
     then None, and ``gate`` says that neither this witness nor the exact
     bound 2 * residual decided.
@@ -488,15 +477,15 @@ def _witness_report(exact: _ExactStructure, tol: float = CONSTANCY_TOL) -> Const
     k = w.shape[-1]
     stacked = w.reshape(3 * k, k)  # [W_1; W_2; W_3], so M = stacked^T stacked
     points = np.linalg.eigh(stacked.T @ stacked)[1].T
-    report = _spectrum_report(_omega_spectra(w, points).lams, tol)
+    report = _spectrum_report(_omega_spectra(w, points).lams)
     if report.constant:
         i, j = np.triu_indices(k, 1)
         points = np.concatenate([points, (points[i] + points[j]) / math.sqrt(2.0)])
-        report = _spectrum_report(_omega_spectra(w, points).lams, tol)
+        report = _spectrum_report(_omega_spectra(w, points).lams)
     if not report.constant:
         return report
     gate = (f"constancy undecided: the sorted Omega spectra at {report.samples} witness "
-            f"points spread {report.max_spread:.2e} <= CONSTANCY_TOL {tol:.0e}, and "
+            f"points spread {report.max_spread:.2e} <= CONSTANCY_TOL {CONSTANCY_TOL:.0e}, and "
             f"2 * residual {2.0 * exact.residual:.2e} > CONSTANCY_TOL certifies nothing")
     return replace(report, constant=None, gate=gate)
 
@@ -507,19 +496,18 @@ def _joint_offdiag_mass(mats: np.ndarray) -> float:
     return float(np.sum(off**2))
 
 
-def _jacobi_joint_diagonalize(
-    mats: np.ndarray, decrease_tol: float = 1e-14, max_sweeps: int = 200
-) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_joint_diagonalize(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal approximate joint diagonalization of symmetric 3x3 matrices.
 
     Cyclic Jacobi sweeps over the three Givens angles, each chosen to
     minimize the off-diagonal mass of the pair (Cardoso-Souloumiac angle).
-    Stops when a sweep decreases the mass by less than ``decrease_tol``.
+    Stops when a sweep decreases the mass by less than 1e-14, or after 200
+    sweeps.
     """
     m = mats.copy()
     rot = np.eye(3)
     mass = _joint_offdiag_mass(m)
-    for _ in range(max_sweeps):
+    for _ in range(200):
         for p, q in ((0, 1), (0, 2), (1, 2)):
             d = m[:, p, p] - m[:, q, q]
             o = m[:, p, q] + m[:, q, p]
@@ -536,7 +524,7 @@ def _jacobi_joint_diagonalize(
             m = g.T @ m @ g
             rot = rot @ g
         new_mass = _joint_offdiag_mass(m)
-        if mass - new_mass < decrease_tol:
+        if mass - new_mass < 1e-14:
             mass = new_mass
             break
         mass = new_mass
@@ -570,7 +558,6 @@ def pbar_operator(
     basis: CanonicalBasis,
     i: int,
     phi: float,
-    tol: float = COMPLEX_STRUCTURE_TOL,
 ) -> np.ndarray:
     """The normalized operator Pbar_i = P_i / cos(phi_i) restricted to V.
 
@@ -584,13 +571,14 @@ def pbar_operator(
     if abs(c) <= 1e-12:
         raise ValueError("pbar is undefined at phi = pi/2")
     b = v_space.basis
-    return _complex_structure((b.T @ basis.apply(i, b)) / c, tol)
+    return _complex_structure((b.T @ basis.apply(i, b)) / c)
 
 
-def _complex_structure(m: np.ndarray, tol: float = COMPLEX_STRUCTURE_TOL) -> np.ndarray:
+def _complex_structure(m: np.ndarray) -> np.ndarray:
     """Return the k x k matrix m after checking m^T m = I and m^2 = -I."""
     eye = np.eye(m.shape[0])
-    if np.max(np.abs(m.T @ m - eye)) > tol or np.max(np.abs(m @ m + eye)) > tol:
+    if (np.max(np.abs(m.T @ m - eye)) > COMPLEX_STRUCTURE_TOL
+            or np.max(np.abs(m @ m + eye)) > COMPLEX_STRUCTURE_TOL):
         raise NumericalFailure(_NOT_COMPLEX_STRUCTURE)
     return m
 
@@ -618,14 +606,11 @@ def distribution_rank(v_space: Subspace, samples: int = 24, seed: int = 0) -> in
     return ranks[0]
 
 
-def is_h_orthogonal(v_space: Subspace, w_space: Subspace, tol: float = 1e-10) -> bool:
-    """Whether V and W are orthogonal together with all images under J."""
+def is_h_orthogonal(v_space: Subspace, w_space: Subspace) -> bool:
+    """Whether V and W are orthogonal together with all images under J, each
+    inner product within 1e-10."""
     if v_space.n != w_space.n:
         raise ValueError("dimension mismatch")
     bv, bw = v_space.basis, w_space.basis
-    if np.max(np.abs(bv.T @ bw)) > tol:
-        return False
-    for i in (1, 2, 3):
-        if np.max(np.abs(bv.T @ STANDARD_BASIS.apply(i, bw))) > tol:
-            return False
-    return True
+    images = (STANDARD_BASIS.apply(i, bw) if i else bw for i in range(4))
+    return all(np.max(np.abs(bv.T @ m)) <= 1e-10 for m in images)

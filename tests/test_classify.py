@@ -94,7 +94,7 @@ class TestFactorize:
         space = construct_sum(T03, 2, 0, 8)
         blocks = factorize(space)
         assert len(blocks) == 2
-        assert is_h_orthogonal(blocks[0], blocks[1], tol=1e-9)
+        assert is_h_orthogonal(blocks[0], blocks[1])
         for b in blocks:
             assert constancy_check(b, 200).triple.cos2() == pytest.approx(
                 T03.cos2(), abs=1e-8)
@@ -105,20 +105,27 @@ class TestFactorize:
         types = sorted(type_of(b).as_tuple() for b in blocks)
         assert types == [(0, 1), (1, 0)]
 
-    def test_totally_real_blocks(self):
-        space = construct_classical("totally_real", 8, 8)
+    @staticmethod
+    def _split_blocks(space):
+        """The two H-orthogonal blocks of ``space``, checked to rebuild it."""
         blocks = factorize(space)
         assert len(blocks) == 2
         assert is_h_orthogonal(blocks[0], blocks[1])
+        proj = sum(b.projector() for b in blocks)
+        assert np.max(np.abs(proj - space.projector())) <= 1e-8
+        return blocks
+
+    def test_totally_real_blocks(self):
+        space = construct_classical("totally_real", 8, 8)
+        for v in (space, moved(space, 1), moved(space, 2)):
+            self._split_blocks(v)
 
     def test_kahler_plane_blocks(self):
         space = construct_classical("cka_plane_sum", 8, 8, phi=0.8)
-        blocks = factorize(space)
-        assert len(blocks) == 2
-        assert is_h_orthogonal(blocks[0], blocks[1])
-        for b in blocks:
-            got = constancy_check(b, 200).triple.cos2()
-            assert got == pytest.approx([math.cos(0.8) ** 2, 0, 0], abs=1e-9)
+        for v in (space, moved(space, 1), moved(space, 2)):
+            for b in self._split_blocks(v):
+                got = constancy_check(b, 200).triple.cos2()
+                assert got == pytest.approx([math.cos(0.8) ** 2, 0, 0], abs=1e-9)
 
     def test_reconstruction(self):
         space = construct_sum(T03, 2, 1, 12)
@@ -722,7 +729,7 @@ def _eigvalsh_sign_dims(s):
 
 
 def _pbar_triple(analysis):
-    triple, _ = analysis.canonical()
+    triple = analysis.canonical()
     return [analysis.pbar(i, phi) for i, phi in enumerate(triple.as_tuple(), 1)]
 
 
@@ -1245,7 +1252,6 @@ def test_no_eigvalsh_and_no_pbar_on_the_type_path(monkeypatch):
         raise AssertionError("the block type ran eigvalsh or formed a Pbar")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(_Analysis, "pbars", property(refuse))
     monkeypatch.setattr(_Analysis, "pbar", refuse)
     for space, (record, verdict, block_type) in zip(inputs, expected):
         assert record["type"] is not None

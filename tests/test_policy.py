@@ -1,0 +1,65 @@
+"""The tolerance policy, checked on the source of qka.
+
+Every threshold is a module constant (or a literal) read where its decision
+is made: no function, lambda or dataclass field takes a tolerance.  And no
+module but the package's ``__init__`` imports a name it never uses.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qka"
+TOLERANCE_NAME = re.compile(r"(tol|rtol|svtol|tolerance|.*_tol|max_sweeps)")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _tolerance_knobs(tree: ast.Module, path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+                if arg is not None and TOLERANCE_NAME.fullmatch(arg.arg):
+                    owner = getattr(node, "name", "lambda")
+                    found.append(f"{path.name}:{node.lineno} {owner}({arg.arg})")
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and TOLERANCE_NAME.fullmatch(stmt.target.id)):
+                    found.append(f"{path.name}:{stmt.lineno} {node.name}.{stmt.target.id}")
+    return found
+
+
+def _unused_imports(tree: ast.Module, path: Path) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_tolerance_parameters_and_no_unused_imports():
+    knobs, unused = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        knobs += _tolerance_knobs(tree, path)
+        if path.name != "__init__.py":
+            unused += _unused_imports(tree, path)
+    assert knobs == [], f"tolerance parameters: {knobs}"
+    assert unused == [], f"unused imports: {unused}"
