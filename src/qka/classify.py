@@ -35,10 +35,6 @@ from .subspace import (
     _exact_structure,
     _ExactStructure,
     _NOT_COMPLEX_STRUCTURE,
-    _omega_spectra,
-    _OmegaSpectra,
-    _spectrum_report,
-    _sphere_rule,
     _witness_report,
 )
 
@@ -79,7 +75,7 @@ SNAP_TOL = 1e-7
 # k * SIGN_INVOLUTION_TOL < 1/2 for every k < 5e7.
 SIGN_SYMMETRY_TOL = 1e-8
 SIGN_INVOLUTION_TOL = 1e-8
-# Spread of the v3 branch invariant and its distance to a class (`_branch_sign`).
+# Distance of the v3 branch ratio det(A) / cos(phi)^3 to a class +-1 (`_branch_sign`).
 BRANCH_TOL = 1e-8
 # cos(phi) at or below this is phi = pi/2 in the block analysis: there the two
 # block signs coincide (`_Analysis.signs`), and `factorize` takes no Pbar_i,
@@ -214,11 +210,12 @@ class _Analysis:
     its residual), the constancy report, the snapped triple and the block
     type (read off the residual's W'_1^T W'_2, no Pbar formed) or v3 branch.
     Each is computed on first use and at most once, for a single public
-    call.  Nothing is sampled.  Dimension 3 reads Omega at the fixed 91-point
-    sphere rule (see `subspace._sphere_rule` for what agreement there
-    bounds); every other dimension is certified by the exact residual or
-    read at the witness points of W (`subspace._witness_report`), which
-    prove "no" or leave the constancy unknown (``constant`` None).
+    call.  Nothing is sampled.  Dimension 3 is decided exactly at the three
+    witness points of W, and its branch is the sign of det A for the axial
+    vectors of W (`subspace._witness_report`, `_branch_sign`); every other
+    dimension is certified by the exact residual or read at the witness
+    points of W, which prove "no" or leave the constancy unknown
+    (``constant`` None).
     """
 
     def __init__(self, v_space: Subspace):
@@ -229,20 +226,13 @@ class _Analysis:
         return _exact_structure(self.space)
 
     @cached_property
-    def rule(self) -> _OmegaSpectra:
-        """Omega and its eigh at the 91 rule points of a 3-dimensional V."""
-        points, _ = _sphere_rule()
-        return _omega_spectra(self.exact.w, points)
-
-    @cached_property
     def report(self) -> ConstancyReport:
-        """The rule's spread for dimension 3; otherwise the exact triple when
-        2 * residual certifies constancy, else the witness points of W."""
-        if self.space.k == 3:
-            return _spectrum_report(self.rule.lams)
+        """The exact triple when 2 * residual certifies constancy, else the
+        witness points of W.  Dimension 3 reads only the witness, which is
+        exact there: the certificate's mean triple has three equal cosines."""
         exact = self.exact
         spread = 2.0 * exact.residual
-        if spread <= CONSTANCY_TOL:
+        if self.space.k != 3 and spread <= CONSTANCY_TOL:
             return ConstancyReport(triple=exact.triple, max_spread=spread, samples=0,
                                    constant=True)
         return _witness_report(exact)
@@ -375,56 +365,24 @@ class _Analysis:
     def _branch_sign(self) -> int:
         """The sign of a 3-dimensional constant-angle subspace at phi in (0, pi/2).
 
-        Tells the two classes at one angle apart by the invariant
-        <e_1, e_2> = cos(phi)/(cos(phi) + sign), evaluated at the 91 rule
-        points from the eigenvectors of the rule's one batched eigh (the one
-        the constancy report reads) and required not to depend on the base
-        point: both within BRANCH_TOL.
+        W_a x = w_a x x, and constant angle means that the matrix A with rows
+        w_a is cos(phi) Q for an orthogonal Q, so det(A) / cos(phi)^3 =
+        det Q = +-1 is the class.  Neither Sp(1)Sp(n) (A -> R A, det R = 1)
+        nor a change of orthonormal basis P of V (A -> det(P) A P) moves it.
+        cos(phi)^2 = tr G / 2, as in the report, and the ratio must lie
+        within BRANCH_TOL of +1 or -1.
         """
-        triple = self.triple
-        if abs(math.cos(triple.phi1) - math.cos(triple.phi2)) > 1e-7:
-            raise NumericalFailure("3-dimensional constant-angle triples have phi1 = phi2")
-        phi = 0.5 * (triple.phi1 + triple.phi2)
-        thetas = _branch_invariants(self.exact.w, self.rule, phi)
-        if thetas.max() - thetas.min() > BRANCH_TOL:
-            raise NumericalFailure(
-                f"branch invariant varies across base points (spread "
-                f"{thetas.max() - thetas.min():.2e})"
-            )
-        theta = float(np.mean(thetas))
-        c = math.cos(phi)
+        exact = self.exact
+        w = exact.w
+        axial = np.stack([w[:, 2, 1], w[:, 0, 2], w[:, 1, 0]], axis=1)  # row a is w_a
+        ratio = float(np.linalg.det(axial)) / (exact.cos2.sum() / 2.0) ** 1.5
         for sign in (1, -1):
-            if abs(theta - c / (c + sign)) <= BRANCH_TOL:
+            if abs(ratio - sign) <= BRANCH_TOL:
                 return sign
         raise NumericalFailure(
-            f"branch invariant {theta:.6f} matches neither class at phi={phi:.6f}"
+            f"branch ratio det(A) / cos(phi)^3 = {ratio:.6f} matches neither class "
+            f"+-1 within BRANCH_TOL {BRANCH_TOL:.0e}"
         )
-
-
-def _branch_invariants(w: np.ndarray, spectra: _OmegaSpectra, phi: float) -> np.ndarray:
-    """<e_1, e_2> at the unit base points B x of a 3-dimensional V, one per
-    point x at which ``spectra`` holds Omega.
-
-    At each base point the eigenvectors of Omega give the canonical basis
-    J'_a = sum_b R_ab J_b diagonalizing it, and Pbar_i v = B y_i / cos(phi)
-    with y_i = W'_i x, W'_a = sum_b R_ab W_b.  Each J'_a is skew, J'_1 J'_2 =
-    J'_3 and Pbar_i v lies in V, so with c = cos(phi)
-
-        <J'_1 Pbar_1 v, J'_2 Pbar_2 v> = -y_1 . W'_3 y_2 / c^2,
-        <J'_i Pbar_i v, v> = -|y_i|^2 / c,
-
-    and sin(phi)^2 <e_1, e_2> = -y_1 . W'_3 y_2 / c^2 - |y_1|^2 - |y_2|^2 + c^2
-    follows from W (``w``, shaped (3, 3, 3)) without a vector of R^{4n}.
-    """
-    c, s = math.cos(phi), math.sin(phi)
-    # Rows J'_1, J'_2 (descending eigenvalues) in the standard triple; the
-    # cross product gives J'_3 = J'_1 J'_2 whatever the eigenvector signs.
-    rot = spectra.vecs[:, :, ::-1].transpose(0, 2, 1)[:, :2]
-    y1, y2 = (rot @ spectra.wx).transpose(1, 0, 2)
-    w3 = np.einsum("ma,apq->mpq", np.cross(rot[:, 0], rot[:, 1]), w)
-    mixed = np.einsum("mp,mpq,mq->m", y1, w3, y2)
-    return (-mixed / (c * c) - np.sum(y1 * y1, axis=1) - np.sum(y2 * y2, axis=1)
-            + c * c) / (s * s)
 
 
 def factorize(v_space: Subspace) -> list[Subspace]:
@@ -485,10 +443,11 @@ def is_protohomogeneous(v_space: Subspace) -> Verdict:
 def branch_of_v3(v_space: Subspace) -> int:
     """The sign separating the two 3-dimensional classes at the same angle.
 
-    Reconstructs the auxiliary vectors e_i = -(J_i Pbar_i e0 + cos(phi) e0)
-    / sin(phi) at the 91 fixed base points of the sphere rule; their inner
-    product equals cos(phi)/(cos(phi) + sign) and does not depend on the
-    base point.
+    With W_a x = w_a x x on V, the axial vectors w_a are the rows of
+    A = cos(phi) Q, Q orthogonal, and the sign is det Q = det(A) / cos(phi)^3.
+    It is the sign in the paper's invariant <e_1, e_2> =
+    cos(phi)/(cos(phi) + sign) of the auxiliary vectors e_i =
+    -(J_i Pbar_i e0 + cos(phi) e0) / sin(phi), which the tests rebuild.
     """
     if v_space.k != 3:
         raise ValueError("branch detection applies to 3-dimensional subspaces")
@@ -852,14 +811,15 @@ def _constancy_fields(report: ConstancyReport) -> dict:
 def classify_subspace(v_space: Subspace) -> dict:
     """Full classification record of a subspace (the `classify` CLI payload).
 
-    No seed and no sampling: ``constant`` is decided on the 91-point rule
-    (dimension 3), certified by the exact residual, witnessed "no" at points
-    read off W, or None (JSON null) when none of these decides.  An
-    undecided record carries the gate as ``constancy_gate`` and as the
-    reason of an unknown ``protohomogeneous``, and stops there, as does a
-    non-constant one.  ``type`` (dimension 4l) or ``branch`` (dimension 3)
-    is null with a ``type_diagnostic`` or ``branch_diagnostic`` when a gate
-    refused it; ``branch`` is also null where the two classes merge.
+    No seed and no sampling: ``constant`` is decided exactly at the three
+    witness points of W (dimension 3), certified by the exact residual,
+    witnessed "no" at points read off W, or None (JSON null) when none of
+    these decides.  An undecided record carries the gate as
+    ``constancy_gate`` and as the reason of an unknown ``protohomogeneous``,
+    and stops there, as does a non-constant one.  ``type`` (dimension 4l)
+    or ``branch`` (dimension 3) is null with a ``type_diagnostic`` or
+    ``branch_diagnostic`` when a gate refused it; ``branch`` is also null
+    where the two classes merge.
     """
     analysis = _Analysis(v_space)
     report = analysis.report

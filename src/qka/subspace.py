@@ -8,7 +8,6 @@ when Omega is isospectral over the unit sphere of V.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -101,9 +100,9 @@ class ConstancyReport:
     spread and the number of points it was read at (0 for the exact bound).
 
     ``constant`` is True or False when the spread decides, and None when
-    nothing does (no certificate and no witness); ``gate`` then names the
-    gates that left it undecided, and ``max_spread`` is the largest spread
-    seen, a lower bound only.
+    nothing does (no certificate and no witness, never in dimension 3);
+    ``gate`` then names the gates that left it undecided, and ``max_spread``
+    is the largest spread seen, a lower bound only.
     """
 
     triple: AngleTriple
@@ -164,8 +163,8 @@ class Subspace:
 def from_spanning(vectors) -> Subspace:
     """Orthonormalize a spanning set into a Subspace.
 
-    Raises if the vectors are numerically dependent (smallest singular value
-    of the stacked matrix at most 1e-10).
+    Raises if an entry is not finite, or if the vectors are numerically
+    dependent (smallest singular value of the stacked matrix at most 1e-10).
     """
     if not vectors:
         raise ValueError("need at least one spanning vector")
@@ -174,6 +173,8 @@ def from_spanning(vectors) -> Subspace:
     if len(sizes) != 1:
         raise ValueError("spanning vectors have mixed ambient dimensions")
     a = np.column_stack(cols)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("spanning vectors have non-finite entries")
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] <= 1e-10:
         raise ValueError(
@@ -342,69 +343,11 @@ def _exact_structure(v_space: Subspace) -> _ExactStructure:
                            cross12=cross12)
 
 
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1].
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Legendre recurrence (off-diagonal j / sqrt(4 j^2 - 1)), and each weight
-    is 2 times the squared first component of its eigenvector.
-    """
-    j = np.arange(1.0, m)
-    beta = j / np.sqrt(4.0 * j * j - 1.0)
-    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    return nodes, 2.0 * vecs[0] ** 2
-
-
-# The sphere rule: Gauss-Legendre(_GL_NODES) in z times the _ARCS-point
-# trapezoid in azimuth integrates every polynomial of degree <= 12 on S^2
-# exactly (min(2 * 7 - 1, 13 - 1); Atkinson-Han, Spherical Harmonics and
-# Approximations on the Unit Sphere, 2012, ch. 5).  The decisions on
-# dimension 3 rely on that degree, so these sizes are fixed.
-_GL_NODES = 7
-_ARCS = 13
-
-
-@functools.cache
-def _sphere_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 91-point product rule on S^2: read-only points (91, 3) and
-    weights summing to 1, exact to degree 12.
-
-    On the unit sphere of a 3-dimensional V the power sums p_j = tr Omega^j
-    (j <= 3) are even polynomials of degree <= 6, so the rule integrates
-    their squared deviation from the mean exactly.  Sorted spectra that
-    agree exactly at all 91 points therefore agree on the whole sphere.
-    Agreement within a tolerance eps at the points is a bound, not a
-    certificate: the root-mean-square deviation of p_j over the sphere is
-    at most its largest deviation at the points, its largest deviation
-    anywhere at most sqrt(28) times that (the even polynomials of degree
-    <= 6 on S^2 span 28 dimensions), and at a repeated eigenvalue the
-    eigenvalues themselves may then vary by order eps^(1/2).  The decisions
-    read only the points.  Built on first use, so processes that never
-    decide dimension 3 pay nothing for it.
-    """
-    z, wz = _gauss_legendre(_GL_NODES)
-    t = 2.0 * math.pi * np.arange(_ARCS) / _ARCS
-    r = np.sqrt(1.0 - z * z)[:, None]
-    points = np.stack([r * np.cos(t), r * np.sin(t), np.repeat(z[:, None], _ARCS, 1)], -1)
-    points, weights = points.reshape(-1, 3), np.repeat(wz / (2.0 * _ARCS), _ARCS)
-    points.flags.writeable = weights.flags.writeable = False
-    return points, weights
-
-
-@dataclass(frozen=True)
-class _OmegaSpectra:
-    """Omega(B x) = (W x)(W x)^T and its eigh at the unit points x of V."""
-
-    wx: np.ndarray  # (m, 3, k), row a is W_a x
-    lams: np.ndarray  # (m, 3) ascending squared cosines
-    vecs: np.ndarray  # (m, 3, 3) their eigenvectors, as columns
-
-
-def _omega_spectra(w: np.ndarray, points: np.ndarray) -> _OmegaSpectra:
-    """One batched eigh of Omega at every row of ``points``, from W (3, k, k)."""
+def _omega_spectra(w: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The ascending spectra of Omega(B x) = (W x)(W x)^T at every row x of
+    ``points``, from W (3, k, k): one batched eigvalsh, shaped (m, 3)."""
     wx = np.einsum("apq,mq->map", w, points)
-    lams, vecs = np.linalg.eigh(wx @ wx.transpose(0, 2, 1))
-    return _OmegaSpectra(wx=wx, lams=lams, vecs=vecs)
+    return np.linalg.eigvalsh(wx @ wx.transpose(0, 2, 1))
 
 
 def vector_qka(v_space: Subspace, v) -> tuple[AngleTriple, CanonicalBasis]:
@@ -457,31 +400,47 @@ def _spectrum_report(lams: np.ndarray) -> ConstancyReport:
 
 
 def _witness_report(exact: _ExactStructure) -> ConstancyReport:
-    """Constancy from W alone: a witnessed "no", otherwise unknown.
+    """Constancy from W alone: exact in dimension 3, elsewhere a witnessed
+    "no" or unknown.
 
     tr Omega(B x) = sum_a |W_a x|^2 = x^T M x with M = sum_a W_a^T W_a, so
     the unit eigenvectors of M are the critical points of the trace of Omega
     on the unit sphere of V, its extremes among them; where the trace varies
     they differ by the spread of M's eigenvalues.  Omega is read at the k
-    eigenvectors (one eigh of M, one batched eigh of Omega).  When they do
-    not spread, as where M is a multiple of I and its eigenvectors are any
-    orthonormal basis (on a sum of two v3 in a basis along the summands,
-    each lies in one summand), it is read again with the k (k - 1) / 2
-    normalized sums of two of them added.  A sorted spread beyond
-    CONSTANCY_TOL between real unit vectors of V proves that the angle is not constant,
-    with no seed involved.  No such spread proves nothing: ``constant`` is
-    then None, and ``gate`` says that neither this witness nor the exact
-    bound 2 * residual decided.
+    eigenvectors (one eigh of M, one batched eigvalsh of Omega).
+
+    In dimension 3 that reading is exact.  There W_a x = w_a x x for the
+    rows w_a of a 3 x 3 matrix A, so Omega(B x) = A A^T - (A x)(A x)^T and
+    M = tr(A^T A) I - A^T A.  For the eigenvalues l_1 >= l_2 >= l_3 of
+    A^T A the three points give (l_2, l_3, 0), (l_1, l_3, 0) and
+    (l_1, l_2, 0), and rank-one interlacing puts every other unit x between
+    them: their spread is the spread over the whole sphere.  A constant
+    angle (A = cos(phi) Q, Q orthogonal) reports (phi, phi, pi/2), with
+    cos(phi)^2 = tr G / 2 read off the mean G, not off one point.
+
+    Elsewhere, when the k points do not spread, as where M is a multiple of
+    I and its eigenvectors are any orthonormal basis (on a sum of two v3 in
+    a basis along the summands, each lies in one summand), Omega is read
+    again with the k (k - 1) / 2 normalized sums of two of them added.  A
+    sorted spread beyond CONSTANCY_TOL between real unit vectors of V proves
+    that the angle is not constant, with no seed involved.  No such spread
+    proves nothing: ``constant`` is then None, and ``gate`` says that
+    neither this witness nor the exact bound 2 * residual decided.
     """
     w = exact.w
     k = w.shape[-1]
     stacked = w.reshape(3 * k, k)  # [W_1; W_2; W_3], so M = stacked^T stacked
     points = np.linalg.eigh(stacked.T @ stacked)[1].T
-    report = _spectrum_report(_omega_spectra(w, points).lams)
+    report = _spectrum_report(_omega_spectra(w, points))
+    if k == 3:
+        if report.constant:
+            s = math.sqrt(exact.cos2.sum() / 2.0)
+            report = replace(report, triple=AngleTriple.from_cosines((s, s, 0.0)))
+        return report
     if report.constant:
         i, j = np.triu_indices(k, 1)
         points = np.concatenate([points, (points[i] + points[j]) / math.sqrt(2.0)])
-        report = _spectrum_report(_omega_spectra(w, points).lams)
+        report = _spectrum_report(_omega_spectra(w, points))
     if not report.constant:
         return report
     gate = (f"constancy undecided: the sorted Omega spectra at {report.samples} witness "

@@ -32,7 +32,6 @@ from qka.classify import (
     SIGN_INVOLUTION_TOL,
     SNAP_TOL,
     _Analysis,
-    _branch_invariants,
     _sign_split,
 )
 from qka.families import (
@@ -52,8 +51,6 @@ from qka.subspace import (
     NumericalFailure,
     Subspace,
     _exact_structure,
-    _omega_spectra,
-    _sphere_rule,
     _witness_report,
     constancy_check,
     from_spanning,
@@ -237,6 +234,19 @@ def _per_point_invariants(v_space, points, phi):
     return np.array(thetas)
 
 
+def _unit_points(seed, m):
+    points = np.random.default_rng(seed).standard_normal((m, 3))
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+def _reference_class(thetas, phi):
+    """The sign whose cos(phi)/(cos(phi) + sign) every invariant matches within 1e-9."""
+    c = math.cos(phi)
+    matched = [sign for sign in (1, -1) if np.max(np.abs(thetas - c / (c + sign))) <= 1e-9]
+    assert len(matched) == 1
+    return matched[0]
+
+
 # Both classes at three angles in every ambient dimension that fits them.
 BATCH_CASES = [
     (phi, sign, n)
@@ -255,24 +265,22 @@ class TestBranch:
         assert branch_of_v3(construct_v3(phi, sign, n)) == sign
 
     def test_invariant_across_base_points(self):
-        # the branch functional must not depend on the base point
+        # The paper's functional <e_1, e_2>, rebuilt in R^{4n}, does not depend
+        # on the base point, and the determinant reads the class it names.
         phi = 1.25
         space = construct_v3(phi, -1, 3)
-        analysis = _Analysis(space)
-        thetas = _branch_invariants(analysis.exact.w, analysis.rule, phi)
+        thetas = _per_point_invariants(space, _unit_points(1, 24), phi)
         assert thetas.max() - thetas.min() <= 1e-9
-        assert branch_of_v3(space) == -1
+        assert branch_of_v3(space) == -1 == _reference_class(thetas, phi)
 
     def test_invariant_at_random_base_points(self):
-        # Off the rule points too: 200 random unit points agree within 1e-9.
+        # 200 random unit points of a moved v3 agree within 1e-9.
         phi, sign = 1.25, -1
         space = rotated(construct_v3(phi, sign, 3), 9)
-        exact = _exact_structure(space)
-        points = np.random.default_rng(3).standard_normal((200, 3))
-        points /= np.linalg.norm(points, axis=1, keepdims=True)
-        thetas = _branch_invariants(exact.w, _omega_spectra(exact.w, points), phi)
+        thetas = _per_point_invariants(space, _unit_points(3, 200), phi)
         assert thetas.max() - thetas.min() <= 1e-9
         assert thetas == pytest.approx(math.cos(phi) / (math.cos(phi) + sign), abs=1e-9)
+        assert branch_of_v3(space) == sign
 
     def test_merged_angles_rejected(self):
         with pytest.raises(ValueError, match="merge"):
@@ -286,7 +294,7 @@ class TestBranch:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_read_up_to_the_right_angle(self, n):
-        # d = pi/2 - phi down to 1e-7: the rule's triple keeps cos(phi) = sin(d),
+        # d = pi/2 - phi down to 1e-7: the witness triple keeps cos(phi) = sin(d),
         # so the branch is read wherever the snap leaves cos(phi) inside (0, 1),
         # and the classes merge only past SNAP_TOL.
         for d in np.logspace(-2, -7, 11):
@@ -308,19 +316,22 @@ class TestBranch:
         from qka.cli import main
         from qka.serialize import save_subspace
 
-        def varying(w, spectra, phi):
-            thetas = _branch_invariants(w, spectra, phi)
-            return thetas + 1e-6 * np.arange(len(thetas))
+        def skewed(v_space):
+            # W scaled by 1 + 1e-6 against its own G: det(A) / cos(phi)^3 is
+            # off +-1 by 3e-6, while the constancy and the triple stand.
+            exact = _exact_structure(v_space)
+            return dataclasses.replace(exact, w=exact.w * (1.0 + 1e-6))
 
-        monkeypatch.setattr(qka.classify, "_branch_invariants", varying)
+        monkeypatch.setattr(qka.classify, "_exact_structure", skewed)
         plus, minus = construct_v3(1.2, 1, 3), construct_v3(1.2, -1, 3)
         verdict = are_equivalent(plus, minus)
         assert verdict.value == "unknown"
-        assert verdict.reason.startswith("branch invariant varies across base points")
-        with pytest.raises(NumericalFailure, match="branch invariant varies"):
-            branch_of_v3(plus)
+        assert verdict.reason.startswith("branch ratio det(A) / cos(phi)^3 = 1.000003 "
+                                         "matches neither class")
+        with pytest.raises(NumericalFailure, match="matches neither class"):
+            branch_of_v3(minus)
         path = tmp_path / "v3.json"
-        save_subspace(path, minus)
+        save_subspace(path, plus)
         assert main(["classify", str(path)]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["branch"] is None and record["branch_diagnostic"] == verdict.reason
@@ -328,13 +339,11 @@ class TestBranch:
 
     @pytest.mark.parametrize("phi,sign,n", BATCH_CASES)
     def test_batched_invariant_matches_per_point_loop(self, phi, sign, n):
+        # The class the R^{4n} rebuild of e_1, e_2 picks is the determinant's.
         space = rotated(construct_v3(phi, sign, n), n)
-        exact = _exact_structure(space)
-        points, _ = _sphere_rule()
-        batched = _branch_invariants(exact.w, _omega_spectra(exact.w, points), phi)
-        reference = _per_point_invariants(space, points, phi)
-        assert np.max(np.abs(batched - reference)) <= 1e-13
-        assert batched == pytest.approx(math.cos(phi) / (math.cos(phi) + sign), abs=1e-10)
+        reference = _per_point_invariants(space, _unit_points(n, 12), phi)
+        assert reference == pytest.approx(math.cos(phi) / (math.cos(phi) + sign), abs=1e-10)
+        assert _reference_class(reference, phi) == branch_of_v3(space) == sign
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rotated_branches_across_seeds(self, seed):
@@ -670,7 +679,7 @@ class TestAnalysisOnce:
         assert analysis_calls == Counter({("_exact_structure", id(space)): 1})
 
     def test_classify_v3_samples_once(self, analysis_calls):
-        # Dimension 3 reads the fixed sphere rule: no sampling at all.
+        # Dimension 3 reads the three witness points of W: no sampling at all.
         space = rotated(construct_v3(1.2, -1, 3), 6)
         record = classify_subspace(space)
         assert record["branch"] == -1 and record["constant"] is True
@@ -950,7 +959,7 @@ def test_classify_record_on_fixed_seeds(name, build, expected, seed):
     assert [(s["name"], s.get("branch")) for s in record["strata"]] == expected["strata"]
 
 
-# Three-dimensional subspaces of every kind the rule decides: both v3 classes
+# Three-dimensional subspaces of every kind the witness decides: both v3 classes
 # at three angles, the imaginary span of a vector, and a non-constant plane.
 SEED_FREE_CASES = [
     *[(f"v3{'+' if sign > 0 else '-'}@{phi:.4f}",
@@ -994,11 +1003,29 @@ class TestSeedFreeDimension3:
         lambda: construct_classical("totally_real", 3, 3),
         lambda: rotated(construct_classical("im_h_line", 3, 2), 4),
     ], ids=["v3", "v3_right_angle", "totally_real", "im_h_line"])
-    def test_rule_is_the_only_constancy_path(self, build):
+    def test_witness_is_the_only_constancy_path(self, build, monkeypatch):
         # Even where the exact residual would certify constancy, dimension 3
-        # reads the 91 rule points.
-        report = _Analysis(build()).report
-        assert report.samples == 91 and report.constant is True
+        # reads the 3 witness points, and no eigh or eigvalsh on any of its
+        # decisions sees a batch of more than 3 matrices.
+        space = build()
+        batches = []
+
+        def counted(decompose):
+            def call(a, *args, **kwargs):
+                batches.append(math.prod(np.shape(a)[:-2]))
+                return decompose(a, *args, **kwargs)
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        report = _Analysis(space).report
+        assert report.samples == 3 and report.constant is True
+        record = classify_subspace(space)
+        assert is_protohomogeneous(space).value == "yes"
+        assert are_equivalent(space, moved(space, 1)).value == "yes"
+        if record["branch"] is not None:
+            assert branch_of_v3(space) == record["branch"]
+        assert batches and max(batches) <= 3
 
     def test_no_random_generator_on_verdict_paths(self, monkeypatch):
         spaces = [build() for _, build in SEED_FREE_CASES]
@@ -1066,12 +1093,19 @@ class TestWitnessedConstancy:
                 assert are_equivalent(space, other).value == "unknown"
 
     def test_constant_without_certificate_is_unknown(self):
-        exact = _exact_structure(construct_v3(1.2, 1, 3))
-        assert 2 * exact.residual == pytest.approx(0.59, abs=0.01)
+        # A hand-built structure at k = 8: the W of a constant sum, with the
+        # residual of a v3 (no common canonical basis) in place of its own.
+        v3 = _exact_structure(construct_v3(1.2, 1, 3))
+        assert 2 * v3.residual == pytest.approx(0.59, abs=0.01)
+        exact = dataclasses.replace(_exact_structure(rotated(construct_sum(TA, 1, 1, 8), 2)),
+                                    residual=v3.residual)
         report = _witness_report(exact)
         assert report.constant is None
-        assert report.max_spread <= CONSTANCY_TOL and report.samples == 3 + 3
-        assert "CONSTANCY_TOL" in report.gate and "2 * residual" in report.gate
+        assert report.max_spread <= CONSTANCY_TOL and report.samples == 8 + 28
+        assert "CONSTANCY_TOL" in report.gate and "2 * residual 5.87e-01" in report.gate
+        # In dimension 3 the same witness is exact, so it decides alone.
+        report = _witness_report(v3)
+        assert report.constant is True and report.samples == 3 and report.gate == ""
 
     def test_every_consumer_keeps_unknown(self, monkeypatch):
         rng = np.random.default_rng(8)

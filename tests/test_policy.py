@@ -1,8 +1,9 @@
 """The tolerance policy, checked on the source of qka.
 
 Every threshold is a module constant (or a literal) read where its decision
-is made: no function, lambda or dataclass field takes a tolerance.  And no
-module but the package's ``__init__`` imports a name it never uses.
+is made: no function, lambda or dataclass field takes a tolerance.  No
+module but the package's ``__init__`` imports a name it never uses, and
+every module-level private name is read somewhere in the package.
 """
 
 from __future__ import annotations
@@ -63,3 +64,41 @@ def test_no_tolerance_parameters_and_no_unused_imports():
             unused += _unused_imports(tree, path)
     assert knobs == [], f"tolerance parameters: {knobs}"
     assert unused == [], f"unused imports: {unused}"
+
+
+def _module_private_names(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """The module-level ``_private`` (not dunder) names a module defines."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        out += [(name, node) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def test_every_private_name_is_referenced():
+    # A private helper that nothing in the package reads, outside its own
+    # definition, is dead code; an import alone is not a reference.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    references: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                references.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, set()).add(id(node))
+    orphans = []
+    for module, tree in trees.items():
+        for name, definition in _module_private_names(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not references.get(name, set()) - own:
+                orphans.append(f"{module}:{definition.lineno} {name}")
+    assert orphans == [], f"unreferenced private names: {orphans}"

@@ -1,5 +1,6 @@
 """Tests for JSON persistence and the command-line interface."""
 
+import ast
 import json
 import math
 import os
@@ -387,8 +388,8 @@ class TestCli:
         assert proc.stdout.split() == ["False", "True", "True"]
 
     def test_cli_import_leaves_numpy_polynomial_unloaded(self):
-        # The sphere rule's nodes come from one eigh, not numpy.polynomial,
-        # whose import would add several milliseconds to every CLI process.
+        # No CLI path needs numpy.polynomial, whose import would add several
+        # milliseconds to every CLI process.
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, qka.cli; print('numpy.polynomial' in sys.modules)"],
@@ -428,6 +429,29 @@ def _readme_commands() -> list[str]:
         if line.startswith("qka "):
             commands.append(line)
     return commands
+
+
+def _readme_python() -> str:
+    """The source of the README's python block."""
+    return README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs_as_documented():
+    # Each expression statement is checked against the value its comment
+    # documents, the comment's text before any colon.
+    source = _readme_python()
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(source).body:
+        code = ast.get_source_segment(source, stmt)
+        if isinstance(stmt, ast.Expr):
+            documented = lines[stmt.end_lineno - 1].split("#", 1)[1].split(":")[0].strip()
+            assert repr(eval(code, namespace)) == documented, code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 3
 
 
 def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):

@@ -19,13 +19,10 @@ from qka.subspace import (
     NumericalFailure,
     Subspace,
     _exact_structure,
-    _gauss_legendre,
     _jacobi_joint_diagonalize,
     _omega_batch,
-    _omega_spectra,
     _slot_structure,
-    _spectrum_report,
-    _sphere_rule,
+    _witness_report,
     constancy_check,
     distribution_rank,
     from_spanning,
@@ -76,6 +73,17 @@ class TestFromSpanning:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
             from_spanning([HVector(np.ones(4)), HVector(np.ones(8))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_rejected_before_the_svd(self, bad, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the SVD ran on a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for vectors in ([HVector([bad, 0, 0, 0])],
+                        [HVector([1.0, 0, 0, 0, 0, 0, 0, 0]), HVector([0, 1.0, 0, 0, 0, bad, 0, 0])]):
+            with pytest.raises(ValueError, match="non-finite"):
+                from_spanning(vectors)
 
 
 class TestSubspaceInput:
@@ -411,56 +419,35 @@ class TestExactStructure:
         assert exact.residual <= 1e-13
 
 
-def _double_factorial(m):
-    return math.prod(range(m, 0, -2)) if m > 0 else 1
+def _axial_rows(w):
+    """The 3 x 3 matrix A whose row a is the axial vector w_a of W_a (k = 3)."""
+    return np.stack([w[:, 2, 1], w[:, 0, 2], w[:, 1, 0]], axis=1)
 
 
-def _sphere_mean(a, b, c):
-    """Closed form of the mean of x^a y^b z^c over S^2."""
-    if a % 2 or b % 2 or c % 2:
-        return 0.0
-    return (_double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1)
-            / _double_factorial(a + b + c + 1))
-
-
-class TestSphereRule:
-    def test_points_and_weights(self):
-        points, weights = _sphere_rule()
-        assert points.shape == (91, 3) and weights.shape == (91,)
-        assert np.linalg.norm(points, axis=1) == pytest.approx(1.0, abs=1e-15)
-        assert np.all(weights > 0)
-        assert abs(weights.sum() - 1.0) <= 1e-14
-        assert not points.flags.writeable and not weights.flags.writeable
-
-    def test_exact_to_degree_12(self):
-        points, weights = _sphere_rule()
-        x, y, z = points.T
-        worst = max(abs(weights @ (x**a * y**b * z**c) - _sphere_mean(a, b, c))
-                    for a in range(13) for b in range(13 - a) for c in range(13 - a - b))
-        assert worst <= 1e-14
-        assert abs(weights @ z**14 - _sphere_mean(0, 0, 14)) > 1e-6
-
-    def test_gauss_legendre_nodes_match_numpy(self):
-        from numpy.polynomial.legendre import leggauss
-
-        nodes, weights = _gauss_legendre(7)
-        ref_nodes, ref_weights = leggauss(7)
-        assert nodes == pytest.approx(ref_nodes, abs=1e-14)
-        assert weights == pytest.approx(ref_weights, abs=1e-14)
-
-    def test_rule_spread_decides_constancy(self):
-        points, _ = _sphere_rule()
-        for space in (imaginary_span(2),
-                      construct_v3(1.2, 1, 3).transformed(random_group_element(3, 1))):
-            report = _spectrum_report(_omega_spectra(_exact_structure(space).w, points).lams)
-            assert report.constant and report.samples == 91
+class TestDimension3Witness:
+    def test_witness_spread_is_exact(self):
+        # Constant 3-spaces: the 3 witness points decide, with cosines (s, s, 0).
+        v3 = construct_v3(1.2, 1, 3).transformed(random_group_element(3, 1))
+        for space, cos in ((imaginary_span(2), 1.0), (v3, math.cos(1.2))):
+            report = _witness_report(_exact_structure(space))
+            assert report.constant and report.samples == 3
             assert report.max_spread <= 1e-14
+            assert report.triple.cosines() == pytest.approx([cos, cos, 0.0], abs=1e-14)
+        # Random 3-planes: W_a x = w_a x x, and the spread at the witness points
+        # is max(l1 - l2, l2 - l3) for the eigenvalues of A^T A, never below
+        # what 2000 random points see (up to round-off).
         rng = np.random.default_rng(4)
-        plane = from_spanning([HVector(rng.standard_normal(12)) for _ in range(3)])
-        report = _spectrum_report(_omega_spectra(_exact_structure(plane).w, points).lams)
-        assert not report.constant
-        # The rule sees the spread a dense sample sees, up to a modest factor.
-        assert report.max_spread >= 0.5 * constancy_check(plane, 2000, 0).max_spread
+        for n in (3, 3, 4, 6, 9):
+            plane = from_spanning([HVector(rng.standard_normal(4 * n)) for _ in range(3)])
+            exact = _exact_structure(plane)
+            a = _axial_rows(exact.w)
+            x = rng.standard_normal(3)
+            assert exact.w @ x == pytest.approx(np.cross(a, x), abs=1e-15)
+            l3, l2, l1 = np.linalg.eigvalsh(a.T @ a)
+            report = _witness_report(exact)
+            assert not report.constant and report.samples == 3
+            assert report.max_spread == pytest.approx(max(l1 - l2, l2 - l3), abs=1e-14)
+            assert report.max_spread >= constancy_check(plane, 2000, 0).max_spread - 1e-14
 
 
 class TestSlotStructure:
