@@ -11,7 +11,7 @@ Mixed types are exactly the non-protohomogeneous constant-angle subspaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -19,11 +19,12 @@ import numpy as np
 
 from .families import (
     REGION_TOL,
-    FamilySpec,
+    _place,
+    _sum_blocks,
+    _v3_blocks,
     construct_classical,
     construct_sum,
     construct_v3,
-    min_quaternionic_dim,
 )
 from .subspace import (
     COMPLEX_STRUCTURE_TOL,
@@ -35,6 +36,7 @@ from .subspace import (
     _exact_structure,
     _ExactStructure,
     _NOT_COMPLEX_STRUCTURE,
+    _slot_structure,
     _witness_report,
 )
 
@@ -173,32 +175,32 @@ def _kernel_split(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs[:, lams > 0], vecs[:, lams < 0]
 
 
-def _deflate(remaining: np.ndarray, used: np.ndarray) -> np.ndarray:
-    resid = remaining - used @ (used.T @ remaining)
-    u, sv, _ = np.linalg.svd(resid, full_matrices=False)
-    return u[:, sv > 0.5]
+def _cells(part: np.ndarray, generators: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal columns spanning ``part``: the cells {v} U {G v} in turn.
 
-
-def _cells(part: np.ndarray, generators: list[np.ndarray]) -> list[np.ndarray]:
-    """Spans {v} U {G v} with deflation, as orthonormal coordinate blocks.
-
-    Cell j is seeded by v, the projection onto the remaining span of the
-    fixed r_i = sin((i + 1)(j + 1) _SEED_STEP): the cells depend on the span
-    of ``part``, not on its basis (an eigh basis of a degenerate eigenspace).
+    Cell j is seeded by v = (P - Q Q^T) r for the fixed r_i =
+    sin((i + 1)(j + 1) _SEED_STEP), P the projector onto ``part`` and Q the
+    cells so far, so the cells depend on the span of ``part``, not on its
+    (eigh) basis.  Its columns are projected against Q and take one QR; an
+    |R_ii| <= 0.5 (a column mostly in Q or in the others) is refused.
     """
-    cells, remaining = [], part
+    size = len(generators) + 1
+    cells = np.empty_like(part)
     coords = np.arange(1, len(part) + 1)
-    while remaining.shape[1]:
-        v = remaining @ (remaining.T @ np.sin(coords * (len(cells) + 1) * _SEED_STEP))
+    for j in range(part.shape[1] // size):
+        taken = cells[:, :j * size]
+        r = np.sin(coords * (j + 1) * _SEED_STEP)
+        v = part @ (part.T @ r) - taken @ (taken.T @ r)
         norm = math.sqrt(v @ v)
         if not norm > 0.0:
-            raise NumericalFailure(f"the seed direction of cell {len(cells)} has no "
+            raise NumericalFailure(f"the seed direction of cell {j} has no "
                                    "component in the remaining span")
         v /= norm
-        cols = [v] + [g @ v for g in generators]
-        q, _ = np.linalg.qr(np.column_stack(cols))
-        cells.append(q)
-        remaining = _deflate(remaining, q)
+        cols = np.column_stack([v] + [g @ v for g in generators])
+        cols -= taken @ (taken.T @ cols)
+        cells[:, j * size:(j + 1) * size], rr = np.linalg.qr(cols)
+        if not (least := np.abs(np.diagonal(rr)).min()) > 0.5:  # a NaN is refused too
+            raise NumericalFailure(f"cell {j} is rank-deficient: min |R_ii| = {least:.2e}")
     return cells
 
 
@@ -206,36 +208,44 @@ class _Analysis:
     """The Omega/Pbar data of one subspace, and the one place its complete
     invariant (`triple` plus `invariant`) is decided; every entry point reads it.
 
-    Holds the exact structure of W = B^T J B (candidate canonical basis and
-    its residual), the constancy report, the snapped triple and the block
-    type (read off the residual's W'_1^T W'_2, no Pbar formed) or v3 branch.
-    Each is computed on first use and at most once, for a single public
-    call.  Nothing is sampled.  Dimension 3 is decided exactly at the three
-    witness points of W, and its branch is the sign of det A for the axial
-    vectors of W (`subspace._witness_report`, `_branch_sign`); every other
-    dimension is certified by the exact residual or read at the witness
-    points of W, which prove "no" or leave the constancy unknown
-    (``constant`` None).
+    Holds W = B^T J B, the frame built from W (the exact structure:
+    candidate canonical basis and its residual), the constancy report, the
+    snapped triple and the block type (read off the residual's W'_1^T W'_2)
+    or v3 branch, each computed on first use and at most once.  Nothing is
+    sampled.  Dimension 3 reads W alone: constancy in closed form at the
+    three witness points of W, the branch as the sign of det A for the axial
+    vectors of W (`subspace._witness_report`, `_branch_sign`); its frame is
+    formed only for a printed ``joint_residual``.  Every other dimension is
+    certified by the exact residual or read at the witness points of W,
+    which prove "no" or leave the constancy unknown (``constant`` None).
     """
 
     def __init__(self, v_space: Subspace):
         self.space = v_space
 
     @cached_property
+    def w(self) -> np.ndarray:
+        return _slot_structure(self.space)
+
+    @cached_property
     def exact(self) -> _ExactStructure:
-        return _exact_structure(self.space)
+        return _exact_structure(self.w)
 
     @cached_property
     def report(self) -> ConstancyReport:
         """The exact triple when 2 * residual certifies constancy, else the
         witness points of W.  Dimension 3 reads only the witness, which is
         exact there: the certificate's mean triple has three equal cosines."""
-        exact = self.exact
-        spread = 2.0 * exact.residual
-        if self.space.k != 3 and spread <= CONSTANCY_TOL:
-            return ConstancyReport(triple=exact.triple, max_spread=spread, samples=0,
-                                   constant=True)
-        return _witness_report(exact)
+        if self.space.k == 3:
+            return _witness_report(self.w)
+        spread = 2.0 * self.exact.residual
+        if spread <= CONSTANCY_TOL:
+            return ConstancyReport(self.exact.triple, spread, samples=0, constant=True)
+        report = _witness_report(self.w)
+        if report.constant is None:
+            report = replace(report, gate=f"{report.gate}, and 2 * residual {spread:.2e} > "
+                                          "CONSTANCY_TOL certifies nothing")
+        return report
 
     @cached_property
     def triple(self) -> AngleTriple:
@@ -369,13 +379,12 @@ class _Analysis:
         w_a is cos(phi) Q for an orthogonal Q, so det(A) / cos(phi)^3 =
         det Q = +-1 is the class.  Neither Sp(1)Sp(n) (A -> R A, det R = 1)
         nor a change of orthonormal basis P of V (A -> det(P) A P) moves it.
-        cos(phi)^2 = tr G / 2, as in the report, and the ratio must lie
-        within BRANCH_TOL of +1 or -1.
+        cos(phi)^2 = <W, W> / 6 = tr G / 2, as in the report, and the ratio
+        must lie within BRANCH_TOL of +1 or -1.
         """
-        exact = self.exact
-        w = exact.w
+        w = self.w
         axial = np.stack([w[:, 2, 1], w[:, 0, 2], w[:, 1, 0]], axis=1)  # row a is w_a
-        ratio = float(np.linalg.det(axial)) / (exact.cos2.sum() / 2.0) ** 1.5
+        ratio = float(np.linalg.det(axial)) / (float(np.vdot(w, w)) / 6.0) ** 1.5
         for sign in (1, -1):
             if abs(ratio - sign) <= BRANCH_TOL:
                 return sign
@@ -391,9 +400,10 @@ def factorize(v_space: Subspace) -> list[Subspace]:
     The blocks are pairwise H-orthogonal, each 4-dimensional with the same
     angle triple as V.  The generators G are the Pbar_i of the angles phi1,
     phi2 below pi/2 (RIGHT_ANGLE_TOL), and Pbar_1 Pbar_2 when both are; each
-    cell is the span of {v} U {G v} with deflation, and a block joins
-    4 / (len(G) + 1) consecutive cells.  Pure-sign parts are factored
-    separately so the orbit of each seed vector closes up in its block.
+    cell is the span of {v} U {G v} (`_cells`: one QR per cell, no SVD), and
+    a block is V's basis times 4 consecutive orthonormal cell columns.
+    Pure-sign parts are factored separately so the orbit of each seed
+    vector closes up in its block.
     """
     analysis = _Analysis(v_space)
     triple = analysis.canonical()
@@ -405,15 +415,10 @@ def factorize(v_space: Subspace) -> list[Subspace]:
         parts = [np.eye(v_space.k)]
     else:
         parts = [p for p in analysis.kernels if p.shape[1]]
-    per_block = 4 // (len(generators) + 1)
     out = []
     for part in parts:
-        cells = _cells(part, generators)
-        for r in range(0, len(cells), per_block):
-            b = np.column_stack(cells[r:r + per_block])
-            if b.shape[1] != 4:
-                raise NumericalFailure("block extraction produced a non-4-dimensional cell")
-            out.append(Subspace(np.linalg.qr(v_space.basis @ b)[0]))
+        cells = v_space.basis @ _cells(part, generators)
+        out += [Subspace(cells[:, r:r + 4]) for r in range(0, cells.shape[1], 4)]
     return out
 
 
@@ -748,7 +753,8 @@ def representative(
     """A subspace realizing the given point of the moduli space.
 
     ``branch`` selects the class on two-class strata (+1 by default) and is
-    rejected on single-class strata.
+    rejected on single-class strata, which take the plus class when its
+    blocks fit in H^n, else the minus class.
     """
     hits = moduli_membership(k, n, triple)
     if not hits:
@@ -772,23 +778,22 @@ def representative(
             return construct_classical("totally_real", 3, n)
         if branch is None:
             # Single-class strata realize whichever branch fits the ambient
-            # n (only the minus branch at pi/3 fits two quaternionic dims).
-            plus = FamilySpec("v3", n=n, phi=float(phis[0]), sign=1)
-            branch = 1 if min_quaternionic_dim(plus) <= n else -1
-        return construct_v3(float(phis[0]), branch, n)
+            # n (only the minus branch at pi/3 fits two quaternionic dims);
+            # the plus blocks are built once, and placed if their slots fit.
+            plus = _v3_blocks(float(phis[0]), 1)
+            if sum(map(len, plus[0])) <= 4 * n:
+                return _place(*plus, n)
+        return construct_v3(float(phis[0]), branch or -1, n)
     if k % 4 == 0:
-        l = k // 4
+        l, angles = k // 4, AngleTriple(*phis)
         if x[0] >= 1.0:  # (0, phi, phi) including quaternionic and complex
-            return construct_sum(AngleTriple(*phis), l, 0, n)
-        angles = AngleTriple(*phis)
+            return construct_sum(angles, l, 0, n)
         if branch is None:
-            # Single-class strata realize whichever sign fits the ambient n;
-            # prefer the plus class, which exists wherever the minus one does.
-            plus = FamilySpec("sum_type", n=n, angles=angles, l_plus=l)
-            branch = 1 if min_quaternionic_dim(plus) <= n else -1
-        if branch == -1:
-            return construct_sum(angles, 0, l, n)
-        return construct_sum(angles, l, 0, n)
+            # Likewise for sums; the plus class exists wherever the minus one does.
+            plus = _sum_blocks(angles, l, 0)
+            if sum(map(len, plus[0])) <= 4 * n:
+                return _place(*plus, n)
+        return construct_sum(angles, *((l, 0) if branch == 1 else (0, l)), n)
     if k % 2 == 0:
         if x[0] >= 1.0:
             return construct_classical("totally_complex", k, n)

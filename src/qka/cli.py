@@ -27,6 +27,12 @@ from .subspace import AngleTriple, NumericalFailure
 __all__ = ["main"]
 
 _FAMILIES = CLASSICAL_FAMILIES + ("v3", "v4", "sum")
+# The optional construct flags each family reads besides --k: "angle" is one
+# value of --angles, --cos or --phi, and "triple" three of --angles or --cos.
+# v4 and sum read one angle too, to refuse it as a missing triple.
+_READS = {"v3": ("angle", "sign"), "v4": ("angle", "triple", "sign"),
+          "sum": ("angle", "triple", "lplus", "lminus"),
+          "cka_plane_sum": ("angle",), "complexified_cka": ("angle",)}
 
 
 def _seed(args) -> int:
@@ -72,13 +78,9 @@ def _checked_cosines(values: list[float]) -> list[float]:
 
 def _parse_angles(args) -> tuple[AngleTriple | None, float | None]:
     """Angle inputs: full triple or a single family parameter phi."""
-    values = None
-    if getattr(args, "cos", None) is not None:
-        values = [math.acos(c) for c in _checked_cosines(args.cos)]
-    elif getattr(args, "angles", None) is not None:
-        values = list(args.angles)
+    values = args.angles if args.cos is None else [math.acos(c) for c in _checked_cosines(args.cos)]
     if values is None:
-        return None, getattr(args, "phi", None)
+        return None, args.phi
     if len(values) == 1:
         return None, values[0]
     if len(values) == 3:
@@ -87,20 +89,31 @@ def _parse_angles(args) -> tuple[AngleTriple | None, float | None]:
 
 
 def _spec_from_args(args) -> FamilySpec:
-    """Map the construct flags onto a FamilySpec; `construct` validates it."""
+    """Map the construct flags onto a FamilySpec; `construct` validates it.
+
+    A flag the family does not read is refused, naming it."""
     triple, phi = _parse_angles(args)
+    angle = "angle" if triple is None else "triple"
+    reads = _READS.get(args.family, ())
+    unread = [f"--{name}" for name in ("angles", "cos", "phi", "sign", "lplus", "lminus")
+              if getattr(args, name) is not None
+              and (name if name in ("sign", "lplus", "lminus") else angle) not in reads]
+    if unread:
+        raise ValueError(f"--family {args.family} does not read {', '.join(unread)}")
     family = "sum_type" if args.family == "sum" else args.family
     # The imaginary span of a vector has dimension 3, so --k may be omitted;
     # a --k other than 3 reaches `construct` and is refused there.
     k = 3 if family == "im_h_line" and args.k is None else args.k
     return FamilySpec(family, n=args.n, k=k, phi=phi, angles=triple,
                       sign=-1 if args.sign == "-" else 1,
-                      l_plus=args.lplus, l_minus=args.lminus)
+                      l_plus=args.lplus or 0, l_minus=args.lminus or 0)
 
 
 def _cmd_construct(args) -> int:
     spec = _spec_from_args(args)
     space = construct(spec)
+    if args.k is not None and args.k != space.k:  # v3, v4 and sum fix their own k
+        raise ValueError(f"--family {args.family} builds dimension {space.k}, but --k is {args.k}")
     # The same analysis as `angles` and `classify`, so all three report one spread.
     analysis = _Analysis(space)
     report, triple = analysis.report, analysis.triple
@@ -199,14 +212,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--k", type=int, help="real dimension (classical families)")
     p.add_argument("--n", type=int, required=True, help="ambient quaternionic dimension")
-    p.add_argument("--angles", type=float, nargs="+", metavar="RAD",
-                   help="angle triple in radians, or a single family parameter")
-    p.add_argument("--cos", type=float, nargs="+", metavar="COS",
-                   help="angle cosines instead of radians")
-    p.add_argument("--phi", type=float, help="single-angle family parameter (radians)")
+    angle = p.add_mutually_exclusive_group()
+    angle.add_argument("--angles", type=float, nargs="+", metavar="RAD",
+                       help="angle triple in radians, or a single family parameter")
+    angle.add_argument("--cos", type=float, nargs="+", metavar="COS",
+                       help="angle cosines instead of radians")
+    angle.add_argument("--phi", type=float, help="single-angle family parameter (radians)")
     p.add_argument("--sign", choices=["+", "-"], help="class sign for v3/v4")
-    p.add_argument("--lplus", type=int, default=0, help="plus blocks in a sum")
-    p.add_argument("--lminus", type=int, default=0, help="minus blocks in a sum")
+    p.add_argument("--lplus", type=int, help="plus blocks in a sum (default 0)")
+    p.add_argument("--lminus", type=int, help="minus blocks in a sum (default 0)")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=_cmd_construct)
 

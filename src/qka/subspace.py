@@ -257,7 +257,6 @@ class _ExactStructure:
 
     basis: CanonicalBasis  # R, row a holding J'_a in the standard triple
     cos2: np.ndarray  # (3,) c, descending
-    w: np.ndarray  # (3, k, k) W_a in the standard triple
     w_canonical: np.ndarray  # (3, k, k) W'_a
     residual: float
     square_gap: np.ndarray  # (3,) u_a
@@ -307,8 +306,8 @@ def _slot_structure(v_space: Subspace) -> np.ndarray:
     return w
 
 
-def _exact_structure(v_space: Subspace) -> _ExactStructure:
-    """Build the exact structure of V from W = B^T J B (one 3x3 eigh).
+def _exact_structure(w: np.ndarray) -> _ExactStructure:
+    """Build the exact structure (the frame) of V from W (one 3x3 eigh).
 
     The residual is summed over the pairs a <= b from k x k products only:
     ||W'_a^T W'_a - c_a I||^2, plus 2 ||sym(W'_a^T W'_b)||^2 for a < b (the
@@ -319,8 +318,7 @@ def _exact_structure(v_space: Subspace) -> _ExactStructure:
     pin this).  So that one product gates both Pbar_a^T Pbar_a = I and
     Pbar_a^2 = -I, and the analysis forms neither again.
     """
-    k = v_space.k
-    w = _slot_structure(v_space)
+    k = w.shape[-1]
     flat = w.reshape(3, -1)
     gram = flat @ flat.T / k  # tr(W_a^T W_b) / k
     cos2, vecs = _descending_eigh(gram)
@@ -338,7 +336,7 @@ def _exact_structure(v_space: Subspace) -> _ExactStructure:
             x = cross12 if b == 1 else wct[a] @ wc[b]
             x = x + x.T  # 2 sym(W'_a^T W'_b)
             total += 0.5 * np.vdot(x, x)
-    return _ExactStructure(basis=basis, cos2=cos2, w=w, w_canonical=wc,
+    return _ExactStructure(basis=basis, cos2=cos2, w_canonical=wc,
                            residual=math.sqrt(total), square_gap=d.max(axis=(1, 2)),
                            cross12=cross12)
 
@@ -399,44 +397,45 @@ def _spectrum_report(lams: np.ndarray) -> ConstancyReport:
                            constant=spread <= CONSTANCY_TOL)
 
 
-def _witness_report(exact: _ExactStructure) -> ConstancyReport:
-    """Constancy from W alone: exact in dimension 3, elsewhere a witnessed
-    "no" or unknown.
+def _witness_report(w: np.ndarray) -> ConstancyReport:
+    """Constancy from W = B^T J B alone: exact in dimension 3, elsewhere a
+    witnessed "no" or undecided.
 
     tr Omega(B x) = sum_a |W_a x|^2 = x^T M x with M = sum_a W_a^T W_a, so
     the unit eigenvectors of M are the critical points of the trace of Omega
-    on the unit sphere of V, its extremes among them; where the trace varies
-    they differ by the spread of M's eigenvalues.  Omega is read at the k
-    eigenvectors (one eigh of M, one batched eigvalsh of Omega).
+    on the unit sphere of V, its extremes among them.
 
-    In dimension 3 that reading is exact.  There W_a x = w_a x x for the
-    rows w_a of a 3 x 3 matrix A, so Omega(B x) = A A^T - (A x)(A x)^T and
-    M = tr(A^T A) I - A^T A.  For the eigenvalues l_1 >= l_2 >= l_3 of
-    A^T A the three points give (l_2, l_3, 0), (l_1, l_3, 0) and
-    (l_1, l_2, 0), and rank-one interlacing puts every other unit x between
-    them: their spread is the spread over the whole sphere.  A constant
-    angle (A = cos(phi) Q, Q orthogonal) reports (phi, phi, pi/2), with
-    cos(phi)^2 = tr G / 2 read off the mean G, not off one point.
+    In dimension 3, W_a x = w_a x x for the rows w_a of a 3 x 3 matrix A, so
+    Omega(B x) = A A^T - (A x)(A x)^T and M = T I - A^T A, T = tr M / 2.
+    The eigenvalues of A^T A are l_a = T - mu_a for the ascending mu of M,
+    the eigenvectors of M give (l_2, l_3, 0), (l_1, l_3, 0), (l_1, l_2, 0),
+    and rank-one interlacing puts every other unit x between them.  So one
+    eigvalsh of M gives the spread over the whole sphere, max(mu_2 - mu_1,
+    mu_3 - mu_2), and the squared cosines (T - mu_2, T - mu_3, 0) of the
+    first point, with no Omega formed.  A constant angle (A = cos(phi) Q, Q
+    orthogonal) reports (phi, phi, pi/2), cos(phi)^2 = T / 3 = tr G / 2.
 
-    Elsewhere, when the k points do not spread, as where M is a multiple of
-    I and its eigenvectors are any orthonormal basis (on a sum of two v3 in
-    a basis along the summands, each lies in one summand), Omega is read
-    again with the k (k - 1) / 2 normalized sums of two of them added.  A
-    sorted spread beyond CONSTANCY_TOL between real unit vectors of V proves
-    that the angle is not constant, with no seed involved.  No such spread
-    proves nothing: ``constant`` is then None, and ``gate`` says that
-    neither this witness nor the exact bound 2 * residual decided.
+    Elsewhere Omega is read at the k eigenvectors of M (one eigh of M, one
+    batched eigvalsh of Omega), and when they do not spread (M a multiple
+    of I, say, as on a sum of two v3 in a basis along the summands) also at
+    the k (k - 1) / 2 normalized sums of two of them.  A sorted spread
+    beyond CONSTANCY_TOL between real unit vectors of V proves that the
+    angle is not constant, with no seed involved.  No such spread proves
+    nothing: ``constant`` is then None, and ``gate`` names this witness (the
+    caller adds that the exact bound 2 * residual certified nothing either).
     """
-    w = exact.w
     k = w.shape[-1]
     stacked = w.reshape(3 * k, k)  # [W_1; W_2; W_3], so M = stacked^T stacked
-    points = np.linalg.eigh(stacked.T @ stacked)[1].T
-    report = _spectrum_report(_omega_spectra(w, points))
+    m = stacked.T @ stacked
     if k == 3:
-        if report.constant:
-            s = math.sqrt(exact.cos2.sum() / 2.0)
-            report = replace(report, triple=AngleTriple.from_cosines((s, s, 0.0)))
-        return report
+        mu = np.linalg.eigvalsh(m)
+        spread = float(max(mu[1] - mu[0], mu[2] - mu[1]))
+        t = float(np.vdot(w, w)) / 2.0  # tr M / 2
+        cos2 = (t / 3.0, t / 3.0) if spread <= CONSTANCY_TOL else (t - mu[1], t - mu[2])
+        triple = AngleTriple.from_cos2_eigenvalues((*cos2, 0.0))
+        return ConstancyReport(triple, spread, 3, spread <= CONSTANCY_TOL)
+    points = np.linalg.eigh(m)[1].T
+    report = _spectrum_report(_omega_spectra(w, points))
     if report.constant:
         i, j = np.triu_indices(k, 1)
         points = np.concatenate([points, (points[i] + points[j]) / math.sqrt(2.0)])
@@ -444,8 +443,7 @@ def _witness_report(exact: _ExactStructure) -> ConstancyReport:
     if not report.constant:
         return report
     gate = (f"constancy undecided: the sorted Omega spectra at {report.samples} witness "
-            f"points spread {report.max_spread:.2e} <= CONSTANCY_TOL {CONSTANCY_TOL:.0e}, and "
-            f"2 * residual {2.0 * exact.residual:.2e} > CONSTANCY_TOL certifies nothing")
+            f"points spread {report.max_spread:.2e} <= CONSTANCY_TOL {CONSTANCY_TOL:.0e}")
     return replace(report, constant=None, gate=gate)
 
 

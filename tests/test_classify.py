@@ -51,6 +51,7 @@ from qka.subspace import (
     NumericalFailure,
     Subspace,
     _exact_structure,
+    _slot_structure,
     _witness_report,
     constancy_check,
     from_spanning,
@@ -169,6 +170,76 @@ class TestFactorize:
         monkeypatch.setattr(qka.classify, "_SEED_STEP", 0.0)
         with pytest.raises(NumericalFailure, match="seed direction of cell 0"):
             factorize(construct_sum(TA, 1, 1, 8))
+
+    @pytest.mark.parametrize("space,cell_dim", [
+        (moved(construct_sum(TA, 2, 1, 12), 3), 4),
+        (moved(construct_sum(T03, 0, 4, 16), 4), 4),
+        (moved(construct_classical("complexified_cka", 8, 4, phi=0.7), 5), 4),
+        (moved(construct_classical("cka_plane_sum", 8, 8, phi=0.8), 1), 2),
+        (moved(construct_classical("totally_real", 8, 8), 7), 1),
+    ])
+    def test_one_qr_per_cell_and_no_svd(self, monkeypatch, space, cell_dim):
+        # Cells are deflated by projection against the cells before them, and
+        # the blocks they join are orthonormal already: k / cell_dim QRs in all.
+        qrs = []
+        qr = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            qrs.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorize called an SVD")
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        blocks = factorize(space)
+        assert qrs == [(space.k, cell_dim)] * (space.k // cell_dim)
+        assert len(blocks) == space.k // 4
+        proj = sum(b.projector() for b in blocks)
+        assert np.max(np.abs(proj - space.projector())) <= 1e-12
+
+    @pytest.mark.parametrize("l_plus,l_minus,triple", [
+        (1, 0, TA), (0, 1, TA), (1, 1, TA), (2, 2, T03), (0, 4, TA), (3, 1, T13),
+    ])
+    def test_cells_match_svd_deflation(self, l_plus, l_minus, triple):
+        # Reference: each cell's span deflated from the remaining span by an
+        # SVD that keeps the singular values above 0.5.
+        k = 4 * (l_plus + l_minus)
+        space = moved(construct_sum(triple, l_plus, l_minus, k), k + l_plus)
+        analysis = _Analysis(space)
+        angles = analysis.canonical()
+        generators = [analysis.pbar(1, angles.phi1), analysis.pbar(2, angles.phi2)]
+        generators.append(generators[0] @ generators[1])
+        for part in analysis.kernels:
+            if part.shape[1]:
+                got = qka.classify._cells(part, generators)
+                want = _svd_deflated_cells(part, generators)
+                assert got.shape == part.shape and len(want) == part.shape[1] // 4
+                for j, b in enumerate(want):
+                    a = got[:, 4 * j:4 * j + 4]
+                    assert np.max(np.abs(a @ a.T - b @ b.T)) <= 1e-12
+
+    def test_repeated_generator_trips_the_rank_refusal(self):
+        analysis = _Analysis(construct_sum(TA, 1, 1, 8))
+        pbar1 = analysis.pbar(1, analysis.canonical().phi1)
+        with pytest.raises(NumericalFailure, match="cell 0 is rank-deficient"):
+            qka.classify._cells(np.eye(8), [pbar1, pbar1])
+
+
+def _svd_deflated_cells(part, generators):
+    """Reference cells: seed, orbit and QR as `_cells`, but each cell taken
+    out of the remaining span by an SVD (singular values above 0.5 kept)."""
+    cells, remaining = [], part
+    coords = np.arange(1, len(part) + 1)
+    while remaining.shape[1]:
+        v = remaining @ (remaining.T @ np.sin(coords * (len(cells) + 1) * qka.classify._SEED_STEP))
+        v /= np.linalg.norm(v)
+        q = np.linalg.qr(np.column_stack([v] + [g @ v for g in generators]))[0]
+        cells.append(q)
+        u, sv, _ = np.linalg.svd(remaining - q @ (q.T @ remaining), full_matrices=False)
+        remaining = u[:, sv > 0.5]
+    return cells
 
 
 class TestTypeOf:
@@ -317,16 +388,19 @@ class TestBranch:
         from qka.serialize import save_subspace
 
         def skewed(v_space):
-            # W scaled by 1 + 1e-6 against its own G: det(A) / cos(phi)^3 is
-            # off +-1 by 3e-6, while the constancy and the triple stand.
-            exact = _exact_structure(v_space)
-            return dataclasses.replace(exact, w=exact.w * (1.0 + 1e-6))
+            # W_1 scaled by 1 + 1e-3 at cos(phi) = 1e-3: the spread, 2e-9 in
+            # cos^2, stays within CONSTANCY_TOL, while det(A) / cos(phi)^3
+            # is off +-1 by 2/3 1e-6 (to second order in the scale).
+            w = _slot_structure(v_space)
+            w[0] *= 1.0 + 1e-3
+            return w
 
-        monkeypatch.setattr(qka.classify, "_exact_structure", skewed)
-        plus, minus = construct_v3(1.2, 1, 3), construct_v3(1.2, -1, 3)
+        monkeypatch.setattr(qka.classify, "_slot_structure", skewed)
+        phi = math.acos(1e-3)
+        plus, minus = construct_v3(phi, 1, 3), construct_v3(phi, -1, 3)
         verdict = are_equivalent(plus, minus)
         assert verdict.value == "unknown"
-        assert verdict.reason.startswith("branch ratio det(A) / cos(phi)^3 = 1.000003 "
+        assert verdict.reason.startswith("branch ratio det(A) / cos(phi)^3 = 0.999999 "
                                          "matches neither class")
         with pytest.raises(NumericalFailure, match="matches neither class"):
             branch_of_v3(minus)
@@ -555,17 +629,32 @@ class TestRepresentative:
     ])
     def test_single_class_constructed_once(self, monkeypatch, k, n, cosines, constructor,
                                            expected):
-        # The fitting class is chosen before construction, not by catching a refusal.
-        calls = []
-        original = getattr(qka.classify, constructor)
+        # The fitting class is chosen by counting the slots of the plus
+        # blocks, which are then placed, not built again; the minus blocks are
+        # built only when the plus ones do not fit.  A sum block's build is
+        # one Gram factorization (`_psd_cholesky`), keyed here by its Gram
+        # matrix; a v3 build is one `_v3_blocks`, keyed by its sign.
+        builds = Counter()
+        if constructor == "construct_sum":
+            original = qka.families._psd_cholesky
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counted(g, rank):
+                builds[g.tobytes()] += 1
+                return original(g, rank)
 
-        monkeypatch.setattr(qka.classify, constructor, counted)
+            monkeypatch.setattr(qka.families, "_psd_cholesky", counted)
+        else:
+            original = qka.families._v3_blocks
+
+            def counted(phi, sign):
+                builds[sign] += 1
+                return original(phi, sign)
+
+            for module in (qka.families, qka.classify):
+                monkeypatch.setattr(module, "_v3_blocks", counted)
         space = representative(k, n, AngleTriple.from_cosines(cosines))
-        assert len(calls) == 1
+        plus_fits = expected in (1, (k // 4, 0))
+        assert sorted(builds.values()) == [1] * (1 if plus_fits else 2)
         assert (type_of(space).as_tuple() if k % 4 == 0 else branch_of_v3(space)) == expected
 
     def test_snap_that_leaves_the_region_is_not_applied(self):
@@ -649,22 +738,35 @@ class TestClassifyRecord:
 
 @pytest.fixture
 def analysis_calls(monkeypatch):
-    """Calls of the exact structure, the sampled constancy check and the Jacobi
-    reference, through every binding in a loaded qka module, per subspace."""
+    """Calls of the W stage, the frame built from a W, the sampled constancy
+    check and the Jacobi reference, through every binding in a loaded qka
+    module, per subspace (a frame counts for the subspace its W was read from)."""
     calls = Counter()
-    originals = {"_exact_structure": qka.subspace._exact_structure,
+    owner = {}  # id of a returned W -> id of its subspace
+    originals = {"_slot_structure": qka.subspace._slot_structure,
+                 "_exact_structure": qka.subspace._exact_structure,
                  "constancy_check": qka.subspace.constancy_check,
                  "joint_canonical_basis": qka.subspace.joint_canonical_basis}
     for name, original in originals.items():
 
-        def counted(v_space, *args, _name=name, _original=original, **kwargs):
-            calls[_name, id(v_space)] += 1
-            return _original(v_space, *args, **kwargs)
+        def counted(arg, *args, _name=name, _original=original, **kwargs):
+            space = owner[id(arg)] if _name == "_exact_structure" else id(arg)
+            calls[_name, space] += 1
+            out = _original(arg, *args, **kwargs)
+            if _name == "_slot_structure":
+                owner[id(out)] = space
+            return out
 
         for module in [m for key, m in sys.modules.items() if key.startswith("qka")]:
             if vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _read(*spaces, frame=True):
+    """The calls of one W stage per subspace, and of one frame when ``frame``."""
+    stages = ("_slot_structure", "_exact_structure") if frame else ("_slot_structure",)
+    return Counter({(stage, id(space)): 1 for space in spaces for stage in stages})
 
 
 class TestAnalysisOnce:
@@ -676,42 +778,48 @@ class TestAnalysisOnce:
         record = classify_subspace(space)
         assert record["type"] == [l_plus, l_minus]
         assert record["spread"] == 2 * record["joint_residual"] <= 1e-12
-        assert analysis_calls == Counter({("_exact_structure", id(space)): 1})
+        assert analysis_calls == _read(space)
 
     def test_classify_v3_samples_once(self, analysis_calls):
-        # Dimension 3 reads the three witness points of W: no sampling at all.
+        # Dimension 3 reads the three witness points of W: no sampling at
+        # all.  The frame is built once, only for the printed joint_residual.
         space = rotated(construct_v3(1.2, -1, 3), 6)
         record = classify_subspace(space)
         assert record["branch"] == -1 and record["constant"] is True
-        assert analysis_calls == Counter({("_exact_structure", id(space)): 1})
+        assert analysis_calls == _read(space)
 
     def test_v3_equivalence_samples_once_per_side(self, analysis_calls):
+        # Constancy, triple and branch all read W alone: no frame on either side.
         a = rotated(construct_v3(1.2, 1, 3), 7)
         b = rotated(construct_v3(1.2, 1, 3), 8)
         assert are_equivalent(a, b).value == "yes"
-        assert analysis_calls == Counter({("_exact_structure", id(a)): 1,
-                                          ("_exact_structure", id(b)): 1})
+        assert analysis_calls == _read(a, b, frame=False)
+
+    def test_v3_branch_and_protohomogeneity_form_no_frame(self, analysis_calls):
+        a = rotated(construct_v3(1.2, -1, 3), 9)
+        b = rotated(construct_v3(1.2, 1, 3), 10)
+        assert branch_of_v3(a) == -1
+        assert is_protohomogeneous(b).value == "yes"
+        assert analysis_calls == _read(a, b, frame=False)
 
     def test_equivalence_samples_at_most_once_per_side(self, analysis_calls):
         a = rotated(construct_sum(TA, 1, 1, 8), 1)
         b = rotated(construct_sum(TA, 1, 1, 8), 2)
         assert are_equivalent(a, b).value == "yes"
-        assert analysis_calls == Counter({("_exact_structure", id(a)): 1,
-                                          ("_exact_structure", id(b)): 1})
+        assert analysis_calls == _read(a, b)
 
     def test_v4_equivalence_does_not_sample(self, analysis_calls):
         a = rotated(construct_v4(T03, 1, 4), 3)
         b = rotated(construct_v4(T03, -1, 4), 4)
         assert are_equivalent(a, b).value == "no"
-        assert analysis_calls == Counter({("_exact_structure", id(a)): 1,
-                                          ("_exact_structure", id(b)): 1})
+        assert analysis_calls == _read(a, b)
 
     def test_random_subspace_reads_exact_structure_once(self, analysis_calls):
         # The "no" is witnessed at points read off W: no sampling at all.
         rng = np.random.default_rng(11)
         space = from_spanning([HVector(rng.standard_normal(24)) for _ in range(4)])
         assert classify_subspace(space)["constant"] is False
-        assert analysis_calls == Counter({("_exact_structure", id(space)): 1})
+        assert analysis_calls == _read(space)
 
 
 def _svd_kernel_split(p1, p2, p3):
@@ -746,9 +854,9 @@ def _tampered(monkeypatch, space, **fields):
     """Make every analysis of ``space`` read a copy of its exact structure with
     ``fields(exact)`` in place of the named fields; the Pbar gates, which read
     ``square_gap`` and ``cos2``, still pass."""
-    exact = _exact_structure(space)
+    exact = _exact_structure(_slot_structure(space))
     copy = dataclasses.replace(exact, **{f: fn(exact) for f, fn in fields.items()})
-    monkeypatch.setattr(qka.classify, "_exact_structure", lambda v: copy)
+    monkeypatch.setattr(qka.classify, "_exact_structure", lambda w: copy)
 
 
 def _third_is_first(exact):
@@ -1093,18 +1201,19 @@ class TestWitnessedConstancy:
                 assert are_equivalent(space, other).value == "unknown"
 
     def test_constant_without_certificate_is_unknown(self):
-        # A hand-built structure at k = 8: the W of a constant sum, with the
+        # A hand-built frame at k = 8: that of a constant sum, with the
         # residual of a v3 (no common canonical basis) in place of its own.
-        v3 = _exact_structure(construct_v3(1.2, 1, 3))
-        assert 2 * v3.residual == pytest.approx(0.59, abs=0.01)
-        exact = dataclasses.replace(_exact_structure(rotated(construct_sum(TA, 1, 1, 8), 2)),
-                                    residual=v3.residual)
-        report = _witness_report(exact)
+        v3 = construct_v3(1.2, 1, 3)
+        residual = _exact_structure(_slot_structure(v3)).residual
+        assert 2 * residual == pytest.approx(0.59, abs=0.01)
+        analysis = _Analysis(rotated(construct_sum(TA, 1, 1, 8), 2))
+        analysis.exact = dataclasses.replace(_exact_structure(analysis.w), residual=residual)
+        report = analysis.report
         assert report.constant is None
         assert report.max_spread <= CONSTANCY_TOL and report.samples == 8 + 28
         assert "CONSTANCY_TOL" in report.gate and "2 * residual 5.87e-01" in report.gate
         # In dimension 3 the same witness is exact, so it decides alone.
-        report = _witness_report(v3)
+        report = _witness_report(_slot_structure(v3))
         assert report.constant is True and report.samples == 3 and report.gate == ""
 
     def test_every_consumer_keeps_unknown(self, monkeypatch):
@@ -1203,7 +1312,7 @@ class TestResidualReadPbarGate:
     @pytest.mark.parametrize("triple,l_plus,l_minus,n", PBAR_GATE_CASES)
     def test_agrees_with_direct_check(self, triple, l_plus, l_minus, n):
         space = moved(construct_sum(triple, l_plus, l_minus, n), n)
-        exact = _exact_structure(space)
+        exact = _exact_structure(_slot_structure(space))
         wc = exact.w_canonical
         # Pbar^2 + I = -(Pbar^T Pbar - I) rests on W' being antisymmetric.
         assert not np.any(wc + wc.transpose(0, 2, 1))
@@ -1224,7 +1333,7 @@ class TestResidualReadPbarGate:
     def test_wrong_angle_refused_alike(self, triple, l_plus, l_minus, n):
         # phi1 -> 0.9; the unmoved sum has the standard canonical basis.
         space = construct_sum(triple, l_plus, l_minus, n)
-        exact = _exact_structure(space)
+        exact = _exact_structure(_slot_structure(space))
         wrong = exact.w_canonical[0] / math.cos(0.9)
         direct = _direct_gate(wrong)
         assert direct > COMPLEX_STRUCTURE_TOL

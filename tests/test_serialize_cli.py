@@ -204,6 +204,52 @@ class TestCli:
         assert code == 2 and stdout == "" and not out.exists()
         assert parameter in stderr
 
+    @pytest.mark.parametrize("args,named", [
+        (["--family", "sum", "--cos", "0.3", "0.3", "0.3", "--lplus", "1", "--sign", "-",
+          "--n", "4"], "--sign"),
+        (["--family", "v3", "--k", "5", "--phi", "1.2", "--n", "3"], "--k is 5"),
+        (["--family", "v4", "--k", "8", "--cos", "0.3", "0.3", "0.3", "--n", "4"], "--k is 8"),
+        (["--family", "sum", "--k", "4", "--cos", "0.3", "0.3", "0.3", "--lplus", "1",
+          "--lminus", "1", "--n", "8"], "--k is 4"),
+        (["--family", "v4", "--lplus", "3", "--cos", "0.3", "0.3", "0.3", "--n", "4"],
+         "--lplus"),
+        (["--family", "v3", "--lminus", "1", "--phi", "1.2", "--n", "3"], "--lminus"),
+        (["--family", "quaternionic", "--k", "4", "--n", "1", "--cos", "0.5"], "--cos"),
+        (["--family", "totally_real", "--k", "2", "--n", "2", "--phi", "0.5"], "--phi"),
+        (["--family", "cka_plane_sum", "--k", "4", "--n", "4", "--sign", "+",
+          "--phi", "0.8"], "--sign"),
+        (["--family", "v3", "--angles", "1.2", "1.2", "1.5", "--n", "3"], "--angles"),
+        (["--family", "v4", "--cos", "0.3", "0.3", "0.3", "--angles", "1.0", "1.1", "1.2",
+          "--n", "4"], "--angles: not allowed with argument --cos"),
+        (["--family", "v3", "--angles", "1.2", "--phi", "1.1", "--n", "3"],
+         "--phi: not allowed with argument --angles"),
+        (["--family", "cka_plane_sum", "--k", "4", "--n", "4", "--cos", "0.5",
+          "--phi", "0.8"], "--phi: not allowed with argument --cos"),
+    ])
+    def test_unread_flag_exits_2_and_names_it(self, tmp_path, capsys, args, named):
+        # Before, each of these exited 0 and built the member without the flag
+        # (or with the first angle flag).  The parser refuses two angle flags.
+        out = tmp_path / "x.json"
+        try:
+            code = main(["construct", *args, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert named in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["--family", "v3", "--k", "3", "--phi", "1.2", "--n", "3"],
+        ["--family", "v4", "--k", "4", "--cos", "0.3", "0.3", "0.3", "--sign", "-",
+         "--n", "4"],
+        ["--family", "sum", "--k", "8", "--cos", "0.3", "0.3", "0.3", "--lplus", "1",
+         "--lminus", "1", "--n", "8"],
+    ])
+    def test_k_equal_to_the_dimension_built_is_accepted(self, tmp_path, capsys, args):
+        code, stdout, _ = run_cli(["construct", *args, "--out", str(tmp_path / "x.json")],
+                                  capsys)
+        assert code == 0 and json.loads(stdout)["k"] == int(args[args.index("--k") + 1])
+
     @pytest.mark.parametrize("args", [
         ["construct", "--family", "v4", "--cos", "nan", "0.3", "0.3", "--n", "4"],
         ["construct", "--family", "v4", "--cos", "1.5", "0.3", "0.3", "--n", "4"],

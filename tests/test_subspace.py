@@ -379,7 +379,7 @@ class TestExactStructure:
     def test_residual_agrees_with_jacobi_over_constructor_grid(self):
         uncertified = []
         for label, space, declared in _constructor_grid(quick=False):
-            exact = _exact_structure(space)
+            exact = _exact_structure(_slot_structure(space))
             _, jacobi = joint_canonical_basis(space, 80, 0)
             spread = constancy_check(space, 200, 0).max_spread
             if jacobi <= 1e-9:
@@ -399,14 +399,14 @@ class TestExactStructure:
     def test_random_four_planes_uncertified(self, n):
         rng = np.random.default_rng(n)
         space = from_spanning([HVector(rng.standard_normal(4 * n)) for _ in range(4)])
-        exact = _exact_structure(space)
+        exact = _exact_structure(_slot_structure(space))
         assert exact.residual > 1e-2
         assert 2 * exact.residual >= constancy_check(space, 500, n).max_spread
 
     def test_canonical_structure_is_w_in_the_basis(self):
         space = construct_sum(t_cos(0.5, 0.25, 0.12), 2, 1, 12).transformed(
             random_group_element(12, 4))
-        exact = _exact_structure(space)
+        exact = _exact_structure(_slot_structure(space))
         b = space.basis
         for i in (1, 2, 3):
             direct = b.T @ exact.basis.apply(i, b)
@@ -429,7 +429,7 @@ class TestDimension3Witness:
         # Constant 3-spaces: the 3 witness points decide, with cosines (s, s, 0).
         v3 = construct_v3(1.2, 1, 3).transformed(random_group_element(3, 1))
         for space, cos in ((imaginary_span(2), 1.0), (v3, math.cos(1.2))):
-            report = _witness_report(_exact_structure(space))
+            report = _witness_report(_slot_structure(space))
             assert report.constant and report.samples == 3
             assert report.max_spread <= 1e-14
             assert report.triple.cosines() == pytest.approx([cos, cos, 0.0], abs=1e-14)
@@ -439,14 +439,16 @@ class TestDimension3Witness:
         rng = np.random.default_rng(4)
         for n in (3, 3, 4, 6, 9):
             plane = from_spanning([HVector(rng.standard_normal(4 * n)) for _ in range(3)])
-            exact = _exact_structure(plane)
-            a = _axial_rows(exact.w)
+            w = _slot_structure(plane)
+            a = _axial_rows(w)
             x = rng.standard_normal(3)
-            assert exact.w @ x == pytest.approx(np.cross(a, x), abs=1e-15)
+            assert w @ x == pytest.approx(np.cross(a, x), abs=1e-15)
             l3, l2, l1 = np.linalg.eigvalsh(a.T @ a)
-            report = _witness_report(exact)
+            report = _witness_report(w)
             assert not report.constant and report.samples == 3
             assert report.max_spread == pytest.approx(max(l1 - l2, l2 - l3), abs=1e-14)
+            # The first point, the eigenvector of l1, has the spectrum (l2, l3, 0).
+            assert report.triple.cos2() == pytest.approx([l2, l3, 0.0], abs=1e-14)
             assert report.max_spread >= constancy_check(plane, 2000, 0).max_spread - 1e-14
 
 
@@ -476,10 +478,10 @@ class TestSlotStructure:
         import tracemalloc
 
         space = Subspace(np.linalg.qr(np.random.default_rng(64).standard_normal((256, 64)))[0])
-        _exact_structure(space)
+        _exact_structure(_slot_structure(space))
         tracemalloc.start()
         try:
-            _exact_structure(space)
+            _exact_structure(_slot_structure(space))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
