@@ -17,15 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import (
-    REGION_TOL,
-    _place,
-    _sum_blocks,
-    _v3_blocks,
-    construct_classical,
-    construct_sum,
-    construct_v3,
-)
+from .families import REGION_TOL, _Blocks, _place, _sum_blocks, _v3_blocks, construct_classical
 from .subspace import (
     COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
@@ -518,7 +510,6 @@ class ModuliStratum:
     description: str
     multiplicity: int
     predicate: Callable[[np.ndarray], bool] = field(repr=False)  # of the cosines
-    action: str = "subspace-induced"
     annotation: str | None = None
 
     def contains(self, triple: AngleTriple) -> bool:
@@ -531,7 +522,7 @@ class ModuliStratum:
             "kind": self.kind,
             "description": self.description,
             "multiplicity": self.multiplicity,
-            "action": self.action,
+            "action": "subspace-induced",
         }
         if self.annotation:
             out["annotation"] = self.annotation
@@ -632,30 +623,22 @@ def strata_for(k: int, n: int) -> list[ModuliStratum]:
                 "triples (phi, phi, pi/2), phi in [pi/3, pi/2); two "
                 "inequivalent classes per angle",
                 2, branched))
-        elif 4 * n < 3 * k and k <= 2 * n:
+        else:  # n = 1, 2 (4n >= k = 3 > n)
             out.append(_point_stratum(
                 "imaginary_line_point", (1.0, 1.0, 0.0),
                 "the imaginary span of a vector, angles (0, 0, pi/2)"))
-            out.append(_point_stratum(
-                "compact_branch_point", (0.5, 0.5, 0.0),
-                "the single 3-dimensional class at phi = pi/3 that fits two "
-                "quaternionic dimensions"))
-        elif k > 2 * n:
-            out.append(_point_stratum(
-                "imaginary_line_point", (1.0, 1.0, 0.0),
-                "the imaginary span of a vector, angles (0, 0, pi/2)"))
+            if k <= 2 * n:
+                out.append(_point_stratum(
+                    "compact_branch_point", (0.5, 0.5, 0.0),
+                    "the single 3-dimensional class at phi = pi/3 that fits two "
+                    "quaternionic dimensions"))
     else:
         if k <= n:
             out.append(_point_stratum(
                 "totally_real_point", (0.0, 0.0, 0.0),
                 "the totally real subspace, angles (pi/2, pi/2, pi/2)"))
     if k == 1:
-        annotated = []
-        for s in out:
-            annotated.append(ModuliStratum(
-                s.name, s.kind, s.description, s.multiplicity, s.predicate,
-                s.action, "solvable foliation"))
-        out = annotated
+        out = [replace(s, annotation="solvable foliation") for s in out]
     return out
 
 
@@ -712,16 +695,14 @@ _SPECIAL_ACTIONS = [
 def moduli_describe(k: int, n: int) -> dict:
     """Machine-readable stratification of the (k, n) moduli space.
 
-    k = 0 returns only the three special cohomogeneity-one actions; k >= 1
-    returns the strata with their action labels.
+    The ranges are those of `strata_for`, checked for every k: n >= 1 and
+    0 <= k <= 4n, else ValueError.  k = 0 holds no stratum and lists the
+    three special cohomogeneity-one actions; k >= 1 lists the strata with
+    their action labels.
     """
-    out: dict = {"k": k, "n": n}
-    if k == 0:
-        out["special_actions"] = list(_SPECIAL_ACTIONS)
-        out["strata"] = []
-        return out
-    out["strata"] = [s.to_dict() for s in strata_for(k, n)]
-    return out
+    strata = [s.to_dict() for s in strata_for(k, n)]
+    actions = {"special_actions": list(_SPECIAL_ACTIONS)} if k == 0 else {}
+    return {"k": k, "n": n, **actions, "strata": strata}
 
 
 def _snap_into_strata(
@@ -747,53 +728,52 @@ def _snap_into_strata(
     return x, moduli_membership(k, n, triple) if hits is None else hits
 
 
+def _fitting_class(blocks: Callable[[int], _Blocks], branch: int | None, n: int) -> Subspace:
+    """The class ``branch`` of the construction whose blocks of sign s are
+    ``blocks(s)``, placed in H^n.  With no branch, the plus blocks when their
+    slots fit (built once, then placed), else the minus ones, which fit
+    there: the v3 at pi/3 in H^2, and the sum blocks on the minus boundary
+    cos(phi1) + cos(phi2) + cos(phi3) = 1."""
+    if branch is None:
+        plus = blocks(1)
+        if sum(map(len, plus[0])) <= 4 * n:
+            return _place(*plus, n)
+        branch = -1
+    return _place(*blocks(branch), n)
+
+
 def representative(
     k: int, n: int, triple: AngleTriple, branch: int | None = None
 ) -> Subspace:
     """A subspace realizing the given point of the moduli space.
 
-    ``branch`` selects the class on two-class strata (+1 by default) and is
-    rejected on single-class strata, which take the plus class when its
-    blocks fit in H^n, else the minus class.
+    ``branch`` (+1 or -1) selects the class, and is accepted only on a
+    two-class stratum of the triple that is built (`_snap_into_strata`).
+    Without one, the plus class is built if its blocks fit in H^n, else
+    the minus class (`_fitting_class`).
     """
     hits = moduli_membership(k, n, triple)
     if not hits:
         raise ValueError(
             f"the triple lies in no stratum of the ({k}, {n}) moduli space"
         )
-    if branch is not None and branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    # The branch is checked against the strata of the triple that is built:
-    # a snap onto a single-class boundary refuses branch -1, which
-    # `classify_subspace` could not report there.
     x, hits = _snap_into_strata(k, n, triple, hits)
-    two_class = any(h.stratum.multiplicity == 2 for h in hits)
-    if branch == -1 and not two_class:
-        raise ValueError("branch selection on a single-class stratum")
+    if branch is not None:
+        if branch not in (1, -1):
+            raise ValueError("branch must be +1 or -1")
+        if not any(h.stratum.multiplicity == 2 for h in hits):
+            raise ValueError("branch selection on a single-class stratum")
     phis = np.arccos(x)
     if k == 3:
         if x[0] >= 1.0:  # (0, 0, pi/2)
             return construct_classical("im_h_line", 3, n)
         if x[0] <= 0.0:  # totally real
             return construct_classical("totally_real", 3, n)
-        if branch is None:
-            # Single-class strata realize whichever branch fits the ambient
-            # n (only the minus branch at pi/3 fits two quaternionic dims);
-            # the plus blocks are built once, and placed if their slots fit.
-            plus = _v3_blocks(float(phis[0]), 1)
-            if sum(map(len, plus[0])) <= 4 * n:
-                return _place(*plus, n)
-        return construct_v3(float(phis[0]), branch or -1, n)
+        return _fitting_class(lambda s: _v3_blocks(float(phis[0]), s), branch, n)
     if k % 4 == 0:
         l, angles = k // 4, AngleTriple(*phis)
-        if x[0] >= 1.0:  # (0, phi, phi) including quaternionic and complex
-            return construct_sum(angles, l, 0, n)
-        if branch is None:
-            # Likewise for sums; the plus class exists wherever the minus one does.
-            plus = _sum_blocks(angles, l, 0)
-            if sum(map(len, plus[0])) <= 4 * n:
-                return _place(*plus, n)
-        return construct_sum(angles, *((l, 0) if branch == 1 else (0, l)), n)
+        return _fitting_class(lambda s: _sum_blocks(angles, *((l, 0) if s == 1 else (0, l))),
+                              branch, n)
     if k % 2 == 0:
         if x[0] >= 1.0:
             return construct_classical("totally_complex", k, n)
@@ -803,11 +783,19 @@ def representative(
     return construct_classical("totally_real", k, n)
 
 
-def _constancy_fields(report: ConstancyReport) -> dict:
-    """The constancy of a report as JSON fields, shared by every command that
-    reports it: ``constant`` is null when undecided, and ``constancy_gate``
-    then names the gates."""
-    fields = {"constant": report.constant, "spread": report.max_spread}
+def _report_fields(analysis: _Analysis) -> dict:
+    """The fields that open the classify, angles and construct payloads, in
+    this order: n, k, the triple, its cosines, ``constant`` (null when
+    undecided) and ``spread``, then ``constancy_gate`` when undecided."""
+    report = analysis.report
+    fields = {
+        "n": analysis.space.n,
+        "k": analysis.space.k,
+        "triple": list(report.triple.as_tuple()),
+        "cosines": report.triple.cosines().tolist(),
+        "constant": report.constant,
+        "spread": report.max_spread,
+    }
     if report.constant is None:
         fields["constancy_gate"] = report.gate
     return fields
@@ -828,13 +816,7 @@ def classify_subspace(v_space: Subspace) -> dict:
     """
     analysis = _Analysis(v_space)
     report = analysis.report
-    record: dict = {
-        "n": v_space.n,
-        "k": v_space.k,
-        "triple": list(report.triple.as_tuple()),
-        "cosines": report.triple.cosines().tolist(),
-        **_constancy_fields(report),
-    }
+    record = _report_fields(analysis)
     if report.constant:
         record["joint_residual"] = analysis.exact.residual
     verdict = analysis.protohomogeneity()

@@ -1,5 +1,10 @@
 """Command-line front end: construct, analyze, classify, enumerate, self-test.
 
+Each command parses its flags, calls the library, which checks the values
+and builds the payload, and prints it as JSON.  The CLI's own checks are on
+flags alone: construct refuses a flag its family does not read, and --cos
+values must be finite numbers in [0, 1].
+
 Exit codes: 0 success, 2 user or parameter error, 3 internal numerical
 failure.  The environment variable QKA_SEED provides the default seed of
 `selftest`, the one command that samples; no verdict reads a seed.
@@ -15,7 +20,7 @@ import sys
 
 from .classify import (
     _Analysis,
-    _constancy_fields,
+    _report_fields,
     classify_subspace,
     moduli_describe,
     moduli_membership,
@@ -28,7 +33,7 @@ __all__ = ["main"]
 
 _FAMILIES = CLASSICAL_FAMILIES + ("v3", "v4", "sum")
 # The optional construct flags each family reads besides --k: "angle" is one
-# value of --angles, --cos or --phi, and "triple" three of --angles or --cos.
+# value of --angles or --cos, and "triple" three of them.
 # v4 and sum read one angle too, to refuse it as a missing triple.
 _READS = {"v3": ("angle", "sign"), "v4": ("angle", "triple", "sign"),
           "sum": ("angle", "triple", "lplus", "lminus"),
@@ -36,18 +41,14 @@ _READS = {"v3": ("angle", "sign"), "v4": ("angle", "triple", "sign"),
 
 
 def _seed(args) -> int:
-    """--seed, else QKA_SEED (0 when unset or empty); read only by `selftest`,
-    so a malformed QKA_SEED stops no other command."""
+    """--seed, else QKA_SEED (0 when unset or empty) by the same rule; read
+    only by `selftest`, so a malformed QKA_SEED stops no other command."""
     if args.seed is not None:
         return args.seed
-    raw = os.environ.get("QKA_SEED") or "0"
     try:
-        seed = int(raw)
-    except ValueError:
-        raise ValueError(f"QKA_SEED must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise ValueError(f"QKA_SEED must be a non-negative integer, got {raw!r}")
-    return seed
+        return _seed_arg(os.environ.get("QKA_SEED") or "0")
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"QKA_SEED {exc}") from None
 
 
 def _seed_arg(text: str) -> int:
@@ -80,7 +81,7 @@ def _parse_angles(args) -> tuple[AngleTriple | None, float | None]:
     """Angle inputs: full triple or a single family parameter phi."""
     values = args.angles if args.cos is None else [math.acos(c) for c in _checked_cosines(args.cos)]
     if values is None:
-        return None, args.phi
+        return None, None
     if len(values) == 1:
         return None, values[0]
     if len(values) == 3:
@@ -95,7 +96,7 @@ def _spec_from_args(args) -> FamilySpec:
     triple, phi = _parse_angles(args)
     angle = "angle" if triple is None else "triple"
     reads = _READS.get(args.family, ())
-    unread = [f"--{name}" for name in ("angles", "cos", "phi", "sign", "lplus", "lminus")
+    unread = [f"--{name}" for name in ("angles", "cos", "sign", "lplus", "lminus")
               if getattr(args, name) is not None
               and (name if name in ("sign", "lplus", "lminus") else angle) not in reads]
     if unread:
@@ -116,7 +117,7 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"--family {args.family} builds dimension {space.k}, but --k is {args.k}")
     # The same analysis as `angles` and `classify`, so all three report one spread.
     analysis = _Analysis(space)
-    report, triple = analysis.report, analysis.triple
+    triple = analysis.triple
     meta = {
         "family": spec.family,
         "cosines": [round(c, 15) for c in triple.cosines().tolist()],
@@ -127,15 +128,9 @@ def _cmd_construct(args) -> int:
         meta["l_plus"] = spec.l_plus
         meta["l_minus"] = spec.l_minus
     save_subspace(args.out, space, meta)
-    _emit({
-        "path": args.out,
-        "n": space.n,
-        "k": space.k,
-        "triple": list(report.triple.as_tuple()),
-        "cosines": triple.cosines().tolist(),
-        **_constancy_fields(report),
-        "meta": meta,
-    })
+    # The snapped cosines replace the report's in place, keeping the key order.
+    _emit({"path": args.out, **_report_fields(analysis),
+           "cosines": triple.cosines().tolist(), "meta": meta})
     return 0
 
 
@@ -143,16 +138,8 @@ def _cmd_angles(args) -> int:
     space, _ = load_subspace(args.path)
     # The same analysis as `classify`, so both report one joint residual.
     analysis = _Analysis(space)
-    report = analysis.report
-    _emit({
-        "n": space.n,
-        "k": space.k,
-        "triple": list(report.triple.as_tuple()),
-        "cosines": report.triple.cosines().tolist(),
-        **_constancy_fields(report),
-        "samples": report.samples,
-        "joint_residual": analysis.exact.residual,
-    })
+    _emit({**_report_fields(analysis), "samples": analysis.report.samples,
+           "joint_residual": analysis.exact.residual})
     return 0
 
 
@@ -163,20 +150,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_moduli(args) -> int:
-    if args.n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= args.k <= 4 * args.n:
-        raise ValueError(f"k must lie in [0, {4 * args.n}]")
-    triple = None
     if args.cos is not None:
         triple = AngleTriple.from_cosines(_checked_cosines(args.cos))
     elif args.triple is not None:
         triple = AngleTriple(*sorted(args.triple))
-    if triple is None:
+    else:
         _emit(moduli_describe(args.k, args.n))
         return 0
-    if args.k == 0:
-        raise ValueError("membership queries need k >= 1")
     hits = moduli_membership(args.k, args.n, triple)
     _emit({
         "k": args.k,
@@ -217,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="angle triple in radians, or a single family parameter")
     angle.add_argument("--cos", type=float, nargs="+", metavar="COS",
                        help="angle cosines instead of radians")
-    angle.add_argument("--phi", type=float, help="single-angle family parameter (radians)")
     p.add_argument("--sign", choices=["+", "-"], help="class sign for v3/v4")
     p.add_argument("--lplus", type=int, help="plus blocks in a sum (default 0)")
     p.add_argument("--lminus", type=int, help="minus blocks in a sum (default 0)")

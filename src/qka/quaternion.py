@@ -140,11 +140,6 @@ class Quaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
-    @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
 
 def _as_quat_array(q) -> np.ndarray:
     if isinstance(q, Quaternion):
@@ -263,10 +258,6 @@ class CanonicalBasis:
     def operator(self, i: int, n: int) -> np.ndarray:
         """The 4n x 4n real matrix of J_i."""
         return np.kron(np.eye(n), self.block(i))
-
-    def rotated(self, r) -> "CanonicalBasis":
-        """The basis whose row a is r[a] expressed in this basis."""
-        return CanonicalBasis(np.asarray(r, dtype=float) @ self.rotation)
 
     def __repr__(self) -> str:
         return f"CanonicalBasis(rotation={np.array2string(self.rotation, precision=4)})"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -35,15 +36,22 @@ def subspace_to_dict(v_space: Subspace, meta: dict | None = None) -> dict:
 
 
 def subspace_from_dict(data: dict) -> tuple[Subspace, dict]:
+    """The subspace and meta of a parsed file.  ``format_version``, ``n`` and
+    ``k`` must be JSON integers (not bools) and the basis rows lists of JSON
+    numbers; nothing is converted, and anything else raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("subspace file must contain a JSON object")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     try:
-        n = int(data["n"])
-        k = int(data["k"])
-        rows = np.asarray(data["basis"], dtype=float)
+        n, k, rows = data["n"], data["k"], data["basis"]
+        for key, value in (("n", n), ("k", k)):
+            if type(value) is not int:  # not a float, a string or a bool
+                raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            raise ValueError("basis entries must be JSON numbers")
+        rows = np.asarray(rows, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed subspace file: {exc}") from exc
     if rows.shape != (k, 4 * n):

@@ -194,6 +194,14 @@ def p_operator(v_space: Subspace, i: int, basis: CanonicalBasis = STANDARD_BASIS
     return v_space.projector() @ jmat
 
 
+def _w_at(w: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """W x at every column x of ``coeffs`` (k, m), shaped (m, 3, k): row a is
+    W_a x, the V coordinates of P_a v for v = B x.  The one place W x is
+    formed: Omega(B x) = (W x)(W x)^T, and the rank of W x is the rank of
+    the tangent distribution."""
+    return np.einsum("apq,qm->map", w, coeffs)
+
+
 def _omega_batch(v_space: Subspace, coeffs: np.ndarray, basis: CanonicalBasis) -> np.ndarray:
     """Omega matrices for vectors B @ coeffs, returned as (m, 3, 3).
 
@@ -201,10 +209,9 @@ def _omega_batch(v_space: Subspace, coeffs: np.ndarray, basis: CanonicalBasis) -
     the restricted structure in the canonical basis R (W from
     `_slot_structure`), so it needs no product in R^{4n} per sample.
     """
-    k = v_space.k
-    w = (basis.rotation @ _slot_structure(v_space).reshape(3, -1)).reshape(3, k, k) @ coeffs
-    wt = w.transpose(2, 0, 1)  # (m, 3, k)
-    return wt @ wt.transpose(0, 2, 1)
+    w = _slot_structure(v_space)
+    wx = _w_at((basis.rotation @ w.reshape(3, -1)).reshape(w.shape), coeffs)
+    return wx @ wx.transpose(0, 2, 1)
 
 
 def omega(v_space: Subspace, v, basis: CanonicalBasis = STANDARD_BASIS) -> np.ndarray:
@@ -341,13 +348,6 @@ def _exact_structure(w: np.ndarray) -> _ExactStructure:
                            cross12=cross12)
 
 
-def _omega_spectra(w: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The ascending spectra of Omega(B x) = (W x)(W x)^T at every row x of
-    ``points``, from W (3, k, k): one batched eigvalsh, shaped (m, 3)."""
-    wx = np.einsum("apq,mq->map", w, points)
-    return np.linalg.eigvalsh(wx @ wx.transpose(0, 2, 1))
-
-
 def vector_qka(v_space: Subspace, v) -> tuple[AngleTriple, CanonicalBasis]:
     """Angles of a single vector and a canonical basis diagonalizing them.
 
@@ -383,14 +383,15 @@ def constancy_check(
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
-    coeffs = _sample_coeffs(v_space.k, samples, rng)
-    oms = _omega_batch(v_space, coeffs, STANDARD_BASIS)
-    return _spectrum_report(np.linalg.eigvalsh(oms))
+    return _spectrum_report(_slot_structure(v_space), _sample_coeffs(v_space.k, samples, rng))
 
 
-def _spectrum_report(lams: np.ndarray) -> ConstancyReport:
-    """The triple at the first point and the largest spread of the sorted
-    squared-cosine spectra ``lams`` (one ascending row per point)."""
+def _spectrum_report(w: np.ndarray, coeffs: np.ndarray) -> ConstancyReport:
+    """The triple at the first column x of ``coeffs`` and the largest spread
+    of the sorted squared-cosine spectra of Omega(B x) over all columns, from
+    W (3, k, k): one batched eigvalsh."""
+    wx = _w_at(w, coeffs)
+    lams = np.linalg.eigvalsh(wx @ wx.transpose(0, 2, 1))
     spread = float(np.max(lams.max(axis=0) - lams.min(axis=0)))
     triple = AngleTriple.from_cos2_eigenvalues(lams[0, ::-1])
     return ConstancyReport(triple=triple, max_spread=spread, samples=len(lams),
@@ -416,9 +417,9 @@ def _witness_report(w: np.ndarray) -> ConstancyReport:
     orthogonal) reports (phi, phi, pi/2), cos(phi)^2 = T / 3 = tr G / 2.
 
     Elsewhere Omega is read at the k eigenvectors of M (one eigh of M, one
-    batched eigvalsh of Omega), and when they do not spread (M a multiple
-    of I, say, as on a sum of two v3 in a basis along the summands) also at
-    the k (k - 1) / 2 normalized sums of two of them.  A sorted spread
+    batched eigvalsh of Omega in `_spectrum_report`), and when they do not
+    spread (M a multiple of I, say, as on a sum of two v3 in a basis along
+    the summands) also at the k (k - 1) / 2 normalized sums of two of them.  A sorted spread
     beyond CONSTANCY_TOL between real unit vectors of V proves that the
     angle is not constant, with no seed involved.  No such spread proves
     nothing: ``constant`` is then None, and ``gate`` names this witness (the
@@ -434,12 +435,12 @@ def _witness_report(w: np.ndarray) -> ConstancyReport:
         cos2 = (t / 3.0, t / 3.0) if spread <= CONSTANCY_TOL else (t - mu[1], t - mu[2])
         triple = AngleTriple.from_cos2_eigenvalues((*cos2, 0.0))
         return ConstancyReport(triple, spread, 3, spread <= CONSTANCY_TOL)
-    points = np.linalg.eigh(m)[1].T
-    report = _spectrum_report(_omega_spectra(w, points))
+    points = np.linalg.eigh(m)[1]  # the unit eigenvectors of M, as columns
+    report = _spectrum_report(w, points)
     if report.constant:
         i, j = np.triu_indices(k, 1)
-        points = np.concatenate([points, (points[i] + points[j]) / math.sqrt(2.0)])
-        report = _spectrum_report(_omega_spectra(w, points))
+        points = np.concatenate([points, (points[:, i] + points[:, j]) / math.sqrt(2.0)], axis=1)
+        report = _spectrum_report(w, points)
     if not report.constant:
         return report
     gate = (f"constancy undecided: the sorted Omega spectra at {report.samples} witness "
@@ -544,15 +545,14 @@ def distribution_rank(v_space: Subspace, samples: int = 24, seed: int = 0) -> in
     """Rank of the tangent distribution spanned by {P_J v : J}.
 
     Computed as the numerical rank of [P_1 v, P_2 v, P_3 v] at sampled unit
-    vectors v = B x, taken in V coordinates as the k x 3 matrix
-    [W_1 x, W_2 x, W_3 x] with the same singular values; for a
+    vectors v = B x, taken in V coordinates as the 3 x k matrix with rows
+    W_a x (`_w_at`), which has the same singular values; for a
     constant-angle subspace it is constant and equals the number of angles
     different from pi/2.  Raises if the rank varies across samples.
     """
     rng = np.random.default_rng(seed)
-    coeffs = _sample_coeffs(v_space.k, samples, rng)
-    cols = np.einsum("apq,qm->mpa", _slot_structure(v_space), coeffs)
-    sv = np.linalg.svd(cols, compute_uv=False)  # (samples, min(k, 3)), descending
+    wx = _w_at(_slot_structure(v_space), _sample_coeffs(v_space.k, samples, rng))
+    sv = np.linalg.svd(wx, compute_uv=False)  # (samples, min(k, 3)), descending
     per_sample = np.sum(sv > RANK_RTOL * np.maximum(sv[:, :1], 1.0), axis=1)
     ranks = sorted(set(per_sample.tolist()))
     if len(ranks) > 1:

@@ -542,6 +542,11 @@ class TestModuli:
         with pytest.raises(ValueError):
             moduli_membership(0, 2, T03)
 
+    @pytest.mark.parametrize("k,n", [(0, 0), (0, -3), (-1, 3), (13, 3)])
+    def test_describe_checks_the_ranges_for_every_k(self, k, n):
+        with pytest.raises(ValueError, match="n must be positive|k must lie in"):
+            moduli_describe(k, n)
+
     def test_describe_k0(self):
         desc = moduli_describe(0, 3)
         assert [a["action"] for a in desc["special_actions"]] == ["N", "K", "SU(1,n+1)"]
@@ -616,6 +621,32 @@ class TestRepresentative:
     def test_branch_on_single_class_rejected(self):
         with pytest.raises(ValueError, match="single-class"):
             representative(5, 5, REAL3, -1)
+
+    @pytest.mark.parametrize("branch", [1, -1])
+    @pytest.mark.parametrize("k,n,cosines", [
+        (8, 6, [1 / 3] * 3),  # boundary_sum_surface
+        (8, 4, [1.0, 0.6, 0.6]),  # complexified_curve
+        (5, 5, [0.0, 0.0, 0.0]),  # totally_real_point
+        (3, 3, [0.9, 0.9, 0.0]),  # single_branch_curve
+        (3, 3, [1.0, 1.0, 0.0]),  # single_branch_curve at (0, 0, pi/2)
+        (3, 2, [0.5, 0.5, 0.0]),  # compact_branch_point
+    ])
+    def test_either_branch_on_single_class_strata_rejected(self, k, n, cosines, branch):
+        # One rule: a branch is accepted only on a two-class stratum.
+        with pytest.raises(ValueError, match="single-class"):
+            representative(k, n, AngleTriple.from_cosines(cosines), branch)
+
+    @pytest.mark.parametrize("k,n,cosines", [
+        (8, 4, [1.0, 0.6, 0.6]), (8, 2, [1.0, 1.0, 1.0]), (4, 4, [1.0, 0.0, 0.0]),
+        (12, 8, [1.0, 0.2, 0.2]),
+    ])
+    def test_phi1_zero_builds_the_plus_sum(self, k, n, cosines):
+        # At cos(phi1) = 1 the plus blocks fit on every stratum, so the
+        # general path places the plus sum (up to the round-off of the
+        # cosine round trip).
+        triple = AngleTriple.from_cosines(cosines)
+        space = representative(k, n, triple)
+        assert np.max(np.abs(space.basis - construct_sum(triple, k // 4, 0, n).basis)) <= 1e-15
 
     @pytest.mark.parametrize("k,n,cosines,constructor,expected", [
         (8, 6, [1 / 3] * 3, "construct_sum", (0, 2)),

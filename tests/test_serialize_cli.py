@@ -1,9 +1,11 @@
 """Tests for JSON persistence and the command-line interface."""
 
+import argparse
 import ast
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -54,6 +56,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="JSON compliant"):
             save_subspace(path, construct_v4(T13, -1, 3), {"spread": float("nan")})
         assert not path.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 3.7), ("n", "3"), ("k", 4.2), ("k", "4"), ("format_version", True),
+        ("basis", "0.0"), ("basis", True), ("basis", False),
+    ])
+    def test_rejects_non_integer_fields_and_non_numeric_entries(self, tmp_path, capsys,
+                                                                field, value):
+        # An int() or float cast would turn each of these into a valid file:
+        # 3.7 into n = 3, "4" into k = 4, true into version 1, and a basis
+        # entry "0.0", true or false into the 0.0 or 1.0 it replaces.
+        data = subspace_to_dict(construct_v4(T13, -1, 3))
+        if field == "basis":
+            row = data["basis"][0]
+            row[row.index(1.0 if value is True else 0.0)] = value
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=field):
+            subspace_from_dict(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, stdout, stderr = run_cli(["classify", str(path)], capsys)
+        assert code == 2 and stdout == "" and field in stderr
 
     def test_repairs_small_drift_with_warning(self):
         data = subspace_to_dict(construct_v4(T13, -1, 3))
@@ -114,7 +138,7 @@ class TestCli:
 
     def test_classify_dim3(self, tmp_path, capsys):
         out = tmp_path / "v3.json"
-        run_cli(["construct", "--family", "v3", "--phi", "1.2", "--sign", "+",
+        run_cli(["construct", "--family", "v3", "--angles", "1.2", "--sign", "+",
                  "--n", "3", "--out", str(out)], capsys)
         code, stdout, _ = run_cli(["classify", str(out)], capsys)
         record = json.loads(stdout)
@@ -145,6 +169,17 @@ class TestCli:
         code, _, stderr = run_cli(["moduli", "--k", "13", "--n", "3"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args,message", [
+        (["--k", "0", "--n", "0"], "n must be positive"),
+        (["--k", "0", "--n", "-3"], "n must be positive"),
+        (["--k", "-1", "--n", "3"], "k must lie in [0, 4n] = [0, 12]"),
+        (["--k", "13", "--n", "3", "--cos", "0.3", "0.3", "0.3"], "k must lie in"),
+        (["--k", "0", "--n", "3", "--cos", "0.3", "0.3", "0.3"], "membership needs k >= 1"),
+    ])
+    def test_moduli_ranges_are_checked_by_the_library(self, capsys, args, message):
+        code, stdout, stderr = run_cli(["moduli", *args], capsys)
+        assert code == 2 and stdout == "" and message in stderr
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 1, "n": "x"}')
@@ -172,7 +207,7 @@ class TestCli:
 
     @pytest.mark.parametrize("family_args,certified", [
         (["--family", "v4", "--cos", "0.3", "0.3", "0.3", "--sign", "-", "--n", "4"], True),
-        (["--family", "v3", "--phi", "1.2", "--sign", "-", "--n", "3"], False),
+        (["--family", "v3", "--angles", "1.2", "--sign", "-", "--n", "3"], False),
     ])
     def test_construct_angles_classify_report_one_spread(self, tmp_path, capsys,
                                                          family_args, certified):
@@ -190,7 +225,7 @@ class TestCli:
     @pytest.mark.parametrize("args,parameter", [
         (["--family", "totally_real", "--n", "3"], "dimension k"),
         (["--family", "quaternionic", "--n", "3"], "dimension k"),
-        (["--family", "cka_plane_sum", "--n", "4", "--phi", "0.8"], "dimension k"),
+        (["--family", "cka_plane_sum", "--n", "4", "--angles", "0.8"], "dimension k"),
         (["--family", "complexified_cka", "--n", "4", "--k", "4"], "phi"),
         (["--family", "cka_plane_sum", "--n", "4", "--k", "4"], "phi"),
         (["--family", "v3", "--n", "3", "--sign", "-"], "phi"),
@@ -207,24 +242,20 @@ class TestCli:
     @pytest.mark.parametrize("args,named", [
         (["--family", "sum", "--cos", "0.3", "0.3", "0.3", "--lplus", "1", "--sign", "-",
           "--n", "4"], "--sign"),
-        (["--family", "v3", "--k", "5", "--phi", "1.2", "--n", "3"], "--k is 5"),
+        (["--family", "v3", "--k", "5", "--angles", "1.2", "--n", "3"], "--k is 5"),
         (["--family", "v4", "--k", "8", "--cos", "0.3", "0.3", "0.3", "--n", "4"], "--k is 8"),
         (["--family", "sum", "--k", "4", "--cos", "0.3", "0.3", "0.3", "--lplus", "1",
           "--lminus", "1", "--n", "8"], "--k is 4"),
         (["--family", "v4", "--lplus", "3", "--cos", "0.3", "0.3", "0.3", "--n", "4"],
          "--lplus"),
-        (["--family", "v3", "--lminus", "1", "--phi", "1.2", "--n", "3"], "--lminus"),
+        (["--family", "v3", "--lminus", "1", "--angles", "1.2", "--n", "3"], "--lminus"),
         (["--family", "quaternionic", "--k", "4", "--n", "1", "--cos", "0.5"], "--cos"),
-        (["--family", "totally_real", "--k", "2", "--n", "2", "--phi", "0.5"], "--phi"),
+        (["--family", "totally_real", "--k", "2", "--n", "2", "--angles", "0.5"], "--angles"),
         (["--family", "cka_plane_sum", "--k", "4", "--n", "4", "--sign", "+",
-          "--phi", "0.8"], "--sign"),
+          "--angles", "0.8"], "--sign"),
         (["--family", "v3", "--angles", "1.2", "1.2", "1.5", "--n", "3"], "--angles"),
         (["--family", "v4", "--cos", "0.3", "0.3", "0.3", "--angles", "1.0", "1.1", "1.2",
           "--n", "4"], "--angles: not allowed with argument --cos"),
-        (["--family", "v3", "--angles", "1.2", "--phi", "1.1", "--n", "3"],
-         "--phi: not allowed with argument --angles"),
-        (["--family", "cka_plane_sum", "--k", "4", "--n", "4", "--cos", "0.5",
-          "--phi", "0.8"], "--phi: not allowed with argument --cos"),
     ])
     def test_unread_flag_exits_2_and_names_it(self, tmp_path, capsys, args, named):
         # Before, each of these exited 0 and built the member without the flag
@@ -238,8 +269,17 @@ class TestCli:
         assert code == 2 and captured.out == "" and not out.exists()
         assert named in captured.err
 
+    def test_retired_phi_flag_is_refused_by_the_parser(self, tmp_path, capsys):
+        # --angles takes the one family angle that --phi used to pass.
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--family", "v3", "--phi", "1.2", "--sign", "+", "--n", "3",
+                  "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert "unrecognized arguments: --phi" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
-        ["--family", "v3", "--k", "3", "--phi", "1.2", "--n", "3"],
+        ["--family", "v3", "--k", "3", "--angles", "1.2", "--n", "3"],
         ["--family", "v4", "--k", "4", "--cos", "0.3", "0.3", "0.3", "--sign", "-",
          "--n", "4"],
         ["--family", "sum", "--k", "8", "--cos", "0.3", "0.3", "0.3", "--lplus", "1",
@@ -448,6 +488,48 @@ class TestCli:
             qka.no_such_name
 
 
+_CERTIFIED_V4 = ["construct", "--family", "v4", "--cos", "0.3", "0.3", "0.3", "--sign", "-",
+                 "--n", "4"]
+_REPORT_KEYS = ["n", "k", "triple", "cosines", "constant", "spread"]
+
+
+def _payload_keys(tmp_path, capsys) -> dict:
+    """The key order of the construct, angles and classify payloads of one
+    certified v4."""
+    path = tmp_path / "v.json"
+    keys = {}
+    for name, argv in (("construct", [*_CERTIFIED_V4, "--out", str(path)]),
+                       ("angles", ["angles", str(path)]),
+                       ("classify", ["classify", str(path)])):
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0
+        keys[name] = list(json.loads(stdout))
+    return keys
+
+
+def test_payload_key_order_is_pinned(tmp_path, capsys):
+    assert _payload_keys(tmp_path, capsys) == {
+        "construct": ["path", *_REPORT_KEYS, "meta"],
+        "angles": [*_REPORT_KEYS, "samples", "joint_residual"],
+        "classify": [*_REPORT_KEYS, "joint_residual", "protohomogeneous", "type", "strata"],
+    }
+
+
+def test_undecided_payload_key_order_is_pinned(tmp_path, capsys, monkeypatch):
+    # constancy_gate follows spread in every payload that reports it.
+    from qka.classify import _Analysis
+    from qka.subspace import ConstancyReport
+
+    monkeypatch.setattr(_Analysis, "report", property(lambda self: ConstancyReport(
+        self.exact.triple, 0.0, self.space.k, None, "constancy undecided (test gate)")))
+    undecided = [*_REPORT_KEYS, "constancy_gate"]
+    assert _payload_keys(tmp_path, capsys) == {
+        "construct": ["path", *undecided, "meta"],
+        "angles": [*undecided, "samples", "joint_residual"],
+        "classify": [*undecided, "protohomogeneous"],
+    }
+
+
 def _child_env() -> dict:
     """Environment for a child that imports the same qka as this process."""
     src = os.path.dirname(os.path.dirname(qka.__file__))
@@ -511,3 +593,21 @@ def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
         if code != 0:
             failures.append((command, code))
     assert failures == []
+
+
+def _parser_options() -> list[str]:
+    """Every option string of the qka parser and its subcommands."""
+    parsers, options = [qka.cli._build_parser()], []
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            options += [o for o in action.option_strings if o not in ("-h", "--help")]
+    return options
+
+
+def test_every_parser_option_is_documented_in_readme():
+    options = _parser_options()
+    assert {"--family", "--triple", "--seed"} <= set(options)
+    text = README.read_text()
+    assert [o for o in options if not re.search(re.escape(o) + r"(?![\w-])", text)] == []
