@@ -71,9 +71,9 @@ SIGN_SYMMETRY_TOL = 1e-8
 SIGN_INVOLUTION_TOL = 1e-8
 # Distance of the v3 branch ratio det(A) / cos(phi)^3 to a class +-1 (`_branch_sign`).
 BRANCH_TOL = 1e-8
-# cos(phi) at or below this is phi = pi/2 in the block analysis: there the two
-# block signs coincide (`_Analysis.signs`), and `factorize` takes no Pbar_i,
-# whose normalization W'_i / cos(phi) is singular.
+# cos(phi_i) = sqrt(c_i) at or below this is phi_i = pi/2 in the block analysis:
+# there the two block signs coincide (`_Analysis.signs`), and `factorize` takes
+# no Pbar_i, whose normalization W'_i / cos(phi_i) is singular.
 RIGHT_ANGLE_TOL = 1e-8
 _SEED_STEP = 0.7548776662466927  # irrational: the inverse of the plastic number
 
@@ -198,7 +198,7 @@ def _cells(part: np.ndarray, generators: list[np.ndarray]) -> np.ndarray:
 
 class _Analysis:
     """The Omega/Pbar data of one subspace, and the one place its complete
-    invariant (`triple` plus `invariant`) is decided; every entry point reads it.
+    invariant (`cosines` plus `invariant`) is decided; every entry point reads it.
 
     Holds W = B^T J B, the frame built from W (the exact structure:
     candidate canonical basis and its residual), the constancy report, the
@@ -240,14 +240,16 @@ class _Analysis:
         return report
 
     @cached_property
-    def triple(self) -> AngleTriple:
-        """The report's triple with end angles snapped, the one every decision
-        compares: eigenvalue round-off surfaces as a square-root-sized cosine
-        error at the ends of the range."""
-        return snapped(self.report.triple)
+    def cosines(self) -> np.ndarray:
+        """The report's cosines with end values snapped (`_snap_cos`), the ones
+        every decision compares: eigenvalue round-off surfaces as a
+        square-root-sized cosine error at the ends of the range."""
+        return _snap_cos(self.report.triple.cosines())
 
-    def _constant_triple(self) -> AngleTriple:
-        """The report's triple, once the angle is decided constant."""
+    def _require_constant(self) -> None:
+        """Raise unless the angle is decided constant.  For dim V = 4l only the
+        certificate decides that, so the block routines read the frame: R is
+        their common canonical basis, and c_i = cos(phi_i)^2 their angles."""
         report = self.report
         if report.constant is None:
             raise NumericalFailure(report.gate)
@@ -255,39 +257,30 @@ class _Analysis:
             raise ValueError(
                 f"subspace does not have constant angle (spread {report.max_spread:.2e})"
             )
-        return report.triple
 
-    def canonical(self) -> AngleTriple:
-        """The constant triple shared by the block routines.
+    def _right_angle(self, i: int) -> bool:
+        """Whether phi_i = pi/2 in the block analysis: sqrt(c_i) at or below
+        RIGHT_ANGLE_TOL."""
+        return math.sqrt(max(self.exact.cos2[i - 1], 0.0)) <= RIGHT_ANGLE_TOL
 
-        Their common canonical basis is the exact structure's R: for
-        dim V = 4l the angle is constant only by the certificate
-        2 * residual <= CONSTANCY_TOL, so R diagonalizes Omega everywhere
-        within the residual.
+    def pbar(self, i: int) -> np.ndarray:
+        """Pbar_i = W'_i / cos(phi_i) in V coordinates, gated by `_gated_cos`."""
+        return self.exact.w_canonical[i - 1] / self._gated_cos(i)
+
+    def _gated_cos(self, i: int) -> float:
+        """cos(phi_i) = sqrt(c_i), once the one Pbar gate accepts Pbar_i.
+
+        The largest entry of Pbar_i^T Pbar_i - I = -(Pbar_i^2 + I) is
+        u_i / c_i, read off the residual's own product W'_i^T W'_i
+        (`_ExactStructure.square_gap`); it must not exceed
+        COMPLEX_STRUCTURE_TOL, the bound of the direct check
+        (`subspace._complex_structure`).  A NaN is refused.
         """
-        if self.space.k % 4:
-            raise ValueError("block analysis needs dim V to be a multiple of 4")
-        return self._constant_triple()
-
-    def pbar(self, i: int, phi: float) -> np.ndarray:
-        """Pbar_i = W'_i / cos(phi_i) in V coordinates, checked to be an
-        orthogonal complex structure; needs the common canonical basis.
-
-        The check reads the residual's own product W'_i^T W'_i: it refuses
-        when (u_i + |c_i - cos(phi)^2|) / cos(phi)^2 exceeds
-        COMPLEX_STRUCTURE_TOL (`_ExactStructure.pbar_gap`).  That bound is
-        never below the largest entry of Pbar^T Pbar - I = -(Pbar^2 + I)
-        beyond round-off, so it refuses whatever the direct check
-        (`subspace._complex_structure`) refuses, and at the true angle the
-        two agree to round-off.
-        """
-        return self.exact.w_canonical[i - 1] / self._pbar_cos(i, phi)
-
-    def _pbar_cos(self, i: int, phi: float) -> float:
-        """cos(phi), once the residual-read gate accepts Pbar_i = W'_i / cos(phi)."""
-        if self.exact.pbar_gap(i, phi) > COMPLEX_STRUCTURE_TOL:
+        exact = self.exact
+        c = float(exact.cos2[i - 1])
+        if not exact.square_gap[i - 1] <= COMPLEX_STRUCTURE_TOL * c:
             raise NumericalFailure(_NOT_COMPLEX_STRUCTURE)
-        return math.cos(phi)
+        return math.sqrt(c)
 
     @cached_property
     def signs(self) -> tuple[np.ndarray, int] | None:
@@ -299,12 +292,12 @@ class _Analysis:
         M = Pbar3^T Pbar1 Pbar2 = -W'_3^T X_12 / (cos(phi1) cos(phi2) cos(phi3)):
         one product, after the three Pbar gates.
         """
-        triple = self.canonical()
-        if math.cos(triple.phi3) <= RIGHT_ANGLE_TOL:
+        self._require_constant()
+        if self._right_angle(3):
             return None
         scale = -1.0
-        for i, phi in enumerate(triple.as_tuple(), 1):
-            scale /= self._pbar_cos(i, phi)
+        for i in (1, 2, 3):
+            scale /= self._gated_cos(i)
         m = self.exact.w_canonical[2].T @ self.exact.cross12
         m *= scale
         return _sign_split(m)
@@ -326,8 +319,8 @@ class _Analysis:
                 plus = k if signs is None else signs[1]
                 return TypeSignature(plus // 4, (k - plus) // 4)
             if k == 3:
-                self._constant_triple()
-                if SNAP_TOL < math.cos(self.triple.phi1) < 1.0 - SNAP_TOL:
+                self._require_constant()
+                if SNAP_TOL < self.cosines[0] < 1.0 - SNAP_TOL:
                     return self._branch_sign()
         except NumericalFailure as exc:
             return exc
@@ -397,10 +390,11 @@ def factorize(v_space: Subspace) -> list[Subspace]:
     Pure-sign parts are factored separately so the orbit of each seed
     vector closes up in its block.
     """
+    if v_space.k % 4:
+        raise ValueError("block analysis needs dim V to be a multiple of 4")
     analysis = _Analysis(v_space)
-    triple = analysis.canonical()
-    generators = [analysis.pbar(i, phi) for i, phi in ((1, triple.phi1), (2, triple.phi2))
-                  if math.cos(phi) > RIGHT_ANGLE_TOL]
+    analysis._require_constant()
+    generators = [analysis.pbar(i) for i in (1, 2) if not analysis._right_angle(i)]
     if len(generators) == 2:
         generators.append(generators[0] @ generators[1])
     if analysis.signs is None:
@@ -477,7 +471,7 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     if not rep_v.constant:
         return Verdict("unknown", "both angle triples are non-constant; no invariant "
                                   "implemented for that regime")
-    gap = np.max(np.abs(side_v.triple.cosines() - side_w.triple.cosines()))
+    gap = np.max(np.abs(side_v.cosines - side_w.cosines))
     if not gap <= TRIPLE_MATCH_TOL:
         return Verdict("no", "different angle triples")
     inv_v, inv_w = side_v.invariant, side_w.invariant
@@ -759,8 +753,8 @@ def representative(
         )
     x, hits = _snap_into_strata(k, n, triple, hits)
     if branch is not None:
-        if branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
+        if type(branch) is not int or branch not in (1, -1):  # True == 1 and 1.0 == 1
+            raise ValueError(f"branch must be the int +1 or -1, got {branch!r}")
         if not any(h.stratum.multiplicity == 2 for h in hits):
             raise ValueError("branch selection on a single-class stratum")
     phis = np.arccos(x)

@@ -117,10 +117,10 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"--family {args.family} builds dimension {space.k}, but --k is {args.k}")
     # The same analysis as `angles` and `classify`, so all three report one spread.
     analysis = _Analysis(space)
-    triple = analysis.triple
+    cosines = analysis.cosines.tolist()
     meta = {
         "family": spec.family,
-        "cosines": [round(c, 15) for c in triple.cosines().tolist()],
+        "cosines": [round(c, 15) for c in cosines],
     }
     if spec.family == "v3" or spec.family == "v4":
         meta["branch"] = spec.sign
@@ -130,7 +130,7 @@ def _cmd_construct(args) -> int:
     save_subspace(args.out, space, meta)
     # The snapped cosines replace the report's in place, keeping the key order.
     _emit({"path": args.out, **_report_fields(analysis),
-           "cosines": triple.cosines().tolist(), "meta": meta})
+           "cosines": cosines, "meta": meta})
     return 0
 
 

@@ -66,9 +66,11 @@ class AngleTriple:
 
     def __post_init__(self):
         a = (self.phi1, self.phi2, self.phi3)
-        if not (-1e-12 <= a[0] and a[0] <= a[1] + 1e-12 and a[1] <= a[2] + 1e-12
-                and a[2] <= HALF_PI + 1e-12):
-            raise ValueError(f"angles must be sorted in [0, pi/2], got {a}")
+        for phi in a:  # a NaN fails the comparison, so it is refused here
+            if not -1e-12 <= phi <= HALF_PI + 1e-12:
+                raise ValueError(f"angle {phi} lies outside [0, pi/2]")
+        if not (a[0] <= a[1] + 1e-12 and a[1] <= a[2] + 1e-12):
+            raise ValueError(f"angles must be sorted ascending, got {a}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi1, self.phi2, self.phi3)
@@ -180,12 +182,7 @@ def from_spanning(vectors) -> Subspace:
         raise ValueError(
             f"rank-deficient spanning set (smallest singular value {sv[-1]:.2e})"
         )
-    q, r = np.linalg.qr(a)
-    # QR of a full-rank matrix spans the same space; verify the residual.
-    resid = np.max(np.abs(a - q @ (q.T @ a)))
-    if resid > 1e-10 * max(1.0, np.max(np.abs(a))):
-        raise NumericalFailure(f"orthonormalization residual {resid:.2e}")
-    return Subspace(q)
+    return Subspace(np.linalg.qr(a)[0])
 
 
 def p_operator(v_space: Subspace, i: int, basis: CanonicalBasis = STANDARD_BASIS) -> np.ndarray:
@@ -233,12 +230,18 @@ def _descending_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lams[::-1], vecs[:, ::-1]
 
 
-def _basis_from_columns(cols: np.ndarray) -> CanonicalBasis:
-    """Build a canonical basis whose J_a is the a-th column direction."""
+def _rotation_from_columns(cols: np.ndarray) -> np.ndarray:
+    """The rotation whose row a is the a-th orthonormal column direction,
+    the last one flipped when that makes the determinant +1."""
     cols = cols.copy()
     if np.linalg.det(cols) < 0:
         cols[:, 2] *= -1.0
-    return CanonicalBasis(cols.T)
+    return cols.T
+
+
+def _basis_from_columns(cols: np.ndarray) -> CanonicalBasis:
+    """Build a canonical basis whose J_a is the a-th column direction."""
+    return CanonicalBasis(_rotation_from_columns(cols))
 
 
 @dataclass(frozen=True)
@@ -256,13 +259,16 @@ class _ExactStructure:
     R is a common canonical basis.
 
     ``square_gap`` holds u_a = max|W'_a^T W'_a - c_a I|, the largest entry of
-    the diagonal term of the residual, from which `pbar_gap` gates Pbar_a.
+    the diagonal term of the residual.  Pbar_a = W'_a / cos(phi_a) has
+    Pbar_a^T Pbar_a - I = (W'_a^T W'_a - c_a I) / c_a, and W'_a is
+    antisymmetric, so Pbar_a^2 + I = -(Pbar_a^T Pbar_a - I): u_a / c_a is the
+    largest entry of both, the one Pbar gate (`classify._Analysis._gated_cos`).
     ``cross12`` holds X_12 = W'_1^T W'_2, the residual's first cross product,
     from which the block type reads its sign operator: W'_1 is antisymmetric,
     so Pbar_1 Pbar_2 = -X_12 / (cos(phi1) cos(phi2)).
     """
 
-    basis: CanonicalBasis  # R, row a holding J'_a in the standard triple
+    rotation: np.ndarray  # (3, 3) R, row a holding J'_a in the standard triple
     cos2: np.ndarray  # (3,) c, descending
     w_canonical: np.ndarray  # (3, k, k) W'_a
     residual: float
@@ -272,20 +278,6 @@ class _ExactStructure:
     @property
     def triple(self) -> AngleTriple:
         return AngleTriple.from_cos2_eigenvalues(self.cos2)
-
-    def pbar_gap(self, i: int, phi: float) -> float:
-        """A bound on the complex-structure deviation of Pbar_i = W'_i / cos(phi).
-
-        With c = cos(phi)^2, Pbar_i^T Pbar_i - I = (W'_i^T W'_i - c_i I +
-        (c_i - c) I) / c, so by the triangle inequality its largest entry is
-        at most (u_i + |c_i - c|) / c, the value returned.  At the true angle
-        (c = c_i) the two agree to round-off; at a wrong one the diagonal
-        carries |c_i - c| / c, so both refuse.  W'_i is antisymmetric, so
-        Pbar_i^2 + I = -(Pbar_i^T Pbar_i - I) and the same value gates
-        Pbar_i^2 = -I.
-        """
-        c = math.cos(phi) ** 2
-        return float((self.square_gap[i - 1] + abs(self.cos2[i - 1] - c)) / c)
 
 
 def _slot_structure(v_space: Subspace) -> np.ndarray:
@@ -329,8 +321,8 @@ def _exact_structure(w: np.ndarray) -> _ExactStructure:
     flat = w.reshape(3, -1)
     gram = flat @ flat.T / k  # tr(W_a^T W_b) / k
     cos2, vecs = _descending_eigh(gram)
-    basis = _basis_from_columns(vecs)
-    wc = (basis.rotation @ flat).reshape(3, k, k)
+    rotation = _rotation_from_columns(vecs)
+    wc = (rotation @ flat).reshape(3, k, k)
     wct = wc.transpose(0, 2, 1)
     d = wct @ wc  # W'_a^T W'_a
     d.reshape(3, -1)[:, ::k + 1] -= cos2[:, None]  # minus c_a I
@@ -343,7 +335,7 @@ def _exact_structure(w: np.ndarray) -> _ExactStructure:
             x = cross12 if b == 1 else wct[a] @ wc[b]
             x = x + x.T  # 2 sym(W'_a^T W'_b)
             total += 0.5 * np.vdot(x, x)
-    return _ExactStructure(basis=basis, cos2=cos2, w_canonical=wc,
+    return _ExactStructure(rotation=rotation, cos2=cos2, w_canonical=wc,
                            residual=math.sqrt(total), square_gap=d.max(axis=(1, 2)),
                            cross12=cross12)
 
@@ -523,7 +515,7 @@ def pbar_operator(
     when phi = pi/2 (the normalization is singular) or when the restriction
     fails to be an orthogonal complex structure, which signals that V is not
     invariant under Pbar_i.  This is the direct reference for the gate that
-    the analysis reads off the exact structure (`_ExactStructure.pbar_gap`).
+    the analysis reads off the exact structure (`classify._Analysis._gated_cos`).
     """
     c = math.cos(phi)
     if abs(c) <= 1e-12:

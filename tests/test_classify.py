@@ -42,7 +42,7 @@ from qka.families import (
     construct_v4,
     min_quaternionic_dim,
 )
-from qka.quaternion import STANDARD_BASIS, HVector, random_group_element
+from qka.quaternion import STANDARD_BASIS, CanonicalBasis, HVector, random_group_element
 from qka.subspace import (
     COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
@@ -208,8 +208,8 @@ class TestFactorize:
         k = 4 * (l_plus + l_minus)
         space = moved(construct_sum(triple, l_plus, l_minus, k), k + l_plus)
         analysis = _Analysis(space)
-        angles = analysis.canonical()
-        generators = [analysis.pbar(1, angles.phi1), analysis.pbar(2, angles.phi2)]
+        analysis._require_constant()
+        generators = [analysis.pbar(1), analysis.pbar(2)]
         generators.append(generators[0] @ generators[1])
         for part in analysis.kernels:
             if part.shape[1]:
@@ -222,7 +222,8 @@ class TestFactorize:
 
     def test_repeated_generator_trips_the_rank_refusal(self):
         analysis = _Analysis(construct_sum(TA, 1, 1, 8))
-        pbar1 = analysis.pbar(1, analysis.canonical().phi1)
+        analysis._require_constant()
+        pbar1 = analysis.pbar(1)
         with pytest.raises(NumericalFailure, match="cell 0 is rank-deficient"):
             qka.classify._cells(np.eye(8), [pbar1, pbar1])
 
@@ -618,6 +619,18 @@ class TestRepresentative:
         with pytest.raises(ValueError, match="no stratum"):
             representative(5, 5, T03)
 
+    @pytest.mark.parametrize("branch", [True, 1.0, -1.0])
+    def test_branch_must_be_an_int(self, branch):
+        # True and 1.0 compare equal to 1, but only the ints +1 and -1 select a class.
+        with pytest.raises(ValueError, match="branch must be the int"):
+            representative(3, 3, AngleTriple(1.2, 1.2, math.pi / 2), branch)
+
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_int_branch_builds_its_class(self, branch):
+        space = representative(3, 3, AngleTriple(1.2, 1.2, math.pi / 2), branch)
+        assert np.array_equal(space.basis, construct_v3(1.2, branch, 3).basis)
+        assert branch_of_v3(space) == branch
+
     def test_branch_on_single_class_rejected(self):
         with pytest.raises(ValueError, match="single-class"):
             representative(5, 5, REAL3, -1)
@@ -877,8 +890,8 @@ def _eigvalsh_sign_dims(s):
 
 
 def _pbar_triple(analysis):
-    triple = analysis.canonical()
-    return [analysis.pbar(i, phi) for i, phi in enumerate(triple.as_tuple(), 1)]
+    analysis._require_constant()
+    return [analysis.pbar(i) for i in (1, 2, 3)]
 
 
 def _tampered(monkeypatch, space, **fields):
@@ -1337,8 +1350,9 @@ def _direct_gate(m):
 
 
 class TestResidualReadPbarGate:
-    """The Pbar gates read off the exact residual's products (`pbar_gap`)
-    against the direct check of m^T m = I and m^2 = -I."""
+    """The Pbar gate read off the exact residual's products (u_i / c_i, from
+    `square_gap` and `cos2`) against the direct check of m^T m = I and
+    m^2 = -I."""
 
     @pytest.mark.parametrize("triple,l_plus,l_minus,n", PBAR_GATE_CASES)
     def test_agrees_with_direct_check(self, triple, l_plus, l_minus, n):
@@ -1348,16 +1362,16 @@ class TestResidualReadPbarGate:
         # Pbar^2 + I = -(Pbar^T Pbar - I) rests on W' being antisymmetric.
         assert not np.any(wc + wc.transpose(0, 2, 1))
         analysis = _Analysis(space)
-        for i, phi in enumerate(exact.triple.as_tuple(), 1):
-            if math.cos(phi) <= 1e-8:
+        basis = CanonicalBasis(exact.rotation)
+        for i, (c, u) in enumerate(zip(exact.cos2, exact.square_gap), 1):
+            if math.sqrt(max(c, 0.0)) <= 1e-8:
                 continue
-            pbar = wc[i - 1] / math.cos(phi)
-            gap, direct = exact.pbar_gap(i, phi), _direct_gate(pbar)
+            pbar = wc[i - 1] / math.sqrt(c)
+            gap, direct = u / c, _direct_gate(pbar)
             assert abs(gap - direct) <= 1e-14
-            # The triangle inequality: never below the direct value.
             assert gap >= direct - 1e-15
-            assert np.array_equal(analysis.pbar(i, phi), pbar)
-            reference = pbar_operator(space, exact.basis, i, phi)
+            assert np.array_equal(analysis.pbar(i), pbar)
+            reference = pbar_operator(space, basis, i, math.acos(math.sqrt(c)))
             assert np.max(np.abs(reference - pbar)) <= 1e-13
 
     @pytest.mark.parametrize("triple,l_plus,l_minus,n", PBAR_GATE_CASES)
@@ -1366,15 +1380,9 @@ class TestResidualReadPbarGate:
         space = construct_sum(triple, l_plus, l_minus, n)
         exact = _exact_structure(_slot_structure(space))
         wrong = exact.w_canonical[0] / math.cos(0.9)
-        direct = _direct_gate(wrong)
-        assert direct > COMPLEX_STRUCTURE_TOL
-        assert exact.pbar_gap(1, 0.9) >= direct * (1.0 - 1e-14)
-        with pytest.raises(NumericalFailure) as residual_read:
-            _Analysis(space).pbar(1, 0.9)
-        with pytest.raises(NumericalFailure) as direct_check:
+        assert _direct_gate(wrong) > COMPLEX_STRUCTURE_TOL
+        with pytest.raises(NumericalFailure, match="not an orthogonal complex structure"):
             pbar_operator(space, STANDARD_BASIS, 1, 0.9)
-        assert str(residual_read.value) == str(direct_check.value)
-        assert "not an orthogonal complex structure" in str(direct_check.value)
 
 
 def test_no_second_complex_structure_check(monkeypatch):
@@ -1406,6 +1414,38 @@ def test_no_second_complex_structure_check(monkeypatch):
         assert len(got) == len(blocks) == space.k // 4
         assert all(np.array_equal(g.basis, b) for g, b in zip(got, blocks))
         assert are_equivalent(space, space).is_yes
+
+
+def test_no_canonical_basis_per_analysis(monkeypatch):
+    # The frame keeps R as the rotation its eigh built: no decision builds or
+    # validates a CanonicalBasis.
+    inputs = [
+        rotated(construct_v4(T03, 1, 4), 1),
+        rotated(construct_v4(T03, -1, 4), 2),
+        moved(construct_sum(TA, 1, 1, 8), 3),
+        moved(construct_sum(T03, 2, 2, 16), 4),
+        moved(construct_classical("cka_plane_sum", 8, 8, phi=0.8), 5),
+        moved(construct_classical("totally_real", 8, 8), 6),
+        rotated(construct_v3(1.2, -1, 3), 7),
+        from_spanning([HVector(v) for v in np.random.default_rng(8).standard_normal((5, 16))]),
+    ]
+    expected = [(classify_subspace(v), is_protohomogeneous(v),
+                 type_of(v) if v.k % 4 == 0 else None,
+                 [b.basis for b in factorize(v)] if v.k % 4 == 0 else None)
+                for v in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CanonicalBasis was built")
+
+    monkeypatch.setattr(qka.quaternion.CanonicalBasis, "__init__", refuse)
+    for space, (record, verdict, block_type, blocks) in zip(inputs, expected):
+        assert classify_subspace(space) == record
+        assert is_protohomogeneous(space) == verdict
+        assert are_equivalent(space, space).value != "no"
+        if space.k % 4 == 0:
+            assert type_of(space) == block_type
+            assert all(np.array_equal(g.basis, b) for g, b in zip(factorize(space), blocks))
+    assert are_equivalent(inputs[0], inputs[1]).is_no
 
 
 def test_no_eigvalsh_and_no_pbar_on_the_type_path(monkeypatch):

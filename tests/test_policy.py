@@ -3,7 +3,8 @@
 Every threshold is a module constant (or a literal) read where its decision
 is made: no function, lambda or dataclass field takes a tolerance.  No
 module but the package's ``__init__`` imports a name it never uses, and
-every module-level private name is read somewhere in the package.
+every module-level private name is read somewhere in the package.  README's
+Tolerances list names every tolerance constant with its value.
 """
 
 from __future__ import annotations
@@ -102,3 +103,26 @@ def test_every_private_name_is_referenced():
             if not references.get(name, set()) - own:
                 orphans.append(f"{module}:{definition.lineno} {name}")
     assert orphans == [], f"unreferenced private names: {orphans}"
+
+
+README = SRC.parent.parent / "README.md"
+TOLERANCE_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*_R?TOL")
+
+
+def test_readme_lists_every_tolerance_constant():
+    # README's Tolerances list names each module-level *_TOL / *_RTOL constant
+    # as `module.NAME` = value, and no constant the source lacks.
+    source = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and TOLERANCE_CONSTANT.fullmatch(target.id):
+                        source[f"{path.stem}.{target.id}"] = ast.literal_eval(node.value)
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    section = text.split("## Tolerances ", 1)[1].split(" ## ", 1)[0]
+    listed = {name: float(value) for name, value in
+              re.findall(r"`(\w+\.[A-Z][A-Z0-9_]*_R?TOL)` = ([0-9.e+-]*[0-9])", section)}
+    assert source, "no tolerance constant found in the source"
+    assert {k: v for k, v in source.items() if listed.get(k) != v} == {}, "not in README"
+    assert sorted(listed.keys() - source.keys()) == [], "in README but not in the source"

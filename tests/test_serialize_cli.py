@@ -165,6 +165,24 @@ class TestCli:
         assert [a["action"] for a in payload["special_actions"]] == [
             "N", "K", "SU(1,n+1)"]
 
+    @pytest.mark.parametrize("triple,bad", [(["2", "0.1", "0.1"], "2.0"),
+                                            (["nan", "0.1", "0.1"], "nan")])
+    def test_moduli_triple_out_of_range_names_the_angle(self, capsys, triple, bad):
+        code, stdout, stderr = run_cli(["moduli", "--k", "4", "--n", "4", "--triple", *triple],
+                                       capsys)
+        assert code == 2 and stdout == ""
+        assert f"angle {bad} lies outside [0, pi/2]" in stderr and "sorted" not in stderr
+
+    def test_construct_prints_snapped_cosines(self, tmp_path, capsys):
+        code, stdout, _ = run_cli(["construct", "--family", "cka_plane_sum", "--k", "4",
+                                   "--n", "4", "--angles", "0.8",
+                                   "--out", str(tmp_path / "c.json")], capsys)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["cosines"][0] == pytest.approx(math.cos(0.8), abs=1e-12)
+        assert payload["cosines"][1:] == [0.0, 0.0]
+        assert payload["meta"]["cosines"][1:] == [0.0, 0.0]
+
     def test_moduli_out_of_range(self, capsys):
         code, _, stderr = run_cli(["moduli", "--k", "13", "--n", "3"], capsys)
         assert code == 2
@@ -336,11 +354,8 @@ class TestCli:
         assert code == 2 and stdout == ""
         assert "JSON compliant" in stderr
 
-        class NanTriple:
-            def cosines(self):
-                return np.array([math.nan, 0.0, 0.0])
-
-        monkeypatch.setattr(qka.cli._Analysis, "triple", property(lambda self: NanTriple()))
+        monkeypatch.setattr(qka.cli._Analysis, "cosines",
+                            property(lambda self: np.array([math.nan, 0.0, 0.0])))
         out = tmp_path / "nan.json"
         code, stdout, _ = run_cli(["construct", "--family", "quaternionic", "--k", "4",
                                    "--n", "1", "--out", str(out)], capsys)

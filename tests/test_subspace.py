@@ -101,8 +101,16 @@ class TestSubspaceInput:
 
 class TestAngleTriple:
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sorted ascending"):
             AngleTriple(1.0, 0.5, 1.2)
+
+    @pytest.mark.parametrize("angles,bad", [
+        ((0.1, 0.1, 2.0), "2.0"), ((-0.5, 0.1, 0.2), "-0.5"), ((math.nan, 0.1, 0.2), "nan"),
+        ((0.1, 0.2, math.nan), "nan"),
+    ])
+    def test_range_refused_apart_from_order(self, angles, bad):
+        with pytest.raises(ValueError, match=rf"angle {bad} lies outside \[0, pi/2\]"):
+            AngleTriple(*angles)
 
     def test_from_cosines_sorts(self):
         t = AngleTriple.from_cosines([0.2, 0.9, 0.5])
@@ -407,15 +415,16 @@ class TestExactStructure:
         space = construct_sum(t_cos(0.5, 0.25, 0.12), 2, 1, 12).transformed(
             random_group_element(12, 4))
         exact = _exact_structure(_slot_structure(space))
+        basis = CanonicalBasis(exact.rotation)
         b = space.basis
         for i in (1, 2, 3):
-            direct = b.T @ exact.basis.apply(i, b)
+            direct = b.T @ basis.apply(i, b)
             assert np.max(np.abs(exact.w_canonical[i - 1] - direct)) <= 1e-13
         # G is the mean of Omega over the sphere, diagonal in the basis R.
         mean_omega = np.mean(_omega_batch(space, np.linalg.qr(
-            np.random.default_rng(0).standard_normal((12, 12)))[0], exact.basis), axis=0)
+            np.random.default_rng(0).standard_normal((12, 12)))[0], basis), axis=0)
         assert mean_omega == pytest.approx(np.diag(exact.cos2), abs=1e-12)
-        assert np.linalg.det(exact.basis.rotation) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.det(exact.rotation) == pytest.approx(1.0, abs=1e-12)
         assert exact.residual <= 1e-13
 
 
