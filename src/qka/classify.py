@@ -28,6 +28,7 @@ from .subspace import (
     _exact_structure,
     _ExactStructure,
     _NOT_COMPLEX_STRUCTURE,
+    _clip01,
     _slot_structure,
     _witness_report,
 )
@@ -112,16 +113,15 @@ class Verdict:
         return self.value == "no"
 
 
-def _snap_cos(x: np.ndarray) -> np.ndarray:
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    x[np.abs(x) <= SNAP_TOL] = 0.0
-    x[np.abs(x - 1.0) <= SNAP_TOL] = 1.0
-    return x
+def _snap_cos(x) -> tuple[float, ...]:
+    """Cosines clipped to [0, 1], those within SNAP_TOL of 0 or 1 set to it."""
+    return tuple(0.0 if v <= SNAP_TOL else 1.0 if 1.0 - v <= SNAP_TOL else v
+                 for v in map(_clip01, x))
 
 
 def snapped(triple: AngleTriple) -> AngleTriple:
     """Snap angles within SNAP_TOL of 0 or pi/2 (on cosines) to the exact value."""
-    return AngleTriple.from_cosines(_snap_cos(triple.cosines()))
+    return AngleTriple.from_cosines(_snap_cos(triple.cos_tuple()))
 
 
 def _sign_split(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -240,11 +240,11 @@ class _Analysis:
         return report
 
     @cached_property
-    def cosines(self) -> np.ndarray:
+    def cosines(self) -> tuple[float, ...]:
         """The report's cosines with end values snapped (`_snap_cos`), the ones
         every decision compares: eigenvalue round-off surfaces as a
         square-root-sized cosine error at the ends of the range."""
-        return _snap_cos(self.report.triple.cosines())
+        return _snap_cos(self.report.triple.cos_tuple())
 
     def _require_constant(self) -> None:
         """Raise unless the angle is decided constant.  For dim V = 4l only the
@@ -471,8 +471,7 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     if not rep_v.constant:
         return Verdict("unknown", "both angle triples are non-constant; no invariant "
                                   "implemented for that regime")
-    gap = np.max(np.abs(side_v.cosines - side_w.cosines))
-    if not gap <= TRIPLE_MATCH_TOL:
+    if not all(abs(a - b) <= TRIPLE_MATCH_TOL for a, b in zip(side_v.cosines, side_w.cosines)):
         return Verdict("no", "different angle triples")
     inv_v, inv_w = side_v.invariant, side_w.invariant
     for inv in (inv_v, inv_w):
@@ -503,12 +502,10 @@ class ModuliStratum:
     kind: str  # point | curve | region | region_with_Z2 | surface
     description: str
     multiplicity: int
-    predicate: Callable[[np.ndarray], bool] = field(repr=False)  # of the cosines
+    # The region test on the cosines of a triple (`AngleTriple.cos_tuple`),
+    # within REGION_TOL.
+    predicate: Callable[[tuple[float, ...]], bool] = field(repr=False)
     annotation: str | None = None
-
-    def contains(self, triple: AngleTriple) -> bool:
-        """Whether the stratum's cosine predicate, within REGION_TOL, holds."""
-        return self.predicate(triple.cosines())
 
     def to_dict(self) -> dict:
         out = {
@@ -524,15 +521,13 @@ class ModuliStratum:
 
 
 def _point_stratum(name, cosines, description, annotation=None) -> ModuliStratum:
-    target = np.asarray(cosines, dtype=float)
-
-    def pred(x: np.ndarray) -> bool:
-        return bool(np.max(np.abs(x - target)) <= REGION_TOL)
+    def pred(x) -> bool:
+        return all(abs(a - b) <= REGION_TOL for a, b in zip(x, cosines))
 
     return ModuliStratum(name, "point", description, 1, pred, annotation=annotation)
 
 
-def _in_minus_region(x: np.ndarray) -> bool:
+def _in_minus_region(x) -> bool:
     return x[0] + x[1] + x[2] <= 1.0 + REGION_TOL and x[2] > REGION_TOL
 
 
@@ -658,9 +653,10 @@ def moduli_membership(k: int, n: int, triple: AngleTriple) -> list[StratumMember
     """
     if k < 1:
         raise ValueError("membership needs k >= 1")
+    x = triple.cos_tuple()
     hits = []
     for stratum in strata_for(k, n):
-        if stratum.contains(triple):
+        if stratum.predicate(x):
             if stratum.multiplicity == 2:
                 hits.append(StratumMembership(stratum, 1))
                 hits.append(StratumMembership(stratum, -1))
@@ -701,7 +697,7 @@ def moduli_describe(k: int, n: int) -> dict:
 
 def _snap_into_strata(
     k: int, n: int, triple: AngleTriple, hits: list[StratumMembership] | None = None
-) -> tuple[np.ndarray, list[StratumMembership]]:
+) -> tuple[tuple[float, ...], list[StratumMembership]]:
     """The cosines of the triple snapped to exact end angles and the strata
     of the (k, n) moduli space holding them.
 
@@ -712,9 +708,9 @@ def _snap_into_strata(
     a triple within SNAP_TOL of a region boundary is built and reported in
     the same stratum.
     """
-    given = np.clip(triple.cosines(), 0.0, 1.0)
+    given = tuple(map(_clip01, triple.cos_tuple()))
     x = _snap_cos(given)
-    if not np.array_equal(x, given):
+    if x != given:
         snapped_hits = moduli_membership(k, n, AngleTriple.from_cosines(x))
         if snapped_hits:
             return x, snapped_hits
@@ -757,13 +753,13 @@ def representative(
             raise ValueError(f"branch must be the int +1 or -1, got {branch!r}")
         if not any(h.stratum.multiplicity == 2 for h in hits):
             raise ValueError("branch selection on a single-class stratum")
-    phis = np.arccos(x)
+    phis = np.arccos(x).tolist()  # numpy's vector loop, which math.acos does not match
     if k == 3:
         if x[0] >= 1.0:  # (0, 0, pi/2)
             return construct_classical("im_h_line", 3, n)
         if x[0] <= 0.0:  # totally real
             return construct_classical("totally_real", 3, n)
-        return _fitting_class(lambda s: _v3_blocks(float(phis[0]), s), branch, n)
+        return _fitting_class(lambda s: _v3_blocks(phis[0], s), branch, n)
     if k % 4 == 0:
         l, angles = k // 4, AngleTriple(*phis)
         return _fitting_class(lambda s: _sum_blocks(angles, *((l, 0) if s == 1 else (0, l))),
@@ -773,7 +769,7 @@ def representative(
             return construct_classical("totally_complex", k, n)
         if x[0] <= 0.0:
             return construct_classical("totally_real", k, n)
-        return construct_classical("cka_plane_sum", k, n, phi=float(phis[0]))
+        return construct_classical("cka_plane_sum", k, n, phi=phis[0])
     return construct_classical("totally_real", k, n)
 
 
@@ -786,7 +782,7 @@ def _report_fields(analysis: _Analysis) -> dict:
         "n": analysis.space.n,
         "k": analysis.space.k,
         "triple": list(report.triple.as_tuple()),
-        "cosines": report.triple.cosines().tolist(),
+        "cosines": list(report.triple.cos_tuple()),
         "constant": report.constant,
         "spread": report.max_spread,
     }

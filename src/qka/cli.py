@@ -117,7 +117,7 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"--family {args.family} builds dimension {space.k}, but --k is {args.k}")
     # The same analysis as `angles` and `classify`, so all three report one spread.
     analysis = _Analysis(space)
-    cosines = analysis.cosines.tolist()
+    cosines = list(analysis.cosines)
     meta = {
         "family": spec.family,
         "cosines": [round(c, 15) for c in cosines],
@@ -162,7 +162,7 @@ def _cmd_moduli(args) -> int:
         "k": args.k,
         "n": args.n,
         "triple": list(triple.as_tuple()),
-        "cosines": triple.cosines().tolist(),
+        "cosines": list(triple.cos_tuple()),
         "member": bool(hits),
         "strata": [h.to_dict() for h in hits],
     })

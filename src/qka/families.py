@@ -69,14 +69,15 @@ def _check_sign(sign: int) -> int:
     return sign
 
 
-def _gram_batch(phis: np.ndarray, sign: int) -> np.ndarray:
-    """gram_matrix of each row of a batch (m, 3) of angles, unchecked."""
-    c, s = np.cos(phis), np.sin(phis)
-    g = np.tile(np.eye(3), (len(phis), 1, 1))
+def _gram(phis, sign: int) -> list[list[float]]:
+    """The Gram matrix of e_1, e_2, e_3 at the angles ``phis`` as rows of
+    floats, unchecked: the module docstring's inner products."""
+    c = [math.cos(phi) for phi in phis]
+    s = [math.sin(phi) for phi in phis]
+    g = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for i in range(3):
-        j = (i + 1) % 3
-        k = (i + 2) % 3
-        g[:, i, j] = g[:, j, i] = (sign * c[:, k] - c[:, i] * c[:, j]) / (s[:, i] * s[:, j])
+        j, k = (i + 1) % 3, (i + 2) % 3
+        g[i][j] = g[j][i] = (sign * c[k] - c[i] * c[j]) / (s[i] * s[j])
     return g
 
 
@@ -85,7 +86,7 @@ def gram_matrix(angles: AngleTriple, sign: int) -> np.ndarray:
     _check_sign(sign)
     if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
         raise ValueError("gram matrix is singular at phi1 = 0")
-    return _gram_batch(np.array([angles.as_tuple()]), sign)[0]
+    return np.array(_gram(angles.as_tuple(), sign))
 
 
 def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
@@ -97,42 +98,49 @@ def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
     _check_sign(sign)
     if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
         raise ValueError("admissibility test requires phi1 > 0")
-    x = angles.cosines()
+    x = angles.cos_tuple()
     margin = x[0] + x[1] - sign * x[2] - 1.0
     if margin > REGION_TOL:
         return False, None
     return True, 2 if abs(margin) <= REGION_TOL else 3
 
 
-def _psd_cholesky(g: np.ndarray, rank: int) -> np.ndarray:
+def _psd_cholesky(g, rank: int) -> np.ndarray:
     """Pivoted Cholesky factor of a PSD matrix truncated at a known rank.
 
-    Returns L with g = L @ L.T up to round-off; pivots beyond ``rank`` are
-    clamped to zero (they sit on the admissibility boundary).
+    Built on the rows of floats of ``g``, pivoting on the first largest
+    remaining diagonal entry.  Returns L (numpy) with g = L @ L.T up to
+    round-off; pivots beyond ``rank`` are clamped to zero (they sit on the
+    admissibility boundary).  A NaN in g is refused, at the latest by the
+    residual gate.
     """
-    m = g.shape[0]
-    a = g.copy()
+    m = len(g)
+    a = [list(row) for row in g]
     perm = list(range(m))
-    left = np.zeros((m, m))
+    left = [[0.0] * m for _ in range(m)]
     for step in range(rank):
-        p = step + int(np.argmax(np.diag(a)[step:]))
+        diag = [a[i][i] for i in range(step, m)]
+        p = step + diag.index(max(diag))
         if p != step:
-            a[[step, p], :] = a[[p, step], :]
-            a[:, [step, p]] = a[:, [p, step]]
-            left[[step, p], :] = left[[p, step], :]
+            a[step], a[p] = a[p], a[step]
+            for row in a:
+                row[step], row[p] = row[p], row[step]
+            left[step], left[p] = left[p], left[step]
             perm[step], perm[p] = perm[p], perm[step]
-        pivot = a[step, step]
+        pivot = a[step][step]
         if pivot <= BOUNDARY_TOL:
             raise NumericalFailure("gram matrix rank below the predicted rank")
         r = math.sqrt(pivot)
-        left[step, step] = r
-        left[step + 1:, step] = a[step + 1:, step] / r
-        a[step + 1:, step + 1:] -= np.outer(left[step + 1:, step], left[step + 1:, step])
-    left = left[:, :rank]
-    inv = np.argsort(perm)
-    left = left[inv, :]
+        left[step][step] = r
+        col = [a[i][step] / r for i in range(step + 1, m)]
+        for i, li in enumerate(col, step + 1):
+            left[i][step] = li
+            row = a[i]
+            for j, lj in enumerate(col, step + 1):
+                row[j] -= li * lj
+    left = np.array([left[perm.index(i)][:rank] for i in range(m)])  # undo the pivoting
     resid = np.max(np.abs(left @ left.T - g))
-    if resid > 1e-9:
+    if not resid <= 1e-9:  # a NaN is refused too
         raise NumericalFailure(f"cholesky residual {resid:.2e} exceeds tolerance")
     return left
 
@@ -238,13 +246,14 @@ def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
         return _complexified_block(angles.phi2)
     exists, rank = admissible(angles, sign)
     if not exists:
-        x = angles.cosines()
+        x = angles.cos_tuple()
         raise ValueError(
             f"no sign={sign:+d} class at these angles: "
             f"cos(phi1)+cos(phi2)-({sign:+d})cos(phi3) = "
             f"{x[0] + x[1] - sign * x[2]:.12g} > 1"
         )
-    return _tilted_block(angles.as_tuple(), _psd_cholesky(gram_matrix(angles, sign), rank))
+    phis = angles.as_tuple()
+    return _tilted_block(phis, _psd_cholesky(_gram(phis, sign), rank))
 
 
 def _sum_blocks(angles: AngleTriple, l_plus: int, l_minus: int) -> _Blocks:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import _gram_batch, gram_matrix
+from .families import _gram, gram_matrix
 from .quaternion import STANDARD_BASIS, random_group_element
 from .subspace import AngleTriple, NumericalFailure, Subspace, distribution_rank
 
@@ -152,17 +152,18 @@ def gram_grid_sweep(spec: GridSpec) -> dict:
     Compares the eigenvalue psd oracle against the closed-form inequality
     (with rank 2 exactly on its boundary) and the numerical determinant
     against the factored closed form on the interior points.  The Gram
-    matrices come from the formula gram_matrix uses, at the arccos of the
-    grid cosines, so the sweep checks the production formula itself.
+    matrices come from the kernel that gram_matrix and the constructors
+    call (`families._gram`), at the arccos of the grid cosines, so the sweep
+    checks the production formula itself.
     """
     xs = spec.sorted_cosine_triples()
-    phis = np.arccos(xs)
+    phis = np.arccos(xs).tolist()
     out = {"points": 2 * len(xs), "psd_disagreements": 0, "rank_mismatches": 0,
            "det_deviation": 0.0}
     inside = np.all((xs > 0.02) & (xs < 0.97), axis=1)
     interior = xs[inside]
     for sign in (1, -1):
-        grams = _gram_batch(phis, sign)
+        grams = np.array([_gram(p, sign) for p in phis])
         psd, rank = psd_oracle_batch(grams)
         margin = xs[:, 0] + xs[:, 1] - sign * xs[:, 2] - 1.0
         formula = margin <= PSD_TOL

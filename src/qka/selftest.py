@@ -28,6 +28,7 @@ from .classify import (
 )
 from .families import (
     FamilySpec,
+    _gram,
     _place,
     _psd_cholesky,
     _tilted_block,
@@ -36,7 +37,6 @@ from .families import (
     construct_sum,
     construct_v3,
     construct_v4,
-    gram_matrix,
     min_quaternionic_dim,
 )
 from .oracles import (
@@ -327,7 +327,7 @@ def crit_inequivalence(quick: bool, seed: int) -> tuple[bool, str]:
         triple = AngleTriple(math.acos(x[0]), math.acos(x[1]), HALF_PI)
         vp = construct_v4(triple, 1, 4)
         _, rank = admissible(triple, -1)
-        left = _psd_cholesky(gram_matrix(triple, -1), rank)
+        left = _psd_cholesky(_gram(triple.as_tuple(), -1), rank)
         vm = _place([_tilted_block(triple.as_tuple(), left)], "the minus block", 4)
         verdict = are_equivalent(vp, vm)
         if verdict.value != "yes":

@@ -56,6 +56,11 @@ class NumericalFailure(RuntimeError):
     """An internal numerical consistency check failed."""
 
 
+def _clip01(x: float) -> float:
+    """x clipped to [0, 1] as np.clip does it: a NaN stays NaN."""
+    return min(max(x, 0.0), 1.0)  # max(nan, 0.0) and min(nan, 1.0) return the nan
+
+
 @dataclass(frozen=True)
 class AngleTriple:
     """Sorted angles (phi1, phi2, phi3) with 0 <= phi1 <= phi2 <= phi3 <= pi/2."""
@@ -75,22 +80,26 @@ class AngleTriple:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi1, self.phi2, self.phi3)
 
+    def cos_tuple(self) -> tuple[float, float, float]:
+        """The three cosines as floats, the ones every region predicate reads."""
+        return (math.cos(self.phi1), math.cos(self.phi2), math.cos(self.phi3))
+
     def cosines(self) -> np.ndarray:
-        return np.cos(np.array(self.as_tuple()))
+        return np.array(self.cos_tuple())
 
     def cos2(self) -> np.ndarray:
         return self.cosines() ** 2
 
     @classmethod
     def from_cosines(cls, cosines) -> "AngleTriple":
-        x = np.clip(np.asarray(cosines, dtype=float), 0.0, 1.0)
-        x = np.sort(x)[::-1]  # descending cosines give ascending angles
-        return cls(*np.arccos(x))
+        """The triple of the cosines clipped to [0, 1], in any order (a NaN is
+        refused).  math.acos is numpy's scalar arccos loop, bit for bit."""
+        x = sorted([_clip01(float(c)) for c in cosines], reverse=True)
+        return cls(*map(math.acos, x))  # descending cosines give ascending angles
 
     @classmethod
     def from_cos2_eigenvalues(cls, lams) -> "AngleTriple":
-        lams = np.clip(np.asarray(lams, dtype=float), 0.0, 1.0)
-        return cls.from_cosines(np.sqrt(lams))
+        return cls.from_cosines([math.sqrt(_clip01(float(v))) for v in lams])
 
     def __iter__(self):
         return iter(self.as_tuple())
@@ -232,9 +241,11 @@ def _descending_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _rotation_from_columns(cols: np.ndarray) -> np.ndarray:
     """The rotation whose row a is the a-th orthonormal column direction,
-    the last one flipped when that makes the determinant +1."""
+    the last one flipped when that makes the determinant +1.  The sign of
+    the determinant (+-1) is that of the triple product of its rows."""
     cols = cols.copy()
-    if np.linalg.det(cols) < 0:
+    (a, b, c), (d, e, f), (g, h, i) = cols.tolist()
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0:
         cols[:, 2] *= -1.0
     return cols.T
 

@@ -1,6 +1,7 @@
 """Tests for factorization, type detection, equivalence, and the moduli table."""
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -33,6 +34,8 @@ from qka.classify import (
     SNAP_TOL,
     _Analysis,
     _sign_split,
+    _snap_cos,
+    _snap_into_strata,
 )
 from qka.families import (
     FamilySpec,
@@ -496,6 +499,48 @@ class TestEquivalence:
         assert are_equivalent(a, b).value == "unknown"
 
 
+def _ref_snap_cos(x) -> np.ndarray:
+    """The numpy snap that `_snap_cos` replaced."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    x[np.abs(x) <= SNAP_TOL] = 0.0
+    x[np.abs(x - 1.0) <= SNAP_TOL] = 1.0
+    return x
+
+
+class TestThreeCosinesOnFloats:
+    def test_snap_matches_numpy_formula(self):
+        edges = (SNAP_TOL, 1.0 - SNAP_TOL)
+        values = [0.0, -0.0, 1.0, 0.5, -1e-12, 1.0 + 1e-12, math.nan]
+        values += [math.nextafter(e, d) for e in edges for d in (0.0, 1.0)] + list(edges)
+        for x in itertools.product(values, repeat=3):
+            assert np.array(_snap_cos(x)).tobytes() == _ref_snap_cos(x).tobytes(), x
+
+    def test_membership_reads_the_cosines_once_without_numpy(self, monkeypatch):
+        triples = [AngleTriple.from_cosines(x) for x in
+                   ((0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (1.0, 1.0, 1.0), (0.5, 0.5, 0.0),
+                    (0.5, 0.3, 5e-8), (1.0, 0.0, 0.0))]
+        reads = Counter()
+        original = AngleTriple.cos_tuple
+
+        def counted(self):
+            reads[self] += 1
+            return original(self)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy ran on the three cosines")
+
+        monkeypatch.setattr(AngleTriple, "cos_tuple", counted)
+        for name in ("clip", "sort", "cos", "arccos", "array", "asarray", "max", "abs"):
+            monkeypatch.setattr(np, name, refuse)
+        for k, n in ((3, 3), (4, 4), (8, 6), (8, 4), (6, 6), (16, 4)):
+            for t in triples:
+                reads.clear()
+                moduli_membership(k, n, t)
+                assert reads == {t: 1}
+                snapped(t)
+                _snap_into_strata(k, n, t)
+
+
 class TestModuli:
     def test_spot_cells(self):
         cells = {
@@ -683,7 +728,7 @@ class TestRepresentative:
             original = qka.families._psd_cholesky
 
             def counted(g, rank):
-                builds[g.tobytes()] += 1
+                builds[repr(g)] += 1
                 return original(g, rank)
 
             monkeypatch.setattr(qka.families, "_psd_cholesky", counted)

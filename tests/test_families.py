@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -11,7 +12,9 @@ from qka import selftest
 from qka.families import (
     BOUNDARY_TOL,
     CLASSICAL_FAMILIES,
+    REGION_TOL,
     FamilySpec,
+    _gram,
     _psd_cholesky,
     admissible,
     construct,
@@ -279,8 +282,53 @@ class TestMinQuaternionicDim:
 #
 # Reference: the constructors as they were before the slot counts moved into
 # one function per family, each with its own checks.  They share only the
-# Gram matrix and its Cholesky factor with the library, and build every column
-# as a full 4n-vector: a slot axis, then a J pass over all n slots.
+# admissibility test with the library; the Gram matrix and its Cholesky factor
+# are the numpy kernels the library's float kernels replaced (`_ref_gram`,
+# `_ref_psd_cholesky`).  They build every column as a full 4n-vector: a slot
+# axis, then a J pass over all n slots.
+
+def _ref_gram_batch(phis: np.ndarray, sign: int) -> np.ndarray:
+    """The Gram matrix of each row of a batch (m, 3) of angles, on numpy."""
+    c, s = np.cos(phis), np.sin(phis)
+    g = np.tile(np.eye(3), (len(phis), 1, 1))
+    for i in range(3):
+        j = (i + 1) % 3
+        k = (i + 2) % 3
+        g[:, i, j] = g[:, j, i] = (sign * c[:, k] - c[:, i] * c[:, j]) / (s[:, i] * s[:, j])
+    return g
+
+
+def _ref_gram(angles, sign):
+    return _ref_gram_batch(np.array([angles.as_tuple()]), sign)[0]
+
+
+def _ref_psd_cholesky(g: np.ndarray, rank: int) -> np.ndarray:
+    """The pivoted Cholesky factor on numpy arrays, with its gates."""
+    m = g.shape[0]
+    a = g.copy()
+    perm = list(range(m))
+    left = np.zeros((m, m))
+    for step in range(rank):
+        p = step + int(np.argmax(np.diag(a)[step:]))
+        if p != step:
+            a[[step, p], :] = a[[p, step], :]
+            a[:, [step, p]] = a[:, [p, step]]
+            left[[step, p], :] = left[[p, step], :]
+            perm[step], perm[p] = perm[p], perm[step]
+        pivot = a[step, step]
+        if pivot <= BOUNDARY_TOL:
+            raise NumericalFailure("gram matrix rank below the predicted rank")
+        r = math.sqrt(pivot)
+        left[step, step] = r
+        left[step + 1:, step] = a[step + 1:, step] / r
+        a[step + 1:, step + 1:] -= np.outer(left[step + 1:, step], left[step + 1:, step])
+    left = left[:, :rank]
+    inv = np.argsort(perm)
+    left = left[inv, :]
+    resid = np.max(np.abs(left @ left.T - g))
+    if resid > 1e-9:
+        raise NumericalFailure(f"cholesky residual {resid:.2e} exceeds tolerance")
+    return left
 
 def _axis(slot: int, n: int) -> np.ndarray:
     c = np.zeros(4 * n)
@@ -301,7 +349,7 @@ def _ref_v4_block_columns(angles, sign, offset, n):
     exists, rank = admissible(angles, sign)
     if not exists:
         raise ValueError("reference: no class")
-    left = _psd_cholesky(gram_matrix(angles, sign), rank)
+    left = _ref_psd_cholesky(_ref_gram(angles, sign), rank)
     _ref_need(n, offset + 1 + rank)
     e0 = _axis(offset, n)
     frame = [_axis(offset + 1 + r, n) for r in range(rank)]
@@ -542,6 +590,95 @@ class TestCatalogMatchesPreviousConstructors:
         assert _outcome(construct_classical, args) == _outcome(_ref_classical, args)
         with pytest.raises(ValueError, match="needs n >= 4"):
             construct_classical("complexified_cka", 8, 3, phi=1e-7)
+
+
+def _kernel_grid():
+    """(angles, sign, rank) for every admissible sign on a seeded grid:
+    random interior triples (rank 3), triples on the boundary
+    cos(phi1) + cos(phi2) - sign cos(phi3) = 1 (rank 2) for both signs, and
+    ties and cosines near 1e-8."""
+    rng = np.random.default_rng(22)
+    cosines = [tuple(rng.uniform(0.0, 0.999, 3)) for _ in range(200)]
+    for sign in (1, -1):
+        for _ in range(150):
+            x2 = rng.uniform(0.0, 0.5)
+            x3 = rng.uniform(0.0, x2 if sign == 1 else 0.5)
+            cosines.append((1.0 + sign * x3 - x2, x2, x3))
+    cosines += combinations_with_replacement((0.9, 0.5, 1 / 3, 0.3, 1e-8, 5e-9, 0.0), 3)
+    grid = []
+    for x in cosines:
+        if max(x) > 0.999:  # phi1 = 0 has no Gram matrix
+            continue
+        angles = AngleTriple.from_cosines(x)
+        for sign in (1, -1):
+            exists, rank = admissible(angles, sign)
+            if exists:
+                grid.append((angles, sign, rank))
+    return grid
+
+
+def _factor_outcome(cholesky, g, rank):
+    try:
+        left = cholesky(g, rank)
+    except NumericalFailure as exc:
+        return "refused", str(exc)
+    return "factor", left.shape, left.tobytes()
+
+
+class TestFloatKernelsMatchNumpyReference:
+    def test_gram_bit_for_bit(self):
+        cases = Counter()
+        for angles, sign, rank in _kernel_grid():
+            expected = _ref_gram(angles, sign).tobytes()
+            assert np.array(_gram(angles.as_tuple(), sign)).tobytes() == expected
+            assert gram_matrix(angles, sign).tobytes() == expected
+            cases[sign, rank] += 1
+        assert min(cases[sign, rank] for sign in (1, -1) for rank in (2, 3)) >= 75, cases
+
+    def test_factor_bit_for_bit_and_same_refusals(self):
+        # Rank 2 on an interior Gram matrix leaves a pivot out, which the
+        # residual gate refuses with its value; rank 3 on a boundary one
+        # meets a pivot below BOUNDARY_TOL.
+        outcomes = Counter()
+        for angles, sign, _ in _kernel_grid():
+            for rank in (2, 3):
+                got = _factor_outcome(_psd_cholesky, _gram(angles.as_tuple(), sign), rank)
+                assert got == _factor_outcome(_ref_psd_cholesky, _ref_gram(angles, sign), rank)
+                outcomes[got[1].split(" ")[1] if got[0] == "refused" else "factor"] += 1
+        # (factor, the residual gate, the rank gate)
+        assert outcomes["factor"] >= 400, outcomes
+        assert outcomes["residual"] >= 200, outcomes
+        assert outcomes["matrix"] >= 200, outcomes
+
+    def test_near_one_cosines_refused_alike(self):
+        # At cosines (1 - 1e-12)^3 the margin is on the boundary (rank 2),
+        # but the Gram eigenvalues are (0.5, 0.5, 2): the truncated factor
+        # misses by 2/3.
+        angles = AngleTriple.from_cosines([1.0 - 1e-12] * 3)
+        assert admissible(angles, 1) == (True, 2)
+        message = "cholesky residual 6.67e-01 exceeds tolerance"
+        with pytest.raises(NumericalFailure, match=message):
+            _psd_cholesky(_gram(angles.as_tuple(), 1), 2)
+        with pytest.raises(NumericalFailure, match=message):
+            _ref_psd_cholesky(_ref_gram(angles, 1), 2)
+        with pytest.raises(NumericalFailure, match=message):
+            construct_v4(angles, 1, 4)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 0), (2, 2)])
+    def test_nan_gram_refused(self, entry):
+        g = [[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]]
+        i, j = entry
+        g[i][j] = g[j][i] = math.nan
+        with pytest.raises(NumericalFailure, match="cholesky residual nan"):
+            _psd_cholesky(g, 3)
+        # The numpy gate `resid > 1e-9` let the NaN through.
+        assert np.isnan(_ref_psd_cholesky(np.array(g), 3)).any()
+
+    def test_boundary_tolerance_is_the_region_tolerance(self):
+        # The grid's boundary points are those admissible() puts at rank 2.
+        for angles, sign, rank in _kernel_grid():
+            x = angles.cos_tuple()
+            assert (rank == 2) == (abs(x[0] + x[1] - sign * x[2] - 1.0) <= REGION_TOL)
 
 
 class TestConstructorsPlaceSlotBlocks:

@@ -21,6 +21,7 @@ from qka.subspace import (
     _exact_structure,
     _jacobi_joint_diagonalize,
     _omega_batch,
+    _rotation_from_columns,
     _slot_structure,
     _witness_report,
     constancy_check,
@@ -116,6 +117,83 @@ class TestAngleTriple:
         t = AngleTriple.from_cosines([0.2, 0.9, 0.5])
         assert t.phi1 <= t.phi2 <= t.phi3
         assert t.cosines() == pytest.approx([0.9, 0.5, 0.2])
+
+
+def _ref_angles(cosines) -> np.ndarray:
+    """The numpy formula that from_cosines replaced (arccos on a reversed view)."""
+    return np.arccos(np.sort(np.clip(np.asarray(cosines, dtype=float), 0.0, 1.0))[::-1])
+
+
+def _cosine_grid():
+    """Seeded cosine triples, unsorted, with ties, the ends 0 and 1, values
+    near 1e-8 and 1 - 1e-8, and values outside [0, 1] that the clip moves."""
+    rng = np.random.default_rng(22)
+    ends = (0.0, 1.0, 1e-8, 1e-8 + 1e-16, 5e-9, 1e-12, 1.0 - 1e-8, 1.0 - 1e-12,
+            1e-300, -1e-12, 1.0 + 1e-12, math.inf, -math.inf)
+    grid = [tuple(rng.uniform(0.0, 1.0, 3)) for _ in range(2000)]
+    grid += [tuple(rng.choice(ends + (0.5, 1 / 3), 3)) for _ in range(2000)]
+    grid += [(x, x, y) for x, y in rng.uniform(0.0, 1.0, (200, 2))]
+    return grid
+
+
+class TestAngleTripleOnFloats:
+    def test_from_cosines_matches_numpy_formula(self):
+        for x in _cosine_grid():
+            t = AngleTriple.from_cosines(x)
+            assert np.array(t.as_tuple()).tobytes() == _ref_angles(x).tobytes(), x
+            assert t.cosines().tobytes() == np.cos(_ref_angles(x)).tobytes(), x
+
+    def test_from_cos2_eigenvalues_matches_numpy_formula(self):
+        for lams in _cosine_grid():
+            t = AngleTriple.from_cos2_eigenvalues(lams)
+            expected = _ref_angles(np.sqrt(np.clip(np.asarray(lams), 0.0, 1.0)))
+            assert np.array(t.as_tuple()).tobytes() == expected.tobytes(), lams
+
+    def test_fields_are_floats(self):
+        space = construct_sum(t_cos(0.5, 0.3, 0.2), 1, 1, 8)
+        triples = [AngleTriple.from_cosines(np.array([0.5, 0.3, 0.2])),
+                   AngleTriple.from_cos2_eigenvalues(np.array([0.25, 0.09, 0.04])),
+                   _exact_structure(_slot_structure(space)).triple,
+                   _witness_report(_slot_structure(construct_v3(1.2, 1, 3))).triple]
+        for t in triples:
+            assert all(type(phi) is float for phi in t.as_tuple()), t
+            assert all(type(c) is float for c in t.cos_tuple()), t
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_cosine_refused(self, position):
+        x = [0.5, 0.3, 0.2]
+        x[position] = math.nan
+        for build in (AngleTriple.from_cosines, AngleTriple.from_cos2_eigenvalues):
+            with pytest.raises(ValueError, match=r"angle nan lies outside \[0, pi/2\]"):
+                build(x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused(self, bad):
+        with pytest.raises(ValueError, match="lies outside"):
+            AngleTriple(0.1, 0.2, bad)
+        with pytest.raises(ValueError, match="lies outside"):
+            AngleTriple(bad, 0.2, 0.3)
+
+
+def _ref_rotation(cols: np.ndarray) -> np.ndarray:
+    cols = cols.copy()
+    if np.linalg.det(cols) < 0:
+        cols[:, 2] *= -1.0
+    return cols.T
+
+
+def test_rotation_sign_from_the_triple_product():
+    rng = np.random.default_rng(22)
+    flipped = 0
+    for _ in range(500):
+        cols = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        cols[:, rng.integers(3)] *= rng.choice([-1.0, 1.0])
+        got, expected = _rotation_from_columns(cols), _ref_rotation(cols)
+        assert got.tobytes() == expected.tobytes()
+        assert got.strides == expected.strides
+        assert np.linalg.det(got) > 0
+        flipped += bool(np.linalg.det(cols) < 0)
+    assert 100 < flipped < 400
 
 
 class TestPOperator:
