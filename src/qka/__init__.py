@@ -5,9 +5,6 @@ from .quaternion import (
     STANDARD_BASIS,
     CanonicalBasis,
     GroupElement,
-    HVector,
-    Quaternion,
-    apply_group,
     induced_rotation,
     random_group_element,
     random_unitary,

@@ -72,9 +72,9 @@ SIGN_SYMMETRY_TOL = 1e-8
 SIGN_INVOLUTION_TOL = 1e-8
 # Distance of the v3 branch ratio det(A) / cos(phi)^3 to a class +-1 (`_branch_sign`).
 BRANCH_TOL = 1e-8
-# cos(phi_i) = sqrt(c_i) at or below this is phi_i = pi/2 in the block analysis:
-# there the two block signs coincide (`_Analysis.signs`), and `factorize` takes
-# no Pbar_i, whose normalization W'_i / cos(phi_i) is singular.
+# cos(phi3) = sqrt(c_3) at or below this is phi3 = pi/2 in the block analysis:
+# there the two block signs coincide (`_Analysis.signs`), and no Pbar3, whose
+# normalization W'_3 / cos(phi3) is singular, is formed.
 RIGHT_ANGLE_TOL = 1e-8
 _SEED_STEP = 0.7548776662466927  # irrational: the inverse of the plastic number
 
@@ -153,44 +153,54 @@ def _sign_split(m: np.ndarray) -> tuple[np.ndarray, int]:
     return s, plus
 
 
-def _kernel_split(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernels of Pbar1 Pbar2 -+ Pbar3 from S = sym(Pbar3^T Pbar1 Pbar2),
-    once `_sign_split` has passed it.
+def _sign_parts(signs: tuple[np.ndarray, int] | None, k: int) -> list[tuple[np.ndarray, int]]:
+    """The sign parts of V as (projector, dimension), plus first.
 
-    Pbar3 is orthogonal, so Pbar1 Pbar2 -+ Pbar3 = Pbar3 (M -+ I) with
-    M = Pbar3^T Pbar1 Pbar2: the kernels are those of M -+ I, and M is
-    symmetric.  The gates put every eigenvalue of S within 1e-8 of +1 or
-    -1, so one eigh of S gives both kernels by sign.  Only `factorize` needs
-    the kernel vectors; the block type reads the count off the trace.
+    Pbar3 is orthogonal, so the kernels of Pbar1 Pbar2 -+ Pbar3 = Pbar3 (M -+ I)
+    are the +-1 eigenspaces of M = Pbar3^T Pbar1 Pbar2, which the sign gates
+    have found symmetric with S = sym(M) an involution (`_sign_split`): their
+    projectors are (I +- S) / 2, of dimensions plus and k - plus.  With no
+    signs (phi3 = pi/2, where they coincide) the one part is V.
     """
-    lams, vecs = np.linalg.eigh(s)
-    return vecs[:, lams > 0], vecs[:, lams < 0]
+    if signs is None:
+        return [(np.eye(k), k)]
+    s, plus = signs
+    half = 0.5 * np.eye(k)
+    return [(half + 0.5 * s, plus), (half - 0.5 * s, k - plus)]
 
 
-def _cells(part: np.ndarray, generators: list[np.ndarray]) -> np.ndarray:
-    """Orthonormal columns spanning ``part``: the cells {v} U {G v} in turn.
+def _cells(projector: np.ndarray, dim: int, generators: list[np.ndarray],
+           taken: np.ndarray) -> np.ndarray:
+    """``taken`` followed by ``dim`` orthonormal columns spanning the range of
+    ``projector``: the cells {v} U {G v} in turn.
 
-    Cell j is seeded by v = (P - Q Q^T) r for the fixed r_i =
-    sin((i + 1)(j + 1) _SEED_STEP), P the projector onto ``part`` and Q the
-    cells so far, so the cells depend on the span of ``part``, not on its
-    (eigh) basis.  Its columns are projected against Q and take one QR; an
-    |R_ii| <= 0.5 (a column mostly in Q or in the others) is refused.
+    Cell j is seeded by v = (I - Q Q^T) P^2 r for the fixed r_i =
+    sin((i + 1)(j + 1) _SEED_STEP), P the projector and Q every cell so far,
+    those of earlier parts (``taken``) included, so the cells depend on the
+    range of P alone.  A sign projector (I +- S) / 2 whose S the involution
+    gate passed leaks up to 2.5e-9 into the other part; P^2 leaks its
+    square, and the deflation against Q keeps the cells of each part
+    orthogonal to those before them.  The columns {v} U {G v} are projected
+    against Q and take one QR; an |R_ii| <= 0.5 (a column mostly in Q or in
+    the others) is refused.
     """
     size = len(generators) + 1
-    cells = np.empty_like(part)
-    coords = np.arange(1, len(part) + 1)
-    for j in range(part.shape[1] // size):
-        taken = cells[:, :j * size]
-        r = np.sin(coords * (j + 1) * _SEED_STEP)
-        v = part @ (part.T @ r) - taken @ (taken.T @ r)
+    start = taken.shape[1]
+    cells = np.empty((len(projector), start + dim))
+    cells[:, :start] = taken
+    coords = np.arange(1, len(projector) + 1)
+    for j in range(dim // size):
+        done = cells[:, :start + j * size]
+        v = projector @ (projector @ np.sin(coords * (j + 1) * _SEED_STEP))
+        v -= done @ (done.T @ v)
         norm = math.sqrt(v @ v)
         if not norm > 0.0:
             raise NumericalFailure(f"the seed direction of cell {j} has no "
                                    "component in the remaining span")
         v /= norm
         cols = np.column_stack([v] + [g @ v for g in generators])
-        cols -= taken @ (taken.T @ cols)
-        cells[:, j * size:(j + 1) * size], rr = np.linalg.qr(cols)
+        cols -= done @ (done.T @ cols)
+        cells[:, start + j * size:start + (j + 1) * size], rr = np.linalg.qr(cols)
         if not (least := np.abs(np.diagonal(rr)).min()) > 0.5:  # a NaN is refused too
             raise NumericalFailure(f"cell {j} is rank-deficient: min |R_ii| = {least:.2e}")
     return cells
@@ -258,11 +268,6 @@ class _Analysis:
                 f"subspace does not have constant angle (spread {report.max_spread:.2e})"
             )
 
-    def _right_angle(self, i: int) -> bool:
-        """Whether phi_i = pi/2 in the block analysis: sqrt(c_i) at or below
-        RIGHT_ANGLE_TOL."""
-        return math.sqrt(max(self.exact.cos2[i - 1], 0.0)) <= RIGHT_ANGLE_TOL
-
     def pbar(self, i: int) -> np.ndarray:
         """Pbar_i = W'_i / cos(phi_i) in V coordinates, gated by `_gated_cos`."""
         return self.exact.w_canonical[i - 1] / self._gated_cos(i)
@@ -285,7 +290,8 @@ class _Analysis:
     @cached_property
     def signs(self) -> tuple[np.ndarray, int] | None:
         """S = sym(M) and its +1 dimension (`_sign_split`), or None when
-        phi3 = pi/2, where the two signs coincide.
+        phi3 = pi/2 (sqrt(c_3) at or below RIGHT_ANGLE_TOL), where the two
+        signs coincide.
 
         W'_1 is antisymmetric, so Pbar1 Pbar2 = -X_12 / (cos(phi1) cos(phi2))
         with X_12 = W'_1^T W'_2 (`_ExactStructure.cross12`), and
@@ -293,7 +299,7 @@ class _Analysis:
         one product, after the three Pbar gates.
         """
         self._require_constant()
-        if self._right_angle(3):
+        if math.sqrt(max(self.exact.cos2[2], 0.0)) <= RIGHT_ANGLE_TOL:
             return None
         scale = -1.0
         for i in (1, 2, 3):
@@ -301,10 +307,6 @@ class _Analysis:
         m = self.exact.w_canonical[2].T @ self.exact.cross12
         m *= scale
         return _sign_split(m)
-
-    @cached_property
-    def kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        return _kernel_split(self.signs[0])
 
     @cached_property
     def invariant(self) -> TypeSignature | int | None | NumericalFailure:
@@ -384,28 +386,26 @@ def factorize(v_space: Subspace) -> list[Subspace]:
 
     The blocks are pairwise H-orthogonal, each 4-dimensional with the same
     angle triple as V.  The generators G are the Pbar_i of the angles phi1,
-    phi2 below pi/2 (RIGHT_ANGLE_TOL), and Pbar_1 Pbar_2 when both are; each
-    cell is the span of {v} U {G v} (`_cells`: one QR per cell, no SVD), and
-    a block is V's basis times 4 consecutive orthonormal cell columns.
-    Pure-sign parts are factored separately so the orbit of each seed
-    vector closes up in its block.
+    phi2 whose snapped cosines (`_Analysis.cosines`) are positive, and
+    Pbar_1 Pbar_2 when both are; each cell is the span of {v} U {G v}
+    (`_cells`: one QR per cell, no SVD), and a block is V's basis times 4
+    consecutive orthonormal cell columns.  The sign parts (`_sign_parts`)
+    are factored in turn, so the orbit of each seed vector closes up in its
+    block.
     """
     if v_space.k % 4:
         raise ValueError("block analysis needs dim V to be a multiple of 4")
     analysis = _Analysis(v_space)
     analysis._require_constant()
-    generators = [analysis.pbar(i) for i in (1, 2) if not analysis._right_angle(i)]
+    generators = [analysis.pbar(i) for i in (1, 2) if analysis.cosines[i - 1] > 0.0]
     if len(generators) == 2:
         generators.append(generators[0] @ generators[1])
-    if analysis.signs is None:
-        parts = [np.eye(v_space.k)]
-    else:
-        parts = [p for p in analysis.kernels if p.shape[1]]
-    out = []
-    for part in parts:
-        cells = v_space.basis @ _cells(part, generators)
-        out += [Subspace(cells[:, r:r + 4]) for r in range(0, cells.shape[1], 4)]
-    return out
+    k = v_space.k
+    cells = np.empty((k, 0))
+    for projector, dim in _sign_parts(analysis.signs, k):
+        cells = _cells(projector, dim, generators, cells)
+    blocks = v_space.basis @ cells
+    return [Subspace(blocks[:, r:r + 4]) for r in range(0, k, 4)]
 
 
 def type_of(v_space: Subspace) -> TypeSignature:
@@ -753,15 +753,15 @@ def representative(
             raise ValueError(f"branch must be the int +1 or -1, got {branch!r}")
         if not any(h.stratum.multiplicity == 2 for h in hits):
             raise ValueError("branch selection on a single-class stratum")
-    phis = np.arccos(x).tolist()  # numpy's vector loop, which math.acos does not match
+    angles = AngleTriple.from_cosines(x)
     if k == 3:
         if x[0] >= 1.0:  # (0, 0, pi/2)
             return construct_classical("im_h_line", 3, n)
         if x[0] <= 0.0:  # totally real
             return construct_classical("totally_real", 3, n)
-        return _fitting_class(lambda s: _v3_blocks(phis[0], s), branch, n)
+        return _fitting_class(lambda s: _v3_blocks(angles.phi1, s), branch, n)
     if k % 4 == 0:
-        l, angles = k // 4, AngleTriple(*phis)
+        l = k // 4
         return _fitting_class(lambda s: _sum_blocks(angles, *((l, 0) if s == 1 else (0, l))),
                               branch, n)
     if k % 2 == 0:
@@ -769,7 +769,7 @@ def representative(
             return construct_classical("totally_complex", k, n)
         if x[0] <= 0.0:
             return construct_classical("totally_real", k, n)
-        return construct_classical("cka_plane_sum", k, n, phi=phis[0])
+        return construct_classical("cka_plane_sum", k, n, phi=angles.phi1)
     return construct_classical("totally_real", k, n)
 
 

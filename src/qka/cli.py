@@ -6,8 +6,8 @@ flags alone: construct refuses a flag its family does not read, and --cos
 values must be finite numbers in [0, 1].
 
 Exit codes: 0 success, 2 user or parameter error, 3 internal numerical
-failure.  The environment variable QKA_SEED provides the default seed of
-`selftest`, the one command that samples; no verdict reads a seed.
+failure.  `selftest`, the one command that samples, reads --seed (default
+0); no verdict reads a seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .classify import (
@@ -38,17 +37,6 @@ _FAMILIES = CLASSICAL_FAMILIES + ("v3", "v4", "sum")
 _READS = {"v3": ("angle", "sign"), "v4": ("angle", "triple", "sign"),
           "sum": ("angle", "triple", "lplus", "lminus"),
           "cka_plane_sum": ("angle",), "complexified_cka": ("angle",)}
-
-
-def _seed(args) -> int:
-    """--seed, else QKA_SEED (0 when unset or empty) by the same rule; read
-    only by `selftest`, so a malformed QKA_SEED stops no other command."""
-    if args.seed is not None:
-        return args.seed
-    try:
-        return _seed_arg(os.environ.get("QKA_SEED") or "0")
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"QKA_SEED {exc}") from None
 
 
 def _seed_arg(text: str) -> int:
@@ -173,7 +161,7 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
     quick = not args.full
-    results = run_selftest(quick=quick, seed=_seed(args), stream=sys.stdout)
+    results = run_selftest(quick=quick, seed=args.seed, stream=sys.stdout)
     failed = [r for r in results if not r.passed]
     print(f"{'OK' if not failed else 'FAILED'}: {len(results) - len(failed)}/"
           f"{len(results)} criteria passed ({'quick' if quick else 'full'} mode)")
@@ -222,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true", default=True)
     mode.add_argument("--full", action="store_true")
-    p.add_argument("--seed", type=_seed_arg)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -2,7 +2,8 @@
 Sp(1)Sp(n) action.
 
 H^n is a right quaternionic vector space identified with R^{4n} by storing
-each quaternionic coordinate as four reals in (w, x, y, z) order.  The
+each quaternionic coordinate as four reals in (w, x, y, z) order: a
+quaternion is a (4,) array and a vector of H^n a (4n,) array.  The
 quaternionic structure is the span of the right multiplications by i, j, k;
 the *standard canonical triple* used throughout is
 
@@ -19,20 +20,15 @@ usual notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Quaternion",
-    "HVector",
     "CanonicalBasis",
     "GroupElement",
     "STANDARD_BASIS",
     "quat_mul",
     "quat_conj",
     "right_mult",
-    "apply_group",
     "induced_rotation",
     "random_unitary",
     "random_group_element",
@@ -112,107 +108,18 @@ def _real_left(a: np.ndarray) -> np.ndarray:
     return np.einsum("abt,trc->arbc", a, _LEFT_UNITS).reshape(4 * n, 4 * m)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion w + x i + y j + z k."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*quat_mul(self.as_array(), other.as_array()))
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-
 def _as_quat_array(q) -> np.ndarray:
-    if isinstance(q, Quaternion):
-        return q.as_array()
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise ValueError(f"expected a quaternion (4 reals), got shape {q.shape}")
     return q
 
 
-class HVector:
-    """A vector of H^n stored as 4n real coordinates.
-
-    The real inner product is the R^{4n} dot product; quaternionic scalars
-    act on the right, slot by slot.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = np.asarray(coords, dtype=float).ravel()
-        if coords.size == 0 or coords.size % 4 != 0:
-            raise ValueError("coordinate length must be a positive multiple of 4")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def n(self) -> int:
-        return self.coords.size // 4
-
-    def slots(self) -> np.ndarray:
-        """View the coordinates as an (n, 4) array of quaternion slots."""
-        return self.coords.reshape(self.n, 4)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def inner(self, other: "HVector") -> float:
-        if other.coords.size != self.coords.size:
-            raise ValueError("dimension mismatch")
-        return float(self.coords @ other.coords)
-
-    def right_mul(self, q) -> "HVector":
-        """Right scalar multiplication v -> v q."""
-        q = _as_quat_array(q)
-        return HVector(quat_mul(self.slots(), q).ravel())
-
-    def __add__(self, other: "HVector") -> "HVector":
-        return HVector(self.coords + other.coords)
-
-    def __sub__(self, other: "HVector") -> "HVector":
-        return HVector(self.coords - other.coords)
-
-    def __rmul__(self, scalar: float) -> "HVector":
-        return HVector(float(scalar) * self.coords)
-
-    def __repr__(self) -> str:
-        return f"HVector(n={self.n})"
-
-    @classmethod
-    def axis(cls, slot: int, n: int) -> "HVector":
-        """The real unit vector of the given quaternionic coordinate."""
-        if not 0 <= slot < n:
-            raise ValueError("slot out of range")
-        c = np.zeros(4 * n)
-        c[4 * slot] = 1.0
-        return cls(c)
-
-
 def _coords(v, n: int | None = None) -> np.ndarray:
-    """Coerce an HVector or array-like to a flat (4n,) float array."""
-    c = v.coords if isinstance(v, HVector) else np.asarray(v, dtype=float).ravel()
-    if c.size % 4 != 0:
-        raise ValueError("coordinate length must be a multiple of 4")
+    """Coerce an array-like vector of H^n to a flat (4n,) float array."""
+    c = np.asarray(v, dtype=float).ravel()
+    if c.size == 0 or c.size % 4 != 0:
+        raise ValueError("coordinate length must be a positive multiple of 4")
     if n is not None and c.size != 4 * n:
         raise ValueError(f"dimension mismatch: expected n={n}, got n={c.size // 4}")
     return c
@@ -266,8 +173,9 @@ class CanonicalBasis:
 STANDARD_BASIS = CanonicalBasis(np.eye(3))
 
 
-def right_mult(j, v: HVector, basis: CanonicalBasis = STANDARD_BASIS) -> HVector:
-    """Apply an element of the quaternionic structure to v.
+def right_mult(j, v, basis: CanonicalBasis = STANDARD_BASIS) -> np.ndarray:
+    """Apply an element of the quaternionic structure to the vector v of H^n,
+    given as 4n coordinates; returns them as a (4n,) array.
 
     ``j`` is either a canonical-basis index in {1, 2, 3} or a unit imaginary
     quaternion u, in which case the operator is the right multiplication
@@ -275,13 +183,13 @@ def right_mult(j, v: HVector, basis: CanonicalBasis = STANDARD_BASIS) -> HVector
     """
     c = _coords(v)
     if isinstance(j, (int, np.integer)):
-        return HVector(basis.apply(int(j), c))
+        return basis.apply(int(j), c)
     q = _as_quat_array(j)
     if abs(q[0]) > 1e-12 or abs(np.linalg.norm(q[1:]) - 1.0) > 1e-12:
         raise ValueError("expected a unit imaginary quaternion")
     block = _right_matrix(q)
     n = c.size // 4
-    return HVector((c.reshape(n, 4) @ block.T).ravel())
+    return (c.reshape(n, 4) @ block.T).ravel()
 
 
 def _qmat_dagger(a: np.ndarray) -> np.ndarray:
@@ -355,11 +263,6 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"GroupElement(n={self.n})"
-
-
-def apply_group(t: GroupElement, v: HVector) -> HVector:
-    """Act by t on v, i.e. v -> A v q^{-1}."""
-    return HVector(t.apply_coords(_coords(v, t.n)))
 
 
 def induced_rotation(t: GroupElement) -> np.ndarray:

@@ -61,6 +61,14 @@ def _clip01(x: float) -> float:
     return min(max(x, 0.0), 1.0)  # max(nan, 0.0) and min(nan, 1.0) return the nan
 
 
+def _finite_clip01(x: float, what: str) -> float:
+    """`_clip01` of a value that must not be infinite; a NaN passes on to the
+    angle gate of `AngleTriple`, which names it."""
+    if math.isinf(x):
+        raise ValueError(f"{what} {x} is not finite")
+    return _clip01(x)
+
+
 @dataclass(frozen=True)
 class AngleTriple:
     """Sorted angles (phi1, phi2, phi3) with 0 <= phi1 <= phi2 <= phi3 <= pi/2."""
@@ -92,14 +100,16 @@ class AngleTriple:
 
     @classmethod
     def from_cosines(cls, cosines) -> "AngleTriple":
-        """The triple of the cosines clipped to [0, 1], in any order (a NaN is
-        refused).  math.acos is numpy's scalar arccos loop, bit for bit."""
-        x = sorted([_clip01(float(c)) for c in cosines], reverse=True)
+        """The triple of the cosines clipped to [0, 1], in any order (a NaN or
+        an infinite cosine is refused).  math.acos is numpy's scalar arccos
+        loop, bit for bit."""
+        x = sorted([_finite_clip01(float(c), "cosine") for c in cosines], reverse=True)
         return cls(*map(math.acos, x))  # descending cosines give ascending angles
 
     @classmethod
     def from_cos2_eigenvalues(cls, lams) -> "AngleTriple":
-        return cls.from_cosines([math.sqrt(_clip01(float(v))) for v in lams])
+        return cls.from_cosines([math.sqrt(_finite_clip01(float(v), "squared cosine"))
+                                 for v in lams])
 
     def __iter__(self):
         return iter(self.as_tuple())

@@ -33,6 +33,7 @@ from qka.classify import (
     SIGN_INVOLUTION_TOL,
     SNAP_TOL,
     _Analysis,
+    _sign_parts,
     _sign_split,
     _snap_cos,
     _snap_into_strata,
@@ -45,7 +46,7 @@ from qka.families import (
     construct_v4,
     min_quaternionic_dim,
 )
-from qka.quaternion import STANDARD_BASIS, CanonicalBasis, HVector, random_group_element
+from qka.quaternion import STANDARD_BASIS, CanonicalBasis, random_group_element
 from qka.subspace import (
     COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
@@ -140,32 +141,9 @@ class TestFactorize:
 
     def test_rejects_non_constant(self):
         rng = np.random.default_rng(0)
-        space = from_spanning([HVector(rng.standard_normal(24)) for _ in range(4)])
+        space = from_spanning([rng.standard_normal(24) for _ in range(4)])
         with pytest.raises(ValueError, match="constant"):
             factorize(space)
-
-    @pytest.mark.parametrize("k", [8, 16, 32, 64])
-    def test_blocks_do_not_depend_on_the_kernel_basis(self, monkeypatch, k):
-        # Each sign kernel is a degenerate eigenspace of S, whose eigh basis is
-        # arbitrary: a random orthogonal change of that basis moves no block.
-        rng = np.random.default_rng(k)
-        split = qka.classify._kernel_split
-
-        def rebased(s):
-            return tuple(part @ np.linalg.qr(rng.standard_normal((part.shape[1],) * 2))[0]
-                         if part.shape[1] else part for part in split(s))
-
-        l = k // 4
-        for l_plus in sorted({0, 1, l // 2, l - 1, l}):
-            for triple in (TA, T03):
-                space = moved(construct_sum(triple, l_plus, l - l_plus, k), k + l_plus)
-                blocks = factorize(space)
-                with monkeypatch.context() as patch:
-                    patch.setattr(qka.classify, "_kernel_split", rebased)
-                    again = factorize(space)
-                assert len(again) == len(blocks) == l
-                for a, b in zip(blocks, again):
-                    assert np.max(np.abs(a.projector() - b.projector())) <= 1e-12
 
     def test_zero_seed_refused(self, monkeypatch):
         # A seed direction with no component in the remaining span is refused
@@ -184,20 +162,28 @@ class TestFactorize:
     def test_one_qr_per_cell_and_no_svd(self, monkeypatch, space, cell_dim):
         # Cells are deflated by projection against the cells before them, and
         # the blocks they join are orthonormal already: k / cell_dim QRs in all.
-        qrs = []
-        qr = np.linalg.qr
+        # The sign parts are the projectors (I +- S) / 2, so the one eigh is
+        # the frame's, on the 3 x 3 mean of Omega.
+        qrs, eighs = [], []
+        qr, eigh = np.linalg.qr, np.linalg.eigh
 
         def counted(a, *args, **kwargs):
             qrs.append(a.shape)
             return qr(a, *args, **kwargs)
 
+        def counted_eigh(a, *args, **kwargs):
+            eighs.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
         def refuse(*args, **kwargs):
             raise AssertionError("factorize called an SVD")
 
         monkeypatch.setattr(np.linalg, "qr", counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "svd", refuse)
         blocks = factorize(space)
         assert qrs == [(space.k, cell_dim)] * (space.k // cell_dim)
+        assert eighs == [(3, 3)]
         assert len(blocks) == space.k // 4
         proj = sum(b.projector() for b in blocks)
         assert np.max(np.abs(proj - space.projector())) <= 1e-12
@@ -206,29 +192,98 @@ class TestFactorize:
         (1, 0, TA), (0, 1, TA), (1, 1, TA), (2, 2, T03), (0, 4, TA), (3, 1, T13),
     ])
     def test_cells_match_svd_deflation(self, l_plus, l_minus, triple):
-        # Reference: each cell's span deflated from the remaining span by an
-        # SVD that keeps the singular values above 0.5.
+        # Reference: each cell's span deflated from the remaining span of its
+        # SVD sign kernel by an SVD that keeps the singular values above 0.5.
         k = 4 * (l_plus + l_minus)
         space = moved(construct_sum(triple, l_plus, l_minus, k), k + l_plus)
         analysis = _Analysis(space)
-        analysis._require_constant()
-        generators = [analysis.pbar(1), analysis.pbar(2)]
+        generators = _pbar_triple(analysis)[:2]
         generators.append(generators[0] @ generators[1])
-        for part in analysis.kernels:
-            if part.shape[1]:
-                got = qka.classify._cells(part, generators)
-                want = _svd_deflated_cells(part, generators)
-                assert got.shape == part.shape and len(want) == part.shape[1] // 4
-                for j, b in enumerate(want):
-                    a = got[:, 4 * j:4 * j + 4]
-                    assert np.max(np.abs(a @ a.T - b @ b.T)) <= 1e-12
+        cells = np.empty((k, 0))
+        for (projector, dim), kernel in zip(_sign_parts(analysis.signs, k),
+                                            _svd_kernel_split(*_pbar_triple(analysis))):
+            start = cells.shape[1]
+            cells = qka.classify._cells(projector, dim, generators, cells)
+            assert cells.shape == (k, start + dim) == (k, start + kernel.shape[1])
+            want = _svd_deflated_cells(kernel, generators) if dim else []
+            assert len(want) == dim // 4
+            for j, b in enumerate(want):
+                a = cells[:, start + 4 * j:start + 4 * j + 4]
+                assert np.max(np.abs(a @ a.T - b @ b.T)) <= 1e-12
+        assert np.max(np.abs(cells.T @ cells - np.eye(k))) <= 1e-12
+
+    @pytest.mark.parametrize("l_plus,l_minus", [(1, 1), (2, 2), (1, 3)])
+    def test_parts_deflated_against_one_running_set(self, l_plus, l_minus):
+        # A symmetric E that maps each sign part of S into the other
+        # anticommutes with S, so S + E passes the involution gate at
+        # ||E^2||_F: it tilts the parts by about |E| / 2.  The generators do
+        # not commute with E, so cells of one part, deflated only against
+        # their own part, meet those of the other at about that size.
+        k = 4 * (l_plus + l_minus)
+        space = moved(construct_sum(TA, l_plus, l_minus, k), k + l_plus)
+        analysis = _Analysis(space)
+        generators = _pbar_triple(analysis)[:2]
+        generators.append(generators[0] @ generators[1])
+        s, plus = analysis.signs
+        x = np.random.default_rng(k).standard_normal((k, k)) * 1e-6
+        cross = 0.25 * (np.eye(k) + s) @ x @ (np.eye(k) - s)
+        tilted = s + cross + cross.T
+        assert _sign_split(tilted)[1] == plus
+        cells = np.empty((k, 0))
+        for projector, dim in _sign_parts((tilted, plus), k):
+            cells = qka.classify._cells(projector, dim, generators, cells)
+        assert np.max(np.abs(cells.T @ cells - np.eye(k))) <= 1e-14
 
     def test_repeated_generator_trips_the_rank_refusal(self):
         analysis = _Analysis(construct_sum(TA, 1, 1, 8))
         analysis._require_constant()
         pbar1 = analysis.pbar(1)
         with pytest.raises(NumericalFailure, match="cell 0 is rank-deficient"):
-            qka.classify._cells(np.eye(8), [pbar1, pbar1])
+            qka.classify._cells(np.eye(8), 8, [pbar1, pbar1], np.empty((8, 0)))
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_kahler_plane_sums_factorize_under_every_move(self, k):
+        # The generators follow the snapped cosines: cos(phi2) = 0 up to
+        # round-off, so no Pbar_2 is formed.  Round-off puts sqrt(c_2) above
+        # RIGHT_ANGLE_TOL under some moves (seeds 4, 6 and 10 at k = 8), and a
+        # Pbar_2 normalized by it is refused as not a complex structure.
+        for seed in range(12):
+            space = moved(construct_classical("cka_plane_sum", k, k, phi=0.8), seed)
+            blocks = factorize(space)
+            assert len(blocks) == k // 4
+            proj = sum(b.projector() for b in blocks)
+            assert np.max(np.abs(proj - space.projector())) <= 1e-12, seed
+            for a, b in itertools.combinations(blocks, 2):
+                assert is_h_orthogonal(a, b), seed
+
+    @pytest.mark.parametrize("l_plus,l_minus", [(1, 1), (2, 2), (1, 3)])
+    def test_opposite_signs_stay_h_orthogonal_at_the_involution_gate(
+            self, monkeypatch, l_plus, l_minus):
+        # W'_3 scaled by 1 - eps scales S by it: ||S^2 - I||_F sits just inside
+        # the gate, and each projector (I +- S) / 2 leaks eps / 2 into the
+        # other sign part.  Seeded by P r, the blocks of opposite sign would
+        # meet J_a images at up to 1.5e-10; seeded by P^2 r and deflated
+        # against every cell before them, they are H-orthogonal to round-off.
+        k = 4 * (l_plus + l_minus)
+        space = moved(construct_sum(TA, l_plus, l_minus, k), k + l_minus)
+        eps = 0.9 * SIGN_INVOLUTION_TOL / (2.0 * math.sqrt(k))
+
+        def scaled_third(exact):
+            wc = exact.w_canonical.copy()
+            wc[2] *= 1.0 - eps
+            return wc
+
+        _tampered(monkeypatch, space, w_canonical=scaled_third)
+        s, plus = _Analysis(space).signs
+        assert 0.8 * SIGN_INVOLUTION_TOL < np.linalg.norm(s @ s - np.eye(k)) <= SIGN_INVOLUTION_TOL
+        blocks = factorize(space)
+        assert plus == 4 * l_plus and len(blocks) == l_plus + l_minus
+        for a in blocks[:l_plus]:
+            for b in blocks[l_plus:]:
+                assert is_h_orthogonal(a, b)
+                for i in range(4):
+                    image = STANDARD_BASIS.apply(i, b.basis) if i else b.basis
+                    assert np.max(np.abs(a.basis.T @ image)) <= 1e-14
 
 
 def _svd_deflated_cells(part, generators):
@@ -287,7 +342,7 @@ class TestProtohomogeneous:
 
     def test_non_constant_no(self):
         rng = np.random.default_rng(1)
-        space = from_spanning([HVector(rng.standard_normal(24)) for _ in range(3)])
+        space = from_spanning([rng.standard_normal(24) for _ in range(3)])
         verdict = is_protohomogeneous(space)
         assert verdict.value == "no"
         assert "not constant" in verdict.reason
@@ -494,8 +549,8 @@ class TestEquivalence:
 
     def test_non_constant_pair_unknown(self):
         rng = np.random.default_rng(5)
-        a = from_spanning([HVector(rng.standard_normal(24)) for _ in range(3)])
-        b = from_spanning([HVector(rng.standard_normal(24)) for _ in range(3)])
+        a = from_spanning([rng.standard_normal(24) for _ in range(3)])
+        b = from_spanning([rng.standard_normal(24) for _ in range(3)])
         assert are_equivalent(a, b).value == "unknown"
 
 
@@ -664,6 +719,25 @@ class TestRepresentative:
         with pytest.raises(ValueError, match="no stratum"):
             representative(5, 5, T03)
 
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_built_from_the_math_acos_angles(self, branch):
+        # `representative` takes its angles through AngleTriple.from_cosines
+        # (math.acos), as construct_v4's callers do, so the bases match bit
+        # for bit.  np.arccos on the contiguous cosines runs numpy's vector
+        # loop, which differs from math.acos in the last bit for some of these
+        # triples only where numpy dispatches a SIMD arccos: only there does
+        # this test tell the two paths apart.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            c = sorted(rng.dirichlet([1.0, 1.0, 1.0, 1.0])[:3], reverse=True)
+            triple = AngleTriple.from_cosines(c)
+            assert [h.stratum.name for h in moduli_membership(4, 4, triple)] == [
+                "two_class_region"] * 2
+            got = representative(4, 4, triple, branch)
+            want = construct_v4(AngleTriple.from_cosines(_snap_cos(triple.cos_tuple())),
+                                branch, 4)
+            assert got.basis.tobytes() == want.basis.tobytes(), c
+
     @pytest.mark.parametrize("branch", [True, 1.0, -1.0])
     def test_branch_must_be_an_int(self, branch):
         # True and 1.0 compare equal to 1, but only the ints +1 and -1 select a class.
@@ -814,7 +888,7 @@ class TestClassifyRecord:
 
     def test_non_constant_record(self):
         rng = np.random.default_rng(2)
-        space = from_spanning([HVector(rng.standard_normal(24)) for _ in range(3)])
+        space = from_spanning([rng.standard_normal(24) for _ in range(3)])
         record = classify_subspace(space)
         assert record["constant"] is False
         assert record["protohomogeneous"]["value"] == "no"
@@ -906,7 +980,7 @@ class TestAnalysisOnce:
     def test_random_subspace_reads_exact_structure_once(self, analysis_calls):
         # The "no" is witnessed at points read off W: no sampling at all.
         rng = np.random.default_rng(11)
-        space = from_spanning([HVector(rng.standard_normal(24)) for _ in range(4)])
+        space = from_spanning([rng.standard_normal(24) for _ in range(4)])
         assert classify_subspace(space)["constant"] is False
         assert analysis_calls == _read(space)
 
@@ -958,37 +1032,39 @@ def _third_is_first(exact):
 
 class TestKernelSplit:
     @pytest.mark.parametrize("k", [8, 16, 64])
-    def test_eigh_split_matches_svd_split(self, k):
+    def test_projectors_match_svd_split(self, k):
+        # The sign parts factorize takes, (I +- S) / 2, against the kernels of
+        # Pbar1 Pbar2 -+ Pbar3 from one SVD each.
         l = k // 4
-        for l_plus in sorted({1, l // 2, l - 1}):
+        for l_plus in sorted({0, 1, l // 2, l - 1, l}):
             space = rotated(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
             analysis = _Analysis(space)
-            got = analysis.kernels
+            got = _sign_parts(analysis.signs, k)
             want = _svd_kernel_split(*_pbar_triple(analysis))
-            assert [g.shape[1] for g in got] == [4 * l_plus, 4 * (l - l_plus)]
-            for g, w in zip(got, want):
-                assert g.shape == w.shape
-                assert np.max(np.abs(g @ g.T - w @ w.T)) <= 1e-10
+            assert [dim for _, dim in got] == [w.shape[1] for w in want] == [
+                4 * l_plus, 4 * (l - l_plus)]
+            for (projector, _), w in zip(got, want):
+                assert np.max(np.abs(projector - w @ w.T)) <= 1e-10
 
     def test_non_symmetric_product_rejected(self, monkeypatch):
         space = rotated(construct_sum(TA, 1, 1, 8), 3)
         _tampered(monkeypatch, space, w_canonical=_third_is_first)
         with pytest.raises(NumericalFailure, match="not symmetric") as split:
-            _Analysis(space).kernels
+            _Analysis(space).signs
         with pytest.raises(NumericalFailure) as blocks:
             factorize(space)
         assert str(blocks.value) == str(split.value)
 
     @pytest.mark.parametrize("k", [8, 16, 64])
     def test_eigenvalue_type_matches_kernel_dimensions(self, k):
-        # The block type counts by the trace; factorize takes the vectors.
+        # The block type counts by the trace; the projectors have that rank.
         l = k // 4
         for l_plus in sorted({0, 1, l // 2, l - 1, l}):
             space = rotated(construct_sum(TA, l_plus, l - l_plus, k), k + l_plus)
             analysis = _Analysis(space)
-            kplus, kminus = analysis.kernels
-            assert analysis.invariant.as_tuple() == (kplus.shape[1] // 4,
-                                                     kminus.shape[1] // 4)
+            ranks = [np.linalg.matrix_rank(p, tol=0.5) for p, _ in
+                     _sign_parts(analysis.signs, k)]
+            assert analysis.invariant.as_tuple() == (ranks[0] // 4, ranks[1] // 4)
             assert analysis.invariant.as_tuple() == (l_plus, l - l_plus)
 
     def test_eigenvalue_type_refuses_non_symmetric_product(self, monkeypatch):
@@ -1164,7 +1240,7 @@ SEED_FREE_CASES = [
       for phi in (math.pi / 3, 1.2, 1.45) for sign in (1, -1)],
     ("im_h_line", lambda: rotated(construct_classical("im_h_line", 3, 2), 4)),
     ("random_plane", lambda: from_spanning(
-        [HVector(v) for v in np.random.default_rng(5).standard_normal((3, 12))])),
+        list(np.random.default_rng(5).standard_normal((3, 12))))),
 ]
 
 
@@ -1472,7 +1548,7 @@ def test_no_canonical_basis_per_analysis(monkeypatch):
         moved(construct_classical("cka_plane_sum", 8, 8, phi=0.8), 5),
         moved(construct_classical("totally_real", 8, 8), 6),
         rotated(construct_v3(1.2, -1, 3), 7),
-        from_spanning([HVector(v) for v in np.random.default_rng(8).standard_normal((5, 16))]),
+        from_spanning(list(np.random.default_rng(8).standard_normal((5, 16)))),
     ]
     expected = [(classify_subspace(v), is_protohomogeneous(v),
                  type_of(v) if v.k % 4 == 0 else None,

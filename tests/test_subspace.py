@@ -9,7 +9,6 @@ from qka.families import construct_classical, construct_sum, construct_v3, const
 from qka.quaternion import (
     STANDARD_BASIS,
     CanonicalBasis,
-    HVector,
     random_group_element,
     right_mult,
 )
@@ -38,13 +37,20 @@ from qka.subspace import (
 HALF_PI = math.pi / 2
 
 
+def axis(slot, n):
+    """The real unit vector of the given quaternionic coordinate of H^n."""
+    e = np.zeros(4 * n)
+    e[4 * slot] = 1.0
+    return e
+
+
 def imaginary_span(n=2):
-    e0 = HVector.axis(0, n)
+    e0 = axis(0, n)
     return from_spanning([right_mult(i, e0) for i in (1, 2, 3)])
 
 
 def quaternionic_line(n=2):
-    e0 = HVector.axis(0, n)
+    e0 = axis(0, n)
     return from_spanning([e0] + [right_mult(i, e0) for i in (1, 2, 3)])
 
 
@@ -54,17 +60,17 @@ def t_cos(*cosines):
 
 class TestFromSpanning:
     def test_single_vector(self):
-        space = from_spanning([HVector([1.0, 0, 0, 0])])
+        space = from_spanning([np.array([1.0, 0, 0, 0])])
         assert space.k == 1 and space.n == 1
 
     def test_dependent_vectors_rejected(self):
-        v = HVector([1.0, 0, 0, 0, 2.0, 0, 0, 0])
+        v = np.array([1.0, 0, 0, 0, 2.0, 0, 0, 0])
         with pytest.raises(ValueError, match="rank-deficient"):
             from_spanning([v, 2.0 * v])
 
     def test_random_spanning_orthonormalized(self):
         rng = np.random.default_rng(0)
-        vecs = [HVector(rng.standard_normal(12)) for _ in range(4)]
+        vecs = [rng.standard_normal(12) for _ in range(4)]
         space = from_spanning(vecs)
         assert space.k == 4
         assert np.max(np.abs(space.basis.T @ space.basis - np.eye(4))) < 1e-12
@@ -73,7 +79,7 @@ class TestFromSpanning:
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            from_spanning([HVector(np.ones(4)), HVector(np.ones(8))])
+            from_spanning([np.ones(4), np.ones(8)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vectors_rejected_before_the_svd(self, bad, monkeypatch):
@@ -81,8 +87,8 @@ class TestFromSpanning:
             raise AssertionError("the SVD ran on a non-finite matrix")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        for vectors in ([HVector([bad, 0, 0, 0])],
-                        [HVector([1.0, 0, 0, 0, 0, 0, 0, 0]), HVector([0, 1.0, 0, 0, 0, bad, 0, 0])]):
+        for vectors in ([np.array([bad, 0, 0, 0])],
+                        [np.array([1.0, 0, 0, 0, 0, 0, 0, 0]), np.array([0, 1.0, 0, 0, 0, bad, 0, 0])]):
             with pytest.raises(ValueError, match="non-finite"):
                 from_spanning(vectors)
 
@@ -137,14 +143,25 @@ def _cosine_grid():
 
 
 class TestAngleTripleOnFloats:
+    # The grid's triples with an infinite value are refused
+    # (`test_infinite_cosine_refused`); the rest match numpy bit for bit.
+
     def test_from_cosines_matches_numpy_formula(self):
         for x in _cosine_grid():
+            if not np.isfinite(x).all():
+                with pytest.raises(ValueError, match="cosine -?inf is not finite"):
+                    AngleTriple.from_cosines(x)
+                continue
             t = AngleTriple.from_cosines(x)
             assert np.array(t.as_tuple()).tobytes() == _ref_angles(x).tobytes(), x
             assert t.cosines().tobytes() == np.cos(_ref_angles(x)).tobytes(), x
 
     def test_from_cos2_eigenvalues_matches_numpy_formula(self):
         for lams in _cosine_grid():
+            if not np.isfinite(lams).all():
+                with pytest.raises(ValueError, match="squared cosine -?inf is not finite"):
+                    AngleTriple.from_cos2_eigenvalues(lams)
+                continue
             t = AngleTriple.from_cos2_eigenvalues(lams)
             expected = _ref_angles(np.sqrt(np.clip(np.asarray(lams), 0.0, 1.0)))
             assert np.array(t.as_tuple()).tobytes() == expected.tobytes(), lams
@@ -166,6 +183,18 @@ class TestAngleTripleOnFloats:
         for build in (AngleTriple.from_cosines, AngleTriple.from_cos2_eigenvalues):
             with pytest.raises(ValueError, match=r"angle nan lies outside \[0, pi/2\]"):
                 build(x)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_infinite_cosine_refused(self, position, bad):
+        # The clip alone would take +inf to cos 1 and -inf to cos 0, so
+        # (inf, 0.5, 0.5) would give phi1 = 0.0.
+        x = [0.5, 0.3, 0.2]
+        x[position] = bad
+        with pytest.raises(ValueError, match=rf"^cosine {bad} is not finite$"):
+            AngleTriple.from_cosines(x)
+        with pytest.raises(ValueError, match=rf"^squared cosine {bad} is not finite$"):
+            AngleTriple.from_cos2_eigenvalues(x)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_refused(self, bad):
@@ -237,12 +266,12 @@ class TestOmega:
     def test_rejects_outside_vector(self):
         space = imaginary_span()
         with pytest.raises(ValueError, match="does not lie"):
-            omega(space, HVector.axis(0, 2))
+            omega(space, axis(0, 2))
 
     def test_rejects_non_unit(self):
         space = imaginary_span()
         with pytest.raises(ValueError, match="unit"):
-            omega(space, 2.0 * HVector(space.basis[:, 0]))
+            omega(space, 2.0 * space.basis[:, 0])
 
     def test_trace_identity(self):
         space = construct_v4(t_cos(0.55, 0.4, 0.25), 1, 4)
@@ -262,7 +291,7 @@ class TestOmega:
         # Omega from the k x k restricted structure against
         # <pi_V J_i x, pi_V J_j x> computed in R^{4n}.
         rng = np.random.default_rng(11)
-        space = from_spanning([HVector(rng.standard_normal(16)) for _ in range(5)])
+        space = from_spanning([rng.standard_normal(16) for _ in range(5)])
         assert not constancy_check(space, 50).constant
         basis = STANDARD_BASIS
         if rotation_seed is not None:
@@ -279,7 +308,7 @@ class TestOmega:
 class TestVectorQka:
     def test_imaginary_span(self):
         space = imaginary_span()
-        triple, basis = vector_qka(space, HVector(space.basis[:, 1]))
+        triple, basis = vector_qka(space, space.basis[:, 1])
         assert triple.cos2() == pytest.approx([1, 1, 0], abs=1e-12)
         # returned basis diagonalizes omega at the vector
         om = omega(space, space.basis[:, 1], basis)
@@ -288,12 +317,12 @@ class TestVectorQka:
 
     def test_quaternionic(self):
         space = quaternionic_line()
-        triple, _ = vector_qka(space, HVector(space.basis[:, 0]))
+        triple, _ = vector_qka(space, space.basis[:, 0])
         assert triple.cos2() == pytest.approx([1, 1, 1], abs=1e-12)
 
     def test_totally_real(self):
         space = construct_classical("totally_real", 2, 2)
-        triple, _ = vector_qka(space, HVector(space.basis[:, 0]))
+        triple, _ = vector_qka(space, space.basis[:, 0])
         assert triple.cos2() == pytest.approx([0, 0, 0], abs=1e-12)
 
 
@@ -308,14 +337,14 @@ class TestConstancy:
         # Omega of a 2-plane is the constant rank-one matrix a a^T, so every
         # 2-plane has constant angle (phi, pi/2, pi/2).
         rng = np.random.default_rng(11)
-        space = from_spanning([HVector(rng.standard_normal(16)) for _ in range(2)])
+        space = from_spanning([rng.standard_normal(16) for _ in range(2)])
         report = constancy_check(space, 200, seed=2)
         assert report.constant
         assert report.triple.cos2()[1:] == pytest.approx([0, 0], abs=1e-12)
 
     def test_generic_three_plane_not_constant(self):
         rng = np.random.default_rng(4)
-        space = from_spanning([HVector(rng.standard_normal(16)) for _ in range(3)])
+        space = from_spanning([rng.standard_normal(16) for _ in range(3)])
         report = constancy_check(space, 200, seed=2)
         assert not report.constant
         assert report.max_spread > 1e-3
@@ -417,9 +446,9 @@ def _looped_ranks(v_space, samples, seed):
 def near_rank_cut():
     """span(e0, cos t J1 e0 + sin t e1, e2) with cos t = 2e-8: |P_1 v| runs
     over [0, 2e-8], across the rank cut of 1e-8."""
-    e0, e1, e2 = (HVector.axis(i, 3) for i in range(3))
+    e0, e1, e2 = (axis(i, 3) for i in range(3))
     c = 2e-8
-    tilted = HVector(c * right_mult(1, e0).coords + math.sqrt(1 - c * c) * e1.coords)
+    tilted = c * right_mult(1, e0) + math.sqrt(1 - c * c) * e1
     return from_spanning([e0, tilted, e2])
 
 
@@ -436,7 +465,7 @@ class TestDistributionRank:
 
     def test_generic_two_plane_rank_one(self):
         rng = np.random.default_rng(6)
-        space = from_spanning([HVector(rng.standard_normal(16)) for _ in range(2)])
+        space = from_spanning([rng.standard_normal(16) for _ in range(2)])
         assert distribution_rank(space) == 1
 
     @pytest.mark.parametrize("build", [
@@ -484,7 +513,7 @@ class TestExactStructure:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_random_four_planes_uncertified(self, n):
         rng = np.random.default_rng(n)
-        space = from_spanning([HVector(rng.standard_normal(4 * n)) for _ in range(4)])
+        space = from_spanning([rng.standard_normal(4 * n) for _ in range(4)])
         exact = _exact_structure(_slot_structure(space))
         assert exact.residual > 1e-2
         assert 2 * exact.residual >= constancy_check(space, 500, n).max_spread
@@ -525,7 +554,7 @@ class TestDimension3Witness:
         # what 2000 random points see (up to round-off).
         rng = np.random.default_rng(4)
         for n in (3, 3, 4, 6, 9):
-            plane = from_spanning([HVector(rng.standard_normal(4 * n)) for _ in range(3)])
+            plane = from_spanning([rng.standard_normal(4 * n) for _ in range(3)])
             w = _slot_structure(plane)
             a = _axial_rows(w)
             x = rng.standard_normal(3)
@@ -578,7 +607,7 @@ class TestSlotStructure:
 class TestHOrthogonality:
     def test_distinct_axes(self):
         a = quaternionic_line(2)
-        e1 = HVector.axis(1, 2)
+        e1 = axis(1, 2)
         b = from_spanning([e1] + [right_mult(i, e1) for i in (1, 2, 3)])
         assert is_h_orthogonal(a, b)
 
