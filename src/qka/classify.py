@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -114,9 +113,9 @@ class Verdict:
 
 
 def _snap_cos(x) -> tuple[float, ...]:
-    """Cosines clipped to [0, 1], those within SNAP_TOL of 0 or 1 set to it."""
-    return tuple(0.0 if v <= SNAP_TOL else 1.0 if 1.0 - v <= SNAP_TOL else v
-                 for v in map(_clip01, x))
+    """Cosines within SNAP_TOL of 0 or 1, or beyond, set to it: clipped to
+    [0, 1] on the way (a NaN stays NaN)."""
+    return tuple(0.0 if v <= SNAP_TOL else 1.0 if 1.0 - v <= SNAP_TOL else v for v in x)
 
 
 def snapped(triple: AngleTriple) -> AngleTriple:
@@ -206,6 +205,25 @@ def _cells(projector: np.ndarray, dim: int, generators: list[np.ndarray],
     return cells
 
 
+class _once:
+    """A lazy attribute: ``func`` runs on the first read, and its value is
+    stored on the instance, where every later read finds it without calling
+    the descriptor (`functools.cached_property` without its per-class lock)."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class _Analysis:
     """The Omega/Pbar data of one subspace, and the one place its complete
     invariant (`cosines` plus `invariant`) is decided; every entry point reads it.
@@ -225,15 +243,15 @@ class _Analysis:
     def __init__(self, v_space: Subspace):
         self.space = v_space
 
-    @cached_property
+    @_once
     def w(self) -> np.ndarray:
         return _slot_structure(self.space)
 
-    @cached_property
+    @_once
     def exact(self) -> _ExactStructure:
         return _exact_structure(self.w)
 
-    @cached_property
+    @_once
     def report(self) -> ConstancyReport:
         """The exact triple when 2 * residual certifies constancy, else the
         witness points of W.  Dimension 3 reads only the witness, which is
@@ -249,7 +267,7 @@ class _Analysis:
                                           "CONSTANCY_TOL certifies nothing")
         return report
 
-    @cached_property
+    @_once
     def cosines(self) -> tuple[float, ...]:
         """The report's cosines with end values snapped (`_snap_cos`), the ones
         every decision compares: eigenvalue round-off surfaces as a
@@ -287,28 +305,28 @@ class _Analysis:
             raise NumericalFailure(_NOT_COMPLEX_STRUCTURE)
         return math.sqrt(c)
 
-    @cached_property
+    @_once
     def signs(self) -> tuple[np.ndarray, int] | None:
         """S = sym(M) and its +1 dimension (`_sign_split`), or None when
         phi3 = pi/2 (sqrt(c_3) at or below RIGHT_ANGLE_TOL), where the two
         signs coincide.
 
         W'_1 is antisymmetric, so Pbar1 Pbar2 = -X_12 / (cos(phi1) cos(phi2))
-        with X_12 = W'_1^T W'_2 (`_ExactStructure.cross12`), and
-        M = Pbar3^T Pbar1 Pbar2 = -W'_3^T X_12 / (cos(phi1) cos(phi2) cos(phi3)):
+        with X_12 = W'_1^T W'_2 (`_ExactStructure.cross12`), and so is W'_3,
+        so M = Pbar3^T Pbar1 Pbar2 = W'_3 X_12 / (cos(phi1) cos(phi2) cos(phi3)):
         one product, after the three Pbar gates.
         """
         self._require_constant()
         if math.sqrt(max(self.exact.cos2[2], 0.0)) <= RIGHT_ANGLE_TOL:
             return None
-        scale = -1.0
+        scale = 1.0
         for i in (1, 2, 3):
             scale /= self._gated_cos(i)
-        m = self.exact.w_canonical[2].T @ self.exact.cross12
+        m = self.exact.w_canonical[2] @ self.exact.cross12
         m *= scale
         return _sign_split(m)
 
-    @cached_property
+    @_once
     def invariant(self) -> TypeSignature | int | None | NumericalFailure:
         """The block type for dim V = 4l; the branch for dim V = 3 when the
         snap left cos(phi1) inside (0, 1), the one merge rule (the classes
@@ -367,11 +385,13 @@ class _Analysis:
         det Q = +-1 is the class.  Neither Sp(1)Sp(n) (A -> R A, det R = 1)
         nor a change of orthonormal basis P of V (A -> det(P) A P) moves it.
         cos(phi)^2 = <W, W> / 6 = tr G / 2, as in the report, and the ratio
-        must lie within BRANCH_TOL of +1 or -1.
+        must lie within BRANCH_TOL of +1 or -1.  det(A) is the triple
+        product of the rows w_a = (W_a[2, 1], W_a[0, 2], W_a[1, 0]), on floats.
         """
         w = self.w
-        axial = np.stack([w[:, 2, 1], w[:, 0, 2], w[:, 1, 0]], axis=1)  # row a is w_a
-        ratio = float(np.linalg.det(axial)) / (float(np.vdot(w, w)) / 6.0) ** 1.5
+        (a, b, c), (d, e, f), (g, h, i) = ((x[7], x[2], x[3]) for x in w.reshape(3, 9).tolist())
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        ratio = det / (float(np.vdot(w, w)) / 6.0) ** 1.5
         for sign in (1, -1):
             if abs(ratio - sign) <= BRANCH_TOL:
                 return sign
@@ -531,104 +551,100 @@ def _in_minus_region(x) -> bool:
     return x[0] + x[1] + x[2] <= 1.0 + REGION_TOL and x[2] > REGION_TOL
 
 
-def strata_for(k: int, n: int) -> list[ModuliStratum]:
-    """The strata of the moduli space of protohomogeneous k-subspaces of H^n."""
+# Every stratum is built once, at import: the strata of the (k, n) moduli
+# space depend on k and n only through the class of k and the ratio k / n,
+# so `_strata` picks rows of one table that no input changes.
+_SUM_REGIONS = (
+    ModuliStratum(
+        "single_class_region", "region",
+        "triples with cos(phi1)+cos(phi2)-cos(phi3) <= 1 outside the "
+        "two-class region; one subspace class per triple",
+        1, lambda x: x[0] + x[1] - x[2] <= 1.0 + REGION_TOL and not _in_minus_region(x)),
+    ModuliStratum(
+        "two_class_region", "region_with_Z2",
+        "triples with cos(phi1)+cos(phi2)+cos(phi3) <= 1 and "
+        "phi3 != pi/2; two inequivalent classes per triple",
+        2, _in_minus_region),
+)
+_SUM_BOUNDARY = (ModuliStratum(
+    "boundary_sum_surface", "surface",
+    "triples with cos(phi1)+cos(phi2)+-cos(phi3) = 1; blocks on "
+    "the rank-two boundary fit three quaternionic dimensions each",
+    1, lambda x: (abs(x[0] + x[1] - x[2] - 1.0) <= REGION_TOL
+                  or abs(x[0] + x[1] + x[2] - 1.0) <= REGION_TOL)),)
+_COMPLEXIFIED = (ModuliStratum(
+    "complexified_curve", "curve",
+    "triples (0, phi, phi), phi in [0, pi/2]",
+    1, lambda x: x[0] >= 1.0 - REGION_TOL and abs(x[1] - x[2]) <= REGION_TOL),)
+_QUATERNIONIC = (_point_stratum(
+    "quaternionic_point", (1.0, 1.0, 1.0),
+    "the quaternionic subspace, angles (0, 0, 0)",
+    annotation="tubes around a totally geodesic quaternionic "
+               "hyperbolic subspace"),)
+_KAHLER = (ModuliStratum(
+    "kahler_angle_curve", "curve",
+    "triples (phi, pi/2, pi/2), phi in [0, pi/2]",
+    1, lambda x: x[1] <= REGION_TOL and x[2] <= REGION_TOL),)
+_TOTALLY_COMPLEX = (_point_stratum(
+    "totally_complex_point", (1.0, 0.0, 0.0),
+    "the totally complex subspace, angles (0, pi/2, pi/2)"),)
+_V3_CURVES = (
+    ModuliStratum(
+        "single_branch_curve", "curve",
+        "triples (phi, phi, pi/2), phi in [0, pi/3) or phi = pi/2; "
+        "one subspace class per angle",
+        1, lambda x: (abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
+                      and (x[0] > 0.5 + REGION_TOL or x[0] <= REGION_TOL))),
+    ModuliStratum(
+        "two_branch_curve", "curve",
+        "triples (phi, phi, pi/2), phi in [pi/3, pi/2); two "
+        "inequivalent classes per angle",
+        2, lambda x: (abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
+                      and REGION_TOL < x[0] <= 0.5 + REGION_TOL)),
+)
+_IMAGINARY_LINE = (_point_stratum(
+    "imaginary_line_point", (1.0, 1.0, 0.0),
+    "the imaginary span of a vector, angles (0, 0, pi/2)"),)
+_V3_POINTS = _IMAGINARY_LINE + (_point_stratum(
+    "compact_branch_point", (0.5, 0.5, 0.0),
+    "the single 3-dimensional class at phi = pi/3 that fits two "
+    "quaternionic dimensions"),)
+_TOTALLY_REAL = (_point_stratum(
+    "totally_real_point", (0.0, 0.0, 0.0),
+    "the totally real subspace, angles (pi/2, pi/2, pi/2)"),)
+_LINE = (replace(_TOTALLY_REAL[0], annotation="solvable foliation"),)
+
+
+def _strata(k: int, n: int) -> tuple[ModuliStratum, ...]:
+    """The strata of the (k, n) moduli space, as a row of the one table."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= k <= 4 * n:
         raise ValueError(f"k must lie in [0, 4n] = [0, {4 * n}], got {k}")
     if k == 0:
-        return []
-    out: list[ModuliStratum] = []
+        return ()
     if k % 4 == 0:
         if k <= n:
-            def plus_only(x):
-                return x[0] + x[1] - x[2] <= 1.0 + REGION_TOL and not _in_minus_region(x)
-
-            out.append(ModuliStratum(
-                "single_class_region", "region",
-                "triples with cos(phi1)+cos(phi2)-cos(phi3) <= 1 outside the "
-                "two-class region; one subspace class per triple",
-                1, plus_only))
-            out.append(ModuliStratum(
-                "two_class_region", "region_with_Z2",
-                "triples with cos(phi1)+cos(phi2)+cos(phi3) <= 1 and "
-                "phi3 != pi/2; two inequivalent classes per triple",
-                2, _in_minus_region))
-        elif 3 * k <= 4 * n:
-            def on_boundary(x):
-                return (abs(x[0] + x[1] - x[2] - 1.0) <= REGION_TOL
-                        or abs(x[0] + x[1] + x[2] - 1.0) <= REGION_TOL)
-
-            out.append(ModuliStratum(
-                "boundary_sum_surface", "surface",
-                "triples with cos(phi1)+cos(phi2)+-cos(phi3) = 1; blocks on "
-                "the rank-two boundary fit three quaternionic dimensions each",
-                1, on_boundary))
-        elif k <= 2 * n:
-            def complexified(x):
-                return x[0] >= 1.0 - REGION_TOL and abs(x[1] - x[2]) <= REGION_TOL
-
-            out.append(ModuliStratum(
-                "complexified_curve", "curve",
-                "triples (0, phi, phi), phi in [0, pi/2]",
-                1, complexified))
-        else:
-            out.append(_point_stratum(
-                "quaternionic_point", (1.0, 1.0, 1.0),
-                "the quaternionic subspace, angles (0, 0, 0)",
-                annotation="tubes around a totally geodesic quaternionic "
-                           "hyperbolic subspace"))
-    elif k % 2 == 0:
+            return _SUM_REGIONS
+        if 3 * k <= 4 * n:
+            return _SUM_BOUNDARY
+        return _COMPLEXIFIED if k <= 2 * n else _QUATERNIONIC
+    if k % 2 == 0:
         if k <= n:
-            def kahler_line(x):
-                return x[1] <= REGION_TOL and x[2] <= REGION_TOL
-
-            out.append(ModuliStratum(
-                "kahler_angle_curve", "curve",
-                "triples (phi, pi/2, pi/2), phi in [0, pi/2]",
-                1, kahler_line))
-        elif k <= 2 * n:
-            out.append(_point_stratum(
-                "totally_complex_point", (1.0, 0.0, 0.0),
-                "the totally complex subspace, angles (0, pi/2, pi/2)"))
-    elif k == 3:
+            return _KAHLER
+        return _TOTALLY_COMPLEX if k <= 2 * n else ()
+    if k == 3:
         if k <= n:
-            def merged(x):
-                return (abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
-                        and (x[0] > 0.5 + REGION_TOL or x[0] <= REGION_TOL))
+            return _V3_CURVES
+        return _V3_POINTS if k <= 2 * n else _IMAGINARY_LINE  # n = 1, 2
+    if k > n:
+        return ()
+    return _LINE if k == 1 else _TOTALLY_REAL
 
-            def branched(x):
-                return (abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
-                        and REGION_TOL < x[0] <= 0.5 + REGION_TOL)
 
-            out.append(ModuliStratum(
-                "single_branch_curve", "curve",
-                "triples (phi, phi, pi/2), phi in [0, pi/3) or phi = pi/2; "
-                "one subspace class per angle",
-                1, merged))
-            out.append(ModuliStratum(
-                "two_branch_curve", "curve",
-                "triples (phi, phi, pi/2), phi in [pi/3, pi/2); two "
-                "inequivalent classes per angle",
-                2, branched))
-        else:  # n = 1, 2 (4n >= k = 3 > n)
-            out.append(_point_stratum(
-                "imaginary_line_point", (1.0, 1.0, 0.0),
-                "the imaginary span of a vector, angles (0, 0, pi/2)"))
-            if k <= 2 * n:
-                out.append(_point_stratum(
-                    "compact_branch_point", (0.5, 0.5, 0.0),
-                    "the single 3-dimensional class at phi = pi/3 that fits two "
-                    "quaternionic dimensions"))
-    else:
-        if k <= n:
-            out.append(_point_stratum(
-                "totally_real_point", (0.0, 0.0, 0.0),
-                "the totally real subspace, angles (pi/2, pi/2, pi/2)"))
-    if k == 1:
-        out = [replace(s, annotation="solvable foliation") for s in out]
-    return out
+def strata_for(k: int, n: int) -> list[ModuliStratum]:
+    """The strata of the moduli space of protohomogeneous k-subspaces of H^n."""
+    return list(_strata(k, n))
 
 
 @dataclass(frozen=True)
@@ -655,7 +671,7 @@ def moduli_membership(k: int, n: int, triple: AngleTriple) -> list[StratumMember
         raise ValueError("membership needs k >= 1")
     x = triple.cos_tuple()
     hits = []
-    for stratum in strata_for(k, n):
+    for stratum in _strata(k, n):
         if stratum.predicate(x):
             if stratum.multiplicity == 2:
                 hits.append(StratumMembership(stratum, 1))

@@ -202,8 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moduli", help="stratification of the (k, n) moduli space")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--triple", type=float, nargs=3, metavar="RAD")
-    p.add_argument("--cos", type=float, nargs=3, metavar="COS")
+    angle = p.add_mutually_exclusive_group()
+    angle.add_argument("--triple", type=float, nargs=3, metavar="RAD")
+    angle.add_argument("--cos", type=float, nargs=3, metavar="COS")
     p.set_defaults(func=_cmd_moduli)
 
     p = sub.add_parser("selftest", help="run the acceptance battery")

@@ -221,8 +221,12 @@ class GroupElement:
         n = matrix.shape[0]
         left = _real_left(matrix)
         # L(A)^T L(A) = L(A* A), whose entries are +- the components of A* A,
-        # so this is the componentwise test of A* A = Id.
-        if np.max(np.abs(left.T @ left - np.eye(4 * n))) > 1e-10:
+        # each of them in the first column of its 4x4 block.  Column 4b of
+        # L(A) is column b of A, so those first columns are L(A)^T times the
+        # (4n, n) matrix of A's columns: the componentwise test of A* A = Id.
+        first = left.T @ matrix.transpose(0, 2, 1).reshape(4 * n, n)
+        first[::4] -= np.eye(n)
+        if np.max(np.abs(first)) > 1e-10:
             raise ValueError("matrix is not quaternionic unitary (A* A != Id)")
         real = (_right_matrix(quat_conj(q)) @ left.reshape(n, 4, 4 * n)).reshape(4 * n, 4 * n)
         object.__setattr__(self, "q", q)

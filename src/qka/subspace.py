@@ -9,7 +9,7 @@ when Omega is isospectral over the unit sphere of V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,11 +71,15 @@ def _finite_clip01(x: float, what: str) -> float:
 
 @dataclass(frozen=True)
 class AngleTriple:
-    """Sorted angles (phi1, phi2, phi3) with 0 <= phi1 <= phi2 <= phi3 <= pi/2."""
+    """Sorted angles (phi1, phi2, phi3) with 0 <= phi1 <= phi2 <= phi3 <= pi/2.
+
+    Its three cosines are taken once, when the triple is made, and every
+    reader (`cos_tuple`) shares them."""
 
     phi1: float
     phi2: float
     phi3: float
+    _cos: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = (self.phi1, self.phi2, self.phi3)
@@ -84,16 +88,17 @@ class AngleTriple:
                 raise ValueError(f"angle {phi} lies outside [0, pi/2]")
         if not (a[0] <= a[1] + 1e-12 and a[1] <= a[2] + 1e-12):
             raise ValueError(f"angles must be sorted ascending, got {a}")
+        object.__setattr__(self, "_cos", (math.cos(a[0]), math.cos(a[1]), math.cos(a[2])))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi1, self.phi2, self.phi3)
 
     def cos_tuple(self) -> tuple[float, float, float]:
         """The three cosines as floats, the ones every region predicate reads."""
-        return (math.cos(self.phi1), math.cos(self.phi2), math.cos(self.phi3))
+        return self._cos
 
     def cosines(self) -> np.ndarray:
-        return np.array(self.cos_tuple())
+        return np.array(self._cos)
 
     def cos2(self) -> np.ndarray:
         return self.cosines() ** 2
@@ -103,13 +108,19 @@ class AngleTriple:
         """The triple of the cosines clipped to [0, 1], in any order (a NaN or
         an infinite cosine is refused).  math.acos is numpy's scalar arccos
         loop, bit for bit."""
-        x = sorted([_finite_clip01(float(c), "cosine") for c in cosines], reverse=True)
-        return cls(*map(math.acos, x))  # descending cosines give ascending angles
+        return cls._from_clipped([_finite_clip01(float(c), "cosine") for c in cosines])
 
     @classmethod
     def from_cos2_eigenvalues(cls, lams) -> "AngleTriple":
-        return cls.from_cosines([math.sqrt(_finite_clip01(float(v), "squared cosine"))
-                                 for v in lams])
+        """The triple of squared cosines, given as Python floats (`ndarray.tolist`),
+        each clipped once: the square root of a value in [0, 1] lies there too."""
+        return cls._from_clipped([math.sqrt(_finite_clip01(v, "squared cosine"))
+                                  for v in lams])
+
+    @classmethod
+    def _from_clipped(cls, x: list[float]) -> "AngleTriple":
+        x.sort(reverse=True)  # descending cosines give ascending angles
+        return cls(*map(math.acos, x))
 
     def __iter__(self):
         return iter(self.as_tuple())
@@ -298,7 +309,7 @@ class _ExactStructure:
 
     @property
     def triple(self) -> AngleTriple:
-        return AngleTriple.from_cos2_eigenvalues(self.cos2)
+        return AngleTriple.from_cos2_eigenvalues(self.cos2.tolist())
 
 
 def _slot_structure(v_space: Subspace) -> np.ndarray:
@@ -309,34 +320,38 @@ def _slot_structure(v_space: Subspace) -> np.ndarray:
     R_i (0,1)(2,3), R_j (0,2)(1,3) and -R_k (0,3)(1,2), so W_a = E_a - E_a^T
     with E_1 = C_23 - C_01, E_2 = -C_02 - C_13 and E_3 = C_03 - C_12.  The
     six C_uv come from three products of strided views of B, with no
-    4n-length temporary, and every W_a is exactly antisymmetric.
+    4n-length temporary, and every W_a is exactly antisymmetric.  The three
+    E_a are combined in place in one (3, k, k) array, which one batched
+    subtraction antisymmetrizes.  E_2 is the exact negation of C_02 + C_13,
+    and -a - (-b) rounds as b - a, signed zeros included.
     """
     n, k = v_space.n, v_space.k
     b = v_space.basis.reshape(n, 4, k)
     c0 = b[:, 0].T @ b[:, 1:].reshape(n, 3 * k)  # [C_01 C_02 C_03]
     c1 = b[:, 1].T @ b[:, 2:].reshape(n, 2 * k)  # [C_12 C_13]
-    c23 = b[:, 2].T @ b[:, 3]
-    w = np.empty((3, k, k))
-    e = c23 - c0[:, :k]
-    np.subtract(e, e.T, out=w[0])
-    e = c0[:, k:2 * k] + c1[:, k:]  # -E_2
-    np.subtract(e.T, e, out=w[1])
-    e = c0[:, 2 * k:] - c1[:, :k]
-    np.subtract(e, e.T, out=w[2])
-    return w
+    e = np.empty((3, k, k))
+    np.matmul(b[:, 2].T, b[:, 3], out=e[0])  # C_23
+    e[0] -= c0[:, :k]
+    np.add(c0[:, k:2 * k], c1[:, k:], out=e[1])
+    np.negative(e[1], out=e[1])
+    np.subtract(c0[:, 2 * k:], c1[:, :k], out=e[2])
+    return e - e.transpose(0, 2, 1)
 
 
 def _exact_structure(w: np.ndarray) -> _ExactStructure:
     """Build the exact structure (the frame) of V from W (one 3x3 eigh).
 
-    The residual is summed over the pairs a <= b from k x k products only:
-    ||W'_a^T W'_a - c_a I||^2, plus 2 ||sym(W'_a^T W'_b)||^2 for a < b (the
-    (b, a) term is its transpose).  The largest entry of each diagonal term
-    is kept as ``square_gap``, and the cross product W'_1^T W'_2 as
-    ``cross12``.  W'_a is antisymmetric, to the bit: the rotation sums each
-    entry and its mirror alike from the exactly antisymmetric W_b (the tests
-    pin this).  So that one product gates both Pbar_a^T Pbar_a = I and
-    Pbar_a^2 = -I, and the analysis forms neither again.
+    W'_a is antisymmetric, to the bit: the rotation sums each entry and its
+    mirror alike from the exactly antisymmetric W_b (the tests pin this).
+    So W'_a^T W'_a = -W'_a W'_a, and W'_a^T W'_b = -W'_a W'_b = -(W'_b W'_a)^T:
+    the frame takes three products, none with a transposed operand.  The
+    batch W'_a W'_a gives the diagonal terms ||W'_a^T W'_a - c_a I||^2 of the
+    residual, and their largest entries as ``square_gap``; that one product
+    gates both Pbar_a^T Pbar_a = I and Pbar_a^2 = -I, and the analysis forms
+    neither again.  [W'_2; W'_3] W'_1, one (2k x k) product, and W'_3 W'_2
+    give the cross terms 2 ||sym(W'_a^T W'_b)||^2 for a < b (the (b, a)
+    term is its transpose), and X_12 = W'_1^T W'_2 = -(W'_2 W'_1)^T as
+    ``cross12``.  Every sign is an exact negation.
     """
     k = w.shape[-1]
     flat = w.reshape(3, -1)
@@ -344,21 +359,19 @@ def _exact_structure(w: np.ndarray) -> _ExactStructure:
     cos2, vecs = _descending_eigh(gram)
     rotation = _rotation_from_columns(vecs)
     wc = (rotation @ flat).reshape(3, k, k)
-    wct = wc.transpose(0, 2, 1)
-    d = wct @ wc  # W'_a^T W'_a
-    d.reshape(3, -1)[:, ::k + 1] -= cos2[:, None]  # minus c_a I
+    d = wc @ wc  # -W'_a^T W'_a
+    d.reshape(3, -1)[:, ::k + 1] += cos2[:, None]  # -(W'_a^T W'_a - c_a I)
     np.abs(d, out=d)  # the residual and square_gap read |d| alike
-    cross12 = wct[0] @ wc[1]
-    total = 0.0
-    for a in range(3):
-        total += np.vdot(d[a], d[a])
-        for b in range(a + 1, 3):
-            x = cross12 if b == 1 else wct[a] @ wc[b]
-            x = x + x.T  # 2 sym(W'_a^T W'_b)
-            total += 0.5 * np.vdot(x, x)
+    square_gap = d.max(axis=(1, 2))
+    total = float(np.vdot(d, d))
+    cross = np.empty((3, k, k))  # W'_2 W'_1, W'_3 W'_1, W'_3 W'_2
+    np.matmul(wc[1:].reshape(2 * k, k), wc[0], out=cross[:2].reshape(2 * k, k))
+    np.matmul(wc[2], wc[1], out=cross[2])
+    sym = np.add(cross, cross.transpose(0, 2, 1), out=d)  # -2 sym(W'_a^T W'_b)
+    total += 0.5 * float(np.vdot(sym, sym))
     return _ExactStructure(rotation=rotation, cos2=cos2, w_canonical=wc,
-                           residual=math.sqrt(total), square_gap=d.max(axis=(1, 2)),
-                           cross12=cross12)
+                           residual=math.sqrt(total), square_gap=square_gap,
+                           cross12=np.negative(cross[0].T))
 
 
 def vector_qka(v_space: Subspace, v) -> tuple[AngleTriple, CanonicalBasis]:
@@ -372,7 +385,7 @@ def vector_qka(v_space: Subspace, v) -> tuple[AngleTriple, CanonicalBasis]:
     om = omega(v_space, v)
     lams, vecs = _descending_eigh(om)
     basis = _basis_from_columns(vecs)
-    return AngleTriple.from_cos2_eigenvalues(lams), basis
+    return AngleTriple.from_cos2_eigenvalues(lams.tolist()), basis
 
 
 def _sample_coeffs(k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -406,7 +419,7 @@ def _spectrum_report(w: np.ndarray, coeffs: np.ndarray) -> ConstancyReport:
     wx = _w_at(w, coeffs)
     lams = np.linalg.eigvalsh(wx @ wx.transpose(0, 2, 1))
     spread = float(np.max(lams.max(axis=0) - lams.min(axis=0)))
-    triple = AngleTriple.from_cos2_eigenvalues(lams[0, ::-1])
+    triple = AngleTriple.from_cos2_eigenvalues(lams[0, ::-1].tolist())
     return ConstancyReport(triple=triple, max_spread=spread, samples=len(lams),
                            constant=spread <= CONSTANCY_TOL)
 
@@ -442,8 +455,8 @@ def _witness_report(w: np.ndarray) -> ConstancyReport:
     stacked = w.reshape(3 * k, k)  # [W_1; W_2; W_3], so M = stacked^T stacked
     m = stacked.T @ stacked
     if k == 3:
-        mu = np.linalg.eigvalsh(m)
-        spread = float(max(mu[1] - mu[0], mu[2] - mu[1]))
+        mu = np.linalg.eigvalsh(m).tolist()
+        spread = max(mu[1] - mu[0], mu[2] - mu[1])
         t = float(np.vdot(w, w)) / 2.0  # tr M / 2
         cos2 = (t / 3.0, t / 3.0) if spread <= CONSTANCY_TOL else (t - mu[1], t - mu[2])
         triple = AngleTriple.from_cos2_eigenvalues((*cos2, 0.0))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import qka.classify
 import qka.subspace
 from qka.classify import (
+    ModuliStratum,
     TypeSignature,
     Verdict,
     are_equivalent,
@@ -1595,3 +1596,110 @@ def test_no_eigvalsh_and_no_pbar_on_the_type_path(monkeypatch):
         assert type_of(space) == block_type
         assert are_equivalent(space, space).is_yes
     assert are_equivalent(inputs[0], inputs[1]).is_no
+
+
+def _reference_slot_structure(v_space):
+    """W as the slot kernel formed it with three separate antisymmetrizations:
+    the reference the kernel must meet bit for bit."""
+    n, k = v_space.n, v_space.k
+    b = v_space.basis.reshape(n, 4, k)
+    c0 = b[:, 0].T @ b[:, 1:].reshape(n, 3 * k)
+    c1 = b[:, 1].T @ b[:, 2:].reshape(n, 2 * k)
+    c23 = b[:, 2].T @ b[:, 3]
+    w = np.empty((3, k, k))
+    e = c23 - c0[:, :k]
+    np.subtract(e, e.T, out=w[0])
+    e = c0[:, k:2 * k] + c1[:, k:]  # -E_2
+    np.subtract(e.T, e, out=w[1])
+    e = c0[:, 2 * k:] - c1[:, :k]
+    np.subtract(e, e.T, out=w[2])
+    return w
+
+
+def _one_pass_inputs():
+    rng = np.random.default_rng(25)
+    spaces = [_random_subspace(rng, k, (k + 3) // 4 + int(rng.integers(0, 4)))
+              for k in range(3, 65)]
+    for k in range(4, 65, 4):
+        for l_plus in sorted({0, k // 8}):
+            spaces.append(moved(construct_sum(TA, l_plus, k // 4 - l_plus, k), k + l_plus))
+    return spaces
+
+
+class TestOnePass:
+    def test_slot_structure_is_the_reference_bit_for_bit(self):
+        # tobytes compares the bits, the sign of every zero included.
+        for space in _one_pass_inputs():
+            assert _slot_structure(space).tobytes() == \
+                _reference_slot_structure(space).tobytes(), space
+
+    def test_frame_products_have_no_transposed_operand(self):
+        # W'^T W' is read off -W'W' and X_12 off -(W'_2 W'_1)^T, bit for bit:
+        # products of the contiguous W', with every sign an exact negation.
+        for space in _one_pass_inputs():
+            exact = _exact_structure(_slot_structure(space))
+            wc, k = exact.w_canonical, space.k
+            d = wc @ wc + exact.cos2[:, None, None] * np.eye(k)
+            assert exact.square_gap.tobytes() == np.abs(d).max(axis=(1, 2)).tobytes()
+            cross = wc[1:].reshape(2 * k, k) @ wc[0]
+            assert exact.cross12.tobytes() == np.ascontiguousarray(-cross[:k].T).tobytes()
+
+    def test_strata_records_are_built_once(self, monkeypatch):
+        built = []
+        init = ModuliStratum.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["name"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModuliStratum, "__init__", counted)
+        rng = np.random.default_rng(0)
+        hits = [moduli_membership(8, 8, AngleTriple.from_cosines(rng.uniform(0.0, 0.5, 3)))
+                for _ in range(100)]
+        assert built == [] and any(hits)
+        first, second = strata_for(8, 8), strata_for(8, 8)
+        assert first is not second and first == second
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_branch_sign_calls_no_det(self, monkeypatch):
+        spaces = [moved(construct_v3(phi, sign, 4), seed)
+                  for seed, (phi, sign) in enumerate(itertools.product((1.1, 1.3, 1.5), (1, -1)))]
+        expected = [branch_of_v3(space) for space in spaces]
+        assert expected == [1, -1] * 3
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.det ran")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        assert [branch_of_v3(space) for space in spaces] == expected
+
+    def test_eigenvalues_reach_the_clip_as_floats_once(self, monkeypatch):
+        handed, clipped = [], []
+        clip = qka.subspace._finite_clip01
+        from_eigenvalues = AngleTriple.from_cos2_eigenvalues.__func__
+
+        def spy_clip(x, what):
+            clipped.append((x, what))
+            return clip(x, what)
+
+        def spy_from(cls, lams):
+            handed.append(lams)
+            return from_eigenvalues(cls, lams)
+
+        monkeypatch.setattr(qka.subspace, "_finite_clip01", spy_clip)
+        monkeypatch.setattr(AngleTriple, "from_cos2_eigenvalues", classmethod(spy_from))
+        rng = np.random.default_rng(3)
+        inside = [moved(construct_sum(TA, 1, 1, 8), 1), moved(construct_sum(TA, 2, 2, 16), 2),
+                  _random_subspace(rng, 8, 8), _random_subspace(rng, 5, 6)]
+        for space in inside + [moved(construct_v3(1.2, 1, 3), 3)]:
+            handed.clear()
+            clipped.clear()
+            record = classify_subspace(space)
+            assert handed and all(type(v) is float for lams in handed for v in lams)
+            assert all(type(x) is float for x, _ in clipped)
+            if space in inside:
+                # Each squared cosine is clipped once, and no cosine again.
+                assert all(SNAP_TOL < c < 1.0 - SNAP_TOL for c in record["cosines"])
+                values = [v for lams in handed for v in lams]
+                assert [w for _, w in clipped] == ["squared cosine"] * len(values)
+                assert all(x is v for (x, _), v in zip(clipped, values))

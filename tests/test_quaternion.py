@@ -9,6 +9,7 @@ from qka.quaternion import (
     GroupElement,
     _STANDARD_BLOCKS,
     _left_matrix,
+    _real_left,
     _right_matrix,
     induced_rotation,
     quat_conj,
@@ -166,6 +167,32 @@ def test_group_element_validation():
     bad[0, 1, 0] = 0.5
     with pytest.raises(ValueError):
         GroupElement([1.0, 0, 0, 0], bad)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_unitarity_gate_refuses_as_the_full_product(n):
+    # The gate reads the first column of every 4x4 block of L(A)^T L(A); the
+    # reference is the whole product against the identity, with the same bound.
+    a = random_unitary(n, 40 + n)
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    rng = np.random.default_rng(n)
+    for off in (1e-9, 1e-11, *np.geomspace(3e-11, 3e-10, 9)):
+        for _ in range(4):
+            bad = a.copy()
+            bad[tuple(rng.integers(0, (n, n, 4)))] += off * rng.choice([-1.0, 1.0])
+            left = _real_left(bad)
+            full = np.max(np.abs(left.T @ left - np.eye(4 * n)))
+            if abs(full - 1e-10) <= 1e-16:
+                continue  # on the bound, where rounding may decide either way
+            try:
+                GroupElement(q, bad)
+                refused = False
+            except ValueError as exc:
+                assert "not quaternionic unitary" in str(exc)
+                refused = True
+            assert refused == (full > 1e-10), (off, full)
+            if off in (1e-9, 1e-11):
+                assert refused == (off == 1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -173,6 +173,17 @@ class TestCli:
         assert code == 2 and stdout == ""
         assert f"angle {bad} lies outside [0, pi/2]" in stderr and "sorted" not in stderr
 
+    @pytest.mark.parametrize("first,second", [("--triple", "--cos"), ("--cos", "--triple")])
+    def test_moduli_refuses_triple_and_cos_together(self, capsys, first, second):
+        # Before, --cos won silently and the command exited 0.
+        values = {"--triple": ["0.1", "0.2", "0.3"], "--cos": ["0.3", "0.3", "0.3"]}
+        with pytest.raises(SystemExit) as exc:
+            main(["moduli", "--k", "4", "--n", "4", first, *values[first],
+                  second, *values[second]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument {second}: not allowed with argument {first}" in captured.err
+
     def test_construct_prints_snapped_cosines(self, tmp_path, capsys):
         code, stdout, _ = run_cli(["construct", "--family", "cka_plane_sum", "--k", "4",
                                    "--n", "4", "--angles", "0.8",
