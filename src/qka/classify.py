@@ -27,7 +27,6 @@ from .subspace import (
     _exact_structure,
     _ExactStructure,
     _NOT_COMPLEX_STRUCTURE,
-    _clip01,
     _slot_structure,
     _witness_report,
 )
@@ -112,15 +111,10 @@ class Verdict:
         return self.value == "no"
 
 
-def _snap_cos(x) -> tuple[float, ...]:
-    """Cosines within SNAP_TOL of 0 or 1, or beyond, set to it: clipped to
-    [0, 1] on the way (a NaN stays NaN)."""
+def snapped(x) -> tuple[float, ...]:
+    """Cosines within SNAP_TOL of 0 or 1, or beyond, set to it: the exact
+    angles pi/2 and 0 (a NaN stays NaN).  Descending cosines stay so."""
     return tuple(0.0 if v <= SNAP_TOL else 1.0 if 1.0 - v <= SNAP_TOL else v for v in x)
-
-
-def snapped(triple: AngleTriple) -> AngleTriple:
-    """Snap angles within SNAP_TOL of 0 or pi/2 (on cosines) to the exact value."""
-    return AngleTriple.from_cosines(_snap_cos(triple.cos_tuple()))
 
 
 def _sign_split(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -139,7 +133,7 @@ def _sign_split(m: np.ndarray) -> tuple[np.ndarray, int]:
     s *= 0.5
     sq = s @ s
     sq.flat[::k + 1] -= 1.0
-    dev = math.sqrt(np.vdot(sq, sq))
+    dev = math.sqrt(np.square(sq, out=sq).sum())  # no BLAS dot, whose threads move bits
     if not dev <= SIGN_INVOLUTION_TOL:  # a NaN is refused, not counted
         raise NumericalFailure(
             f"sign involution gate: sym(Pbar3^T Pbar1 Pbar2) is not an involution "
@@ -269,10 +263,10 @@ class _Analysis:
 
     @_once
     def cosines(self) -> tuple[float, ...]:
-        """The report's cosines with end values snapped (`_snap_cos`), the ones
+        """The report's cosines with end values snapped (`snapped`), the ones
         every decision compares: eigenvalue round-off surfaces as a
         square-root-sized cosine error at the ends of the range."""
-        return _snap_cos(self.report.triple.cos_tuple())
+        return snapped(self.report.triple.cos_tuple())
 
     def _require_constant(self) -> None:
         """Raise unless the angle is decided constant.  For dim V = 4l only the
@@ -669,16 +663,14 @@ def moduli_membership(k: int, n: int, triple: AngleTriple) -> list[StratumMember
     """
     if k < 1:
         raise ValueError("membership needs k >= 1")
-    x = triple.cos_tuple()
-    hits = []
-    for stratum in _strata(k, n):
-        if stratum.predicate(x):
-            if stratum.multiplicity == 2:
-                hits.append(StratumMembership(stratum, 1))
-                hits.append(StratumMembership(stratum, -1))
-            else:
-                hits.append(StratumMembership(stratum))
-    return hits
+    return _strata_holding(k, n, triple.cos_tuple())
+
+
+def _strata_holding(k: int, n: int, x: tuple[float, ...]) -> list[StratumMembership]:
+    """`moduli_membership` of the triple with cosines ``x``."""
+    return [StratumMembership(stratum, branch) for stratum in _strata(k, n)
+            if stratum.predicate(x)
+            for branch in ((1, -1) if stratum.multiplicity == 2 else (None,))]
 
 
 _SPECIAL_ACTIONS = [
@@ -724,14 +716,14 @@ def _snap_into_strata(
     a triple within SNAP_TOL of a region boundary is built and reported in
     the same stratum.
     """
-    given = tuple(map(_clip01, triple.cos_tuple()))
-    x = _snap_cos(given)
+    given = triple.cos_tuple()
+    x = snapped(given)
     if x != given:
-        snapped_hits = moduli_membership(k, n, AngleTriple.from_cosines(x))
+        snapped_hits = _strata_holding(k, n, x)
         if snapped_hits:
             return x, snapped_hits
         x = given
-    return x, moduli_membership(k, n, triple) if hits is None else hits
+    return x, _strata_holding(k, n, x) if hits is None else hits
 
 
 def _fitting_class(blocks: Callable[[int], _Blocks], branch: int | None, n: int) -> Subspace:
@@ -769,15 +761,14 @@ def representative(
             raise ValueError(f"branch must be the int +1 or -1, got {branch!r}")
         if not any(h.stratum.multiplicity == 2 for h in hits):
             raise ValueError("branch selection on a single-class stratum")
-    angles = AngleTriple.from_cosines(x)
     if k == 3:
         if x[0] >= 1.0:  # (0, 0, pi/2)
             return construct_classical("im_h_line", 3, n)
         if x[0] <= 0.0:  # totally real
             return construct_classical("totally_real", 3, n)
-        return _fitting_class(lambda s: _v3_blocks(angles.phi1, s), branch, n)
+        return _fitting_class(lambda s: _v3_blocks(math.acos(x[0]), s), branch, n)
     if k % 4 == 0:
-        l = k // 4
+        l, angles = k // 4, AngleTriple._stored(*x)
         return _fitting_class(lambda s: _sum_blocks(angles, *((l, 0) if s == 1 else (0, l))),
                               branch, n)
     if k % 2 == 0:
@@ -785,7 +776,7 @@ def representative(
             return construct_classical("totally_complex", k, n)
         if x[0] <= 0.0:
             return construct_classical("totally_real", k, n)
-        return construct_classical("cka_plane_sum", k, n, phi=angles.phi1)
+        return construct_classical("cka_plane_sum", k, n, phi=math.acos(x[0]))
     return construct_classical("totally_real", k, n)
 
 

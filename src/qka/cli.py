@@ -66,15 +66,18 @@ def _checked_cosines(values: list[float]) -> list[float]:
 
 
 def _parse_angles(args) -> tuple[AngleTriple | None, float | None]:
-    """Angle inputs: full triple or a single family parameter phi."""
-    values = args.angles if args.cos is None else [math.acos(c) for c in _checked_cosines(args.cos)]
+    """Angle inputs: full triple or a single family parameter phi, in
+    radians (--angles, or --triple of moduli) or as cosines (--cos).  Three
+    cosines are stored as given; one is taken through acos."""
+    values = args.angles if args.cos is None else _checked_cosines(args.cos)
     if values is None:
         return None, None
-    if len(values) == 1:
-        return None, values[0]
     if len(values) == 3:
-        return AngleTriple(*sorted(values)), values[0]
-    raise ValueError("--angles/--cos take one value (a family parameter) or three")
+        return (AngleTriple(*sorted(values)) if args.cos is None
+                else AngleTriple.from_cosines(values)), None
+    if len(values) != 1:
+        raise ValueError("--angles/--cos take one value (a family parameter) or three")
+    return None, values[0] if args.cos is None else math.acos(values[0])
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -138,11 +141,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_moduli(args) -> int:
-    if args.cos is not None:
-        triple = AngleTriple.from_cosines(_checked_cosines(args.cos))
-    elif args.triple is not None:
-        triple = AngleTriple(*sorted(args.triple))
-    else:
+    triple, _ = _parse_angles(args)
+    if triple is None:
         _emit(moduli_describe(args.k, args.n))
         return 0
     hits = moduli_membership(args.k, args.n, triple)
@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     angle = p.add_mutually_exclusive_group()
-    angle.add_argument("--triple", type=float, nargs=3, metavar="RAD")
+    angle.add_argument("--triple", type=float, nargs=3, metavar="RAD", dest="angles")
     angle.add_argument("--cos", type=float, nargs=3, metavar="COS")
     p.set_defaults(func=_cmd_moduli)
 

@@ -69,11 +69,20 @@ def _check_sign(sign: int) -> int:
     return sign
 
 
-def _gram(phis, sign: int) -> list[list[float]]:
-    """The Gram matrix of e_1, e_2, e_3 at the angles ``phis`` as rows of
+def _sin(c: float) -> float:
+    """sin(phi) from c = cos(phi) in [0, 1], for the cosines of a triple."""
+    return math.sqrt((1.0 - c) * (1.0 + c))
+
+
+def _cos_sin(phi: float) -> tuple[float, float]:
+    """(cos(phi), sin(phi)) of an angle a builder takes as phi."""
+    return math.cos(phi), math.sin(phi)
+
+
+def _gram(c, sign: int) -> list[list[float]]:
+    """The Gram matrix of e_1, e_2, e_3 at the cosines ``c`` as rows of
     floats, unchecked: the module docstring's inner products."""
-    c = [math.cos(phi) for phi in phis]
-    s = [math.sin(phi) for phi in phis]
+    s = [_sin(x) for x in c]
     g = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -84,9 +93,10 @@ def _gram(phis, sign: int) -> list[list[float]]:
 def gram_matrix(angles: AngleTriple, sign: int) -> np.ndarray:
     """The 3x3 Gram matrix of the auxiliary vectors e_1, e_2, e_3."""
     _check_sign(sign)
-    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
+    x = angles.cos_tuple()
+    if x[0] > 1.0 - BOUNDARY_TOL:
         raise ValueError("gram matrix is singular at phi1 = 0")
-    return np.array(_gram(angles.as_tuple(), sign))
+    return np.array(_gram(x, sign))
 
 
 def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
@@ -96,9 +106,9 @@ def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
     of that inequality the Gram matrix has rank 2, otherwise rank 3.
     """
     _check_sign(sign)
-    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
-        raise ValueError("admissibility test requires phi1 > 0")
     x = angles.cos_tuple()
+    if x[0] > 1.0 - BOUNDARY_TOL:
+        raise ValueError("admissibility test requires phi1 > 0")
     margin = x[0] + x[1] - sign * x[2] - 1.0
     if margin > REGION_TOL:
         return False, None
@@ -150,27 +160,29 @@ def _units(*us: int) -> np.ndarray:
     return np.eye(4)[:, list(us)]
 
 
-def _tilted_block(phis, frame: np.ndarray) -> np.ndarray:
-    """Columns e_0 and cos(phi_u) J_u e_0 + sin(phi_u) J_u f_u, u = 1, 2, ...
+def _tilted_block(cos_sin, frame: np.ndarray) -> np.ndarray:
+    """Columns e_0 and cos(phi_u) J_u e_0 + sin(phi_u) J_u f_u, u = 1, 2, ...,
+    from the pairs (cos(phi_u), sin(phi_u)).
 
     f_u = sum_r frame[u - 1, r] e_{1 + r}, so the block has 1 + frame.shape[1]
-    slots.  A sign-class block takes its angle triple and a factor of its
-    Gram matrix as the frame.
+    slots.  A sign-class block takes the cosines of its triple, each with
+    its `_sin`, and a factor of its Gram matrix as the frame.
     """
     m, rank = frame.shape
     block = np.zeros((4 * (1 + rank), 1 + m))
     block[0, 0] = 1.0
-    for u in range(1, m + 1):
-        block[u, u] = math.cos(phis[u - 1])
-        block[4 + u::4, u] = math.sin(phis[u - 1]) * frame[u - 1]
+    for u, (c, s) in enumerate(cos_sin, 1):
+        block[u, u] = c
+        block[4 + u::4, u] = s * frame[u - 1]
     return block
 
 
-def _complexified_block(phi: float) -> np.ndarray:
-    """One 4-dimensional block with angles (0, phi, phi), phi in [0, pi/2]."""
-    if math.cos(phi) > 1.0 - BOUNDARY_TOL:
+def _complexified_block(c: float, s: float) -> np.ndarray:
+    """One 4-dimensional block with angles (0, phi, phi), from c = cos(phi)
+    and s = sin(phi), phi in [0, pi/2]."""
+    if c > 1.0 - BOUNDARY_TOL:
         return _units(0, 1, 2, 3)
-    return _tilted_block((0.0, phi, phi), np.array([[0.0], [1.0], [1.0]]))
+    return _tilted_block(((1.0, 0.0), (c, s), (c, s)), np.array([[0.0], [1.0], [1.0]]))
 
 
 def _on_two_slots(block: np.ndarray) -> np.ndarray:
@@ -187,8 +199,8 @@ _CLASSICAL_BLOCKS = {
     "totally_complex": (2, lambda phi: _units(0, 1)),
     "quaternionic": (4, lambda phi: _units(0, 1, 2, 3)),
     "im_h_line": (3, lambda phi: _units(1, 2, 3)),
-    "cka_plane_sum": (2, lambda phi: _tilted_block((phi,), np.ones((1, 1)))),
-    "complexified_cka": (4, lambda phi: _on_two_slots(_complexified_block(phi))),
+    "cka_plane_sum": (2, lambda phi: _tilted_block((_cos_sin(phi),), np.ones((1, 1)))),
+    "complexified_cka": (4, lambda phi: _on_two_slots(_complexified_block(*_cos_sin(phi)))),
 }
 CLASSICAL_FAMILIES = tuple(_CLASSICAL_BLOCKS)
 
@@ -225,7 +237,7 @@ def _v3_blocks(phi: float, sign: int) -> _Blocks:
         frame = [[1.0], [math.copysign(1.0, c)]]
     else:
         frame = [[1.0, 0.0], [c, math.sqrt(1.0 - c * c)]]
-    return [_tilted_block((phi, phi), np.array(frame))], "this 3-dimensional class"
+    return [_tilted_block((_cos_sin(phi),) * 2, np.array(frame))], "this 3-dimensional class"
 
 
 def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
@@ -236,24 +248,23 @@ def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
     for a complexified one.
     """
     _check_sign(sign)
-    phi1_zero = math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL
-    if sign == -1 and (phi1_zero or math.cos(angles.phi3) <= BOUNDARY_TOL):
+    x = angles.cos_tuple()
+    phi1_zero = x[0] > 1.0 - BOUNDARY_TOL
+    if sign == -1 and (phi1_zero or x[2] <= BOUNDARY_TOL):
         raise ValueError("angle triples with phi1 = 0 or phi3 = pi/2 occur only in the "
                          "plus class")
     if phi1_zero:
-        if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
+        if abs(x[1] - x[2]) > BOUNDARY_TOL:
             raise ValueError("constant-angle triples with phi1 = 0 have phi2 = phi3")
-        return _complexified_block(angles.phi2)
+        return _complexified_block(x[1], _sin(x[1]))
     exists, rank = admissible(angles, sign)
     if not exists:
-        x = angles.cos_tuple()
         raise ValueError(
             f"no sign={sign:+d} class at these angles: "
             f"cos(phi1)+cos(phi2)-({sign:+d})cos(phi3) = "
             f"{x[0] + x[1] - sign * x[2]:.12g} > 1"
         )
-    phis = angles.as_tuple()
-    return _tilted_block(phis, _psd_cholesky(_gram(phis, sign), rank))
+    return _tilted_block([(c, _sin(c)) for c in x], _psd_cholesky(_gram(x, sign), rank))
 
 
 def _sum_blocks(angles: AngleTriple, l_plus: int, l_minus: int) -> _Blocks:
@@ -270,9 +281,9 @@ def _v4_blocks(angles: AngleTriple, sign: int) -> _Blocks:
     """The one-block sum of the class, or at (0, pi/2, pi/2) the totally
     complex subspace in its own basis."""
     _check_sign(sign)
-    if (sign == 1 and math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL
-            and math.cos(angles.phi2) <= BOUNDARY_TOL
-            and abs(math.cos(angles.phi2) - math.cos(angles.phi3)) <= BOUNDARY_TOL):
+    x = angles.cos_tuple()
+    if (sign == 1 and x[0] > 1.0 - BOUNDARY_TOL and x[1] <= BOUNDARY_TOL
+            and abs(x[1] - x[2]) <= BOUNDARY_TOL):
         return _classical_blocks("totally_complex", 4, None)
     return _sum_blocks(angles, int(sign == 1), int(sign == -1))
 

@@ -140,7 +140,7 @@ def det_closed_form(cosines, sign: int) -> float:
 
 def det_formula_check(angles: AngleTriple, sign: int) -> float:
     """Deviation between det(gram) and its closed form; needs interior angles."""
-    x = angles.cosines()
+    x = np.array(angles.cos_tuple())
     if np.any(x <= 1e-12) or np.any(x >= 1.0 - 1e-12):
         raise ValueError("the closed form needs angles strictly inside (0, pi/2)")
     return float(abs(np.linalg.det(gram_matrix(angles, sign)) - det_closed_form(x, sign)))
@@ -153,17 +153,16 @@ def gram_grid_sweep(spec: GridSpec) -> dict:
     (with rank 2 exactly on its boundary) and the numerical determinant
     against the factored closed form on the interior points.  The Gram
     matrices come from the kernel that gram_matrix and the constructors
-    call (`families._gram`), at the arccos of the grid cosines, so the sweep
-    checks the production formula itself.
+    call (`families._gram`), at the grid cosines, so the sweep checks the
+    production formula itself.
     """
     xs = spec.sorted_cosine_triples()
-    phis = np.arccos(xs).tolist()
     out = {"points": 2 * len(xs), "psd_disagreements": 0, "rank_mismatches": 0,
            "det_deviation": 0.0}
     inside = np.all((xs > 0.02) & (xs < 0.97), axis=1)
     interior = xs[inside]
     for sign in (1, -1):
-        grams = np.array([_gram(p, sign) for p in phis])
+        grams = np.array([_gram(x, sign) for x in xs.tolist()])
         psd, rank = psd_oracle_batch(grams)
         margin = xs[:, 0] + xs[:, 1] - sign * xs[:, 2] - 1.0
         formula = margin <= PSD_TOL

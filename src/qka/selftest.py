@@ -31,6 +31,7 @@ from .families import (
     _gram,
     _place,
     _psd_cholesky,
+    _sin,
     _tilted_block,
     admissible,
     construct_classical,
@@ -151,7 +152,7 @@ def _constructor_grid(quick: bool) -> list[tuple[str, Subspace, AngleTriple]]:
     for triple, sign, n_min in _v4_parameter_grid(quick):
         for extra in ((0,) if quick else (0, 1)):
             n = n_min + extra
-            add(f"v4 {sign:+d} cos={np.round(triple.cosines(), 3)} n={n}",
+            add(f"v4 {sign:+d} cos={np.round(triple.cos_tuple(), 3)} n={n}",
                 construct_v4(triple, sign, n), triple)
     t03 = _triple_from_cos(0.3, 0.3, 0.3)
     t13 = _triple_from_cos(1 / 3, 1 / 3, 1 / 3)
@@ -166,13 +167,13 @@ def _constructor_grid(quick: bool) -> list[tuple[str, Subspace, AngleTriple]]:
     if quick:
         sums = sums[:4]
     for triple, p, q, n in sums:
-        add(f"sum ({p},{q}) cos={np.round(triple.cosines(), 3)} n={n}",
+        add(f"sum ({p},{q}) cos={np.round(triple.cos_tuple(), 3)} n={n}",
             construct_sum(triple, p, q, n), triple)
     return grid
 
 
-def _cos2_match(reported: AngleTriple, declared: AngleTriple) -> float:
-    return float(np.max(np.abs(reported.cos2() - declared.cos2())))
+def _cos2_match(reported, declared) -> float:
+    return float(np.max(np.abs(np.square(reported) - np.square(declared))))
 
 
 def crit_constancy(quick: bool, seed: int) -> tuple[bool, str]:
@@ -182,7 +183,7 @@ def crit_constancy(quick: bool, seed: int) -> tuple[bool, str]:
     worst_spread, worst_triple, bad = 0.0, 0.0, []
     for label, space, declared in grid:
         rep = constancy_check(space, samples, seed)
-        dev = _cos2_match(rep.triple, declared)
+        dev = _cos2_match(rep.triple.cos_tuple(), declared.cos_tuple())
         worst_spread = max(worst_spread, rep.max_spread)
         worst_triple = max(worst_triple, dev)
         if rep.max_spread >= 1e-9 or dev > 1e-8:
@@ -241,7 +242,7 @@ def crit_pbar_sign(quick: bool, seed: int) -> tuple[bool, str]:
     worst = 0.0
     tested = 0
     for triple, sign, n in _v4_parameter_grid(quick):
-        if math.cos(triple.phi3) <= 1e-8:
+        if triple.cos_tuple()[2] <= 1e-8:
             continue
         space = construct_v4(triple, sign, n)
         p = [pbar_operator(space, STANDARD_BASIS, i, triple.as_tuple()[i - 1])
@@ -324,11 +325,12 @@ def crit_inequivalence(quick: bool, seed: int) -> tuple[bool, str]:
         if verdict.value != "no":
             failures.append(f"interior {np.round(x, 3)} -> {verdict.value}")
     for x in [(0.6, 0.35), (0.4, 0.3)]:
-        triple = AngleTriple(math.acos(x[0]), math.acos(x[1]), HALF_PI)
+        triple = _triple_from_cos(*x, 0.0)
         vp = construct_v4(triple, 1, 4)
         _, rank = admissible(triple, -1)
-        left = _psd_cholesky(_gram(triple.as_tuple(), -1), rank)
-        vm = _place([_tilted_block(triple.as_tuple(), left)], "the minus block", 4)
+        c = triple.cos_tuple()
+        left = _psd_cholesky(_gram(c, -1), rank)
+        vm = _place([_tilted_block([(v, _sin(v)) for v in c], left)], "the minus block", 4)
         verdict = are_equivalent(vp, vm)
         if verdict.value != "yes":
             failures.append(f"pi/2 merge {x} -> {verdict.value}")
@@ -419,8 +421,8 @@ def crit_moduli_table(quick: bool, seed: int) -> tuple[bool, str]:
                     rep = representative(k, n, triple, hit.branch)
                     record = classify_subspace(rep)
                     trips += 1
-                    got = snapped(AngleTriple(*record["triple"]))
-                    if _cos2_match(got, snapped(triple)) > 1e-8:
+                    got = snapped(record["cosines"])
+                    if _cos2_match(got, snapped(triple.cos_tuple())) > 1e-8:
                         failures.append(f"({k},{n}) {name}: triple mismatch")
                     if name not in {s["name"] for s in record["strata"]}:
                         failures.append(f"({k},{n}) {name}: classify misses stratum")
@@ -537,7 +539,7 @@ def crit_factorization(quick: bool, seed: int) -> tuple[bool, str]:
             failures.append(f"{label}: reconstruction residual too large")
         for b in blocks:
             rep = constancy_check(b, 200, seed)
-            if _cos2_match(rep.triple, triple) > 1e-8:
+            if _cos2_match(rep.triple.cos_tuple(), triple.cos_tuple()) > 1e-8:
                 failures.append(f"{label}: block triple mismatch")
     return not failures, (f"{len(cases)} sums factorized"
                           + (f", failures: {failures[:3]}" if failures else ""))

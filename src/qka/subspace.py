@@ -9,7 +9,7 @@ when Omega is isospectral over the unit sphere of V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,74 +56,65 @@ class NumericalFailure(RuntimeError):
     """An internal numerical consistency check failed."""
 
 
-def _clip01(x: float) -> float:
-    """x clipped to [0, 1] as np.clip does it: a NaN stays NaN."""
-    return min(max(x, 0.0), 1.0)  # max(nan, 0.0) and min(nan, 1.0) return the nan
-
-
 def _finite_clip01(x: float, what: str) -> float:
-    """`_clip01` of a value that must not be infinite; a NaN passes on to the
-    angle gate of `AngleTriple`, which names it."""
-    if math.isinf(x):
+    """x clipped to [0, 1], refused unless finite; -0.0 becomes 0.0."""
+    if not math.isfinite(x):
         raise ValueError(f"{what} {x} is not finite")
-    return _clip01(x)
+    return min(max(0.0, x), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AngleTriple:
-    """Sorted angles (phi1, phi2, phi3) with 0 <= phi1 <= phi2 <= phi3 <= pi/2.
+    """Angles 0 <= phi1 <= phi2 <= phi3 <= pi/2, stored as their cosines
+    c1 >= c2 >= c3 in [0, 1], which every predicate, gate and builder reads
+    (`cos_tuple`); the angles (`phi1`, `as_tuple`) are their acos.
+    ``AngleTriple(phi1, phi2, phi3)`` takes angles and stores their cosines."""
 
-    Its three cosines are taken once, when the triple is made, and every
-    reader (`cos_tuple`) shares them."""
+    _cos: tuple[float, float, float]
 
-    phi1: float
-    phi2: float
-    phi3: float
-    _cos: tuple[float, float, float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a = (self.phi1, self.phi2, self.phi3)
+    def __init__(self, phi1: float, phi2: float, phi3: float):
+        a = (phi1, phi2, phi3)
         for phi in a:  # a NaN fails the comparison, so it is refused here
-            if not -1e-12 <= phi <= HALF_PI + 1e-12:
+            if not 0.0 <= phi <= HALF_PI:
                 raise ValueError(f"angle {phi} lies outside [0, pi/2]")
-        if not (a[0] <= a[1] + 1e-12 and a[1] <= a[2] + 1e-12):
+        if not a[0] <= a[1] <= a[2]:
             raise ValueError(f"angles must be sorted ascending, got {a}")
-        object.__setattr__(self, "_cos", (math.cos(a[0]), math.cos(a[1]), math.cos(a[2])))
+        object.__setattr__(self, "_cos", (math.cos(phi1), math.cos(phi2), math.cos(phi3)))
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.phi1, self.phi2, self.phi3)
-
-    def cos_tuple(self) -> tuple[float, float, float]:
-        """The three cosines as floats, the ones every region predicate reads."""
-        return self._cos
-
-    def cosines(self) -> np.ndarray:
-        return np.array(self._cos)
-
-    def cos2(self) -> np.ndarray:
-        return self.cosines() ** 2
+    @classmethod
+    def _stored(cls, c1: float, c2: float, c3: float) -> "AngleTriple":
+        """The triple of cosines already in [0, 1] and descending, unchecked."""
+        triple = object.__new__(cls)
+        object.__setattr__(triple, "_cos", (c1, c2, c3))
+        return triple
 
     @classmethod
     def from_cosines(cls, cosines) -> "AngleTriple":
-        """The triple of the cosines clipped to [0, 1], in any order (a NaN or
-        an infinite cosine is refused).  math.acos is numpy's scalar arccos
-        loop, bit for bit."""
-        return cls._from_clipped([_finite_clip01(float(c), "cosine") for c in cosines])
+        """The triple storing the cosines, given in any order, clipped to
+        [0, 1] and sorted (a NaN or an infinite cosine is refused)."""
+        return cls._stored(*sorted((_finite_clip01(float(c), "cosine") for c in cosines),
+                                   reverse=True))
 
     @classmethod
     def from_cos2_eigenvalues(cls, lams) -> "AngleTriple":
         """The triple of squared cosines, given as Python floats (`ndarray.tolist`),
         each clipped once: the square root of a value in [0, 1] lies there too."""
-        return cls._from_clipped([math.sqrt(_finite_clip01(v, "squared cosine"))
-                                  for v in lams])
+        return cls._stored(*sorted((math.sqrt(_finite_clip01(v, "squared cosine"))
+                                    for v in lams), reverse=True))
 
-    @classmethod
-    def _from_clipped(cls, x: list[float]) -> "AngleTriple":
-        x.sort(reverse=True)  # descending cosines give ascending angles
-        return cls(*map(math.acos, x))
+    phi1 = property(lambda self: math.acos(self._cos[0]))
+    phi2 = property(lambda self: math.acos(self._cos[1]))
+    phi3 = property(lambda self: math.acos(self._cos[2]))
 
-    def __iter__(self):
-        return iter(self.as_tuple())
+    def as_tuple(self) -> tuple[float, float, float]:
+        return tuple(map(math.acos, self._cos))
+
+    def cos_tuple(self) -> tuple[float, float, float]:
+        """The three stored cosines as floats, descending."""
+        return self._cos
+
+    def cos2(self) -> np.ndarray:
+        return np.square(self._cos)
 
 
 @dataclass(frozen=True)
@@ -351,7 +342,9 @@ def _exact_structure(w: np.ndarray) -> _ExactStructure:
     neither again.  [W'_2; W'_3] W'_1, one (2k x k) product, and W'_3 W'_2
     give the cross terms 2 ||sym(W'_a^T W'_b)||^2 for a < b (the (b, a)
     term is its transpose), and X_12 = W'_1^T W'_2 = -(W'_2 W'_1)^T as
-    ``cross12``.  Every sign is an exact negation.
+    ``cross12``.  Every sign is an exact negation.  The squares are summed
+    by numpy, not by a BLAS dot, whose split of a long sum across threads
+    would make the last bits follow the thread count.
     """
     k = w.shape[-1]
     flat = w.reshape(3, -1)
@@ -361,14 +354,14 @@ def _exact_structure(w: np.ndarray) -> _ExactStructure:
     wc = (rotation @ flat).reshape(3, k, k)
     d = wc @ wc  # -W'_a^T W'_a
     d.reshape(3, -1)[:, ::k + 1] += cos2[:, None]  # -(W'_a^T W'_a - c_a I)
-    np.abs(d, out=d)  # the residual and square_gap read |d| alike
+    np.abs(d, out=d)  # square_gap reads |d|
     square_gap = d.max(axis=(1, 2))
-    total = float(np.vdot(d, d))
+    total = float(np.square(d, out=d).sum())  # no BLAS dot: see the docstring
     cross = np.empty((3, k, k))  # W'_2 W'_1, W'_3 W'_1, W'_3 W'_2
     np.matmul(wc[1:].reshape(2 * k, k), wc[0], out=cross[:2].reshape(2 * k, k))
     np.matmul(wc[2], wc[1], out=cross[2])
     sym = np.add(cross, cross.transpose(0, 2, 1), out=d)  # -2 sym(W'_a^T W'_b)
-    total += 0.5 * float(np.vdot(sym, sym))
+    total += 0.5 * float(np.square(sym, out=sym).sum())
     return _ExactStructure(rotation=rotation, cos2=cos2, w_canonical=wc,
                            residual=math.sqrt(total), square_gap=square_gap,
                            cross12=np.negative(cross[0].T))

@@ -36,7 +36,6 @@ from qka.classify import (
     _Analysis,
     _sign_parts,
     _sign_split,
-    _snap_cos,
     _snap_into_strata,
 )
 from qka.families import (
@@ -556,7 +555,7 @@ class TestEquivalence:
 
 
 def _ref_snap_cos(x) -> np.ndarray:
-    """The numpy snap that `_snap_cos` replaced."""
+    """The numpy snap that `snapped` replaced."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     x[np.abs(x) <= SNAP_TOL] = 0.0
     x[np.abs(x - 1.0) <= SNAP_TOL] = 1.0
@@ -569,7 +568,7 @@ class TestThreeCosinesOnFloats:
         values = [0.0, -0.0, 1.0, 0.5, -1e-12, 1.0 + 1e-12, math.nan]
         values += [math.nextafter(e, d) for e in edges for d in (0.0, 1.0)] + list(edges)
         for x in itertools.product(values, repeat=3):
-            assert np.array(_snap_cos(x)).tobytes() == _ref_snap_cos(x).tobytes(), x
+            assert np.array(snapped(x)).tobytes() == _ref_snap_cos(x).tobytes(), x
 
     def test_membership_reads_the_cosines_once_without_numpy(self, monkeypatch):
         triples = [AngleTriple.from_cosines(x) for x in
@@ -593,7 +592,7 @@ class TestThreeCosinesOnFloats:
                 reads.clear()
                 moduli_membership(k, n, t)
                 assert reads == {t: 1}
-                snapped(t)
+                snapped(t.cos_tuple())
                 _snap_into_strata(k, n, t)
 
 
@@ -706,7 +705,7 @@ class TestRepresentative:
         record = classify_subspace(space)
         assert record["type"] == [0, 2]
         assert [s["name"] for s in record["strata"]] == ["boundary_sum_surface"]
-        assert np.max(np.abs(np.array(record["cosines"]) - triple.cosines())) < 1e-8
+        assert np.max(np.abs(np.array(record["cosines"]) - triple.cos_tuple())) < 1e-8
 
     def test_readme_witness_in_h7(self):
         # The README witness: cosines 1/3 to eleven digits, one block per sign.
@@ -721,13 +720,10 @@ class TestRepresentative:
             representative(5, 5, T03)
 
     @pytest.mark.parametrize("branch", [1, -1])
-    def test_built_from_the_math_acos_angles(self, branch):
-        # `representative` takes its angles through AngleTriple.from_cosines
-        # (math.acos), as construct_v4's callers do, so the bases match bit
-        # for bit.  np.arccos on the contiguous cosines runs numpy's vector
-        # loop, which differs from math.acos in the last bit for some of these
-        # triples only where numpy dispatches a SIMD arccos: only there does
-        # this test tell the two paths apart.
+    def test_built_from_the_stored_cosines(self, branch):
+        # `representative` builds from the snapped cosines as they are stored,
+        # as construct_v4 does from a triple of those cosines, so the bases
+        # match bit for bit.
         rng = np.random.default_rng(23)
         for _ in range(300):
             c = sorted(rng.dirichlet([1.0, 1.0, 1.0, 1.0])[:3], reverse=True)
@@ -735,7 +731,7 @@ class TestRepresentative:
             assert [h.stratum.name for h in moduli_membership(4, 4, triple)] == [
                 "two_class_region"] * 2
             got = representative(4, 4, triple, branch)
-            want = construct_v4(AngleTriple.from_cosines(_snap_cos(triple.cos_tuple())),
+            want = construct_v4(AngleTriple.from_cosines(snapped(triple.cos_tuple())),
                                 branch, 4)
             assert got.basis.tobytes() == want.basis.tobytes(), c
 
@@ -831,7 +827,7 @@ class TestRepresentative:
         record = classify_subspace(space)
         assert record["type"] == [2, 0]
         assert [s["name"] for s in record["strata"]] == ["single_class_region"]
-        assert np.max(np.abs(np.array(record["cosines"]) - triple.cosines())) < 1e-8
+        assert np.max(np.abs(np.array(record["cosines"]) - triple.cos_tuple())) < 1e-8
 
     def test_snap_onto_single_class_boundary_refuses_minus(self):
         # Membership puts cos(phi3) = 5e-9 in the two-class region, but the
@@ -850,13 +846,13 @@ class TestRepresentative:
 
     def test_membership_queried_again_only_after_a_snap(self, monkeypatch):
         calls = []
-        original = qka.classify.moduli_membership
+        original = qka.classify._strata_holding
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(qka.classify, "moduli_membership", counted)
+        monkeypatch.setattr(qka.classify, "_strata_holding", counted)
         representative(8, 8, T03, -1)
         assert len(calls) == 1
         calls.clear()
@@ -896,8 +892,8 @@ class TestClassifyRecord:
 
     def test_snapped_helper(self):
         t = AngleTriple.from_cos2_eigenvalues([1 - 1e-15, 0.5, 1e-15])
-        s = snapped(t)
-        assert s.cosines() == pytest.approx([1.0, math.sqrt(0.5), 0.0], abs=1e-12)
+        s = snapped(t.cos_tuple())
+        assert s == pytest.approx([1.0, math.sqrt(0.5), 0.0], abs=1e-12)
 
 
 @pytest.fixture
@@ -1191,8 +1187,7 @@ def test_record_invariant_under_group_and_basis_change(case, group_seed, basis_s
     moved = Subspace(random_group_element(space.n, group_seed).apply_coords(space.basis) @ q)
     base, record = classify_subspace(space), classify_subspace(moved)
     assert _invariant_part(record) == _invariant_part(base)
-    assert snapped(AngleTriple(*record["triple"])).cosines() == pytest.approx(
-        snapped(AngleTriple(*base["triple"])).cosines(), abs=1e-9)
+    assert snapped(record["cosines"]) == pytest.approx(snapped(base["cosines"]), abs=1e-9)
 
 
 # Declared answers for fixed inputs, each also moved by the group and a
@@ -1259,8 +1254,8 @@ class TestSeedFreeDimension3:
             other = classify_subspace(moved(space, seed))
             assert _invariant_part(other) == _invariant_part(record)
             if record["constant"]:
-                assert snapped(AngleTriple(*other["triple"])).cosines() == pytest.approx(
-                    snapped(AngleTriple(*record["triple"])).cosines(), abs=1e-9)
+                assert snapped(other["cosines"]) == pytest.approx(
+                    snapped(record["cosines"]), abs=1e-9)
 
     def test_equivalence_identical_for_every_seed(self):
         for phi in (math.pi / 3, 1.2, 1.45):

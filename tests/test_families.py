@@ -286,11 +286,25 @@ class TestMinQuaternionicDim:
 # are the numpy kernels the library's float kernels replaced (`_ref_gram`,
 # `_ref_psd_cholesky`).  They build every column as a full 4n-vector: a slot
 # axis, then a J pass over all n slots.
+#
+# The builders that take an angle phi read (cos(phi), sin(phi)).  Those that
+# take a triple read its cosines c and, for each, `_ref_cos_sin(c, phi)`: the
+# library's formula (c, sqrt((1 - c)(1 + c))), or, patched to
+# `_angle_cos_sin`, the angle formula (cos(phi), sin(phi)) at phi = acos(c)
+# that it replaced, to which the bases are compared within a few ulp.
 
-def _ref_gram_batch(phis: np.ndarray, sign: int) -> np.ndarray:
-    """The Gram matrix of each row of a batch (m, 3) of angles, on numpy."""
-    c, s = np.cos(phis), np.sin(phis)
-    g = np.tile(np.eye(3), (len(phis), 1, 1))
+def _ref_cos_sin(c: float, phi: float) -> tuple[float, float]:
+    return c, math.sqrt((1.0 - c) * (1.0 + c))
+
+
+def _angle_cos_sin(c: float, phi: float) -> tuple[float, float]:
+    return math.cos(phi), math.sin(phi)
+
+
+def _ref_gram_batch(cs: np.ndarray, sign: int) -> np.ndarray:
+    """The Gram matrix of each row of a batch (m, 3, 2) of (cos, sin) pairs, on numpy."""
+    c, s = cs[:, :, 0], cs[:, :, 1]
+    g = np.tile(np.eye(3), (len(cs), 1, 1))
     for i in range(3):
         j = (i + 1) % 3
         k = (i + 2) % 3
@@ -298,8 +312,12 @@ def _ref_gram_batch(phis: np.ndarray, sign: int) -> np.ndarray:
     return g
 
 
+def _ref_triple_cos_sin(angles) -> list[tuple[float, float]]:
+    return [_ref_cos_sin(c, phi) for c, phi in zip(angles.cos_tuple(), angles.as_tuple())]
+
+
 def _ref_gram(angles, sign):
-    return _ref_gram_batch(np.array([angles.as_tuple()]), sign)[0]
+    return _ref_gram_batch(np.array([_ref_triple_cos_sin(angles)]), sign)[0]
 
 
 def _ref_psd_cholesky(g: np.ndarray, rank: int) -> np.ndarray:
@@ -354,22 +372,19 @@ def _ref_v4_block_columns(angles, sign, offset, n):
     e0 = _axis(offset, n)
     frame = [_axis(offset + 1 + r, n) for r in range(rank)]
     cols = [e0]
-    phis = angles.as_tuple()
-    for i in (1, 2, 3):
+    for i, (c, s) in enumerate(_ref_triple_cos_sin(angles), 1):
         e_i = sum(left[i - 1, r] * frame[r] for r in range(rank))
-        cols.append(math.cos(phis[i - 1]) * _jmul(i, e0)
-                    + math.sin(phis[i - 1]) * _jmul(i, e_i))
+        cols.append(c * _jmul(i, e0) + s * _jmul(i, e_i))
     return cols
 
 
-def _ref_complexified_block_columns(phi, offset, n):
-    if math.cos(phi) > 1.0 - BOUNDARY_TOL:
+def _ref_complexified_block_columns(c, s, offset, n):
+    if c > 1.0 - BOUNDARY_TOL:
         _ref_need(n, offset + 1)
         e = _axis(offset, n)
         return [e, _jmul(1, e), _jmul(2, e), _jmul(3, e)]
     _ref_need(n, offset + 2)
     a, b = _axis(offset, n), _axis(offset + 1, n)
-    c, s = math.cos(phi), math.sin(phi)
     return [a, _jmul(1, a), c * _jmul(2, a) + s * _jmul(2, b),
             c * _jmul(3, a) + s * _jmul(3, b)]
 
@@ -414,7 +429,7 @@ def _ref_classical(family, k, n, phi=None):
         if k % 4 or not 4 <= k <= 4 * (n // 2):
             raise ValueError("reference")
         for m in range(k // 4):
-            cols += _ref_complexified_block_columns(phi, 2 * m, n)
+            cols += _ref_complexified_block_columns(math.cos(phi), math.sin(phi), 2 * m, n)
     else:
         raise ValueError("reference: unknown family")
     return np.column_stack(cols)
@@ -447,39 +462,41 @@ def _ref_v3(phi, sign, n):
 def _ref_v4(angles, sign, n):
     if sign not in (1, -1):
         raise ValueError("reference")
-    if sign == -1 and math.cos(angles.phi3) <= BOUNDARY_TOL:
+    x = angles.cos_tuple()
+    if sign == -1 and x[2] <= BOUNDARY_TOL:
         raise ValueError("reference")
-    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
+    if x[0] > 1.0 - BOUNDARY_TOL:
         if sign == -1:
             raise ValueError("reference")
-        if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
+        if abs(x[1] - x[2]) > BOUNDARY_TOL:
             raise ValueError("reference")
-        phi = angles.phi2
-        if math.cos(phi) > 1.0 - BOUNDARY_TOL:
+        if x[1] > 1.0 - BOUNDARY_TOL:
             return _ref_classical("quaternionic", 4, n)
-        if math.cos(phi) <= BOUNDARY_TOL:
+        if x[1] <= BOUNDARY_TOL:
             return _ref_classical("totally_complex", 4, n)
-        return _ref_classical("complexified_cka", 4, n, phi=phi)
+        return np.column_stack(_ref_complexified_block_columns(
+            *_ref_cos_sin(x[1], angles.phi2), 0, n))
     return np.column_stack(_ref_v4_block_columns(angles, sign, 0, n))
 
 
 def _ref_sum(angles, l_plus, l_minus, n):
     if l_plus < 0 or l_minus < 0 or l_plus + l_minus < 1:
         raise ValueError("reference")
+    x = angles.cos_tuple()
     if l_minus > 0:
-        if math.cos(angles.phi3) <= BOUNDARY_TOL:
+        if x[2] <= BOUNDARY_TOL:
             raise ValueError("reference")
-        if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
+        if x[0] > 1.0 - BOUNDARY_TOL:
             raise ValueError("reference")
     cols = []
     offset = 0
-    if math.cos(angles.phi1) > 1.0 - BOUNDARY_TOL:
-        if abs(math.cos(angles.phi2) - math.cos(angles.phi3)) > BOUNDARY_TOL:
+    if x[0] > 1.0 - BOUNDARY_TOL:
+        if abs(x[1] - x[2]) > BOUNDARY_TOL:
             raise ValueError("reference")
-        width = 1 if math.cos(angles.phi2) > 1.0 - BOUNDARY_TOL else 2
+        width = 1 if x[1] > 1.0 - BOUNDARY_TOL else 2
         _ref_need(n, width * l_plus)
         for _ in range(l_plus):
-            cols += _ref_complexified_block_columns(angles.phi2, offset, n)
+            cols += _ref_complexified_block_columns(*_ref_cos_sin(x[1], angles.phi2), offset, n)
             offset += width
     else:
         for sign, count in ((1, l_plus), (-1, l_minus)):
@@ -583,6 +600,24 @@ class TestCatalogMatchesPreviousConstructors:
         if calls is _sweep_calls:
             assert refused > 1000
 
+    @pytest.mark.parametrize("calls", [_grid_calls, _sweep_calls])
+    def test_bases_within_a_few_ulp_of_the_angle_formula(self, calls, monkeypatch):
+        # The triple builders read the stored cosines; the angle formula they
+        # replaced builds the same bases within 8 ulp of 1 and refuses the
+        # same calls.
+        got = [_outcome(_LIBRARY[name], args) for name, args in calls()]
+        monkeypatch.setitem(globals(), "_ref_cos_sin", _angle_cos_sin)
+        moved = 0
+        for (name, args), new in zip(calls(), got):
+            old = _outcome(_REFERENCE[name], args)
+            assert (new is None) == (old is None), (name, args)
+            if new is not None:
+                assert new[0] == old[0]
+                diff = np.max(np.abs(np.frombuffer(new[1]) - np.frombuffer(old[1])))
+                assert diff <= 8 * np.finfo(float).eps, (name, args)
+                moved += bool(diff)
+        assert moved > 10
+
     def test_degenerate_complexified_block_keeps_two_slots(self):
         # cos(1e-7) is within BOUNDARY_TOL of 1, so each block is the
         # quaternionic one, still placed on two slots.
@@ -630,10 +665,20 @@ class TestFloatKernelsMatchNumpyReference:
         cases = Counter()
         for angles, sign, rank in _kernel_grid():
             expected = _ref_gram(angles, sign).tobytes()
-            assert np.array(_gram(angles.as_tuple(), sign)).tobytes() == expected
+            assert np.array(_gram(angles.cos_tuple(), sign)).tobytes() == expected
             assert gram_matrix(angles, sign).tobytes() == expected
             cases[sign, rank] += 1
         assert min(cases[sign, rank] for sign in (1, -1) for rank in (2, 3)) >= 75, cases
+
+    def test_gram_within_a_few_ulp_of_the_angle_formula(self, monkeypatch):
+        # sin = sqrt((1 - c)(1 + c)) against cos and sin of acos(c): every
+        # entry within 16 ulp of 1, though 1 / sin grows as cos(phi1) nears 1.
+        grid = _kernel_grid()
+        got = [np.array(_gram(angles.cos_tuple(), sign)) for angles, sign, _ in grid]
+        monkeypatch.setitem(globals(), "_ref_cos_sin", _angle_cos_sin)
+        old = [_ref_gram(angles, sign) for angles, sign, _ in grid]
+        diff = max(np.max(np.abs(a - b)) for a, b in zip(got, old))
+        assert 0.0 < diff <= 16 * np.finfo(float).eps
 
     def test_factor_bit_for_bit_and_same_refusals(self):
         # Rank 2 on an interior Gram matrix leaves a pivot out, which the
@@ -642,7 +687,7 @@ class TestFloatKernelsMatchNumpyReference:
         outcomes = Counter()
         for angles, sign, _ in _kernel_grid():
             for rank in (2, 3):
-                got = _factor_outcome(_psd_cholesky, _gram(angles.as_tuple(), sign), rank)
+                got = _factor_outcome(_psd_cholesky, _gram(angles.cos_tuple(), sign), rank)
                 assert got == _factor_outcome(_ref_psd_cholesky, _ref_gram(angles, sign), rank)
                 outcomes[got[1].split(" ")[1] if got[0] == "refused" else "factor"] += 1
         # (factor, the residual gate, the rank gate)
@@ -658,7 +703,7 @@ class TestFloatKernelsMatchNumpyReference:
         assert admissible(angles, 1) == (True, 2)
         message = "cholesky residual 6.67e-01 exceeds tolerance"
         with pytest.raises(NumericalFailure, match=message):
-            _psd_cholesky(_gram(angles.as_tuple(), 1), 2)
+            _psd_cholesky(_gram(angles.cos_tuple(), 1), 2)
         with pytest.raises(NumericalFailure, match=message):
             _ref_psd_cholesky(_ref_gram(angles, 1), 2)
         with pytest.raises(NumericalFailure, match=message):

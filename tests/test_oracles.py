@@ -88,7 +88,7 @@ class TestDetFormula:
         assert det_formula_check(t, 1) < 1e-12
 
     def test_boundary_determinant_vanishes(self):
-        x = T13.cosines()
+        x = np.array(T13.cos_tuple())
         assert abs(det_closed_form(x, -1)) < 1e-12
         assert det_formula_check(T13, -1) < 1e-12
 

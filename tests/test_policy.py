@@ -126,3 +126,35 @@ def test_readme_lists_every_tolerance_constant():
     assert source, "no tolerance constant found in the source"
     assert {k: v for k, v in source.items() if listed.get(k) != v} == {}, "not in README"
     assert sorted(listed.keys() - source.keys()) == [], "in README but not in the source"
+
+
+ANGLE_READS = {"phi1", "phi2", "phi3", "as_tuple"}
+
+
+def _trig_of_stored_angles(tree: ast.Module, path: Path) -> list[str]:
+    """Calls math.cos / math.sin (or np.cos / np.sin) whose argument reads a
+    triple's angles: its ``phi1``, ``phi2``, ``phi3`` or ``as_tuple()``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("cos", "sin")
+                and getattr(node.func.value, "id", None) in ("math", "np")):
+            continue
+        for arg in node.args:
+            found += [f"{path.name}:{node.lineno} {node.func.attr}(... .{sub.attr})"
+                      for sub in ast.walk(arg)
+                      if isinstance(sub, ast.Attribute) and sub.attr in ANGLE_READS]
+    return found
+
+
+def test_no_cosine_of_a_triples_angle_outside_subspace():
+    # A triple stores its cosines (`AngleTriple.cos_tuple`), and its angles are
+    # their acos: the cosine of an angle read back from a triple is a round
+    # trip that need not return the stored value.  Only `subspace`, where
+    # the triple is defined, may make one.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "subspace.py":
+            found += _trig_of_stored_angles(
+                ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path)
+    assert found == [], f"cos/sin of a triple's angle: {found}"

@@ -18,6 +18,7 @@ import qka
 import qka.cli
 from qka.cli import main
 from qka.families import construct_sum, construct_v4
+from qka.quaternion import random_group_element
 from qka.serialize import load_subspace, save_subspace, subspace_from_dict, subspace_to_dict
 from qka.subspace import AngleTriple, Subspace
 
@@ -158,6 +159,23 @@ class TestCli:
         payload = json.loads(stdout)
         assert payload["member"] is True
         assert [s["branch"] for s in payload["strata"]] == [1, -1]
+
+    def test_moduli_echoes_declared_cosines_as_given(self, capsys):
+        # Before, they came back through acos and cos as 0.4999999999999999,
+        # 0.29999999999999993 and 0.19999999999999993.
+        code, stdout, _ = run_cli(
+            ["moduli", "--k", "8", "--n", "8", "--cos", "0.3", "0.5", "0.2"], capsys)
+        payload = json.loads(stdout)
+        assert code == 0 and payload["cosines"] == [0.5, 0.3, 0.2]
+        assert payload["triple"] == [math.acos(0.5), math.acos(0.3), math.acos(0.2)]
+
+    def test_moduli_triple_echoes_the_acos_of_its_cosines(self, capsys):
+        code, stdout, _ = run_cli(
+            ["moduli", "--k", "8", "--n", "8", "--triple", "1.2", "0.9", "1.0"], capsys)
+        payload = json.loads(stdout)
+        assert code == 0
+        assert payload["cosines"] == [math.cos(0.9), math.cos(1.0), math.cos(1.2)]
+        assert payload["triple"] == [math.acos(c) for c in payload["cosines"]]
 
     def test_moduli_k0(self, capsys):
         code, stdout, _ = run_cli(["moduli", "--k", "0", "--n", "3"], capsys)
@@ -445,6 +463,22 @@ class TestCli:
         _, first, _ = run_cli(["selftest", "--quick", "--seed", "3"], capsys)
         _, second, _ = run_cli(["selftest", "--quick", "--seed", "3"], capsys)
         assert first == second
+
+    def test_blas_thread_count_leaves_the_output_unchanged(self, tmp_path):
+        # A BLAS dot splits a long sum across threads, which moves its last
+        # bits: at k = 64 the residual sums 3 k^2 = 12288 terms.  The printed
+        # joint residual and spread must not follow the thread count.
+        space = construct_sum(AngleTriple.from_cosines([0.45, 0.3, 0.12]), 8, 8, 64)
+        path = tmp_path / "s64.json"
+        save_subspace(path, space.transformed(random_group_element(64, 7)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads)
+            outputs.append([subprocess.run(
+                [sys.executable, "-m", "qka.cli", command, str(path)], capture_output=True,
+                text=True, env=env, check=True).stdout for command in ("angles", "classify")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["type"] == [8, 8]
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qka import families
 from qka.families import construct_classical, construct_sum, construct_v3, construct_v4
 from qka.quaternion import (
     STANDARD_BASIS,
@@ -122,12 +125,73 @@ class TestAngleTriple:
     def test_from_cosines_sorts(self):
         t = AngleTriple.from_cosines([0.2, 0.9, 0.5])
         assert t.phi1 <= t.phi2 <= t.phi3
-        assert t.cosines() == pytest.approx([0.9, 0.5, 0.2])
+        assert t.cos_tuple() == (0.9, 0.5, 0.2)
+
+    @pytest.mark.parametrize("angles", [
+        (0.1, 0.2, HALF_PI + 1e-13), (-1e-13, 0.2, 0.3), (0.2 + 1e-13, 0.2, 0.3),
+    ])
+    def test_angles_checked_without_slack(self, angles):
+        with pytest.raises(ValueError, match="outside|sorted"):
+            AngleTriple(*angles)
+
+    def test_angles_are_the_acos_of_the_stored_cosines(self):
+        t = AngleTriple(0.3, 0.7, HALF_PI)
+        assert t.cos_tuple() == (math.cos(0.3), math.cos(0.7), math.cos(HALF_PI))
+        assert t.as_tuple() == tuple(math.acos(c) for c in t.cos_tuple())
+        assert (t.phi1, t.phi2, t.phi3) == t.as_tuple()
+        assert t == AngleTriple.from_cosines(t.cos_tuple())
+        assert hash(t) == hash(AngleTriple.from_cosines(t.cos_tuple()))
+
+
+def _ref_clip(v: float) -> float:
+    return 0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v
+
+
+_EDGE_COSINES = (0.0, -0.0, 1.0, 5e-324, 2.225073858507201e-308, 1e-8, 1.0 - 2**-53,
+                 -1e-300, 1.0 + 2**-52, -1.0, 2.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.lists(st.floats(0.0, 1.0) | st.sampled_from(_EDGE_COSINES), min_size=3, max_size=3),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]), position=st.integers(0, 2))
+def test_from_cosines_stores_the_clipped_cosines_bit_for_bit(x, bad, position):
+    # The stored cosines are x clipped to [0, 1] (-0.0 to 0.0) and sorted
+    # descending, to the bit; a NaN or an infinite cosine is refused.
+    want = sorted(map(_ref_clip, x), reverse=True)
+    assert [c.hex() for c in AngleTriple.from_cosines(x).cos_tuple()] == [c.hex() for c in want]
+    x[position] = bad
+    with pytest.raises(ValueError, match="is not finite"):
+        AngleTriple.from_cosines(x)
+
+
+def test_sum_blocks_read_the_declared_cosines(monkeypatch):
+    # cos(phi3) = 1e-8 reaches the Gram matrix and the block as 1e-8; through
+    # an angle it came back as 1.000000000045763e-08.
+    seen = []
+    gram, tilted = families._gram, families._tilted_block
+
+    def spy_gram(c, sign):
+        seen.append(tuple(c))
+        return gram(c, sign)
+
+    def spy_tilted(cos_sin, frame):
+        seen.append(tuple(c for c, _ in cos_sin))
+        return tilted(cos_sin, frame)
+
+    monkeypatch.setattr(families, "_gram", spy_gram)
+    monkeypatch.setattr(families, "_tilted_block", spy_tilted)
+    construct_sum(t_cos(0.5, 0.3, 1e-8), 1, 1, 8)
+    assert seen and all(c == (0.5, 0.3, 1e-8) for c in seen), seen
+
+
+def _ref_cosines(cosines) -> np.ndarray:
+    """The cosines clipped to [0, 1] and sorted descending, on numpy."""
+    return np.sort(np.clip(np.asarray(cosines, dtype=float), 0.0, 1.0))[::-1]
 
 
 def _ref_angles(cosines) -> np.ndarray:
     """The numpy formula that from_cosines replaced (arccos on a reversed view)."""
-    return np.arccos(np.sort(np.clip(np.asarray(cosines, dtype=float), 0.0, 1.0))[::-1])
+    return np.arccos(_ref_cosines(cosines))
 
 
 def _cosine_grid():
@@ -154,7 +218,10 @@ class TestAngleTripleOnFloats:
                 continue
             t = AngleTriple.from_cosines(x)
             assert np.array(t.as_tuple()).tobytes() == _ref_angles(x).tobytes(), x
-            assert t.cosines().tobytes() == np.cos(_ref_angles(x)).tobytes(), x
+            assert np.array(t.cos_tuple()).tobytes() == _ref_cosines(x).tobytes(), x
+            # The angle formula cos(arccos(x)) these replaced, within 1 ulp of 1.
+            old = np.cos(_ref_angles(x))
+            assert np.max(np.abs(t.cos_tuple() - old)) <= np.finfo(float).eps, x
 
     def test_from_cos2_eigenvalues_matches_numpy_formula(self):
         for lams in _cosine_grid():
@@ -163,8 +230,9 @@ class TestAngleTripleOnFloats:
                     AngleTriple.from_cos2_eigenvalues(lams)
                 continue
             t = AngleTriple.from_cos2_eigenvalues(lams)
-            expected = _ref_angles(np.sqrt(np.clip(np.asarray(lams), 0.0, 1.0)))
-            assert np.array(t.as_tuple()).tobytes() == expected.tobytes(), lams
+            roots = np.sqrt(np.clip(np.asarray(lams), 0.0, 1.0))
+            assert np.array(t.as_tuple()).tobytes() == _ref_angles(roots).tobytes(), lams
+            assert np.array(t.cos_tuple()).tobytes() == _ref_cosines(roots).tobytes(), lams
 
     def test_fields_are_floats(self):
         space = construct_sum(t_cos(0.5, 0.3, 0.2), 1, 1, 8)
@@ -181,7 +249,7 @@ class TestAngleTripleOnFloats:
         x = [0.5, 0.3, 0.2]
         x[position] = math.nan
         for build in (AngleTriple.from_cosines, AngleTriple.from_cos2_eigenvalues):
-            with pytest.raises(ValueError, match=r"angle nan lies outside \[0, pi/2\]"):
+            with pytest.raises(ValueError, match=r"cosine nan is not finite"):
                 build(x)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf])
@@ -548,7 +616,7 @@ class TestDimension3Witness:
             report = _witness_report(_slot_structure(space))
             assert report.constant and report.samples == 3
             assert report.max_spread <= 1e-14
-            assert report.triple.cosines() == pytest.approx([cos, cos, 0.0], abs=1e-14)
+            assert report.triple.cos_tuple() == pytest.approx([cos, cos, 0.0], abs=1e-14)
         # Random 3-planes: W_a x = w_a x x, and the spread at the witness points
         # is max(l1 - l2, l2 - l3) for the eigenvalues of A^T A, never below
         # what 2000 random points see (up to round-off).
