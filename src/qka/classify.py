@@ -16,7 +16,18 @@ from typing import Callable
 
 import numpy as np
 
-from .families import REGION_TOL, _Blocks, _place, _sum_blocks, _v3_blocks, construct_classical
+from .families import (
+    REGION_TOL,
+    _Blocks,
+    _class_rank,
+    _classical_blocks,
+    _phi2_is_phi3,
+    _place,
+    _sum_blocks,
+    _v3_blocks,
+    _v3_rank,
+    construct_classical,
+)
 from .subspace import (
     COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
@@ -334,7 +345,7 @@ class _Analysis:
                 return TypeSignature(plus // 4, (k - plus) // 4)
             if k == 3:
                 self._require_constant()
-                if SNAP_TOL < self.cosines[0] < 1.0 - SNAP_TOL:
+                if 0.0 < self.cosines[0] < 1.0:
                     return self._branch_sign()
         except NumericalFailure as exc:
             return exc
@@ -517,7 +528,7 @@ class ModuliStratum:
     description: str
     multiplicity: int
     # The region test on the cosines of a triple (`AngleTriple.cos_tuple`),
-    # within REGION_TOL.
+    # within REGION_TOL; an existence rule is read from `families`.
     predicate: Callable[[tuple[float, ...]], bool] = field(repr=False)
     annotation: str | None = None
 
@@ -542,7 +553,12 @@ def _point_stratum(name, cosines, description, annotation=None) -> ModuliStratum
 
 
 def _in_minus_region(x) -> bool:
-    return x[0] + x[1] + x[2] <= 1.0 + REGION_TOL and x[2] > REGION_TOL
+    return _class_rank(x, -1) is not None and x[2] > REGION_TOL
+
+
+def _on_v3_curve(x) -> bool:
+    """The triple is (phi, phi, pi/2)."""
+    return abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
 
 
 # Every stratum is built once, at import: the strata of the (k, n) moduli
@@ -553,7 +569,7 @@ _SUM_REGIONS = (
         "single_class_region", "region",
         "triples with cos(phi1)+cos(phi2)-cos(phi3) <= 1 outside the "
         "two-class region; one subspace class per triple",
-        1, lambda x: x[0] + x[1] - x[2] <= 1.0 + REGION_TOL and not _in_minus_region(x)),
+        1, lambda x: _class_rank(x, 1) is not None and not _in_minus_region(x)),
     ModuliStratum(
         "two_class_region", "region_with_Z2",
         "triples with cos(phi1)+cos(phi2)+cos(phi3) <= 1 and "
@@ -564,12 +580,11 @@ _SUM_BOUNDARY = (ModuliStratum(
     "boundary_sum_surface", "surface",
     "triples with cos(phi1)+cos(phi2)+-cos(phi3) = 1; blocks on "
     "the rank-two boundary fit three quaternionic dimensions each",
-    1, lambda x: (abs(x[0] + x[1] - x[2] - 1.0) <= REGION_TOL
-                  or abs(x[0] + x[1] + x[2] - 1.0) <= REGION_TOL)),)
+    1, lambda x: 2 in (_class_rank(x, 1), _class_rank(x, -1))),)
 _COMPLEXIFIED = (ModuliStratum(
     "complexified_curve", "curve",
     "triples (0, phi, phi), phi in [0, pi/2]",
-    1, lambda x: x[0] >= 1.0 - REGION_TOL and abs(x[1] - x[2]) <= REGION_TOL),)
+    1, lambda x: x[0] >= 1.0 - REGION_TOL and _phi2_is_phi3(x)),)
 _QUATERNIONIC = (_point_stratum(
     "quaternionic_point", (1.0, 1.0, 1.0),
     "the quaternionic subspace, angles (0, 0, 0)",
@@ -587,22 +602,21 @@ _V3_CURVES = (
         "single_branch_curve", "curve",
         "triples (phi, phi, pi/2), phi in [0, pi/3) or phi = pi/2; "
         "one subspace class per angle",
-        1, lambda x: (abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
-                      and (x[0] > 0.5 + REGION_TOL or x[0] <= REGION_TOL))),
+        1, lambda x: _on_v3_curve(x) and (x[0] <= REGION_TOL or _v3_rank(x[0], -1) is None)),
     ModuliStratum(
         "two_branch_curve", "curve",
         "triples (phi, phi, pi/2), phi in [pi/3, pi/2); two "
         "inequivalent classes per angle",
-        2, lambda x: (abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
-                      and REGION_TOL < x[0] <= 0.5 + REGION_TOL)),
+        2, lambda x: _on_v3_curve(x) and x[0] > REGION_TOL and _v3_rank(x[0], -1) is not None),
 )
 _IMAGINARY_LINE = (_point_stratum(
     "imaginary_line_point", (1.0, 1.0, 0.0),
     "the imaginary span of a vector, angles (0, 0, pi/2)"),)
-_V3_POINTS = _IMAGINARY_LINE + (_point_stratum(
-    "compact_branch_point", (0.5, 0.5, 0.0),
+_V3_POINTS = _IMAGINARY_LINE + (ModuliStratum(
+    "compact_branch_point", "point",
     "the single 3-dimensional class at phi = pi/3 that fits two "
-    "quaternionic dimensions"),)
+    "quaternionic dimensions",
+    1, lambda x: _on_v3_curve(x) and _v3_rank(x[0], -1) == 1),)
 _TOTALLY_REAL = (_point_stratum(
     "totally_real_point", (0.0, 0.0, 0.0),
     "the totally real subspace, angles (pi/2, pi/2, pi/2)"),)
@@ -766,7 +780,7 @@ def representative(
             return construct_classical("im_h_line", 3, n)
         if x[0] <= 0.0:  # totally real
             return construct_classical("totally_real", 3, n)
-        return _fitting_class(lambda s: _v3_blocks(math.acos(x[0]), s), branch, n)
+        return _fitting_class(lambda s: _v3_blocks(x[0], s), branch, n)
     if k % 4 == 0:
         l, angles = k // 4, AngleTriple._stored(*x)
         return _fitting_class(lambda s: _sum_blocks(angles, *((l, 0) if s == 1 else (0, l))),
@@ -776,7 +790,7 @@ def representative(
             return construct_classical("totally_complex", k, n)
         if x[0] <= 0.0:
             return construct_classical("totally_real", k, n)
-        return construct_classical("cka_plane_sum", k, n, phi=math.acos(x[0]))
+        return _place(*_classical_blocks("cka_plane_sum", k, x[0]), n)
     return construct_classical("totally_real", k, n)
 
 

@@ -13,6 +13,10 @@ cos(phi_1) + cos(phi_2) - s cos(phi_3) <= 1.  On that boundary the Gram
 matrix drops to rank 2 and the block fits into one fewer quaternionic
 dimension.
 
+Each existence rule is one predicate on cosines, which the builders and the
+moduli strata call (`_class_rank`, `_v3_rank`, `_phi2_is_phi3`).  Every
+builder reads cosines; a constructor taking an angle phi passes cos(phi).
+
 Every construction is a list of blocks.  A block is the (4s, d) matrix of
 its d columns on its own s slots: entry 4t + u holds the coefficient of
 J_u e_t, with J_0 = Id.  ``_place`` writes the blocks onto consecutive
@@ -41,11 +45,12 @@ __all__ = [
     "min_quaternionic_dim",
 ]
 
-# Absolute tolerance on cosines for boundary and pi/2 tests.
+# Absolute tolerance on a builder's cosine for phi1 = 0 and phi3 = pi/2, and
+# on the pivots of the Gram factor.
 BOUNDARY_TOL = 1e-12
-# Absolute tolerance on the cos-sum boundary cos(phi1) + cos(phi2) -+ cos(phi3)
-# = 1.  The moduli region predicates use the same value, so every triple they
-# place on (or inside) the boundary is one the constructors can build.
+# The band of each existence rule: a triple within it of the rule's boundary
+# lies on it.  The builders and the moduli strata read the same predicates,
+# so every triple a stratum holds is one the builders can build.
 REGION_TOL = 1e-10
 
 
@@ -74,9 +79,32 @@ def _sin(c: float) -> float:
     return math.sqrt((1.0 - c) * (1.0 + c))
 
 
-def _cos_sin(phi: float) -> tuple[float, float]:
-    """(cos(phi), sin(phi)) of an angle a builder takes as phi."""
-    return math.cos(phi), math.sin(phi)
+def _class_rank(x, sign: int) -> int | None:
+    """The sign-class rule at the cosines ``x``: the class exists iff
+    cos(phi1) + cos(phi2) - sign cos(phi3) <= 1.  Its Gram rank: 2 within
+    REGION_TOL of that boundary, 3 inside it; None outside."""
+    margin = x[0] + x[1] - sign * x[2] - 1.0
+    if margin > REGION_TOL:
+        return None
+    return 2 if margin >= -REGION_TOL else 3
+
+
+def _v3_rank(c: float, sign: int) -> int | None:
+    """The 3-dimensional rule at c = cos(phi): the plus class exists at every
+    phi, the minus class for cos(phi) <= 1/2 (phi >= pi/3).  The rank of its
+    e_1, e_2: 1 for the minus class within REGION_TOL of cos(phi) = 1/2,
+    where e_2 = -e_1 and it fits in H^2, else 2; None outside."""
+    if sign == 1:
+        return 2
+    if c - 0.5 > REGION_TOL:
+        return None
+    return 1 if c - 0.5 >= -REGION_TOL else 2
+
+
+def _phi2_is_phi3(x) -> bool:
+    """The phi1 = 0 rule at the cosines ``x``: a constant-angle triple with
+    phi1 = 0 has phi2 = phi3."""
+    return abs(x[1] - x[2]) <= REGION_TOL
 
 
 def _gram(c, sign: int) -> list[list[float]]:
@@ -109,10 +137,8 @@ def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
     x = angles.cos_tuple()
     if x[0] > 1.0 - BOUNDARY_TOL:
         raise ValueError("admissibility test requires phi1 > 0")
-    margin = x[0] + x[1] - sign * x[2] - 1.0
-    if margin > REGION_TOL:
-        return False, None
-    return True, 2 if abs(margin) <= REGION_TOL else 3
+    rank = _class_rank(x, sign)
+    return rank is not None, rank
 
 
 def _psd_cholesky(g, rank: int) -> np.ndarray:
@@ -122,7 +148,9 @@ def _psd_cholesky(g, rank: int) -> np.ndarray:
     remaining diagonal entry.  Returns L (numpy) with g = L @ L.T up to
     round-off; pivots beyond ``rank`` are clamped to zero (they sit on the
     admissibility boundary).  A NaN in g is refused, at the latest by the
-    residual gate.
+    residual gate.  A truncated factor's rows are then scaled to unit
+    length: they are the vectors e_i of a block, whose columns use disjoint
+    real axes and so are orthonormal exactly when each e_i is a unit vector.
     """
     m = len(g)
     a = [list(row) for row in g]
@@ -152,6 +180,8 @@ def _psd_cholesky(g, rank: int) -> np.ndarray:
     resid = np.max(np.abs(left @ left.T - g))
     if not resid <= 1e-9:  # a NaN is refused too
         raise NumericalFailure(f"cholesky residual {resid:.2e} exceeds tolerance")
+    if rank < m:
+        left /= np.sqrt(np.square(left).sum(axis=1, keepdims=True))
     return left
 
 
@@ -177,11 +207,11 @@ def _tilted_block(cos_sin, frame: np.ndarray) -> np.ndarray:
     return block
 
 
-def _complexified_block(c: float, s: float) -> np.ndarray:
-    """One 4-dimensional block with angles (0, phi, phi), from c = cos(phi)
-    and s = sin(phi), phi in [0, pi/2]."""
+def _complexified_block(c: float) -> np.ndarray:
+    """One 4-dimensional block with angles (0, phi, phi), from c = cos(phi)."""
     if c > 1.0 - BOUNDARY_TOL:
         return _units(0, 1, 2, 3)
+    s = _sin(c)
     return _tilted_block(((1.0, 0.0), (c, s), (c, s)), np.array([[0.0], [1.0], [1.0]]))
 
 
@@ -190,17 +220,17 @@ def _on_two_slots(block: np.ndarray) -> np.ndarray:
     return np.pad(block, ((0, 8 - len(block)), (0, 0)))
 
 
-# Real dimension and block of each classical family (from its Kahler angle
-# phi where it has one); a member is an H-orthogonal sum of copies of the
-# block (exactly one for im_h_line).  A complexified block keeps two slots
-# even where it degenerates to the quaternionic one.
+# Real dimension and block of each classical family (from the cosine c of
+# its Kahler angle where it has one); a member is an H-orthogonal sum of
+# copies of the block (exactly one for im_h_line).  A complexified block
+# keeps two slots even where it degenerates to the quaternionic one.
 _CLASSICAL_BLOCKS = {
-    "totally_real": (1, lambda phi: _units(0)),
-    "totally_complex": (2, lambda phi: _units(0, 1)),
-    "quaternionic": (4, lambda phi: _units(0, 1, 2, 3)),
-    "im_h_line": (3, lambda phi: _units(1, 2, 3)),
-    "cka_plane_sum": (2, lambda phi: _tilted_block((_cos_sin(phi),), np.ones((1, 1)))),
-    "complexified_cka": (4, lambda phi: _on_two_slots(_complexified_block(*_cos_sin(phi)))),
+    "totally_real": (1, lambda c: _units(0)),
+    "totally_complex": (2, lambda c: _units(0, 1)),
+    "quaternionic": (4, lambda c: _units(0, 1, 2, 3)),
+    "im_h_line": (3, lambda c: _units(1, 2, 3)),
+    "cka_plane_sum": (2, lambda c: _tilted_block(((c, _sin(c)),), np.ones((1, 1)))),
+    "complexified_cka": (4, lambda c: _on_two_slots(_complexified_block(c))),
 }
 CLASSICAL_FAMILIES = tuple(_CLASSICAL_BLOCKS)
 
@@ -210,7 +240,26 @@ CLASSICAL_FAMILIES = tuple(_CLASSICAL_BLOCKS)
 _Blocks = tuple[list[np.ndarray], str]
 
 
-def _classical_blocks(family: str, k: int, phi: float | None) -> _Blocks:
+def _kahler_cos(family: str, phi: float | None) -> float | None:
+    """cos(phi) of the Kahler angle of a classical family that reads one,
+    refused unless phi lies in (0, pi/2); None for the others."""
+    if family not in ("cka_plane_sum", "complexified_cka"):
+        return None
+    if phi is None or not 0.0 < phi < HALF_PI:
+        raise ValueError(f"{family} needs a Kahler angle phi in (0, pi/2)")
+    return math.cos(phi)
+
+
+def _v3_cos(phi: float) -> float:
+    """cos(phi) of the angle of a 3-dimensional class, refused unless phi
+    lies in (0, pi/2]."""
+    if not 0.0 < phi <= HALF_PI:
+        raise ValueError(f"the 3-dimensional classes need phi in (0, pi/2], got phi = {phi!r}")
+    return math.cos(phi)
+
+
+def _classical_blocks(family: str, k: int, c: float | None) -> _Blocks:
+    """A classical family's blocks, those with a Kahler angle at its cosine c."""
     if family not in _CLASSICAL_BLOCKS:
         raise ValueError(f"unknown classical family {family!r}")
     dim, block = _CLASSICAL_BLOCKS[family]
@@ -218,26 +267,23 @@ def _classical_blocks(family: str, k: int, phi: float | None) -> _Blocks:
         raise ValueError(f"the imaginary-span family has dimension 3, got k={k}")
     if k < dim or k % dim:
         raise ValueError(f"{family} needs k to be a positive multiple of {dim}, got k={k}")
-    if family in ("cka_plane_sum", "complexified_cka") and (
-            phi is None or not 0.0 < phi < HALF_PI):
-        raise ValueError(f"{family} needs a Kahler angle phi in (0, pi/2)")
-    return [block(phi)] * (k // dim), f"{family} with k = {k}"
+    return [block(c)] * (k // dim), f"{family} with k = {k}"
 
 
-def _v3_blocks(phi: float, sign: int) -> _Blocks:
-    """e_0, then e_1 and e_2 with <e_1, e_2> = cos(phi) / (cos(phi) + sign),
-    which coincide up to sign (one slot) only for the minus class at pi/3."""
+def _v3_blocks(c: float, sign: int) -> _Blocks:
+    """e_0, then e_1 and e_2 with <e_1, e_2> = c / (c + sign) at c = cos(phi),
+    which coincide up to sign (one slot) only for the minus class at pi/3
+    (`_v3_rank`)."""
     _check_sign(sign)
-    if sign == 1 and not 0.0 < phi <= HALF_PI + 1e-12:
-        raise ValueError("the plus class needs phi in (0, pi/2]")
-    if sign == -1 and not math.pi / 3 - 1e-12 <= phi <= HALF_PI + 1e-12:
-        raise ValueError("the minus class needs phi in [pi/3, pi/2]")
-    c = math.cos(phi) / (math.cos(phi) + sign)
-    if abs(abs(c) - 1.0) <= BOUNDARY_TOL:
-        frame = [[1.0], [math.copysign(1.0, c)]]
+    rank = _v3_rank(c, sign)
+    if rank is None:
+        raise ValueError(f"the minus class needs cos(phi) <= 1/2 (phi >= pi/3), got {c!r}")
+    if rank == 1:
+        frame = [[1.0], [-1.0]]
     else:
-        frame = [[1.0, 0.0], [c, math.sqrt(1.0 - c * c)]]
-    return [_tilted_block((_cos_sin(phi),) * 2, np.array(frame))], "this 3-dimensional class"
+        g = c / (c + sign)
+        frame = [[1.0, 0.0], [g, math.sqrt(1.0 - g * g)]]
+    return [_tilted_block(((c, _sin(c)),) * 2, np.array(frame))], "this 3-dimensional class"
 
 
 def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
@@ -254,11 +300,11 @@ def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
         raise ValueError("angle triples with phi1 = 0 or phi3 = pi/2 occur only in the "
                          "plus class")
     if phi1_zero:
-        if abs(x[1] - x[2]) > BOUNDARY_TOL:
+        if not _phi2_is_phi3(x):
             raise ValueError("constant-angle triples with phi1 = 0 have phi2 = phi3")
-        return _complexified_block(x[1], _sin(x[1]))
-    exists, rank = admissible(angles, sign)
-    if not exists:
+        return _complexified_block(x[1])
+    rank = _class_rank(x, sign)
+    if rank is None:
         raise ValueError(
             f"no sign={sign:+d} class at these angles: "
             f"cos(phi1)+cos(phi2)-({sign:+d})cos(phi3) = "
@@ -282,8 +328,7 @@ def _v4_blocks(angles: AngleTriple, sign: int) -> _Blocks:
     complex subspace in its own basis."""
     _check_sign(sign)
     x = angles.cos_tuple()
-    if (sign == 1 and x[0] > 1.0 - BOUNDARY_TOL and x[1] <= BOUNDARY_TOL
-            and abs(x[1] - x[2]) <= BOUNDARY_TOL):
+    if sign == 1 and x[0] > 1.0 - BOUNDARY_TOL and x[1] <= BOUNDARY_TOL:  # so x[2] too
         return _classical_blocks("totally_complex", 4, None)
     return _sum_blocks(angles, int(sign == 1), int(sign == -1))
 
@@ -317,16 +362,17 @@ def construct_classical(family: str, k: int, n: int, phi: float | None = None) -
     cka_plane_sum      k = 2l <= 2*floor(n/2), phi in (0, pi/2), angles (phi, pi/2, pi/2)
     complexified_cka   k = 4l <= 4*floor(n/2), phi in (0, pi/2), angles (0, phi, phi)
     """
-    return _place(*_classical_blocks(family, k, phi), n)
+    return _place(*_classical_blocks(family, k, _kahler_cos(family, phi)), n)
 
 
 def construct_v3(phi: float, sign: int, n: int) -> Subspace:
     """A 3-dimensional subspace with angles (phi, phi, pi/2) of the given class.
 
     The plus class exists for phi in (0, pi/2], the minus class for phi in
-    [pi/3, pi/2].  Fits in H^2 only in the single case (minus, pi/3).
+    [pi/3, pi/2]: cos(phi) <= 1/2, decided on cos(phi) (`_v3_rank`).  Fits
+    in H^2 only in the single case (minus, pi/3).
     """
-    return _place(*_v3_blocks(phi, sign), n)
+    return _place(*_v3_blocks(_v3_cos(phi), sign), n)
 
 
 def construct_v4(angles: AngleTriple, sign: int, n: int) -> Subspace:
@@ -364,9 +410,9 @@ def _spec_blocks(spec: FamilySpec) -> _Blocks:
     """The blocks of the construction a FamilySpec selects."""
     fam = spec.family
     if fam in CLASSICAL_FAMILIES:
-        return _classical_blocks(fam, _given(spec, "k"), spec.phi)
+        return _classical_blocks(fam, _given(spec, "k"), _kahler_cos(fam, spec.phi))
     if fam == "v3":
-        return _v3_blocks(_given(spec, "phi"), spec.sign)
+        return _v3_blocks(_v3_cos(_given(spec, "phi")), spec.sign)
     if fam == "v4":
         return _v4_blocks(_given(spec, "angles"), spec.sign)
     if fam == "sum_type":

@@ -48,6 +48,7 @@ from .oracles import (
 )
 from .quaternion import induced_rotation, random_group_element
 from .subspace import (
+    HALF_PI,
     AngleTriple,
     Subspace,
     constancy_check,
@@ -56,8 +57,6 @@ from .subspace import (
     omega,
     pbar_operator,
 )
-
-HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,7 @@ def crit_pbar_sign(quick: bool, seed: int) -> tuple[bool, str]:
         if triple.cos_tuple()[2] <= 1e-8:
             continue
         space = construct_v4(triple, sign, n)
-        p = [pbar_operator(space, STANDARD_BASIS, i, triple.as_tuple()[i - 1])
+        p = [pbar_operator(space, STANDARD_BASIS, i, triple.cos_tuple()[i - 1])
              for i in (1, 2, 3)]
         worst = max(worst, float(np.max(np.abs(p[0] @ p[1] - sign * p[2]))))
         tested += 1

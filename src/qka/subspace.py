@@ -534,17 +534,17 @@ def pbar_operator(
     v_space: Subspace,
     basis: CanonicalBasis,
     i: int,
-    phi: float,
+    c: float,
 ) -> np.ndarray:
-    """The normalized operator Pbar_i = P_i / cos(phi_i) restricted to V.
+    """The normalized operator Pbar_i = P_i / c restricted to V, at the cosine
+    c = cos(phi_i) of the angle (`AngleTriple.cos_tuple`).
 
     Returned as a k x k matrix in the coordinates of the basis of V.  Raises
-    when phi = pi/2 (the normalization is singular) or when the restriction
-    fails to be an orthogonal complex structure, which signals that V is not
+    at c = 0 (the normalization is singular) or when the restriction fails
+    to be an orthogonal complex structure, which signals that V is not
     invariant under Pbar_i.  This is the direct reference for the gate that
     the analysis reads off the exact structure (`classify._Analysis._gated_cos`).
     """
-    c = math.cos(phi)
     if abs(c) <= 1e-12:
         raise ValueError("pbar is undefined at phi = pi/2")
     b = v_space.basis

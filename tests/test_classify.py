@@ -667,6 +667,26 @@ class TestModuli:
                         assert moduli_membership(k, n + 1, t)
 
 
+# Offsets around each existence rule: within REGION_TOL, on both sides.
+_PROBE_OFFSETS = (-9e-11, -5e-11, -1e-11, -1e-12, -1e-13, 0.0, 1e-13, 1e-12, 1e-11, 5e-11,
+                  9e-11)
+
+
+def _probe_inputs(d):
+    """(k, n, cosines, stratum, sign) moved by d next to each existence rule:
+    the minus v3 class at cos(phi) = 1/2, phi1 = 0 forcing phi2 = phi3, and
+    the two cos-sum boundaries.  ``sign`` is the class built without a
+    branch, None on a two-branch stratum."""
+    inputs = [(3, n, (0.5 + d, 0.5 + d, 0.0), "two_branch_curve", None) for n in (3, 8)]
+    inputs += [(3, 2, (0.5 + d, 0.5 + d, 0.0), "compact_branch_point", -1)]
+    inputs += [(k, n, (1.0, 0.5 + d, 0.5), "complexified_curve", 1)
+               for k, n in ((4, 2), (8, 4), (12, 8))]
+    inputs += [(8, 6, (x + d, y, z), "boundary_sum_surface", sign)
+               for x, y, z, sign in ((0.5, 0.3, 0.2, -1), (0.8, 0.5, 0.3, 1),
+                                     (1 / 3, 1 / 3, 1 / 3, -1))]
+    return inputs
+
+
 class TestRepresentative:
     def test_v3_branch_dispatch(self):
         space = representative(3, 3, AngleTriple(math.pi / 3, math.pi / 3, HALF_PI), -1)
@@ -694,18 +714,26 @@ class TestRepresentative:
         space = representative(8, 6, plus_boundary)
         assert type_of(space) == TypeSignature(2, 0)
 
-    @pytest.mark.parametrize("offset", [-1e-11, 1e-11])
+    @pytest.mark.parametrize("offset", _PROBE_OFFSETS)
     def test_round_trip_next_to_boundary(self, offset):
-        # Membership on the boundary surface promises a constructible class.
-        triple = AngleTriple.from_cosines([(1 + offset) / 3] * 3)
-        hits = moduli_membership(8, 6, triple)
-        assert [h.stratum.name for h in hits] == ["boundary_sum_surface"]
-        space = representative(8, 6, triple)
-        assert space.n == 6
-        record = classify_subspace(space)
-        assert record["type"] == [0, 2]
-        assert [s["name"] for s in record["strata"]] == ["boundary_sum_surface"]
-        assert np.max(np.abs(np.array(record["cosines"]) - triple.cos_tuple())) < 1e-8
+        # Membership promises a constructible class: next to each existence
+        # rule, every stratum (and branch) a triple lies in is built by
+        # `representative`, and its record lists that stratum and class.
+        for k, n, cosines, name, sign in _probe_inputs(offset):
+            triple = AngleTriple.from_cosines(cosines)
+            hits = moduli_membership(k, n, triple)
+            assert {h.stratum.name for h in hits} == {name}, (k, n, cosines)
+            for hit in hits:
+                where = (k, n, cosines, hit.stratum.name, hit.branch)
+                space = representative(k, n, triple, hit.branch)
+                record = classify_subspace(space)
+                assert space.n == n and name in [s["name"] for s in record["strata"]], where
+                assert np.max(np.abs(np.array(record["cosines"]) - cosines)) < 1e-8, where
+                built = sign if hit.branch is None else hit.branch
+                if k == 3:
+                    assert record["branch"] == built, where
+                else:
+                    assert record["type"] == ([k // 4, 0] if built == 1 else [0, k // 4]), where
 
     def test_readme_witness_in_h7(self):
         # The README witness: cosines 1/3 to eleven digits, one block per sign.
@@ -1488,7 +1516,7 @@ class TestResidualReadPbarGate:
             assert abs(gap - direct) <= 1e-14
             assert gap >= direct - 1e-15
             assert np.array_equal(analysis.pbar(i), pbar)
-            reference = pbar_operator(space, basis, i, math.acos(math.sqrt(c)))
+            reference = pbar_operator(space, basis, i, math.sqrt(c))
             assert np.max(np.abs(reference - pbar)) <= 1e-13
 
     @pytest.mark.parametrize("triple,l_plus,l_minus,n", PBAR_GATE_CASES)
@@ -1499,7 +1527,7 @@ class TestResidualReadPbarGate:
         wrong = exact.w_canonical[0] / math.cos(0.9)
         assert _direct_gate(wrong) > COMPLEX_STRUCTURE_TOL
         with pytest.raises(NumericalFailure, match="not an orthogonal complex structure"):
-            pbar_operator(space, STANDARD_BASIS, 1, 0.9)
+            pbar_operator(space, STANDARD_BASIS, 1, math.cos(0.9))
 
 
 def test_no_second_complex_structure_check(monkeypatch):

@@ -287,11 +287,13 @@ class TestMinQuaternionicDim:
 # `_ref_psd_cholesky`).  They build every column as a full 4n-vector: a slot
 # axis, then a J pass over all n slots.
 #
-# The builders that take an angle phi read (cos(phi), sin(phi)).  Those that
-# take a triple read its cosines c and, for each, `_ref_cos_sin(c, phi)`: the
-# library's formula (c, sqrt((1 - c)(1 + c))), or, patched to
-# `_angle_cos_sin`, the angle formula (cos(phi), sin(phi)) at phi = acos(c)
-# that it replaced, to which the bases are compared within a few ulp.
+# Every builder reads cosines c: those that take an angle phi read
+# c = cos(phi), those that take a triple its stored cosines, and for each c
+# `_ref_cos_sin(c, phi)`: the library's formula (c, sqrt((1 - c)(1 + c))),
+# or, patched to `_angle_cos_sin`, the angle formula (cos(phi), sin(phi))
+# that it replaced, to which the bases are compared within a few ulp.  A
+# rank-2 Gram factor has unit rows (`_ref_unit_rows`), compared likewise to
+# the factor as the residual gate passed it.
 
 def _ref_cos_sin(c: float, phi: float) -> tuple[float, float]:
     return c, math.sqrt((1.0 - c) * (1.0 + c))
@@ -299,6 +301,25 @@ def _ref_cos_sin(c: float, phi: float) -> tuple[float, float]:
 
 def _angle_cos_sin(c: float, phi: float) -> tuple[float, float]:
     return math.cos(phi), math.sin(phi)
+
+
+def _sine_scale(name: str, args) -> float:
+    """1 / sin(phi) for a builder that takes an angle phi, else 1."""
+    if name == "construct_v3":
+        return 1.0 / math.sin(args[0])
+    if name == "construct_classical" and args[0] in ("cka_plane_sum", "complexified_cka"):
+        return 1.0 / math.sin(args[3])
+    return 1.0
+
+
+def _boundary_distance(name: str, args) -> float:
+    """|cos(phi1) + cos(phi2) -+ cos(phi3) - 1| of a triple builder's angles
+    on a boundary (within REGION_TOL), the larger for both; else 0."""
+    if name not in ("construct_v4", "construct_sum"):
+        return 0.0
+    x = args[0].cos_tuple()
+    margins = [abs(x[0] + x[1] - sign * x[2] - 1.0) for sign in (1, -1)]
+    return max([m for m in margins if m <= REGION_TOL], default=0.0)
 
 
 def _ref_gram_batch(cs: np.ndarray, sign: int) -> np.ndarray:
@@ -346,7 +367,12 @@ def _ref_psd_cholesky(g: np.ndarray, rank: int) -> np.ndarray:
     resid = np.max(np.abs(left @ left.T - g))
     if resid > 1e-9:
         raise NumericalFailure(f"cholesky residual {resid:.2e} exceeds tolerance")
-    return left
+    return _ref_unit_rows(left) if rank < m else left
+
+
+def _ref_unit_rows(left: np.ndarray) -> np.ndarray:
+    """The rows of a truncated factor scaled to unit length."""
+    return np.array([row / math.sqrt(sum(v * v for v in row)) for row in left])
 
 def _axis(slot: int, n: int) -> np.ndarray:
     c = np.zeros(4 * n)
@@ -419,7 +445,7 @@ def _ref_classical(family, k, n, phi=None):
             raise ValueError("reference")
         if k % 2 or not 2 <= k <= 2 * (n // 2):
             raise ValueError("reference")
-        c, s = math.cos(phi), math.sin(phi)
+        c, s = _ref_cos_sin(math.cos(phi), phi)
         for m in range(k // 2):
             a, b = _axis(2 * m, n), _axis(2 * m + 1, n)
             cols += [a, c * _jmul(1, a) + s * _jmul(1, b)]
@@ -429,7 +455,7 @@ def _ref_classical(family, k, n, phi=None):
         if k % 4 or not 4 <= k <= 4 * (n // 2):
             raise ValueError("reference")
         for m in range(k // 4):
-            cols += _ref_complexified_block_columns(math.cos(phi), math.sin(phi), 2 * m, n)
+            cols += _ref_complexified_block_columns(*_ref_cos_sin(math.cos(phi), phi), 2 * m, n)
     else:
         raise ValueError("reference: unknown family")
     return np.column_stack(cols)
@@ -438,23 +464,23 @@ def _ref_classical(family, k, n, phi=None):
 def _ref_v3(phi, sign, n):
     if sign not in (1, -1):
         raise ValueError("reference")
-    if sign == 1 and not 0.0 < phi <= HALF_PI + 1e-12:
+    if not 0.0 < phi <= HALF_PI:
         raise ValueError("reference")
-    if sign == -1 and not math.pi / 3 - 1e-12 <= phi <= HALF_PI + 1e-12:
+    cp, sp = _ref_cos_sin(math.cos(phi), phi)
+    if sign == -1 and cp > 0.5 + REGION_TOL:
         raise ValueError("reference")
-    c = math.cos(phi) / (math.cos(phi) + sign)
     if n < 1:
         raise ValueError("reference")
     e0, e1 = _axis(0, n), None
-    if abs(abs(c) - 1.0) <= BOUNDARY_TOL:
+    if sign == -1 and cp >= 0.5 - REGION_TOL:
         _ref_need(n, 2)
         e1 = _axis(1, n)
-        e2 = math.copysign(1.0, c) * e1
+        e2 = -e1
     else:
         _ref_need(n, 3)
+        c = cp / (cp + sign)
         e1 = _axis(1, n)
         e2 = c * e1 + math.sqrt(1.0 - c * c) * _axis(2, n)
-    cp, sp = math.cos(phi), math.sin(phi)
     return np.column_stack([e0, cp * _jmul(1, e0) + sp * _jmul(1, e1),
                             cp * _jmul(2, e0) + sp * _jmul(2, e2)])
 
@@ -468,7 +494,7 @@ def _ref_v4(angles, sign, n):
     if x[0] > 1.0 - BOUNDARY_TOL:
         if sign == -1:
             raise ValueError("reference")
-        if abs(x[1] - x[2]) > BOUNDARY_TOL:
+        if abs(x[1] - x[2]) > REGION_TOL:
             raise ValueError("reference")
         if x[1] > 1.0 - BOUNDARY_TOL:
             return _ref_classical("quaternionic", 4, n)
@@ -491,7 +517,7 @@ def _ref_sum(angles, l_plus, l_minus, n):
     cols = []
     offset = 0
     if x[0] > 1.0 - BOUNDARY_TOL:
-        if abs(x[1] - x[2]) > BOUNDARY_TOL:
+        if abs(x[1] - x[2]) > REGION_TOL:
             raise ValueError("reference")
         width = 1 if x[1] > 1.0 - BOUNDARY_TOL else 2
         _ref_need(n, width * l_plus)
@@ -559,8 +585,11 @@ def _grid_calls():
 
 _SWEEP_COSINES = (1.0, 1.0 - 1e-13, 0.95, 0.8, 0.6, 0.5, 0.4, 1 / 3, 0.3, 0.2, 0.1,
                   1e-13, 0.0)
-_SWEEP_PHIS = (0.0, 1e-13, 1e-7, 0.05, 0.9, math.pi / 3 - 1e-13, math.pi / 3,
-               math.pi / 3 + 1e-13, 1.2, HALF_PI - 1e-13, HALF_PI, HALF_PI + 1e-13,
+# Around pi/3: inside and outside the REGION_TOL band of cos(phi) = 1/2, where
+# the minus class fits one fewer slot (inside) or does not exist (below).
+_SWEEP_PHIS = (0.0, 1e-13, 1e-7, 0.05, 0.9, math.acos(0.5 + 2e-10), math.acos(0.5 + 9e-11),
+               math.pi / 3 - 1e-13, math.pi / 3, math.pi / 3 + 1e-13, math.acos(0.5 - 9e-11),
+               math.acos(0.5 - 2e-10), 1.2, HALF_PI - 1e-13, HALF_PI, HALF_PI + 1e-13,
                -0.1, math.nan)
 
 
@@ -602,9 +631,10 @@ class TestCatalogMatchesPreviousConstructors:
 
     @pytest.mark.parametrize("calls", [_grid_calls, _sweep_calls])
     def test_bases_within_a_few_ulp_of_the_angle_formula(self, calls, monkeypatch):
-        # The triple builders read the stored cosines; the angle formula they
-        # replaced builds the same bases within 8 ulp of 1 and refuses the
-        # same calls.
+        # The builders read cosines; the angle formula they replaced builds
+        # the same bases within 8 ulp of 1 and refuses the same calls.  An
+        # angle builder's c = cos(phi) holds sin(phi) only to within about
+        # eps / sin(phi), so its bound is 8 ulp / sin(phi).
         got = [_outcome(_LIBRARY[name], args) for name, args in calls()]
         monkeypatch.setitem(globals(), "_ref_cos_sin", _angle_cos_sin)
         moved = 0
@@ -614,9 +644,29 @@ class TestCatalogMatchesPreviousConstructors:
             if new is not None:
                 assert new[0] == old[0]
                 diff = np.max(np.abs(np.frombuffer(new[1]) - np.frombuffer(old[1])))
-                assert diff <= 8 * np.finfo(float).eps, (name, args)
+                assert diff <= 8 * np.finfo(float).eps * _sine_scale(name, args), (name, args)
                 moved += bool(diff)
         assert moved > 10
+
+    @pytest.mark.parametrize("calls", [_grid_calls, _sweep_calls])
+    def test_bases_within_a_few_ulp_of_the_kept_rows(self, calls, monkeypatch):
+        # A block on a cos-sum boundary has unit rows in its Gram factor.
+        # The factor the residual gate passed builds the same bases within
+        # 8 ulp of 1 plus twice the triple's distance to the boundary (its
+        # rows miss unit length by about that distance; 1.88 times it at
+        # the sweep's worst, (0.8, 0.2, 1e-13)).
+        got = [_outcome(_LIBRARY[name], args) for name, args in calls()]
+        monkeypatch.setitem(globals(), "_ref_unit_rows", lambda left: left)
+        moved = 0
+        for (name, args), new in zip(calls(), got):
+            old = _outcome(_REFERENCE[name], args)
+            assert (new is None) == (old is None), (name, args)
+            if new is not None:
+                diff = np.max(np.abs(np.frombuffer(new[1]) - np.frombuffer(old[1])))
+                bound = 8 * np.finfo(float).eps + 2.0 * _boundary_distance(name, args)
+                assert diff <= bound, (name, args)
+                moved += bool(diff)
+        assert moved > (10 if calls is _sweep_calls else 0)
 
     def test_degenerate_complexified_block_keeps_two_slots(self):
         # cos(1e-7) is within BOUNDARY_TOL of 1, so each block is the
@@ -694,6 +744,19 @@ class TestFloatKernelsMatchNumpyReference:
         assert outcomes["factor"] >= 400, outcomes
         assert outcomes["residual"] >= 200, outcomes
         assert outcomes["matrix"] >= 200, outcomes
+
+    def test_unit_rows_within_a_few_ulp_of_the_kept_rows(self, monkeypatch):
+        # The grid's rank-2 triples lie within round-off of their boundary,
+        # so scaling a factor's rows to unit length moves no entry by more
+        # than 8 ulp of 1.
+        grid = [(angles, sign) for angles, sign, rank in _kernel_grid() if rank == 2]
+        got = [_psd_cholesky(_gram(angles.cos_tuple(), sign), 2) for angles, sign in grid]
+        for left in got:
+            assert np.max(np.abs(np.square(left).sum(axis=1) - 1.0)) <= 2 * np.finfo(float).eps
+        monkeypatch.setitem(globals(), "_ref_unit_rows", lambda left: left)
+        diff = max(np.max(np.abs(new - _ref_psd_cholesky(_ref_gram(angles, sign), 2)))
+                   for new, (angles, sign) in zip(got, grid))
+        assert 0.0 < diff <= 8 * np.finfo(float).eps
 
     def test_near_one_cosines_refused_alike(self):
         # At cosines (1 - 1e-12)^3 the margin is on the boundary (rank 2),

@@ -158,3 +158,15 @@ def test_no_cosine_of_a_triples_angle_outside_subspace():
             found += _trig_of_stored_angles(
                 ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path)
     assert found == [], f"cos/sin of a triple's angle: {found}"
+
+
+def test_no_acos_where_the_builders_read_cosines():
+    # Every builder reads cosines, and `representative` hands its snapped
+    # cosines to them, so neither `families` nor `classify` takes an acos:
+    # an angle there would only be turned back into its cosine.
+    found = []
+    for name in ("families.py", "classify.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "acos"]
+    assert found == [], f"acos calls: {found}"

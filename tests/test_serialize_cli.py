@@ -316,6 +316,18 @@ class TestCli:
         assert code == 2 and captured.out == "" and not out.exists()
         assert named in captured.err
 
+    def test_minus_v3_built_within_the_band_of_its_rule(self, tmp_path, capsys):
+        # The minus class exists for cos(phi) <= 1/2, within REGION_TOL, as in
+        # the two-branch curve of the moduli table; beyond it, exit 2 with the rule.
+        base = ["construct", "--family", "v3", "--sign", "-", "--n", "3", "--out"]
+        code, stdout, _ = run_cli(base + [str(tmp_path / "a.json"), "--cos", "0.500000000001"],
+                                  capsys)
+        assert code == 0 and json.loads(stdout)["constant"] is True
+        out = tmp_path / "b.json"
+        code, stdout, err = run_cli(base + [str(out), "--cos", "0.5000000002"], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "the minus class needs cos(phi) <= 1/2" in err
+
     def test_retired_phi_flag_is_refused_by_the_parser(self, tmp_path, capsys):
         # --angles takes the one family angle that --phi used to pass.
         out = tmp_path / "x.json"

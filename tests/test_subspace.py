@@ -465,21 +465,21 @@ class TestJointBasis:
 class TestPbar:
     def test_quaternionic_clifford_identity(self):
         space = quaternionic_line()
-        p = [pbar_operator(space, STANDARD_BASIS, i, 0.0) for i in (1, 2, 3)]
+        p = [pbar_operator(space, STANDARD_BASIS, i, 1.0) for i in (1, 2, 3)]
         assert np.max(np.abs(p[0] @ p[1] - p[2])) < 1e-12
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sign_classes(self, sign):
         triple = t_cos(0.3, 0.3, 0.3)
         space = construct_v4(triple, sign, 4)
-        p = [pbar_operator(space, STANDARD_BASIS, i, triple.as_tuple()[i - 1])
+        p = [pbar_operator(space, STANDARD_BASIS, i, triple.cos_tuple()[i - 1])
              for i in (1, 2, 3)]
         assert np.max(np.abs(p[0] @ p[1] - sign * p[2])) < 1e-9
 
     def test_anticommutation(self):
         triple = t_cos(0.5, 0.3, 0.15)
         space = construct_sum(triple, 1, 1, 8)
-        p = [pbar_operator(space, STANDARD_BASIS, i, triple.as_tuple()[i - 1])
+        p = [pbar_operator(space, STANDARD_BASIS, i, triple.cos_tuple()[i - 1])
              for i in (1, 2, 3)]
         for i in range(3):
             for j in range(i + 1, 3):
@@ -488,13 +488,13 @@ class TestPbar:
     def test_rejects_right_angle(self):
         space = construct_classical("totally_real", 4, 4)
         with pytest.raises(ValueError, match="pi/2"):
-            pbar_operator(space, STANDARD_BASIS, 1, HALF_PI)
+            pbar_operator(space, STANDARD_BASIS, 1, math.cos(HALF_PI))
 
     def test_rejects_non_invariant(self):
         # dimension-3 subspaces are not invariant under the normalized maps
         space = construct_v3(0.9, 1, 3)
         with pytest.raises(NumericalFailure):
-            pbar_operator(space, STANDARD_BASIS, 1, 0.9)
+            pbar_operator(space, STANDARD_BASIS, 1, math.cos(0.9))
 
 
 def _looped_ranks(v_space, samples, seed):
