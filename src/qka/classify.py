@@ -18,14 +18,15 @@ import numpy as np
 
 from .families import (
     REGION_TOL,
+    FamilySpec,
     _Blocks,
     _class_rank,
-    _classical_blocks,
     _phi2_is_phi3,
     _place,
     _sum_blocks,
     _v3_blocks,
     _v3_rank,
+    construct,
     construct_classical,
 )
 from .subspace import (
@@ -790,7 +791,7 @@ def representative(
             return construct_classical("totally_complex", k, n)
         if x[0] <= 0.0:
             return construct_classical("totally_real", k, n)
-        return _place(*_classical_blocks("cka_plane_sum", k, x[0]), n)
+        return construct(FamilySpec("cka_plane_sum", n, k=k, cos=x[0]))
     return construct_classical("totally_real", k, n)
 
 

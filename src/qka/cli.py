@@ -2,8 +2,9 @@
 
 Each command parses its flags, calls the library, which checks the values
 and builds the payload, and prints it as JSON.  The CLI's own checks are on
-flags alone: construct refuses a flag its family does not read, and --cos
-values must be finite numbers in [0, 1].
+flags alone: construct refuses a flag its family does not read (`CATALOG`),
+--cos values must be finite numbers in [0, 1], and a single --angles value
+an angle in [0, pi/2].
 
 Exit codes: 0 success, 2 user or parameter error, 3 internal numerical
 failure.  `selftest`, the one command that samples, reads --seed (default
@@ -24,19 +25,16 @@ from .classify import (
     moduli_describe,
     moduli_membership,
 )
-from .families import CLASSICAL_FAMILIES, FamilySpec, construct
+from .families import CATALOG, FamilySpec, construct
 from .serialize import load_subspace, save_subspace
-from .subspace import AngleTriple, NumericalFailure
+from .subspace import HALF_PI, AngleTriple, NumericalFailure
 
 __all__ = ["main"]
 
-_FAMILIES = CLASSICAL_FAMILIES + ("v3", "v4", "sum")
-# The optional construct flags each family reads besides --k: "angle" is one
-# value of --angles or --cos, and "triple" three of them.
-# v4 and sum read one angle too, to refuse it as a missing triple.
-_READS = {"v3": ("angle", "sign"), "v4": ("angle", "triple", "sign"),
-          "sum": ("angle", "triple", "lplus", "lminus"),
-          "cka_plane_sum": ("angle",), "complexified_cka": ("angle",)}
+# The catalog's families by their --family names, and the FamilySpec field
+# each optional construct flag sets besides the angle flags.
+_CHOICES = {"sum" if name == "sum_type" else name: name for name in CATALOG}
+_FIELDS = {"sign": "sign", "lplus": "l_plus", "lminus": "l_minus"}
 
 
 def _seed_arg(text: str) -> int:
@@ -57,19 +55,21 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _checked_cosines(values: list[float]) -> list[float]:
-    """--cos values, refused unless each is a finite number in [0, 1]."""
-    for c in values:
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"--cos values must be finite numbers in [0, 1], got {c}")
+def _in_range(flag: str, values: list[float], top: float, shown: str) -> list[float]:
+    """Values of an angle flag, refused unless each is a finite number in
+    [0, top], naming the flag."""
+    for v in values:
+        if not 0.0 <= v <= top:
+            raise ValueError(f"{flag} values must be finite numbers in [0, {shown}], got {v}")
     return values
 
 
 def _parse_angles(args) -> tuple[AngleTriple | None, float | None]:
-    """Angle inputs: full triple or a single family parameter phi, in
-    radians (--angles, or --triple of moduli) or as cosines (--cos).  Three
-    cosines are stored as given; one is taken through acos."""
-    values = args.angles if args.cos is None else _checked_cosines(args.cos)
+    """Angle inputs: a full triple, or the cosine of a family's one angle,
+    in radians (--angles, or --triple of moduli) or as cosines (--cos).
+    Cosines are stored as given; one angle is range-checked, then its
+    cosine is taken once."""
+    values = args.angles if args.cos is None else _in_range("--cos", args.cos, 1.0, "1")
     if values is None:
         return None, None
     if len(values) == 3:
@@ -77,26 +77,25 @@ def _parse_angles(args) -> tuple[AngleTriple | None, float | None]:
                 else AngleTriple.from_cosines(values)), None
     if len(values) != 1:
         raise ValueError("--angles/--cos take one value (a family parameter) or three")
-    return None, values[0] if args.cos is None else math.acos(values[0])
+    if args.cos is None:
+        values = [math.cos(_in_range("--angles", values, HALF_PI, "pi/2")[0])]
+    return None, values[0]
 
 
 def _spec_from_args(args) -> FamilySpec:
     """Map the construct flags onto a FamilySpec; `construct` validates it.
 
-    A flag the family does not read is refused, naming it."""
-    triple, phi = _parse_angles(args)
-    angle = "angle" if triple is None else "triple"
-    reads = _READS.get(args.family, ())
-    unread = [f"--{name}" for name in ("angles", "cos", "sign", "lplus", "lminus")
-              if getattr(args, name) is not None
-              and (name if name in ("sign", "lplus", "lminus") else angle) not in reads]
+    A flag the family does not read (`CATALOG`) is refused, naming it; one
+    angle where it reads a triple is refused by `construct` as no triple."""
+    family = _CHOICES[args.family]
+    reads, _ = CATALOG[family]
+    triple, c = _parse_angles(args)
+    angle = "angles" if triple is not None or "angles" in reads else "cos"
+    unread = [f"--{flag}" for flag, field in (("angles", angle), ("cos", angle), *_FIELDS.items())
+              if getattr(args, flag) is not None and field not in reads]
     if unread:
         raise ValueError(f"--family {args.family} does not read {', '.join(unread)}")
-    family = "sum_type" if args.family == "sum" else args.family
-    # The imaginary span of a vector has dimension 3, so --k may be omitted;
-    # a --k other than 3 reaches `construct` and is refused there.
-    k = 3 if family == "im_h_line" and args.k is None else args.k
-    return FamilySpec(family, n=args.n, k=k, phi=phi, angles=triple,
+    return FamilySpec(family, n=args.n, k=args.k, cos=c, angles=triple,
                       sign=-1 if args.sign == "-" else 1,
                       l_plus=args.lplus or 0, l_minus=args.lminus or 0)
 
@@ -109,15 +108,10 @@ def _cmd_construct(args) -> int:
     # The same analysis as `angles` and `classify`, so all three report one spread.
     analysis = _Analysis(space)
     cosines = list(analysis.cosines)
-    meta = {
-        "family": spec.family,
-        "cosines": [round(c, 15) for c in cosines],
-    }
-    if spec.family == "v3" or spec.family == "v4":
-        meta["branch"] = spec.sign
-    if spec.family == "sum_type":
-        meta["l_plus"] = spec.l_plus
-        meta["l_minus"] = spec.l_minus
+    meta = {"family": spec.family, "cosines": [round(c, 15) for c in cosines]}
+    # The sign ("branch") and block counts, where the family reads them.
+    meta.update({"branch" if name == "sign" else name: getattr(spec, name)
+                 for name in _FIELDS.values() if name in CATALOG[spec.family][0]})
     save_subspace(args.out, space, meta)
     # The snapped cosines replace the report's in place, keeping the key order.
     _emit({"path": args.out, **_report_fields(analysis),
@@ -177,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a subspace and write it to JSON")
-    p.add_argument("--family", required=True, choices=_FAMILIES)
+    p.add_argument("--family", required=True, choices=list(_CHOICES))
     p.add_argument("--k", type=int, help="real dimension (classical families)")
     p.add_argument("--n", type=int, required=True, help="ambient quaternionic dimension")
     angle = p.add_mutually_exclusive_group()

@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .subspace import HALF_PI, AngleTriple, NumericalFailure, Subspace
+from .subspace import AngleTriple, NumericalFailure, Subspace, _cos_of
 
 __all__ = [
     "FamilySpec",
+    "CATALOG",
     "CLASSICAL_FAMILIES",
     "gram_matrix",
     "admissible",
@@ -45,8 +47,8 @@ __all__ = [
     "min_quaternionic_dim",
 ]
 
-# Absolute tolerance on a builder's cosine for phi1 = 0 and phi3 = pi/2, and
-# on the pivots of the Gram factor.
+# Absolute tolerance on a builder's cosine for phi1 = 0 and phi3 = pi/2 (and
+# a Kahler angle of pi/2), and on the pivots of the Gram factor.
 BOUNDARY_TOL = 1e-12
 # The band of each existence rule: a triple within it of the rule's boundary
 # lies on it.  The builders and the moduli strata read the same predicates,
@@ -56,12 +58,13 @@ REGION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parameters selecting one member of the constructor catalog."""
+    """Parameters selecting one member of the catalog (`CATALOG`); ``cos`` is
+    cos(phi) of the one angle phi of v3 and the Kahler-angle families."""
 
     family: str
     n: int
     k: int = 0
-    phi: float | None = None
+    cos: float | None = None
     angles: AngleTriple | None = None
     sign: int = 1
     l_plus: int = 0
@@ -221,7 +224,7 @@ def _on_two_slots(block: np.ndarray) -> np.ndarray:
 
 
 # Real dimension and block of each classical family (from the cosine c of
-# its Kahler angle where it has one); a member is an H-orthogonal sum of
+# its Kahler angle where it reads one); a member is an H-orthogonal sum of
 # copies of the block (exactly one for im_h_line).  A complexified block
 # keeps two slots even where it degenerates to the quaternionic one.
 _CLASSICAL_BLOCKS = {
@@ -236,49 +239,45 @@ CLASSICAL_FAMILIES = tuple(_CLASSICAL_BLOCKS)
 
 # Each *_blocks function returns the blocks of one construction, plus blocks
 # first, and the construction's name for the refusal of a too small n.  They
-# hold every existence and size rule of the catalog.
+# hold every rule of the catalog: existence, size, and a parameter unset (None).
 _Blocks = tuple[list[np.ndarray], str]
 
 
-def _kahler_cos(family: str, phi: float | None) -> float | None:
-    """cos(phi) of the Kahler angle of a classical family that reads one,
-    refused unless phi lies in (0, pi/2); None for the others."""
-    if family not in ("cka_plane_sum", "complexified_cka"):
-        return None
-    if phi is None or not 0.0 < phi < HALF_PI:
-        raise ValueError(f"{family} needs a Kahler angle phi in (0, pi/2)")
-    return math.cos(phi)
-
-
-def _v3_cos(phi: float) -> float:
-    """cos(phi) of the angle of a 3-dimensional class, refused unless phi
-    lies in (0, pi/2]."""
-    if not 0.0 < phi <= HALF_PI:
-        raise ValueError(f"the 3-dimensional classes need phi in (0, pi/2], got phi = {phi!r}")
-    return math.cos(phi)
-
-
-def _classical_blocks(family: str, k: int, c: float | None) -> _Blocks:
-    """A classical family's blocks, those with a Kahler angle at its cosine c."""
+def _classical_blocks(spec: FamilySpec) -> _Blocks:
+    """A classical family's blocks (im_h_line's k may be unset); a Kahler angle's
+    cosine lies in (0, 1), refused at 1 and within BOUNDARY_TOL of 0."""
+    family, k, c = spec.family, spec.k, spec.cos
     if family not in _CLASSICAL_BLOCKS:
         raise ValueError(f"unknown classical family {family!r}")
     dim, block = _CLASSICAL_BLOCKS[family]
-    if family == "im_h_line" and k != dim:
-        raise ValueError(f"the imaginary-span family has dimension 3, got k={k}")
+    if family == "im_h_line":
+        if k not in (None, dim):
+            raise ValueError(f"the imaginary-span family has dimension 3, got k={k}")
+        k = dim
+    if k is None:
+        raise ValueError(f"{family} needs a dimension k")
+    if "cos" in CATALOG[family][0] and (c is None or not BOUNDARY_TOL < c < 1.0):
+        raise ValueError(f"{family} needs a Kahler angle phi in (0, pi/2)")
     if k < dim or k % dim:
         raise ValueError(f"{family} needs k to be a positive multiple of {dim}, got k={k}")
     return [block(c)] * (k // dim), f"{family} with k = {k}"
 
 
-def _v3_blocks(c: float, sign: int) -> _Blocks:
-    """e_0, then e_1 and e_2 with <e_1, e_2> = c / (c + sign) at c = cos(phi),
-    which coincide up to sign (one slot) only for the minus class at pi/3
-    (`_v3_rank`)."""
+def _v3_blocks(c: float | None, sign: int) -> _Blocks:
+    """e_0, then e_1 and e_2 with <e_1, e_2> = c / (c + sign) at c = cos(phi)
+    in [0, 1], which coincide up to sign (one slot) only for the minus class
+    at pi/3 (`_v3_rank`); at c = 1 the sine is 0 and no e_i is placed."""
     _check_sign(sign)
+    if c is None:
+        raise ValueError("v3 needs an angle phi")
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"the 3-dimensional classes need cos(phi) in [0, 1], got {c!r}")
     rank = _v3_rank(c, sign)
     if rank is None:
         raise ValueError(f"the minus class needs cos(phi) <= 1/2 (phi >= pi/3), got {c!r}")
-    if rank == 1:
+    if c == 1.0:
+        frame = [[], []]
+    elif rank == 1:
         frame = [[1.0], [-1.0]]
     else:
         g = c / (c + sign)
@@ -313,7 +312,9 @@ def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
     return _tilted_block([(c, _sin(c)) for c in x], _psd_cholesky(_gram(x, sign), rank))
 
 
-def _sum_blocks(angles: AngleTriple, l_plus: int, l_minus: int) -> _Blocks:
+def _sum_blocks(angles: AngleTriple | None, l_plus: int, l_minus: int) -> _Blocks:
+    if angles is None:
+        raise ValueError("sum_type needs an angle triple")
     if l_plus < 0 or l_minus < 0 or l_plus + l_minus < 1:
         raise ValueError("need a non-negative number of blocks, at least one in total")
     blocks: list[np.ndarray] = []
@@ -323,13 +324,15 @@ def _sum_blocks(angles: AngleTriple, l_plus: int, l_minus: int) -> _Blocks:
     return blocks, f"a sum of {l_plus} plus and {l_minus} minus blocks"
 
 
-def _v4_blocks(angles: AngleTriple, sign: int) -> _Blocks:
+def _v4_blocks(angles: AngleTriple | None, sign: int) -> _Blocks:
     """The one-block sum of the class, or at (0, pi/2, pi/2) the totally
     complex subspace in its own basis."""
     _check_sign(sign)
+    if angles is None:
+        raise ValueError("v4 needs an angle triple")
     x = angles.cos_tuple()
     if sign == 1 and x[0] > 1.0 - BOUNDARY_TOL and x[1] <= BOUNDARY_TOL:  # so x[2] too
-        return _classical_blocks("totally_complex", 4, None)
+        return _classical_blocks(FamilySpec("totally_complex", 0, k=4))
     return _sum_blocks(angles, int(sign == 1), int(sign == -1))
 
 
@@ -362,17 +365,19 @@ def construct_classical(family: str, k: int, n: int, phi: float | None = None) -
     cka_plane_sum      k = 2l <= 2*floor(n/2), phi in (0, pi/2), angles (phi, pi/2, pi/2)
     complexified_cka   k = 4l <= 4*floor(n/2), phi in (0, pi/2), angles (0, phi, phi)
     """
-    return _place(*_classical_blocks(family, k, _kahler_cos(family, phi)), n)
+    reads_cos = family in CLASSICAL_FAMILIES and "cos" in CATALOG[family][0]
+    c = _cos_of(phi) if reads_cos and phi is not None else None
+    return _place(*_classical_blocks(FamilySpec(family, n, k=k, cos=c)), n)
 
 
 def construct_v3(phi: float, sign: int, n: int) -> Subspace:
     """A 3-dimensional subspace with angles (phi, phi, pi/2) of the given class.
 
-    The plus class exists for phi in (0, pi/2], the minus class for phi in
+    The plus class exists for phi in [0, pi/2], the minus class for phi in
     [pi/3, pi/2]: cos(phi) <= 1/2, decided on cos(phi) (`_v3_rank`).  Fits
-    in H^2 only in the single case (minus, pi/3).
+    in H^1 where cos(phi) = 1 (plus), and in H^2 at (minus, pi/3).
     """
-    return _place(*_v3_blocks(_v3_cos(phi), sign), n)
+    return _place(*_v3_blocks(_cos_of(phi), sign), n)
 
 
 def construct_v4(angles: AngleTriple, sign: int, n: int) -> Subspace:
@@ -395,29 +400,28 @@ def construct_sum(angles: AngleTriple, l_plus: int, l_minus: int, n: int) -> Sub
     return _place(*_sum_blocks(angles, l_plus, l_minus), n)
 
 
-_PARAMETERS = {"k": "a dimension k", "phi": "an angle phi", "angles": "an angle triple"}
-
-
-def _given(spec: FamilySpec, name: str):
-    """A parameter the family of ``spec`` needs, refused when it is unset."""
-    value = getattr(spec, name)
-    if value is None:
-        raise ValueError(f"{spec.family} needs {_PARAMETERS[name]}")
-    return value
+# The one family catalog: each family's FamilySpec fields read besides family
+# and n, and its blocks.  `construct`, `min_quaternionic_dim` and the CLI (its
+# --family choices, and the flags each family reads) read it.
+CATALOG: dict[str, tuple[tuple[str, ...], Callable[[FamilySpec], _Blocks]]] = {
+    "totally_real": (("k",), _classical_blocks),
+    "totally_complex": (("k",), _classical_blocks),
+    "quaternionic": (("k",), _classical_blocks),
+    "im_h_line": (("k",), _classical_blocks),
+    "cka_plane_sum": (("k", "cos"), _classical_blocks),
+    "complexified_cka": (("k", "cos"), _classical_blocks),
+    "v3": (("cos", "sign"), lambda spec: _v3_blocks(spec.cos, spec.sign)),
+    "v4": (("angles", "sign"), lambda spec: _v4_blocks(spec.angles, spec.sign)),
+    "sum_type": (("angles", "l_plus", "l_minus"),
+                 lambda spec: _sum_blocks(spec.angles, spec.l_plus, spec.l_minus)),
+}
 
 
 def _spec_blocks(spec: FamilySpec) -> _Blocks:
     """The blocks of the construction a FamilySpec selects."""
-    fam = spec.family
-    if fam in CLASSICAL_FAMILIES:
-        return _classical_blocks(fam, _given(spec, "k"), _kahler_cos(fam, spec.phi))
-    if fam == "v3":
-        return _v3_blocks(_v3_cos(_given(spec, "phi")), spec.sign)
-    if fam == "v4":
-        return _v4_blocks(_given(spec, "angles"), spec.sign)
-    if fam == "sum_type":
-        return _sum_blocks(_given(spec, "angles"), spec.l_plus, spec.l_minus)
-    raise ValueError(f"unknown family {fam!r}")
+    if spec.family not in CATALOG:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return CATALOG[spec.family][1](spec)
 
 
 def construct(spec: FamilySpec) -> Subspace:
@@ -430,11 +434,7 @@ def min_quaternionic_dim(spec: FamilySpec) -> int:
 
     This is the number of slots its blocks occupy, so a spec that no n
     admits raises ValueError, or NumericalFailure where the constructor's
-    Gram factorization fails.  The one exception is the plus class of v3 at
-    phi = 0, which the constructor refuses: its angles (0, 0, pi/2) are
-    those of the imaginary span of a vector, in H^1.
+    Gram factorization fails.
     """
-    if spec.family == "v3" and spec.phi == 0.0 and spec.sign == 1:
-        return 1
     blocks, _ = _spec_blocks(spec)
     return sum(len(block) for block in blocks) // 4

@@ -63,6 +63,13 @@ def _finite_clip01(x: float, what: str) -> float:
     return min(max(0.0, x), 1.0)
 
 
+def _cos_of(phi: float) -> float:
+    """cos(phi), refused unless phi is a finite angle in [0, pi/2]."""
+    if not 0.0 <= phi <= HALF_PI:  # a NaN fails the comparison, so it is refused here
+        raise ValueError(f"angle {phi} lies outside [0, pi/2]")
+    return math.cos(phi)
+
+
 @dataclass(frozen=True, init=False)
 class AngleTriple:
     """Angles 0 <= phi1 <= phi2 <= phi3 <= pi/2, stored as their cosines
@@ -73,13 +80,10 @@ class AngleTriple:
     _cos: tuple[float, float, float]
 
     def __init__(self, phi1: float, phi2: float, phi3: float):
-        a = (phi1, phi2, phi3)
-        for phi in a:  # a NaN fails the comparison, so it is refused here
-            if not 0.0 <= phi <= HALF_PI:
-                raise ValueError(f"angle {phi} lies outside [0, pi/2]")
-        if not a[0] <= a[1] <= a[2]:
-            raise ValueError(f"angles must be sorted ascending, got {a}")
-        object.__setattr__(self, "_cos", (math.cos(phi1), math.cos(phi2), math.cos(phi3)))
+        cos = tuple(map(_cos_of, (phi1, phi2, phi3)))
+        if not phi1 <= phi2 <= phi3:
+            raise ValueError(f"angles must be sorted ascending, got {(phi1, phi2, phi3)}")
+        object.__setattr__(self, "_cos", cos)
 
     @classmethod
     def _stored(cls, c1: float, c2: float, c3: float) -> "AngleTriple":

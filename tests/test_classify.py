@@ -383,7 +383,7 @@ BATCH_CASES = [
     for phi in (math.pi / 3, 1.2, 1.45)
     for sign in (1, -1)
     for n in (2, 3, 5)
-    if n >= min_quaternionic_dim(FamilySpec("v3", n=n, phi=phi, sign=sign))
+    if n >= min_quaternionic_dim(FamilySpec("v3", n=n, cos=math.cos(phi), sign=sign))
 ]
 
 

@@ -143,7 +143,7 @@ class TestV3:
         check_triple(space, AngleTriple(math.pi / 3, math.pi / 3, HALF_PI))
 
     @pytest.mark.parametrize("phi,sign", [
-        (0.0, 1), (0.9, -1), (math.pi / 3 - 0.05, -1), (-0.1, 1),
+        (0.0, -1), (0.9, -1), (math.pi / 3 - 0.05, -1), (-0.1, 1),
     ])
     def test_angle_ranges(self, phi, sign):
         with pytest.raises(ValueError):
@@ -257,17 +257,17 @@ class TestMinQuaternionicDim:
     @pytest.mark.parametrize("spec,expected", [
         (FamilySpec("v4", n=0, angles=T13, sign=-1), 3),
         (FamilySpec("v4", n=0, angles=T03, sign=-1), 4),
-        (FamilySpec("v3", n=0, phi=math.pi / 3, sign=-1), 2),
-        (FamilySpec("v3", n=0, phi=math.pi / 3, sign=1), 3),
-        (FamilySpec("v3", n=0, phi=0.0, sign=1), 1),
+        (FamilySpec("v3", n=0, cos=math.cos(math.pi / 3), sign=-1), 2),
+        (FamilySpec("v3", n=0, cos=math.cos(math.pi / 3), sign=1), 3),
+        (FamilySpec("v3", n=0, cos=1.0, sign=1), 1),
         (FamilySpec("sum_type", n=0, angles=T13, l_plus=1, l_minus=1), 7),
         (FamilySpec("sum_type", n=0, angles=T03, l_plus=1, l_minus=1), 8),
         (FamilySpec("totally_real", n=0, k=5), 5),
         (FamilySpec("totally_complex", n=0, k=6), 3),
         (FamilySpec("quaternionic", n=0, k=12), 3),
         (FamilySpec("im_h_line", n=0, k=3), 1),
-        (FamilySpec("cka_plane_sum", n=0, k=6, phi=0.8), 6),
-        (FamilySpec("complexified_cka", n=0, k=8, phi=0.8), 4),
+        (FamilySpec("cka_plane_sum", n=0, k=6, cos=math.cos(0.8)), 6),
+        (FamilySpec("complexified_cka", n=0, k=8, cos=math.cos(0.8)), 4),
     ])
     def test_minimal_ambient(self, spec, expected):
         assert min_quaternionic_dim(spec) == expected
@@ -304,9 +304,10 @@ def _angle_cos_sin(c: float, phi: float) -> tuple[float, float]:
 
 
 def _sine_scale(name: str, args) -> float:
-    """1 / sin(phi) for a builder that takes an angle phi, else 1."""
+    """1 / sin(phi) for a builder that takes an angle phi, else 1 (also at
+    phi = 0, where v3 builds exact unit columns)."""
     if name == "construct_v3":
-        return 1.0 / math.sin(args[0])
+        return 1.0 / (math.sin(args[0]) or 1.0)
     if name == "construct_classical" and args[0] in ("cka_plane_sum", "complexified_cka"):
         return 1.0 / math.sin(args[3])
     return 1.0
@@ -464,7 +465,7 @@ def _ref_classical(family, k, n, phi=None):
 def _ref_v3(phi, sign, n):
     if sign not in (1, -1):
         raise ValueError("reference")
-    if not 0.0 < phi <= HALF_PI:
+    if not 0.0 <= phi <= HALF_PI:
         raise ValueError("reference")
     cp, sp = _ref_cos_sin(math.cos(phi), phi)
     if sign == -1 and cp > 0.5 + REGION_TOL:
@@ -472,6 +473,8 @@ def _ref_v3(phi, sign, n):
     if n < 1:
         raise ValueError("reference")
     e0, e1 = _axis(0, n), None
+    if cp == 1.0:  # the sine is 0: e0, J1 e0, J2 e0 on one slot
+        return np.column_stack([e0, _jmul(1, e0), _jmul(2, e0)])
     if sign == -1 and cp >= 0.5 - REGION_TOL:
         _ref_need(n, 2)
         e1 = _axis(1, n)
@@ -821,9 +824,9 @@ def _least_n(spec, limit=15):
 
 
 def _catalog_specs():
-    specs = [FamilySpec(family, n=0, k=k, phi=phi)
-             for family in CLASSICAL_FAMILIES for k in range(0, 13) for phi in (None, 0.8)]
-    specs += [FamilySpec("v3", n=0, phi=phi, sign=sign)
+    specs = [FamilySpec(family, n=0, k=k, cos=c)
+             for family in CLASSICAL_FAMILIES for k in range(0, 13) for c in (None, math.cos(0.8))]
+    specs += [FamilySpec("v3", n=0, cos=math.cos(phi), sign=sign)
               for phi in _SWEEP_PHIS if not math.isnan(phi) for sign in (1, -1)]
     for x in combinations_with_replacement((1.0, 0.8, 0.5, 1 / 3, 0.3, 0.2, 0.0), 3):
         angles = AngleTriple.from_cosines(x)
@@ -841,9 +844,7 @@ class TestMinimalDimensionIsTheSlotCount:
         refused = 0
         for spec in specs:
             least = _least_n(spec)
-            if spec.family == "v3" and spec.phi == 0.0 and spec.sign == 1:
-                assert least is None and min_quaternionic_dim(spec) == 1
-            elif least is None:
+            if least is None:
                 refused += 1
                 with pytest.raises(ValueError):
                     min_quaternionic_dim(spec)
@@ -851,9 +852,18 @@ class TestMinimalDimensionIsTheSlotCount:
                 assert min_quaternionic_dim(spec) == least, spec
         assert refused > 100
 
+    @pytest.mark.parametrize("phi", [0.0, 1e-9])
+    def test_v3_at_unit_cosine_fits_one_dim(self, phi):
+        # cos(phi) rounds to 1: the sine is 0, so the block is e0, J1 e0,
+        # J2 e0 on one slot, the least n the constructor and
+        # min_quaternionic_dim agree on.
+        assert math.cos(phi) == 1.0
+        check_triple(construct_v3(phi, 1, 1), AngleTriple(0.0, 0.0, HALF_PI))
+        assert min_quaternionic_dim(FamilySpec("v3", n=0, cos=math.cos(phi), sign=1)) == 1
+
     def test_v3_near_zero_needs_three_dims(self):
         # cos(1e-7) rounds within 1e-12 of 1, but the class is a generic one.
-        spec = FamilySpec("v3", n=0, phi=1e-7, sign=1)
+        spec = FamilySpec("v3", n=0, cos=math.cos(1e-7), sign=1)
         assert min_quaternionic_dim(spec) == 3
         construct_v3(1e-7, 1, 3)
         with pytest.raises(ValueError, match="needs n >= 3"):

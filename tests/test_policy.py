@@ -161,12 +161,14 @@ def test_no_cosine_of_a_triples_angle_outside_subspace():
 
 
 def test_no_acos_where_the_builders_read_cosines():
-    # Every builder reads cosines, and `representative` hands its snapped
-    # cosines to them, so neither `families` nor `classify` takes an acos:
-    # an angle there would only be turned back into its cosine.
+    # Every builder reads cosines, `representative` hands its snapped
+    # cosines to them, and the CLI passes a single --cos value as given, so
+    # no module takes an acos but `subspace`, in its angle view of a triple:
+    # an angle anywhere else would only be turned back into its cosine.
     found = []
-    for name in ("families.py", "classify.py"):
-        tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
-        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "acos"]
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "subspace.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "acos"]
     assert found == [], f"acos calls: {found}"

@@ -327,6 +327,17 @@ class TestCli:
         code, stdout, err = run_cli(base + [str(out), "--cos", "0.5000000002"], capsys)
         assert code == 2 and stdout == "" and not out.exists()
         assert "the minus class needs cos(phi) <= 1/2" in err
+        # A single --cos value is the cosine the builder reads, as given: no
+        # acos/cos round trip moves it back into the band, so construct and
+        # the moduli table agree that no minus class exists there.
+        out = tmp_path / "c.json"
+        code, stdout, err = run_cli(base + [str(out), "--cos", "0.5000000001"], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "the minus class needs cos(phi) <= 1/2" in err
+        code, stdout, _ = run_cli(["moduli", "--k", "3", "--n", "3", "--cos", "0.5000000001",
+                                   "0.5000000001", "0"], capsys)
+        strata = json.loads(stdout)["strata"]
+        assert code == 0 and strata and all(s.get("branch") != -1 for s in strata)
 
     def test_retired_phi_flag_is_refused_by_the_parser(self, tmp_path, capsys):
         # --angles takes the one family angle that --phi used to pass.
@@ -353,6 +364,7 @@ class TestCli:
         ["construct", "--family", "v4", "--cos", "nan", "0.3", "0.3", "--n", "4"],
         ["construct", "--family", "v4", "--cos", "1.5", "0.3", "0.3", "--n", "4"],
         ["construct", "--family", "v3", "--cos", "inf", "--n", "3"],
+        ["construct", "--family", "cka_plane_sum", "--k", "2", "--cos", "-0.1", "--n", "2"],
         ["construct", "--family", "sum", "--cos", "0.3", "0.3", "-0.3", "--lplus", "1",
          "--n", "4"],
         ["moduli", "--k", "4", "--n", "4", "--cos", "1.5", "0.3", "0.3"],
@@ -367,6 +379,19 @@ class TestCli:
         code, stdout, stderr = run_cli(args, capsys)
         assert code == 2 and stdout == ""
         assert "--cos" in stderr
+
+    @pytest.mark.parametrize("family", [["v3", "--sign", "+", "--n", "3"],
+                                        ["cka_plane_sum", "--k", "2", "--n", "2"]])
+    @pytest.mark.parametrize("phi", ["-0.1", "1.6", "nan", "inf"])
+    def test_single_angle_outside_its_range_exits_2_and_names_the_flag(self, tmp_path, capsys,
+                                                                      family, phi):
+        # The angle is checked before its cosine is taken: cos(-0.1) is a
+        # valid cosine, so the check cannot be left to the builder.
+        out = tmp_path / "x.json"
+        code, stdout, stderr = run_cli(["construct", "--family", *family, "--angles", phi,
+                                        "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert f"--angles values must be finite numbers in [0, pi/2], got {float(phi)}" in stderr
 
     @pytest.mark.parametrize("k", [None, "3"])
     def test_im_h_line_k_optional(self, tmp_path, capsys, k):
