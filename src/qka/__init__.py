@@ -10,8 +10,14 @@ from .quaternion import (
     random_unitary,
     right_mult,
 )
-from .subspace import (
+from .moduli import (
     AngleTriple,
+    ModuliStratum,
+    moduli_describe,
+    moduli_membership,
+    strata_for,
+)
+from .subspace import (
     ConstancyReport,
     NumericalFailure,
     Subspace,
@@ -37,7 +43,6 @@ from .families import (
     min_quaternionic_dim,
 )
 from .classify import (
-    ModuliStratum,
     TypeSignature,
     Verdict,
     are_equivalent,
@@ -45,10 +50,7 @@ from .classify import (
     classify_subspace,
     factorize,
     is_protohomogeneous,
-    moduli_describe,
-    moduli_membership,
     representative,
-    strata_for,
     type_of,
 )
 from .serialize import load_subspace, save_subspace

@@ -1,4 +1,4 @@
-"""Block factorization, type detection, equivalence, and moduli enumeration.
+"""Block factorization, type detection, equivalence, and moduli representatives.
 
 A constant-angle subspace of dimension 4l splits into l four-dimensional
 blocks that are pairwise H-orthogonal and share the angle triple.  Each
@@ -11,28 +11,24 @@ Mixed types are exactly the non-protohomogeneous constant-angle subspaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .families import (
-    REGION_TOL,
     FamilySpec,
     _Blocks,
-    _class_rank,
-    _phi2_is_phi3,
     _place,
     _sum_blocks,
     _v3_blocks,
-    _v3_rank,
     construct,
     construct_classical,
 )
+from .moduli import AngleTriple, _snap_into_strata, moduli_membership, snapped
 from .subspace import (
     COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
-    AngleTriple,
     ConstancyReport,
     NumericalFailure,
     Subspace,
@@ -46,27 +42,16 @@ from .subspace import (
 __all__ = [
     "TypeSignature",
     "Verdict",
-    "ModuliStratum",
-    "StratumMembership",
     "factorize",
     "type_of",
     "is_protohomogeneous",
     "branch_of_v3",
     "are_equivalent",
-    "strata_for",
-    "moduli_membership",
-    "moduli_describe",
     "representative",
     "classify_subspace",
-    "snapped",
 ]
 
 TRIPLE_MATCH_TOL = 1e-8
-# Cosines this close to 0 or 1 are treated as exact pi/2 or 0 angles when a
-# triple computed from eigenvalues enters a region predicate (eigenvalue
-# round-off of order 1e-16 surfaces as a cosine of order 1e-8), unless the
-# snapped triple lies in no stratum (see `_snap_into_strata`).
-SNAP_TOL = 1e-7
 # The sign gates on M = Pbar3^T Pbar1 Pbar2 (`_sign_split`).  M must be
 # symmetric: max|M - M^T| <= SIGN_SYMMETRY_TOL.  S = sym(M) must be an
 # involution: ||S^2 - I||_F <= SIGN_INVOLUTION_TOL.  The second gate puts
@@ -121,12 +106,6 @@ class Verdict:
     @property
     def is_no(self) -> bool:
         return self.value == "no"
-
-
-def snapped(x) -> tuple[float, ...]:
-    """Cosines within SNAP_TOL of 0 or 1, or beyond, set to it: the exact
-    angles pi/2 and 0 (a NaN stays NaN).  Descending cosines stay so."""
-    return tuple(0.0 if v <= SNAP_TOL else 1.0 if 1.0 - v <= SNAP_TOL else v for v in x)
 
 
 def _sign_split(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -518,227 +497,6 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
                               "this angle")
     return Verdict("yes", "equal angle triples; the triple is a complete invariant "
                           "in this dimension")
-
-
-@dataclass(frozen=True)
-class ModuliStratum:
-    """One stratum of the moduli space of protohomogeneous k-subspaces."""
-
-    name: str
-    kind: str  # point | curve | region | region_with_Z2 | surface
-    description: str
-    multiplicity: int
-    # The region test on the cosines of a triple (`AngleTriple.cos_tuple`),
-    # within REGION_TOL; an existence rule is read from `families`.
-    predicate: Callable[[tuple[float, ...]], bool] = field(repr=False)
-    annotation: str | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": self.kind,
-            "description": self.description,
-            "multiplicity": self.multiplicity,
-            "action": "subspace-induced",
-        }
-        if self.annotation:
-            out["annotation"] = self.annotation
-        return out
-
-
-def _point_stratum(name, cosines, description, annotation=None) -> ModuliStratum:
-    def pred(x) -> bool:
-        return all(abs(a - b) <= REGION_TOL for a, b in zip(x, cosines))
-
-    return ModuliStratum(name, "point", description, 1, pred, annotation=annotation)
-
-
-def _in_minus_region(x) -> bool:
-    return _class_rank(x, -1) is not None and x[2] > REGION_TOL
-
-
-def _on_v3_curve(x) -> bool:
-    """The triple is (phi, phi, pi/2)."""
-    return abs(x[0] - x[1]) <= REGION_TOL and x[2] <= REGION_TOL
-
-
-# Every stratum is built once, at import: the strata of the (k, n) moduli
-# space depend on k and n only through the class of k and the ratio k / n,
-# so `_strata` picks rows of one table that no input changes.
-_SUM_REGIONS = (
-    ModuliStratum(
-        "single_class_region", "region",
-        "triples with cos(phi1)+cos(phi2)-cos(phi3) <= 1 outside the "
-        "two-class region; one subspace class per triple",
-        1, lambda x: _class_rank(x, 1) is not None and not _in_minus_region(x)),
-    ModuliStratum(
-        "two_class_region", "region_with_Z2",
-        "triples with cos(phi1)+cos(phi2)+cos(phi3) <= 1 and "
-        "phi3 != pi/2; two inequivalent classes per triple",
-        2, _in_minus_region),
-)
-_SUM_BOUNDARY = (ModuliStratum(
-    "boundary_sum_surface", "surface",
-    "triples with cos(phi1)+cos(phi2)+-cos(phi3) = 1; blocks on "
-    "the rank-two boundary fit three quaternionic dimensions each",
-    1, lambda x: 2 in (_class_rank(x, 1), _class_rank(x, -1))),)
-_COMPLEXIFIED = (ModuliStratum(
-    "complexified_curve", "curve",
-    "triples (0, phi, phi), phi in [0, pi/2]",
-    1, lambda x: x[0] >= 1.0 - REGION_TOL and _phi2_is_phi3(x)),)
-_QUATERNIONIC = (_point_stratum(
-    "quaternionic_point", (1.0, 1.0, 1.0),
-    "the quaternionic subspace, angles (0, 0, 0)",
-    annotation="tubes around a totally geodesic quaternionic "
-               "hyperbolic subspace"),)
-_KAHLER = (ModuliStratum(
-    "kahler_angle_curve", "curve",
-    "triples (phi, pi/2, pi/2), phi in [0, pi/2]",
-    1, lambda x: x[1] <= REGION_TOL and x[2] <= REGION_TOL),)
-_TOTALLY_COMPLEX = (_point_stratum(
-    "totally_complex_point", (1.0, 0.0, 0.0),
-    "the totally complex subspace, angles (0, pi/2, pi/2)"),)
-_V3_CURVES = (
-    ModuliStratum(
-        "single_branch_curve", "curve",
-        "triples (phi, phi, pi/2), phi in [0, pi/3) or phi = pi/2; "
-        "one subspace class per angle",
-        1, lambda x: _on_v3_curve(x) and (x[0] <= REGION_TOL or _v3_rank(x[0], -1) is None)),
-    ModuliStratum(
-        "two_branch_curve", "curve",
-        "triples (phi, phi, pi/2), phi in [pi/3, pi/2); two "
-        "inequivalent classes per angle",
-        2, lambda x: _on_v3_curve(x) and x[0] > REGION_TOL and _v3_rank(x[0], -1) is not None),
-)
-_IMAGINARY_LINE = (_point_stratum(
-    "imaginary_line_point", (1.0, 1.0, 0.0),
-    "the imaginary span of a vector, angles (0, 0, pi/2)"),)
-_V3_POINTS = _IMAGINARY_LINE + (ModuliStratum(
-    "compact_branch_point", "point",
-    "the single 3-dimensional class at phi = pi/3 that fits two "
-    "quaternionic dimensions",
-    1, lambda x: _on_v3_curve(x) and _v3_rank(x[0], -1) == 1),)
-_TOTALLY_REAL = (_point_stratum(
-    "totally_real_point", (0.0, 0.0, 0.0),
-    "the totally real subspace, angles (pi/2, pi/2, pi/2)"),)
-_LINE = (replace(_TOTALLY_REAL[0], annotation="solvable foliation"),)
-
-
-def _strata(k: int, n: int) -> tuple[ModuliStratum, ...]:
-    """The strata of the (k, n) moduli space, as a row of the one table."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= k <= 4 * n:
-        raise ValueError(f"k must lie in [0, 4n] = [0, {4 * n}], got {k}")
-    if k == 0:
-        return ()
-    if k % 4 == 0:
-        if k <= n:
-            return _SUM_REGIONS
-        if 3 * k <= 4 * n:
-            return _SUM_BOUNDARY
-        return _COMPLEXIFIED if k <= 2 * n else _QUATERNIONIC
-    if k % 2 == 0:
-        if k <= n:
-            return _KAHLER
-        return _TOTALLY_COMPLEX if k <= 2 * n else ()
-    if k == 3:
-        if k <= n:
-            return _V3_CURVES
-        return _V3_POINTS if k <= 2 * n else _IMAGINARY_LINE  # n = 1, 2
-    if k > n:
-        return ()
-    return _LINE if k == 1 else _TOTALLY_REAL
-
-
-def strata_for(k: int, n: int) -> list[ModuliStratum]:
-    """The strata of the moduli space of protohomogeneous k-subspaces of H^n."""
-    return list(_strata(k, n))
-
-
-@dataclass(frozen=True)
-class StratumMembership:
-    """A stratum containing a triple, tagged with one of its classes."""
-
-    stratum: ModuliStratum
-    branch: int | None = None
-
-    def to_dict(self) -> dict:
-        out = self.stratum.to_dict()
-        if self.branch is not None:
-            out["branch"] = self.branch
-        return out
-
-
-def moduli_membership(k: int, n: int, triple: AngleTriple) -> list[StratumMembership]:
-    """The strata of the (k, n) moduli space containing the triple.
-
-    Strata carrying two inequivalent classes contribute one entry per
-    class, tagged branch +1 and -1.
-    """
-    if k < 1:
-        raise ValueError("membership needs k >= 1")
-    return _strata_holding(k, n, triple.cos_tuple())
-
-
-def _strata_holding(k: int, n: int, x: tuple[float, ...]) -> list[StratumMembership]:
-    """`moduli_membership` of the triple with cosines ``x``."""
-    return [StratumMembership(stratum, branch) for stratum in _strata(k, n)
-            if stratum.predicate(x)
-            for branch in ((1, -1) if stratum.multiplicity == 2 else (None,))]
-
-
-_SPECIAL_ACTIONS = [
-    {
-        "action": "N",
-        "description": "the action producing the horosphere foliation",
-    },
-    {
-        "action": "K",
-        "description": "the action producing geodesic spheres centered at a point",
-    },
-    {
-        "action": "SU(1,n+1)",
-        "description": "the action producing tubes around a totally geodesic "
-                       "complex hyperbolic subspace of half dimension",
-    },
-]
-
-
-def moduli_describe(k: int, n: int) -> dict:
-    """Machine-readable stratification of the (k, n) moduli space.
-
-    The ranges are those of `strata_for`, checked for every k: n >= 1 and
-    0 <= k <= 4n, else ValueError.  k = 0 holds no stratum and lists the
-    three special cohomogeneity-one actions; k >= 1 lists the strata with
-    their action labels.
-    """
-    strata = [s.to_dict() for s in strata_for(k, n)]
-    actions = {"special_actions": list(_SPECIAL_ACTIONS)} if k == 0 else {}
-    return {"k": k, "n": n, **actions, "strata": strata}
-
-
-def _snap_into_strata(
-    k: int, n: int, triple: AngleTriple, hits: list[StratumMembership] | None = None
-) -> tuple[tuple[float, ...], list[StratumMembership]]:
-    """The cosines of the triple snapped to exact end angles and the strata
-    of the (k, n) moduli space holding them.
-
-    The snap is kept unless the snapped triple lies in no stratum; then the
-    cosines as given and their strata (``hits``, when the caller has them).
-    Membership is queried again only when the snap moved a cosine.  Both
-    `representative` and `classify_subspace` resolve a triple this way, so
-    a triple within SNAP_TOL of a region boundary is built and reported in
-    the same stratum.
-    """
-    given = triple.cos_tuple()
-    x = snapped(given)
-    if x != given:
-        snapped_hits = _strata_holding(k, n, x)
-        if snapped_hits:
-            return x, snapped_hits
-        x = given
-    return x, _strata_holding(k, n, x) if hits is None else hits
 
 
 def _fitting_class(blocks: Callable[[int], _Blocks], branch: int | None, n: int) -> Subspace:

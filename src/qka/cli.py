@@ -18,16 +18,11 @@ import json
 import math
 import sys
 
-from .classify import (
-    _Analysis,
-    _report_fields,
-    classify_subspace,
-    moduli_describe,
-    moduli_membership,
-)
+from .classify import _Analysis, _report_fields, classify_subspace
 from .families import CATALOG, FamilySpec, construct
+from .moduli import HALF_PI, AngleTriple, moduli_describe, moduli_membership
 from .serialize import load_subspace, save_subspace
-from .subspace import HALF_PI, AngleTriple, NumericalFailure
+from .subspace import NumericalFailure
 
 __all__ = ["main"]
 

@@ -13,9 +13,9 @@ cos(phi_1) + cos(phi_2) - s cos(phi_3) <= 1.  On that boundary the Gram
 matrix drops to rank 2 and the block fits into one fewer quaternionic
 dimension.
 
-Each existence rule is one predicate on cosines, which the builders and the
-moduli strata call (`_class_rank`, `_v3_rank`, `_phi2_is_phi3`).  Every
-builder reads cosines; a constructor taking an angle phi passes cos(phi).
+Each existence rule is one predicate on cosines (`moduli._class_rank`,
+`_v3_rank`, `_phi2_is_phi3`), which the builders and the moduli strata
+call.  Every builder reads cosines; a constructor taking phi passes cos(phi).
 
 Every construction is a list of blocks.  A block is the (4s, d) matrix of
 its d columns on its own s slots: entry 4t + u holds the coefficient of
@@ -31,7 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .subspace import AngleTriple, NumericalFailure, Subspace, _cos_of
+from .moduli import AngleTriple, _class_rank, _cos_of, _phi2_is_phi3, _v3_rank
+from .subspace import NumericalFailure, Subspace
 
 __all__ = [
     "FamilySpec",
@@ -50,10 +51,6 @@ __all__ = [
 # Absolute tolerance on a builder's cosine for phi1 = 0 and phi3 = pi/2 (and
 # a Kahler angle of pi/2), and on the pivots of the Gram factor.
 BOUNDARY_TOL = 1e-12
-# The band of each existence rule: a triple within it of the rule's boundary
-# lies on it.  The builders and the moduli strata read the same predicates,
-# so every triple a stratum holds is one the builders can build.
-REGION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,34 +77,6 @@ def _check_sign(sign: int) -> int:
 def _sin(c: float) -> float:
     """sin(phi) from c = cos(phi) in [0, 1], for the cosines of a triple."""
     return math.sqrt((1.0 - c) * (1.0 + c))
-
-
-def _class_rank(x, sign: int) -> int | None:
-    """The sign-class rule at the cosines ``x``: the class exists iff
-    cos(phi1) + cos(phi2) - sign cos(phi3) <= 1.  Its Gram rank: 2 within
-    REGION_TOL of that boundary, 3 inside it; None outside."""
-    margin = x[0] + x[1] - sign * x[2] - 1.0
-    if margin > REGION_TOL:
-        return None
-    return 2 if margin >= -REGION_TOL else 3
-
-
-def _v3_rank(c: float, sign: int) -> int | None:
-    """The 3-dimensional rule at c = cos(phi): the plus class exists at every
-    phi, the minus class for cos(phi) <= 1/2 (phi >= pi/3).  The rank of its
-    e_1, e_2: 1 for the minus class within REGION_TOL of cos(phi) = 1/2,
-    where e_2 = -e_1 and it fits in H^2, else 2; None outside."""
-    if sign == 1:
-        return 2
-    if c - 0.5 > REGION_TOL:
-        return None
-    return 1 if c - 0.5 >= -REGION_TOL else 2
-
-
-def _phi2_is_phi3(x) -> bool:
-    """The phi1 = 0 rule at the cosines ``x``: a constant-angle triple with
-    phi1 = 0 has phi2 = phi3."""
-    return abs(x[1] - x[2]) <= REGION_TOL
 
 
 def _gram(c, sign: int) -> list[list[float]]:
@@ -364,10 +333,12 @@ def construct_classical(family: str, k: int, n: int, phi: float | None = None) -
     im_h_line          k = 3, n >= 1   angles (0, 0, pi/2)
     cka_plane_sum      k = 2l <= 2*floor(n/2), phi in (0, pi/2), angles (phi, pi/2, pi/2)
     complexified_cka   k = 4l <= 4*floor(n/2), phi in (0, pi/2), angles (0, phi, phi)
+
+    A given phi must lie in [0, pi/2] for every family; only the last two read it.
     """
+    c = None if phi is None else _cos_of(phi)
     reads_cos = family in CLASSICAL_FAMILIES and "cos" in CATALOG[family][0]
-    c = _cos_of(phi) if reads_cos and phi is not None else None
-    return _place(*_classical_blocks(FamilySpec(family, n, k=k, cos=c)), n)
+    return _place(*_classical_blocks(FamilySpec(family, n, k=k, cos=c if reads_cos else None)), n)
 
 
 def construct_v3(phi: float, sign: int, n: int) -> Subspace:

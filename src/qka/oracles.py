@@ -15,7 +15,8 @@ import numpy as np
 
 from .families import _gram, gram_matrix
 from .quaternion import STANDARD_BASIS, random_group_element
-from .subspace import AngleTriple, NumericalFailure, Subspace, distribution_rank
+from .moduli import AngleTriple
+from .subspace import NumericalFailure, Subspace, distribution_rank
 
 __all__ = [
     "GridSpec",
@@ -211,7 +212,7 @@ def steenrod_allows(k: int, triple: AngleTriple) -> bool:
     the totally real triple, k = 2 mod 4 forces (phi, pi/2, pi/2), and k = 3
     forces (phi, phi, pi/2), on squared cosines within STEENROD_TOL.
     """
-    c2 = triple.cos2()
+    c2 = np.square(triple.cos_tuple())
     if k % 2 == 1 and k != 3:
         return bool(np.all(c2 <= STEENROD_TOL))
     if k % 4 == 2:
@@ -231,5 +232,5 @@ def steenrod_oracle(v_space: Subspace, samples: int = 300, seed: int = 0) -> boo
     triple = report.triple
     if not steenrod_allows(v_space.k, triple):
         return False
-    expected_rank = int(np.sum(triple.cos2() > STEENROD_TOL))
+    expected_rank = int(np.sum(np.square(triple.cos_tuple()) > STEENROD_TOL))
     return distribution_rank(v_space, seed=seed) == expected_rank

@@ -20,10 +20,7 @@ from .classify import (
     classify_subspace,
     factorize,
     is_protohomogeneous,
-    moduli_membership,
     representative,
-    snapped,
-    strata_for,
     type_of,
 )
 from .families import (
@@ -40,6 +37,7 @@ from .families import (
     construct_v4,
     min_quaternionic_dim,
 )
+from .moduli import HALF_PI, AngleTriple, moduli_membership, snapped, strata_for
 from .oracles import (
     GridSpec,
     gram_grid_sweep,
@@ -48,8 +46,6 @@ from .oracles import (
 )
 from .quaternion import induced_rotation, random_group_element
 from .subspace import (
-    HALF_PI,
-    AngleTriple,
     Subspace,
     constancy_check,
     is_h_orthogonal,
@@ -65,10 +61,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-
-
-def _triple_from_cos(x1, x2, x3) -> AngleTriple:
-    return AngleTriple.from_cosines((x1, x2, x3))
 
 
 def _sorted_cos_triples(values) -> list[tuple[float, float, float]]:
@@ -93,7 +85,7 @@ def _v4_parameter_grid(quick: bool) -> list[tuple[AngleTriple, int, int]]:
         boundaries = boundaries[:2] + boundaries[5:7]
 
     def point(sign, x):
-        triple = _triple_from_cos(*x)
+        triple = AngleTriple.from_cosines(x)
         spec = FamilySpec("v4", n=0, angles=triple, sign=sign)
         return triple, sign, min_quaternionic_dim(spec)
 
@@ -153,14 +145,14 @@ def _constructor_grid(quick: bool) -> list[tuple[str, Subspace, AngleTriple]]:
             n = n_min + extra
             add(f"v4 {sign:+d} cos={np.round(triple.cos_tuple(), 3)} n={n}",
                 construct_v4(triple, sign, n), triple)
-    t03 = _triple_from_cos(0.3, 0.3, 0.3)
-    t13 = _triple_from_cos(1 / 3, 1 / 3, 1 / 3)
-    tb_minus = _triple_from_cos(0.5, 0.3, 0.2)
+    t03 = AngleTriple.from_cosines((0.3, 0.3, 0.3))
+    t13 = AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3))
+    tb_minus = AngleTriple.from_cosines((0.5, 0.3, 0.2))
     sums = [
         (t03, 2, 0, 8), (t03, 0, 2, 8), (t03, 1, 1, 8),
         (t13, 1, 1, 7), (t13, 0, 2, 6), (t13, 2, 0, 8),
         (tb_minus, 0, 3, 9), (tb_minus, 1, 2, 10),
-        (_triple_from_cos(0.5, 0.4, 0.3), 3, 0, 12),
+        (AngleTriple.from_cosines((0.5, 0.4, 0.3)), 3, 0, 12),
         (AngleTriple(right, right, right), 2, 0, 8),
     ]
     if quick:
@@ -254,12 +246,12 @@ def crit_pbar_sign(quick: bool, seed: int) -> tuple[bool, str]:
 
 def crit_type_proto(quick: bool, seed: int) -> tuple[bool, str]:
     """C5: types of sums, protohomogeneity iff single sign, minimal witness n=7."""
-    t13 = _triple_from_cos(1 / 3, 1 / 3, 1 / 3)
+    t13 = AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3))
     triples = [
-        _triple_from_cos(0.3, 0.3, 0.3),
+        AngleTriple.from_cosines((0.3, 0.3, 0.3)),
         t13,
-        _triple_from_cos(0.5, 0.4, 0.3),
-        _triple_from_cos(0.8, 0.5, 0.3),
+        AngleTriple.from_cosines((0.5, 0.4, 0.3)),
+        AngleTriple.from_cosines((0.8, 0.5, 0.3)),
     ]
     pairs = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
     if not quick:
@@ -316,7 +308,7 @@ def crit_inequivalence(quick: bool, seed: int) -> tuple[bool, str]:
         x = np.sort(rng.uniform(0.05, 0.6, size=3))[::-1]
         if x[0] + x[1] + x[2] > 0.98:
             continue
-        triple = _triple_from_cos(*x)
+        triple = AngleTriple.from_cosines(x)
         count += 1
         vp = construct_v4(triple, 1, 4)
         vm = construct_v4(triple, -1, 4)
@@ -324,7 +316,7 @@ def crit_inequivalence(quick: bool, seed: int) -> tuple[bool, str]:
         if verdict.value != "no":
             failures.append(f"interior {np.round(x, 3)} -> {verdict.value}")
     for x in [(0.6, 0.35), (0.4, 0.3)]:
-        triple = _triple_from_cos(*x, 0.0)
+        triple = AngleTriple.from_cosines((*x, 0.0))
         vp = construct_v4(triple, 1, 4)
         _, rank = admissible(triple, -1)
         c = triple.cos_tuple()
@@ -389,12 +381,12 @@ def _stratum_samples(name: str, k: int, n: int, quick: bool) -> list[AngleTriple
         return [AngleTriple(p, p, right) for p in phis]
     if name == "single_class_region":
         xs = [(0.5, 0.4, 0.3), (0.8, 0.5, 0.3)] if not quick else [(0.5, 0.4, 0.3)]
-        return [_triple_from_cos(*x) for x in xs]
+        return [AngleTriple.from_cosines(x) for x in xs]
     if name == "two_class_region":
         xs = [(0.3, 0.3, 0.3), (1 / 3, 1 / 3, 1 / 3)] if not quick else [(0.3, 0.3, 0.3)]
-        return [_triple_from_cos(*x) for x in xs]
+        return [AngleTriple.from_cosines(x) for x in xs]
     if name == "boundary_sum_surface":
-        return [_triple_from_cos(0.8, 0.5, 0.3), _triple_from_cos(1 / 3, 1 / 3, 1 / 3)]
+        return [AngleTriple.from_cosines(x) for x in ((0.8, 0.5, 0.3), (1 / 3, 1 / 3, 1 / 3))]
     raise ValueError(f"no samples for stratum {name}")
 
 
@@ -459,9 +451,9 @@ def crit_group_invariance(quick: bool, seed: int) -> tuple[bool, str]:
         ("im_h_line", construct_classical("im_h_line", 3, 2)),
         ("v3+", construct_v3(0.9, 1, 3)),
         ("v3-", construct_v3(1.15, -1, 3)),
-        ("v4+", construct_v4(_triple_from_cos(0.3, 0.3, 0.3), 1, 4)),
-        ("v4-", construct_v4(_triple_from_cos(1 / 3, 1 / 3, 1 / 3), -1, 3)),
-        ("sum11", construct_sum(_triple_from_cos(1 / 3, 1 / 3, 1 / 3), 1, 1, 7)),
+        ("v4+", construct_v4(AngleTriple.from_cosines((0.3, 0.3, 0.3)), 1, 4)),
+        ("v4-", construct_v4(AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3)), -1, 3)),
+        ("sum11", construct_sum(AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3)), 1, 1, 7)),
     ]
     if quick:
         spaces = spaces[:4]
@@ -481,8 +473,8 @@ def crit_group_invariance(quick: bool, seed: int) -> tuple[bool, str]:
 
 def crit_joint_diag(quick: bool, seed: int) -> tuple[bool, str]:
     """C10: joint diagonalization succeeds exactly where a common basis exists."""
-    t03 = _triple_from_cos(0.3, 0.3, 0.3)
-    t13 = _triple_from_cos(1 / 3, 1 / 3, 1 / 3)
+    t03 = AngleTriple.from_cosines((0.3, 0.3, 0.3))
+    t13 = AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3))
     with_basis = [
         construct_classical("quaternionic", 8, 2),
         construct_classical("totally_real", 4, 4),
@@ -512,9 +504,9 @@ def crit_joint_diag(quick: bool, seed: int) -> tuple[bool, str]:
 
 def crit_factorization(quick: bool, seed: int) -> tuple[bool, str]:
     """C11: factorize returns H-orthogonal 4-blocks reconstructing the sum."""
-    t03 = _triple_from_cos(0.3, 0.3, 0.3)
-    t13 = _triple_from_cos(1 / 3, 1 / 3, 1 / 3)
-    tb = _triple_from_cos(0.5, 0.3, 0.2)
+    t03 = AngleTriple.from_cosines((0.3, 0.3, 0.3))
+    t13 = AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3))
+    tb = AngleTriple.from_cosines((0.5, 0.3, 0.2))
     cases = [
         (t03, 2, 0, 8), (t03, 1, 1, 8), (t13, 1, 1, 7),
         (t13, 0, 2, 6), (tb, 0, 3, 9), (t03, 2, 1, 12),

@@ -37,8 +37,9 @@ def subspace_to_dict(v_space: Subspace, meta: dict | None = None) -> dict:
 
 def subspace_from_dict(data: dict) -> tuple[Subspace, dict]:
     """The subspace and meta of a parsed file.  ``format_version``, ``n`` and
-    ``k`` must be JSON integers (not bools) and the basis rows lists of JSON
-    numbers; nothing is converted, and anything else raises ValueError."""
+    ``k`` must be JSON integers (not bools), the basis rows lists of JSON
+    numbers and ``meta`` an object, null or absent; nothing is converted, and
+    anything else raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("subspace file must contain a JSON object")
     version = data.get("format_version")
@@ -71,7 +72,7 @@ def subspace_from_dict(data: dict) -> tuple[Subspace, dict]:
             stacklevel=2,
         )
         basis = np.linalg.qr(basis)[0]
-    meta = data.get("meta") or {}
+    meta = {} if data.get("meta") is None else data["meta"]  # absent or null: no meta
     if not isinstance(meta, dict):
         raise ValueError("meta must be a JSON object")
     return Subspace(basis), meta

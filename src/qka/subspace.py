@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .moduli import AngleTriple
 from .quaternion import (
     STANDARD_BASIS,
     CanonicalBasis,
@@ -22,7 +23,6 @@ from .quaternion import (
 
 __all__ = [
     "NumericalFailure",
-    "AngleTriple",
     "ConstancyReport",
     "Subspace",
     "from_spanning",
@@ -35,8 +35,6 @@ __all__ = [
     "distribution_rank",
     "is_h_orthogonal",
 ]
-
-HALF_PI = math.pi / 2.0
 
 # Tolerances: two orders above accumulated round-off at n <= 64.
 ORTHONORMALITY_TOL = 1e-10
@@ -54,71 +52,6 @@ _NOT_COMPLEX_STRUCTURE = (
 
 class NumericalFailure(RuntimeError):
     """An internal numerical consistency check failed."""
-
-
-def _finite_clip01(x: float, what: str) -> float:
-    """x clipped to [0, 1], refused unless finite; -0.0 becomes 0.0."""
-    if not math.isfinite(x):
-        raise ValueError(f"{what} {x} is not finite")
-    return min(max(0.0, x), 1.0)
-
-
-def _cos_of(phi: float) -> float:
-    """cos(phi), refused unless phi is a finite angle in [0, pi/2]."""
-    if not 0.0 <= phi <= HALF_PI:  # a NaN fails the comparison, so it is refused here
-        raise ValueError(f"angle {phi} lies outside [0, pi/2]")
-    return math.cos(phi)
-
-
-@dataclass(frozen=True, init=False)
-class AngleTriple:
-    """Angles 0 <= phi1 <= phi2 <= phi3 <= pi/2, stored as their cosines
-    c1 >= c2 >= c3 in [0, 1], which every predicate, gate and builder reads
-    (`cos_tuple`); the angles (`phi1`, `as_tuple`) are their acos.
-    ``AngleTriple(phi1, phi2, phi3)`` takes angles and stores their cosines."""
-
-    _cos: tuple[float, float, float]
-
-    def __init__(self, phi1: float, phi2: float, phi3: float):
-        cos = tuple(map(_cos_of, (phi1, phi2, phi3)))
-        if not phi1 <= phi2 <= phi3:
-            raise ValueError(f"angles must be sorted ascending, got {(phi1, phi2, phi3)}")
-        object.__setattr__(self, "_cos", cos)
-
-    @classmethod
-    def _stored(cls, c1: float, c2: float, c3: float) -> "AngleTriple":
-        """The triple of cosines already in [0, 1] and descending, unchecked."""
-        triple = object.__new__(cls)
-        object.__setattr__(triple, "_cos", (c1, c2, c3))
-        return triple
-
-    @classmethod
-    def from_cosines(cls, cosines) -> "AngleTriple":
-        """The triple storing the cosines, given in any order, clipped to
-        [0, 1] and sorted (a NaN or an infinite cosine is refused)."""
-        return cls._stored(*sorted((_finite_clip01(float(c), "cosine") for c in cosines),
-                                   reverse=True))
-
-    @classmethod
-    def from_cos2_eigenvalues(cls, lams) -> "AngleTriple":
-        """The triple of squared cosines, given as Python floats (`ndarray.tolist`),
-        each clipped once: the square root of a value in [0, 1] lies there too."""
-        return cls._stored(*sorted((math.sqrt(_finite_clip01(v, "squared cosine"))
-                                    for v in lams), reverse=True))
-
-    phi1 = property(lambda self: math.acos(self._cos[0]))
-    phi2 = property(lambda self: math.acos(self._cos[1]))
-    phi3 = property(lambda self: math.acos(self._cos[2]))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return tuple(map(math.acos, self._cos))
-
-    def cos_tuple(self) -> tuple[float, float, float]:
-        """The three stored cosines as floats, descending."""
-        return self._cos
-
-    def cos2(self) -> np.ndarray:
-        return np.square(self._cos)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qka.classify
+import qka.moduli
 import qka.subspace
 from qka.classify import (
-    ModuliStratum,
     TypeSignature,
     Verdict,
     are_equivalent,
@@ -23,21 +23,10 @@ from qka.classify import (
     classify_subspace,
     factorize,
     is_protohomogeneous,
-    moduli_describe,
-    moduli_membership,
     representative,
-    snapped,
-    strata_for,
     type_of,
 )
-from qka.classify import (
-    SIGN_INVOLUTION_TOL,
-    SNAP_TOL,
-    _Analysis,
-    _sign_parts,
-    _sign_split,
-    _snap_into_strata,
-)
+from qka.classify import SIGN_INVOLUTION_TOL, _Analysis, _sign_parts, _sign_split
 from qka.families import (
     FamilySpec,
     construct_classical,
@@ -45,6 +34,15 @@ from qka.families import (
     construct_v3,
     construct_v4,
     min_quaternionic_dim,
+)
+from qka.moduli import (
+    SNAP_TOL,
+    ModuliStratum,
+    _snap_into_strata,
+    moduli_describe,
+    moduli_membership,
+    snapped,
+    strata_for,
 )
 from qka.quaternion import STANDARD_BASIS, CanonicalBasis, random_group_element
 from qka.subspace import (
@@ -874,13 +872,13 @@ class TestRepresentative:
 
     def test_membership_queried_again_only_after_a_snap(self, monkeypatch):
         calls = []
-        original = qka.classify._strata_holding
+        original = qka.moduli._strata_holding
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(qka.classify, "_strata_holding", counted)
+        monkeypatch.setattr(qka.moduli, "_strata_holding", counted)
         representative(8, 8, T03, -1)
         assert len(calls) == 1
         calls.clear()
@@ -1698,7 +1696,7 @@ class TestOnePass:
 
     def test_eigenvalues_reach_the_clip_as_floats_once(self, monkeypatch):
         handed, clipped = [], []
-        clip = qka.subspace._finite_clip01
+        clip = qka.moduli._finite_clip01
         from_eigenvalues = AngleTriple.from_cos2_eigenvalues.__func__
 
         def spy_clip(x, what):
@@ -1709,7 +1707,7 @@ class TestOnePass:
             handed.append(lams)
             return from_eigenvalues(cls, lams)
 
-        monkeypatch.setattr(qka.subspace, "_finite_clip01", spy_clip)
+        monkeypatch.setattr(qka.moduli, "_finite_clip01", spy_clip)
         monkeypatch.setattr(AngleTriple, "from_cos2_eigenvalues", classmethod(spy_from))
         rng = np.random.default_rng(3)
         inside = [moved(construct_sum(TA, 1, 1, 8), 1), moved(construct_sum(TA, 2, 2, 16), 2),

@@ -12,7 +12,6 @@ from qka import selftest
 from qka.families import (
     BOUNDARY_TOL,
     CLASSICAL_FAMILIES,
-    REGION_TOL,
     FamilySpec,
     _gram,
     _psd_cholesky,
@@ -25,6 +24,7 @@ from qka.families import (
     gram_matrix,
     min_quaternionic_dim,
 )
+from qka.moduli import REGION_TOL
 from qka.quaternion import STANDARD_BASIS, CanonicalBasis
 from qka.subspace import AngleTriple, NumericalFailure, Subspace, constancy_check
 
@@ -114,6 +114,12 @@ class TestClassical:
         ("cka_plane_sum", 4, 4, 0.0),   # angle outside (0, pi/2)
         ("complexified_cka", 4, 1, 0.8),
         ("complexified_cka", 4, 2, HALF_PI),
+        # A given phi is checked by every family, read or not.
+        ("totally_real", 3, 3, math.nan),
+        ("totally_real", 3, 3, 5.0),
+        ("totally_complex", 4, 2, -0.1),
+        ("quaternionic", 4, 1, math.inf),
+        ("im_h_line", 3, 1, HALF_PI + 1e-9),
     ])
     def test_inadmissible_rejected(self, family, k, n, phi):
         with pytest.raises(ValueError):
@@ -419,6 +425,8 @@ def _ref_complexified_block_columns(c, s, offset, n):
 def _ref_classical(family, k, n, phi=None):
     if n < 1:
         raise ValueError("reference: n must be positive")
+    if phi is not None and not 0.0 <= phi <= HALF_PI:  # every family, NaN included
+        raise ValueError("reference: phi outside [0, pi/2]")
     cols = []
     if family == "totally_real":
         if not 1 <= k <= n:

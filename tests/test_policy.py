@@ -4,13 +4,15 @@ Every threshold is a module constant (or a literal) read where its decision
 is made: no function, lambda or dataclass field takes a tolerance.  No
 module but the package's ``__init__`` imports a name it never uses, and
 every module-level private name is read somewhere in the package.  README's
-Tolerances list names every tolerance constant with its value.
+Tolerances list names every tolerance constant with its value.  The moduli
+layer imports only the standard library.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qka"
@@ -147,14 +149,14 @@ def _trig_of_stored_angles(tree: ast.Module, path: Path) -> list[str]:
     return found
 
 
-def test_no_cosine_of_a_triples_angle_outside_subspace():
+def test_no_cosine_of_a_triples_angle_outside_moduli():
     # A triple stores its cosines (`AngleTriple.cos_tuple`), and its angles are
     # their acos: the cosine of an angle read back from a triple is a round
-    # trip that need not return the stored value.  Only `subspace`, where
+    # trip that need not return the stored value.  Only `moduli`, where
     # the triple is defined, may make one.
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "subspace.py":
+        if path.name != "moduli.py":
             found += _trig_of_stored_angles(
                 ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path)
     assert found == [], f"cos/sin of a triple's angle: {found}"
@@ -163,12 +165,26 @@ def test_no_cosine_of_a_triples_angle_outside_subspace():
 def test_no_acos_where_the_builders_read_cosines():
     # Every builder reads cosines, `representative` hands its snapped
     # cosines to them, and the CLI passes a single --cos value as given, so
-    # no module takes an acos but `subspace`, in its angle view of a triple:
+    # no module takes an acos but `moduli`, in its angle view of a triple:
     # an angle anywhere else would only be turned back into its cosine.
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "subspace.py":
+        if path.name != "moduli.py":
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr == "acos"]
     assert found == [], f"acos calls: {found}"
+
+
+def test_moduli_imports_only_the_standard_library():
+    # The triple, the snap, the existence rules and the strata run on Python
+    # floats, so `moduli` loads with neither numpy nor another qka module.
+    tree = ast.parse((SRC / "moduli.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "math" in imported
+    assert [m for m in imported if m.split(".")[0] not in sys.stdlib_module_names] == []

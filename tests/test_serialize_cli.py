@@ -80,6 +80,27 @@ class TestSerialization:
         code, stdout, stderr = run_cli(["classify", str(path)], capsys)
         assert code == 2 and stdout == "" and field in stderr
 
+    @pytest.mark.parametrize("value", [[], [1], 0, 1, False, True, "", "x", 0.5])
+    def test_rejects_meta_that_is_not_an_object(self, tmp_path, capsys, value):
+        # A falsy non-object ([], 0, false, "") must not load as an empty meta.
+        data = subspace_to_dict(construct_v4(T13, -1, 3))
+        data["meta"] = value
+        with pytest.raises(ValueError, match="meta must be a JSON object"):
+            subspace_from_dict(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, stdout, stderr = run_cli(["classify", str(path)], capsys)
+        assert code == 2 and stdout == "" and "meta must be a JSON object" in stderr
+
+    @pytest.mark.parametrize("present", [False, True])
+    def test_absent_or_null_meta_loads_as_empty(self, present):
+        data = subspace_to_dict(construct_v4(T13, -1, 3))
+        if present:
+            data["meta"] = None
+        else:
+            del data["meta"]
+        assert subspace_from_dict(data)[1] == {}
+
     def test_repairs_small_drift_with_warning(self):
         data = subspace_to_dict(construct_v4(T13, -1, 3))
         data["basis"][0][0] += 3e-9
@@ -664,6 +685,47 @@ def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
         if code != 0:
             failures.append((command, code))
     assert failures == []
+
+
+# Loads `moduli.py` by path with numpy blocked (a None entry in sys.modules
+# makes every import of it raise), then answers the queries given as JSON.
+_MODULI_WITHOUT_NUMPY = """
+import importlib.util, json, sys
+sys.modules["numpy"] = None
+spec = importlib.util.spec_from_file_location("moduli", sys.argv[1])
+moduli = importlib.util.module_from_spec(spec)
+sys.modules["moduli"] = moduli  # a dataclass looks its module up as it is defined
+spec.loader.exec_module(moduli)
+out = []
+for k, n, cosines in json.loads(sys.argv[2]):
+    if cosines is None:
+        out.append(moduli.moduli_describe(k, n))
+    else:
+        triple = moduli.AngleTriple.from_cosines(cosines)
+        out.append([hit.to_dict() for hit in moduli.moduli_membership(k, n, triple)])
+print(json.dumps(out))
+"""
+
+
+def test_moduli_module_answers_the_readme_queries_without_numpy():
+    queries, expected = [], []
+    for command in _readme_commands():
+        args = qka.cli._build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        if args.command != "moduli":
+            continue
+        triple, _ = qka.cli._parse_angles(args)
+        if triple is None:
+            queries.append((args.k, args.n, None))
+            expected.append(qka.moduli_describe(args.k, args.n))
+        else:
+            queries.append((args.k, args.n, triple.cos_tuple()))
+            expected.append([h.to_dict() for h in qka.moduli_membership(args.k, args.n, triple)])
+    assert len(queries) == 3 and [q for q in queries if q[2] is not None]
+    moduli_py = Path(qka.__file__).resolve().parent / "moduli.py"
+    proc = subprocess.run([sys.executable, "-c", _MODULI_WITHOUT_NUMPY, str(moduli_py),
+                           json.dumps(queries)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(proc.stdout) == json.loads(json.dumps(expected))
 
 
 def _parser_options() -> list[str]:
