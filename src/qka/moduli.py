@@ -11,6 +11,8 @@ numpy.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -44,6 +46,17 @@ def _finite_clip01(x: float, what: str) -> float:
     return min(max(0.0, x), 1.0)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as a Python int, refused by ``name`` unless it is an int
+    (Python or numpy); a bool, a float or a string is refused."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _cos_of(phi: float) -> float:
     """cos(phi), refused unless phi is a finite angle in [0, pi/2]."""
     if not 0.0 <= phi <= HALF_PI:  # a NaN fails the comparison, so it is refused here
@@ -75,15 +88,25 @@ class AngleTriple:
 
     @classmethod
     def from_cosines(cls, cosines) -> "AngleTriple":
-        """The triple storing the cosines, given in any order, clipped to
-        [0, 1] and sorted (a NaN or an infinite cosine is refused)."""
-        return cls._stored(*sorted((_finite_clip01(float(c), "cosine") for c in cosines),
+        """The triple storing the three real cosines, given in any order,
+        clipped to [0, 1] and sorted.  A NaN or an infinite cosine is
+        refused, as are a bool, a string and a complex number."""
+        try:
+            values = [] if isinstance(cosines, (str, bytes)) else list(cosines)
+        except TypeError:  # a single value
+            values = [cosines]
+        if len(values) != 3 or any(type(c) is bool or not isinstance(c, numbers.Real)
+                                   for c in values):
+            raise ValueError(f"cosines must be three real numbers, got {cosines!r}")
+        return cls._stored(*sorted((_finite_clip01(float(c), "cosine") for c in values),
                                    reverse=True))
 
     @classmethod
     def from_cos2_eigenvalues(cls, lams) -> "AngleTriple":
         """The triple of squared cosines, given as Python floats (`ndarray.tolist`),
         each clipped once: the square root of a value in [0, 1] lies there too."""
+        if len(lams) != 3:
+            raise ValueError(f"lams must hold three squared cosines, got {len(lams)}")
         return cls._stored(*sorted((math.sqrt(_finite_clip01(v, "squared cosine"))
                                     for v in lams), reverse=True))
 
@@ -246,7 +269,8 @@ _LINE = (replace(_TOTALLY_REAL[0], annotation="solvable foliation"),)
 
 def strata_for(k: int, n: int) -> list[ModuliStratum]:
     """The strata of the moduli space of protohomogeneous k-subspaces of H^n,
-    as a new list of the one table's row for (k, n)."""
+    as a new list of the one table's row for (k, n); k and n are ints."""
+    k, n = _count(k, "k"), _count(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= k <= 4 * n:
@@ -285,6 +309,9 @@ def moduli_membership(k: int, n: int, triple: AngleTriple) -> list[StratumMember
     Strata carrying two inequivalent classes contribute one entry per
     class, tagged branch +1 and -1.
     """
+    k, n = _count(k, "k"), _count(n, "n")
+    if not isinstance(triple, AngleTriple):
+        raise ValueError(f"triple must be an AngleTriple, got {type(triple).__name__}")
     if k < 1:
         raise ValueError("membership needs k >= 1")
     return _strata_holding(k, n, triple.cos_tuple())
@@ -322,6 +349,7 @@ def moduli_describe(k: int, n: int) -> dict:
     three special cohomogeneity-one actions; k >= 1 lists the strata with
     their action labels.
     """
+    k, n = _count(k, "k"), _count(n, "n")
     strata = [s.to_dict() for s in strata_for(k, n)]
     actions = {"special_actions": list(_SPECIAL_ACTIONS)} if k == 0 else {}
     return {"k": k, "n": n, **actions, "strata": strata}

@@ -8,8 +8,8 @@ grids at the documented sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -24,29 +24,28 @@ from .classify import (
     type_of,
 )
 from .families import (
-    FamilySpec,
     _gram,
     _place,
     _psd_cholesky,
     _sin,
     _tilted_block,
     admissible,
-    construct_classical,
-    construct_sum,
+    construct,
     construct_v3,
     construct_v4,
     min_quaternionic_dim,
 )
 from .moduli import HALF_PI, AngleTriple, moduli_membership, snapped, strata_for
 from .oracles import (
-    GridSpec,
+    DeclaredInput,
+    declared_class,
+    declared_inputs,
     gram_grid_sweep,
     invariance_oracle,
     steenrod_oracle,
 )
-from .quaternion import induced_rotation, random_group_element
+from .quaternion import STANDARD_BASIS, induced_rotation, random_group_element
 from .subspace import (
-    Subspace,
     constancy_check,
     is_h_orthogonal,
     joint_canonical_basis,
@@ -63,104 +62,12 @@ class CriterionResult:
     detail: str
 
 
-def _sorted_cos_triples(values) -> list[tuple[float, float, float]]:
-    vals = sorted(values, reverse=True)
-    return list(combinations_with_replacement(vals, 3))
+_declared_inputs = cache(declared_inputs)  # built once for each value of quick
 
 
-_PLUS_BOUNDARY = [(0.8, 0.5, 0.3), (0.9, 0.5, 0.4), (0.7, 0.6, 0.3),
-                  (0.85, 0.6, 0.45), (0.95, 0.8, 0.75)]
-_MINUS_BOUNDARY = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.4, 0.35, 0.25),
-                   (0.6, 0.3, 0.1), (0.5, 0.45, 0.05)]
-
-
-def _v4_parameter_grid(quick: bool) -> list[tuple[AngleTriple, int, int]]:
-    """(triple, sign, minimal n) of every class on the grid, interiors plus
-    exact boundaries."""
-    values = (0.85, 0.6, 0.35, 0.15) if quick else (
-        0.95, 0.85, 0.7, 0.55, 0.4, 0.25, 0.12, 0.04)
-    candidates = [(sign, x) for x in _sorted_cos_triples(values) for sign in (1, -1)]
-    boundaries = [(1, x) for x in _PLUS_BOUNDARY] + [(-1, x) for x in _MINUS_BOUNDARY]
-    if quick:
-        boundaries = boundaries[:2] + boundaries[5:7]
-
-    def point(sign, x):
-        triple = AngleTriple.from_cosines(x)
-        spec = FamilySpec("v4", n=0, angles=triple, sign=sign)
-        return triple, sign, min_quaternionic_dim(spec)
-
-    out = []
-    for sign, x in candidates:
-        try:
-            out.append(point(sign, x))
-        except ValueError:  # no class of this sign at these angles
-            continue
-    # The declared boundaries must exist: a boundary that does not raises.
-    return out + [point(sign, x) for sign, x in boundaries]
-
-
-def _constructor_grid(quick: bool) -> list[tuple[str, Subspace, AngleTriple]]:
-    """(label, subspace, declared triple) for every family/parameter point."""
-    right = HALF_PI
-    grid: list[tuple[str, Subspace, AngleTriple]] = []
-
-    def add(label, space, triple):
-        grid.append((label, space, triple))
-
-    real_ks = (1, 3) if quick else (1, 2, 3, 4, 5, 7, 8)
-    for k in real_ks:
-        add(f"totally_real k={k}", construct_classical("totally_real", k, max(k, 5)),
-            AngleTriple(right, right, right))
-    for k in ((2, 4) if quick else (2, 4, 6, 8, 10)):
-        add(f"totally_complex k={k}", construct_classical("totally_complex", k, 5),
-            AngleTriple(0.0, right, right))
-    for k in ((4,) if quick else (4, 8, 12, 16)):
-        add(f"quaternionic k={k}", construct_classical("quaternionic", k, 4),
-            AngleTriple(0.0, 0.0, 0.0))
-    for n in ((1,) if quick else (1, 2, 4)):
-        add(f"im_h_line n={n}", construct_classical("im_h_line", 3, n),
-            AngleTriple(0.0, 0.0, right))
-    phis = (0.7, 1.3) if quick else (0.25, 0.6, 0.9, 1.1, 1.3, 1.45)
-    for phi in phis:
-        for l in ((1,) if quick else (1, 2, 3)):
-            add(f"cka_plane phi={phi} l={l}",
-                construct_classical("cka_plane_sum", 2 * l, 2 * l, phi=phi),
-                AngleTriple(phi, right, right))
-        for l in ((1,) if quick else (1, 2)):
-            add(f"complexified phi={phi} l={l}",
-                construct_classical("complexified_cka", 4 * l, 2 * l, phi=phi),
-                AngleTriple(0.0, phi, phi))
-    v3_plus = np.linspace(0.12, right, 4 if quick else 14)
-    for phi in v3_plus:
-        add(f"v3 +1 phi={phi:.3f}", construct_v3(float(phi), 1, 3),
-            AngleTriple(float(phi), float(phi), right))
-    v3_minus = np.linspace(math.pi / 3, right, 3 if quick else 9)
-    for phi in v3_minus:
-        add(f"v3 -1 phi={phi:.3f}", construct_v3(float(phi), -1, 3),
-            AngleTriple(float(phi), float(phi), right))
-    add("v3 -1 pi/3 n=2", construct_v3(math.pi / 3, -1, 2),
-        AngleTriple(math.pi / 3, math.pi / 3, right))
-    for triple, sign, n_min in _v4_parameter_grid(quick):
-        for extra in ((0,) if quick else (0, 1)):
-            n = n_min + extra
-            add(f"v4 {sign:+d} cos={np.round(triple.cos_tuple(), 3)} n={n}",
-                construct_v4(triple, sign, n), triple)
-    t03 = AngleTriple.from_cosines((0.3, 0.3, 0.3))
-    t13 = AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3))
-    tb_minus = AngleTriple.from_cosines((0.5, 0.3, 0.2))
-    sums = [
-        (t03, 2, 0, 8), (t03, 0, 2, 8), (t03, 1, 1, 8),
-        (t13, 1, 1, 7), (t13, 0, 2, 6), (t13, 2, 0, 8),
-        (tb_minus, 0, 3, 9), (tb_minus, 1, 2, 10),
-        (AngleTriple.from_cosines((0.5, 0.4, 0.3)), 3, 0, 12),
-        (AngleTriple(right, right, right), 2, 0, 8),
-    ]
-    if quick:
-        sums = sums[:4]
-    for triple, p, q, n in sums:
-        add(f"sum ({p},{q}) cos={np.round(triple.cos_tuple(), 3)} n={n}",
-            construct_sum(triple, p, q, n), triple)
-    return grid
+def _inputs(quick: bool, tag: str) -> list[DeclaredInput]:
+    """The declared inputs a criterion reads, selected by its tag."""
+    return [record for record in _declared_inputs(quick) if tag in record.tags]
 
 
 def _cos2_match(reported, declared) -> float:
@@ -169,16 +76,16 @@ def _cos2_match(reported, declared) -> float:
 
 def crit_constancy(quick: bool, seed: int) -> tuple[bool, str]:
     """C1: every constructor output has constant angle with its declared triple."""
-    grid = _constructor_grid(quick)
+    grid = _inputs(quick, "grid")
     samples = 120 if quick else 500
     worst_spread, worst_triple, bad = 0.0, 0.0, []
-    for label, space, declared in grid:
-        rep = constancy_check(space, samples, seed)
-        dev = _cos2_match(rep.triple.cos_tuple(), declared.cos_tuple())
+    for record in grid:
+        rep = constancy_check(construct(record.spec), samples, seed)
+        dev = _cos2_match(rep.triple.cos_tuple(), record.triple.cos_tuple())
         worst_spread = max(worst_spread, rep.max_spread)
         worst_triple = max(worst_triple, dev)
         if rep.max_spread >= 1e-9 or dev > 1e-8:
-            bad.append(label)
+            bad.append(record.label)
     enough = quick or len(grid) >= 300
     ok = not bad and enough
     return ok, (f"{len(grid)} constructions, max spread {worst_spread:.2e}, "
@@ -189,7 +96,7 @@ def crit_constancy(quick: bool, seed: int) -> tuple[bool, str]:
 
 def crit_gram_equivalence(quick: bool, seed: int) -> tuple[bool, str]:
     """C2: gram PSD <=> closed-form inequality, rank 2 exactly on the boundary."""
-    sweep = gram_grid_sweep(GridSpec(resolution=15 if quick else 50))
+    sweep = gram_grid_sweep(15 if quick else 50)
     ok = (sweep["psd_disagreements"] == 0 and sweep["rank_mismatches"] == 0
           and sweep["det_deviation"] < 1e-10)
     return ok, (f"{sweep['points']} grid points, "
@@ -227,18 +134,17 @@ def crit_v3_omega(quick: bool, seed: int) -> tuple[bool, str]:
 
 
 def crit_pbar_sign(quick: bool, seed: int) -> tuple[bool, str]:
-    """C4: Pbar1 Pbar2 = +Pbar3 on the plus class and -Pbar3 on the minus class."""
-    from .quaternion import STANDARD_BASIS
-
-    worst = 0.0
-    tested = 0
-    for triple, sign, n in _v4_parameter_grid(quick):
-        if triple.cos_tuple()[2] <= 1e-8:
+    """C4: Pbar1 Pbar2 = +Pbar3 on the plus class and -Pbar3 on the minus class,
+    on each v4 class of the grid at its least n."""
+    worst, tested = 0.0, 0
+    for record in _inputs(quick, "grid"):
+        spec, cosines = record.spec, record.triple.cos_tuple()
+        if (spec.family != "v4" or spec.n != min_quaternionic_dim(spec)
+                or cosines[2] <= 1e-8):
             continue
-        space = construct_v4(triple, sign, n)
-        p = [pbar_operator(space, STANDARD_BASIS, i, triple.cos_tuple()[i - 1])
-             for i in (1, 2, 3)]
-        worst = max(worst, float(np.max(np.abs(p[0] @ p[1] - sign * p[2]))))
+        space = construct(record.spec)
+        p = [pbar_operator(space, STANDARD_BASIS, i, c) for i, c in enumerate(cosines, 1)]
+        worst = max(worst, float(np.max(np.abs(p[0] @ p[1] - spec.sign * p[2]))))
         tested += 1
     ok = worst < 1e-8
     return ok, f"{tested} classes, max |P1 P2 - sign P3| = {worst:.2e}"
@@ -246,55 +152,28 @@ def crit_pbar_sign(quick: bool, seed: int) -> tuple[bool, str]:
 
 def crit_type_proto(quick: bool, seed: int) -> tuple[bool, str]:
     """C5: types of sums, protohomogeneity iff single sign, minimal witness n=7."""
-    t13 = AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3))
-    triples = [
-        AngleTriple.from_cosines((0.3, 0.3, 0.3)),
-        t13,
-        AngleTriple.from_cosines((0.5, 0.4, 0.3)),
-        AngleTriple.from_cosines((0.8, 0.5, 0.3)),
-    ]
-    pairs = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
-    if not quick:
-        pairs += [(2, 1), (1, 2), (3, 0), (0, 3), (2, 2), (3, 1), (4, 0)]
     failures = []
-    tested = 0
-    for triple in triples:
-        for p, q in pairs:
-            if p + q > 4:
-                continue
-            try:
-                n = min_quaternionic_dim(
-                    FamilySpec("sum_type", n=0, angles=triple, l_plus=p, l_minus=q))
-            except ValueError:  # no class of one of the signs at this triple
-                continue
-            if n > 16:
-                continue
-            space = construct_sum(triple, p, q, n)
-            tested += 1
-            t = type_of(space)
-            if t.as_tuple() != (p, q):
-                failures.append(f"type({p},{q})->{t.as_tuple()}")
-                continue
-            verdict = is_protohomogeneous(space)
-            expected = "yes" if (p == 0 or q == 0) else "no"
-            if verdict.value != expected:
-                failures.append(f"proto({p},{q})={verdict.value}")
-    witness_ok = True
+    records = _inputs(quick, "types")
+    for record in records:
+        space = construct(record.spec)
+        invariant, proto = declared_class(record.spec)
+        t = type_of(space).as_tuple()
+        if t != invariant:
+            failures.append(f"type {record.label} -> {t}")
+            continue
+        verdict = is_protohomogeneous(space)
+        if verdict.value != proto:
+            failures.append(f"proto {record.label} = {verdict.value}")
+    witness = _inputs(quick, "witness")[0].spec
+    witness_ok = declared_class(witness)[1] == "no" == is_protohomogeneous(construct(witness)).value
     try:
-        space = construct_sum(t13, 1, 1, 7)
-        if is_protohomogeneous(space).value != "no":
-            witness_ok = False
-    except ValueError:
-        witness_ok = False
-    try:
-        construct_sum(t13, 1, 1, 6)
-        witness_ok = False
+        construct(replace(witness, n=witness.n - 1))
         rejected = False
     except ValueError:
         rejected = True
     ok = not failures and witness_ok and rejected
-    return ok, (f"{tested} sums checked, witness n=7 ok={witness_ok}, "
-                f"n=6 rejected={rejected}"
+    return ok, (f"{len(records)} sums checked, witness n={witness.n} ok={witness_ok}, "
+                f"n={witness.n - 1} rejected={rejected}"
                 + (f", failures: {failures[:3]}" if failures else ""))
 
 
@@ -435,9 +314,9 @@ def crit_moduli_table(quick: bool, seed: int) -> tuple[bool, str]:
 
 def crit_steenrod(quick: bool, seed: int) -> tuple[bool, str]:
     """C8: distribution rank equals the count of non-right angles everywhere."""
-    grid = _constructor_grid(True)  # the quick grid covers every family
-    failures = [label for label, space, _ in grid
-                if not steenrod_oracle(space, samples=200, seed=seed)]
+    grid = _inputs(True, "grid")  # the quick grid covers every family
+    failures = [record.label for record in grid
+                if not steenrod_oracle(construct(record.spec), samples=200, seed=seed)]
     return not failures, (f"{len(grid)} constructions"
                           + (f", failures: {failures[:3]}" if failures else ""))
 
@@ -445,21 +324,10 @@ def crit_steenrod(quick: bool, seed: int) -> tuple[bool, str]:
 def crit_group_invariance(quick: bool, seed: int) -> tuple[bool, str]:
     """C9: random group elements preserve the triple; rotations are orthogonal."""
     trials = 20 if quick else 100
-    spaces = [
-        ("quaternionic", construct_classical("quaternionic", 4, 2)),
-        ("totally_real", construct_classical("totally_real", 3, 3)),
-        ("im_h_line", construct_classical("im_h_line", 3, 2)),
-        ("v3+", construct_v3(0.9, 1, 3)),
-        ("v3-", construct_v3(1.15, -1, 3)),
-        ("v4+", construct_v4(AngleTriple.from_cosines((0.3, 0.3, 0.3)), 1, 4)),
-        ("v4-", construct_v4(AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3)), -1, 3)),
-        ("sum11", construct_sum(AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3)), 1, 1, 7)),
-    ]
-    if quick:
-        spaces = spaces[:4]
+    spaces = _inputs(quick, "orbit")
     worst_dev = 0.0
-    for _, space in spaces:
-        worst_dev = max(worst_dev, invariance_oracle(space, trials, seed))
+    for record in spaces:
+        worst_dev = max(worst_dev, invariance_oracle(construct(record.spec), trials, seed))
     worst_rot = 0.0
     for t in range(trials):
         g = random_group_element(4, seed * 31 + t)
@@ -472,31 +340,14 @@ def crit_group_invariance(quick: bool, seed: int) -> tuple[bool, str]:
 
 
 def crit_joint_diag(quick: bool, seed: int) -> tuple[bool, str]:
-    """C10: joint diagonalization succeeds exactly where a common basis exists."""
-    t03 = AngleTriple.from_cosines((0.3, 0.3, 0.3))
-    t13 = AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3))
-    with_basis = [
-        construct_classical("quaternionic", 8, 2),
-        construct_classical("totally_real", 4, 4),
-        construct_classical("totally_complex", 4, 2),
-        construct_classical("cka_plane_sum", 4, 4, phi=0.8),
-        construct_classical("complexified_cka", 4, 2, phi=0.8),
-        construct_v4(t03, 1, 4),
-        construct_v4(t03, -1, 4),
-        construct_sum(t03, 2, 0, 8),
-        construct_sum(t13, 0, 2, 6),
-    ]
-    if quick:
-        with_basis = with_basis[:5]
-    worst = 0.0
-    for space in with_basis:
-        _, residual = joint_canonical_basis(space, 80, seed)
-        worst = max(worst, residual)
-    lower = math.inf
-    for n in (1, 3):
-        space = construct_classical("im_h_line", 3, n)
-        _, residual = joint_canonical_basis(space, 120, seed)
-        lower = min(lower, residual)
+    """C10: joint diagonalization succeeds exactly where a common basis exists:
+    everywhere but on the imaginary spans of a vector."""
+    worst, lower = 0.0, math.inf
+    for record in _inputs(quick, "jacobi"):
+        if record.spec.family == "im_h_line":
+            lower = min(lower, joint_canonical_basis(construct(record.spec), 120, seed)[1])
+        else:
+            worst = max(worst, joint_canonical_basis(construct(record.spec), 80, seed)[1])
     ok = worst < 1e-9 and lower > 1e-2
     return ok, (f"max residual with common basis {worst:.2e}, "
                 f"imaginary-span residual {lower:.2e}")
@@ -504,21 +355,12 @@ def crit_joint_diag(quick: bool, seed: int) -> tuple[bool, str]:
 
 def crit_factorization(quick: bool, seed: int) -> tuple[bool, str]:
     """C11: factorize returns H-orthogonal 4-blocks reconstructing the sum."""
-    t03 = AngleTriple.from_cosines((0.3, 0.3, 0.3))
-    t13 = AngleTriple.from_cosines((1 / 3, 1 / 3, 1 / 3))
-    tb = AngleTriple.from_cosines((0.5, 0.3, 0.2))
-    cases = [
-        (t03, 2, 0, 8), (t03, 1, 1, 8), (t13, 1, 1, 7),
-        (t13, 0, 2, 6), (tb, 0, 3, 9), (t03, 2, 1, 12),
-    ]
-    if quick:
-        cases = cases[:3]
+    cases = _inputs(quick, "blocks")
     failures = []
-    for triple, p, q, n in cases:
-        space = construct_sum(triple, p, q, n)
+    for record in cases:
+        space, triple, label = construct(record.spec), record.triple, record.label
         blocks = factorize(space)
-        label = f"({p},{q})@n={n}"
-        if len(blocks) != p + q or any(b.k != 4 for b in blocks):
+        if len(blocks) != space.k // 4 or any(b.k != 4 for b in blocks):
             failures.append(f"{label}: wrong block count")
             continue
         for i in range(len(blocks)):

@@ -78,6 +78,9 @@ class Subspace:
     __slots__ = ("basis",)
 
     def __init__(self, basis):
+        basis = np.asarray(basis)
+        if basis.dtype.kind not in "fiu":  # the cast would drop an imaginary part or parse text
+            raise ValueError(f"basis must hold real numbers, got dtype {basis.dtype}")
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] % 4 != 0 or basis.shape[0] == 0:
             raise ValueError("basis must be a 4n x k matrix")

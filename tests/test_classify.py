@@ -27,14 +27,7 @@ from qka.classify import (
     type_of,
 )
 from qka.classify import SIGN_INVOLUTION_TOL, _Analysis, _sign_parts, _sign_split
-from qka.families import (
-    FamilySpec,
-    construct_classical,
-    construct_sum,
-    construct_v3,
-    construct_v4,
-    min_quaternionic_dim,
-)
+from qka.families import construct, construct_classical, construct_sum, construct_v3, construct_v4
 from qka.moduli import (
     SNAP_TOL,
     ModuliStratum,
@@ -44,6 +37,7 @@ from qka.moduli import (
     snapped,
     strata_for,
 )
+from qka.oracles import declared_class, declared_inputs
 from qka.quaternion import STANDARD_BASIS, CanonicalBasis, random_group_element
 from qka.subspace import (
     COMPLEX_STRUCTURE_TOL,
@@ -67,6 +61,7 @@ T13 = AngleTriple.from_cosines([1 / 3, 1 / 3, 1 / 3])
 T03 = AngleTriple.from_cosines([0.3, 0.3, 0.3])
 REAL3 = AngleTriple(HALF_PI, HALF_PI, HALF_PI)
 TA = AngleTriple.from_cosines([0.5, 0.25, 0.12])
+DECLARED = declared_inputs(quick=False)
 
 
 def rotated(space, seed):
@@ -300,19 +295,6 @@ def _svd_deflated_cells(part, generators):
 
 
 class TestTypeOf:
-    def test_plus_class(self):
-        assert type_of(construct_v4(T03, 1, 4)) == TypeSignature(1, 0)
-
-    def test_minus_class(self):
-        assert type_of(construct_v4(T03, -1, 4)) == TypeSignature(0, 1)
-
-    def test_quaternionic_line_is_plus(self):
-        assert type_of(construct_classical("quaternionic", 4, 1)) == TypeSignature(1, 0)
-
-    def test_sums(self):
-        assert type_of(construct_sum(T13, 1, 1, 7)) == TypeSignature(1, 1)
-        assert type_of(construct_sum(T03, 0, 2, 8)) == TypeSignature(0, 2)
-
     def test_right_angle_convention(self):
         t = AngleTriple.from_cosines([0.6, 0.35, 0.0])
         assert type_of(construct_v4(t, 1, 4)) == TypeSignature(1, 0)
@@ -321,22 +303,10 @@ class TestTypeOf:
 
 
 class TestProtohomogeneous:
-    def test_dimension_three_always_yes(self):
-        for space in (construct_v3(1.0, 1, 3), construct_classical("im_h_line", 3, 1)):
-            assert is_protohomogeneous(space).value == "yes"
-
-    def test_single_sign_sums_yes(self):
-        assert is_protohomogeneous(construct_sum(T03, 2, 0, 8)).value == "yes"
-        assert is_protohomogeneous(construct_sum(T13, 0, 2, 6)).value == "yes"
-
     def test_mixed_sums_no(self):
         verdict = is_protohomogeneous(construct_sum(T13, 1, 1, 7))
         assert verdict.value == "no"
         assert "mixed" in verdict.reason
-
-    def test_cor_nonproto_witness_interior(self):
-        verdict = is_protohomogeneous(construct_sum(T03, 1, 1, 8))
-        assert verdict.value == "no"
 
     def test_non_constant_no(self):
         rng = np.random.default_rng(1)
@@ -373,16 +343,6 @@ def _reference_class(thetas, phi):
     matched = [sign for sign in (1, -1) if np.max(np.abs(thetas - c / (c + sign))) <= 1e-9]
     assert len(matched) == 1
     return matched[0]
-
-
-# Both classes at three angles in every ambient dimension that fits them.
-BATCH_CASES = [
-    (phi, sign, n)
-    for phi in (math.pi / 3, 1.2, 1.45)
-    for sign in (1, -1)
-    for n in (2, 3, 5)
-    if n >= min_quaternionic_dim(FamilySpec("v3", n=n, cos=math.cos(phi), sign=sign))
-]
 
 
 class TestBranch:
@@ -468,10 +428,12 @@ class TestBranch:
         assert record["branch"] is None and record["branch_diagnostic"] == verdict.reason
         assert record["protohomogeneous"]["value"] == "yes"
 
-    @pytest.mark.parametrize("phi,sign,n", BATCH_CASES)
-    def test_batched_invariant_matches_per_point_loop(self, phi, sign, n):
+    @pytest.mark.parametrize("record", [r for r in DECLARED if "branch" in r.tags],
+                             ids=lambda r: r.label)
+    def test_batched_invariant_matches_per_point_loop(self, record):
         # The class the R^{4n} rebuild of e_1, e_2 picks is the determinant's.
-        space = rotated(construct_v3(phi, sign, n), n)
+        phi, n, sign = record.triple.phi1, record.spec.n, declared_class(record.spec)[0]
+        space = rotated(construct(record.spec), n)
         reference = _per_point_invariants(space, _unit_points(n, 12), phi)
         assert reference == pytest.approx(math.cos(phi) / (math.cos(phi) + sign), abs=1e-10)
         assert _reference_class(reference, phi) == branch_of_v3(space) == sign
@@ -595,22 +557,6 @@ class TestThreeCosinesOnFloats:
 
 
 class TestModuli:
-    def test_spot_cells(self):
-        cells = {
-            (5, 5): ["totally_real_point"],
-            (6, 4): ["totally_complex_point"],
-            (6, 8): ["kahler_angle_curve"],
-            (3, 1): ["imaginary_line_point"],
-            (3, 2): ["imaginary_line_point", "compact_branch_point"],
-            (4, 4): ["single_class_region", "two_class_region"],
-            (8, 2): ["quaternionic_point"],
-            (8, 4): ["complexified_curve"],
-            (8, 6): ["boundary_sum_surface"],
-            (12, 8): ["complexified_curve"],
-        }
-        for (k, n), names in cells.items():
-            assert [s.name for s in strata_for(k, n)] == names
-
     def test_odd_k_above_n_empty(self):
         assert strata_for(7, 5) == []
         assert strata_for(5, 16) != []
@@ -885,30 +831,8 @@ class TestRepresentative:
         representative(8, 8, AngleTriple.from_cosines([0.6, 0.4 + 1e-8, 5e-8]))
         assert len(calls) == 2
 
-    def test_type_matches_requested_blocks(self):
-        for p, q in [(1, 0), (0, 1), (2, 0), (1, 1)]:
-            if q and p:
-                space = construct_sum(T13, p, q, 7)
-            else:
-                space = construct_sum(T13, p, q, 4 * p + 3 * q)
-            assert type_of(space) == TypeSignature(p, q)
-
 
 class TestClassifyRecord:
-    def test_mixed_sum_record(self):
-        record = classify_subspace(construct_sum(T13, 1, 1, 7))
-        assert record["type"] == [1, 1]
-        assert record["protohomogeneous"]["value"] == "no"
-        assert record["constant"] is True
-
-    def test_v3_record_has_branch(self):
-        record = classify_subspace(construct_v3(1.2, -1, 3))
-        assert record["branch"] == -1
-        assert record["protohomogeneous"]["value"] == "yes"
-        # two-class strata list one entry per class
-        assert [(s["name"], s["branch"]) for s in record["strata"]] == [
-            ("two_branch_curve", 1), ("two_branch_curve", -1)]
-
     def test_non_constant_record(self):
         rng = np.random.default_rng(2)
         space = from_spanning([rng.standard_normal(24) for _ in range(3)])
@@ -1182,21 +1106,6 @@ class TestSignGates:
         assert verdict.value == "unknown" and "sign involution gate" in verdict.reason
 
 
-# Subspaces covering every branch of the classification record.
-PROPERTY_CASES = [
-    lambda: construct_sum(TA, 1, 1, 8),
-    lambda: construct_sum(T13, 1, 1, 7),
-    lambda: construct_v4(T03, -1, 4),
-    lambda: construct_v3(1.2, -1, 3),
-    lambda: construct_v3(1.2, 1, 3),
-    lambda: construct_classical("quaternionic", 8, 4),
-    lambda: construct_classical("im_h_line", 3, 2),
-    lambda: construct_classical("totally_complex", 6, 4),
-    lambda: construct_classical("cka_plane_sum", 4, 4, phi=0.8),
-    lambda: construct_classical("totally_real", 4, 4),
-]
-
-
 def _invariant_part(record):
     return (record["constant"], record.get("type"), record.get("branch"),
             record["protohomogeneous"]["value"],
@@ -1204,11 +1113,11 @@ def _invariant_part(record):
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(case=st.integers(0, len(PROPERTY_CASES) - 1),
+@given(case=st.sampled_from([r for r in DECLARED if "property" in r.tags]),
        group_seed=st.integers(0, 2**31 - 1),
        basis_seed=st.integers(0, 2**31 - 1))
 def test_record_invariant_under_group_and_basis_change(case, group_seed, basis_seed):
-    space = PROPERTY_CASES[case]()
+    space = construct(case.spec)
     q = np.linalg.qr(np.random.default_rng(basis_seed).standard_normal((space.k, space.k)))[0]
     moved = Subspace(random_group_element(space.n, group_seed).apply_coords(space.basis) @ q)
     base, record = classify_subspace(space), classify_subspace(moved)
@@ -1216,51 +1125,33 @@ def test_record_invariant_under_group_and_basis_change(case, group_seed, basis_s
     assert snapped(record["cosines"]) == pytest.approx(snapped(base["cosines"]), abs=1e-9)
 
 
-# Declared answers for fixed inputs, each also moved by the group and a
-# change of basis picked by a fixed seed: type, protohomogeneity, strata
-# (with branches) and the 3-dimensional branch.
-TWO_CLASS = [("two_class_region", 1), ("two_class_region", -1)]
-RECORD_CASES = [
-    ("sum8_mixed", lambda: rotated(construct_sum(TA, 1, 1, 8), 3),
-     dict(type=[1, 1], proto="no", strata=TWO_CLASS)),
-    ("sum16_pure", lambda: rotated(construct_sum(TA, 4, 0, 16), 4),
-     dict(type=[4, 0], proto="yes", strata=TWO_CLASS)),
-    ("sum16_mixed", lambda: rotated(construct_sum(TA, 1, 3, 16), 5),
-     dict(type=[1, 3], proto="no", strata=TWO_CLASS)),
-    ("witness", lambda: construct_sum(T13, 1, 1, 7),
-     dict(type=[1, 1], proto="no", strata=[("boundary_sum_surface", None)])),
-    ("v4_minus", lambda: construct_v4(T03, -1, 4),
-     dict(type=[0, 1], proto="yes", strata=TWO_CLASS)),
-    ("v3_minus", lambda: construct_v3(1.2, -1, 3),
-     dict(branch=-1, proto="yes",
-          strata=[("two_branch_curve", 1), ("two_branch_curve", -1)])),
-    ("quaternionic", lambda: construct_classical("quaternionic", 8, 4),
-     dict(type=[2, 0], proto="yes", strata=[("complexified_curve", None)])),
-    ("im_h_line", lambda: construct_classical("im_h_line", 3, 2),
-     dict(branch=None, proto="yes", strata=[("imaginary_line_point", None)])),
-    ("totally_complex", lambda: construct_classical("totally_complex", 6, 4),
-     dict(proto="yes", strata=[("totally_complex_point", None)])),
-]
+@pytest.mark.parametrize("seed", [None, 0, 7])
+def test_declared_verdicts(seed):
+    # Every declared input, unmoved and moved by the group and a change of
+    # basis at two fixed seeds, gets the verdicts `declared_class` states:
+    # constant, its family's snapped cosines, its type or branch and its
+    # protohomogeneity, and its strata (with branches) where declared.
+    for record in DECLARED:
+        space = construct(record.spec)
+        got = classify_subspace(space if seed is None else moved(space, seed))
+        invariant, proto = declared_class(record.spec)
+        where = record.label, seed
+        assert got["constant"] is True, where
+        assert snapped(got["cosines"]) == pytest.approx(
+            snapped(record.triple.cos_tuple()), abs=1e-9), where
+        assert got.get("type" if space.k % 4 == 0 else "branch") == (
+            list(invariant) if isinstance(invariant, tuple) else invariant), where
+        assert got["protohomogeneous"]["value"] == proto, where
+        if record.strata is not None:
+            assert tuple((s["name"], s.get("branch")) for s in got["strata"]) == record.strata, where
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("name,build,expected", RECORD_CASES, ids=[c[0] for c in RECORD_CASES])
-def test_classify_record_on_fixed_seeds(name, build, expected, seed):
-    space = build()
-    record = classify_subspace(moved(space, seed) if seed else space)
-    assert record["protohomogeneous"]["value"] == expected["proto"]
-    assert record.get("type") == expected.get("type")
-    assert "branch" not in expected or record["branch"] == expected["branch"]
-    assert [(s["name"], s.get("branch")) for s in record["strata"]] == expected["strata"]
-
-
-# Three-dimensional subspaces of every kind the witness decides: both v3 classes
-# at three angles, the imaginary span of a vector, and a non-constant plane.
+# Three-dimensional subspaces of every kind the witness decides: the v3 classes
+# and the imaginary spans among the declared inputs, each moved by the group
+# at its own seed, and a non-constant plane.
 SEED_FREE_CASES = [
-    *[(f"v3{'+' if sign > 0 else '-'}@{phi:.4f}",
-       lambda phi=phi, sign=sign: rotated(construct_v3(phi, sign, 3), 20 + sign))
-      for phi in (math.pi / 3, 1.2, 1.45) for sign in (1, -1)],
-    ("im_h_line", lambda: rotated(construct_classical("im_h_line", 3, 2), 4)),
+    *[(r.label, lambda spec=r.spec, seed=20 + i: rotated(construct(spec), seed))
+      for i, r in enumerate(r for r in DECLARED if r.spec.family in ("v3", "im_h_line"))],
     ("random_plane", lambda: from_spanning(
         list(np.random.default_rng(5).standard_normal((3, 12))))),
 ]
@@ -1324,7 +1215,7 @@ class TestSeedFreeDimension3:
 
     def test_no_random_generator_on_verdict_paths(self, monkeypatch):
         spaces = [build() for _, build in SEED_FREE_CASES]
-        v3_pair = spaces[2], spaces[3]  # both classes at phi = 1.2
+        v3_pair = [rotated(construct_v3(1.2, sign, 3), 20 + sign) for sign in (1, -1)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a random generator was drawn")

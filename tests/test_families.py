@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from qka import selftest
+from qka import oracles
 from qka.families import (
     BOUNDARY_TOL,
     CLASSICAL_FAMILIES,
@@ -573,24 +573,20 @@ def _outcome(fn, args):
 
 
 def _grid_calls():
-    """Every constructor call selftest's full constructor grid makes."""
+    """The constructor call of every record of the full catalog's grid; an
+    angle is the acos of the spec's cosine, whose cosine is that one again."""
     calls = []
-
-    def recorder(name):
-        def record(*args, **kwargs):
-            args = args + tuple(kwargs.values())
-            calls.append((name, args))
-            return _LIBRARY[name](*args)
-        return record
-
-    saved = {name: getattr(selftest, name) for name in _LIBRARY}
-    try:
-        for name in _LIBRARY:
-            setattr(selftest, name, recorder(name))
-        selftest._constructor_grid(quick=False)
-    finally:
-        for name, fn in saved.items():
-            setattr(selftest, name, fn)
+    for spec in [r.spec for r in oracles.declared_inputs(quick=False) if "grid" in r.tags]:
+        phi = None if spec.cos is None else math.acos(spec.cos)
+        assert phi is None or math.cos(phi) == spec.cos
+        if spec.family == "v3":
+            calls.append(("construct_v3", (phi, spec.sign, spec.n)))
+        elif spec.family == "v4":
+            calls.append(("construct_v4", (spec.angles, spec.sign, spec.n)))
+        elif spec.family == "sum_type":
+            calls.append(("construct_sum", (spec.angles, spec.l_plus, spec.l_minus, spec.n)))
+        else:
+            calls.append(("construct_classical", (spec.family, spec.k, spec.n, phi)))
     return calls
 
 
@@ -920,13 +916,18 @@ class TestMinimalDimensionIsTheSlotCount:
 
 class TestSelftestParameterGrid:
     def test_declared_boundaries_all_present(self):
-        grid = selftest._v4_parameter_grid(quick=False)
-        declared = [(1, x) for x in selftest._PLUS_BOUNDARY] + [
-            (-1, x) for x in selftest._MINUS_BOUNDARY]
-        assert [(sign, triple) for triple, sign, _ in grid[-len(declared):]] == [
-            (sign, AngleTriple.from_cosines(x)) for sign, x in declared]
+        # Each declared boundary class is on its boundary (Gram rank 2), and
+        # the grid holds it at its least n and one above.
+        grid = {record.spec for record in oracles.declared_inputs(quick=False)
+                if "grid" in record.tags}
+        for sign, boundary in oracles._SIGN_BOUNDARIES.items():
+            for x in boundary:
+                spec = FamilySpec("v4", 0, angles=AngleTriple.from_cosines(x), sign=sign)
+                assert admissible(spec.angles, sign) == (True, 2)
+                n = min_quaternionic_dim(spec)
+                assert {dataclasses.replace(spec, n=m) for m in (n, n + 1)} <= grid
 
     def test_boundary_without_a_class_raises(self, monkeypatch):
-        monkeypatch.setattr(selftest, "_MINUS_BOUNDARY", [(0.9, 0.9, 0.9)] * 5)
+        monkeypatch.setitem(oracles._SIGN_BOUNDARIES, -1, ((0.9, 0.9, 0.9),) * 5)
         with pytest.raises(ValueError, match="no sign=-1 class"):
-            selftest._v4_parameter_grid(quick=True)
+            oracles.declared_inputs(quick=True)

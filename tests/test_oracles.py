@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qka.families import construct_classical, construct_sum, construct_v3, construct_v4
+from qka.families import construct, construct_classical, construct_v3, construct_v4
 from qka.oracles import (
-    GridSpec,
     closed_form_eigvals,
+    declared_inputs,
     det_closed_form,
     det_formula_check,
     gram_grid_sweep,
@@ -109,14 +109,14 @@ class TestDetFormula:
 
 class TestGridSweep:
     def test_small_grid_clean(self):
-        sweep = gram_grid_sweep(GridSpec(resolution=12))
+        sweep = gram_grid_sweep(12)
         assert sweep["psd_disagreements"] == 0
         assert sweep["rank_mismatches"] == 0
         assert sweep["det_deviation"] < 1e-10
 
     def test_resolution_validated(self):
-        with pytest.raises(ValueError):
-            GridSpec(resolution=1)
+        with pytest.raises(ValueError, match="at least 2"):
+            gram_grid_sweep(1)
 
 
 class TestInvarianceOracle:
@@ -152,12 +152,6 @@ class TestSteenrod:
         assert not steenrod_allows(6, AngleTriple(0.3, 0.4, HALF_PI))
 
     def test_catalog_outputs(self):
-        spaces = [
-            construct_classical("totally_complex", 4, 2),
-            construct_classical("cka_plane_sum", 4, 4, phi=0.8),
-            construct_classical("complexified_cka", 4, 2, phi=0.8),
-            construct_v4(T13, -1, 3),
-            construct_sum(T13, 1, 1, 7),
-        ]
-        for space in spaces:
-            assert steenrod_oracle(space)
+        for record in declared_inputs(quick=False):
+            if {"orbit", "jacobi"} & record.tags:
+                assert steenrod_oracle(construct(record.spec)), record.label

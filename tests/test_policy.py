@@ -5,7 +5,8 @@ is made: no function, lambda or dataclass field takes a tolerance.  No
 module but the package's ``__init__`` imports a name it never uses, and
 every module-level private name is read somewhere in the package.  README's
 Tolerances list names every tolerance constant with its value.  The moduli
-layer imports only the standard library.
+layer imports only the standard library.  The library doors refuse bad input
+with a ValueError that names the argument.
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ import ast
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qka.classify import representative
+from qka.moduli import AngleTriple, moduli_describe, moduli_membership, strata_for
+from qka.subspace import Subspace
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qka"
 TOLERANCE_NAME = re.compile(r"(tol|rtol|svtol|tolerance|.*_tol|max_sweeps)")
@@ -188,3 +196,42 @@ def test_moduli_imports_only_the_standard_library():
             imported.append("." * node.level + (node.module or ""))
     assert "math" in imported
     assert [m for m in imported if m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+T03 = AngleTriple.from_cosines([0.3, 0.3, 0.3])
+EYE = np.eye(8, 4)
+# (door, arguments, the argument its refusal names)
+BAD_INPUTS = [
+    *[(AngleTriple.from_cosines, (bad,), "cosines") for bad in (
+        [0.5, 0.3], [0.5, 0.3, 0.1, 0.1], np.array([0.5, 0.3]), 0.5, "abc", b"abc",
+        ["0.5", "0.3", "0.1"], [b"0.5", 0.3, 0.1], [True, 0.3, 0.1], [0.5j, 0.3, 0.1],
+        [np.complex128(0.5), 0.3, 0.1])],
+    *[(AngleTriple.from_cos2_eigenvalues, (bad,), "lams") for bad in ([0.25], [0.25] * 4)],
+    *[(strata_for, args, name) for args, name in (
+        ((True, 2), "k"), ((8.0, 8), "k"), (("8", 8), "k"), ((8, 2.5), "n"),
+        ((8, False), "n"), ((8, np.float64(8)), "n"))],
+    *[(moduli_membership, args, name) for args, name in (
+        ((True, 8, T03), "k"), ((8, 8.0, T03), "n"), ((8, 8, (0.3,) * 3), "triple"),
+        ((8, 8, None), "triple"))],
+    *[(moduli_describe, args, name) for args, name in (
+        ((3, 2.5), "n"), ((3.0, 4), "k"), ((np.True_, 4), "k"))],
+    *[(representative, args, name) for args, name in (
+        ((8.0, 8, T03, 1), "k"), ((8, "8", T03), "n"), ((8, 8, [0.3] * 3), "triple"))],
+    *[(Subspace, (bad,), "basis") for bad in (
+        EYE * (1 + 1j), EYE.astype(bool), EYE.astype(object), EYE.astype(str))],
+]
+
+
+@pytest.mark.parametrize("door,args,name", BAD_INPUTS,
+                         ids=[f"{d.__qualname__}-{i}" for i, (d, _, _) in enumerate(BAD_INPUTS)])
+def test_bad_input_refused_by_name(door, args, name):
+    # A ValueError naming the argument; a TypeError or an AttributeError fails.
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        door(*args)
+
+
+def test_numpy_values_pass_the_doors():
+    assert AngleTriple.from_cosines(np.array([0.3, 0.3, 0.3])) == T03
+    assert type(moduli_describe(np.int64(3), np.int64(4))["n"]) is int
+    assert moduli_membership(np.int64(8), np.int32(8), T03) == moduli_membership(8, 8, T03)
+    assert Subspace(EYE).basis is EYE  # a float array is not copied

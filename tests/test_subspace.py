@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qka import families
-from qka.families import construct_classical, construct_sum, construct_v3, construct_v4
+from qka.families import construct, construct_classical, construct_sum, construct_v3, construct_v4
 from qka.quaternion import (
     STANDARD_BASIS,
     CanonicalBasis,
     random_group_element,
     right_mult,
 )
-from qka.selftest import _constructor_grid
+from qka.oracles import declared_inputs
 from qka.subspace import (
     AngleTriple,
     NumericalFailure,
@@ -561,22 +561,23 @@ class TestDistributionRank:
 class TestExactStructure:
     def test_residual_agrees_with_jacobi_over_constructor_grid(self):
         uncertified = []
-        for label, space, declared in _constructor_grid(quick=False):
+        for record in [r for r in declared_inputs(quick=False) if "grid" in r.tags]:
+            space, label = construct(record.spec), record.label
             exact = _exact_structure(_slot_structure(space))
             _, jacobi = joint_canonical_basis(space, 80, 0)
             spread = constancy_check(space, 200, 0).max_spread
             if jacobi <= 1e-9:
                 assert exact.residual <= 1e-12, label
-                assert exact.triple.cos2() == pytest.approx(declared.cos2(), abs=1e-12)
+                assert exact.triple.cos2() == pytest.approx(record.triple.cos2(), abs=1e-12)
             else:
-                uncertified.append(label)
+                uncertified.append(record.spec.family)
             if jacobi > 1e-2:
                 assert exact.residual > 1e-2, label
             # 2 * residual bounds the spread over the whole sphere; the
             # sampled spread carries eigenvalue round-off of a few 1e-16.
             assert 2 * exact.residual + 1e-14 >= spread, label
         assert uncertified
-        assert all(label.startswith(("v3 ", "im_h_line")) for label in uncertified)
+        assert set(uncertified) <= {"v3", "im_h_line"}
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_random_four_planes_uncertified(self, n):
