@@ -25,7 +25,7 @@ from .families import (
     construct,
     construct_classical,
 )
-from .moduli import AngleTriple, _snap_into_strata, moduli_membership, snapped
+from .moduli import AngleTriple, _sign, _snap_into_strata, moduli_membership, snapped
 from .subspace import (
     COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
@@ -530,8 +530,7 @@ def representative(
         )
     x, hits = _snap_into_strata(k, n, triple, hits)
     if branch is not None:
-        if type(branch) is not int or branch not in (1, -1):  # True == 1 and 1.0 == 1
-            raise ValueError(f"branch must be the int +1 or -1, got {branch!r}")
+        branch = _sign(branch, "branch")
         if not any(h.stratum.multiplicity == 2 for h in hits):
             raise ValueError("branch selection on a single-class stratum")
     if k == 3:

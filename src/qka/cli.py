@@ -83,7 +83,7 @@ def _spec_from_args(args) -> FamilySpec:
     A flag the family does not read (`CATALOG`) is refused, naming it; one
     angle where it reads a triple is refused by `construct` as no triple."""
     family = _CHOICES[args.family]
-    reads, _ = CATALOG[family]
+    reads = CATALOG[family].reads
     triple, c = _parse_angles(args)
     angle = "angles" if triple is not None or "angles" in reads else "cos"
     unread = [f"--{flag}" for flag, field in (("angles", angle), ("cos", angle), *_FIELDS.items())
@@ -106,7 +106,7 @@ def _cmd_construct(args) -> int:
     meta = {"family": spec.family, "cosines": [round(c, 15) for c in cosines]}
     # The sign ("branch") and block counts, where the family reads them.
     meta.update({"branch" if name == "sign" else name: getattr(spec, name)
-                 for name in _FIELDS.values() if name in CATALOG[spec.family][0]})
+                 for name in _FIELDS.values() if name in CATALOG[spec.family].reads})
     save_subspace(args.out, space, meta)
     # The snapped cosines replace the report's in place, keeping the key order.
     _emit({"path": args.out, **_report_fields(analysis),

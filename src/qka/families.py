@@ -26,12 +26,13 @@ slots, so a construction's slot count is read off the blocks it places.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .moduli import AngleTriple, _class_rank, _cos_of, _phi2_is_phi3, _v3_rank
+from .moduli import (AngleTriple, _class_rank, _cos_of, _count, _phi2_is_phi3, _real, _sign,
+                     _triple, _v3_rank)
 from .subspace import NumericalFailure, Subspace
 
 __all__ = [
@@ -68,12 +69,6 @@ class FamilySpec:
     l_minus: int = 0
 
 
-def _check_sign(sign: int) -> int:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return sign
-
-
 def _sin(c: float) -> float:
     """sin(phi) from c = cos(phi) in [0, 1], for the cosines of a triple."""
     return math.sqrt((1.0 - c) * (1.0 + c))
@@ -92,8 +87,7 @@ def _gram(c, sign: int) -> list[list[float]]:
 
 def gram_matrix(angles: AngleTriple, sign: int) -> np.ndarray:
     """The 3x3 Gram matrix of the auxiliary vectors e_1, e_2, e_3."""
-    _check_sign(sign)
-    x = angles.cos_tuple()
+    sign, x = _sign(sign, "sign"), angles.cos_tuple()
     if x[0] > 1.0 - BOUNDARY_TOL:
         raise ValueError("gram matrix is singular at phi1 = 0")
     return np.array(_gram(x, sign))
@@ -105,8 +99,7 @@ def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
     Exists iff cos(phi1) + cos(phi2) - sign*cos(phi3) <= 1; on the boundary
     of that inequality the Gram matrix has rank 2, otherwise rank 3.
     """
-    _check_sign(sign)
-    x = angles.cos_tuple()
+    sign, x = _sign(sign, "sign"), angles.cos_tuple()
     if x[0] > 1.0 - BOUNDARY_TOL:
         raise ValueError("admissibility test requires phi1 > 0")
     rank = _class_rank(x, sign)
@@ -188,57 +181,40 @@ def _complexified_block(c: float) -> np.ndarray:
 
 
 def _on_two_slots(block: np.ndarray) -> np.ndarray:
-    """The block padded with zero rows to two slots."""
+    """The block padded with zero rows to two slots: a complexified block keeps
+    two slots even where it degenerates to the quaternionic one."""
     return np.pad(block, ((0, 8 - len(block)), (0, 0)))
 
 
-# Real dimension and block of each classical family (from the cosine c of
-# its Kahler angle where it reads one); a member is an H-orthogonal sum of
-# copies of the block (exactly one for im_h_line).  A complexified block
-# keeps two slots even where it degenerates to the quaternionic one.
-_CLASSICAL_BLOCKS = {
-    "totally_real": (1, lambda c: _units(0)),
-    "totally_complex": (2, lambda c: _units(0, 1)),
-    "quaternionic": (4, lambda c: _units(0, 1, 2, 3)),
-    "im_h_line": (3, lambda c: _units(1, 2, 3)),
-    "cka_plane_sum": (2, lambda c: _tilted_block(((c, _sin(c)),), np.ones((1, 1)))),
-    "complexified_cka": (4, lambda c: _on_two_slots(_complexified_block(c))),
-}
-CLASSICAL_FAMILIES = tuple(_CLASSICAL_BLOCKS)
-
-# Each *_blocks function returns the blocks of one construction, plus blocks
-# first, and the construction's name for the refusal of a too small n.  They
-# hold every rule of the catalog: existence, size, and a parameter unset (None).
+# A blocks function takes the fields its catalog row reads, checked by
+# `construct`, and holds the family's range and existence rules.  It returns
+# the blocks, plus blocks first, and the name a too small n refuses.
 _Blocks = tuple[list[np.ndarray], str]
+_Row = namedtuple("_Row", "reads blocks unset", defaults=({},))  # see CATALOG
 
 
-def _classical_blocks(spec: FamilySpec) -> _Blocks:
-    """A classical family's blocks (im_h_line's k may be unset); a Kahler angle's
-    cosine lies in (0, 1), refused at 1 and within BOUNDARY_TOL of 0."""
-    family, k, c = spec.family, spec.k, spec.cos
-    if family not in _CLASSICAL_BLOCKS:
-        raise ValueError(f"unknown classical family {family!r}")
-    dim, block = _CLASSICAL_BLOCKS[family]
-    if family == "im_h_line":
-        if k not in (None, dim):
-            raise ValueError(f"the imaginary-span family has dimension 3, got k={k}")
-        k = dim
-    if k is None:
-        raise ValueError(f"{family} needs a dimension k")
-    if "cos" in CATALOG[family][0] and (c is None or not BOUNDARY_TOL < c < 1.0):
-        raise ValueError(f"{family} needs a Kahler angle phi in (0, pi/2)")
-    if k < dim or k % dim:
-        raise ValueError(f"{family} needs k to be a positive multiple of {dim}, got k={k}")
-    return [block(c)] * (k // dim), f"{family} with k = {k}"
+def _classical(family: str, dim: int, block, one_block: bool = False) -> tuple[str, _Row]:
+    """The catalog row of a classical family: copies of a block of real dimension
+    ``dim`` (just one if ``one_block``: k = dim, its value where unset), fixed or from
+    the cosine c of a Kahler angle in (0, 1), refused at 1 and within BOUNDARY_TOL of 0."""
+
+    def blocks(k: int, c: float | None = None) -> _Blocks:
+        if c is not None and not BOUNDARY_TOL < c < 1.0:
+            raise ValueError(f"{family} needs a Kahler angle phi in (0, pi/2)")
+        if one_block and k != dim:
+            raise ValueError(f"the imaginary-span family has dimension {dim}, got k={k}")
+        if k < dim or k % dim:
+            raise ValueError(f"{family} needs k to be a positive multiple of {dim}, got k={k}")
+        return [block if c is None else block(c)] * (k // dim), f"{family} with k = {k}"
+
+    reads = ("k", "cos") if callable(block) else ("k",)
+    return family, _Row(reads, blocks, {"k": dim} if one_block else {})
 
 
-def _v3_blocks(c: float | None, sign: int) -> _Blocks:
+def _v3_blocks(c: float, sign: int) -> _Blocks:
     """e_0, then e_1 and e_2 with <e_1, e_2> = c / (c + sign) at c = cos(phi)
     in [0, 1], which coincide up to sign (one slot) only for the minus class
     at pi/3 (`_v3_rank`); at c = 1 the sine is 0 and no e_i is placed."""
-    _check_sign(sign)
-    if c is None:
-        raise ValueError("v3 needs an angle phi")
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"the 3-dimensional classes need cos(phi) in [0, 1], got {c!r}")
     rank = _v3_rank(c, sign)
@@ -261,7 +237,6 @@ def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
     class exists and phi2 = phi3) one for the quaternionic block and two
     for a complexified one.
     """
-    _check_sign(sign)
     x = angles.cos_tuple()
     phi1_zero = x[0] > 1.0 - BOUNDARY_TOL
     if sign == -1 and (phi1_zero or x[2] <= BOUNDARY_TOL):
@@ -281,9 +256,7 @@ def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
     return _tilted_block([(c, _sin(c)) for c in x], _psd_cholesky(_gram(x, sign), rank))
 
 
-def _sum_blocks(angles: AngleTriple | None, l_plus: int, l_minus: int) -> _Blocks:
-    if angles is None:
-        raise ValueError("sum_type needs an angle triple")
+def _sum_blocks(angles: AngleTriple, l_plus: int, l_minus: int) -> _Blocks:
     if l_plus < 0 or l_minus < 0 or l_plus + l_minus < 1:
         raise ValueError("need a non-negative number of blocks, at least one in total")
     blocks: list[np.ndarray] = []
@@ -293,15 +266,12 @@ def _sum_blocks(angles: AngleTriple | None, l_plus: int, l_minus: int) -> _Block
     return blocks, f"a sum of {l_plus} plus and {l_minus} minus blocks"
 
 
-def _v4_blocks(angles: AngleTriple | None, sign: int) -> _Blocks:
+def _v4_blocks(angles: AngleTriple, sign: int) -> _Blocks:
     """The one-block sum of the class, or at (0, pi/2, pi/2) the totally
     complex subspace in its own basis."""
-    _check_sign(sign)
-    if angles is None:
-        raise ValueError("v4 needs an angle triple")
     x = angles.cos_tuple()
     if sign == 1 and x[0] > 1.0 - BOUNDARY_TOL and x[1] <= BOUNDARY_TOL:  # so x[2] too
-        return _classical_blocks(FamilySpec("totally_complex", 0, k=4))
+        return CATALOG["totally_complex"].blocks(4)
     return _sum_blocks(angles, int(sign == 1), int(sign == -1))
 
 
@@ -324,6 +294,47 @@ def _place(blocks: list[np.ndarray], what: str, n: int) -> Subspace:
     return Subspace(basis)
 
 
+# The one family catalog: per family, the FamilySpec fields it reads besides n
+# (in the order its blocks function takes them), that function, and the value of
+# a field it fixes where unset.  `construct`, `min_quaternionic_dim` and the CLI read it.
+CATALOG: dict[str, _Row] = dict([
+    _classical("totally_real", 1, _units(0)),
+    _classical("totally_complex", 2, _units(0, 1)),
+    _classical("quaternionic", 4, _units(0, 1, 2, 3)),
+    _classical("im_h_line", 3, _units(1, 2, 3), one_block=True),
+    _classical("cka_plane_sum", 2, lambda c: _tilted_block(((c, _sin(c)),), np.ones((1, 1)))),
+    _classical("complexified_cka", 4, lambda c: _on_two_slots(_complexified_block(c))),
+    ("v3", _Row(("cos", "sign"), _v3_blocks)),
+    ("v4", _Row(("angles", "sign"), _v4_blocks)),
+    ("sum_type", _Row(("angles", "l_plus", "l_minus"), _sum_blocks)),
+])
+CLASSICAL_FAMILIES = tuple(family for family, row in CATALOG.items() if "k" in row.reads)
+# Each field's rule, refusing a value by the field's name; what an unset field lacks.
+_FIELD_RULES = {"k": _count, "l_plus": _count, "l_minus": _count, "sign": _sign,
+                "cos": _real, "angles": _triple}
+_NEEDS = {"k": "a dimension k", "cos": "an angle phi", "angles": "an angle triple"}
+
+
+def _spec_blocks(spec: FamilySpec) -> _Blocks:
+    """The blocks a FamilySpec selects; each field its row reads is checked here, once."""
+    if (row := CATALOG.get(spec.family)) is None:
+        raise ValueError(f"family {spec.family!r} is unknown")
+    values = []
+    for name in row.reads:
+        value = getattr(spec, name)
+        if value is None and name in _NEEDS:
+            if (value := row.unset.get(name)) is None:
+                raise ValueError(f"{spec.family} needs {_NEEDS[name]}")
+        values.append(_FIELD_RULES[name](value, name))
+    return row.blocks(*values)
+
+
+def construct(spec: FamilySpec) -> Subspace:
+    """Build the member of the catalog a FamilySpec selects.  This is the
+    door of every builder: it checks each field the family reads, and n."""
+    return _place(*_spec_blocks(spec), _count(spec.n, "n"))
+
+
 def construct_classical(family: str, k: int, n: int, phi: float | None = None) -> Subspace:
     """One of the six classical families, by tag.
 
@@ -336,9 +347,9 @@ def construct_classical(family: str, k: int, n: int, phi: float | None = None) -
 
     A given phi must lie in [0, pi/2] for every family; only the last two read it.
     """
-    c = None if phi is None else _cos_of(phi)
-    reads_cos = family in CLASSICAL_FAMILIES and "cos" in CATALOG[family][0]
-    return _place(*_classical_blocks(FamilySpec(family, n, k=k, cos=c if reads_cos else None)), n)
+    if family not in CLASSICAL_FAMILIES:
+        raise ValueError(f"family {family!r} is unknown or not classical")
+    return construct(FamilySpec(family, n, k=k, cos=None if phi is None else _cos_of(phi)))
 
 
 def construct_v3(phi: float, sign: int, n: int) -> Subspace:
@@ -348,7 +359,7 @@ def construct_v3(phi: float, sign: int, n: int) -> Subspace:
     [pi/3, pi/2]: cos(phi) <= 1/2, decided on cos(phi) (`_v3_rank`).  Fits
     in H^1 where cos(phi) = 1 (plus), and in H^2 at (minus, pi/3).
     """
-    return _place(*_v3_blocks(_cos_of(phi), sign), n)
+    return construct(FamilySpec("v3", n, cos=_cos_of(phi), sign=sign))
 
 
 def construct_v4(angles: AngleTriple, sign: int, n: int) -> Subspace:
@@ -359,7 +370,7 @@ def construct_v4(angles: AngleTriple, sign: int, n: int) -> Subspace:
     Gram construction is singular there); at (0, pi/2, pi/2) the result is
     the totally complex subspace in its own basis.
     """
-    return _place(*_v4_blocks(angles, sign), n)
+    return construct(FamilySpec("v4", n, angles=angles, sign=sign))
 
 
 def construct_sum(angles: AngleTriple, l_plus: int, l_minus: int, n: int) -> Subspace:
@@ -368,36 +379,7 @@ def construct_sum(angles: AngleTriple, l_plus: int, l_minus: int, n: int) -> Sub
     All blocks share the standard canonical basis and the same angle triple,
     so the sum has constant angle; its type is (l_plus, l_minus).
     """
-    return _place(*_sum_blocks(angles, l_plus, l_minus), n)
-
-
-# The one family catalog: each family's FamilySpec fields read besides family
-# and n, and its blocks.  `construct`, `min_quaternionic_dim` and the CLI (its
-# --family choices, and the flags each family reads) read it.
-CATALOG: dict[str, tuple[tuple[str, ...], Callable[[FamilySpec], _Blocks]]] = {
-    "totally_real": (("k",), _classical_blocks),
-    "totally_complex": (("k",), _classical_blocks),
-    "quaternionic": (("k",), _classical_blocks),
-    "im_h_line": (("k",), _classical_blocks),
-    "cka_plane_sum": (("k", "cos"), _classical_blocks),
-    "complexified_cka": (("k", "cos"), _classical_blocks),
-    "v3": (("cos", "sign"), lambda spec: _v3_blocks(spec.cos, spec.sign)),
-    "v4": (("angles", "sign"), lambda spec: _v4_blocks(spec.angles, spec.sign)),
-    "sum_type": (("angles", "l_plus", "l_minus"),
-                 lambda spec: _sum_blocks(spec.angles, spec.l_plus, spec.l_minus)),
-}
-
-
-def _spec_blocks(spec: FamilySpec) -> _Blocks:
-    """The blocks of the construction a FamilySpec selects."""
-    if spec.family not in CATALOG:
-        raise ValueError(f"unknown family {spec.family!r}")
-    return CATALOG[spec.family][1](spec)
-
-
-def construct(spec: FamilySpec) -> Subspace:
-    """Build the member of the catalog a FamilySpec selects."""
-    return _place(*_spec_blocks(spec), spec.n)
+    return construct(FamilySpec("sum_type", n, angles=angles, l_plus=l_plus, l_minus=l_minus))
 
 
 def min_quaternionic_dim(spec: FamilySpec) -> int:

@@ -57,6 +57,27 @@ def _count(value, name: str) -> int:
     raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _sign(value, name: str) -> int:
+    """``value`` as the int +1 or -1 (Python or numpy), refused by ``name`` otherwise."""
+    if type(value) is bool or not hasattr(value, "__index__") or value not in (1, -1):
+        raise ValueError(f"{name} must be the int +1 or -1, got {value!r}")  # True == 1 == 1.0
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float, refused by ``name`` unless a real number (not a bool)."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _triple(value, name: str) -> "AngleTriple":
+    """``value``, refused by ``name`` unless it is an `AngleTriple`."""
+    if not isinstance(value, AngleTriple):
+        raise ValueError(f"{name} must be an AngleTriple, got {type(value).__name__}")
+    return value
+
+
 def _cos_of(phi: float) -> float:
     """cos(phi), refused unless phi is a finite angle in [0, pi/2]."""
     if not 0.0 <= phi <= HALF_PI:  # a NaN fails the comparison, so it is refused here
@@ -95,11 +116,10 @@ class AngleTriple:
             values = [] if isinstance(cosines, (str, bytes)) else list(cosines)
         except TypeError:  # a single value
             values = [cosines]
-        if len(values) != 3 or any(type(c) is bool or not isinstance(c, numbers.Real)
-                                   for c in values):
+        if len(values) != 3:
             raise ValueError(f"cosines must be three real numbers, got {cosines!r}")
-        return cls._stored(*sorted((_finite_clip01(float(c), "cosine") for c in values),
-                                   reverse=True))
+        return cls._stored(*sorted((_finite_clip01(_real(c, "cosines"), "cosine")
+                                    for c in values), reverse=True))
 
     @classmethod
     def from_cos2_eigenvalues(cls, lams) -> "AngleTriple":
@@ -310,11 +330,10 @@ def moduli_membership(k: int, n: int, triple: AngleTriple) -> list[StratumMember
     class, tagged branch +1 and -1.
     """
     k, n = _count(k, "k"), _count(n, "n")
-    if not isinstance(triple, AngleTriple):
-        raise ValueError(f"triple must be an AngleTriple, got {type(triple).__name__}")
+    x = _triple(triple, "triple").cos_tuple()
     if k < 1:
         raise ValueError("membership needs k >= 1")
-    return _strata_holding(k, n, triple.cos_tuple())
+    return _strata_holding(k, n, x)
 
 
 def _strata_holding(k: int, n: int, x: tuple[float, ...]) -> list[StratumMembership]:

@@ -185,9 +185,7 @@ def _sorted_cos2_batch(v_space: Subspace, samples: int, rng) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(oms), axis=1)
 
 
-def invariance_oracle(
-    v_space: Subspace, trials: int = 100, seed: int = 0, vectors_per_trial: int = 6
-) -> float:
+def invariance_oracle(v_space: Subspace, trials: int = 100, seed: int = 0) -> float:
     """Max deviation of the sorted squared cosines under random group elements."""
     rng = np.random.default_rng(seed)
     reference = _sorted_cos2_batch(v_space, 32, rng).mean(axis=0)
@@ -195,7 +193,7 @@ def invariance_oracle(
     for t in range(trials):
         g = random_group_element(v_space.n, seed * 7919 + 2 * t + 1)
         moved = v_space.transformed(g)
-        lams = _sorted_cos2_batch(moved, vectors_per_trial, rng)
+        lams = _sorted_cos2_batch(moved, 6, rng)  # six unit vectors of each moved subspace
         worst = max(worst, float(np.max(np.abs(lams - reference))))
     return worst
 
@@ -284,7 +282,7 @@ class DeclaredInput:
     def label(self) -> str:
         """The family, the fields it reads (cosines to four places) and n."""
         spec = self.spec
-        read = {name: getattr(spec, name) for name in CATALOG[spec.family][0]}
+        read = {name: getattr(spec, name) for name in CATALOG[spec.family].reads}
         if "angles" in read:
             read["angles"] = read["angles"].cos_tuple()
         return " ".join([spec.family, *(f"{k}={np.round(v, 4)}" for k, v in read.items()),

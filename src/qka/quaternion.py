@@ -115,9 +115,17 @@ def _as_quat_array(q) -> np.ndarray:
     return q
 
 
-def _coords(v, n: int | None = None) -> np.ndarray:
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, not copied if it is one, refused by ``name``
+    unless its dtype is real: the cast would drop an imaginary part or parse text."""
+    if (a := np.asarray(value)).dtype.kind not in "fiu":
+        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+def _coords(v, n: int | None = None, name: str = "v") -> np.ndarray:
     """Coerce an array-like vector of H^n to a flat (4n,) float array."""
-    c = np.asarray(v, dtype=float).ravel()
+    c = _real_array(v, name).ravel()
     if c.size == 0 or c.size % 4 != 0:
         raise ValueError("coordinate length must be a positive multiple of 4")
     if n is not None and c.size != 4 * n:
@@ -276,10 +284,7 @@ def induced_rotation(t: GroupElement) -> np.ndarray:
     Sp(1) component: u -> q u q(bar) on imaginary quaternions.
     """
     q = t.q
-    cols = []
-    for u in (_I, _J, _K):
-        cols.append(quat_mul(quat_mul(q, u), quat_conj(q))[1:])
-    return np.stack(cols, axis=1)
+    return np.stack([quat_mul(quat_mul(q, u), quat_conj(q))[1:] for u in (_I, _J, _K)], axis=1)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from .quaternion import (
     CanonicalBasis,
     GroupElement,
     _coords,
+    _real_array,
 )
 
 __all__ = [
@@ -78,10 +79,7 @@ class Subspace:
     __slots__ = ("basis",)
 
     def __init__(self, basis):
-        basis = np.asarray(basis)
-        if basis.dtype.kind not in "fiu":  # the cast would drop an imaginary part or parse text
-            raise ValueError(f"basis must hold real numbers, got dtype {basis.dtype}")
-        basis = np.asarray(basis, dtype=float)
+        basis = _real_array(basis, "basis")
         if basis.ndim != 2 or basis.shape[0] % 4 != 0 or basis.shape[0] == 0:
             raise ValueError("basis must be a 4n x k matrix")
         k = basis.shape[1]
@@ -131,9 +129,8 @@ def from_spanning(vectors) -> Subspace:
     """
     if not vectors:
         raise ValueError("need at least one spanning vector")
-    cols = [_coords(v) for v in vectors]
-    sizes = {c.size for c in cols}
-    if len(sizes) != 1:
+    cols = [_coords(v, name="vectors") for v in vectors]
+    if len({c.size for c in cols}) != 1:
         raise ValueError("spanning vectors have mixed ambient dimensions")
     a = np.column_stack(cols)
     if not np.all(np.isfinite(a)):

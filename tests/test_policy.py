@@ -3,7 +3,8 @@
 Every threshold is a module constant (or a literal) read where its decision
 is made: no function, lambda or dataclass field takes a tolerance.  No
 module but the package's ``__init__`` imports a name it never uses, and
-every module-level private name is read somewhere in the package.  README's
+every module-level private name is read somewhere in the package.  Blocks
+are placed only behind the builders' door, `construct`.  README's
 Tolerances list names every tolerance constant with its value.  The moduli
 layer imports only the standard library.  The library doors refuse bad input
 with a ValueError that names the argument.
@@ -20,8 +21,18 @@ import numpy as np
 import pytest
 
 from qka.classify import representative
+from qka.families import (
+    FamilySpec,
+    admissible,
+    construct,
+    construct_classical,
+    construct_sum,
+    construct_v3,
+    construct_v4,
+    gram_matrix,
+)
 from qka.moduli import AngleTriple, moduli_describe, moduli_membership, strata_for
-from qka.subspace import Subspace
+from qka.subspace import Subspace, from_spanning
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qka"
 TOLERANCE_NAME = re.compile(r"(tol|rtol|svtol|tolerance|.*_tol|max_sweeps)")
@@ -64,6 +75,30 @@ def _unused_imports(tree: ast.Module, path: Path) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{path.name}:{line} {name}" for name, line in imported.items()
             if name not in used]
+
+
+def _callers(tree: ast.Module, path: Path, callee: str) -> list[str]:
+    """``module.function`` of every function (outermost) that calls ``callee``."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            found += [f"{path.stem}.{top.name}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == callee]
+    return found
+
+
+def test_blocks_are_placed_only_behind_the_door():
+    # `construct` checks every field a family reads; a builder that placed
+    # blocks itself would skip it.  Only the door, the fitting class of
+    # `representative` (whose triple, counts and branch the moduli layer has
+    # checked) and selftest C6's hand-built minus block at phi3 = pi/2 place
+    # blocks.
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        callers.update(_callers(ast.parse(path.read_text(encoding="utf-8")), path, "_place"))
+    assert sorted(callers) == ["classify._fitting_class", "families.construct",
+                               "selftest.crit_inequivalence"]
 
 
 def test_no_tolerance_parameters_and_no_unused_imports():
@@ -219,6 +254,35 @@ BAD_INPUTS = [
         ((8.0, 8, T03, 1), "k"), ((8, "8", T03), "n"), ((8, 8, [0.3] * 3), "triple"))],
     *[(Subspace, (bad,), "basis") for bad in (
         EYE * (1 + 1j), EYE.astype(bool), EYE.astype(object), EYE.astype(str))],
+    # The builders enter through `construct`, which checks each field a
+    # family reads, and n; `gram_matrix` and `admissible` check the sign.
+    *[(door, args, "sign") for door, args in (
+        (construct_v3, (1.0, True, 3)), (construct_v3, (1.0, 1.0, 3)),
+        (construct_v4, (T03, True, 4)), (construct_v4, (T03, -1.0, 4)),
+        (gram_matrix, (T03, True)), (gram_matrix, (T03, 1.0)),
+        (admissible, (T03, False)), (admissible, (T03, 1.0)))],
+    *[(door, args, name) for door, args, name in (
+        (construct_classical, ("totally_real", 3.0, 3), "k"),
+        (construct_classical, ("quaternionic", True, 3), "k"),
+        (construct_classical, ("im_h_line", 3.0, 3), "k"),
+        (construct_classical, ("totally_real", 3, 3.0), "n"),
+        (construct_v3, (1.0, 1, True), "n"), (construct_v4, (T03, 1, 4.0), "n"),
+        (construct_sum, (T03, 1.0, 0, 4), "l_plus"), (construct_sum, (T03, 1, False, 4), "l_minus"),
+        (construct_sum, (T03, 1, 0, 4.0), "n"))],
+    *[(construct, (spec,), name) for spec, name in (
+        (FamilySpec("totally_real", 3, k=3.0), "k"), (FamilySpec("totally_real", 3.0, k=3), "n"),
+        (FamilySpec("sum_type", 4, angles=T03, l_plus=True), "l_plus"),
+        (FamilySpec("sum_type", 4, angles=T03, l_plus=1, l_minus=0.0), "l_minus"),
+        (FamilySpec("v3", 3, cos=0.5, sign=True), "sign"),
+        (FamilySpec("v3", 3, cos="0.5", sign=1), "cos"),
+        (FamilySpec("cka_plane_sum", 4, k=4, cos=True), "cos"),
+        (FamilySpec("v4", 4, angles=(0.3,) * 3, sign=1), "angles"),
+        (FamilySpec("exotic", 4), "family"))],
+    (from_spanning, ([np.ones(8) * (1 + 1j), np.eye(8)[0]],), "vectors"),
+    (from_spanning, ([np.eye(8)[0].astype(bool)],), "vectors"),
+    (from_spanning, ([np.array(["1"] * 8)],), "vectors"),
+    (from_spanning, ([np.eye(8)[0].astype(object)],), "vectors"),
+    (Subspace(EYE).contains, (np.ones(8) * 1j,), "v"),
 ]
 
 
@@ -235,3 +299,25 @@ def test_numpy_values_pass_the_doors():
     assert type(moduli_describe(np.int64(3), np.int64(4))["n"]) is int
     assert moduli_membership(np.int64(8), np.int32(8), T03) == moduli_membership(8, 8, T03)
     assert Subspace(EYE).basis is EYE  # a float array is not copied
+    # A numpy int sign, k, n or block count builds what the Python int does.
+    i64, i32 = np.int64, np.int32
+    for numpy_built, built in (
+            (construct_v3(1.2, i64(-1), i32(3)), construct_v3(1.2, -1, 3)),
+            (construct_v4(T03, i32(-1), i64(4)), construct_v4(T03, -1, 4)),
+            (construct_classical("quaternionic", i64(8), i32(2)),
+             construct_classical("quaternionic", 8, 2)),
+            (construct_classical("im_h_line", i64(3), i64(1)),
+             construct_classical("im_h_line", 3, 1)),
+            (construct_sum(T03, i64(1), i32(1), i64(8)), construct_sum(T03, 1, 1, 8)),
+            (construct(FamilySpec("cka_plane_sum", i32(4), k=i64(4), cos=np.float64(0.5))),
+             construct(FamilySpec("cka_plane_sum", 4, k=4, cos=0.5)))):
+        assert numpy_built.basis.tobytes() == built.basis.tobytes()
+    assert gram_matrix(T03, i64(-1)).tobytes() == gram_matrix(T03, -1).tobytes()
+    assert admissible(T03, i32(-1)) == admissible(T03, -1)
+    v3 = AngleTriple(1.2, 1.2, np.pi / 2)
+    assert (representative(3, 3, v3, i64(-1)).basis.tobytes()
+            == representative(3, 3, v3, -1).basis.tobytes())
+    # The dtype rule that `Subspace` states refuses no float vector.
+    vector = np.eye(8)[0]
+    assert Subspace(np.eye(8, 1)).contains(vector)
+    assert from_spanning([vector, np.eye(8)[1]]).k == 2
