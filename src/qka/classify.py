@@ -67,10 +67,6 @@ SIGN_SYMMETRY_TOL = 1e-8
 SIGN_INVOLUTION_TOL = 1e-8
 # Distance of the v3 branch ratio det(A) / cos(phi)^3 to a class +-1 (`_branch_sign`).
 BRANCH_TOL = 1e-8
-# cos(phi3) = sqrt(c_3) at or below this is phi3 = pi/2 in the block analysis:
-# there the two block signs coincide (`_Analysis.signs`), and no Pbar3, whose
-# normalization W'_3 / cos(phi3) is singular, is formed.
-RIGHT_ANGLE_TOL = 1e-8
 _SEED_STEP = 0.7548776662466927  # irrational: the inverse of the plastic number
 
 
@@ -215,9 +211,9 @@ class _Analysis:
 
     Holds W = B^T J B, the frame built from W (the exact structure:
     candidate canonical basis and its residual), the constancy report, the
-    snapped triple and the block type (read off the residual's W'_1^T W'_2)
-    or v3 branch, each computed on first use and at most once.  Nothing is
-    sampled.  Dimension 3 reads W alone: constancy in closed form at the
+    snapped triple, its strata and the block type (read off the residual's
+    W'_1^T W'_2) or v3 branch, each computed on first use and at most once.
+    Nothing is sampled.  Dimension 3 reads W alone: constancy in closed form at the
     three witness points of W, the branch as the sign of det A for the axial
     vectors of W (`subspace._witness_report`, `_branch_sign`); its frame is
     formed only for a printed ``joint_residual``.  Every other dimension is
@@ -259,6 +255,13 @@ class _Analysis:
         square-root-sized cosine error at the ends of the range."""
         return snapped(self.report.triple.cos_tuple())
 
+    @_once
+    def strata(self) -> list:
+        """The strata holding the report's triple (`_snap_into_strata`, a list
+        of `StratumMembership`), looked up once for the record and for the
+        protohomogeneity verdict."""
+        return _snap_into_strata(self.space.k, self.space.n, self.report.triple)[1]
+
     def _require_constant(self) -> None:
         """Raise unless the angle is decided constant.  For dim V = 4l only the
         certificate decides that, so the block routines read the frame: R is
@@ -293,22 +296,29 @@ class _Analysis:
     @_once
     def signs(self) -> tuple[np.ndarray, int] | None:
         """S = sym(M) and its +1 dimension (`_sign_split`), or None when
-        phi3 = pi/2 (sqrt(c_3) at or below RIGHT_ANGLE_TOL), where the two
-        signs coincide.
+        phi3 = pi/2, where the two signs coincide.
 
         W'_1 is antisymmetric, so Pbar1 Pbar2 = -X_12 / (cos(phi1) cos(phi2))
         with X_12 = W'_1^T W'_2 (`_ExactStructure.cross12`), and so is W'_3,
-        so M = Pbar3^T Pbar1 Pbar2 = W'_3 X_12 / (cos(phi1) cos(phi2) cos(phi3)):
-        one product, after the three Pbar gates.
+        so M = Pbar3^T Pbar1 Pbar2 = M_0 / (cos(phi1) cos(phi2) cos(phi3)) for
+        the one product M_0 = W'_3 X_12.  M is a symmetric involution, so
+        ||M||_F = sqrt(k), and M_0 is normalized by its own scale
+        p = ||M_0||_F / sqrt(k): the product of the three cosines, read on
+        the cosine scale and not from the squared cosines c_i of G, whose
+        square roots are off by up to 1.4e-8 at a zero cosine.  The
+        antisymmetric part that the symmetry gate lets through moves p by a
+        relative 1.3e-17 k at most, so S = sym(M_0) / p.  No Pbar gate is needed:
+        a symmetric S with S^2 = I is orthogonal, so the +-1 eigenspaces of
+        M_0 / p that the sign gates accept are the sign parts.  phi3 = pi/2
+        is p within the frame's own residual; p reads the whole M_0, so an
+        antisymmetric M_0 is refused as not symmetric rather than merged.
         """
         self._require_constant()
-        if math.sqrt(max(self.exact.cos2[2], 0.0)) <= RIGHT_ANGLE_TOL:
-            return None
-        scale = 1.0
-        for i in (1, 2, 3):
-            scale /= self._gated_cos(i)
         m = self.exact.w_canonical[2] @ self.exact.cross12
-        m *= scale
+        p = math.sqrt(np.square(m).sum() / len(m))  # no BLAS dot, whose threads move bits
+        if p <= self.exact.residual:
+            return None
+        m *= 1.0 / p
         return _sign_split(m)
 
     @_once
@@ -346,6 +356,11 @@ class _Analysis:
                 "no",
                 f"the angle triple is not constant (spread {report.max_spread:.2e})",
             )
+        if not self.strata:
+            cosines = ", ".join(f"{c:.3e}" for c in report.triple.cos_tuple())
+            return Verdict("unknown", f"strata gate: the constant triple with cosines "
+                                      f"({cosines}) lies in no stratum of the "
+                                      f"({self.space.k}, {self.space.n}) moduli space")
         k = self.space.k
         if k % 4 != 0 or k == 4:
             return Verdict("yes", "constant angle suffices in dimensions not divisible "
@@ -431,7 +446,9 @@ def is_protohomogeneous(v_space: Subspace) -> Verdict:
     Constant angle settles every dimension except multiples of four greater
     than four, where the verdict is the block-type test; without a common
     canonical basis the subspace falls outside the classified families and
-    the verdict is unknown, as it is when constancy itself is undecided.
+    the verdict is unknown, as it is when constancy itself is undecided, and
+    when a constant triple lies in no stratum of the moduli space (the
+    strata gate): that record would contradict the classification.
     """
     return _Analysis(v_space).protohomogeneity()
 
@@ -581,7 +598,8 @@ def classify_subspace(v_space: Subspace) -> dict:
     and stops there, as does a non-constant one.  ``type`` (dimension 4l)
     or ``branch`` (dimension 3) is null with a ``type_diagnostic`` or
     ``branch_diagnostic`` when a gate refused it; ``branch`` is also null
-    where the two classes merge.
+    where the two classes merge.  An empty ``strata`` list makes
+    ``protohomogeneous`` unknown, by the strata gate.
     """
     analysis = _Analysis(v_space)
     report = analysis.report
@@ -599,6 +617,5 @@ def classify_subspace(v_space: Subspace) -> dict:
             record[name], record[f"{name}_diagnostic"] = None, str(invariant)
         else:
             record[name] = list(invariant.as_tuple()) if k % 4 == 0 else invariant
-    _, strata = _snap_into_strata(k, v_space.n, report.triple)
-    record["strata"] = [hit.to_dict() for hit in strata]
+    record["strata"] = [hit.to_dict() for hit in analysis.strata]
     return record

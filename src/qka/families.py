@@ -87,7 +87,7 @@ def _gram(c, sign: int) -> list[list[float]]:
 
 def gram_matrix(angles: AngleTriple, sign: int) -> np.ndarray:
     """The 3x3 Gram matrix of the auxiliary vectors e_1, e_2, e_3."""
-    sign, x = _sign(sign, "sign"), angles.cos_tuple()
+    sign, x = _sign(sign, "sign"), _triple(angles, "angles").cos_tuple()
     if x[0] > 1.0 - BOUNDARY_TOL:
         raise ValueError("gram matrix is singular at phi1 = 0")
     return np.array(_gram(x, sign))
@@ -99,7 +99,7 @@ def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
     Exists iff cos(phi1) + cos(phi2) - sign*cos(phi3) <= 1; on the boundary
     of that inequality the Gram matrix has rank 2, otherwise rank 3.
     """
-    sign, x = _sign(sign, "sign"), angles.cos_tuple()
+    sign, x = _sign(sign, "sign"), _triple(angles, "angles").cos_tuple()
     if x[0] > 1.0 - BOUNDARY_TOL:
         raise ValueError("admissibility test requires phi1 > 0")
     rank = _class_rank(x, sign)
@@ -317,6 +317,8 @@ _NEEDS = {"k": "a dimension k", "cos": "an angle phi", "angles": "an angle tripl
 
 def _spec_blocks(spec: FamilySpec) -> _Blocks:
     """The blocks a FamilySpec selects; each field its row reads is checked here, once."""
+    if not isinstance(spec, FamilySpec):
+        raise ValueError(f"spec must be a FamilySpec, got {type(spec).__name__}")
     if (row := CATALOG.get(spec.family)) is None:
         raise ValueError(f"family {spec.family!r} is unknown")
     values = []
@@ -349,7 +351,7 @@ def construct_classical(family: str, k: int, n: int, phi: float | None = None) -
     """
     if family not in CLASSICAL_FAMILIES:
         raise ValueError(f"family {family!r} is unknown or not classical")
-    return construct(FamilySpec(family, n, k=k, cos=None if phi is None else _cos_of(phi)))
+    return construct(FamilySpec(family, n, k=k, cos=None if phi is None else _cos_of(phi, "phi")))
 
 
 def construct_v3(phi: float, sign: int, n: int) -> Subspace:
@@ -359,7 +361,7 @@ def construct_v3(phi: float, sign: int, n: int) -> Subspace:
     [pi/3, pi/2]: cos(phi) <= 1/2, decided on cos(phi) (`_v3_rank`).  Fits
     in H^1 where cos(phi) = 1 (plus), and in H^2 at (minus, pi/3).
     """
-    return construct(FamilySpec("v3", n, cos=_cos_of(phi), sign=sign))
+    return construct(FamilySpec("v3", n, cos=_cos_of(phi, "phi"), sign=sign))
 
 
 def construct_v4(angles: AngleTriple, sign: int, n: int) -> Subspace:

@@ -78,9 +78,10 @@ def _triple(value, name: str) -> "AngleTriple":
     return value
 
 
-def _cos_of(phi: float) -> float:
-    """cos(phi), refused unless phi is a finite angle in [0, pi/2]."""
-    if not 0.0 <= phi <= HALF_PI:  # a NaN fails the comparison, so it is refused here
+def _cos_of(phi: float, name: str) -> float:
+    """cos(phi), refused by ``name`` unless phi is a real number, and unless
+    it is a finite angle in [0, pi/2]."""
+    if not 0.0 <= _real(phi, name) <= HALF_PI:  # a NaN fails the comparison, so it is refused here
         raise ValueError(f"angle {phi} lies outside [0, pi/2]")
     return math.cos(phi)
 
@@ -95,7 +96,7 @@ class AngleTriple:
     _cos: tuple[float, float, float]
 
     def __init__(self, phi1: float, phi2: float, phi3: float):
-        cos = tuple(map(_cos_of, (phi1, phi2, phi3)))
+        cos = tuple(map(_cos_of, (phi1, phi2, phi3), ("phi1", "phi2", "phi3")))
         if not phi1 <= phi2 <= phi3:
             raise ValueError(f"angles must be sorted ascending, got {(phi1, phi2, phi3)}")
         object.__setattr__(self, "_cos", cos)

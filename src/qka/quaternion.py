@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .moduli import _count
+
 __all__ = [
     "CanonicalBasis",
     "GroupElement",
@@ -108,8 +110,8 @@ def _real_left(a: np.ndarray) -> np.ndarray:
     return np.einsum("abt,trc->arbc", a, _LEFT_UNITS).reshape(4 * n, 4 * m)
 
 
-def _as_quat_array(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
+def _as_quat_array(q, name: str) -> np.ndarray:
+    q = _real_array(q, name)
     if q.shape != (4,):
         raise ValueError(f"expected a quaternion (4 reals), got shape {q.shape}")
     return q
@@ -192,7 +194,7 @@ def right_mult(j, v, basis: CanonicalBasis = STANDARD_BASIS) -> np.ndarray:
     c = _coords(v)
     if isinstance(j, (int, np.integer)):
         return basis.apply(int(j), c)
-    q = _as_quat_array(j)
+    q = _as_quat_array(j, "j")
     if abs(q[0]) > 1e-12 or abs(np.linalg.norm(q[1:]) - 1.0) > 1e-12:
         raise ValueError("expected a unit imaginary quaternion")
     block = _right_matrix(q)
@@ -218,8 +220,8 @@ class GroupElement:
     __slots__ = ("q", "matrix", "_real")
 
     def __init__(self, q, matrix):
-        q = _as_quat_array(q)
-        matrix = np.asarray(matrix, dtype=float)
+        q = _as_quat_array(q, "q")
+        matrix = _real_array(matrix, "matrix")
         if not (np.isfinite(q).all() and np.isfinite(matrix).all()):
             raise ValueError("group element has non-finite entries")
         if abs(np.linalg.norm(q) - 1.0) > 1e-12:
@@ -298,9 +300,9 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     the columns of L(u), so each pass is one real product with the block
     columns of L(Q) found so far.
     """
-    if n < 1:
+    if _count(n, "n") < 1:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     m = rng.standard_normal((n, n, 4))
     cols = np.zeros_like(m)
     left = np.zeros((4 * n, 4 * n))
@@ -316,7 +318,7 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
 
 def random_group_element(n: int, seed: int) -> GroupElement:
     """A seeded random element of Sp(1)Sp(n)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     return GroupElement(q, random_unitary(n, seed + 1))

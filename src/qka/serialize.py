@@ -7,6 +7,7 @@ float repr round-trips bit-exactly, so write -> read preserves the basis.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from itertools import chain
 
@@ -53,7 +54,7 @@ def subspace_from_dict(data: dict) -> tuple[Subspace, dict]:
         if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
             raise ValueError("basis entries must be JSON numbers")
         rows = np.asarray(rows, dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed subspace file: {exc}") from exc
     if rows.shape != (k, 4 * n):
         raise ValueError(
@@ -87,9 +88,11 @@ def save_subspace(path, v_space: Subspace, meta: dict | None = None) -> None:
 
 
 def load_subspace(path) -> tuple[Subspace, dict]:
+    if not isinstance(path, (str, os.PathLike)):  # open() takes an int as a descriptor
+        raise ValueError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ValueError(f"invalid JSON in subspace file: {exc}") from exc
     return subspace_from_dict(data)

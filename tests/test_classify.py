@@ -27,7 +27,14 @@ from qka.classify import (
     type_of,
 )
 from qka.classify import SIGN_INVOLUTION_TOL, _Analysis, _sign_parts, _sign_split
-from qka.families import construct, construct_classical, construct_sum, construct_v3, construct_v4
+from qka.families import (
+    FamilySpec,
+    construct,
+    construct_classical,
+    construct_sum,
+    construct_v3,
+    construct_v4,
+)
 from qka.moduli import (
     SNAP_TOL,
     ModuliStratum,
@@ -252,21 +259,17 @@ class TestFactorize:
     @pytest.mark.parametrize("l_plus,l_minus", [(1, 1), (2, 2), (1, 3)])
     def test_opposite_signs_stay_h_orthogonal_at_the_involution_gate(
             self, monkeypatch, l_plus, l_minus):
-        # W'_3 scaled by 1 - eps scales S by it: ||S^2 - I||_F sits just inside
-        # the gate, and each projector (I +- S) / 2 leaks eps / 2 into the
-        # other sign part.  Seeded by P r, the blocks of opposite sign would
-        # meet J_a images at up to 1.5e-10; seeded by P^2 r and deflated
-        # against every cell before them, they are H-orthogonal to round-off.
+        # The plus part of M_0 scaled by 1 - eps puts the eigenvalues of S at
+        # +(1 - eps) and -1 up to the common scale p: ||S^2 - I||_F, about
+        # 2 eps sqrt(k_+ k_- / k), sits just inside the gate, and each
+        # projector (I +- S) / 2 leaks about eps / 2 into the other sign part.
+        # Seeded by P r, the blocks of opposite sign would meet J_a images at
+        # up to 1.5e-10; seeded by P^2 r and deflated against every cell
+        # before them, they are H-orthogonal to round-off.
         k = 4 * (l_plus + l_minus)
         space = moved(construct_sum(TA, l_plus, l_minus, k), k + l_minus)
-        eps = 0.9 * SIGN_INVOLUTION_TOL / (2.0 * math.sqrt(k))
-
-        def scaled_third(exact):
-            wc = exact.w_canonical.copy()
-            wc[2] *= 1.0 - eps
-            return wc
-
-        _tampered(monkeypatch, space, w_canonical=scaled_third)
+        eps = 0.9 * SIGN_INVOLUTION_TOL / (2.0 * math.sqrt(16 * l_plus * l_minus / k))
+        _tampered(monkeypatch, space, cross12=_plus_part_scaled(space, eps))
         s, plus = _Analysis(space).signs
         assert 0.8 * SIGN_INVOLUTION_TOL < np.linalg.norm(s @ s - np.eye(k)) <= SIGN_INVOLUTION_TOL
         blocks = factorize(space)
@@ -301,8 +304,47 @@ class TestTypeOf:
         space = construct_classical("totally_real", 8, 8)
         assert type_of(space) == TypeSignature(2, 0)
 
+    @pytest.mark.parametrize("c3", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 5e-9, 1e-10, 1e-11])
+    def test_near_a_right_phi3_the_type_is_right_or_unknown(self, c3):
+        # The signs differ while phi3 < pi/2, however small cos(phi3) is: a
+        # decided type or protohomogeneity must be the declared one (a merge
+        # to phi3 = pi/2 would call the mixed sum protohomogeneous), and
+        # down to cos(phi3) = 1e-7 both must be decided.
+        angles = AngleTriple.from_cosines((0.5, 0.3, c3))
+        for l_plus, l_minus in ((2, 0), (1, 1), (0, 2)):
+            spec = FamilySpec("sum_type", 8, angles=angles, l_plus=l_plus, l_minus=l_minus)
+            invariant, proto = declared_class(spec)
+            for seed in range(4):
+                space = moved(construct(spec), seed)
+                where = l_plus, l_minus, seed
+                verdict = is_protohomogeneous(space)
+                try:
+                    block_type = type_of(space).as_tuple()
+                except NumericalFailure:
+                    block_type = None
+                assert verdict.value in ("unknown", proto), where
+                assert block_type in (None, invariant), where
+                if c3 >= 1e-7:
+                    assert verdict.value == proto and block_type == invariant, where
+
 
 class TestProtohomogeneous:
+    def test_constant_triple_in_no_stratum_is_unknown(self):
+        # v3(pi/2 - 1e-5, +) + v3(pi/2 - 1e-5, s): the certificate reads the
+        # cos^2 mean (8.2e-6)^3, a triple in no stratum of the (6, 6) moduli
+        # space, so the record would contradict a decided verdict.
+        phi = HALF_PI - 1e-5
+        first = construct_v3(phi, 1, 3).basis
+        for sign in (1, -1):
+            basis = np.zeros((24, 6))
+            basis[:12, :3], basis[12:, 3:] = first, construct_v3(phi, sign, 3).basis
+            space = Subspace(basis)
+            record = classify_subspace(space)
+            assert record["constant"] is True and record["strata"] == []
+            verdict = is_protohomogeneous(space)
+            assert verdict.value == "unknown" and verdict.reason.startswith("strata gate")
+            assert record["protohomogeneous"] == {"value": "unknown", "reason": verdict.reason}
+
     def test_mixed_sums_no(self):
         verdict = is_protohomogeneous(construct_sum(T13, 1, 1, 7))
         assert verdict.value == "no"
@@ -969,6 +1011,15 @@ def _tampered(monkeypatch, space, **fields):
     monkeypatch.setattr(qka.classify, "_exact_structure", lambda w: copy)
 
 
+def _plus_part_scaled(space, eps):
+    """X_12 -> X_12 (I - eps P_+), with P_+ = (I + S) / 2 the plus projector
+    of the untampered analysis: M_0 = W'_3 X_12 keeps its minus part and
+    scales its plus part by 1 - eps.  The generators do not read X_12."""
+    s, _ = _Analysis(space).signs
+    shrink = np.eye(len(s)) - 0.5 * eps * (np.eye(len(s)) + s)
+    return lambda exact: exact.cross12 @ shrink
+
+
 def _third_is_first(exact):
     # W'_1 in place of W'_3: M = -W'_1^T W'_1^T W'_2 / (c1 c2 c3) is then
     # proportional to the antisymmetric W'_2, so no sign split exists.
@@ -1090,16 +1141,11 @@ class TestSignGates:
         assert f"{SIGN_INVOLUTION_TOL:.0e}" in str(exc.value)
 
     def test_near_involution_refused_on_the_type_path(self, monkeypatch):
-        # W'_3 scaled by 1 - 1e-6 puts every eigenvalue of S at +-(1 - 1e-6);
-        # the Pbar gates read the unscaled products and pass.
+        # The plus part of M_0 scaled by 1 - 1e-6 puts the eigenvalues of S at
+        # +(1 - 1e-6) and -1 up to the common scale p, which absorbs a scale of
+        # the whole M_0 but not this one.
         space = moved(construct_sum(TA, 1, 1, 8), 9)
-
-        def scaled_third(exact):
-            wc = exact.w_canonical.copy()
-            wc[2] *= 1.0 - 1e-6
-            return wc
-
-        _tampered(monkeypatch, space, w_canonical=scaled_third)
+        _tampered(monkeypatch, space, cross12=_plus_part_scaled(space, 1e-6))
         with pytest.raises(NumericalFailure, match="sign involution gate"):
             type_of(space)
         verdict = is_protohomogeneous(space)

@@ -7,7 +7,8 @@ every module-level private name is read somewhere in the package.  Blocks
 are placed only behind the builders' door, `construct`.  README's
 Tolerances list names every tolerance constant with its value.  The moduli
 layer imports only the standard library.  The library doors refuse bad input
-with a ValueError that names the argument.
+with a ValueError that names the argument.  The block type reads no squared
+cosine of the frame.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ from qka.families import (
     construct_v3,
     construct_v4,
     gram_matrix,
+    min_quaternionic_dim,
 )
 from qka.moduli import AngleTriple, moduli_describe, moduli_membership, strata_for
+from qka.quaternion import GroupElement, random_group_element, random_unitary, right_mult
+from qka.serialize import load_subspace
 from qka.subspace import Subspace, from_spanning
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qka"
@@ -99,6 +103,20 @@ def test_blocks_are_placed_only_behind_the_door():
         callers.update(_callers(ast.parse(path.read_text(encoding="utf-8")), path, "_place"))
     assert sorted(callers) == ["classify._fitting_class", "families.construct",
                                "selftest.crit_inequivalence"]
+
+
+def test_the_block_type_reads_no_squared_cosine():
+    # `_Analysis.signs` normalizes M_0 = W'_3 X_12 by its own scale: it reads
+    # no eigenvalue c_i of G and passes no Pbar gate, whose sqrt(c_i) is off
+    # by up to 1.4e-8 at a zero cosine.
+    tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    analysis = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "_Analysis")
+    signs = next(node for node in analysis.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "signs")
+    read = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(signs)}
+    assert {"w_canonical", "cross12", "residual"} <= read
+    assert sorted(read & {"cos2", "_gated_cos", "pbar"}) == []
 
 
 def test_no_tolerance_parameters_and_no_unused_imports():
@@ -283,6 +301,23 @@ BAD_INPUTS = [
     (from_spanning, ([np.array(["1"] * 8)],), "vectors"),
     (from_spanning, ([np.eye(8)[0].astype(object)],), "vectors"),
     (Subspace(EYE).contains, (np.ones(8) * 1j,), "v"),
+    # An angle is checked to be a real number before it is compared.
+    (construct_v3, ("1.0", 1, 3), "phi"),
+    (construct_classical, ("cka_plane_sum", 4, 4, "0.8"), "phi"),
+    (AngleTriple, ("0.1", "0.2", "0.3"), "phi1"),
+    (AngleTriple, (0.1, 0.2, b"0.3"), "phi3"),
+    (gram_matrix, ((0.3,) * 3, 1), "angles"),
+    (admissible, ((0.3,) * 3, 1), "angles"),
+    (min_quaternionic_dim, ("x",), "spec"),
+    (construct, ({"family": "v3", "n": 3},), "spec"),
+    (random_group_element, (2.0, 0), "n"),
+    (random_group_element, (2, 0.5), "seed"),
+    (random_unitary, (True, 0), "n"),
+    (random_unitary, (2, "0"), "seed"),
+    (GroupElement, (np.array([1 + 1j, 0, 0, 0]), np.array([[[1.0, 0, 0, 0]]])), "q"),
+    (GroupElement, (np.array([1.0, 0, 0, 0]), np.array([[[1 + 1j, 0, 0, 0]]])), "matrix"),
+    (right_mult, (np.array([0, 1 + 1j, 0, 0]), np.eye(4)[0]), "j"),
+    (load_subspace, (2**20,), "path"),  # open() would take it as a descriptor
 ]
 
 

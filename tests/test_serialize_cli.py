@@ -255,6 +255,19 @@ class TestCli:
         assert code == 2
         assert "error" in stderr
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"format_version": 1, "n": 1, "k": 1, "basis": [[1, 0, 0, 1' + "0" * 400 + "]]}",
+         "malformed subspace file: int too large to convert to float"),
+        ("[" * 100000, "invalid JSON in subspace file: maximum recursion depth exceeded"),
+    ], ids=["int_beyond_float", "nested_too_deep"])
+    def test_file_escapes_exit_2_by_name(self, tmp_path, capsys, text, message):
+        # An OverflowError from the float cast and a RecursionError from
+        # json.load, each once a traceback, exit 2 with the loader's message.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, stdout, stderr = run_cli(["classify", str(path)], capsys)
+        assert code == 2 and stdout == "" and message in stderr
+
     @pytest.mark.parametrize("command", ["angles", "classify"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_basis_exits_2(self, tmp_path, capsys, command, bad):
