@@ -25,7 +25,7 @@ from .families import (
     construct,
     construct_classical,
 )
-from .moduli import AngleTriple, _sign, _snap_into_strata, moduli_membership, snapped
+from .moduli import REGION_TOL, AngleTriple, _sign, moduli_membership
 from .subspace import (
     COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
@@ -207,11 +207,12 @@ class _once:
 
 class _Analysis:
     """The Omega/Pbar data of one subspace, and the one place its complete
-    invariant (`cosines` plus `invariant`) is decided; every entry point reads it.
+    invariant (the report's cosines plus `invariant`) is decided; every
+    entry point reads it.
 
     Holds W = B^T J B, the frame built from W (the exact structure:
     candidate canonical basis and its residual), the constancy report, the
-    snapped triple, its strata and the block type (read off the residual's
+    strata of its triple and the block type (read off the residual's
     W'_1^T W'_2) or v3 branch, each computed on first use and at most once.
     Nothing is sampled.  Dimension 3 reads W alone: constancy in closed form at the
     three witness points of W, the branch as the sign of det A for the axial
@@ -249,18 +250,11 @@ class _Analysis:
         return report
 
     @_once
-    def cosines(self) -> tuple[float, ...]:
-        """The report's cosines with end values snapped (`snapped`), the ones
-        every decision compares: eigenvalue round-off surfaces as a
-        square-root-sized cosine error at the ends of the range."""
-        return snapped(self.report.triple.cos_tuple())
-
-    @_once
     def strata(self) -> list:
-        """The strata holding the report's triple (`_snap_into_strata`, a list
+        """The strata holding the report's triple (`moduli_membership`, a list
         of `StratumMembership`), looked up once for the record and for the
         protohomogeneity verdict."""
-        return _snap_into_strata(self.space.k, self.space.n, self.report.triple)[1]
+        return moduli_membership(self.space.k, self.space.n, self.report.triple)
 
     def _require_constant(self) -> None:
         """Raise unless the angle is decided constant.  For dim V = 4l only the
@@ -303,9 +297,7 @@ class _Analysis:
         so M = Pbar3^T Pbar1 Pbar2 = M_0 / (cos(phi1) cos(phi2) cos(phi3)) for
         the one product M_0 = W'_3 X_12.  M is a symmetric involution, so
         ||M||_F = sqrt(k), and M_0 is normalized by its own scale
-        p = ||M_0||_F / sqrt(k): the product of the three cosines, read on
-        the cosine scale and not from the squared cosines c_i of G, whose
-        square roots are off by up to 1.4e-8 at a zero cosine.  The
+        p = ||M_0||_F / sqrt(k): the product of the three cosines.  The
         antisymmetric part that the symmetry gate lets through moves p by a
         relative 1.3e-17 k at most, so S = sym(M_0) / p.  No Pbar gate is needed:
         a symmetric S with S^2 = I is orthogonal, so the +-1 eigenspaces of
@@ -323,10 +315,10 @@ class _Analysis:
 
     @_once
     def invariant(self) -> TypeSignature | int | None | NumericalFailure:
-        """The block type for dim V = 4l; the branch for dim V = 3 when the
-        snap left cos(phi1) inside (0, 1), the one merge rule (the classes
-        merge at phi = 0 and pi/2); else None.  Needs constant angle; a
-        numerical failure, undecided constancy included, is the value."""
+        """The block type for dim V = 4l; the branch for dim V = 3 when
+        cos(phi1) lies more than REGION_TOL inside (0, 1), the one merge rule
+        (the classes merge at phi = 0 and pi/2); else None.  Needs constant
+        angle; a numerical failure, undecided constancy included, is the value."""
         k = self.space.k
         try:
             if k % 4 == 0:
@@ -335,7 +327,7 @@ class _Analysis:
                 return TypeSignature(plus // 4, (k - plus) // 4)
             if k == 3:
                 self._require_constant()
-                if 0.0 < self.cosines[0] < 1.0:
+                if REGION_TOL < self.report.triple.cos_tuple()[0] < 1.0 - REGION_TOL:
                     return self._branch_sign()
         except NumericalFailure as exc:
             return exc
@@ -406,7 +398,7 @@ def factorize(v_space: Subspace) -> list[Subspace]:
 
     The blocks are pairwise H-orthogonal, each 4-dimensional with the same
     angle triple as V.  The generators G are the Pbar_i of the angles phi1,
-    phi2 whose snapped cosines (`_Analysis.cosines`) are positive, and
+    phi2 whose cosines exceed REGION_TOL, and
     Pbar_1 Pbar_2 when both are; each cell is the span of {v} U {G v}
     (`_cells`: one QR per cell, no SVD), and a block is V's basis times 4
     consecutive orthonormal cell columns.  The sign parts (`_sign_parts`)
@@ -417,7 +409,8 @@ def factorize(v_space: Subspace) -> list[Subspace]:
         raise ValueError("block analysis needs dim V to be a multiple of 4")
     analysis = _Analysis(v_space)
     analysis._require_constant()
-    generators = [analysis.pbar(i) for i in (1, 2) if analysis.cosines[i - 1] > 0.0]
+    cosines = analysis.report.triple.cos_tuple()
+    generators = [analysis.pbar(i) for i in (1, 2) if cosines[i - 1] > REGION_TOL]
     if len(generators) == 2:
         generators.append(generators[0] @ generators[1])
     k = v_space.k
@@ -473,11 +466,13 @@ def branch_of_v3(v_space: Subspace) -> int:
 def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     """Decide congruence under the group from computable invariants.
 
-    Dimension, constancy and the snapped angle triple are compared first,
-    then the discrete invariant (`_Analysis.invariant`): the branch sign in
-    dimension 3 (the classes merge at phi = 0 and pi/2) and the block type
-    in dimensions 4l.  A side whose constancy or invariant is undecided, or
-    that has no common canonical basis in dimension 4l, yields unknown.
+    Dimension, constancy and the angle triple (within TRIPLE_MATCH_TOL) are
+    compared first, then the discrete invariant (`_Analysis.invariant`): the
+    branch sign in dimension 3 (the classes merge within REGION_TOL of
+    phi = 0 and pi/2) and the block type in dimensions 4l.  A side whose
+    constancy or invariant is undecided, or that has no common canonical
+    basis in dimension 4l, yields unknown, as do matching triples of which
+    only one lies in the merge band.
     """
     if v_space.n != w_space.n:
         return Verdict("no", "different ambient quaternionic dimensions")
@@ -493,7 +488,8 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     if not rep_v.constant:
         return Verdict("unknown", "both angle triples are non-constant; no invariant "
                                   "implemented for that regime")
-    if not all(abs(a - b) <= TRIPLE_MATCH_TOL for a, b in zip(side_v.cosines, side_w.cosines)):
+    if not all(abs(a - b) <= TRIPLE_MATCH_TOL
+               for a, b in zip(rep_v.triple.cos_tuple(), rep_w.triple.cos_tuple())):
         return Verdict("no", "different angle triples")
     inv_v, inv_w = side_v.invariant, side_w.invariant
     for inv in (inv_v, inv_w):
@@ -503,8 +499,9 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
         if inv_v == inv_w:
             return Verdict("yes", f"equal angle triples and type {inv_v.as_tuple()}")
         return Verdict("no", f"different types {inv_v.as_tuple()} vs {inv_w.as_tuple()}")
-    # Equal snapped triples merge on both sides or on neither (SNAP_TOL >
-    # TRIPLE_MATCH_TOL), so a branch on one side has one on the other.
+    if (inv_v is None) != (inv_w is None):
+        return Verdict("unknown", "equal angle triples, but only one lies within REGION_TOL "
+                                  "of phi = 0 or pi/2, where the two classes merge")
     if inv_v is not None:
         if inv_v == inv_w:
             return Verdict("yes", f"equal angle triples and branch ({inv_v:+d})")
@@ -535,37 +532,40 @@ def representative(
 ) -> Subspace:
     """A subspace realizing the given point of the moduli space.
 
+    The subspace is built from the triple's cosines as they are stored, so
+    it lies in the strata that `moduli_membership` lists for the triple.
     ``branch`` (+1 or -1) selects the class, and is accepted only on a
-    two-class stratum of the triple that is built (`_snap_into_strata`).
-    Without one, the plus class is built if its blocks fit in H^n, else
-    the minus class (`_fitting_class`).
+    two-class stratum.  An end value of the one cosine at k = 3 and
+    k = 2 mod 4 is read within REGION_TOL, as the strata read it.  Without
+    a branch, the plus class is built if its blocks fit in H^n, else the
+    minus class (`_fitting_class`).
     """
     hits = moduli_membership(k, n, triple)
     if not hits:
         raise ValueError(
             f"the triple lies in no stratum of the ({k}, {n}) moduli space"
         )
-    x, hits = _snap_into_strata(k, n, triple, hits)
+    c = triple.cos_tuple()[0]
     if branch is not None:
         branch = _sign(branch, "branch")
         if not any(h.stratum.multiplicity == 2 for h in hits):
             raise ValueError("branch selection on a single-class stratum")
     if k == 3:
-        if x[0] >= 1.0:  # (0, 0, pi/2)
+        if c >= 1.0 - REGION_TOL:  # (0, 0, pi/2)
             return construct_classical("im_h_line", 3, n)
-        if x[0] <= 0.0:  # totally real
+        if c <= REGION_TOL:  # totally real
             return construct_classical("totally_real", 3, n)
-        return _fitting_class(lambda s: _v3_blocks(x[0], s), branch, n)
+        return _fitting_class(lambda s: _v3_blocks(c, s), branch, n)
     if k % 4 == 0:
-        l, angles = k // 4, AngleTriple._stored(*x)
-        return _fitting_class(lambda s: _sum_blocks(angles, *((l, 0) if s == 1 else (0, l))),
+        l = k // 4
+        return _fitting_class(lambda s: _sum_blocks(triple, *((l, 0) if s == 1 else (0, l))),
                               branch, n)
     if k % 2 == 0:
-        if x[0] >= 1.0:
+        if c >= 1.0 - REGION_TOL:
             return construct_classical("totally_complex", k, n)
-        if x[0] <= 0.0:
+        if c <= REGION_TOL:
             return construct_classical("totally_real", k, n)
-        return construct(FamilySpec("cka_plane_sum", n, k=k, cos=x[0]))
+        return construct(FamilySpec("cka_plane_sum", n, k=k, cos=c))
     return construct_classical("totally_real", k, n)
 
 

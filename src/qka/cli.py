@@ -102,15 +102,13 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"--family {args.family} builds dimension {space.k}, but --k is {args.k}")
     # The same analysis as `angles` and `classify`, so all three report one spread.
     analysis = _Analysis(space)
-    cosines = list(analysis.cosines)
-    meta = {"family": spec.family, "cosines": [round(c, 15) for c in cosines]}
+    fields = _report_fields(analysis)
+    meta = {"family": spec.family, "cosines": [round(c, 15) for c in fields["cosines"]]}
     # The sign ("branch") and block counts, where the family reads them.
     meta.update({"branch" if name == "sign" else name: getattr(spec, name)
                  for name in _FIELDS.values() if name in CATALOG[spec.family].reads})
     save_subspace(args.out, space, meta)
-    # The snapped cosines replace the report's in place, keeping the key order.
-    _emit({"path": args.out, **_report_fields(analysis),
-           "cosines": cosines, "meta": meta})
+    _emit({"path": args.out, **fields, "meta": meta})
     return 0
 
 

@@ -1,9 +1,9 @@
 """The angle triple and the moduli spaces it indexes, on Python floats.
 
 A triple is stored as its cosines, and everything here reads them: the
-snap of end cosines to the exact angles 0 and pi/2, the existence rule of
-each family (which the builders in `families` call too), and the strata of
-the moduli space of protohomogeneous k-subspaces of H^n.  The module
+existence rule of each family (which the builders in `families` call too)
+and the strata of the moduli space of protohomogeneous k-subspaces of H^n,
+each within the one end band REGION_TOL.  The module
 imports only the standard library, so the moduli layer loads without
 numpy.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "AngleTriple",
     "ModuliStratum",
     "StratumMembership",
-    "snapped",
     "strata_for",
     "moduli_membership",
     "moduli_describe",
@@ -28,15 +27,12 @@ __all__ = [
 
 HALF_PI = math.pi / 2.0
 
-# The band of each existence rule: a triple within it of the rule's boundary
-# lies on it.  The builders and the moduli strata read the same predicates,
-# so every triple a stratum holds is one the builders can build.
+# The band of each existence rule and of each end angle: a triple within it
+# of the rule's boundary, or a cosine within it of 0 or 1, lies on it.  The
+# builders and the moduli strata read the same predicates, so every triple a
+# stratum holds is one the builders can build; a computed cosine is read on
+# its own scale (`subspace._ExactStructure`), so it enters them as it is.
 REGION_TOL = 1e-10
-# Cosines this close to 0 or 1 are treated as exact pi/2 or 0 angles when a
-# triple computed from eigenvalues enters a region predicate (eigenvalue
-# round-off of order 1e-16 surfaces as a cosine of order 1e-8), unless the
-# snapped triple lies in no stratum (see `_snap_into_strata`).
-SNAP_TOL = 1e-7
 
 
 def _finite_clip01(x: float, what: str) -> float:
@@ -145,12 +141,6 @@ class AngleTriple:
     def cos2(self) -> tuple[float, float, float]:
         """The squared cosines, descending."""
         return tuple(c * c for c in self._cos)
-
-
-def snapped(x) -> tuple[float, ...]:
-    """Cosines within SNAP_TOL of 0 or 1, or beyond, set to it: the exact
-    angles pi/2 and 0 (a NaN stays NaN).  Descending cosines stay so."""
-    return tuple(0.0 if v <= SNAP_TOL else 1.0 if 1.0 - v <= SNAP_TOL else v for v in x)
 
 
 # The existence rules, one predicate on cosines each, read by the builders
@@ -334,11 +324,6 @@ def moduli_membership(k: int, n: int, triple: AngleTriple) -> list[StratumMember
     x = _triple(triple, "triple").cos_tuple()
     if k < 1:
         raise ValueError("membership needs k >= 1")
-    return _strata_holding(k, n, x)
-
-
-def _strata_holding(k: int, n: int, x: tuple[float, ...]) -> list[StratumMembership]:
-    """`moduli_membership` of the triple with cosines ``x``."""
     return [StratumMembership(stratum, branch) for stratum in strata_for(k, n)
             if stratum.predicate(x)
             for branch in ((1, -1) if stratum.multiplicity == 2 else (None,))]
@@ -374,25 +359,3 @@ def moduli_describe(k: int, n: int) -> dict:
     actions = {"special_actions": list(_SPECIAL_ACTIONS)} if k == 0 else {}
     return {"k": k, "n": n, **actions, "strata": strata}
 
-
-def _snap_into_strata(
-    k: int, n: int, triple: AngleTriple, hits: list[StratumMembership] | None = None
-) -> tuple[tuple[float, ...], list[StratumMembership]]:
-    """The cosines of the triple snapped to exact end angles and the strata
-    of the (k, n) moduli space holding them.
-
-    The snap is kept unless the snapped triple lies in no stratum; then the
-    cosines as given and their strata (``hits``, when the caller has them).
-    Membership is queried again only when the snap moved a cosine.  Both
-    `classify.representative` and `classify.classify_subspace` resolve a
-    triple this way, so a triple within SNAP_TOL of a region boundary is
-    built and reported in the same stratum.
-    """
-    given = triple.cos_tuple()
-    x = snapped(given)
-    if x != given:
-        snapped_hits = _strata_holding(k, n, x)
-        if snapped_hits:
-            return x, snapped_hits
-        x = given
-    return x, _strata_holding(k, n, x) if hits is None else hits

@@ -19,7 +19,7 @@ import numpy as np
 
 from .families import CATALOG, FamilySpec, _gram, gram_matrix, min_quaternionic_dim
 from .quaternion import STANDARD_BASIS, random_group_element
-from .moduli import HALF_PI, AngleTriple, snapped
+from .moduli import HALF_PI, REGION_TOL, AngleTriple
 from .subspace import NumericalFailure, Subspace, constancy_check, distribution_rank
 
 __all__ = [
@@ -238,12 +238,13 @@ def declared_class(spec: FamilySpec) -> tuple[tuple[int, int] | int | None, str]
     branch (the class's sign) in dimension 3, else None.  The classical
     families are of the plus type: the two block signs coincide at
     phi3 = pi/2, and only the plus class exists at phi1 = 0.  The two
-    3-dimensional classes merge at phi = 0 and pi/2 (read on the snapped
-    cosine), where no branch is declared.  A constant-angle subspace is
-    protohomogeneous exactly when its type is not mixed.
+    3-dimensional classes merge at phi = 0 and pi/2 (their cosine within
+    REGION_TOL of 1 or 0, the end band of the strata), where no branch is
+    declared.  A constant-angle subspace is protohomogeneous exactly when
+    its type is not mixed.
     """
     if spec.family == "v3":
-        invariant = spec.sign if 0.0 < snapped((spec.cos,))[0] < 1.0 else None
+        invariant = spec.sign if REGION_TOL < spec.cos < 1.0 - REGION_TOL else None
     elif spec.family == "v4":
         invariant = (1, 0) if spec.sign == 1 else (0, 1)
     elif spec.family == "sum_type":

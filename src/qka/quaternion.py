@@ -192,7 +192,7 @@ def right_mult(j, v, basis: CanonicalBasis = STANDARD_BASIS) -> np.ndarray:
     R_u (independent of ``basis``).
     """
     c = _coords(v)
-    if isinstance(j, (int, np.integer)):
+    if isinstance(j, (int, np.integer)) and type(j) is not bool:  # a bool is no index
         return basis.apply(int(j), c)
     q = _as_quat_array(j, "j")
     if abs(q[0]) > 1e-12 or abs(np.linalg.norm(q[1:]) - 1.0) > 1e-12:
@@ -289,6 +289,13 @@ def induced_rotation(t: GroupElement) -> np.ndarray:
     return np.stack([quat_mul(quat_mul(q, u), quat_conj(q))[1:] for u in (_I, _J, _K)], axis=1)
 
 
+def _seed(value) -> int:
+    """``value`` as a Python int, refused as ``seed`` unless a non-negative int."""
+    if (seed := _count(value, "seed")) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """A seeded random quaternionic unitary matrix as an (n, n, 4) array.
 
@@ -302,7 +309,7 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     """
     if _count(n, "n") < 1:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(_count(seed, "seed"))
+    rng = np.random.default_rng(_seed(seed))
     m = rng.standard_normal((n, n, 4))
     cols = np.zeros_like(m)
     left = np.zeros((4 * n, 4 * n))
@@ -318,7 +325,7 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
 
 def random_group_element(n: int, seed: int) -> GroupElement:
     """A seeded random element of Sp(1)Sp(n)."""
-    rng = np.random.default_rng(_count(seed, "seed"))
+    rng = np.random.default_rng(_seed(seed))
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     return GroupElement(q, random_unitary(n, seed + 1))

@@ -35,7 +35,7 @@ from .families import (
     construct_v4,
     min_quaternionic_dim,
 )
-from .moduli import HALF_PI, AngleTriple, moduli_membership, snapped, strata_for
+from .moduli import HALF_PI, AngleTriple, moduli_membership, strata_for
 from .oracles import (
     DeclaredInput,
     declared_class,
@@ -291,8 +291,7 @@ def crit_moduli_table(quick: bool, seed: int) -> tuple[bool, str]:
                     rep = representative(k, n, triple, hit.branch)
                     record = classify_subspace(rep)
                     trips += 1
-                    got = snapped(record["cosines"])
-                    if _cos2_match(got, snapped(triple.cos_tuple())) > 1e-8:
+                    if _cos2_match(record["cosines"], triple.cos_tuple()) > 1e-8:
                         failures.append(f"({k},{n}) {name}: triple mismatch")
                     if name not in {s["name"] for s in record["strata"]}:
                         failures.append(f"({k},{n}) {name}: classify misses stratum")

@@ -210,13 +210,18 @@ class _ExactStructure:
 
     Omega(B x)_ab = x^T S_ab x with S_ab = sym(W_a^T W_b).  The mean of
     Omega over the sphere is G_ab = tr(S_ab) / k; its eigenvectors, for
-    descending eigenvalues c, are the rows of the candidate canonical basis
+    descending eigenvalues, are the rows of the candidate canonical basis
     R, and W'_a = sum_b R_ab W_b is the restricted structure in that basis.
+    Each squared cosine is read on its own scale, c_a = ||W'_a||_F^2 / k:
+    the diagonal of R G R^T, but with the relative accuracy of W'_a, so
+    sqrt(c_a) is a cosine to round-off even near 0, where the square root
+    of an eigenvalue of G is off by up to 1.4e-8.  It is also the c_a that
+    minimizes the residual's diagonal term.
     ``residual`` is (sum_ab ||S'_ab - delta_ab c_a I||_F^2)^(1/2).  For every
-    unit x, ||Omega'(x) - diag(c)|| <= residual, so the sorted angle
-    spectrum stays within residual of c and 2 * residual is a proven bound
-    on its spread over the whole sphere.  The residual vanishes exactly when
-    R is a common canonical basis.
+    unit x and every diagonal c, ||Omega'(x) - diag(c)|| <= residual, so the
+    sorted angle spectrum stays within residual of c and 2 * residual is a
+    proven bound on its spread over the whole sphere.  The residual vanishes
+    exactly when R is a common canonical basis.
 
     ``square_gap`` holds u_a = max|W'_a^T W'_a - c_a I|, the largest entry of
     the diagonal term of the residual.  Pbar_a = W'_a / cos(phi_a) has
@@ -229,7 +234,7 @@ class _ExactStructure:
     """
 
     rotation: np.ndarray  # (3, 3) R, row a holding J'_a in the standard triple
-    cos2: np.ndarray  # (3,) c, descending
+    cos2: np.ndarray  # (3,) c, in the order of the rows of R (descending up to round-off)
     w_canonical: np.ndarray  # (3, k, k) W'_a
     residual: float
     square_gap: np.ndarray  # (3,) u_a
@@ -267,14 +272,16 @@ def _slot_structure(v_space: Subspace) -> np.ndarray:
 
 
 def _exact_structure(w: np.ndarray) -> _ExactStructure:
-    """Build the exact structure (the frame) of V from W (one 3x3 eigh).
+    """Build the exact structure (the frame) of V from W (one 3x3 eigh, which
+    supplies only the rotation R).
 
     W'_a is antisymmetric, to the bit: the rotation sums each entry and its
     mirror alike from the exactly antisymmetric W_b (the tests pin this).
     So W'_a^T W'_a = -W'_a W'_a, and W'_a^T W'_b = -W'_a W'_b = -(W'_b W'_a)^T:
     the frame takes three products, none with a transposed operand.  The
-    batch W'_a W'_a gives the diagonal terms ||W'_a^T W'_a - c_a I||^2 of the
-    residual, and their largest entries as ``square_gap``; that one product
+    batch W'_a W'_a gives c_a = -tr(W'_a W'_a) / k from its diagonal, the
+    diagonal terms ||W'_a^T W'_a - c_a I||^2 of the residual, and their
+    largest entries as ``square_gap``; that one product
     gates both Pbar_a^T Pbar_a = I and Pbar_a^2 = -I, and the analysis forms
     neither again.  [W'_2; W'_3] W'_1, one (2k x k) product, and W'_3 W'_2
     give the cross terms 2 ||sym(W'_a^T W'_b)||^2 for a < b (the (b, a)
@@ -286,11 +293,12 @@ def _exact_structure(w: np.ndarray) -> _ExactStructure:
     k = w.shape[-1]
     flat = w.reshape(3, -1)
     gram = flat @ flat.T / k  # tr(W_a^T W_b) / k
-    cos2, vecs = _descending_eigh(gram)
-    rotation = _rotation_from_columns(vecs)
+    rotation = _rotation_from_columns(_descending_eigh(gram)[1])
     wc = (rotation @ flat).reshape(3, k, k)
     d = wc @ wc  # -W'_a^T W'_a
-    d.reshape(3, -1)[:, ::k + 1] += cos2[:, None]  # -(W'_a^T W'_a - c_a I)
+    diagonal = d.reshape(3, -1)[:, ::k + 1]
+    cos2 = diagonal.sum(axis=1) / -k  # c_a = ||W'_a||_F^2 / k
+    diagonal += cos2[:, None]  # -(W'_a^T W'_a - c_a I)
     np.abs(d, out=d)  # square_gap reads |d|
     square_gap = d.max(axis=(1, 2))
     total = float(np.square(d, out=d).sum())  # no BLAS dot: see the docstring

@@ -36,12 +36,10 @@ from qka.families import (
     construct_v4,
 )
 from qka.moduli import (
-    SNAP_TOL,
+    REGION_TOL,
     ModuliStratum,
-    _snap_into_strata,
     moduli_describe,
     moduli_membership,
-    snapped,
     strata_for,
 )
 from qka.oracles import declared_class, declared_inputs
@@ -243,10 +241,10 @@ class TestFactorize:
 
     @pytest.mark.parametrize("k", [8, 12])
     def test_kahler_plane_sums_factorize_under_every_move(self, k):
-        # The generators follow the snapped cosines: cos(phi2) = 0 up to
-        # round-off, so no Pbar_2 is formed.  Round-off puts sqrt(c_2) above
-        # RIGHT_ANGLE_TOL under some moves (seeds 4, 6 and 10 at k = 8), and a
-        # Pbar_2 normalized by it is refused as not a complex structure.
+        # The generators follow the cosines read on their own scale:
+        # cos(phi2) = 0 up to round-off, within REGION_TOL under every move,
+        # so no Pbar_2 is formed.  A Pbar_2 normalized by a round-off cosine
+        # would be refused as not a complex structure.
         for seed in range(12):
             space = moved(construct_classical("cka_plane_sum", k, k, phi=0.8), seed)
             blocks = factorize(space)
@@ -303,6 +301,20 @@ class TestTypeOf:
         assert type_of(construct_v4(t, 1, 4)) == TypeSignature(1, 0)
         space = construct_classical("totally_real", 8, 8)
         assert type_of(space) == TypeSignature(2, 0)
+
+    @pytest.mark.parametrize("c3", [1e-7, 1e-8, 5e-9])
+    def test_strata_next_to_a_right_phi3_survive_every_move(self, c3):
+        # cos(phi3) is read on its own scale, so every move of a sum lists
+        # the strata that membership lists for the declared triple.
+        angles = AngleTriple.from_cosines((0.5, 0.3, c3))
+        want = [(h.stratum.name, h.branch) for h in moduli_membership(8, 8, angles)]
+        assert want == [("two_class_region", 1), ("two_class_region", -1)]
+        for l_plus, l_minus in ((1, 1), (2, 0)):
+            space = construct_sum(angles, l_plus, l_minus, 8)
+            for seed in range(4):
+                record = classify_subspace(moved(space, seed))
+                got = [(s["name"], s.get("branch")) for s in record["strata"]]
+                assert got == want, (l_plus, l_minus, seed)
 
     @pytest.mark.parametrize("c3", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 5e-9, 1e-10, 1e-11])
     def test_near_a_right_phi3_the_type_is_right_or_unknown(self, c3):
@@ -425,14 +437,14 @@ class TestBranch:
     @pytest.mark.parametrize("n", [3, 5])
     def test_read_up_to_the_right_angle(self, n):
         # d = pi/2 - phi down to 1e-7: the witness triple keeps cos(phi) = sin(d),
-        # so the branch is read wherever the snap leaves cos(phi) inside (0, 1),
-        # and the classes merge only past SNAP_TOL.
+        # so the branch is read wherever cos(phi) lies more than REGION_TOL
+        # inside (0, 1), and the classes merge only past REGION_TOL.
         for d in np.logspace(-2, -7, 11):
             phi = HALF_PI - d
             spaces = {s: rotated(construct_v3(phi, s, n), 17 * n + s + 2) for s in (1, -1)}
             twins = {s: moved(construct_v3(phi, s, n), 31 * n + s + 5) for s in (1, -1)}
             records = {s: classify_subspace(space) for s, space in spaces.items()}
-            if math.sin(d) < 3 * SNAP_TOL and records[1]["branch"] is None:
+            if math.sin(d) < 3 * REGION_TOL and records[1]["branch"] is None:
                 assert are_equivalent(spaces[1], spaces[-1]).value == "yes"
                 continue
             for s, record in records.items():
@@ -555,23 +567,31 @@ class TestEquivalence:
         b = from_spanning([rng.standard_normal(24) for _ in range(3)])
         assert are_equivalent(a, b).value == "unknown"
 
+    @pytest.mark.parametrize("c", [1e-7, 5e-8, 1e-8, 1e-9])
+    def test_v3_classes_decided_next_to_the_right_angle(self, c):
+        # Each cosine is read on its own scale, so the two classes stay
+        # apart down to cos(phi) = 1e-9 under every move: same class "yes",
+        # opposite classes "no", and each branch is the declared sign.
+        for seed in range(4):
+            for s, t in itertools.product((1, -1), repeat=2):
+                first = moved(construct(FamilySpec("v3", 3, cos=c, sign=s)), seed)
+                second = moved(construct(FamilySpec("v3", 3, cos=c, sign=t)), seed + 10)
+                assert classify_subspace(first)["branch"] == s, (s, seed)
+                verdict = are_equivalent(first, second)
+                assert verdict.value == ("yes" if s == t else "no"), (s, t, seed, verdict)
 
-def _ref_snap_cos(x) -> np.ndarray:
-    """The numpy snap that `snapped` replaced."""
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    x[np.abs(x) <= SNAP_TOL] = 0.0
-    x[np.abs(x - 1.0) <= SNAP_TOL] = 1.0
-    return x
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_side_in_the_merge_band_is_unknown(self, sign):
+        # The triples match within TRIPLE_MATCH_TOL, but only cos(phi) = 5e-11
+        # lies within REGION_TOL of a right angle, where the classes merge.
+        merged = construct(FamilySpec("v3", 3, cos=5e-11, sign=sign))
+        apart = construct(FamilySpec("v3", 3, cos=5e-9, sign=sign))
+        for pair in ((merged, apart), (apart, merged)):
+            verdict = are_equivalent(*pair)
+            assert verdict.value == "unknown" and "merge" in verdict.reason, verdict
 
 
 class TestThreeCosinesOnFloats:
-    def test_snap_matches_numpy_formula(self):
-        edges = (SNAP_TOL, 1.0 - SNAP_TOL)
-        values = [0.0, -0.0, 1.0, 0.5, -1e-12, 1.0 + 1e-12, math.nan]
-        values += [math.nextafter(e, d) for e in edges for d in (0.0, 1.0)] + list(edges)
-        for x in itertools.product(values, repeat=3):
-            assert np.array(snapped(x)).tobytes() == _ref_snap_cos(x).tobytes(), x
-
     def test_membership_reads_the_cosines_once_without_numpy(self, monkeypatch):
         triples = [AngleTriple.from_cosines(x) for x in
                    ((0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (1.0, 1.0, 1.0), (0.5, 0.5, 0.0),
@@ -594,8 +614,6 @@ class TestThreeCosinesOnFloats:
                 reads.clear()
                 moduli_membership(k, n, t)
                 assert reads == {t: 1}
-                snapped(t.cos_tuple())
-                _snap_into_strata(k, n, t)
 
 
 class TestModuli:
@@ -735,9 +753,8 @@ class TestRepresentative:
 
     @pytest.mark.parametrize("branch", [1, -1])
     def test_built_from_the_stored_cosines(self, branch):
-        # `representative` builds from the snapped cosines as they are stored,
-        # as construct_v4 does from a triple of those cosines, so the bases
-        # match bit for bit.
+        # `representative` builds from the cosines as they are stored, as
+        # construct_v4 does from the triple, so the bases match bit for bit.
         rng = np.random.default_rng(23)
         for _ in range(300):
             c = sorted(rng.dirichlet([1.0, 1.0, 1.0, 1.0])[:3], reverse=True)
@@ -745,8 +762,7 @@ class TestRepresentative:
             assert [h.stratum.name for h in moduli_membership(4, 4, triple)] == [
                 "two_class_region"] * 2
             got = representative(4, 4, triple, branch)
-            want = construct_v4(AngleTriple.from_cosines(snapped(triple.cos_tuple())),
-                                branch, 4)
+            want = construct_v4(triple, branch, 4)
             assert got.basis.tobytes() == want.basis.tobytes(), c
 
     @pytest.mark.parametrize("branch", [True, 1.0, -1.0])
@@ -832,8 +848,8 @@ class TestRepresentative:
         assert (type_of(space).as_tuple() if k % 4 == 0 else branch_of_v3(space)) == expected
 
     def test_snap_that_leaves_the_region_is_not_applied(self):
-        # cos(phi3) = 5e-8 lies within SNAP_TOL of 0, but snapping it would
-        # push cos(phi1) + cos(phi2) - cos(phi3) past 1 and out of the region.
+        # cos(phi3) = 5e-8 is read as it is: a right phi3 would push
+        # cos(phi1) + cos(phi2) - cos(phi3) past 1 and out of the region.
         triple = AngleTriple.from_cosines([0.6, 0.4 + 1e-8, 5e-8])
         hits = moduli_membership(8, 8, triple)
         assert [h.stratum.name for h in hits] == ["single_class_region"]
@@ -843,35 +859,33 @@ class TestRepresentative:
         assert [s["name"] for s in record["strata"]] == ["single_class_region"]
         assert np.max(np.abs(np.array(record["cosines"]) - triple.cos_tuple())) < 1e-8
 
-    def test_snap_onto_single_class_boundary_refuses_minus(self):
-        # Membership puts cos(phi3) = 5e-9 in the two-class region, but the
-        # snap lands on the single-class boundary, where classify_subspace
-        # reports it: representative builds the plus class there and refuses
-        # the minus class, which classify_subspace could not report.
+    def test_two_class_round_trip_next_to_a_right_phi3(self):
+        # Membership puts cos(phi3) = 5e-9 in the two-class region, and the
+        # cosine is read on its own scale, so both classes build and
+        # classify_subspace reports each in that region.
         triple = AngleTriple.from_cosines([0.5, 0.3, 5e-9])
         hits = moduli_membership(8, 8, triple)
-        assert [(h.stratum.name, h.branch) for h in hits] == [
-            ("two_class_region", 1), ("two_class_region", -1)]
-        with pytest.raises(ValueError, match="single-class"):
-            representative(8, 8, triple, -1)
-        record = classify_subspace(representative(8, 8, triple))
-        assert record["type"] == [2, 0]
-        assert [s["name"] for s in record["strata"]] == ["single_class_region"]
+        two_class = [("two_class_region", 1), ("two_class_region", -1)]
+        assert [(h.stratum.name, h.branch) for h in hits] == two_class
+        for branch, want in ((1, [2, 0]), (-1, [0, 2])):
+            record = classify_subspace(representative(8, 8, triple, branch))
+            assert record["type"] == want
+            assert [(s["name"], s.get("branch")) for s in record["strata"]] == two_class
 
-    def test_membership_queried_again_only_after_a_snap(self, monkeypatch):
+    def test_membership_queried_once(self, monkeypatch):
         calls = []
-        original = qka.moduli._strata_holding
+        original = qka.classify.moduli_membership
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(qka.moduli, "_strata_holding", counted)
-        representative(8, 8, T03, -1)
-        assert len(calls) == 1
-        calls.clear()
-        representative(8, 8, AngleTriple.from_cosines([0.6, 0.4 + 1e-8, 5e-8]))
-        assert len(calls) == 2
+        monkeypatch.setattr(qka.classify, "moduli_membership", counted)
+        for triple, branch in ((T03, -1), (AngleTriple.from_cosines([0.6, 0.4 + 1e-8, 5e-8]), None),
+                               (AngleTriple.from_cosines([0.5, 0.3, 5e-9]), -1)):
+            calls.clear()
+            representative(8, 8, triple, branch)
+            assert len(calls) == 1
 
 
 class TestClassifyRecord:
@@ -881,11 +895,6 @@ class TestClassifyRecord:
         record = classify_subspace(space)
         assert record["constant"] is False
         assert record["protohomogeneous"]["value"] == "no"
-
-    def test_snapped_helper(self):
-        t = AngleTriple.from_cos2_eigenvalues([1 - 1e-15, 0.5, 1e-15])
-        s = snapped(t.cos_tuple())
-        assert s == pytest.approx([1.0, math.sqrt(0.5), 0.0], abs=1e-12)
 
 
 @pytest.fixture
@@ -1168,14 +1177,14 @@ def test_record_invariant_under_group_and_basis_change(case, group_seed, basis_s
     moved = Subspace(random_group_element(space.n, group_seed).apply_coords(space.basis) @ q)
     base, record = classify_subspace(space), classify_subspace(moved)
     assert _invariant_part(record) == _invariant_part(base)
-    assert snapped(record["cosines"]) == pytest.approx(snapped(base["cosines"]), abs=1e-9)
+    assert record["cosines"] == pytest.approx(base["cosines"], abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 7])
 def test_declared_verdicts(seed):
     # Every declared input, unmoved and moved by the group and a change of
     # basis at two fixed seeds, gets the verdicts `declared_class` states:
-    # constant, its family's snapped cosines, its type or branch and its
+    # constant, its family's cosines, its type or branch and its
     # protohomogeneity, and its strata (with branches) where declared.
     for record in DECLARED:
         space = construct(record.spec)
@@ -1183,8 +1192,7 @@ def test_declared_verdicts(seed):
         invariant, proto = declared_class(record.spec)
         where = record.label, seed
         assert got["constant"] is True, where
-        assert snapped(got["cosines"]) == pytest.approx(
-            snapped(record.triple.cos_tuple()), abs=1e-9), where
+        assert got["cosines"] == pytest.approx(record.triple.cos_tuple(), abs=1e-9), where
         assert got.get("type" if space.k % 4 == 0 else "branch") == (
             list(invariant) if isinstance(invariant, tuple) else invariant), where
         assert got["protohomogeneous"]["value"] == proto, where
@@ -1217,8 +1225,7 @@ class TestSeedFreeDimension3:
             other = classify_subspace(moved(space, seed))
             assert _invariant_part(other) == _invariant_part(record)
             if record["constant"]:
-                assert snapped(other["cosines"]) == pytest.approx(
-                    snapped(record["cosines"]), abs=1e-9)
+                assert other["cosines"] == pytest.approx(record["cosines"], abs=1e-9)
 
     def test_equivalence_identical_for_every_seed(self):
         for phi in (math.pi / 3, 1.2, 1.45):
@@ -1657,7 +1664,7 @@ class TestOnePass:
             assert all(type(x) is float for x, _ in clipped)
             if space in inside:
                 # Each squared cosine is clipped once, and no cosine again.
-                assert all(SNAP_TOL < c < 1.0 - SNAP_TOL for c in record["cosines"])
+                assert all(1e-7 < c < 1.0 - 1e-7 for c in record["cosines"])
                 values = [v for lams in handed for v in lams]
                 assert [w for _, w in clipped] == ["squared cosine"] * len(values)
                 assert all(x is v for (x, _), v in zip(clipped, values))

@@ -107,8 +107,8 @@ def test_blocks_are_placed_only_behind_the_door():
 
 def test_the_block_type_reads_no_squared_cosine():
     # `_Analysis.signs` normalizes M_0 = W'_3 X_12 by its own scale: it reads
-    # no eigenvalue c_i of G and passes no Pbar gate, whose sqrt(c_i) is off
-    # by up to 1.4e-8 at a zero cosine.
+    # no squared cosine c_i of the frame and passes no Pbar gate, which
+    # divides by c_i.
     tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
     analysis = next(node for node in tree.body
                     if isinstance(node, ast.ClassDef) and node.name == "_Analysis")
@@ -210,6 +210,39 @@ def _trig_of_stored_angles(tree: ast.Module, path: Path) -> list[str]:
     return found
 
 
+def test_one_end_band():
+    # A computed cosine is read on its own scale, so every end test reads
+    # `moduli.REGION_TOL`: no module defines or imports a snap of end
+    # cosines, and classify compares no cosine (a subscript, or a name
+    # holding "cos") against a bare 0.0 or 1.0.
+    retired = {"SNAP_TOL", "snapped", "_snap_into_strata"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in retired]
+    assert found == [], f"a snap of end cosines: {found}"
+    tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    bare = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Constant) and type(o.value) is float and o.value in (0.0, 1.0)
+                    for o in operands)
+                    and any(isinstance(o, ast.Subscript) or "cos" in ast.unparse(o)
+                            for o in operands)):
+                bare.append(f"classify.py:{node.lineno} {ast.unparse(node)}")
+    assert bare == [], f"a cosine compared against a bare end value: {bare}"
+
+
 def test_no_cosine_of_a_triples_angle_outside_moduli():
     # A triple stores its cosines (`AngleTriple.cos_tuple`), and its angles are
     # their acos: the cosine of an angle read back from a triple is a round
@@ -224,8 +257,8 @@ def test_no_cosine_of_a_triples_angle_outside_moduli():
 
 
 def test_no_acos_where_the_builders_read_cosines():
-    # Every builder reads cosines, `representative` hands its snapped
-    # cosines to them, and the CLI passes a single --cos value as given, so
+    # Every builder reads cosines, `representative` hands the cosines it is
+    # given to them, and the CLI passes a single --cos value as given, so
     # no module takes an acos but `moduli`, in its angle view of a triple:
     # an angle anywhere else would only be turned back into its cosine.
     found = []
@@ -238,7 +271,7 @@ def test_no_acos_where_the_builders_read_cosines():
 
 
 def test_moduli_imports_only_the_standard_library():
-    # The triple, the snap, the existence rules and the strata run on Python
+    # The triple, the existence rules and the strata run on Python
     # floats, so `moduli` loads with neither numpy nor another qka module.
     tree = ast.parse((SRC / "moduli.py").read_text(encoding="utf-8"))
     imported = []
@@ -318,6 +351,9 @@ BAD_INPUTS = [
     (GroupElement, (np.array([1.0, 0, 0, 0]), np.array([[[1 + 1j, 0, 0, 0]]])), "matrix"),
     (right_mult, (np.array([0, 1 + 1j, 0, 0]), np.eye(4)[0]), "j"),
     (load_subspace, (2**20,), "path"),  # open() would take it as a descriptor
+    (random_group_element, (2, -1), "seed"),
+    (random_unitary, (2, -1), "seed"),
+    (right_mult, (True, np.eye(4)[0]), "j"),  # a bool is no basis index
 ]
 
 

@@ -454,8 +454,9 @@ class TestCli:
         assert code == 2 and stdout == ""
         assert "JSON compliant" in stderr
 
-        monkeypatch.setattr(qka.cli._Analysis, "cosines",
-                            property(lambda self: np.array([math.nan, 0.0, 0.0])))
+        report_fields = qka.cli._report_fields
+        monkeypatch.setattr(qka.cli, "_report_fields", lambda analysis: {
+            **report_fields(analysis), "cosines": [math.nan, 0.0, 0.0]})
         out = tmp_path / "nan.json"
         code, stdout, _ = run_cli(["construct", "--family", "quaternionic", "--k", "4",
                                    "--n", "1", "--out", str(out)], capsys)
