@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moduli import (AngleTriple, _class_rank, _cos_of, _count, _phi2_is_phi3, _real, _sign,
-                     _triple, _v3_rank)
+from .moduli import (REGION_TOL, AngleTriple, _class_rank, _cos_of, _count, _phi2_is_phi3,
+                     _real, _sign, _triple, _v3_rank)
 from .subspace import NumericalFailure, Subspace
 
 __all__ = [
@@ -48,11 +48,6 @@ __all__ = [
     "construct",
     "min_quaternionic_dim",
 ]
-
-# Absolute tolerance on a builder's cosine for phi1 = 0 and phi3 = pi/2 (and
-# a Kahler angle of pi/2), and on the pivots of the Gram factor.
-BOUNDARY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -88,7 +83,7 @@ def _gram(c, sign: int) -> list[list[float]]:
 def gram_matrix(angles: AngleTriple, sign: int) -> np.ndarray:
     """The 3x3 Gram matrix of the auxiliary vectors e_1, e_2, e_3."""
     sign, x = _sign(sign, "sign"), _triple(angles, "angles").cos_tuple()
-    if x[0] > 1.0 - BOUNDARY_TOL:
+    if x[0] >= 1.0 - REGION_TOL:
         raise ValueError("gram matrix is singular at phi1 = 0")
     return np.array(_gram(x, sign))
 
@@ -100,7 +95,7 @@ def admissible(angles: AngleTriple, sign: int) -> tuple[bool, int | None]:
     of that inequality the Gram matrix has rank 2, otherwise rank 3.
     """
     sign, x = _sign(sign, "sign"), _triple(angles, "angles").cos_tuple()
-    if x[0] > 1.0 - BOUNDARY_TOL:
+    if x[0] >= 1.0 - REGION_TOL:
         raise ValueError("admissibility test requires phi1 > 0")
     rank = _class_rank(x, sign)
     return rank is not None, rank
@@ -131,7 +126,7 @@ def _psd_cholesky(g, rank: int) -> np.ndarray:
             left[step], left[p] = left[p], left[step]
             perm[step], perm[p] = perm[p], perm[step]
         pivot = a[step][step]
-        if pivot <= BOUNDARY_TOL:
+        if pivot <= REGION_TOL:
             raise NumericalFailure("gram matrix rank below the predicted rank")
         r = math.sqrt(pivot)
         left[step][step] = r
@@ -174,7 +169,7 @@ def _tilted_block(cos_sin, frame: np.ndarray) -> np.ndarray:
 
 def _complexified_block(c: float) -> np.ndarray:
     """One 4-dimensional block with angles (0, phi, phi), from c = cos(phi)."""
-    if c > 1.0 - BOUNDARY_TOL:
+    if c >= 1.0 - REGION_TOL:
         return _units(0, 1, 2, 3)
     s = _sin(c)
     return _tilted_block(((1.0, 0.0), (c, s), (c, s)), np.array([[0.0], [1.0], [1.0]]))
@@ -196,10 +191,11 @@ _Row = namedtuple("_Row", "reads blocks unset", defaults=({},))  # see CATALOG
 def _classical(family: str, dim: int, block, one_block: bool = False) -> tuple[str, _Row]:
     """The catalog row of a classical family: copies of a block of real dimension
     ``dim`` (just one if ``one_block``: k = dim, its value where unset), fixed or from
-    the cosine c of a Kahler angle in (0, 1), refused at 1 and within BOUNDARY_TOL of 0."""
+    the cosine c of a Kahler angle: refused within REGION_TOL of 0 (phi = pi/2), and at
+    exactly 1 only, so a c within REGION_TOL of 1 builds the phi = 0 end of its block."""
 
     def blocks(k: int, c: float | None = None) -> _Blocks:
-        if c is not None and not BOUNDARY_TOL < c < 1.0:
+        if c is not None and not REGION_TOL < c < 1.0:
             raise ValueError(f"{family} needs a Kahler angle phi in (0, pi/2)")
         if one_block and k != dim:
             raise ValueError(f"the imaginary-span family has dimension {dim}, got k={k}")
@@ -238,8 +234,8 @@ def _sign_block(angles: AngleTriple, sign: int) -> np.ndarray:
     for a complexified one.
     """
     x = angles.cos_tuple()
-    phi1_zero = x[0] > 1.0 - BOUNDARY_TOL
-    if sign == -1 and (phi1_zero or x[2] <= BOUNDARY_TOL):
+    phi1_zero = x[0] >= 1.0 - REGION_TOL
+    if sign == -1 and (phi1_zero or x[2] <= REGION_TOL):
         raise ValueError("angle triples with phi1 = 0 or phi3 = pi/2 occur only in the "
                          "plus class")
     if phi1_zero:
@@ -270,7 +266,7 @@ def _v4_blocks(angles: AngleTriple, sign: int) -> _Blocks:
     """The one-block sum of the class, or at (0, pi/2, pi/2) the totally
     complex subspace in its own basis."""
     x = angles.cos_tuple()
-    if sign == 1 and x[0] > 1.0 - BOUNDARY_TOL and x[1] <= BOUNDARY_TOL:  # so x[2] too
+    if sign == 1 and x[0] >= 1.0 - REGION_TOL and x[1] <= REGION_TOL:  # so x[2] too
         return CATALOG["totally_complex"].blocks(4)
     return _sum_blocks(angles, int(sign == 1), int(sign == -1))
 

@@ -146,7 +146,7 @@ class CanonicalBasis:
     __slots__ = ("rotation",)
 
     def __init__(self, rotation):
-        rotation = np.asarray(rotation, dtype=float)
+        rotation = _real_array(rotation, "rotation")
         if rotation.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
         if not np.isfinite(rotation).all():
@@ -249,6 +249,8 @@ class GroupElement:
 
     @classmethod
     def identity(cls, n: int) -> "GroupElement":
+        if (n := _count(n, "n")) < 1:
+            raise ValueError("n must be positive")
         a = np.zeros((n, n, 4))
         a[np.arange(n), np.arange(n), 0] = 1.0
         return cls(np.array([1.0, 0.0, 0.0, 0.0]), a)
@@ -292,7 +294,7 @@ def induced_rotation(t: GroupElement) -> np.ndarray:
 def _seed(value) -> int:
     """``value`` as a Python int, refused as ``seed`` unless a non-negative int."""
     if (seed := _count(value, "seed")) < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return seed
 
 

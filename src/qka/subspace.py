@@ -13,13 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moduli import AngleTriple
+from .moduli import REGION_TOL, AngleTriple, _count, _real
 from .quaternion import (
     STANDARD_BASIS,
     CanonicalBasis,
     GroupElement,
     _coords,
     _real_array,
+    _seed,
 )
 
 __all__ = [
@@ -326,9 +327,13 @@ def vector_qka(v_space: Subspace, v) -> tuple[AngleTriple, CanonicalBasis]:
     return AngleTriple.from_cos2_eigenvalues(lams.tolist()), basis
 
 
-def _sample_coeffs(k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit vectors of V in basis coordinates (normalized Gaussians)."""
-    c = rng.standard_normal((k, samples))
+def _sample_coeffs(k: int, samples, seed, least: int = 1) -> np.ndarray:
+    """``samples`` uniform unit vectors of V in basis coordinates (normalized
+    Gaussians) drawn from ``seed``, each argument refused by name unless an
+    int, at least ``least`` samples and a non-negative seed."""
+    if (count := _count(samples, "samples")) < least:
+        raise ValueError(f"samples must be at least {least}, got {count}")
+    c = np.random.default_rng(_seed(seed)).standard_normal((k, count))
     return c / np.linalg.norm(c, axis=0)
 
 
@@ -342,12 +347,8 @@ def constancy_check(
     Reports the angle triple of the first sample and the largest deviation
     of the sorted squared-cosine eigenvalues across all samples.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
-    return _spectrum_report(_slot_structure(v_space), _sample_coeffs(v_space.k, samples, rng))
+    coeffs = _sample_coeffs(v_space.k, samples, seed, least=2)
+    return _spectrum_report(_slot_structure(v_space), coeffs)
 
 
 def _spectrum_report(w: np.ndarray, coeffs: np.ndarray) -> ConstancyReport:
@@ -466,8 +467,7 @@ def joint_canonical_basis(
     structure of W = B^T J B instead; this sampled route is kept as an
     independent reference for it.
     """
-    rng = np.random.default_rng(seed)
-    coeffs = _sample_coeffs(v_space.k, samples, rng)
+    coeffs = _sample_coeffs(v_space.k, samples, seed)
     oms = _omega_batch(v_space, coeffs, STANDARD_BASIS)
     rot, diag = _jacobi_joint_diagonalize(oms)
     residual = math.sqrt(_joint_offdiag_mass(diag) / samples)
@@ -485,12 +485,12 @@ def pbar_operator(
     c = cos(phi_i) of the angle (`AngleTriple.cos_tuple`).
 
     Returned as a k x k matrix in the coordinates of the basis of V.  Raises
-    at c = 0 (the normalization is singular) or when the restriction fails
-    to be an orthogonal complex structure, which signals that V is not
-    invariant under Pbar_i.  This is the direct reference for the gate that
+    at c within REGION_TOL of 0 (the normalization is singular) or when the
+    restriction fails to be an orthogonal complex structure, which signals
+    that V is not invariant under Pbar_i.  This is the direct reference for the gate that
     the analysis reads off the exact structure (`classify._Analysis._gated_cos`).
     """
-    if abs(c) <= 1e-12:
+    if (c := _real(c, "c")) <= REGION_TOL:  # a NaN passes, to the complex-structure gate
         raise ValueError("pbar is undefined at phi = pi/2")
     b = v_space.basis
     return _complex_structure((b.T @ basis.apply(i, b)) / c)
@@ -499,8 +499,8 @@ def pbar_operator(
 def _complex_structure(m: np.ndarray) -> np.ndarray:
     """Return the k x k matrix m after checking m^T m = I and m^2 = -I."""
     eye = np.eye(m.shape[0])
-    if (np.max(np.abs(m.T @ m - eye)) > COMPLEX_STRUCTURE_TOL
-            or np.max(np.abs(m @ m + eye)) > COMPLEX_STRUCTURE_TOL):
+    if not (np.max(np.abs(m.T @ m - eye)) <= COMPLEX_STRUCTURE_TOL
+            and np.max(np.abs(m @ m + eye)) <= COMPLEX_STRUCTURE_TOL):  # a NaN is refused too
         raise NumericalFailure(_NOT_COMPLEX_STRUCTURE)
     return m
 
@@ -514,8 +514,7 @@ def distribution_rank(v_space: Subspace, samples: int = 24, seed: int = 0) -> in
     constant-angle subspace it is constant and equals the number of angles
     different from pi/2.  Raises if the rank varies across samples.
     """
-    rng = np.random.default_rng(seed)
-    wx = _w_at(_slot_structure(v_space), _sample_coeffs(v_space.k, samples, rng))
+    wx = _w_at(_slot_structure(v_space), _sample_coeffs(v_space.k, samples, seed))
     sv = np.linalg.svd(wx, compute_uv=False)  # (samples, min(k, 3)), descending
     per_sample = np.sum(sv > RANK_RTOL * np.maximum(sv[:, :1], 1.0), axis=1)
     ranks = sorted(set(per_sample.tolist()))

@@ -29,6 +29,11 @@ from qka.classify import (
 from qka.classify import SIGN_INVOLUTION_TOL, _Analysis, _sign_parts, _sign_split
 from qka.families import (
     FamilySpec,
+    _gram,
+    _place,
+    _psd_cholesky,
+    _sin,
+    _tilted_block,
     construct,
     construct_classical,
     construct_sum,
@@ -38,6 +43,7 @@ from qka.families import (
 from qka.moduli import (
     REGION_TOL,
     ModuliStratum,
+    _class_rank,
     moduli_describe,
     moduli_membership,
     strata_for,
@@ -295,6 +301,20 @@ def _svd_deflated_cells(part, generators):
     return cells
 
 
+def _sum_of_sign_blocks(spec):
+    """The block sum of a sum_type spec, each sign's Gram factor on its
+    tilted block, as selftest C6 builds its minus block.  The builders
+    refuse a minus class at cos(phi3) <= REGION_TOL, which no stratum
+    lists, but such a sum can still arrive from a file."""
+    c = spec.angles.cos_tuple()
+    blocks = []
+    for sign, count in ((1, spec.l_plus), (-1, spec.l_minus)):
+        if count:
+            left = _psd_cholesky(_gram(c, sign), _class_rank(c, sign))
+            blocks += [_tilted_block([(v, _sin(v)) for v in c], left)] * count
+    return _place(blocks, "a sum of sign blocks", spec.n)
+
+
 class TestTypeOf:
     def test_right_angle_convention(self):
         t = AngleTriple.from_cosines([0.6, 0.35, 0.0])
@@ -326,8 +346,9 @@ class TestTypeOf:
         for l_plus, l_minus in ((2, 0), (1, 1), (0, 2)):
             spec = FamilySpec("sum_type", 8, angles=angles, l_plus=l_plus, l_minus=l_minus)
             invariant, proto = declared_class(spec)
+            built = construct(spec) if c3 > REGION_TOL else _sum_of_sign_blocks(spec)
             for seed in range(4):
-                space = moved(construct(spec), seed)
+                space = moved(built, seed)
                 where = l_plus, l_minus, seed
                 verdict = is_protohomogeneous(space)
                 try:
@@ -678,13 +699,17 @@ _PROBE_OFFSETS = (-9e-11, -5e-11, -1e-11, -1e-12, -1e-13, 0.0, 1e-13, 1e-12, 1e-
 
 def _probe_inputs(d):
     """(k, n, cosines, stratum, sign) moved by d next to each existence rule:
-    the minus v3 class at cos(phi) = 1/2, phi1 = 0 forcing phi2 = phi3, and
-    the two cos-sum boundaries.  ``sign`` is the class built without a
-    branch, None on a two-branch stratum."""
+    the minus v3 class at cos(phi) = 1/2, phi1 = 0 forcing phi2 = phi3, the
+    end band of cos(phi1) = 1, and the two cos-sum boundaries.  ``sign`` is
+    the class built without a branch, None on a two-branch stratum."""
     inputs = [(3, n, (0.5 + d, 0.5 + d, 0.0), "two_branch_curve", None) for n in (3, 8)]
     inputs += [(3, 2, (0.5 + d, 0.5 + d, 0.0), "compact_branch_point", -1)]
     inputs += [(k, n, (1.0, 0.5 + d, 0.5), "complexified_curve", 1)
                for k, n in ((4, 2), (8, 4), (12, 8))]
+    inputs += [(k, n, (1 - abs(d), 0.5, 0.5), "complexified_curve", 1)
+               for k, n in ((4, 2), (8, 4), (12, 8))]
+    inputs += [(4, 1, (1 - abs(d),) * 3, "quaternionic_point", 1),
+               (8, 4, (1 - abs(d),) * 3, "complexified_curve", 1)]
     inputs += [(8, 6, (x + d, y, z), "boundary_sum_surface", sign)
                for x, y, z, sign in ((0.5, 0.3, 0.2, -1), (0.8, 0.5, 0.3, 1),
                                      (1 / 3, 1 / 3, 1 / 3, -1))]

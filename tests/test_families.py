@@ -10,7 +10,6 @@ import pytest
 
 from qka import oracles
 from qka.families import (
-    BOUNDARY_TOL,
     CLASSICAL_FAMILIES,
     FamilySpec,
     _gram,
@@ -362,7 +361,7 @@ def _ref_psd_cholesky(g: np.ndarray, rank: int) -> np.ndarray:
             left[[step, p], :] = left[[p, step], :]
             perm[step], perm[p] = perm[p], perm[step]
         pivot = a[step, step]
-        if pivot <= BOUNDARY_TOL:
+        if pivot <= REGION_TOL:
             raise NumericalFailure("gram matrix rank below the predicted rank")
         r = math.sqrt(pivot)
         left[step, step] = r
@@ -412,7 +411,7 @@ def _ref_v4_block_columns(angles, sign, offset, n):
 
 
 def _ref_complexified_block_columns(c, s, offset, n):
-    if c > 1.0 - BOUNDARY_TOL:
+    if c >= 1.0 - REGION_TOL:
         _ref_need(n, offset + 1)
         e = _axis(offset, n)
         return [e, _jmul(1, e), _jmul(2, e), _jmul(3, e)]
@@ -500,16 +499,16 @@ def _ref_v4(angles, sign, n):
     if sign not in (1, -1):
         raise ValueError("reference")
     x = angles.cos_tuple()
-    if sign == -1 and x[2] <= BOUNDARY_TOL:
+    if sign == -1 and x[2] <= REGION_TOL:
         raise ValueError("reference")
-    if x[0] > 1.0 - BOUNDARY_TOL:
+    if x[0] >= 1.0 - REGION_TOL:
         if sign == -1:
             raise ValueError("reference")
         if abs(x[1] - x[2]) > REGION_TOL:
             raise ValueError("reference")
-        if x[1] > 1.0 - BOUNDARY_TOL:
+        if x[1] >= 1.0 - REGION_TOL:
             return _ref_classical("quaternionic", 4, n)
-        if x[1] <= BOUNDARY_TOL:
+        if x[1] <= REGION_TOL:
             return _ref_classical("totally_complex", 4, n)
         return np.column_stack(_ref_complexified_block_columns(
             *_ref_cos_sin(x[1], angles.phi2), 0, n))
@@ -521,16 +520,16 @@ def _ref_sum(angles, l_plus, l_minus, n):
         raise ValueError("reference")
     x = angles.cos_tuple()
     if l_minus > 0:
-        if x[2] <= BOUNDARY_TOL:
+        if x[2] <= REGION_TOL:
             raise ValueError("reference")
-        if x[0] > 1.0 - BOUNDARY_TOL:
+        if x[0] >= 1.0 - REGION_TOL:
             raise ValueError("reference")
     cols = []
     offset = 0
-    if x[0] > 1.0 - BOUNDARY_TOL:
+    if x[0] >= 1.0 - REGION_TOL:
         if abs(x[1] - x[2]) > REGION_TOL:
             raise ValueError("reference")
-        width = 1 if x[1] > 1.0 - BOUNDARY_TOL else 2
+        width = 1 if x[1] >= 1.0 - REGION_TOL else 2
         _ref_need(n, width * l_plus)
         for _ in range(l_plus):
             cols += _ref_complexified_block_columns(*_ref_cos_sin(x[1], angles.phi2), offset, n)
@@ -676,8 +675,9 @@ class TestCatalogMatchesPreviousConstructors:
         assert moved > (10 if calls is _sweep_calls else 0)
 
     def test_degenerate_complexified_block_keeps_two_slots(self):
-        # cos(1e-7) is within BOUNDARY_TOL of 1, so each block is the
-        # quaternionic one, still placed on two slots.
+        # cos(1e-7) is within REGION_TOL of 1, so each block is the
+        # quaternionic one, still placed on two slots: the Kahler cosine is
+        # refused at exactly 1 only.
         args = ("complexified_cka", 8, 4, 1e-7)
         assert _outcome(construct_classical, args) == _outcome(_ref_classical, args)
         with pytest.raises(ValueError, match="needs n >= 4"):
@@ -740,7 +740,7 @@ class TestFloatKernelsMatchNumpyReference:
     def test_factor_bit_for_bit_and_same_refusals(self):
         # Rank 2 on an interior Gram matrix leaves a pivot out, which the
         # residual gate refuses with its value; rank 3 on a boundary one
-        # meets a pivot below BOUNDARY_TOL.
+        # meets a pivot below REGION_TOL.
         outcomes = Counter()
         for angles, sign, _ in _kernel_grid():
             for rank in (2, 3):
@@ -768,16 +768,19 @@ class TestFloatKernelsMatchNumpyReference:
     def test_near_one_cosines_refused_alike(self):
         # At cosines (1 - 1e-12)^3 the margin is on the boundary (rank 2),
         # but the Gram eigenvalues are (0.5, 0.5, 2): the truncated factor
-        # misses by 2/3.
+        # misses by 2/3.  The builders never factor it: cos(phi1) lies
+        # within REGION_TOL of 1, so phi1 = 0 and the block is quaternionic.
         angles = AngleTriple.from_cosines([1.0 - 1e-12] * 3)
-        assert admissible(angles, 1) == (True, 2)
         message = "cholesky residual 6.67e-01 exceeds tolerance"
         with pytest.raises(NumericalFailure, match=message):
             _psd_cholesky(_gram(angles.cos_tuple(), 1), 2)
         with pytest.raises(NumericalFailure, match=message):
             _ref_psd_cholesky(_ref_gram(angles, 1), 2)
-        with pytest.raises(NumericalFailure, match=message):
-            construct_v4(angles, 1, 4)
+        with pytest.raises(ValueError, match="phi1 > 0"):
+            admissible(angles, 1)
+        with pytest.raises(ValueError, match="phi1 = 0"):
+            gram_matrix(angles, 1)
+        assert construct_v4(angles, 1, 1).k == 4
 
     @pytest.mark.parametrize("entry", [(0, 1), (0, 0), (2, 2)])
     def test_nan_gram_refused(self, entry):
@@ -873,19 +876,17 @@ class TestMinimalDimensionIsTheSlotCount:
         with pytest.raises(ValueError, match="needs n >= 3"):
             construct_v3(1e-7, 1, 2)
 
-    def test_slot_count_refuses_where_the_gram_factor_fails(self):
-        # admissible predicts rank 2 at cosines (1 - 1e-12)^3, but the Gram
-        # matrix there has eigenvalues (0.5, 0.5, 2), so the factor fails.
+    def test_slot_count_at_near_one_cosines_is_the_quaternionic_block(self):
+        # Cosines (1 - 1e-12)^3 lie within REGION_TOL of (0, 0, 0), where the
+        # Gram matrix is not factored: the block is the quaternionic one, on
+        # one slot, and a sum places one per block.
         angles = AngleTriple.from_cosines([1 - 1e-12] * 3)
         spec = FamilySpec("v4", n=3, angles=angles, sign=1)
-        assert admissible(angles, 1) == (True, 2)
-        for n in range(8):
-            with pytest.raises(NumericalFailure, match="cholesky residual"):
-                construct_v4(angles, 1, n)
-        with pytest.raises(NumericalFailure, match="cholesky residual"):
-            min_quaternionic_dim(spec)
-        with pytest.raises(NumericalFailure, match="cholesky residual"):
-            min_quaternionic_dim(dataclasses.replace(spec, family="sum_type", l_plus=2))
+        assert min_quaternionic_dim(spec) == 1
+        assert min_quaternionic_dim(dataclasses.replace(spec, family="sum_type", l_plus=2)) == 2
+        construct_v4(angles, 1, 1)
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            construct_v4(angles, 1, 0)
 
     def test_sum_factors_the_gram_matrix_once_per_sign(self, monkeypatch):
         from qka import families

@@ -34,9 +34,11 @@ from qka.families import (
     min_quaternionic_dim,
 )
 from qka.moduli import AngleTriple, moduli_describe, moduli_membership, strata_for
-from qka.quaternion import GroupElement, random_group_element, random_unitary, right_mult
+from qka.quaternion import (STANDARD_BASIS, CanonicalBasis, GroupElement, random_group_element,
+                            random_unitary, right_mult)
 from qka.serialize import load_subspace
-from qka.subspace import Subspace, from_spanning
+from qka.subspace import (Subspace, constancy_check, distribution_rank, from_spanning,
+                          joint_canonical_basis, pbar_operator)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qka"
 TOLERANCE_NAME = re.compile(r"(tol|rtol|svtol|tolerance|.*_tol|max_sweeps)")
@@ -213,9 +215,9 @@ def _trig_of_stored_angles(tree: ast.Module, path: Path) -> list[str]:
 def test_one_end_band():
     # A computed cosine is read on its own scale, so every end test reads
     # `moduli.REGION_TOL`: no module defines or imports a snap of end
-    # cosines, and classify compares no cosine (a subscript, or a name
-    # holding "cos") against a bare 0.0 or 1.0.
-    retired = {"SNAP_TOL", "snapped", "_snap_into_strata"}
+    # cosines or a second end band, and classify compares no cosine (a
+    # subscript, or a name holding "cos") against a bare 0.0 or 1.0.
+    retired = {"SNAP_TOL", "snapped", "_snap_into_strata", "BOUNDARY_TOL"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -229,7 +231,7 @@ def test_one_end_band():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in retired]
-    assert found == [], f"a snap of end cosines: {found}"
+    assert found == [], f"a snap of end cosines or a second end band: {found}"
     tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
     bare = []
     for node in ast.walk(tree):
@@ -354,6 +356,22 @@ BAD_INPUTS = [
     (random_group_element, (2, -1), "seed"),
     (random_unitary, (2, -1), "seed"),
     (right_mult, (True, np.eye(4)[0]), "j"),  # a bool is no basis index
+    # The reference samplers check their sample count and seed.
+    (joint_canonical_basis, (Subspace(EYE), 0), "samples"),
+    (joint_canonical_basis, (Subspace(EYE), 10, -1), "seed"),
+    (distribution_rank, (Subspace(EYE), 0), "samples"),
+    (distribution_rank, (Subspace(EYE), 1.5), "samples"),
+    (distribution_rank, (Subspace(EYE), 24, "0"), "seed"),
+    (constancy_check, (Subspace(EYE), "x"), "samples"),
+    (constancy_check, (Subspace(EYE), 2.5), "samples"),
+    (constancy_check, (Subspace(EYE), 1), "samples"),
+    (constancy_check, (Subspace(EYE), 500, 1.5), "seed"),
+    (pbar_operator, (Subspace(EYE), STANDARD_BASIS, 1, "0.5"), "c"),
+    (CanonicalBasis, (np.eye(3) * (1 + 0j),), "rotation"),
+    (CanonicalBasis, (np.eye(3).astype(str),), "rotation"),
+    (GroupElement.identity, (1.5,), "n"),
+    (GroupElement.identity, (True,), "n"),
+    (GroupElement.identity, (0,), "n"),
 ]
 
 

@@ -496,6 +496,18 @@ class TestPbar:
         with pytest.raises(NumericalFailure):
             pbar_operator(space, STANDARD_BASIS, 1, math.cos(0.9))
 
+    def test_rejects_a_nan_cosine(self):
+        # A NaN passes `c <= REGION_TOL`; the complex-structure gate refuses it.
+        with pytest.raises(NumericalFailure, match="not an orthogonal complex structure"):
+            pbar_operator(quaternionic_line(), STANDARD_BASIS, 1, math.nan)
+
+    def test_rejects_a_nan_basis_entry(self):
+        space, basis = Subspace(np.eye(4)), np.eye(4)
+        basis[0, 0] = math.nan
+        object.__setattr__(space, "basis", basis)  # past the basis door
+        with pytest.raises(NumericalFailure, match="not an orthogonal complex structure"):
+            pbar_operator(space, STANDARD_BASIS, 1, 1.0)
+
 
 def _looped_ranks(v_space, samples, seed):
     """Reference: ranks of [P_1 v, P_2 v, P_3 v] sample by sample, in R^{4n}."""
