@@ -210,15 +210,16 @@ def _classical(family: str, dim: int, block, one_block: bool = False) -> tuple[s
 def _v3_blocks(c: float, sign: int) -> _Blocks:
     """e_0, then e_1 and e_2 with <e_1, e_2> = c / (c + sign) at c = cos(phi)
     in [0, 1], which coincide up to sign (one slot) only for the minus class
-    at pi/3 (`_v3_rank`); at c = 1 the sine is 0 and no e_i is placed."""
+    at pi/3 (`_v3_rank`); at c >= 1 - REGION_TOL (phi = 0) no e_i is placed,
+    and the block is e_0, J_1 e_0, J_2 e_0 on one slot."""
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"the 3-dimensional classes need cos(phi) in [0, 1], got {c!r}")
     rank = _v3_rank(c, sign)
     if rank is None:
         raise ValueError(f"the minus class needs cos(phi) <= 1/2 (phi >= pi/3), got {c!r}")
-    if c == 1.0:
-        frame = [[], []]
-    elif rank == 1:
+    if c >= 1.0 - REGION_TOL:
+        return [_units(0, 1, 2)], "this 3-dimensional class"
+    if rank == 1:
         frame = [[1.0], [-1.0]]
     else:
         g = c / (c + sign)
@@ -355,7 +356,7 @@ def construct_v3(phi: float, sign: int, n: int) -> Subspace:
 
     The plus class exists for phi in [0, pi/2], the minus class for phi in
     [pi/3, pi/2]: cos(phi) <= 1/2, decided on cos(phi) (`_v3_rank`).  Fits
-    in H^1 where cos(phi) = 1 (plus), and in H^2 at (minus, pi/3).
+    in H^1 where cos(phi) >= 1 - REGION_TOL (plus), and in H^2 at (minus, pi/3).
     """
     return construct(FamilySpec("v3", n, cos=_cos_of(phi, "phi"), sign=sign))
 

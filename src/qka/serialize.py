@@ -1,7 +1,8 @@
 """JSON persistence of subspaces.
 
-The file format stores the basis as k rows of 4n decimal numbers; Python's
-float repr round-trips bit-exactly, so write -> read preserves the basis.
+The file format stores the basis as k rows of 4n decimal numbers, one row per
+line; Python's float repr round-trips bit-exactly, so write -> read preserves
+the basis.
 """
 
 from __future__ import annotations
@@ -80,11 +81,17 @@ def subspace_from_dict(data: dict) -> tuple[Subspace, dict]:
 
 
 def save_subspace(path, v_space: Subspace, meta: dict | None = None) -> None:
-    """Write the subspace as JSON; a payload holding NaN or inf raises
-    ValueError before the file is opened, so no partial file is left."""
-    text = json.dumps(subspace_to_dict(v_space, meta), indent=1, allow_nan=False)
+    """Write the subspace as JSON, the header on the first line and one basis
+    row per line; a payload holding NaN or inf raises ValueError before the
+    file is opened, so no partial file is left."""
+    data = subspace_to_dict(v_space, meta)
+    # Each piece goes through the C encoder, which an indent would bypass.
+    head = json.dumps({key: data[key] for key in ("format_version", "n", "k")})
+    rows = ",\n  ".join(json.dumps(row, allow_nan=False) for row in data["basis"])
+    meta_text = json.dumps(data["meta"], allow_nan=False)
+    text = f'{head[:-1]},\n "basis": [{rows}],\n "meta": {meta_text}}}\n'
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def load_subspace(path) -> tuple[Subspace, dict]:

@@ -23,7 +23,7 @@ from qka.families import (
     gram_matrix,
     min_quaternionic_dim,
 )
-from qka.moduli import REGION_TOL
+from qka.moduli import REGION_TOL, moduli_membership
 from qka.quaternion import STANDARD_BASIS, CanonicalBasis
 from qka.subspace import AngleTriple, NumericalFailure, Subspace, constancy_check
 
@@ -480,7 +480,7 @@ def _ref_v3(phi, sign, n):
     if n < 1:
         raise ValueError("reference")
     e0, e1 = _axis(0, n), None
-    if cp == 1.0:  # the sine is 0: e0, J1 e0, J2 e0 on one slot
+    if cp >= 1.0 - REGION_TOL:  # phi = 0: e0, J1 e0, J2 e0 on one slot
         return np.column_stack([e0, _jmul(1, e0), _jmul(2, e0)])
     if sign == -1 and cp >= 0.5 - REGION_TOL:
         _ref_need(n, 2)
@@ -868,13 +868,16 @@ class TestMinimalDimensionIsTheSlotCount:
         check_triple(construct_v3(phi, 1, 1), AngleTriple(0.0, 0.0, HALF_PI))
         assert min_quaternionic_dim(FamilySpec("v3", n=0, cos=math.cos(phi), sign=1)) == 1
 
-    def test_v3_near_zero_needs_three_dims(self):
-        # cos(1e-7) rounds within 1e-12 of 1, but the class is a generic one.
+    def test_v3_near_zero_fits_one_dim(self):
+        # cos(1e-7) lies within REGION_TOL of 1, where the strata list the
+        # imaginary line point: the block is e0, J1 e0, J2 e0 on one slot.
         spec = FamilySpec("v3", n=0, cos=math.cos(1e-7), sign=1)
-        assert min_quaternionic_dim(spec) == 3
-        construct_v3(1e-7, 1, 3)
-        with pytest.raises(ValueError, match="needs n >= 3"):
-            construct_v3(1e-7, 1, 2)
+        assert min_quaternionic_dim(spec) == 1
+        strata = moduli_membership(3, 1, AngleTriple.from_cosines([spec.cos, spec.cos, 0.0]))
+        assert [m.stratum.name for m in strata] == ["imaginary_line_point"]
+        assert np.array_equal(construct_v3(1e-7, 1, 1).basis, construct_v3(0.0, 1, 1).basis)
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            construct_v3(1e-7, 1, 0)
 
     def test_slot_count_at_near_one_cosines_is_the_quaternionic_block(self):
         # Cosines (1 - 1e-12)^3 lie within REGION_TOL of (0, 0, 0), where the

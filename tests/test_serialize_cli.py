@@ -34,6 +34,23 @@ class TestSerialization:
         assert np.array_equal(loaded.basis, space.basis)
         assert meta == {"family": "v4"}
 
+    def test_round_trip_of_a_moved_sum_one_row_per_line(self, tmp_path):
+        # The size the benchmark writes: k = 64 rows of 256 numbers each.
+        space = construct_sum(AngleTriple.from_cosines([0.45, 0.3, 0.12]), 8, 8, 64)
+        space = space.transformed(random_group_element(64, 7))
+        meta = {"family": "sum_type", "cosines": [0.45, 0.3, 0.12], "l_plus": 8, "l_minus": 8}
+        path = tmp_path / "s64.json"
+        save_subspace(path, space, meta)
+        loaded, _ = load_subspace(path)
+        assert np.array_equal(loaded.basis, space.basis)
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text) == subspace_to_dict(space, meta)
+        # The header line, one line per basis row, the meta line.
+        lines = text.splitlines()
+        assert len(lines) == space.k + 2
+        rows = subspace_to_dict(space)["basis"]
+        assert all(json.dumps(row) in line for row, line in zip(rows, lines[1:-1]))
+
     def test_rejects_wrong_version(self):
         data = subspace_to_dict(construct_v4(T13, -1, 3))
         data["format_version"] = 99
