@@ -27,14 +27,12 @@ from .families import (
 )
 from .moduli import REGION_TOL, AngleTriple, _sign, moduli_membership
 from .subspace import (
-    COMPLEX_STRUCTURE_TOL,
     CONSTANCY_TOL,
     ConstancyReport,
     NumericalFailure,
     Subspace,
     _exact_structure,
     _ExactStructure,
-    _NOT_COMPLEX_STRUCTURE,
     _slot_structure,
     _witness_report,
 )
@@ -52,21 +50,7 @@ __all__ = [
 ]
 
 TRIPLE_MATCH_TOL = 1e-8
-# The sign gates on M = Pbar3^T Pbar1 Pbar2 (`_sign_split`).  M must be
-# symmetric: max|M - M^T| <= SIGN_SYMMETRY_TOL.  S = sym(M) must be an
-# involution: ||S^2 - I||_F <= SIGN_INVOLUTION_TOL.  The second gate puts
-# every eigenvalue lambda of S within SIGN_INVOLUTION_TOL of +1 or -1:
-# |lambda^2 - 1| = |lambda - 1| |lambda + 1|, the larger factor is at least
-# 1, and |lambda^2 - 1| <= ||S^2 - I||_2 <= ||S^2 - I||_F.  So every S it
-# accepts also passes the per-eigenvalue rule |lambda -+ 1| <= 1e-8 max(gap, 1)
-# of an eigenvalue split (the tests keep that rule as the reference), and
-# the count of +1 eigenvalues is exact as round((k + tr S) / 2): tr S is off
-# from their count minus that of the -1 eigenvalues by at most
-# k * SIGN_INVOLUTION_TOL < 1/2 for every k < 5e7.
-SIGN_SYMMETRY_TOL = 1e-8
-SIGN_INVOLUTION_TOL = 1e-8
-# Distance of the v3 branch ratio det(A) / cos(phi)^3 to a class +-1 (`_branch_sign`).
-BRANCH_TOL = 1e-8
+_C = 4.0  # the factor of every discrete gate's bound C e / cos(phi), see `_Analysis.error`
 _SEED_STEP = 0.7548776662466927  # irrational: the inverse of the plastic number
 
 
@@ -104,29 +88,44 @@ class Verdict:
         return self.value == "no"
 
 
-def _sign_split(m: np.ndarray) -> tuple[np.ndarray, int]:
+def _margin(bound: float, e: float, phi: str, cos: float) -> str:
+    """A gate's derived bound C e / cos(phi) with e and cos(phi), for its message."""
+    return f"C e / cos({phi}) = {bound:.2e}, e = {e:.2e}, cos({phi}) = {cos:.2e}"
+
+
+def _sign_split(m: np.ndarray, e: float, cos3: float) -> tuple[np.ndarray, int]:
     """S = sym(m) for m = Pbar3^T Pbar1 Pbar2, and the dimension of its +1
-    eigenspace, counted by the trace through the sign gates (see
-    SIGN_INVOLUTION_TOL); the two sign dimensions must be multiples of 4."""
+    eigenspace, counted by the trace; the two sign dimensions must be
+    multiples of 4.
+
+    Both sign gates read b = C e / cos(phi3) (`_Analysis.error`): m must be
+    symmetric, max|m - m^T| <= b, and S an involution, ||S^2 - I||_F <= b,
+    and the count is read only where sqrt(k) b <= 1/2.  Each eigenvalue
+    lambda of S then lies |lambda^2 - 1| / (1 + |lambda|) <= |lambda^2 - 1|
+    from its sign, and these distances sum to at most
+    sqrt(k) ||S^2 - I||_F <= 1/2 (Cauchy-Schwarz), so tr S is within 1/2 of
+    the count of positive eigenvalues minus that of negative ones, and
+    round((k + tr S) / 2) counts the positive ones exactly.
+    """
+    k, bound = len(m), _C * e / cos3
+    if not (scale := math.sqrt(k) * bound) <= 0.5:  # a NaN is refused too
+        raise NumericalFailure(f"sign scale gate: sqrt(k) C e / cos(phi3) = {scale:.2e} > 1/2 "
+                               f"({_margin(bound, e, 'phi3', cos3)})")
     d = m - m.T
     asym = float(np.abs(d, out=d).max())
-    if asym > SIGN_SYMMETRY_TOL:
-        raise NumericalFailure(
-            f"Pbar3^T Pbar1 Pbar2 is not symmetric (deviation {asym:.2e}), so the "
-            "signs do not split the subspace"
-        )
-    k = len(m)
-    s = m + m.T
-    s *= 0.5
+    if not asym <= bound:
+        raise NumericalFailure(f"Pbar3^T Pbar1 Pbar2 is not symmetric (deviation {asym:.2e} > "
+                               f"{_margin(bound, e, 'phi3', cos3)}), so the signs do not split "
+                               "the subspace")
+    s = 0.5 * (m + m.T)
     sq = s @ s
     sq.flat[::k + 1] -= 1.0
     dev = math.sqrt(np.square(sq, out=sq).sum())  # no BLAS dot, whose threads move bits
-    if not dev <= SIGN_INVOLUTION_TOL:  # a NaN is refused, not counted
-        raise NumericalFailure(
-            f"sign involution gate: sym(Pbar3^T Pbar1 Pbar2) is not an involution "
-            f"(||S^2 - I||_F = {dev:.2e} > {SIGN_INVOLUTION_TOL:.0e}), so its "
-            "eigenvalues are not all +1 or -1"
-        )
+    if not dev <= bound:
+        raise NumericalFailure(f"sign involution gate: sym(Pbar3^T Pbar1 Pbar2) is not an "
+                               f"involution (||S^2 - I||_F = {dev:.2e} > "
+                               f"{_margin(bound, e, 'phi3', cos3)}), so its eigenvalues are not "
+                               "all +1 or -1")
     plus = round((k + float(s.trace())) / 2)
     if plus % 4 or (k - plus) % 4:
         raise NumericalFailure(f"kernel dimensions {(plus, k - plus)} are not multiples of 4")
@@ -158,11 +157,12 @@ def _cells(projector: np.ndarray, dim: int, generators: list[np.ndarray],
     sin((i + 1)(j + 1) _SEED_STEP), P the projector and Q every cell so far,
     those of earlier parts (``taken``) included, so the cells depend on the
     range of P alone.  A sign projector (I +- S) / 2 whose S the involution
-    gate passed leaks up to 2.5e-9 into the other part; P^2 leaks its
-    square, and the deflation against Q keeps the cells of each part
-    orthogonal to those before them.  The columns {v} U {G v} are projected
-    against Q and take one QR; an |R_ii| <= 0.5 (a column mostly in Q or in
-    the others) is refused.
+    gate passed at its bound b = C e / cos(phi3) (`_sign_split`) leaks up to
+    about b / 4, below 1 / (8 sqrt(k)) where the count is read, into the
+    other part; P^2 leaks its square, and the deflation against Q keeps the
+    cells of each part orthogonal to those before them.  The columns
+    {v} U {G v} are projected against Q and take one QR; an |R_ii| <= 0.5 (a
+    column mostly in Q or in the others) is refused.
     """
     size = len(generators) + 1
     start = taken.shape[1]
@@ -256,6 +256,80 @@ class _Analysis:
         protohomogeneity verdict."""
         return moduli_membership(self.space.k, self.space.n, self.report.triple)
 
+    @_once
+    def error(self) -> float:
+        """The error scale e = s + k 2^-52 of a constant record (raising, as
+        `_require_constant`, for any other), which every discrete gate reads
+        as its bound b = C e / cos(phi), with C = `_C` and phi the angle
+        whose cosine the read divides by.  A read decides only where b, in
+        the norm the read needs, is at most 1/2 (the branch's b always is,
+        where it is read); otherwise it is a NumericalFailure (an unknown
+        verdict) naming its gate.
+
+        s is the record's proven spread: 2 * residual, or the witness spread
+        in dimension 3.  k 2^-52 is at least gamma_k = k u / (1 - k u),
+        u = 2^-53, the rounding bound of a k-term dot product of vectors of
+        norm at most 1 (Higham, Accuracy and Stability of Numerical
+        Algorithms, sec. 3.1); each entry of a frame product is one, as each
+        W'_a = B^T (sum_b R_ab J_b) B has norm ||W'_a||_2 <= 1, and the term
+        keeps e above that rounding where the residual itself rounds to 0.
+
+        Proven, for any C: each read is exact for the operator it reads.
+        Where the involution gate passes S and sqrt(k) b <= 1/2, the trace
+        counts the positive eigenvalues of S (`_sign_split`); where the Pbar
+        gate passes u_i and k b <= 1/2, ||Pbar_i^T Pbar_i - I||_2 <= 1/2
+        (`_gated_cos`); and as b < 1, one branch class at most matches.
+
+        Assumed, not proven: that these operators are close enough to those
+        of an exact constant-angle subspace for a right input to pass its
+        gates and read its own class.  The model is W'_a = cos(phi_a) J_a +
+        D_a for the orthogonal complex structures J_a of such a subspace,
+        with ||D_a||_2 <= e / 2: the error of W'_a is absolute, about e,
+        whatever cos(phi_a) is.  The residual does not imply it.  It bounds
+        only W'_a^T W'_a - c_a I, and the polar factor of W'_a is then within
+        about residual / cos(phi_a) of W'_a / cos(phi_a), so ||D_a||_2 may
+        reach about e / (2 cos(phi_a)).  Under the model:
+
+        - Pbar gate (`_gated_cos`, b = C e / cos(phi_i), read where
+          k b <= 1/2).  W'^T W' - c I is X - (c - cos(phi)^2) I with
+          X = cos(phi)(J^T D + D^T J) + D^T D, and c - cos(phi)^2 is the mean
+          of the diagonal of X, so u_i <= 4 cos(phi_i) ||D|| + ||D||^2 <=
+          2 e cos(phi_i) + e^2 / 4, below b c_i = C e cos(phi_i) for every
+          C > 2.01 where k b <= 1/2.  Without the model, u_i is an entry of
+          a term of the residual: u_i <= e / 2 <= C e cos(phi_i) wherever
+          cos(phi_i) >= 1 / (2 C).
+        - Branch (`_branch_sign`, b = C e / cos(phi) < 1e-3 where read).
+          A = cos(phi)(Q + E) with rows w_a, |w_a| = ||W_a||_2, so
+          x = ||E||_2 <= sqrt(3) e / (2 cos(phi)) = sqrt(3) b / (2 C) < 1e-3,
+          and the singular values of Q + E lie in [1 - x, 1 + x].  Their
+          squares' mean exceeds their geometric mean by at most
+          variance / (2 min) <= 2 x^2 / (1 - x)^2 (Popoviciu and
+          Cartwright-Field), so 1 - |det A / cos(phi)^3| <= 3 x^2 / (1 - x)^4
+          < 0.01 x, below b >= 2 C x / sqrt(3) for every C >= 1, with room for
+          the ratio's own rounding of a few u, below C 3 2^-52.  The class
+          is the sign of det Q.
+        - Signs (`_sign_split`, b = C e / cos(phi3), read where
+          sqrt(k) b <= 1/2).  M_0 = p* (S* + E), S* the sign involution,
+          p* = cos(phi1) cos(phi2) cos(phi3) and, cos(phi3) being the least
+          cosine, ||E||_2 <= (1 + b / (2 C))^3 - 1 = x; p / p* lies in
+          [1 - x, 1 + x], so ||S - S*||_2 <= 2 x / (1 - x).  At k >= 4,
+          b <= 1/4 and C = 4 give x < 0.1 and ||S - S*||_2 < 0.22: by
+          Weyl's inequality S has as many positive eigenvalues as S*.  That
+          the gates accept this S is not derived even under the model:
+          ||S^2 - I||_F may carry sqrt(k) ||S - S*||_2.
+
+        So C = 4, twice the factor the Pbar gate needs under the model, is
+        chosen on measured margins: in the tests' exact, moved and noisy
+        inputs each tested value stays below 0.93 e / cos(phi) (the sign
+        gates on noisy sums at 1e-10), against the C e / cos(phi) it is read
+        against.  So neither half is a theorem: that a right input passes
+        the sign gates (no needless unknown) rests on those inputs, and that
+        it passes the Pbar and branch gates, and that a class the gates pass
+        is right, rest on the model.
+        """
+        self._require_constant()
+        return self.report.max_spread + self.space.k * 2.0 ** -52
+
     def _require_constant(self) -> None:
         """Raise unless the angle is decided constant.  For dim V = 4l only the
         certificate decides that, so the block routines read the frame: R is
@@ -278,14 +352,19 @@ class _Analysis:
         The largest entry of Pbar_i^T Pbar_i - I = -(Pbar_i^2 + I) is
         u_i / c_i, read off the residual's own product W'_i^T W'_i
         (`_ExactStructure.square_gap`); it must not exceed
-        COMPLEX_STRUCTURE_TOL, the bound of the direct check
-        (`subspace._complex_structure`).  A NaN is refused.
+        b = C e / cos(phi_i) (`error`), that is u_i <= C e cos(phi_i).  The
+        gate decides only where k b <= 1/2: then
+        ||Pbar_i^T Pbar_i - I||_2 <= k b <= 1/2, every |Pbar_i v|^2 lies in
+        [1/2, 3/2], and an |R_ii| <= 0.5 in `_cells` can only be a column
+        mostly in the span of the others.  A NaN is refused.
         """
-        exact = self.exact
-        c = float(exact.cos2[i - 1])
-        if not exact.square_gap[i - 1] <= COMPLEX_STRUCTURE_TOL * c:
-            raise NumericalFailure(_NOT_COMPLEX_STRUCTURE)
-        return math.sqrt(c)
+        e, cos = self.error, math.sqrt(float(self.exact.cos2[i - 1]))
+        u, scale = float(self.exact.square_gap[i - 1]), 2.0 * self.space.k * _C * e
+        if not (scale <= cos and u <= _C * e * cos):
+            raise NumericalFailure(f"Pbar gate: u_{i} = {u:.2e} <= C e cos(phi{i}) = "
+                                   f"{_C * e * cos:.2e} and 2 k C e = {scale:.2e} <= cos(phi{i}) "
+                                   f"= {cos:.2e} do not both hold (e = {e:.2e})")
+        return cos
 
     @_once
     def signs(self) -> tuple[np.ndarray, int] | None:
@@ -297,21 +376,27 @@ class _Analysis:
         so M = Pbar3^T Pbar1 Pbar2 = M_0 / (cos(phi1) cos(phi2) cos(phi3)) for
         the one product M_0 = W'_3 X_12.  M is a symmetric involution, so
         ||M||_F = sqrt(k), and M_0 is normalized by its own scale
-        p = ||M_0||_F / sqrt(k): the product of the three cosines.  The
-        antisymmetric part that the symmetry gate lets through moves p by a
-        relative 1.3e-17 k at most, so S = sym(M_0) / p.  No Pbar gate is needed:
-        a symmetric S with S^2 = I is orthogonal, so the +-1 eigenspaces of
-        M_0 / p that the sign gates accept are the sign parts.  phi3 = pi/2
-        is p within the frame's own residual; p reads the whole M_0, so an
-        antisymmetric M_0 is refused as not symmetric rather than merged.
+        p = ||M_0||_F / sqrt(k): the product of the three cosines.  Likewise
+        q = ||X_12||_F / sqrt(k) is cos(phi1) cos(phi2), so p / q is
+        cos(phi3), the least cosine, on the sign operator's own products,
+        and the sign gates read C e / cos(phi3) (`error`).  The involution
+        gate reads S = sym(M_0) / p itself, so p needs no correction for the
+        antisymmetric part the symmetry gate lets through.  No Pbar gate is
+        needed: a symmetric S with S^2 = I is orthogonal, so the +-1
+        eigenspaces of M_0 / p that the sign gates accept are the sign
+        parts.  phi3 = pi/2 is cos(phi3) within e of 0, p <= e q: W'_3, whose
+        direction carries the signs, is then no larger than its own error.
+        p reads the whole M_0, so an antisymmetric M_0 is refused as not
+        symmetric rather than merged.
         """
-        self._require_constant()
-        m = self.exact.w_canonical[2] @ self.exact.cross12
-        p = math.sqrt(np.square(m).sum() / len(m))  # no BLAS dot, whose threads move bits
-        if p <= self.exact.residual:
+        x12, e = self.exact.cross12, self.error
+        m = self.exact.w_canonical[2] @ x12
+        # no BLAS dot, whose threads move bits
+        p, q = math.sqrt(np.square(m).sum() / len(m)), math.sqrt(np.square(x12).sum() / len(m))
+        if p <= e * q:
             return None
         m *= 1.0 / p
-        return _sign_split(m)
+        return _sign_split(m, e, p / q)
 
     @_once
     def invariant(self) -> TypeSignature | int | None | NumericalFailure:
@@ -377,20 +462,23 @@ class _Analysis:
         det Q = +-1 is the class.  Neither Sp(1)Sp(n) (A -> R A, det R = 1)
         nor a change of orthonormal basis P of V (A -> det(P) A P) moves it.
         cos(phi)^2 = <W, W> / 6 = tr G / 2, as in the report, and the ratio
-        must lie within BRANCH_TOL of +1 or -1.  det(A) is the triple
-        product of the rows w_a = (W_a[2, 1], W_a[0, 2], W_a[1, 0]), on floats.
+        must lie within b = C e / cos(phi) (`error`) of +1 or -1.  Where the
+        branch is read, b < 1e-3, so one class at most matches: the witness
+        spread s is at most 3 cos(phi)^2 (the three squared singular values
+        of A average cos(phi)^2) and at most CONSTANCY_TOL, and cos(phi)
+        exceeds REGION_TOL.  det(A) is the triple product of the rows
+        w_a = (W_a[2, 1], W_a[0, 2], W_a[1, 0]), on floats.
         """
         w = self.w
         (a, b, c), (d, e, f), (g, h, i) = ((x[7], x[2], x[3]) for x in w.reshape(3, 9).tolist())
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        ratio = det / (float(np.vdot(w, w)) / 6.0) ** 1.5
+        cos = math.sqrt(float(np.vdot(w, w)) / 6.0)
+        ratio, bound = det / cos ** 3, _C * self.error / cos
         for sign in (1, -1):
-            if abs(ratio - sign) <= BRANCH_TOL:
+            if abs(ratio - sign) <= bound:
                 return sign
-        raise NumericalFailure(
-            f"branch ratio det(A) / cos(phi)^3 = {ratio:.6f} matches neither class "
-            f"+-1 within BRANCH_TOL {BRANCH_TOL:.0e}"
-        )
+        raise NumericalFailure(f"branch ratio det(A) / cos(phi)^3 = {ratio:.6f} matches neither "
+                               f"class +-1 within {_margin(bound, self.error, 'phi', cos)}")
 
 
 def factorize(v_space: Subspace) -> list[Subspace]:
@@ -467,7 +555,11 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     """Decide congruence under the group from computable invariants.
 
     Dimension, constancy and the angle triple (within TRIPLE_MATCH_TOL) are
-    compared first, then the discrete invariant (`_Analysis.invariant`): the
+    compared first; triples that do not match are "no" only where some
+    squared-cosine gap exceeds e_v + e_w, the sum of the two records' error
+    scales (`_Analysis.error`); within it, unknown (the triple gate) unless
+    the discrete invariants are decided and differ.  Then the discrete
+    invariant (`_Analysis.invariant`): the
     branch sign in dimension 3 (the classes merge within REGION_TOL of
     phi = 0 and pi/2) and the block type in dimensions 4l.  A side whose
     constancy or invariant is undecided, or that has no common canonical
@@ -488,10 +580,26 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
     if not rep_v.constant:
         return Verdict("unknown", "both angle triples are non-constant; no invariant "
                                   "implemented for that regime")
+    gate = None
     if not all(abs(a - b) <= TRIPLE_MATCH_TOL
                for a, b in zip(rep_v.triple.cos_tuple(), rep_w.triple.cos_tuple())):
-        return Verdict("no", "different angle triples")
-    inv_v, inv_w = side_v.invariant, side_w.invariant
+        gap = max(abs(a - b) for a, b in zip(rep_v.triple.cos2(), rep_w.triple.cos2()))
+        bound = side_v.error + side_w.error
+        if gap > bound:
+            return Verdict("no", "different angle triples")
+        gate = Verdict("unknown", f"triple gate: the cosines differ by more than "
+                                  f"TRIPLE_MATCH_TOL, but their largest squared-cosine gap "
+                                  f"{gap:.2e} <= e_v + e_w = {bound:.2e} (e_v = "
+                                  f"{side_v.error:.2e}, e_w = {side_w.error:.2e})")
+    verdict = _invariant_verdict(side_v.invariant, side_w.invariant, v_space.k)
+    return verdict if gate is None or verdict.is_no else gate
+
+
+def _invariant_verdict(inv_v: TypeSignature | int | None | NumericalFailure,
+                       inv_w: TypeSignature | int | None | NumericalFailure, k: int) -> Verdict:
+    """`are_equivalent` on the discrete invariants of two constant records
+    whose angle triples match, or lie within the triple gate, which keeps
+    only a "no" from here."""
     for inv in (inv_v, inv_w):
         if isinstance(inv, NumericalFailure):
             return Verdict("unknown", str(inv))
@@ -506,7 +614,7 @@ def are_equivalent(v_space: Subspace, w_space: Subspace) -> Verdict:
         if inv_v == inv_w:
             return Verdict("yes", f"equal angle triples and branch ({inv_v:+d})")
         return Verdict("no", f"opposite branches ({inv_v:+d} vs {inv_w:+d})")
-    if v_space.k == 3:
+    if k == 3:
         return Verdict("yes", "equal angle triples; a single class exists at "
                               "this angle")
     return Verdict("yes", "equal angle triples; the triple is a complete invariant "

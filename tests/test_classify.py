@@ -26,7 +26,7 @@ from qka.classify import (
     representative,
     type_of,
 )
-from qka.classify import SIGN_INVOLUTION_TOL, _Analysis, _sign_parts, _sign_split
+from qka.classify import _C, _Analysis, _sign_parts, _sign_split
 from qka.families import (
     FamilySpec,
     _gram,
@@ -83,6 +83,29 @@ def moved(space, seed):
     """The subspace moved by a group element, in another orthonormal basis."""
     q = np.linalg.qr(np.random.default_rng(seed).standard_normal((space.k, space.k)))[0]
     return Subspace(rotated(space, seed).basis @ q)
+
+
+def noisy(space, eps, seed):
+    """The basis plus eps N(0, 1) in each entry, re-orthonormalized by QR."""
+    rng = np.random.default_rng(1000 + seed)
+    return Subspace(np.linalg.qr(space.basis + eps * rng.standard_normal(space.basis.shape))[0])
+
+
+def _assert_c11_blocks(space, triple, h_tol=1e-10):
+    """`factorize` passes selftest C11's checks: k / 4 blocks, pairwise
+    H-orthogonal (every inner product with a J_a image within ``h_tol``),
+    reconstructing V within 1e-8, each block's squared cosines within 1e-8
+    of the triple's."""
+    blocks = factorize(space)
+    assert len(blocks) == space.k // 4
+    for a, b in itertools.combinations(blocks, 2):
+        for i in range(4):
+            image = STANDARD_BASIS.apply(i, b.basis) if i else b.basis
+            assert np.max(np.abs(a.basis.T @ image)) <= h_tol
+    proj = sum(b.projector() for b in blocks)
+    assert np.max(np.abs(proj - space.projector())) <= 1e-8
+    for b in blocks:
+        assert _Analysis(b).report.triple.cos2() == pytest.approx(triple.cos2(), abs=1e-8)
 
 
 class TestFactorize:
@@ -229,14 +252,18 @@ class TestFactorize:
         generators = _pbar_triple(analysis)[:2]
         generators.append(generators[0] @ generators[1])
         s, plus = analysis.signs
-        x = np.random.default_rng(k).standard_normal((k, k)) * 1e-6
-        cross = 0.25 * (np.eye(k) + s) @ x @ (np.eye(k) - s)
-        tilted = s + cross + cross.T
-        assert _sign_split(tilted)[1] == plus
-        cells = np.empty((k, 0))
-        for projector, dim in _sign_parts((tilted, plus), k):
-            cells = qka.classify._cells(projector, dim, generators, cells)
-        assert np.max(np.abs(cells.T @ cells - np.eye(k))) <= 1e-14
+        # A tilt of 1e-6 at the gates' bound 1e-8, and one of 3e-2 at the
+        # widest bound they read, sqrt(k) C e / cos(phi3) = 1/2.
+        widest = (0.5 / (math.sqrt(k) * _C), 1.0)
+        for tilt, scale in ((1e-6, AT_1E_8), (3e-2, widest)):
+            x = np.random.default_rng(k).standard_normal((k, k)) * tilt
+            cross = 0.25 * (np.eye(k) + s) @ x @ (np.eye(k) - s)
+            tilted = s + cross + cross.T
+            assert _sign_split(tilted, *scale)[1] == plus
+            cells = np.empty((k, 0))
+            for projector, dim in _sign_parts((tilted, plus), k):
+                cells = qka.classify._cells(projector, dim, generators, cells)
+            assert np.max(np.abs(cells.T @ cells - np.eye(k))) <= 1e-14, tilt
 
     def test_repeated_generator_trips_the_rank_refusal(self):
         analysis = _Analysis(construct_sum(TA, 1, 1, 8))
@@ -260,22 +287,36 @@ class TestFactorize:
             for a, b in itertools.combinations(blocks, 2):
                 assert is_h_orthogonal(a, b), seed
 
+    @pytest.mark.parametrize("c", [1e-7, 5e-8, 5e-9, 1e-10])
+    def test_small_cosines_factorize_under_every_move(self, c):
+        # cos(phi2) = cos(phi3) = c: the Pbar gate reads u_2 against
+        # C e cos(phi2), and the sign gates read C e / cos(phi3), so round-off
+        # in W'_2 and W'_3, absolute and about 1e-16, trips neither.
+        angles = AngleTriple.from_cosines((0.5, c, c))
+        space = construct_sum(angles, 2, 0, 8)
+        for seed in range(4):
+            moved_space = moved(space, seed)
+            assert type_of(moved_space) == TypeSignature(2, 0), seed
+            _assert_c11_blocks(moved_space, angles)
+
     @pytest.mark.parametrize("l_plus,l_minus", [(1, 1), (2, 2), (1, 3)])
     def test_opposite_signs_stay_h_orthogonal_at_the_involution_gate(
             self, monkeypatch, l_plus, l_minus):
         # The plus part of M_0 scaled by 1 - eps puts the eigenvalues of S at
         # +(1 - eps) and -1 up to the common scale p: ||S^2 - I||_F, about
-        # 2 eps sqrt(k_+ k_- / k), sits just inside the gate, and each
-        # projector (I +- S) / 2 leaks about eps / 2 into the other sign part.
-        # Seeded by P r, the blocks of opposite sign would meet J_a images at
-        # up to 1.5e-10; seeded by P^2 r and deflated against every cell
-        # before them, they are H-orthogonal to round-off.
+        # 2 eps sqrt(k_+ k_- / k), sits just inside the gate's bound
+        # b = C e / cos(phi3), and each projector (I +- S) / 2 leaks about
+        # eps / 2 into the other sign part.  Seeded by P^2 r and deflated
+        # against every cell before them, the blocks of opposite sign are
+        # H-orthogonal to round-off.
         k = 4 * (l_plus + l_minus)
         space = moved(construct_sum(TA, l_plus, l_minus, k), k + l_minus)
-        eps = 0.9 * SIGN_INVOLUTION_TOL / (2.0 * math.sqrt(16 * l_plus * l_minus / k))
+        e, cos3 = _sign_scale(_Analysis(space))
+        bound = _C * e / cos3
+        eps = 0.9 * bound / (2.0 * math.sqrt(16 * l_plus * l_minus / k))
         _tampered(monkeypatch, space, cross12=_plus_part_scaled(space, eps))
         s, plus = _Analysis(space).signs
-        assert 0.8 * SIGN_INVOLUTION_TOL < np.linalg.norm(s @ s - np.eye(k)) <= SIGN_INVOLUTION_TOL
+        assert 0.8 * bound < np.linalg.norm(s @ s - np.eye(k)) <= bound
         blocks = factorize(space)
         assert plus == 4 * l_plus and len(blocks) == l_plus + l_minus
         for a in blocks[:l_plus]:
@@ -336,12 +377,14 @@ class TestTypeOf:
                 got = [(s["name"], s.get("branch")) for s in record["strata"]]
                 assert got == want, (l_plus, l_minus, seed)
 
-    @pytest.mark.parametrize("c3", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 5e-9, 1e-10, 1e-11])
-    def test_near_a_right_phi3_the_type_is_right_or_unknown(self, c3):
-        # The signs differ while phi3 < pi/2, however small cos(phi3) is: a
-        # decided type or protohomogeneity must be the declared one (a merge
-        # to phi3 = pi/2 would call the mixed sum protohomogeneous), and
-        # down to cos(phi3) = 1e-7 both must be decided.
+    @pytest.mark.parametrize("c3", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 3e-8, 1e-8, 5e-9, 1e-10,
+                                    1e-11, 1e-13])
+    def test_near_a_right_phi3_the_type_is_read(self, c3):
+        # The signs differ while phi3 < pi/2, however small cos(phi3) is, and
+        # the sign gates read C e / cos(phi3): W'_3 carries absolute
+        # round-off, so down to cos(phi3) = 1e-13 the type and
+        # protohomogeneity are the declared ones (a merge to phi3 = pi/2
+        # would call the mixed sum protohomogeneous), and the blocks pass C11.
         angles = AngleTriple.from_cosines((0.5, 0.3, c3))
         for l_plus, l_minus in ((2, 0), (1, 1), (0, 2)):
             spec = FamilySpec("sum_type", 8, angles=angles, l_plus=l_plus, l_minus=l_minus)
@@ -350,15 +393,44 @@ class TestTypeOf:
             for seed in range(4):
                 space = moved(built, seed)
                 where = l_plus, l_minus, seed
-                verdict = is_protohomogeneous(space)
-                try:
-                    block_type = type_of(space).as_tuple()
-                except NumericalFailure:
-                    block_type = None
-                assert verdict.value in ("unknown", proto), where
-                assert block_type in (None, invariant), where
-                if c3 >= 1e-7:
-                    assert verdict.value == proto and block_type == invariant, where
+                assert is_protohomogeneous(space).value == proto, where
+                assert type_of(space).as_tuple() == invariant, where
+                _assert_c11_blocks(space, angles)
+
+    @pytest.mark.parametrize("c3", [1e-14, 2e-14])
+    def test_past_the_error_scale_the_type_is_unknown(self, c3):
+        # cos(phi3) above e but within the band sqrt(k) C e / cos(phi3) > 1/2:
+        # the trace need not count the signs, so the sign scale gate names
+        # itself and its margin, and no verdict is guessed.
+        angles = AngleTriple.from_cosines((0.5, 0.3, c3))
+        spec = FamilySpec("sum_type", 8, angles=angles, l_plus=1, l_minus=1)
+        for seed in range(3):
+            space = moved(_sum_of_sign_blocks(spec), seed)
+            e = _Analysis(space).error
+            assert e < c3 < 2.0 * math.sqrt(8) * _C * e
+            with pytest.raises(NumericalFailure, match="sign scale gate: sqrt") as exc:
+                type_of(space)
+            assert f"e = {e:.2e}, cos(phi3) = " in str(exc.value)
+            verdict = is_protohomogeneous(space)
+            assert verdict.value == "unknown" and verdict.reason == str(exc.value)
+
+    @pytest.mark.parametrize("cosines", [(0.45, 0.3, 0.12), (0.45, 0.3, 1e-3)])
+    def test_noisy_sums_read_their_type(self, cosines):
+        # Input noise eps far below CONSTANCY_TOL moves W' by about eps: the
+        # sign gates read it against C e / cos(phi3), with e about the noise,
+        # so the type is decided and declared down to cos(phi3) = 1e-3.  The
+        # blocks are H-orthogonal to within the input's own noise.
+        angles = AngleTriple.from_cosines(cosines)
+        for l_plus, l_minus in ((2, 0), (1, 1), (0, 2)):
+            spec = FamilySpec("sum_type", 9, angles=angles, l_plus=l_plus, l_minus=l_minus)
+            invariant, proto = declared_class(spec)
+            for eps in (1e-12, 1e-11, 1e-10):
+                for seed in range(3):
+                    space = noisy(moved(construct(spec), seed), eps, seed)
+                    where = l_plus, l_minus, eps, seed
+                    assert type_of(space).as_tuple() == invariant, where
+                    assert is_protohomogeneous(space).value == proto, where
+                    _assert_c11_blocks(space, angles, h_tol=10.0 * eps)
 
 
 class TestProtohomogeneous:
@@ -479,21 +551,27 @@ class TestBranch:
         from qka.cli import main
         from qka.serialize import save_subspace
 
-        def skewed(v_space):
-            # W_1 scaled by 1 + 1e-3 at cos(phi) = 1e-3: the spread, 2e-9 in
-            # cos^2, stays within CONSTANCY_TOL, while det(A) / cos(phi)^3
-            # is off +-1 by 2/3 1e-6 (to second order in the scale).
-            w = _slot_structure(v_space)
-            w[0] *= 1.0 + 1e-3
-            return w
+        def skewed(scale):
+            # W_1 scaled by 1 + f at cos(phi) = 1e-4: the spread e, 2 f 1e-8 in
+            # cos^2, stays within CONSTANCY_TOL, while det(A) / cos(phi)^3 is
+            # off +-1 by about 2/3 f^2 (to second order in the scale), beyond
+            # the bound C e / cos(phi) = 8 f 1e-4 where f > 12 cos(phi).
+            def read(v_space):
+                w = _slot_structure(v_space)
+                w[0] *= scale
+                return w
+            return read
 
-        monkeypatch.setattr(qka.classify, "_slot_structure", skewed)
-        phi = math.acos(1e-3)
+        phi = math.acos(1e-4)
         plus, minus = construct_v3(phi, 1, 3), construct_v3(phi, -1, 3)
+        monkeypatch.setattr(qka.classify, "_slot_structure", skewed(1.0 + 0.6e-3))
+        assert (branch_of_v3(plus), branch_of_v3(minus)) == (1, -1)  # half the edge
+        monkeypatch.setattr(qka.classify, "_slot_structure", skewed(1.0 + 2.4e-3))
         verdict = are_equivalent(plus, minus)
         assert verdict.value == "unknown"
-        assert verdict.reason.startswith("branch ratio det(A) / cos(phi)^3 = 0.999999 "
-                                         "matches neither class")
+        assert verdict.reason == ("branch ratio det(A) / cos(phi)^3 = 0.999996 matches neither "
+                                  "class +-1 within C e / cos(phi) = 1.92e-06, e = 4.81e-11, "
+                                  "cos(phi) = 1.00e-04")
         with pytest.raises(NumericalFailure, match="matches neither class"):
             branch_of_v3(minus)
         path = tmp_path / "v3.json"
@@ -548,6 +626,53 @@ class TestEquivalence:
         a = construct_v3(1.0, 1, 3)
         b = construct_v3(1.2, 1, 3)
         assert are_equivalent(a, b).value == "no"
+
+    def test_a_no_needs_a_gap_beyond_the_error_scales(self, monkeypatch):
+        # Next to the totally complex point: squared cosines 2.5e-16 against
+        # 0 read as cosines 1.58e-8 apart, beyond TRIPLE_MATCH_TOL, but at
+        # residual 4e-15 the gap lies inside e_v + e_w, so "no" would be a
+        # guess: the triple gate leaves it unknown, either way round.
+        point = construct_classical("totally_complex", 6, 3)
+        near = moved(point, 1)
+        exact = _exact_structure(_slot_structure(near))
+        assert _exact_structure(_slot_structure(point)).cos2.tolist() == [1.0, 0.0, 0.0]
+        cos2 = np.array([1.0, 2.5e-16, 2.5e-16])
+        copy = dataclasses.replace(exact, cos2=cos2, residual=4e-15)
+        real = qka.classify._exact_structure
+        monkeypatch.setattr(qka.classify, "_exact_structure", lambda w: copy if np.array_equal(
+            w, _slot_structure(near)) else real(w))
+        e_near = _Analysis(near).error
+        assert e_near == 8e-15 + 6 * 2.0 ** -52
+        for pair in ((point, near), (near, point)):
+            verdict = are_equivalent(*pair)
+            assert verdict.value == "unknown", verdict
+            assert verdict.reason.startswith("triple gate: the cosines differ by more than "
+                                             "TRIPLE_MATCH_TOL, but their largest "
+                                             "squared-cosine gap 2.50e-16 <= e_v + e_w = ")
+            assert f"{e_near:.2e}" in verdict.reason
+        far = dataclasses.replace(copy, cos2=np.array([1.0, 1e-13, 1e-13]))
+        monkeypatch.setattr(qka.classify, "_exact_structure", lambda w: far if np.array_equal(
+            w, _slot_structure(near)) else real(w))
+        assert are_equivalent(point, near) == Verdict("no", "different angle triples")
+
+    def test_within_the_triple_gate_differing_types_are_no(self):
+        # cos(phi3) = 1e-8 against 4e-8: the cosines differ beyond
+        # TRIPLE_MATCH_TOL, their squares by 1.5e-15, inside e_v + e_w.  The
+        # types are decided, and differing types prove inequivalence; equal
+        # ones leave the triple gate's unknown.
+        near = AngleTriple.from_cosines((0.5, 0.3, 1e-8))
+        far = AngleTriple.from_cosines((0.5, 0.3, 4e-8))
+        a = moved(construct_sum(near, 2, 0, 8), 0)
+        b = moved(construct_sum(far, 1, 1, 8), 1)
+        same = moved(construct_sum(far, 2, 0, 8), 1)
+        gap = abs(_Analysis(a).report.triple.cos2()[2] - _Analysis(b).report.triple.cos2()[2])
+        assert gap <= _Analysis(a).error + _Analysis(b).error
+        for pair in ((a, b), (b, a)):
+            assert are_equivalent(*pair).value == "no"
+        assert are_equivalent(a, b).reason == "different types (2, 0) vs (1, 1)"
+        for pair in ((a, same), (same, a)):
+            verdict = are_equivalent(*pair)
+            assert verdict.value == "unknown" and verdict.reason.startswith("triple gate: ")
 
     def test_different_dimensions(self):
         a = construct_classical("totally_real", 2, 3)
@@ -1036,6 +1161,14 @@ def _pbar_triple(analysis):
     return [analysis.pbar(i) for i in (1, 2, 3)]
 
 
+def _sign_scale(analysis):
+    """(e, cos(phi3)) as `_Analysis.signs` hands them to the sign gates, with
+    cos(phi3) = p / q read off M_0 = W'_3 X_12 and X_12."""
+    x12 = analysis.exact.cross12
+    m0 = analysis.exact.w_canonical[2] @ x12
+    return analysis.error, float(np.linalg.norm(m0) / np.linalg.norm(x12))
+
+
 def _tampered(monkeypatch, space, **fields):
     """Make every analysis of ``space`` read a copy of its exact structure with
     ``fields(exact)`` in place of the named fields; the Pbar gates, which read
@@ -1119,6 +1252,11 @@ def _involution(k, l_plus, seed):
     return lams, q
 
 
+# e and cos(phi3) that put the sign gates' bound C e / cos(phi3) at 1e-8, the
+# per-eigenvalue rule of the eigvalsh reference.
+AT_1E_8 = (1e-8 / _C, 1.0)
+
+
 class TestSignGates:
     """`_sign_split`'s involution gate and trace count against the eigenvalue
     split by eigvalsh (`_eigvalsh_sign_dims`, the reference)."""
@@ -1134,7 +1272,7 @@ class TestSignGates:
                     lams[index] += eps
                     s = (q * lams) @ q.T
                     try:
-                        _, plus = _sign_split(s)
+                        _, plus = _sign_split(s, *AT_1E_8)
                     except NumericalFailure as exc:
                         assert "sign involution gate" in str(exc)
                         refused += 1
@@ -1162,7 +1300,7 @@ class TestSignGates:
         s = (q * np.where(np.arange(8) < 2, 1.0, -1.0)) @ q.T
         with pytest.raises(NumericalFailure, match=r"kernel dimensions \(2, 6\) are not "
                                                    "multiples of 4"):
-            _sign_split(s)
+            _sign_split(s, *AT_1E_8)
         with pytest.raises(NumericalFailure):
             _eigvalsh_sign_dims(s)
 
@@ -1170,20 +1308,36 @@ class TestSignGates:
         lams, q = _involution(8, 1, 5)
         lams[0] = 1.0 - 1e-6
         with pytest.raises(NumericalFailure, match="sign involution gate") as exc:
-            _sign_split((q * lams) @ q.T)
-        assert "2.00e-06" in str(exc.value)  # |(1 - 1e-6)^2 - 1|
-        assert f"{SIGN_INVOLUTION_TOL:.0e}" in str(exc.value)
+            _sign_split((q * lams) @ q.T, *AT_1E_8)
+        # |(1 - 1e-6)^2 - 1|, the bound, e and cos(phi3)
+        assert ("(||S^2 - I||_F = 2.00e-06 > C e / cos(phi3) = 1.00e-08, e = 2.50e-09, "
+                "cos(phi3) = 1.00e+00)") in str(exc.value)
+
+    def test_count_read_only_where_the_trace_is_exact(self):
+        # sqrt(k) C e / cos(phi3) <= 1/2 keeps round((k + tr S) / 2) exact;
+        # past it the gate names itself and its margin, even for an exact
+        # involution.
+        lams, q = _involution(16, 1, 7)
+        s = (q * lams) @ q.T
+        assert _sign_split(s, 0.125 / _C, 1.0)[1] == 4  # sqrt(16) b = 1/2
+        with pytest.raises(NumericalFailure) as exc:
+            _sign_split(s, 0.126 / _C, 1.0)
+        assert str(exc.value).startswith(
+            "sign scale gate: sqrt(k) C e / cos(phi3) = 5.04e-01 > 1/2 (C e / cos(phi3) = "
+            "1.26e-01, e = 3.15e-02, cos(phi3) = 1.00e+00)")
 
     def test_near_involution_refused_on_the_type_path(self, monkeypatch):
         # The plus part of M_0 scaled by 1 - 1e-6 puts the eigenvalues of S at
         # +(1 - 1e-6) and -1 up to the common scale p, which absorbs a scale of
         # the whole M_0 but not this one.
         space = moved(construct_sum(TA, 1, 1, 8), 9)
+        e, cos3 = _sign_scale(_Analysis(space))
         _tampered(monkeypatch, space, cross12=_plus_part_scaled(space, 1e-6))
-        with pytest.raises(NumericalFailure, match="sign involution gate"):
+        with pytest.raises(NumericalFailure, match="sign involution gate") as exc:
             type_of(space)
         verdict = is_protohomogeneous(space)
-        assert verdict.value == "unknown" and "sign involution gate" in verdict.reason
+        assert verdict.value == "unknown" and verdict.reason == str(exc.value)
+        assert f"C e / cos(phi3) = {_C * e / cos3:.2e}, e = {e:.2e}, " in verdict.reason
 
 
 def _invariant_part(record):
@@ -1495,6 +1649,42 @@ class TestResidualReadPbarGate:
         assert _direct_gate(wrong) > COMPLEX_STRUCTURE_TOL
         with pytest.raises(NumericalFailure, match="not an orthogonal complex structure"):
             pbar_operator(space, STANDARD_BASIS, 1, math.cos(0.9))
+
+    @pytest.mark.parametrize("scale,refused", [(0.9, False), (1.1, True)])
+    def test_square_gap_read_against_the_error_scale(self, monkeypatch, scale, refused):
+        # u_2 set to a multiple of C e cos(phi2), at cos(phi2) = 1e-7: within
+        # the bound the blocks are formed, past it factorize refuses by name
+        # with the tested value, the bound, e and the cosine.
+        space = moved(construct_sum(AngleTriple.from_cosines((0.5, 1e-7, 1e-7)), 2, 0, 8), 2)
+        analysis = _Analysis(space)
+        e, cos2 = analysis.error, math.sqrt(analysis.exact.cos2[1])
+        u = scale * _C * e * cos2
+
+        def gap(exact):
+            return np.array([exact.square_gap[0], u, exact.square_gap[2]])
+
+        _tampered(monkeypatch, space, square_gap=gap)
+        if not refused:
+            assert len(factorize(space)) == 2
+            return
+        with pytest.raises(NumericalFailure) as exc:
+            factorize(space)
+        assert str(exc.value) == (
+            f"Pbar gate: u_2 = {u:.2e} <= C e cos(phi2) = {_C * e * cos2:.2e} and 2 k C e = "
+            f"{2 * 8 * _C * e:.2e} <= cos(phi2) = {cos2:.2e} do not both hold (e = {e:.2e})")
+
+    def test_pbar_formed_only_where_the_error_scale_allows(self, monkeypatch):
+        # A residual of 1e-9 (noise, within CONSTANCY_TOL) puts 2 k C e above
+        # cos(phi2) = 1e-7: Pbar_2 could be off an orthogonal complex
+        # structure by more than 1/2, so it is not formed.
+        space = moved(construct_sum(AngleTriple.from_cosines((0.5, 1e-7, 1e-7)), 2, 0, 8), 2)
+        _tampered(monkeypatch, space, residual=lambda exact: 1e-9)
+        analysis = _Analysis(space)
+        assert analysis.report.constant is True and 2 * 8 * _C * analysis.error > 1e-7
+        with pytest.raises(NumericalFailure, match=r"^Pbar gate: u_2 = .* and 2 k C e = 1\.28e-07 "
+                                                   r"<= cos\(phi2\) = 1\.00e-07 do not both "
+                                                   r"hold \(e = 2\.00e-09\)$"):
+            factorize(space)
 
 
 def test_no_second_complex_structure_check(monkeypatch):

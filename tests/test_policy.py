@@ -110,14 +110,15 @@ def test_blocks_are_placed_only_behind_the_door():
 def test_the_block_type_reads_no_squared_cosine():
     # `_Analysis.signs` normalizes M_0 = W'_3 X_12 by its own scale: it reads
     # no squared cosine c_i of the frame and passes no Pbar gate, which
-    # divides by c_i.
+    # divides by c_i.  Its gates and its phi3 = pi/2 merge read the record's
+    # error scale.
     tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
     analysis = next(node for node in tree.body
                     if isinstance(node, ast.ClassDef) and node.name == "_Analysis")
     signs = next(node for node in analysis.body
                  if isinstance(node, ast.FunctionDef) and node.name == "signs")
     read = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(signs)}
-    assert {"w_canonical", "cross12", "residual"} <= read
+    assert {"w_canonical", "cross12", "error"} <= read
     assert sorted(read & {"cos2", "_gated_cos", "pbar"}) == []
 
 
@@ -212,14 +213,10 @@ def _trig_of_stored_angles(tree: ast.Module, path: Path) -> list[str]:
     return found
 
 
-def test_one_end_band():
-    # A computed cosine is read on its own scale, so every end test reads
-    # `moduli.REGION_TOL`: no module defines or imports a snap of end
-    # cosines or a second end band, and classify compares no cosine (a
-    # subscript, or a name holding "cos") against a bare 0.0 or 1.0.
-    retired = {"SNAP_TOL", "snapped", "_snap_into_strata", "BOUNDARY_TOL"}
+def _defined_or_imported(retired: set[str], paths) -> list[str]:
+    """Each place a module of ``paths`` defines or imports a name of ``retired``."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -231,6 +228,16 @@ def test_one_end_band():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in retired]
+    return found
+
+
+def test_one_end_band():
+    # A computed cosine is read on its own scale, so every end test reads
+    # `moduli.REGION_TOL`: no module defines or imports a snap of end
+    # cosines or a second end band, and classify compares no cosine (a
+    # subscript, or a name holding "cos") against a bare 0.0 or 1.0.
+    found = _defined_or_imported({"SNAP_TOL", "snapped", "_snap_into_strata", "BOUNDARY_TOL"},
+                                 sorted(SRC.glob("*.py")))
     assert found == [], f"a snap of end cosines or a second end band: {found}"
     tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
     bare = []
@@ -243,6 +250,17 @@ def test_one_end_band():
                             for o in operands)):
                 bare.append(f"classify.py:{node.lineno} {ast.unparse(node)}")
     assert bare == [], f"a cosine compared against a bare end value: {bare}"
+
+
+def test_one_error_scale_for_the_discrete_gates():
+    # The sign, Pbar and branch gates read C e / cos(phi) from the record's
+    # error scale (`classify._Analysis.error`): no module defines or imports
+    # a free tolerance for them, and classify imports no complex-structure
+    # tolerance, which only the direct reference `pbar_operator` reads.
+    found = _defined_or_imported({"SIGN_SYMMETRY_TOL", "SIGN_INVOLUTION_TOL", "BRANCH_TOL"},
+                                 sorted(SRC.glob("*.py")))
+    found += _defined_or_imported({"COMPLEX_STRUCTURE_TOL"}, [SRC / "classify.py"])
+    assert found == [], f"a free tolerance on a discrete gate: {found}"
 
 
 def test_no_cosine_of_a_triples_angle_outside_moduli():
